@@ -1,18 +1,18 @@
-// Flush-storm ablation: the write-side StoreBroker (cross-shard flush
-// coalescing + in-flight store-back dedup) vs the broker-off ablation.
+// Flush-storm ablation: the store-side Coalescer (cross-shard flush
+// coalescing + in-flight store-back dedup) vs the coalescer-off ablation.
 //
 // Writer threads keep dirtying a Zipf-skewed working set while flusher
 // threads hammer FlushAll concurrently — the regime of aggressive flush
-// intervals, failover write-backs and shutdown storms. Without the broker
+// intervals, failover write-backs and shutdown storms. Without the coalescer
 // every flush pass pays one KvStore::MultiSet per dirty shard it drains, so
 // concurrent small passes multiply round trips; with it, groups from
-// different shards and different passes landing within the collection window
-// merge into one MultiSet, and a hot pid re-flushed while its store-back is
-// on the wire rides or requeues instead of racing. The measured series is KV
+// different shards and different passes arriving while a MultiSet is on the
+// wire group-commit into the next one, and a hot pid re-flushed while its
+// store-back is on the wire rides or requeues instead of racing. The measured series is KV
 // write round trips per flushed pid (PointWriteCalls + MultiSetCalls deltas
 // over the cache.flushed delta).
 //
-// `--smoke` runs a shortened storm and exits nonzero unless the broker cuts
+// `--smoke` runs a shortened storm and exits nonzero unless the coalescer cuts
 // write round trips per flushed pid by >= 3x with
 // store_broker.cross_shard_batches > 0 (the PR acceptance gate). The full
 // run emits BENCH_flush_storm.json.
@@ -65,11 +65,6 @@ IpsInstanceOptions BenchInstanceOptions(bool broker_on) {
   options.cache.memory_limit_bytes = 64 << 20;  // no eviction write-backs
   options.enable_load_broker = false;           // write path is the subject
   options.enable_store_broker = broker_on;
-  // A write window much wider than the read broker's: flush passes run on
-  // background threads and tolerate the linger, and the calibrated MultiSet
-  // costs ~1.2 ms anyway, so a few ms of collection buys whole-storm merges.
-  options.store_broker.window_micros = 4000;
-  options.store_broker.max_batch_pids = 256;
   return options;
 }
 
@@ -122,7 +117,7 @@ RunResult RunConfig(bool broker_on, size_t writes_per_writer) {
         instance.FlushAll();
         flush_passes.fetch_add(1);
         // Long, random pauses keep the flushers out of lock-step with the
-        // broker's dispatch cycle: a pass that lands while another pass's
+        // coalescer's dispatch cycle: a pass that lands while another pass's
         // store is on the wire exercises the single-flight table.
         std::this_thread::sleep_for(
             std::chrono::microseconds(rng.Uniform(1500)));
@@ -203,7 +198,7 @@ void WriteJson(const std::vector<RunResult>& rows) {
 
 int Run(bool smoke) {
   std::printf(
-      "=== Flush storm: StoreBroker vs broker-off ablation (%s) ===\n"
+      "=== Flush storm: store Coalescer vs coalescer-off ablation (%s) ===\n"
       "%zu writers dirtying %zu Zipf users, %zu concurrent FlushAll threads;"
       "\nseries = KV write round trips per flushed pid\n",
       smoke ? "smoke" : "full", kWriterThreads, kNumUsers, kFlusherThreads);
@@ -221,7 +216,7 @@ int Run(bool smoke) {
   const double ratio =
       on.WritesPerFlush() > 0 ? off.WritesPerFlush() / on.WritesPerFlush()
                               : 0;
-  std::printf("%14s broker cuts KV write round trips per flushed pid %.1fx "
+  std::printf("%14s coalescer cuts KV write round trips per flushed pid %.1fx "
               "(%.3f -> %.3f)\n",
               "", ratio, off.WritesPerFlush(), on.WritesPerFlush());
 

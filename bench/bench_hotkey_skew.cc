@@ -1,19 +1,20 @@
-// Hot-key skew sweep: the read-path LoadBroker (server-side cross-request
-// batching + single-flight dedup) vs the broker-off ablation, under Zipfian
+// Hot-key skew sweep: the load-side Coalescer (server-side cross-request
+// batching + single-flight dedup) vs the coalescer-off ablation, under Zipfian
 // user popularity at s in {0.6, 0.8, 0.9, 0.99}. The sweep stays strictly
 // inside ZipfGenerator's (0, 1) domain — the approximation degenerates at
 // s >= 1 (and now aborts there); 0.99 is YCSB's standard hot anchor.
 //
 // Eight request threads issue single-profile queries against an instance
 // whose cache is deliberately tiny, so the Zipf head keeps missing and every
-// miss pays the calibrated KV round trip. Without the broker each miss loads
-// inline (point reads per profile); with it, concurrent misses for the same
-// hot pid share ONE fetch (single-flight) and misses arriving within the
-// collection window merge into one KvStore::MultiGet. The measured series is
+// miss pays the calibrated KV round trip. Without the coalescer each miss
+// loads inline (point reads per profile); with it, concurrent misses for the
+// same hot pid share ONE fetch (single-flight) and misses arriving while a
+// fetch is on the wire group-commit into the next KvStore::MultiGet. The
+// measured series is
 // storage round trips per query (PointReadCalls + MultiGetCalls deltas), the
 // cost the paper's shared-profile design removes from the serving path.
 //
-// `--smoke` runs only s=0.99 and exits nonzero unless the broker cuts KV
+// `--smoke` runs only s=0.99 and exits nonzero unless the coalescer cuts KV
 // round trips per query by >= 3x with broker.single_flight_hits > 0 (the PR
 // acceptance gate). The full run emits BENCH_hotkey_skew.json.
 #include <chrono>
@@ -44,7 +45,7 @@ struct RunResult {
   int64_t point_reads = 0;
   int64_t multi_gets = 0;
   int64_t single_flight = 0;
-  int64_t window_batches = 0;
+  int64_t batches = 0;
   int64_t dedup = 0;
   double hit_ratio = 0;
   double mean_ms = 0;
@@ -75,8 +76,6 @@ IpsInstanceOptions BenchInstanceOptions(bool broker_on) {
   // missing — the regime where cross-request coalescing matters.
   options.cache.memory_limit_bytes = 8 * 1024;
   options.enable_load_broker = broker_on;
-  options.load_broker.window_micros = 400;
-  options.load_broker.max_batch_pids = 64;
   return options;
 }
 
@@ -131,7 +130,7 @@ RunResult RunConfig(MemKvStore& kv, double theta, bool broker_on,
         // Short random think time: desynchronizes the request threads the
         // way independent frontends are desynchronized. Without it the
         // threads convoy on each shared batch (everyone wakes together and
-        // lands in the next window), which hides the single-flight path.
+        // lands in the next batch), which hides the single-flight path.
         std::this_thread::sleep_for(
             std::chrono::microseconds(workload.rng().Uniform(600)));
         const ProfileId pid = workload.SampleUser();
@@ -155,7 +154,8 @@ RunResult RunConfig(MemKvStore& kv, double theta, bool broker_on,
   r.multi_gets = kv.MultiGetCalls() - multi_before;
   MetricsRegistry* metrics = instance.metrics();
   r.single_flight = metrics->GetCounter("broker.single_flight_hits")->Value();
-  r.window_batches = metrics->GetCounter("broker.window_batches")->Value();
+  r.batches = static_cast<int64_t>(
+      metrics->GetHistogram("broker.batch_pids")->count());
   r.dedup = metrics->GetCounter("broker.cross_request_dedup")->Value();
   const int64_t hits = metrics->GetCounter("cache.hit")->Value();
   const int64_t misses = metrics->GetCounter("cache.miss")->Value();
@@ -174,7 +174,7 @@ void PrintRow(const RunResult& r) {
   bench::PrintCell(static_cast<int64_t>(r.point_reads + r.multi_gets));
   bench::PrintCell(r.RtPerQuery());
   bench::PrintCell(r.single_flight);
-  bench::PrintCell(r.window_batches);
+  bench::PrintCell(r.batches);
   bench::PrintCell(r.dedup);
   bench::PrintCell(r.hit_ratio);
   bench::PrintCell(r.p99_ms);
@@ -194,13 +194,13 @@ void WriteJson(const std::vector<RunResult>& rows) {
         f,
         "    {\"theta\": %.2f, \"broker\": %s, \"queries\": %zu, "
         "\"kv_round_trips\": %lld, \"rt_per_query\": %.4f, "
-        "\"single_flight_hits\": %lld, \"window_batches\": %lld, "
+        "\"single_flight_hits\": %lld, \"batches\": %lld, "
         "\"cross_request_dedup\": %lld, \"hit_ratio\": %.3f, "
         "\"mean_ms\": %.3f, \"p99_ms\": %.3f}%s\n",
         r.theta, r.broker ? "true" : "false", r.queries,
         static_cast<long long>(r.point_reads + r.multi_gets), r.RtPerQuery(),
         static_cast<long long>(r.single_flight),
-        static_cast<long long>(r.window_batches),
+        static_cast<long long>(r.batches),
         static_cast<long long>(r.dedup), r.hit_ratio, r.mean_ms, r.p99_ms,
         i + 1 < rows.size() ? "," : "");
   }
@@ -211,7 +211,7 @@ void WriteJson(const std::vector<RunResult>& rows) {
 
 int Run(bool smoke) {
   std::printf(
-      "=== Hot-key skew: LoadBroker vs broker-off ablation (%s) ===\n"
+      "=== Hot-key skew: load Coalescer vs coalescer-off ablation (%s) ===\n"
       "%zu threads, Zipf users over %zu profiles, tiny cache -> recurring\n"
       "misses; series = KV round trips per query\n",
       smoke ? "smoke" : "full", kThreads, kNumUsers);
@@ -240,7 +240,7 @@ int Run(bool smoke) {
     total_errors += off.errors + on.errors;
     const double ratio =
         on.RtPerQuery() > 0 ? off.RtPerQuery() / on.RtPerQuery() : 0;
-    std::printf("%14s s=%.2f: broker cuts KV round trips per query %.1fx "
+    std::printf("%14s s=%.2f: coalescer cuts KV round trips per query %.1fx "
                 "(%.2f -> %.2f)\n",
                 "", theta, ratio, off.RtPerQuery(), on.RtPerQuery());
     if (theta == 0.99) {

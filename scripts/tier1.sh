@@ -38,9 +38,9 @@ run_suite() {
     # ctest set, and prints the alloc/zero-copy evidence into the tier-1 log.
     echo "=== tier1: perf smoke (bench_micro --smoke) ==="
     "${build_dir}/bench/bench_micro" --smoke
-    # Read-path coalescing gate: the LoadBroker must keep cutting KV round
-    # trips >= 3x at Zipf s=1.0 vs the broker-off ablation, with live
-    # single-flight hits. ctest runs it too; this keeps the gate in the log.
+    # Read-path coalescing gate: the load-side Coalescer must keep cutting KV
+    # round trips >= 3x at Zipf s=1.0 vs the coalescer-off ablation, with
+    # live single-flight hits. ctest runs it too; this keeps the gate in the log.
     echo "=== tier1: perf smoke (bench_hotkey_skew --smoke) ==="
     "${build_dir}/bench/bench_hotkey_skew" --smoke
     # Overload gate: replaying the recorded trace at 5x capacity, goodput
@@ -48,8 +48,8 @@ run_suite() {
     echo "=== tier1: perf smoke (bench_overload --smoke) ==="
     "${build_dir}/bench/bench_overload" --smoke
     # Write-path coalescing gate: under a concurrent FlushAll storm, the
-    # StoreBroker must cut KV write round trips per flushed pid >= 3x vs the
-    # broker-off ablation, with cross-shard merges observed.
+    # store-side Coalescer must cut KV write round trips per flushed pid >= 3x
+    # vs the coalescer-off ablation, with cross-shard merges observed.
     echo "=== tier1: perf smoke (bench_flush_storm --smoke) ==="
     "${build_dir}/bench/bench_flush_storm" --smoke
     # Cache-tier gate: with a tiny L1 under eviction churn, the compressed L2
@@ -65,11 +65,15 @@ run_suite() {
   fi
   if [[ "${sanitize}" == "thread" ]]; then
     # The drain-concurrency storm (concurrent MaybeTrigger + Drain +
-    # SetEnabled flips over the sharded pool) is the test TSan exists for;
-    # ctest runs it with the rest of the suite, but an explicit pass keeps
-    # the race gate visible in the tier-1 log.
+    # SetEnabled flips over the sharded pool) and the coalescer's
+    # group-commit storms (attach, claim, piggyback, requeue and detach from
+    # many threads) are the tests TSan exists for; ctest runs them with the
+    # rest of the suite, but explicit passes keep the race gates visible in
+    # the tier-1 log.
     echo "=== tier1: TSan drain storm (CompactionManagerTest) ==="
     (cd "${build_dir}" && ctest --output-on-failure -R compaction_test)
+    echo "=== tier1: TSan group-commit storm (CoalescerTest) ==="
+    (cd "${build_dir}" && ctest --output-on-failure -R coalescer_test)
   fi
 }
 

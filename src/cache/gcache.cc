@@ -4,8 +4,6 @@
 #include <cassert>
 #include <limits>
 
-#include "cache/load_broker.h"
-#include "cache/store_broker.h"
 #include "cache/victim_cache.h"
 #include "common/hash.h"
 #include "common/logging.h"
@@ -126,18 +124,14 @@ Result<std::pair<GCache::EntryPtr, bool>> GCache::GetOrLoad(
   ProfileData loaded(options_.write_granularity_ms);
   bool degraded = false;
   {
-    // Through the broker when installed (sharing the load with every other
+    // Through the load coalescer when installed (sharing the load with every
     // concurrent miss for this pid), else the per-pid loader.
     Result<ProfileData> result = [&]() -> Result<ProfileData> {
-      if (load_broker_ == nullptr) return load_(pid, &degraded);
-      std::vector<ProfileId> one{pid};
+      if (load_coalescer_ == nullptr) return load_(pid, &degraded);
       std::vector<bool> one_degraded;
       std::vector<Result<ProfileData>> results =
-          load_broker_->Load(one, &one_degraded);
-      if (results.empty()) {
-        return Status::Internal("load broker returned a short result list");
-      }
-      degraded = !one_degraded.empty() && one_degraded[0];
+          load_coalescer_->Submit({pid}, {}, {}, &one_degraded);
+      degraded = one_degraded[0];
       return std::move(results[0]);
     }();
     if (result.ok()) {
@@ -246,14 +240,16 @@ std::vector<Result<ProfileData>> GCache::LoadMisses(
   }
   const std::vector<ProfileId>& load_pids = tiered ? remaining : pids;
 
-  // Dispatch what the tier could not serve: the broker when installed
-  // (single-flight + cross-request window batching, with the caller's
+  // Dispatch what the tier could not serve: the load coalescer when
+  // installed (shared with concurrent requests' misses, with the caller's
   // deadline bounding the shared wait), else the batch loader, else per-pid
   // loads.
   std::vector<bool> loaded_degraded;
   std::vector<Result<ProfileData>> loaded;
-  if (load_broker_ != nullptr) {
-    loaded = load_broker_->Load(load_pids, &loaded_degraded, deadline_ms);
+  if (load_coalescer_ != nullptr) {
+    // Loads carry no epoch and no snapshot.
+    loaded = load_coalescer_->Submit(load_pids, {}, {}, &loaded_degraded,
+                                     deadline_ms);
   } else if (batch_load_) {
     loaded_degraded.assign(load_pids.size(), false);
     loaded = batch_load_(load_pids, &loaded_degraded);
@@ -366,7 +362,7 @@ size_t GCache::WithProfiles(
   }
 
   // Phase 2: one LoadMisses call covers every miss, outside all shard locks.
-  // With a broker installed this submits the miss set to the shared
+  // With a load coalescer installed this submits the miss set to the shared
   // coalescing stage — concurrent requests' misses merge into one storage
   // round trip and hot pids already on the wire are joined, not refetched.
   if (!miss_pids.empty()) {
@@ -609,7 +605,7 @@ size_t GCache::EvictFromShard(LruShard& shard, size_t target_bytes) {
   //   1. collect victims under shard.mu (try_lock probing, Fig 8),
   //      snapshotting profile + epoch one entry lock at a time;
   //   2. write dirty victims back with NO lock held — through the store
-  //      broker when installed (an eviction storm coalesces with a flush
+  //      coalescer when installed (an eviction storm coalesces with a flush
   //      storm), else the batch flusher, else per-pid flushes;
   //   3. encode surviving victims for L2 demotion, still unlocked;
   //   4. commit per victim under shard.mu + entry try_lock with the flush
@@ -668,7 +664,7 @@ size_t GCache::EvictFromShard(LruShard& shard, size_t target_bytes) {
     if (victims[i].dirty) dirty_ix.push_back(i);
   }
   if (!dirty_ix.empty()) {
-    if (store_broker_ != nullptr || batch_flush_) {
+    if (store_coalescer_ != nullptr || batch_flush_) {
       std::vector<ProfileId> pids;
       std::vector<const ProfileData*> profiles;
       pids.reserve(dirty_ix.size());
@@ -678,14 +674,14 @@ size_t GCache::EvictFromShard(LruShard& shard, size_t target_bytes) {
         profiles.push_back(&victims[ix].snapshot);
       }
       std::vector<Status> flushed;
-      if (store_broker_ != nullptr) {
-        // Snapshot epochs ride along, as in FlushShard: the broker dedups an
-        // eviction write-back against an identical in-flight flush of the
-        // same pid and orders it behind an older one.
+      if (store_coalescer_ != nullptr) {
+        // Snapshot epochs ride along, as in FlushShard: the coalescer
+        // dedups an eviction write-back against an identical in-flight flush
+        // of the same pid and orders it behind an older one.
         std::vector<uint64_t> epochs;
         epochs.reserve(dirty_ix.size());
         for (size_t ix : dirty_ix) epochs.push_back(victims[ix].epoch);
-        flushed = store_broker_->Store(pids, profiles, epochs);
+        flushed = store_coalescer_->Submit(pids, epochs, profiles);
       } else {
         flushed = batch_flush_(pids, profiles);
       }
@@ -863,7 +859,7 @@ size_t GCache::FlushShard(DirtyShard& dshard, size_t* out_failures) {
     // (the old design pinned every entry lock in the group across the round
     // trip: a latency cliff and a lock-ordering hazard).
     const size_t group_max =
-        (batch_flush_ || store_broker_ != nullptr)
+        (batch_flush_ || store_coalescer_ != nullptr)
             ? std::max<size_t>(1, options_.flush_batch_max)
             : 1;
     struct Snapshot {
@@ -896,12 +892,12 @@ size_t GCache::FlushShard(DirtyShard& dshard, size_t* out_failures) {
     if (group.empty()) continue;
 
     // One storage round trip per group, outside every entry lock: the store
-    // broker (which may merge this group with other shards' concurrent
+    // coalescer (which may merge this group with other shards' concurrent
     // groups into one MultiSet, and share in-flight store-backs of hot
     // pids) when installed, else the batch flusher (one MultiSet below),
     // else the per-entry flusher on the group of one.
     std::vector<Status> statuses;
-    if (store_broker_ != nullptr || batch_flush_) {
+    if (store_coalescer_ != nullptr || batch_flush_) {
       std::vector<ProfileId> pids;
       std::vector<const ProfileData*> profiles;
       pids.reserve(group.size());
@@ -910,15 +906,16 @@ size_t GCache::FlushShard(DirtyShard& dshard, size_t* out_failures) {
         pids.push_back(snap.entry->pid);
         profiles.push_back(&snap.profile);
       }
-      if (store_broker_ != nullptr) {
-        // The snapshot epochs ride along so the broker can tell an
+      if (store_coalescer_ != nullptr) {
+        // The snapshot epochs ride along so the coalescer can tell an
         // identical re-flush (piggyback on the in-flight write) from a
         // newer one (requeue behind it). The commit below still rechecks
-        // each entry's live epoch — the broker never changes that contract.
+        // each entry's live epoch — the coalescer never changes that
+        // contract.
         std::vector<uint64_t> epochs;
         epochs.reserve(group.size());
         for (const Snapshot& snap : group) epochs.push_back(snap.epoch);
-        statuses = store_broker_->Store(pids, profiles, epochs);
+        statuses = store_coalescer_->Submit(pids, epochs, profiles);
       } else {
         statuses = batch_flush_(pids, profiles);
       }

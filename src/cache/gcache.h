@@ -29,6 +29,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "cache/coalescer.h"
 #include "common/clock.h"
 #include "common/metrics.h"
 #include "common/status.h"
@@ -75,8 +76,6 @@ struct GCacheOptions {
   int64_t write_granularity_ms = 60'000;
 };
 
-class LoadBroker;
-class StoreBroker;
 class VictimCache;
 
 /// Persists one profile. Invalidate calls it with the entry lock held (the
@@ -145,9 +144,10 @@ class GCache {
   /// `out_degraded`, when non-null, is filled aligned with `pids`; same
   /// staleness contract as WithProfile. `deadline_ms` (absolute, in the
   /// cache clock's domain) bounds how long misses may wait on loads shared
-  /// through the broker; pids unresolved at the deadline get
+  /// through the load coalescer; pids unresolved at the deadline get
   /// DeadlineExceeded while the shared load itself keeps running. It is
-  /// ignored when no broker is installed (inline loads cannot be abandoned).
+  /// ignored when no coalescer is installed (inline loads cannot be
+  /// abandoned).
   size_t WithProfiles(const std::vector<ProfileId>& pids,
                       const std::function<void(size_t, const ProfileData&)>& fn,
                       std::vector<Status>* statuses,
@@ -161,13 +161,15 @@ class GCache {
     batch_load_ = std::move(batch_load);
   }
 
-  /// Installs the load broker (non-owning; must outlive the cache): misses
-  /// then route through it instead of invoking the loader callbacks inline,
-  /// gaining single-flight dedup of concurrent misses for the same pid and
-  /// cross-request window batching of the storage round trip. Same
-  /// setup-time contract as set_batch_loader. Without a broker, misses load
-  /// inline through batch_load_/load_ exactly as before.
-  void set_load_broker(LoadBroker* broker) { load_broker_ = broker; }
+  /// Installs the load coalescer (non-owning; must outlive the cache):
+  /// misses then route through it instead of invoking the loader callbacks
+  /// inline, so concurrent misses for one pid share a round trip and misses
+  /// from concurrent requests group-commit into one. Same setup-time
+  /// contract as set_batch_loader. Without one, misses load inline through
+  /// batch_load_/load_.
+  void set_load_coalescer(LoadCoalescer* coalescer) {
+    load_coalescer_ = coalescer;
+  }
 
   /// Installs the batch flusher: flush passes then drain each dirty shard
   /// in groups of up to flush_batch_max entries, one flusher call (one
@@ -177,22 +179,21 @@ class GCache {
     batch_flush_ = std::move(batch_flush);
   }
 
-  /// Installs the store broker (non-owning; must outlive the cache): flush
-  /// groups then route through it instead of the batch flusher, gaining
-  /// cross-shard window merging (concurrent flush passes' groups share one
-  /// storage round trip) and single-flight store-backs (a hot dirty pid
-  /// re-flushed while its store is on the wire is written at most once per
-  /// window; a changed snapshot requeues behind the in-flight write). The
-  /// snapshot epochs FlushShard already tracks ride along so the broker can
-  /// tell identical re-flushes from newer ones; the epoch recheck after the
-  /// store returns is unchanged. Same setup-time contract as
-  /// set_batch_loader. Eviction write-backs route through the broker too:
+  /// Installs the store coalescer (non-owning; must outlive the cache):
+  /// flush groups then route through it instead of the batch flusher, so
+  /// concurrent flush passes' groups share one storage round trip and a hot
+  /// dirty pid re-flushed while its store is on the wire piggybacks on it
+  /// (same snapshot epoch) or requeues behind it (newer epoch). The epoch
+  /// recheck after the store returns is unchanged. Same setup-time contract
+  /// as set_batch_loader. Eviction write-backs route through it too:
   /// EvictFromShard stores unlocked snapshots (victims are collected under
   /// the shard lock, written back outside it), so an eviction storm
   /// coalesces with a concurrent flush storm. Only Invalidate keeps the
-  /// inline point path — it holds the entry lock and must not park in a
-  /// window.
-  void set_store_broker(StoreBroker* broker) { store_broker_ = broker; }
+  /// inline point path — it holds the entry lock and must not park behind
+  /// another thread's round trip.
+  void set_store_coalescer(StoreCoalescer* coalescer) {
+    store_coalescer_ = coalescer;
+  }
 
   /// Installs the compressed L2 victim tier (non-owning; must outlive the
   /// cache) together with the codec callbacks that translate between
@@ -345,11 +346,12 @@ class GCache {
   size_t DirtyIndex(ProfileId pid) const;
 
   /// Finds or creates the entry; returns (entry, was_hit). May invoke the
-  /// loader (through the broker when installed) outside all shard locks.
+  /// loader (through the load coalescer when installed) outside all shard
+  /// locks.
   Result<std::pair<EntryPtr, bool>> GetOrLoad(ProfileId pid,
                                               bool create_if_missing);
 
-  /// Loads `pids` (unique, sorted) through the broker when installed, else
+  /// Loads `pids` (unique, sorted) through the coalescer when installed, else
   /// the batch loader, else per-pid loads. Results and `out_degraded` align
   /// with `pids`. The single funnel for every miss in the cache.
   std::vector<Result<ProfileData>> LoadMisses(
@@ -427,11 +429,11 @@ class GCache {
   BatchLoadFn batch_load_;
   BatchFlushFn batch_flush_;
   /// Non-owning; installed at setup. When present, every miss routes
-  /// through it (see set_load_broker).
-  LoadBroker* load_broker_ = nullptr;
+  /// through it (see set_load_coalescer).
+  LoadCoalescer* load_coalescer_ = nullptr;
   /// Non-owning; installed at setup. When present, every flush group routes
-  /// through it (see set_store_broker).
-  StoreBroker* store_broker_ = nullptr;
+  /// through it (see set_store_coalescer).
+  StoreCoalescer* store_coalescer_ = nullptr;
   /// Non-owning; installed at setup (see set_victim_cache).
   VictimCache* victim_cache_ = nullptr;
   VictimEncodeFn victim_encode_;

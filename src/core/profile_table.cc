@@ -78,19 +78,19 @@ size_t ProfileTable::ApproximateBytes() const {
   return total;
 }
 
-void ProfileTable::ForEach(
-    const std::function<void(ProfileId, ProfileData&)>& fn) {
+std::vector<std::pair<ProfileId, ProfileData>> ProfileTable::Drain() {
+  std::vector<std::pair<ProfileId, ProfileData>> drained;
   for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    for (auto& [pid, data] : shard->profiles) fn(pid, data);
+    std::unordered_map<ProfileId, ProfileData> profiles;
+    {
+      std::lock_guard<std::mutex> lock(shard->mu);
+      profiles.swap(shard->profiles);
+    }
+    for (auto& [pid, data] : profiles) {
+      drained.emplace_back(pid, std::move(data));
+    }
   }
-}
-
-void ProfileTable::Clear() {
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    shard->profiles.clear();
-  }
+  return drained;
 }
 
 }  // namespace ips

@@ -10,6 +10,7 @@
 #include <memory>
 #include <mutex>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/hash.h"
@@ -47,12 +48,10 @@ class ProfileTable {
   size_t ProfileCount() const;
   size_t ApproximateBytes() const;
 
-  /// Visits every profile (exclusive per-shard lock); used by the isolation
-  /// merge and by bulk persistence sweeps.
-  void ForEach(const std::function<void(ProfileId, ProfileData&)>& fn);
-
-  /// Removes all profiles (the write-table drain after an isolation merge).
-  void Clear();
+  /// Moves every profile out, emptying each shard under one lock hold (the
+  /// isolation merge's drain). A write to a shard already drained lands in
+  /// the emptied map and waits for the next drain; none is lost.
+  std::vector<std::pair<ProfileId, ProfileData>> Drain();
 
  private:
   struct Shard {

@@ -68,19 +68,19 @@ Status IpsInstance::CreateTable(const TableSchema& schema) {
                   std::vector<bool>* out_degraded) {
         return persister->LoadBatch(pids, out_degraded);
       });
-  // The load broker stacks cross-REQUEST coalescing on top: concurrent
+  // The load coalescer stacks cross-REQUEST coalescing on top: concurrent
   // requests' misses merge into one LoadBatch round trip and concurrent
   // misses for the same hot pid share a single in-flight load. The instance
-  // owns the broker; the cache only borrows it.
+  // owns the coalescer; the cache only borrows it.
   if (options_.enable_load_broker) {
-    table->load_broker = std::make_unique<LoadBroker>(
-        options_.load_broker,
+    table->load_coalescer = std::make_unique<LoadCoalescer>(
         [persister](const std::vector<ProfileId>& pids,
+                    const std::vector<const ProfileData*>&,
                     std::vector<bool>* out_degraded) {
           return persister->LoadBatch(pids, out_degraded);
         },
         clock_, metrics_);
-    table->cache->set_load_broker(table->load_broker.get());
+    table->cache->set_load_coalescer(table->load_coalescer.get());
   }
   // Dirty-shard flushes drain through the persister's batched path: one
   // KvStore::MultiSet round trip per flush group (the write-side mirror).
@@ -90,21 +90,21 @@ Status IpsInstance::CreateTable(const TableSchema& schema) {
                     const std::vector<const ProfileData*>& profiles) {
           return persister->StoreBatch(pids, profiles);
         });
-    // The store broker stacks cross-SHARD coalescing on top: concurrent
+    // The store coalescer stacks cross-SHARD coalescing on top: concurrent
     // flush passes' groups merge into one StoreBatch round trip and a hot
     // dirty pid re-flushed mid-store piggybacks on (or requeues behind) the
-    // write already on the wire. The instance owns the broker; the cache
+    // write already on the wire. The instance owns the coalescer; the cache
     // only borrows it. Like the flusher itself, it exists only where writes
     // are persisted — a non-primary region has nothing to coalesce.
     if (options_.enable_store_broker) {
-      table->store_broker = std::make_unique<StoreBroker>(
-          options_.store_broker,
+      table->store_coalescer = std::make_unique<StoreCoalescer>(
           [persister](const std::vector<ProfileId>& pids,
-                      const std::vector<const ProfileData*>& profiles) {
+                      const std::vector<const ProfileData*>& profiles,
+                      std::vector<bool>*) {
             return persister->StoreBatch(pids, profiles);
           },
           clock_, metrics_);
-      table->cache->set_store_broker(table->store_broker.get());
+      table->cache->set_store_coalescer(table->store_coalescer.get());
     }
   } else {
     table->cache->set_batch_flusher(
@@ -339,7 +339,6 @@ Status IpsInstance::AddIsolated(Table& t, ProfileId pid,
     metrics_->GetCounter("isolation.overflow")->Increment();
     return AddDirect(t, pid, records);
   }
-  size_t added_bytes = 0;
   t.write_table->WithProfileMutable(pid, [&](ProfileData& profile) {
     const size_t before = profile.ApproximateBytes();
     for (const auto& r : records) {
@@ -347,36 +346,53 @@ Status IpsInstance::AddIsolated(Table& t, ProfileId pid,
                   t.schema.reduce)
           .ok();
     }
-    added_bytes = profile.ApproximateBytes() - before;
+    // Counted under the shard lock, so a drain always sees a profile's bytes
+    // and the profile together.
+    t.write_table_bytes.fetch_add(profile.ApproximateBytes() - before,
+                                  std::memory_order_relaxed);
   });
-  t.write_table_bytes.fetch_add(added_bytes, std::memory_order_relaxed);
   return Status::OK();
 }
 
 size_t IpsInstance::MergeWriteTable(Table& t) {
-  // Swap out the accumulated buffer, then fold it into the cached profiles
-  // using the table's aggregate function. The swap keeps the write path
-  // available during the merge.
-  std::vector<std::pair<ProfileId, ProfileData>> pending;
-  t.write_table->ForEach([&](ProfileId pid, ProfileData& profile) {
-    pending.emplace_back(pid, std::move(profile));
-  });
-  t.write_table->Clear();
-  t.write_table_bytes.store(0, std::memory_order_relaxed);
+  // Drain the accumulated buffer one shard at a time, then fold it into the
+  // cached profiles using the table's aggregate function. The write path
+  // stays available throughout: a write landing on an already drained shard
+  // stays buffered for the next merge. The byte counter holds the growth of
+  // every buffered profile over an empty one, so that is what leaves it.
+  const size_t empty_bytes =
+      ProfileData(t.write_table->schema().write_granularity_ms)
+          .ApproximateBytes();
+  std::vector<std::pair<ProfileId, ProfileData>> pending =
+      t.write_table->Drain();
+  size_t drained_bytes = 0;
+  for (const auto& [pid, buffered] : pending) {
+    drained_bytes += buffered.ApproximateBytes() - empty_bytes;
+  }
+  t.write_table_bytes.fetch_sub(drained_bytes, std::memory_order_relaxed);
 
+  size_t merged = 0;
   for (auto& [pid, buffered] : pending) {
-    t.cache
-        ->WithProfileMutable(pid,
-                             [&](ProfileData& profile) {
-                               std::lock_guard<std::mutex> schema_lock(
-                                   t.schema_mu);
-                               profile.MergeProfile(buffered,
-                                                    t.schema.reduce);
-                             })
-        .ok();
+    const auto merge_into = [&](ProfileData& profile) {
+      std::lock_guard<std::mutex> schema_lock(t.schema_mu);
+      profile.MergeProfile(buffered, t.schema.reduce);
+    };
+    if (!t.cache->WithProfileMutable(pid, merge_into).ok()) {
+      // The cache could not take the profile (its load failed): put the
+      // acknowledged writes back for the next merge instead of dropping
+      // them.
+      t.write_table->WithProfileMutable(pid, [&](ProfileData& profile) {
+        const size_t before = profile.ApproximateBytes();
+        merge_into(profile);
+        t.write_table_bytes.fetch_add(profile.ApproximateBytes() - before,
+                                      std::memory_order_relaxed);
+      });
+      continue;
+    }
+    ++merged;
     t.compaction->MaybeTrigger(pid);
   }
-  return pending.size();
+  return merged;
 }
 
 size_t IpsInstance::MergeWriteTablesOnce() {
@@ -656,6 +672,12 @@ Result<IpsInstance::TableStats> IpsInstance::GetTableStats(
   if (t->victim_cache != nullptr) {
     stats.l2_cached_profiles = t->victim_cache->EntryCount();
     stats.l2_bytes = t->victim_cache->MemoryBytes();
+  }
+  if (t->load_coalescer != nullptr) {
+    stats.load_coalescer_pids = t->load_coalescer->InFlightCount();
+  }
+  if (t->store_coalescer != nullptr) {
+    stats.store_coalescer_pids = t->store_coalescer->InFlightCount();
   }
   return stats;
 }

@@ -24,8 +24,7 @@
 #include <vector>
 
 #include "cache/gcache.h"
-#include "cache/load_broker.h"
-#include "cache/store_broker.h"
+#include "cache/coalescer.h"
 #include "cache/victim_cache.h"
 #include "common/call_context.h"
 #include "common/clock.h"
@@ -50,28 +49,25 @@ struct IpsInstanceOptions {
   GCacheOptions cache;
   CompactionManagerOptions compaction;
   PersisterOptions persistence;
-  /// Read-path load broker (server-side miss coalescing): concurrent misses
-  /// for the same pid share one kv.load (single-flight) and misses arriving
-  /// within the collection window merge into one KvStore::MultiGet across
-  /// requests. Disable for ablation (bench_hotkey_skew measures both).
+  /// Read-path load coalescer (server-side miss coalescing): concurrent
+  /// misses for the same pid share one kv.load, and misses arriving while a
+  /// load is on the wire group-commit into the next KvStore::MultiGet.
+  /// Disable for ablation (bench_hotkey_skew measures both).
   bool enable_load_broker = true;
-  LoadBrokerOptions load_broker;
-  /// Write-path store broker (server-side flush coalescing): flush groups
-  /// from different dirty shards landing within the collection window merge
-  /// into one KvStore::MultiSet, and a hot dirty pid re-flushed while its
-  /// store is in flight is written at most once per window (identical
-  /// snapshots piggyback; changed ones requeue behind the in-flight write).
-  /// Only takes effect when the instance persists writes. Disable for
-  /// ablation (bench_flush_storm measures both).
+  /// Write-path store coalescer (server-side flush coalescing): flush groups
+  /// arriving while a store is on the wire group-commit into the next
+  /// KvStore::MultiSet, and a hot dirty pid re-flushed while its store is in
+  /// flight piggybacks on it (same snapshot) or requeues behind it (newer
+  /// snapshot). Only takes effect when the instance persists writes.
+  /// Disable for ablation (bench_flush_storm measures both).
   bool enable_store_broker = true;
-  StoreBrokerOptions store_broker;
   /// Compressed L2 victim tier between the cache and the persister: entries
   /// evicted from the (L1) GCache are demoted as encoded bytes after their
   /// write-back instead of dropped, and a later miss promotes them back for
   /// the price of a decode rather than a KV round trip. Admission is
   /// frequency-gated (TinyLFU-style sketch) so one-touch scans cannot
   /// pollute the tier. Off by default: the tier changes what a "miss" costs,
-  /// which the broker benches measure in isolation; opt in per deployment
+  /// which the coalescing benches measure in isolation; opt in per deployment
   /// (bench_cache_tiers measures both sides).
   bool enable_victim_cache = false;
   VictimCacheOptions victim_cache;
@@ -278,6 +274,9 @@ class IpsInstance {
     /// Victim-tier occupancy; zero when the tier is disabled.
     size_t l2_cached_profiles = 0;
     size_t l2_bytes = 0;
+    /// Pids pending or in flight in each coalescer; zero when ablated.
+    size_t load_coalescer_pids = 0;
+    size_t store_coalescer_pids = 0;
   };
   Result<TableStats> GetTableStats(const std::string& table) const;
 
@@ -299,14 +298,12 @@ class IpsInstance {
     TableSchema schema;
     std::mutex schema_mu;  // guards schema replacement on hot reload
     std::unique_ptr<Persister> persister;
-    /// Miss-coalescing stage between the cache and the persister. Declared
-    /// before `cache` so it is destroyed after it (the cache's miss path
-    /// holds a non-owning pointer).
-    std::unique_ptr<LoadBroker> load_broker;
-    /// Flush-coalescing stage between the cache and the persister, the
-    /// write-side mirror. Same ordering contract: declared before `cache`
-    /// so the cache's shutdown flush can still drain through it.
-    std::unique_ptr<StoreBroker> store_broker;
+    /// Coalescing stages between the cache and the persister, one per side.
+    /// Declared before `cache` so they are destroyed after it: the cache's
+    /// miss path holds a non-owning pointer, and its shutdown flush still
+    /// drains through the store side.
+    std::unique_ptr<LoadCoalescer> load_coalescer;
+    std::unique_ptr<StoreCoalescer> store_coalescer;
     /// Compressed L2 victim tier (when enabled). Declared before `cache` for
     /// the same reason: the cache demotes into it up to its last eviction.
     std::unique_ptr<VictimCache> victim_cache;

@@ -250,46 +250,6 @@ TEST(TokenBucketTest, WeightedCosts) {
   EXPECT_TRUE(bucket.TryAcquire(2.0));
 }
 
-// ----------------------------------------------------------- ThreadPool ---
-
-TEST(ThreadPoolTest, RunsAllTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(pool.Submit([&counter] { counter.fetch_add(1); }));
-  }
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPoolTest, RejectsWhenQueueFull) {
-  ThreadPool pool(1, /*max_queue=*/2);
-  std::atomic<bool> release{false};
-  // Occupy the single worker.
-  ASSERT_TRUE(pool.Submit([&release] {
-    while (!release.load()) {
-      std::this_thread::yield();
-    }
-  }));
-  // Fill the queue, then overflow.
-  int accepted = 0;
-  for (int i = 0; i < 10; ++i) {
-    if (pool.Submit([] {})) ++accepted;
-  }
-  EXPECT_LE(accepted, 2);
-  release.store(true);
-  pool.Wait();
-}
-
-TEST(ThreadPoolTest, WaitReturnsWhenIdle) {
-  ThreadPool pool(2);
-  pool.Wait();  // no tasks: must not hang
-  std::atomic<int> counter{0};
-  pool.Submit([&counter] { counter.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 1);
-}
-
 // -------------------------------------------------- StripedThreadPool ---
 
 TEST(StripedThreadPoolTest, RunsAllTasksAcrossShards) {

@@ -12,7 +12,7 @@
 
 #include <gtest/gtest.h>
 
-#include "cache/load_broker.h"
+#include "cache/coalescer.h"
 #include "common/clock.h"
 #include "common/metrics.h"
 
@@ -813,10 +813,10 @@ TEST(GCacheTest, FlushAllZeroProgressBailsInsteadOfBusySpin) {
   EXPECT_LE(clock.NowMs(), 4 * options.flush_backoff_max_ms);
 }
 
-TEST(GCacheTest, LoadBrokerSharesMissAndFansDegradedToEveryReader) {
-  // Two concurrent readers miss on the same pid with a broker installed: the
-  // store sees ONE load, and a replica-fallback (degraded) load flags BOTH
-  // readers, not just the one that initiated the fetch.
+TEST(GCacheTest, LoadCoalescerSharesMissAndFansDegradedToEveryReader) {
+  // Two concurrent readers miss on the same pid with a coalescer installed:
+  // the store sees ONE load, and a replica-fallback (degraded) load flags
+  // BOTH readers, not just the one that initiated the fetch.
   FakeStore store;
   {
     GCache seeding(ManualOptions(), SystemClock::Instance(), store.Flusher(),
@@ -839,12 +839,10 @@ TEST(GCacheTest, LoadBrokerSharesMissAndFansDegradedToEveryReader) {
   std::condition_variable gate_cv;
   bool fetch_entered = false;
   bool gate_open = false;
-  LoadBrokerOptions broker_options;
-  broker_options.window_micros = 0;
-  LoadBroker broker(
-      broker_options,
-      [&](const std::vector<ProfileId>& pids, std::vector<bool>* out_degraded)
-          -> std::vector<Result<ProfileData>> {
+  LoadCoalescer coalescer(
+      [&](const std::vector<ProfileId>& pids,
+          const std::vector<const ProfileData*>&,
+          std::vector<bool>* out_degraded) -> std::vector<Result<ProfileData>> {
         ++fetch_calls;
         {
           std::unique_lock<std::mutex> lock(gate_mu);
@@ -858,7 +856,7 @@ TEST(GCacheTest, LoadBrokerSharesMissAndFansDegradedToEveryReader) {
         return out;
       },
       SystemClock::Instance(), &metrics);
-  cache.set_load_broker(&broker);
+  cache.set_load_coalescer(&coalescer);
 
   const int loads_before = store.load_count();
   Status status_a, status_b;

@@ -1,8 +1,10 @@
 #include "server/ips_instance.h"
 
 #include <algorithm>
+#include <atomic>
 #include <optional>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -442,6 +444,58 @@ TEST_F(IpsInstanceTest, IsolationAggregatesAcrossMerge) {
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->features.size(), 1u);
   EXPECT_EQ(result->features[0].counts[0], 7);
+}
+
+TEST_F(IpsInstanceTest, IsolationMergeRacingWritersLosesNoAcknowledgedWrite) {
+  // Writers keep adding while merges drain the write table. A write that
+  // lands on a shard the merge has already drained must stay buffered for
+  // the next merge, never be erased after its MultiAdd was acknowledged.
+  instance_.SetIsolationEnabled(true);
+  constexpr int kWriters = 4;
+  constexpr int kBatches = 400;
+  constexpr ProfileId kPids = 64;
+  std::vector<std::vector<int64_t>> acked(kWriters,
+                                          std::vector<int64_t>(kPids + 1));
+  std::atomic<int> writers_left{kWriters};
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      const TimestampMs ts = clock_.NowMs() - kMinute;
+      for (int b = 0; b < kBatches; ++b) {
+        std::vector<MultiAddItem> items;
+        for (ProfileId k = 0; k < 8; ++k) {
+          const ProfileId pid = 1 + (b * 8 + k + w * 13) % kPids;
+          items.push_back(MultiAddItem{pid, {{ts, 1, 1, 5, CountVector{1}}}});
+        }
+        auto result = instance_.MultiAdd("test", "profiles", items);
+        if (!result.ok()) continue;
+        for (size_t i = 0; i < items.size(); ++i) {
+          if (result->statuses[i].ok()) ++acked[w][items[i].pid];
+        }
+      }
+      writers_left.fetch_sub(1);
+    });
+  }
+  std::thread merger([&] {
+    while (writers_left.load() > 0) instance_.MergeWriteTablesOnce();
+  });
+  for (auto& t : writers) t.join();
+  merger.join();
+  instance_.MergeWriteTablesOnce();
+
+  for (ProfileId pid = 1; pid <= kPids; ++pid) {
+    int64_t expected = 0;
+    for (int w = 0; w < kWriters; ++w) expected += acked[w][pid];
+    ASSERT_GT(expected, 0);
+    auto result = TopK(pid, 1, 10);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_EQ(result->features.size(), 1u) << pid;
+    EXPECT_EQ(result->features[0].counts[0], expected) << pid;
+  }
+  auto stats = instance_.GetTableStats("profiles");
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->write_table_profiles, 0u);
+  EXPECT_EQ(stats->write_table_bytes, 0u);
 }
 
 TEST_F(IpsInstanceTest, DataSurvivesRestartThroughKv) {

@@ -1,16 +1,15 @@
-#include "cache/load_broker.h"
-
-#include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
-#include <mutex>
+// The load broker: the load-side Coalescer as IpsInstance wires it between
+// GCache misses and Persister::LoadBatch (IpsInstanceOptions::
+// enable_load_broker). Cold queries that arrive while a load is on the wire
+// share the next MultiGet; with the broker ablated, misses load inline.
+// The group-commit primitive itself is covered by coalescer_test.
 #include <optional>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "coalescer_test_util.h"
 #include "common/clock.h"
 #include "common/metrics.h"
 #include "kvstore/mem_kv_store.h"
@@ -19,395 +18,21 @@
 namespace ips {
 namespace {
 
+using coalescer_test::GatedKv;
+using coalescer_test::ManualInstanceOptions;
+using coalescer_test::SpinUntil;
+using coalescer_test::TestSchema;
+
 constexpr int64_t kMinute = kMillisPerMinute;
 constexpr int64_t kDay = kMillisPerDay;
 
-ProfileData MakeProfile(FeatureId fid) {
-  ProfileData profile(kMinute);
-  profile.Add(kMinute, 1, 1, fid, CountVector{1}).ok();
-  return profile;
-}
-
-// Blocks the fetch callback until the test opens the gate, and lets the test
-// wait until the callback has actually entered (i.e. the load is on the
-// wire), so attach-vs-dispatch ordering is deterministic.
-struct FetchGate {
-  std::mutex mu;
-  std::condition_variable cv;
-  bool entered = false;
-  bool open = false;
-
-  void Enter() {
-    std::unique_lock<std::mutex> lock(mu);
-    entered = true;
-    cv.notify_all();
-    cv.wait(lock, [&] { return open; });
-  }
-  void AwaitEntered() {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return entered; });
-  }
-  void Open() {
-    std::lock_guard<std::mutex> lock(mu);
-    open = true;
-    cv.notify_all();
-  }
-};
-
-// Polls (wall clock) until pred holds; fails the test after ~5s.
-template <typename Pred>
-::testing::AssertionResult Eventually(Pred pred) {
-  for (int i = 0; i < 5000; ++i) {
-    if (pred()) return ::testing::AssertionSuccess();
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  return ::testing::AssertionFailure() << "condition not reached within 5s";
-}
-
-BrokerFetchFn CountingFetch(std::atomic<int>* calls,
-                            std::vector<std::vector<ProfileId>>* batches,
-                            std::mutex* batches_mu,
-                            FetchGate* gate = nullptr) {
-  return [=](const std::vector<ProfileId>& pids,
-             std::vector<bool>* out_degraded) {
-    calls->fetch_add(1);
-    if (batches != nullptr) {
-      std::lock_guard<std::mutex> lock(*batches_mu);
-      batches->push_back(pids);
-    }
-    if (gate != nullptr) gate->Enter();
-    out_degraded->assign(pids.size(), false);
-    std::vector<Result<ProfileData>> out;
-    out.reserve(pids.size());
-    for (ProfileId pid : pids) {
-      out.push_back(MakeProfile(static_cast<FeatureId>(pid)));
-    }
-    return out;
-  };
-}
-
-TEST(LoadBrokerTest, SingleFlightConcurrentMissesShareOneFetch) {
-  MetricsRegistry metrics;
-  std::atomic<int> calls{0};
-  FetchGate gate;
-  LoadBrokerOptions options;
-  options.window_micros = 0;  // single-flight only
-  LoadBroker broker(options,
-                    CountingFetch(&calls, nullptr, nullptr, &gate),
-                    SystemClock::Instance(), &metrics);
-
-  std::optional<std::vector<Result<ProfileData>>> leader_results;
-  std::vector<bool> leader_degraded;
-  std::thread leader([&] {
-    leader_results = broker.Load({7}, &leader_degraded);
-  });
-  gate.AwaitEntered();  // the one fetch is now on the wire, gate closed
-
-  constexpr int kFollowers = 3;
-  std::optional<std::vector<Result<ProfileData>>> results[kFollowers];
-  std::vector<bool> degraded[kFollowers];
-  std::vector<std::thread> followers;
-  for (int i = 0; i < kFollowers; ++i) {
-    followers.emplace_back(
-        [&, i] { results[i] = broker.Load({7}, &degraded[i]); });
-  }
-  // Attach is observable through the counter, so the gate only opens after
-  // every follower is riding the in-flight load.
-  ASSERT_TRUE(Eventually([&] {
-    return metrics.GetCounter("broker.single_flight_hits")->Value() ==
-           kFollowers;
-  }));
-  gate.Open();
-  leader.join();
-  for (auto& t : followers) t.join();
-
-  EXPECT_EQ(calls.load(), 1);  // N concurrent misses, ONE kv.load
-  ASSERT_EQ(leader_results->size(), 1u);
-  ASSERT_TRUE((*leader_results)[0].ok());
-  for (int i = 0; i < kFollowers; ++i) {
-    ASSERT_EQ(results[i]->size(), 1u);
-    ASSERT_TRUE((*results[i])[0].ok());
-    EXPECT_EQ((*results[i])[0].value().TotalFeatures(), 1u);
-  }
-  EXPECT_EQ(metrics.GetCounter("broker.window_batches")->Value(), 1);
-  EXPECT_EQ(broker.InFlightCount(), 0u);
-}
-
-TEST(LoadBrokerTest, WindowMergesRequestsAndClosesEarlyWhenFull) {
-  MetricsRegistry metrics;
-  std::atomic<int> calls{0};
-  std::vector<std::vector<ProfileId>> batches;
-  std::mutex batches_mu;
-  LoadBrokerOptions options;
-  options.window_micros = 10'000'000;  // 10s: only early close can pass
-  options.max_batch_pids = 2;
-  LoadBroker broker(options, CountingFetch(&calls, &batches, &batches_mu),
-                    SystemClock::Instance(), &metrics);
-
-  const auto start = std::chrono::steady_clock::now();
-  std::optional<std::vector<Result<ProfileData>>> ra, rb;
-  std::vector<bool> da, db;
-  std::thread a([&] { ra = broker.Load({1}, &da); });
-  // Pid 1 registered == the collector is already parked in its window (the
-  // entry creation and collector election share one lock hold).
-  ASSERT_TRUE(Eventually([&] { return broker.InFlightCount() >= 1; }));
-  std::thread b([&] { rb = broker.Load({2}, &db); });
-  a.join();
-  b.join();
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-
-  // The second distinct pid filled the window: one merged fetch, dispatched
-  // immediately rather than after the 10s window.
-  EXPECT_EQ(calls.load(), 1);
-  ASSERT_EQ(batches.size(), 1u);
-  std::vector<ProfileId> merged = batches[0];
-  std::sort(merged.begin(), merged.end());
-  EXPECT_EQ(merged, (std::vector<ProfileId>{1, 2}));
-  EXPECT_LT(std::chrono::duration_cast<std::chrono::seconds>(elapsed).count(),
-            5);
-  ASSERT_TRUE((*ra)[0].ok());
-  ASSERT_TRUE((*rb)[0].ok());
-  EXPECT_EQ(metrics.GetCounter("broker.window_batches")->Value(), 1);
-  EXPECT_EQ(metrics.GetCounter("broker.cross_request_dedup")->Value(), 0);
-}
-
-TEST(LoadBrokerTest, DuplicatePidAcrossRequestsDedupsBeforeDispatch) {
-  MetricsRegistry metrics;
-  std::atomic<int> calls{0};
-  std::vector<std::vector<ProfileId>> batches;
-  std::mutex batches_mu;
-  LoadBrokerOptions options;
-  options.window_micros = 10'000'000;
-  options.max_batch_pids = 2;
-  LoadBroker broker(options, CountingFetch(&calls, &batches, &batches_mu),
-                    SystemClock::Instance(), &metrics);
-
-  std::optional<std::vector<Result<ProfileData>>> ra, rb;
-  std::vector<bool> da, db;
-  std::thread a([&] { ra = broker.Load({1}, &da); });
-  ASSERT_TRUE(Eventually([&] { return broker.InFlightCount() >= 1; }));
-  // Second request wants pid 1 (already pending — merged, not re-fetched)
-  // plus pid 2 (new, fills the window).
-  std::thread b([&] { rb = broker.Load({1, 2}, &db); });
-  a.join();
-  b.join();
-
-  EXPECT_EQ(calls.load(), 1);
-  ASSERT_EQ(batches.size(), 1u);
-  std::vector<ProfileId> merged = batches[0];
-  std::sort(merged.begin(), merged.end());
-  EXPECT_EQ(merged, (std::vector<ProfileId>{1, 2}));  // pid 1 deduped
-  EXPECT_EQ(metrics.GetCounter("broker.cross_request_dedup")->Value(), 1);
-  ASSERT_TRUE((*ra)[0].ok());
-  ASSERT_EQ(rb->size(), 2u);
-  ASSERT_TRUE((*rb)[0].ok());
-  ASSERT_TRUE((*rb)[1].ok());
-  EXPECT_EQ((*rb)[1].value().slices().front().FindSlot(1) != nullptr, true);
-}
-
-TEST(LoadBrokerTest, DegradedFlagFansOutToEveryAttachedWaiter) {
-  // Satellite regression: a shared load served from a fallback replica must
-  // flag EVERY attached waiter degraded, not just the initiator.
-  MetricsRegistry metrics;
-  std::atomic<int> calls{0};
-  FetchGate gate;
-  LoadBrokerOptions options;
-  options.window_micros = 0;
-  LoadBroker broker(
-      options,
-      [&](const std::vector<ProfileId>& pids, std::vector<bool>* out_degraded)
-          -> std::vector<Result<ProfileData>> {
-        calls.fetch_add(1);
-        gate.Enter();
-        out_degraded->assign(pids.size(), true);  // replica fallback
-        std::vector<Result<ProfileData>> out;
-        for (ProfileId pid : pids) {
-          out.push_back(MakeProfile(static_cast<FeatureId>(pid)));
-        }
-        return out;
-      },
-      SystemClock::Instance(), &metrics);
-
-  std::optional<std::vector<Result<ProfileData>>> r1, r2, r3;
-  std::vector<bool> d1, d2, d3;
-  std::thread initiator([&] { r1 = broker.Load({5}, &d1); });
-  gate.AwaitEntered();
-  std::thread w2([&] { r2 = broker.Load({5}, &d2); });
-  std::thread w3([&] { r3 = broker.Load({5}, &d3); });
-  ASSERT_TRUE(Eventually([&] {
-    return metrics.GetCounter("broker.single_flight_hits")->Value() == 2;
-  }));
-  gate.Open();
-  initiator.join();
-  w2.join();
-  w3.join();
-
-  EXPECT_EQ(calls.load(), 1);
-  ASSERT_TRUE((*r1)[0].ok());
-  ASSERT_TRUE((*r2)[0].ok());
-  ASSERT_TRUE((*r3)[0].ok());
-  EXPECT_EQ(d1, std::vector<bool>{true});
-  EXPECT_EQ(d2, std::vector<bool>{true});
-  EXPECT_EQ(d3, std::vector<bool>{true});
-}
-
-TEST(LoadBrokerTest, NotFoundFansOutToEveryAttachedWaiter) {
-  MetricsRegistry metrics;
-  std::atomic<int> calls{0};
-  FetchGate gate;
-  LoadBrokerOptions options;
-  options.window_micros = 0;
-  LoadBroker broker(
-      options,
-      [&](const std::vector<ProfileId>& pids, std::vector<bool>* out_degraded)
-          -> std::vector<Result<ProfileData>> {
-        calls.fetch_add(1);
-        gate.Enter();
-        out_degraded->assign(pids.size(), false);
-        std::vector<Result<ProfileData>> out;
-        for (size_t i = 0; i < pids.size(); ++i) {
-          out.push_back(Status::NotFound("never persisted"));
-        }
-        return out;
-      },
-      SystemClock::Instance(), &metrics);
-
-  std::optional<std::vector<Result<ProfileData>>> r1, r2;
-  std::vector<bool> d1, d2;
-  std::thread initiator([&] { r1 = broker.Load({11}, &d1); });
-  gate.AwaitEntered();
-  std::thread follower([&] { r2 = broker.Load({11}, &d2); });
-  ASSERT_TRUE(Eventually([&] {
-    return metrics.GetCounter("broker.single_flight_hits")->Value() == 1;
-  }));
-  gate.Open();
-  initiator.join();
-  follower.join();
-
-  EXPECT_EQ(calls.load(), 1);
-  EXPECT_TRUE((*r1)[0].status().IsNotFound());
-  EXPECT_TRUE((*r2)[0].status().IsNotFound());
-  EXPECT_EQ(broker.InFlightCount(), 0u);
-}
-
-TEST(LoadBrokerTest, WaiterDeadlineExpiryDetachesWithoutPoisoning) {
-  MetricsRegistry metrics;
-  ManualClock clock(1000);
-  std::atomic<int> calls{0};
-  FetchGate gate;
-  LoadBrokerOptions options;
-  options.window_micros = 0;
-  LoadBroker broker(options,
-                    CountingFetch(&calls, nullptr, nullptr, &gate), &clock,
-                    &metrics);
-
-  // Collector with no deadline: its fetch stalls on the gate.
-  std::optional<std::vector<Result<ProfileData>>> leader_results;
-  std::vector<bool> leader_degraded;
-  std::thread leader([&] {
-    leader_results = broker.Load({9}, &leader_degraded);
-  });
-  gate.AwaitEntered();
-
-  // Follower with a deadline attaches to the stalled fetch.
-  std::optional<std::vector<Result<ProfileData>>> follower_results;
-  std::vector<bool> follower_degraded;
-  std::thread follower([&] {
-    follower_results =
-        broker.Load({9}, &follower_degraded, /*deadline_ms=*/1050);
-  });
-  ASSERT_TRUE(Eventually([&] {
-    return metrics.GetCounter("broker.single_flight_hits")->Value() == 1;
-  }));
-
-  // Deadline passes (simulated domain) while the fetch is still on the wire:
-  // the follower detaches with DeadlineExceeded...
-  clock.AdvanceMs(100);
-  follower.join();
-  ASSERT_EQ(follower_results->size(), 1u);
-  EXPECT_TRUE((*follower_results)[0].status().IsDeadlineExceeded());
-  EXPECT_EQ(metrics.GetCounter("broker.deadline_detaches")->Value(), 1);
-
-  // ...but the shared load is neither cancelled nor poisoned: the collector
-  // still gets its value, and the table drains clean.
-  EXPECT_EQ(broker.InFlightCount(), 1u);
-  gate.Open();
-  leader.join();
-  ASSERT_TRUE((*leader_results)[0].ok());
-  EXPECT_EQ(broker.InFlightCount(), 0u);
-
-  // A later miss for the same pid starts a fresh, healthy load.
-  std::vector<bool> degraded;
-  auto again = broker.Load({9}, &degraded);
-  ASSERT_TRUE(again[0].ok());
-  EXPECT_EQ(calls.load(), 2);
-}
-
-TEST(LoadBrokerTest, ShortFetchResultListFailsWaitersNotCrash) {
-  MetricsRegistry metrics;
-  LoadBrokerOptions options;
-  options.window_micros = 0;
-  LoadBroker broker(
-      options,
-      [](const std::vector<ProfileId>&, std::vector<bool>* out_degraded)
-          -> std::vector<Result<ProfileData>> {
-        out_degraded->clear();
-        return {};  // misbehaving loader: short result list
-      },
-      SystemClock::Instance(), &metrics);
-  std::vector<bool> degraded;
-  auto results = broker.Load({3}, &degraded);
-  ASSERT_EQ(results.size(), 1u);
-  EXPECT_FALSE(results[0].ok());
-  EXPECT_FALSE(results[0].status().IsNotFound());
-  EXPECT_EQ(broker.InFlightCount(), 0u);
-}
-
-TEST(LoadBrokerTest, OversizedPendingSetSplitsIntoChunkedFetches) {
-  MetricsRegistry metrics;
-  std::atomic<int> calls{0};
-  std::vector<std::vector<ProfileId>> batches;
-  std::mutex batches_mu;
-  LoadBrokerOptions options;
-  options.window_micros = 0;
-  options.max_batch_pids = 2;
-  LoadBroker broker(options, CountingFetch(&calls, &batches, &batches_mu),
-                    SystemClock::Instance(), &metrics);
-  std::vector<bool> degraded;
-  auto results = broker.Load({1, 2, 3, 4, 5}, &degraded);
-  ASSERT_EQ(results.size(), 5u);
-  for (size_t i = 0; i < results.size(); ++i) {
-    ASSERT_TRUE(results[i].ok()) << i;
-  }
-  // The whole pending set was claimed (no stranded entries), dispatched in
-  // max_batch_pids chunks.
-  EXPECT_EQ(calls.load(), 3);
-  ASSERT_EQ(batches.size(), 3u);
-  for (const auto& batch : batches) EXPECT_LE(batch.size(), 2u);
-  EXPECT_EQ(metrics.GetCounter("broker.window_batches")->Value(), 3);
-  EXPECT_EQ(broker.InFlightCount(), 0u);
-}
-
-// ---------------------------------------------------------------------------
-// Instance-level wiring: two single-profile queries for different cold pids,
-// issued concurrently, must merge into ONE KvStore::MultiGet round trip.
-
-TEST(LoadBrokerInstanceTest, ConcurrentColdQueriesShareOneMultiGet) {
-  MemKvStore kv;
+TEST(LoadBrokerInstanceTest, ColdQueriesArrivingDuringALoadShareOneMultiGet) {
+  GatedKv kv;
   ManualClock clock(100 * kDay);
-  IpsInstanceOptions seed_options;
-  seed_options.start_background_threads = false;
-  seed_options.cache.start_background_threads = false;
-  seed_options.cache.write_granularity_ms = kMinute;
-  seed_options.compaction.synchronous = true;
-  seed_options.compaction.min_interval_ms = 0;
-  seed_options.isolation_enabled = false;
-  TableSchema schema = DefaultTableSchema("profiles");
-  schema.write_granularity_ms = kMinute;
   {
-    IpsInstance seeding(seed_options, &kv, &clock);
-    ASSERT_TRUE(seeding.CreateTable(schema).ok());
-    for (ProfileId pid = 1; pid <= 2; ++pid) {
+    IpsInstance seeding(ManualInstanceOptions(), &kv, &clock);
+    ASSERT_TRUE(seeding.CreateTable(TestSchema()).ok());
+    for (ProfileId pid = 1; pid <= 3; ++pid) {
       ASSERT_TRUE(seeding
                       .AddProfile("test", "profiles", pid,
                                   clock.NowMs() - kMinute, 1, 1,
@@ -417,56 +42,47 @@ TEST(LoadBrokerInstanceTest, ConcurrentColdQueriesShareOneMultiGet) {
     seeding.FlushAll();
   }
 
-  IpsInstanceOptions options = seed_options;
-  options.load_broker.window_micros = 10'000'000;  // early close must fire
-  options.load_broker.max_batch_pids = 2;
-  IpsInstance fresh(options, &kv, &clock);
-  ASSERT_TRUE(fresh.CreateTable(schema).ok());
-  const int64_t multi_gets_before = kv.MultiGetCalls();
-
-  const auto start = std::chrono::steady_clock::now();
+  IpsInstance fresh(ManualInstanceOptions(), &kv, &clock);
+  ASSERT_TRUE(fresh.CreateTable(TestSchema()).ok());
   auto query = [&](ProfileId pid) {
     return fresh.GetProfileTopK("test", "profiles", pid, 1, std::nullopt,
                                 TimeRange::Current(kDay),
                                 SortBy::kActionCount, 0, 10);
   };
-  std::optional<Result<QueryResult>> r1, r2;
+  auto coalescer_pids = [&] {
+    return fresh.GetTableStats("profiles")->load_coalescer_pids;
+  };
+  kv.Arm();
+  std::optional<Result<QueryResult>> r1, r2, r3;
+  std::thread t3([&] { r3 = query(3); });
+  kv.gate().AwaitEntered();
   std::thread t1([&] { r1 = query(1); });
   std::thread t2([&] { r2 = query(2); });
+  ASSERT_TRUE(SpinUntil([&] { return coalescer_pids() == 3; }));
+  kv.gate().Open();
   t1.join();
   t2.join();
-  const auto elapsed = std::chrono::steady_clock::now() - start;
+  t3.join();
 
-  ASSERT_TRUE((*r1).ok()) << (*r1).status().ToString();
-  ASSERT_TRUE((*r2).ok()) << (*r2).status().ToString();
-  ASSERT_EQ((*r1)->features.size(), 1u);
-  EXPECT_EQ((*r1)->features[0].fid, 1u);
-  ASSERT_EQ((*r2)->features.size(), 1u);
-  EXPECT_EQ((*r2)->features[0].fid, 2u);
-
-  // Both misses rode one coalesced LoadBatch: one MultiGet on the store, and
-  // the window closed on the second arrival, not after 10 seconds.
-  EXPECT_EQ(kv.MultiGetCalls() - multi_gets_before, 1);
-  EXPECT_EQ(fresh.metrics()->GetCounter("broker.window_batches")->Value(), 1);
-  EXPECT_LT(std::chrono::duration_cast<std::chrono::seconds>(elapsed).count(),
-            5);
+  for (ProfileId pid = 1; pid <= 3; ++pid) {
+    const auto& r = pid == 1 ? r1 : pid == 2 ? r2 : r3;
+    ASSERT_TRUE(r->ok()) << r->status().ToString();
+    ASSERT_EQ((*r)->features.size(), 1u);
+    EXPECT_EQ((*r)->features[0].fid, static_cast<FeatureId>(pid));
+  }
+  // The two misses that arrived while pid 3's load was on the wire rode ONE
+  // coalesced LoadBatch: one MultiGet for both.
+  EXPECT_EQ(kv.MultiGetKeys(), (std::vector<size_t>{1, 2}));
+  EXPECT_EQ(coalescer_pids(), 0u);
 }
 
-TEST(LoadBrokerInstanceTest, BrokerAblationFallsBackToInlineLoads) {
+TEST(LoadBrokerInstanceTest, LoadAblationFallsBackToInlineLoads) {
   MemKvStore kv;
   ManualClock clock(100 * kDay);
-  IpsInstanceOptions options;
-  options.start_background_threads = false;
-  options.cache.start_background_threads = false;
-  options.cache.write_granularity_ms = kMinute;
-  options.compaction.synchronous = true;
-  options.compaction.min_interval_ms = 0;
-  options.isolation_enabled = false;
-  options.enable_load_broker = false;  // ablation: no broker wired
-  TableSchema schema = DefaultTableSchema("profiles");
-  schema.write_granularity_ms = kMinute;
+  IpsInstanceOptions options = ManualInstanceOptions();
+  options.enable_load_broker = false;  // ablation: no coalescer wired
   IpsInstance instance(options, &kv, &clock);
-  ASSERT_TRUE(instance.CreateTable(schema).ok());
+  ASSERT_TRUE(instance.CreateTable(TestSchema()).ok());
   ASSERT_TRUE(instance
                   .AddProfile("test", "profiles", 1, clock.NowMs() - kMinute,
                               1, 1, 1, CountVector{1})
@@ -476,8 +92,8 @@ TEST(LoadBrokerInstanceTest, BrokerAblationFallsBackToInlineLoads) {
                                         SortBy::kActionCount, 0, 10);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ASSERT_EQ(result->features.size(), 1u);
-  EXPECT_EQ(instance.metrics()->GetCounter("broker.window_batches")->Value(),
-            0);
+  EXPECT_EQ(
+      instance.metrics()->GetHistogram("broker.batch_pids")->count(), 0u);
 }
 
 }  // namespace
