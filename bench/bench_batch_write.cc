@@ -222,11 +222,9 @@ int CheckAcceptance(const std::vector<Row>& flush,
   int rc = 0;
   for (const Row& row : flush) {
     if (row.batch != 256) continue;
-    // One MultiSet per flush group. Production builds flush all 256 in one
-    // group; sanitized builds clamp the group's lock fan-in, so derive the
-    // expected group count from the cap.
-    const size_t group_max =
-        std::min<size_t>(row.batch, GCache::FlushGroupLockCap());
+    // One MultiSet per flush group; the batched run sets flush_batch_max to
+    // the batch size (see TimeFlush), so the whole batch is one group.
+    const size_t group_max = row.batch;
     const long long expected_groups =
         static_cast<long long>((row.batch + group_max - 1) / group_max);
     std::printf(

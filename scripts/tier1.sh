@@ -65,15 +65,18 @@ run_suite() {
   fi
   if [[ "${sanitize}" == "thread" ]]; then
     # The drain-concurrency storm (concurrent MaybeTrigger + Drain +
-    # SetEnabled flips over the sharded pool) and the coalescer's
-    # group-commit storms (attach, claim, piggyback, requeue and detach from
-    # many threads) are the tests TSan exists for; ctest runs them with the
-    # rest of the suite, but explicit passes keep the race gates visible in
-    # the tier-1 log.
+    # SetEnabled flips over the sharded pool), the coalescer's group-commit
+    # storms (attach, claim, piggyback, requeue and detach from many
+    # threads) and GCache's write-back step (flush, eviction and Invalidate
+    # racing writers and each other, with the L2 demotions) are the tests
+    # TSan exists for; ctest runs them with the rest of the suite, but
+    # explicit passes keep the race gates visible in the tier-1 log.
     echo "=== tier1: TSan drain storm (CompactionManagerTest) ==="
     (cd "${build_dir}" && ctest --output-on-failure -R compaction_test)
     echo "=== tier1: TSan group-commit storm (CoalescerTest) ==="
     (cd "${build_dir}" && ctest --output-on-failure -R coalescer_test)
+    echo "=== tier1: TSan write-back step (GCacheTest, VictimCacheTest) ==="
+    (cd "${build_dir}" && ctest --output-on-failure -R 'gcache_test|victim_cache_test')
   fi
 }
 

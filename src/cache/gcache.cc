@@ -1,7 +1,7 @@
 #include "cache/gcache.h"
 
 #include <algorithm>
-#include <cassert>
+#include <iterator>
 #include <limits>
 
 #include "cache/victim_cache.h"
@@ -21,20 +21,12 @@ size_t RoundUpPow2(size_t n) {
 
 }  // namespace
 
-size_t GCache::FlushGroupLockCap() {
-  // Flush groups snapshot entries one lock at a time and run the storage
-  // round trip with no entry lock held, so no cap applies — including under
-  // ThreadSanitizer, whose 64-held-locks hard limit motivated the old clamp
-  // back when a group pinned every entry lock across the round trip.
-  return std::numeric_limits<size_t>::max();
-}
-
-GCache::GCache(GCacheOptions options, Clock* clock, FlushFn flush, LoadFn load,
+GCache::GCache(GCacheOptions options, Clock* clock, LoadFn load, StoreFn store,
                MetricsRegistry* metrics)
     : options_(options),
       clock_(clock),
-      flush_(std::move(flush)),
       load_(std::move(load)),
+      store_(std::move(store)),
       metrics_(metrics) {
   options_.lru_shards = RoundUpPow2(options_.lru_shards);
   options_.dirty_shards = RoundUpPow2(options_.dirty_shards);
@@ -104,51 +96,21 @@ Result<std::pair<GCache::EntryPtr, bool>> GCache::GetOrLoad(
     }
   }
 
-  // Miss: consult persistent storage outside the shard lock — loads can take
-  // milliseconds and must not block unrelated traffic on this shard.
+  // Miss: the same funnel as a batch read (victim tier, then one load), run
+  // outside the shard lock — loads can take milliseconds and must not block
+  // unrelated traffic on this shard.
   misses_.fetch_add(1, std::memory_order_relaxed);
   if (metrics_ != nullptr) metrics_->GetCounter("cache.miss")->Increment();
-
-  // The victim tier intercepts the miss before any storage round trip: a
-  // demoted profile promotes back for the price of a decode.
-  if (victim_cache_ != nullptr) {
-    ScopedSpan l2_span("cache.l2_lookup");
-    ProfileData promoted(options_.write_granularity_ms);
-    bool promoted_degraded = false;
-    if (TryPromoteFromL2(pid, &promoted, &promoted_degraded)) {
-      return std::make_pair(
-          InsertLoaded(pid, std::move(promoted), promoted_degraded), false);
-    }
+  std::vector<bool> degraded;
+  std::vector<Result<ProfileData>> loaded = LoadMisses(
+      {pid}, &degraded, std::numeric_limits<TimestampMs>::max());
+  ProfileData profile(options_.write_granularity_ms);
+  if (loaded[0].ok()) {
+    profile = std::move(loaded[0]).value();
+  } else if (!loaded[0].status().IsNotFound() || !create_if_missing) {
+    return loaded[0].status();  // storage unavailable etc.
   }
-
-  ProfileData loaded(options_.write_granularity_ms);
-  bool degraded = false;
-  {
-    // Through the load coalescer when installed (sharing the load with every
-    // concurrent miss for this pid), else the per-pid loader.
-    Result<ProfileData> result = [&]() -> Result<ProfileData> {
-      if (load_coalescer_ == nullptr) return load_(pid, &degraded);
-      std::vector<bool> one_degraded;
-      std::vector<Result<ProfileData>> results =
-          load_coalescer_->Submit({pid}, {}, {}, &one_degraded);
-      degraded = one_degraded[0];
-      return std::move(results[0]);
-    }();
-    if (result.ok()) {
-      // A degraded load means the loader fell back: the primary store is
-      // still unhealthy even though the load itself succeeded.
-      NoteStoreHealth(degraded ? Status::Unavailable("fallback load")
-                               : Status::OK());
-      loaded = std::move(result).value();
-    } else if (result.status().IsNotFound()) {
-      if (!create_if_missing) return result.status();
-    } else {
-      NoteStoreHealth(result.status());
-      return result.status();  // storage unavailable etc.
-    }
-  }
-
-  return std::make_pair(InsertLoaded(pid, std::move(loaded), degraded),
+  return std::make_pair(InsertLoaded(pid, std::move(profile), degraded[0]),
                         false);
 }
 
@@ -201,7 +163,7 @@ struct GCache::BatchScratch {
   /// (pid, occurrence index) per missing occurrence; sorted to group
   /// duplicates without a per-call hash map.
   std::vector<std::pair<ProfileId, uint32_t>> misses;
-  std::vector<ProfileId> miss_pids;  // unique, in loader order
+  std::vector<ProfileId> miss_pids;  // unique, in load order
   /// Phase-3 service order: occurrence indices grouped by entry.
   std::vector<uint32_t> order;
 };
@@ -215,7 +177,7 @@ std::vector<Result<ProfileData>> GCache::LoadMisses(
     const std::vector<ProfileId>& pids, std::vector<bool>* out_degraded,
     TimestampMs deadline_ms) {
   // Victim tier first: misses served by promoting demoted bytes never reach
-  // the loader at all — a decode instead of a storage round trip.
+  // the load function at all — a decode instead of a storage round trip.
   const bool tiered = victim_cache_ != nullptr;
   std::vector<Result<ProfileData>> results;
   std::vector<ProfileId> remaining;
@@ -240,39 +202,22 @@ std::vector<Result<ProfileData>> GCache::LoadMisses(
   }
   const std::vector<ProfileId>& load_pids = tiered ? remaining : pids;
 
-  // Dispatch what the tier could not serve: the load coalescer when
-  // installed (shared with concurrent requests' misses, with the caller's
-  // deadline bounding the shared wait), else the batch loader, else per-pid
-  // loads.
-  std::vector<bool> loaded_degraded;
-  std::vector<Result<ProfileData>> loaded;
-  if (load_coalescer_ != nullptr) {
-    // Loads carry no epoch and no snapshot.
-    loaded = load_coalescer_->Submit(load_pids, {}, {}, &loaded_degraded,
-                                     deadline_ms);
-  } else if (batch_load_) {
-    loaded_degraded.assign(load_pids.size(), false);
-    loaded = batch_load_(load_pids, &loaded_degraded);
-  } else {
-    loaded_degraded.assign(load_pids.size(), false);
-    loaded.reserve(load_pids.size());
-    for (size_t m = 0; m < load_pids.size(); ++m) {
-      bool degraded = false;
-      loaded.push_back(load_(load_pids[m], &degraded));
-      loaded_degraded[m] = degraded;
-    }
-  }
+  // One load-function call for what the tier could not serve, with the
+  // caller's deadline bounding any wait on a shared load.
+  std::vector<bool> loaded_degraded(load_pids.size(), false);
+  std::vector<Result<ProfileData>> loaded =
+      load_(load_pids, &loaded_degraded, deadline_ms);
   if (loaded.size() != load_pids.size()) {
     loaded.assign(load_pids.size(),
                   Result<ProfileData>(Status::Internal(
-                      "batch loader returned a short result list")));
+                      "load function returned a short result list")));
   }
   if (loaded_degraded.size() != load_pids.size()) {
     loaded_degraded.assign(load_pids.size(), false);
   }
 
-  // Store health is judged ONLY on outcomes that actually touched the
-  // loader: a degraded profile served out of the victim tier carries its
+  // Store health is judged ONLY on outcomes that actually touched the load
+  // function: a degraded profile served out of the victim tier carries its
   // historical staleness mark and says nothing about the store's current
   // state.
   bool any_unavailable = false;
@@ -362,9 +307,6 @@ size_t GCache::WithProfiles(
   }
 
   // Phase 2: one LoadMisses call covers every miss, outside all shard locks.
-  // With a load coalescer installed this submits the miss set to the shared
-  // coalescing stage — concurrent requests' misses merge into one storage
-  // round trip and hot pids already on the wire are joined, not refetched.
   if (!miss_pids.empty()) {
     std::vector<bool> loaded_degraded;
     std::vector<Result<ProfileData>> loaded =
@@ -378,13 +320,9 @@ size_t GCache::WithProfiles(
       const ProfileId pid = miss_pids[m];
       const size_t begin = cursor;
       while (cursor < misses.size() && misses[cursor].first == pid) ++cursor;
-      if (m >= loaded.size() || !loaded[m].ok()) {
-        const Status status = m >= loaded.size()
-                                  ? Status::Internal("batch loader returned "
-                                                     "a short result list")
-                                  : loaded[m].status();
+      if (!loaded[m].ok()) {
         for (size_t x = begin; x < cursor; ++x) {
-          (*statuses)[misses[x].second] = status;
+          (*statuses)[misses[x].second] = loaded[m].status();
         }
         continue;
       }
@@ -395,8 +333,8 @@ size_t GCache::WithProfiles(
       }
     }
     // Store health was already noted inside LoadMisses, judged only on the
-    // subset of misses that actually reached the loader (a victim-tier
-    // promotion says nothing about the store).
+    // subset of misses that actually reached the load function (a
+    // victim-tier promotion says nothing about the store).
   }
 
   // Phase 3: serve each present profile under its entry lock. Occurrences
@@ -465,12 +403,6 @@ void GCache::MarkDirty(Entry& entry) {
     dshard.dirty.push_back(entry.pid);
     entry.in_dirty_list = true;
   }
-}
-
-bool GCache::EntryDegraded(const EntryPtr& entry) const {
-  if (StoreUnhealthy()) return true;
-  std::lock_guard<std::mutex> lock(entry->mu);
-  return entry->degraded;
 }
 
 void GCache::NoteStoreHealth(const Status& status, StoreHealthSource source) {
@@ -559,26 +491,25 @@ Status GCache::WithProfileOffLockMutate(
       }
       entry = it->second.entry;
     }
-    ProfileData snapshot;
-    uint64_t epoch = 0;
+    Snapshot snap;
     {
       std::lock_guard<std::mutex> lock(entry->mu);
       if (entry->evicted) {
         // Unmapped between the shard lookup and the entry lock; re-resolve.
         continue;
       }
-      snapshot = entry->profile;
-      epoch = entry->mutation_epoch;
+      snap = TakeSnapshot(std::move(entry));
     }
 
     // The expensive part — merge/truncate/shrink — runs here with no lock
     // held, overlapping serving writes and dirty-shard flushes of the same
     // entry.
-    if (!work(snapshot)) return Status::OK();
+    if (!work(snap.profile)) return Status::OK();
 
     {
-      std::lock_guard<std::mutex> lock(entry->mu);
-      if (entry->evicted || entry->mutation_epoch != epoch) {
+      Entry& current = *snap.entry;
+      std::lock_guard<std::mutex> lock(current.mu);
+      if (!SnapshotCurrent(current, snap.epoch)) {
         // A write (or an eviction) landed during the unlocked pass.
         // Committing the stale snapshot would silently drop that write, so
         // throw this pass away and redo it from the current state.
@@ -587,41 +518,97 @@ Status GCache::WithProfileOffLockMutate(
         }
         continue;
       }
-      entry->profile = std::move(snapshot);
-      UpdateAccounting(shard, *entry);
-      MarkDirty(*entry);
+      current.profile = std::move(snap.profile);
+      UpdateAccounting(shard, current);
+      MarkDirty(current);
     }
     return Status::OK();
   }
   return Status::Aborted("off-lock mutate kept losing the epoch race");
 }
 
+GCache::Snapshot GCache::TakeSnapshot(EntryPtr entry, bool with_profile) {
+  Snapshot snap;
+  snap.epoch = entry->mutation_epoch;
+  if (with_profile) snap.profile = entry->profile;
+  snap.entry = std::move(entry);
+  return snap;
+}
+
+bool GCache::CommitWriteBack(Entry& entry, uint64_t epoch) {
+  if (!SnapshotCurrent(entry, epoch)) return false;
+  // The snapshot (== current state, by the recheck) reached the store:
+  // whatever stale base the entry was loaded from, the persisted copy is
+  // now the authoritative merge.
+  entry.dirty = false;
+  entry.degraded = false;
+  return true;
+}
+
+std::vector<Status> GCache::StoreSnapshots(std::span<const Snapshot> snapshots,
+                                           StoreHealthSource source) {
+  std::vector<ProfileId> pids;
+  std::vector<uint64_t> epochs;
+  std::vector<const ProfileData*> profiles;
+  pids.reserve(snapshots.size());
+  epochs.reserve(snapshots.size());
+  profiles.reserve(snapshots.size());
+  for (const Snapshot& snap : snapshots) {
+    pids.push_back(snap.entry->pid);
+    epochs.push_back(snap.epoch);
+    profiles.push_back(&snap.profile);
+  }
+  std::vector<Status> statuses = store_(pids, epochs, profiles);
+  if (statuses.size() != pids.size()) {
+    statuses.assign(pids.size(),
+                    Status::Internal("store function returned a short "
+                                     "result list"));
+  }
+  size_t stored = 0;
+  bool any_unavailable = false;
+  for (const Status& status : statuses) {
+    if (status.ok()) {
+      ++stored;
+    } else if (status.IsUnavailable()) {
+      any_unavailable = true;
+    }
+  }
+  NoteStoreHealth(any_unavailable ? Status::Unavailable("write-back")
+                                  : Status::OK(),
+                  source);
+  if (metrics_ != nullptr) {
+    if (stored > 0) {
+      metrics_->GetCounter("cache.flushed")
+          ->Increment(static_cast<int64_t>(stored));
+    }
+    if (stored < statuses.size()) {
+      metrics_->GetCounter("cache.flush_failures")
+          ->Increment(static_cast<int64_t>(statuses.size() - stored));
+    }
+  }
+  return statuses;
+}
+
 size_t GCache::EvictFromShard(LruShard& shard, size_t target_bytes) {
-  // The eviction mirror of FlushShard's snapshot-then-store-unlocked design.
-  // The old shape held shard.mu across FlushEntryLocked — every KV
-  // millisecond of a dirty victim's write-back blocked ALL traffic on the
-  // shard, and the store landed without any epoch protection against a
-  // concurrent writer. Four phases now:
+  // The write-back step applied to eviction victims, so a KV millisecond of
+  // a dirty victim's write-back never blocks traffic on the shard. Phases:
   //   1. collect victims under shard.mu (try_lock probing, Fig 8),
-  //      snapshotting profile + epoch one entry lock at a time;
-  //   2. write dirty victims back with NO lock held — through the store
-  //      coalescer when installed (an eviction storm coalesces with a flush
-  //      storm), else the batch flusher, else per-pid flushes;
+  //      snapshotting one entry lock at a time;
+  //   2. store the dirty victims with NO lock held (point-source health: a
+  //      lone eviction success must not clear an outage flag batch traffic
+  //      still sees);
   //   3. encode surviving victims for L2 demotion, still unlocked;
-  //   4. commit per victim under shard.mu + entry try_lock with the flush
-  //      path's mutation-epoch recheck — an entry re-dirtied during the
-  //      round trip stays resident with its newer state. The demotion Put
-  //      happens under shard.mu BEFORE the map erase, so no concurrent
-  //      reload can slip a fresh entry in while stale bytes land in L2.
-  struct Victim {
-    EntryPtr entry;
-    ProfileData snapshot;
-    uint64_t epoch = 0;
-    bool dirty = false;
-    bool degraded = false;
-  };
-  std::vector<Victim> victims;
+  //   4. commit per victim under shard.mu + entry try_lock with the epoch
+  //      recheck — an entry re-dirtied during the round trip stays resident
+  //      with its newer state. The demotion Put happens under shard.mu
+  //      BEFORE the map erase, so no concurrent reload can slip a fresh entry
+  //      in while stale bytes land in L2, and Invalidate (which erases L2
+  //      under shard.mu once the pid is unmapped) cannot be overtaken.
+  // Dirty victims first, then clean ones: the store takes the dirty prefix.
+  std::vector<Snapshot> victims;
+  size_t num_dirty = 0;
   {
+    std::vector<Snapshot> clean;
     std::lock_guard<std::mutex> lock(shard.mu);
     size_t planned = 0;
     auto it = shard.lru.end();
@@ -640,87 +627,27 @@ size_t GCache::EvictFromShard(LruShard& shard, size_t target_bytes) {
       // now — skip it and move up the list instead of blocking.
       std::unique_lock<std::mutex> entry_lock(entry->mu, std::try_to_lock);
       if (!entry_lock.owns_lock()) continue;
-      Victim v;
-      v.epoch = entry->mutation_epoch;
-      v.dirty = entry->dirty;
-      v.degraded = entry->degraded;
-      // Clean victims only need the snapshot when a tier exists to demote
-      // them into; dirty ones always need it for the write-back.
-      if (entry->dirty || victim_cache_ != nullptr) {
-        v.snapshot = entry->profile;
-      }
       planned += entry->bytes;
-      v.entry = std::move(entry);
-      victims.push_back(std::move(v));
+      // Clean victims only need the profile when a tier exists to demote
+      // them into; dirty ones always need it for the write-back.
+      if (entry->dirty) {
+        victims.push_back(TakeSnapshot(std::move(entry)));
+      } else {
+        clean.push_back(
+            TakeSnapshot(std::move(entry), victim_cache_ != nullptr));
+      }
     }
+    num_dirty = victims.size();
+    std::move(clean.begin(), clean.end(), std::back_inserter(victims));
   }
   if (victims.empty()) return 0;
 
-  // Phase 2: dirty write-backs, no lock held. Point-source health: a lone
-  // eviction success must not clear an outage flag batch traffic still sees.
   std::vector<Status> statuses(victims.size(), Status::OK());
-  std::vector<size_t> dirty_ix;
-  for (size_t i = 0; i < victims.size(); ++i) {
-    if (victims[i].dirty) dirty_ix.push_back(i);
-  }
-  if (!dirty_ix.empty()) {
-    if (store_coalescer_ != nullptr || batch_flush_) {
-      std::vector<ProfileId> pids;
-      std::vector<const ProfileData*> profiles;
-      pids.reserve(dirty_ix.size());
-      profiles.reserve(dirty_ix.size());
-      for (size_t ix : dirty_ix) {
-        pids.push_back(victims[ix].entry->pid);
-        profiles.push_back(&victims[ix].snapshot);
-      }
-      std::vector<Status> flushed;
-      if (store_coalescer_ != nullptr) {
-        // Snapshot epochs ride along, as in FlushShard: the coalescer
-        // dedups an eviction write-back against an identical in-flight flush
-        // of the same pid and orders it behind an older one.
-        std::vector<uint64_t> epochs;
-        epochs.reserve(dirty_ix.size());
-        for (size_t ix : dirty_ix) epochs.push_back(victims[ix].epoch);
-        flushed = store_coalescer_->Submit(pids, epochs, profiles);
-      } else {
-        flushed = batch_flush_(pids, profiles);
-      }
-      if (flushed.size() != pids.size()) {
-        flushed.assign(pids.size(),
-                       Status::Internal("batch flusher returned a short "
-                                        "result list"));
-      }
-      for (size_t k = 0; k < dirty_ix.size(); ++k) {
-        statuses[dirty_ix[k]] = flushed[k];
-      }
-    } else {
-      for (size_t ix : dirty_ix) {
-        statuses[ix] =
-            flush_(victims[ix].entry->pid, victims[ix].snapshot);
-      }
-    }
-    bool any_unavailable = false;
-    size_t flush_ok = 0;
-    for (size_t ix : dirty_ix) {
-      if (statuses[ix].ok()) {
-        ++flush_ok;
-      } else if (statuses[ix].IsUnavailable()) {
-        any_unavailable = true;
-      }
-    }
-    NoteStoreHealth(any_unavailable ? Status::Unavailable("eviction flush")
-                                    : Status::OK(),
-                    StoreHealthSource::kPoint);
-    if (metrics_ != nullptr) {
-      if (flush_ok > 0) {
-        metrics_->GetCounter("cache.flushed")
-            ->Increment(static_cast<int64_t>(flush_ok));
-      }
-      if (flush_ok < dirty_ix.size()) {
-        metrics_->GetCounter("cache.flush_failures")
-            ->Increment(static_cast<int64_t>(dirty_ix.size() - flush_ok));
-      }
-    }
+  if (num_dirty > 0) {
+    std::vector<Status> stored =
+        StoreSnapshots(std::span<const Snapshot>(victims.data(), num_dirty),
+                       StoreHealthSource::kPoint);
+    std::move(stored.begin(), stored.end(), statuses.begin());
   }
 
   // Phase 3: encode demotions from the snapshots, still unlocked (the codec
@@ -732,7 +659,7 @@ size_t GCache::EvictFromShard(LruShard& shard, size_t target_bytes) {
     for (size_t i = 0; i < victims.size(); ++i) {
       if (!statuses[i].ok()) continue;  // stays resident; nothing to demote
       if (!victim_cache_->WouldAdmit(victims[i].entry->pid)) continue;
-      victim_encode_(victims[i].snapshot, &encoded[i]);
+      victim_encode_(victims[i].profile, &encoded[i]);
       demote[i] = true;
     }
   }
@@ -742,7 +669,7 @@ size_t GCache::EvictFromShard(LruShard& shard, size_t target_bytes) {
   size_t demoted = 0;
   for (size_t i = 0; i < victims.size(); ++i) {
     if (!statuses[i].ok()) continue;  // write-back failed: flush later, keep
-    Victim& v = victims[i];
+    const Snapshot& v = victims[i];
     const ProfileId pid = v.entry->pid;
     std::lock_guard<std::mutex> lock(shard.mu);
     auto map_it = shard.map.find(pid);
@@ -752,12 +679,12 @@ size_t GCache::EvictFromShard(LruShard& shard, size_t target_bytes) {
     std::unique_lock<std::mutex> entry_lock(v.entry->mu, std::try_to_lock);
     if (!entry_lock.owns_lock()) continue;  // being served again — keep it
     Entry& entry = *v.entry;
-    if (entry.mutation_epoch != v.epoch) continue;  // re-dirtied mid-flight
-    if (v.dirty) {
-      // The snapshot (== current state, by the epoch check) reached the
-      // store: the entry is clean and authoritative again.
-      entry.dirty = false;
-      entry.degraded = false;
+    // A dirty victim commits its write-back; a clean one only rechecks (its
+    // degraded mark rides into the tier). Either way a write that landed
+    // mid-flight keeps the entry resident.
+    if (i < num_dirty ? !CommitWriteBack(entry, v.epoch)
+                      : !SnapshotCurrent(entry, v.epoch)) {
+      continue;
     }
     if (demote[i]) {
       if (victim_cache_->Put(pid, std::move(encoded[i]), entry.degraded)) {
@@ -814,23 +741,6 @@ size_t GCache::SwapOnce() {
   return evicted;
 }
 
-Status GCache::FlushEntryLocked(Entry& entry) {
-  Status status = flush_(entry.pid, entry.profile);
-  NoteStoreHealth(status, StoreHealthSource::kPoint);
-  if (status.ok()) {
-    entry.dirty = false;
-    // The entry's state reached the primary store: whatever stale base it
-    // was loaded from, the persisted copy is now the authoritative merge.
-    entry.degraded = false;
-    if (metrics_ != nullptr) {
-      metrics_->GetCounter("cache.flushed")->Increment();
-    }
-  } else if (metrics_ != nullptr) {
-    metrics_->GetCounter("cache.flush_failures")->Increment();
-  }
-  return status;
-}
-
 size_t GCache::FlushShard(DirtyShard& dshard, size_t* out_failures) {
   // Grab the current batch; new dirties accumulate behind it.
   std::list<ProfileId> batch;
@@ -841,6 +751,7 @@ size_t GCache::FlushShard(DirtyShard& dshard, size_t* out_failures) {
   size_t flushed = 0;
   size_t failures = 0;
   std::list<ProfileId> requeue;
+  const size_t group_max = std::max<size_t>(1, options_.flush_batch_max);
   auto it = batch.begin();
   while (it != batch.end()) {
     if (failures >= options_.max_flush_failures_per_pass) {
@@ -851,22 +762,7 @@ size_t GCache::FlushShard(DirtyShard& dshard, size_t* out_failures) {
       break;
     }
 
-    // Gather the next group as unlocked SNAPSHOTS: each entry's profile is
-    // copied under its own lock — entries locked strictly one at a time —
-    // together with its mutation epoch, then the lock drops. The storage
-    // round trip below runs with NO entry lock held, so a multi-millisecond
-    // store never blocks readers or writers of the entries being flushed
-    // (the old design pinned every entry lock in the group across the round
-    // trip: a latency cliff and a lock-ordering hazard).
-    const size_t group_max =
-        (batch_flush_ || store_coalescer_ != nullptr)
-            ? std::max<size_t>(1, options_.flush_batch_max)
-            : 1;
-    struct Snapshot {
-      EntryPtr entry;
-      ProfileData profile;
-      uint64_t epoch = 0;
-    };
+    // Snapshot the next group, entries locked strictly one at a time.
     std::vector<Snapshot> group;
     while (it != batch.end() && group.size() < group_max) {
       const ProfileId pid = *it;
@@ -885,95 +781,36 @@ size_t GCache::FlushShard(DirtyShard& dshard, size_t* out_failures) {
         entry->in_dirty_list = false;
       }
       if (!entry->dirty) continue;
-      ProfileData copy = entry->profile;
-      const uint64_t epoch = entry->mutation_epoch;
-      group.push_back(Snapshot{std::move(entry), std::move(copy), epoch});
+      group.push_back(TakeSnapshot(std::move(entry)));
     }
     if (group.empty()) continue;
 
-    // One storage round trip per group, outside every entry lock: the store
-    // coalescer (which may merge this group with other shards' concurrent
-    // groups into one MultiSet, and share in-flight store-backs of hot
-    // pids) when installed, else the batch flusher (one MultiSet below),
-    // else the per-entry flusher on the group of one.
-    std::vector<Status> statuses;
-    if (store_coalescer_ != nullptr || batch_flush_) {
-      std::vector<ProfileId> pids;
-      std::vector<const ProfileData*> profiles;
-      pids.reserve(group.size());
-      profiles.reserve(group.size());
-      for (const Snapshot& snap : group) {
-        pids.push_back(snap.entry->pid);
-        profiles.push_back(&snap.profile);
-      }
-      if (store_coalescer_ != nullptr) {
-        // The snapshot epochs ride along so the coalescer can tell an
-        // identical re-flush (piggyback on the in-flight write) from a
-        // newer one (requeue behind it). The commit below still rechecks
-        // each entry's live epoch — the coalescer never changes that
-        // contract.
-        std::vector<uint64_t> epochs;
-        epochs.reserve(group.size());
-        for (const Snapshot& snap : group) epochs.push_back(snap.epoch);
-        statuses = store_coalescer_->Submit(pids, epochs, profiles);
-      } else {
-        statuses = batch_flush_(pids, profiles);
-      }
-      if (statuses.size() != pids.size()) {
-        statuses.assign(pids.size(),
-                        Status::Internal("batch flusher returned a short "
-                                         "result list"));
-      }
-      if (metrics_ != nullptr) {
-        metrics_->GetCounter("cache.batch_flushes")->Increment();
-      }
-    } else {
-      statuses.push_back(flush_(group[0].entry->pid, group[0].profile));
+    // One storage round trip per group, outside every entry lock.
+    const std::vector<Status> statuses =
+        StoreSnapshots(group, StoreHealthSource::kBatch);
+    if (metrics_ != nullptr) {
+      metrics_->GetCounter("cache.batch_flushes")->Increment();
     }
 
-    // Commit: relock each entry and recheck its epoch. A write that landed
-    // during the unlocked round trip means the store holds the snapshot but
-    // the entry carries newer state — keep it dirty and requeue. The
-    // snapshot itself persisted, so it still counts as progress.
-    bool any_unavailable = false;
+    // Commit: an entry still dirty afterwards — its store failed, or a write
+    // landed during the round trip — goes back on the list. A stored
+    // snapshot counts as progress either way.
     for (size_t g = 0; g < group.size(); ++g) {
       Entry& entry = *group[g].entry;
       std::lock_guard<std::mutex> entry_lock(entry.mu);
       if (statuses[g].ok()) {
         ++flushed;
-        // The snapshot reached the primary store: whatever stale base the
-        // entry was loaded from, the persisted copy is now the
-        // authoritative merge.
-        entry.degraded = false;
-        if (entry.mutation_epoch == group[g].epoch) {
-          entry.dirty = false;
-        } else {
-          std::lock_guard<std::mutex> dlock(dshard.mu);
-          if (!entry.in_dirty_list) {
-            requeue.push_back(entry.pid);
-            entry.in_dirty_list = true;
-          }
-        }
-        if (metrics_ != nullptr) {
-          metrics_->GetCounter("cache.flushed")->Increment();
-        }
+        CommitWriteBack(entry, group[g].epoch);
       } else {
-        if (statuses[g].IsUnavailable()) any_unavailable = true;
         ++failures;
-        {
-          std::lock_guard<std::mutex> dlock(dshard.mu);
-          if (!entry.in_dirty_list) {
-            requeue.push_back(entry.pid);
-            entry.in_dirty_list = true;
-          }
-        }
-        if (metrics_ != nullptr) {
-          metrics_->GetCounter("cache.flush_failures")->Increment();
-        }
+      }
+      if (!entry.dirty) continue;
+      std::lock_guard<std::mutex> dlock(dshard.mu);
+      if (!entry.in_dirty_list) {
+        requeue.push_back(entry.pid);
+        entry.in_dirty_list = true;
       }
     }
-    NoteStoreHealth(any_unavailable ? Status::Unavailable("batch flush")
-                                    : Status::OK());
   }
   if (!requeue.empty()) {
     std::lock_guard<std::mutex> lock(dshard.mu);
@@ -1026,43 +863,54 @@ void GCache::FlushAll() {
 
 Status GCache::Invalidate(ProfileId pid) {
   LruShard& shard = *lru_shards_[LruIndex(pid)];
-  // The profile must leave EVERY tier: stale demoted bytes left in L2 would
-  // serve a later miss after the handover.
-  if (victim_cache_ != nullptr) victim_cache_->Erase(pid);
-  // Retry loop: the old shape flushed under the entry lock, dropped it, then
-  // erased under the shard lock — a write landing in that window re-dirtied
-  // the entry and the erase silently discarded it. Now the erase only
-  // happens after re-acquiring both locks and re-checking `dirty`; a write
-  // that slipped in sends us back around to flush again.
+  // Called with shard.mu held once the map no longer holds the pid: the
+  // profile must leave EVERY tier, and eviction demotes (Puts) under
+  // shard.mu before unmapping, so no demotion of this pid can land after
+  // this erase and leave stale bytes to serve a miss after the handover.
+  auto erase_from_l2 = [&] {
+    if (victim_cache_ != nullptr) victim_cache_->Erase(pid);
+    return Status::OK();
+  };
+  // Each attempt runs the write-back step on a dirty entry (no lock held
+  // across the store), then erases under both locks only if the entry is
+  // still clean; a write that landed meanwhile re-dirties it and sends us
+  // around again.
   for (int attempt = 0; attempt < 16; ++attempt) {
     EntryPtr entry;
     {
       std::lock_guard<std::mutex> lock(shard.mu);
       auto it = shard.map.find(pid);
-      if (it == shard.map.end()) return Status::OK();
+      if (it == shard.map.end()) return erase_from_l2();
       entry = it->second.entry;
     }
+    std::vector<Snapshot> snap;
     {
       std::lock_guard<std::mutex> entry_lock(entry->mu);
       if (entry->evicted) continue;  // raced an eviction; re-probe the map
-      if (entry->dirty) IPS_RETURN_IF_ERROR(FlushEntryLocked(*entry));
+      if (entry->dirty) snap.push_back(TakeSnapshot(entry));
+    }
+    if (!snap.empty()) {
+      const Status stored =
+          StoreSnapshots(snap, StoreHealthSource::kPoint).front();
+      if (!stored.ok()) return stored;
+      std::lock_guard<std::mutex> entry_lock(entry->mu);
+      CommitWriteBack(*entry, snap[0].epoch);
     }
     std::lock_guard<std::mutex> lock(shard.mu);
     auto it = shard.map.find(pid);
-    if (it == shard.map.end() || it->second.entry != entry) {
-      return Status::OK();
-    }
+    if (it == shard.map.end()) return erase_from_l2();
+    if (it->second.entry != entry) continue;  // reloaded meanwhile: redo
     std::unique_lock<std::mutex> entry_lock(entry->mu, std::try_to_lock);
-    // Contended: a writer may hold the lock right now — re-run the flush
-    // check rather than erasing state we have not re-examined.
-    if (!entry_lock.owns_lock()) continue;
-    if (entry->dirty) continue;  // re-dirtied in the window: flush again
+    // Contended: a writer may hold the lock right now — re-run the check
+    // rather than erasing state we have not re-examined. Dirty: a write
+    // landed during the write-back; write back again.
+    if (!entry_lock.owns_lock() || entry->dirty) continue;
     entry->evicted = true;
     shard.lru.erase(it->second.lru_it);
     shard.map.erase(it);
     shard.bytes.fetch_sub(entry->bytes, std::memory_order_relaxed);
     memory_bytes_.fetch_sub(entry->bytes, std::memory_order_relaxed);
-    return Status::OK();
+    return erase_from_l2();
   }
   return Status::Aborted("invalidate: entry kept being re-dirtied");
 }

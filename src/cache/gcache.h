@@ -10,9 +10,19 @@
 //     to the key-value store; the flush-thread count is a multiple of the
 //     dirty-shard count so every shard has dedicated threads.
 //
-// Persistence and load are injected as callbacks so this layer stays
-// independent of the codec/kvstore choices (bulk vs slice-split modes both
-// plug in here).
+// Storage sits behind ONE seam of two batch functions handed to the
+// constructor, so this layer stays independent of the codec/kvstore choices
+// and of any coalescing stage composed in front of them:
+//
+//   * LoadFn — every miss (single-pid or batch) funnels through LoadMisses
+//     into one call;
+//   * StoreFn — every write-back (flush pass, eviction, Invalidate) is one
+//     write-back step: snapshot (entry, profile, epoch) under the entry lock,
+//     call StoreFn with no cache lock held, then commit per entry under its
+//     lock, clearing dirty/degraded only if the mutation epoch is unchanged.
+//     A write landing mid-step therefore keeps the entry dirty (or resident)
+//     and is never lost. WithProfileOffLockMutate shares the snapshot and
+//     epoch-recheck halves of that step.
 #ifndef IPS_CACHE_GCACHE_H_
 #define IPS_CACHE_GCACHE_H_
 
@@ -23,13 +33,12 @@
 #include <list>
 #include <memory>
 #include <mutex>
-#include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
-#include "cache/coalescer.h"
 #include "common/clock.h"
 #include "common/metrics.h"
 #include "common/status.h"
@@ -65,9 +74,8 @@ struct GCacheOptions {
   /// the first clean pass.
   int64_t flush_backoff_ms = 50;
   int64_t flush_backoff_max_ms = 2000;
-  /// Largest group of dirty entries a flush pass hands to the batch flusher
-  /// in one call (one storage round trip per group). Only used when a batch
-  /// flusher is installed.
+  /// Largest group of dirty entries a flush pass hands to the store function
+  /// in one call (one storage round trip per group).
   size_t flush_batch_max = 64;
   /// When false no background threads start; tests drive SwapOnce/FlushOnce
   /// manually for determinism.
@@ -78,40 +86,37 @@ struct GCacheOptions {
 
 class VictimCache;
 
-/// Persists one profile. Invalidate calls it with the entry lock held (the
-/// entry is about to leave the cache); flush passes AND eviction write-backs
-/// call it on unlocked snapshots, see BatchFlushFn.
-using FlushFn = std::function<Status(ProfileId, const ProfileData&)>;
-/// Loads one profile on cache miss. NotFound means "no such profile yet".
-/// `out_degraded` (never null) is set when the profile came from a fallback
-/// replica and may be stale; the cache carries the flag through to readers.
-using LoadFn = std::function<Result<ProfileData>(ProfileId, bool* out_degraded)>;
-/// Loads many profiles in one storage round trip (the batch-miss-coalescing
-/// step of the MultiQuery read path). Results align with the pid list;
-/// NotFound marks profiles that were never persisted. `out_degraded` (never
-/// null) aligns with the pid list, same contract as LoadFn.
-using BatchLoadFn =
-    std::function<std::vector<Result<ProfileData>>(
-        const std::vector<ProfileId>&, std::vector<bool>* out_degraded)>;
-/// Persists many profiles in one storage round trip (the write-side mirror
-/// of BatchLoadFn); invoked on snapshots with NO entry lock held, so the
-/// storage round trip never blocks readers or writers of the entries being
-/// flushed (a concurrent write during the flush is caught by an epoch
-/// recheck and simply requeues the entry). Returned statuses align with the
-/// pid list — a batch can partially land.
-using BatchFlushFn = std::function<std::vector<Status>(
-    const std::vector<ProfileId>&, const std::vector<const ProfileData*>&)>;
+/// Loads a batch of profiles in one storage round trip: the only way a miss
+/// reaches storage. Results align with `pids`; NotFound marks profiles that
+/// were never persisted. `out_degraded` (never null) arrives sized to `pids`
+/// and all false; an entry is set when that profile came from a fallback
+/// replica and may be stale (the cache carries the flag through to readers).
+/// `deadline_ms` (absolute, in the cache clock's domain) bounds how long the
+/// call may wait on a load shared with other requests; pids unresolved by
+/// then get DeadlineExceeded. A function that cannot abandon a load ignores
+/// it.
+using LoadFn = std::function<std::vector<Result<ProfileData>>(
+    const std::vector<ProfileId>& pids, std::vector<bool>* out_degraded,
+    TimestampMs deadline_ms)>;
+/// Persists a batch of snapshots in one storage round trip: the only way the
+/// cache writes to storage (flush passes, eviction and Invalidate
+/// write-backs). Always called with NO cache lock held. `snapshots[i]` was
+/// taken at mutation epoch `epochs[i]` and is borrowed for the call.
+/// Statuses align with `pids` — a batch can partially land.
+using StoreFn = std::function<std::vector<Status>(
+    const std::vector<ProfileId>& pids, const std::vector<uint64_t>& epochs,
+    const std::vector<const ProfileData*>& snapshots)>;
 /// Encodes a profile into the victim tier's byte format (the persister's
 /// compressed block format). Called on eviction snapshots with no lock held.
 using VictimEncodeFn = std::function<void(const ProfileData&, std::string*)>;
 /// Decodes victim-tier bytes back into a profile (promotion). Corruption on
 /// malformed input: the promotion is abandoned and the miss falls through to
-/// the loader.
+/// the load function.
 using VictimDecodeFn = std::function<Status(std::string_view, ProfileData*)>;
 
 class GCache {
  public:
-  GCache(GCacheOptions options, Clock* clock, FlushFn flush, LoadFn load,
+  GCache(GCacheOptions options, Clock* clock, LoadFn load, StoreFn store,
          MetricsRegistry* metrics = nullptr);
   ~GCache();
 
@@ -119,7 +124,7 @@ class GCache {
   GCache& operator=(const GCache&) = delete;
 
   /// Read path: runs `fn` with shared (entry-locked) access to the profile.
-  /// On miss the loader is consulted; NotFound from the loader is returned
+  /// On miss the load function is consulted; NotFound from it is returned
   /// to the caller (queries on unknown profiles are empty, handled above).
   /// `out_was_hit`, when non-null, reports whether this was a cache hit —
   /// the Table II latency split keys on it. `out_degraded`, when non-null,
@@ -132,68 +137,23 @@ class GCache {
                      bool* out_degraded = nullptr);
 
   /// Batch read path (the spine of MultiQuery): partitions `pids` into
-  /// cache hits and misses, satisfies ALL misses with one batch-loader call
-  /// (falling back to per-pid loads when no batch loader is installed),
-  /// then runs `fn(index, profile)` under the entry lock for every present
-  /// profile. `statuses` aligns with `pids`; unknown profiles get NotFound
-  /// and no callback. Duplicate pids are coalesced for loading but each
-  /// occurrence gets its own callback and status; occurrences of the same
+  /// cache hits and misses, satisfies ALL misses with one load-function
+  /// call, then runs `fn(index, profile)` under the entry lock for every
+  /// present profile. `statuses` aligns with `pids`; unknown profiles get
+  /// NotFound and no callback. Duplicate pids are coalesced for loading but
+  /// each occurrence gets its own callback and status; occurrences of the same
   /// pid are served back-to-back under ONE entry lock hold (callbacks are
   /// grouped by entry, not issued in strict input order). Returns the
   /// number of cache hits.
   /// `out_degraded`, when non-null, is filled aligned with `pids`; same
-  /// staleness contract as WithProfile. `deadline_ms` (absolute, in the
-  /// cache clock's domain) bounds how long misses may wait on loads shared
-  /// through the load coalescer; pids unresolved at the deadline get
-  /// DeadlineExceeded while the shared load itself keeps running. It is
-  /// ignored when no coalescer is installed (inline loads cannot be
-  /// abandoned).
+  /// staleness contract as WithProfile. `deadline_ms` is handed to the
+  /// load function (see LoadFn).
   size_t WithProfiles(const std::vector<ProfileId>& pids,
                       const std::function<void(size_t, const ProfileData&)>& fn,
                       std::vector<Status>* statuses,
                       std::vector<bool>* out_degraded = nullptr,
                       TimestampMs deadline_ms =
                           std::numeric_limits<TimestampMs>::max());
-
-  /// Installs the batch loader. Not thread-safe w.r.t. concurrent reads;
-  /// call during setup, right after construction.
-  void set_batch_loader(BatchLoadFn batch_load) {
-    batch_load_ = std::move(batch_load);
-  }
-
-  /// Installs the load coalescer (non-owning; must outlive the cache):
-  /// misses then route through it instead of invoking the loader callbacks
-  /// inline, so concurrent misses for one pid share a round trip and misses
-  /// from concurrent requests group-commit into one. Same setup-time
-  /// contract as set_batch_loader. Without one, misses load inline through
-  /// batch_load_/load_.
-  void set_load_coalescer(LoadCoalescer* coalescer) {
-    load_coalescer_ = coalescer;
-  }
-
-  /// Installs the batch flusher: flush passes then drain each dirty shard
-  /// in groups of up to flush_batch_max entries, one flusher call (one
-  /// storage round trip) per group, instead of one store per entry. Same
-  /// setup-time contract as set_batch_loader.
-  void set_batch_flusher(BatchFlushFn batch_flush) {
-    batch_flush_ = std::move(batch_flush);
-  }
-
-  /// Installs the store coalescer (non-owning; must outlive the cache):
-  /// flush groups then route through it instead of the batch flusher, so
-  /// concurrent flush passes' groups share one storage round trip and a hot
-  /// dirty pid re-flushed while its store is on the wire piggybacks on it
-  /// (same snapshot epoch) or requeues behind it (newer epoch). The epoch
-  /// recheck after the store returns is unchanged. Same setup-time contract
-  /// as set_batch_loader. Eviction write-backs route through it too:
-  /// EvictFromShard stores unlocked snapshots (victims are collected under
-  /// the shard lock, written back outside it), so an eviction storm
-  /// coalesces with a concurrent flush storm. Only Invalidate keeps the
-  /// inline point path — it holds the entry lock and must not park behind
-  /// another thread's round trip.
-  void set_store_coalescer(StoreCoalescer* coalescer) {
-    store_coalescer_ = coalescer;
-  }
 
   /// Installs the compressed L2 victim tier (non-owning; must outlive the
   /// cache) together with the codec callbacks that translate between
@@ -204,7 +164,8 @@ class GCache {
   ///   * eviction demotes written-back victims into the tier instead of
   ///     dropping them;
   ///   * Invalidate erases the pid from BOTH tiers.
-  /// Same setup-time contract as set_batch_loader.
+  /// Not thread-safe w.r.t. concurrent traffic; call during setup, right
+  /// after construction.
   void set_victim_cache(VictimCache* victim, VictimEncodeFn encode,
                         VictimDecodeFn decode) {
     victim_cache_ = victim;
@@ -221,9 +182,9 @@ class GCache {
   /// Maintenance write path (compaction): snapshots the profile under the
   /// entry lock, runs `work` on the snapshot with NO lock held, then commits
   /// the result back under the lock — but only if the entry's mutation
-  /// epoch is unchanged (the same collect→work→commit discipline the flush
-  /// and eviction paths use). A long pass therefore never pins the entry
-  /// lock: serving writes and FlushShard proceed concurrently, and a pass
+  /// epoch is unchanged (the snapshot and recheck halves of the write-back
+  /// step). A long pass therefore never pins the entry lock: serving
+  /// writes and FlushShard proceed concurrently, and a pass
   /// that lost the race retries from a fresh snapshot (each lost race is
   /// counted as compaction.overlap_stalls), up to `max_retries` extra
   /// attempts before giving up with Aborted — harmless, later traffic
@@ -245,20 +206,14 @@ class GCache {
   /// Flushes every dirty entry in every shard; returns entries flushed.
   size_t FlushOnce();
 
-  /// Upper bound on the entry locks one flush group may hold at once. Flush
-  /// passes now snapshot entries one lock at a time and run the storage
-  /// round trip with no entry lock held, so this is unbounded everywhere
-  /// (the effective group size is just `flush_batch_max`). Kept because
-  /// tests and benches derive expected group counts from it; it used to be
-  /// clamped under ThreadSanitizer when a group pinned every entry lock
-  /// across the round trip.
-  static size_t FlushGroupLockCap();
-
   /// Flush + wait until the dirty lists are empty (shutdown, tests).
   void FlushAll();
 
-  /// Drops a clean entry from the cache (failover handover). Dirty entries
-  /// are flushed first.
+  /// Drops the pid from L1 and the victim tier (failover handover). A dirty
+  /// entry is written back first through the write-back step; a write that
+  /// lands meanwhile re-dirties it and the write-back repeats (bounded:
+  /// Aborted after 16 attempts). The store's error is returned when a
+  /// write-back fails, and the entry stays resident and dirty.
   Status Invalidate(ProfileId pid);
 
   /// Profile ids currently cached (ops sweeps, e.g. forced compaction).
@@ -302,10 +257,10 @@ class GCache {
     /// by the first successful flush (the entry's state then reached the
     /// primary store and is authoritative again).
     bool degraded = false;
-    /// Bumped (under mu) on every mutation. Flush passes snapshot the
-    /// profile plus this epoch, store WITHOUT the entry lock, then recheck:
-    /// an entry re-dirtied mid-flight keeps its dirty bit and requeues
-    /// instead of silently losing the newer write.
+    /// Bumped (under mu) on every mutation. The write-back step snapshots
+    /// the profile plus this epoch, stores WITHOUT the entry lock, then
+    /// rechecks: an entry re-dirtied mid-flight keeps its dirty bit instead
+    /// of silently losing the newer write.
     uint64_t mutation_epoch = 0;
     /// Guarded by the owning DirtyShard's mutex.
     bool in_dirty_list = false;
@@ -345,15 +300,16 @@ class GCache {
   size_t LruIndex(ProfileId pid) const;
   size_t DirtyIndex(ProfileId pid) const;
 
-  /// Finds or creates the entry; returns (entry, was_hit). May invoke the
-  /// loader (through the load coalescer when installed) outside all shard
-  /// locks.
+  /// Finds or creates the entry; returns (entry, was_hit). A miss goes
+  /// through LoadMisses, outside all shard locks.
   Result<std::pair<EntryPtr, bool>> GetOrLoad(ProfileId pid,
                                               bool create_if_missing);
 
-  /// Loads `pids` (unique, sorted) through the coalescer when installed, else
-  /// the batch loader, else per-pid loads. Results and `out_degraded` align
-  /// with `pids`. The single funnel for every miss in the cache.
+  /// Serves `pids` (unique, sorted) from the victim tier where it can, loads
+  /// the rest with one LoadFn call and notes store health from that call.
+  /// Results and `out_degraded` align with `pids` (a short list from the
+  /// load function becomes Internal errors). The single funnel for every
+  /// miss in the cache.
   std::vector<Result<ProfileData>> LoadMisses(
       const std::vector<ProfileId>& pids, std::vector<bool>* out_degraded,
       TimestampMs deadline_ms);
@@ -362,7 +318,7 @@ class GCache {
   /// span); on a hit the bytes are taken out of the tier and decoded into
   /// `*out` (promotion), `*out_degraded` carries the demoted staleness mark.
   /// False on tier miss — and on decode failure, where the corrupt bytes are
-  /// simply dropped and the miss falls through to the loader.
+  /// simply dropped and the miss falls through to the load function.
   bool TryPromoteFromL2(ProfileId pid, ProfileData* out, bool* out_degraded);
 
   /// Moves the slot's pid to the LRU front (shard lock held). Splicing via
@@ -379,33 +335,58 @@ class GCache {
 
   void MarkDirty(Entry& entry);
 
-  /// Evicts from `shard` until `target_bytes` freed or shard exhausted.
-  /// Victims are collected (and snapshotted) under shard.mu, written back
-  /// and encoded for demotion with NO lock held, then committed one at a
-  /// time under shard.mu + entry lock with the flush path's mutation-epoch
-  /// recheck — an entry re-dirtied during the unlocked round trip stays
-  /// resident and keeps its newer state.
-  size_t EvictFromShard(LruShard& shard, size_t target_bytes);
-
-  /// Flushes the given entry if dirty (entry lock must be held). Point path:
-  /// only Invalidate uses it — eviction write-back goes through
-  /// EvictFromShard's unlocked batch.
-  Status FlushEntryLocked(Entry& entry);
-
-  /// Flushes all entries queued in one dirty shard. Stops early after
-  /// max_flush_failures_per_pass failed flushes (requeueing the untried
-  /// remainder); `out_failures`, when non-null, reports the failure count.
-  size_t FlushShard(DirtyShard& shard, size_t* out_failures = nullptr);
-
   /// Where a store-health observation came from. Batch observations are the
   /// flush/load passes that sweep many pids — representative of the store's
   /// real state, so one success clears the unhealthy flag. Point
-  /// observations are single-pid eviction/Invalidate write-backs; one lucky
-  /// point success mid-outage used to clear the flag while batch loads were
-  /// still failing (flapping), so the point path needs
-  /// kPointHealthClearStreak consecutive successes to clear it.
+  /// observations are eviction/Invalidate write-backs; one lucky point
+  /// success mid-outage used to clear the flag while batch loads were still
+  /// failing (flapping), so the point path needs kPointHealthClearStreak
+  /// consecutive successes to clear it.
   enum class StoreHealthSource { kBatch, kPoint };
   static constexpr int kPointHealthClearStreak = 3;
+
+  /// One entry's state as the write-back step (and the off-lock mutate)
+  /// captured it: the profile copy and the mutation epoch it was taken at.
+  struct Snapshot {
+    EntryPtr entry;
+    ProfileData profile;
+    uint64_t epoch = 0;
+  };
+
+  /// Snapshot half: copies the profile (when `with_profile`) and epoch.
+  /// The entry lock must be held.
+  static Snapshot TakeSnapshot(EntryPtr entry, bool with_profile = true);
+
+  /// Recheck half (entry lock held): true when neither a mutation nor an
+  /// eviction/Invalidate touched the entry since `epoch` was snapshotted.
+  static bool SnapshotCurrent(const Entry& entry, uint64_t epoch) {
+    return !entry.evicted && entry.mutation_epoch == epoch;
+  }
+
+  /// Store half: hands the snapshots to the StoreFn in one call (no cache
+  /// lock may be held), notes store health as `source`, and counts
+  /// cache.flushed / cache.flush_failures. Statuses align with `snapshots`.
+  std::vector<Status> StoreSnapshots(std::span<const Snapshot> snapshots,
+                                     StoreHealthSource source);
+
+  /// Commit half (entry lock held), after the snapshot at `epoch` was
+  /// stored: if it is still current the entry is clean and authoritative
+  /// again (dirty and degraded cleared). Returns whether it was.
+  static bool CommitWriteBack(Entry& entry, uint64_t epoch);
+
+  /// Evicts from `shard` until `target_bytes` freed or shard exhausted.
+  /// Victims are collected (and snapshotted) under shard.mu, written back
+  /// and encoded for demotion with NO lock held, then committed one at a
+  /// time under shard.mu + entry lock with the epoch recheck — an entry
+  /// re-dirtied during the unlocked round trip stays resident and keeps its
+  /// newer state.
+  size_t EvictFromShard(LruShard& shard, size_t target_bytes);
+
+  /// Flushes all entries queued in one dirty shard, in groups of up to
+  /// flush_batch_max entries per write-back step. Stops early after
+  /// max_flush_failures_per_pass failed flushes (requeueing the untried
+  /// remainder); `out_failures`, when non-null, reports the failure count.
+  size_t FlushShard(DirtyShard& shard, size_t* out_failures = nullptr);
 
   /// Marks the backing store healthy/unhealthy from a flush/load outcome.
   void NoteStoreHealth(const Status& status,
@@ -418,22 +399,10 @@ class GCache {
   /// concurrent loader already established. Returns the entry to use.
   EntryPtr InsertLoaded(ProfileId pid, ProfileData loaded, bool degraded);
 
-  /// Reads the entry's degraded flag combined with store health (entry lock
-  /// must NOT be held).
-  bool EntryDegraded(const EntryPtr& entry) const;
-
   GCacheOptions options_;
   Clock* clock_;
-  FlushFn flush_;
   LoadFn load_;
-  BatchLoadFn batch_load_;
-  BatchFlushFn batch_flush_;
-  /// Non-owning; installed at setup. When present, every miss routes
-  /// through it (see set_load_coalescer).
-  LoadCoalescer* load_coalescer_ = nullptr;
-  /// Non-owning; installed at setup. When present, every flush group routes
-  /// through it (see set_store_coalescer).
-  StoreCoalescer* store_coalescer_ = nullptr;
+  StoreFn store_;
   /// Non-owning; installed at setup (see set_victim_cache).
   VictimCache* victim_cache_ = nullptr;
   VictimEncodeFn victim_encode_;

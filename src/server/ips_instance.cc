@@ -43,35 +43,19 @@ Status IpsInstance::CreateTable(const TableSchema& schema) {
       std::make_unique<Persister>(schema.name, kv_, persist_options);
   Persister* persister = table->persister.get();
 
-  GCacheOptions cache_options = options_.cache;
-  cache_options.write_granularity_ms = schema.write_granularity_ms;
-  FlushFn flush_fn;
-  if (options_.persist_writes) {
-    flush_fn = [persister](ProfileId pid, const ProfileData& profile) {
-      return persister->Flush(pid, profile);
-    };
-  } else {
-    // Non-primary region: durability is the primary region's job; evictions
-    // and flushes simply drop the dirty bit.
-    flush_fn = [](ProfileId, const ProfileData&) { return Status::OK(); };
-  }
-  table->cache = std::make_unique<GCache>(
-      cache_options, clock_, std::move(flush_fn),
-      [persister](ProfileId pid, bool* out_degraded) {
-        return persister->Load(pid, out_degraded);
-      },
-      metrics_);
-  // Batch misses load through the persister's coalesced path: one
-  // KvStore::MultiGet round trip for the whole miss set.
-  table->cache->set_batch_loader(
-      [persister](const std::vector<ProfileId>& pids,
-                  std::vector<bool>* out_degraded) {
-        return persister->LoadBatch(pids, out_degraded);
-      });
-  // The load coalescer stacks cross-REQUEST coalescing on top: concurrent
-  // requests' misses merge into one LoadBatch round trip and concurrent
-  // misses for the same hot pid share a single in-flight load. The instance
-  // owns the coalescer; the cache only borrows it.
+  // The storage seam: one batch load function and one batch store function,
+  // composed here. With the broker flags on (the default) each goes through
+  // its side's Coalescer — concurrent requests' misses, and concurrent flush
+  // and eviction write-backs, share one LoadBatch / StoreBatch round trip,
+  // and a hot pid already on the wire is joined instead of refetched or
+  // rewritten. With a flag off the cache calls the persister directly. A
+  // non-primary region persists nothing: durability is the primary region's
+  // job, so write-backs simply drop the dirty bit. The instance owns the
+  // coalescers; the cache's functions only borrow them.
+  LoadFn load_fn = [persister](const std::vector<ProfileId>& pids,
+                               std::vector<bool>* out_degraded, TimestampMs) {
+    return persister->LoadBatch(pids, out_degraded);
+  };
   if (options_.enable_load_broker) {
     table->load_coalescer = std::make_unique<LoadCoalescer>(
         [persister](const std::vector<ProfileId>& pids,
@@ -80,39 +64,43 @@ Status IpsInstance::CreateTable(const TableSchema& schema) {
           return persister->LoadBatch(pids, out_degraded);
         },
         clock_, metrics_);
-    table->cache->set_load_coalescer(table->load_coalescer.get());
+    load_fn = [coalescer = table->load_coalescer.get()](
+                  const std::vector<ProfileId>& pids,
+                  std::vector<bool>* out_degraded, TimestampMs deadline_ms) {
+      return coalescer->Submit(pids, {}, {}, out_degraded, deadline_ms);
+    };
   }
-  // Dirty-shard flushes drain through the persister's batched path: one
-  // KvStore::MultiSet round trip per flush group (the write-side mirror).
-  if (options_.persist_writes) {
-    table->cache->set_batch_flusher(
+  StoreFn store_fn = [](const std::vector<ProfileId>& pids,
+                        const std::vector<uint64_t>&,
+                        const std::vector<const ProfileData*>&) {
+    return std::vector<Status>(pids.size(), Status::OK());
+  };
+  if (options_.persist_writes && options_.enable_store_broker) {
+    table->store_coalescer = std::make_unique<StoreCoalescer>(
         [persister](const std::vector<ProfileId>& pids,
-                    const std::vector<const ProfileData*>& profiles) {
+                    const std::vector<const ProfileData*>& profiles,
+                    std::vector<bool>*) {
           return persister->StoreBatch(pids, profiles);
-        });
-    // The store coalescer stacks cross-SHARD coalescing on top: concurrent
-    // flush passes' groups merge into one StoreBatch round trip and a hot
-    // dirty pid re-flushed mid-store piggybacks on (or requeues behind) the
-    // write already on the wire. The instance owns the coalescer; the cache
-    // only borrows it. Like the flusher itself, it exists only where writes
-    // are persisted — a non-primary region has nothing to coalesce.
-    if (options_.enable_store_broker) {
-      table->store_coalescer = std::make_unique<StoreCoalescer>(
-          [persister](const std::vector<ProfileId>& pids,
-                      const std::vector<const ProfileData*>& profiles,
-                      std::vector<bool>*) {
-            return persister->StoreBatch(pids, profiles);
-          },
-          clock_, metrics_);
-      table->cache->set_store_coalescer(table->store_coalescer.get());
-    }
-  } else {
-    table->cache->set_batch_flusher(
-        [](const std::vector<ProfileId>& pids,
-           const std::vector<const ProfileData*>&) {
-          return std::vector<Status>(pids.size(), Status::OK());
-        });
+        },
+        clock_, metrics_);
+    store_fn = [coalescer = table->store_coalescer.get()](
+                   const std::vector<ProfileId>& pids,
+                   const std::vector<uint64_t>& epochs,
+                   const std::vector<const ProfileData*>& profiles) {
+      return coalescer->Submit(pids, epochs, profiles);
+    };
+  } else if (options_.persist_writes) {
+    store_fn = [persister](const std::vector<ProfileId>& pids,
+                           const std::vector<uint64_t>&,
+                           const std::vector<const ProfileData*>& profiles) {
+      return persister->StoreBatch(pids, profiles);
+    };
   }
+  GCacheOptions cache_options = options_.cache;
+  cache_options.write_granularity_ms = schema.write_granularity_ms;
+  table->cache =
+      std::make_unique<GCache>(cache_options, clock_, std::move(load_fn),
+                               std::move(store_fn), metrics_);
 
   // The compressed L2 victim tier sits between the cache and the persister:
   // eviction demotes written-back entries as the persister's compressed

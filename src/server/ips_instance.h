@@ -300,7 +300,7 @@ class IpsInstance {
     std::unique_ptr<Persister> persister;
     /// Coalescing stages between the cache and the persister, one per side.
     /// Declared before `cache` so they are destroyed after it: the cache's
-    /// miss path holds a non-owning pointer, and its shutdown flush still
+    /// load and store functions borrow them, and its shutdown flush still
     /// drains through the store side.
     std::unique_ptr<LoadCoalescer> load_coalescer;
     std::unique_ptr<StoreCoalescer> store_coalescer;

@@ -300,73 +300,10 @@ Status Persister::CommitSplitMeta(
 }
 
 Result<ProfileData> Persister::Load(ProfileId pid, bool* out_degraded) {
-  if (out_degraded != nullptr) *out_degraded = false;
-  Result<ProfileData> primary =
-      LoadFrom(kv_, pid, /*record_bookkeeping=*/true);
-  if (primary.ok() || options_.fallback_kv == nullptr ||
-      !primary.status().IsUnavailable()) {
-    return primary;
-  }
-  // Primary store outage: retry against the fallback replica. NotFound
-  // there is inconclusive (replication lag may not have delivered the
-  // profile), so surface the primary outage rather than pretending the
-  // profile does not exist.
-  Result<ProfileData> fallback =
-      LoadFrom(options_.fallback_kv, pid, /*record_bookkeeping=*/false);
-  if (!fallback.ok()) return primary;
-  // Version / slice state observed on the replica must not gate the next
-  // master flush: drop it so the flush rewrites everything.
-  ForgetFlushState(pid);
-  if (out_degraded != nullptr) *out_degraded = true;
-  return fallback;
-}
-
-Result<ProfileData> Persister::LoadFrom(KvStore* kv, ProfileId pid,
-                                        bool record_bookkeeping) {
-  if (options_.mode == PersistenceMode::kSliceSplit) {
-    KvEntry meta_entry;
-    Status status = kv->XGet(MetaKey(pid), &meta_entry);
-    if (status.ok()) {
-      if (record_bookkeeping) RememberVersion(pid, meta_entry.version);
-      return LoadSplit(kv, pid, meta_entry.value, record_bookkeeping);
-    }
-    if (!status.IsNotFound()) return status;
-    // Fall through: the profile may exist in bulk form (threshold mode or a
-    // mode migration).
-  }
-  return LoadBulk(kv, pid);
-}
-
-Result<ProfileData> Persister::LoadBulk(KvStore* kv, ProfileId pid) {
-  std::string encoded;
-  IPS_RETURN_IF_ERROR(kv->Get(BulkKey(pid), &encoded));
-  ScopedSpan decode_span("codec.decode");
-  ProfileData profile;
-  bool zero_copy = false;
-  IPS_RETURN_IF_ERROR(DecodeProfile(encoded, &profile, &zero_copy));
-  if (zero_copy && zero_copy_decodes_ != nullptr) {
-    zero_copy_decodes_->Increment();
-  }
-  return profile;
-}
-
-Result<ProfileData> Persister::LoadSplit(KvStore* kv, ProfileId pid,
-                                         const std::string& meta_value,
-                                         bool record_bookkeeping) {
-  SliceMeta meta;
-  IPS_RETURN_IF_ERROR(DecodeSliceMeta(meta_value, &meta));
-  // All referenced slice values in one batched read — a split profile load
-  // costs one meta read plus one multi-get, not one round trip per slice.
-  std::vector<std::string> keys;
-  keys.reserve(meta.entries.size());
-  for (const auto& entry : meta.entries) {
-    keys.push_back(SliceKey(pid, entry.slice_key));
-  }
-  std::vector<std::string> values;
-  std::vector<Status> statuses;
-  kv->MultiGet(keys, &values, &statuses);
-  return AssembleSplit(pid, meta, values.data(), statuses.data(),
-                       record_bookkeeping);
+  std::vector<bool> degraded;
+  std::vector<Result<ProfileData>> out = LoadBatch({pid}, &degraded);
+  if (out_degraded != nullptr) *out_degraded = degraded[0];
+  return std::move(out[0]);
 }
 
 Result<ProfileData> Persister::AssembleSplit(ProfileId pid,
@@ -444,8 +381,9 @@ std::vector<Result<ProfileData>> Persister::LoadBatch(
                     /*record_bookkeeping=*/false);
   glue_span.emplace("kv.load");
   for (size_t j = 0; j < retry_pids.size(); ++j) {
-    // As in Load: only a successful fallback read replaces the primary
-    // error — NotFound on a lagging replica proves nothing.
+    // Only a successful fallback read replaces the primary error: NotFound
+    // on a lagging replica proves nothing, so the caller gets the primary's
+    // outage rather than a false "no such profile".
     if (!fallback[j].ok()) continue;
     out[retry_index[j]] = std::move(fallback[j]);
     ForgetFlushState(retry_pids[j]);

@@ -72,7 +72,8 @@ class Persister {
   /// Reads the profile back. NotFound when the profile was never persisted.
   /// `out_degraded`, when non-null, is set when the profile was served by
   /// the fallback replica because the primary store was unavailable; such a
-  /// result may be stale by up to the replication lag.
+  /// result may be stale by up to the replication lag. Batch-of-one wrapper
+  /// over LoadBatch.
   Result<ProfileData> Load(ProfileId pid, bool* out_degraded = nullptr);
 
   /// Batched load: results align with `pids`. Bulk mode fetches every
@@ -118,20 +119,14 @@ class Persister {
       const std::unordered_map<uint64_t, uint32_t>& prior,
       std::unordered_map<uint64_t, uint32_t> new_sums);
 
-  /// Single-profile load against `kv`. `record_bookkeeping` gates the
-  /// version / slice-checksum caches: true on the primary path, false on
-  /// the fallback path (replica state must not gate future master flushes).
-  Result<ProfileData> LoadFrom(KvStore* kv, ProfileId pid,
-                               bool record_bookkeeping);
   /// Batched load against `kv`; the LoadBatch strategy with an explicit
   /// store so the degraded path can rerun it against the fallback replica.
+  /// `record_bookkeeping` gates the version / slice-checksum caches: true on
+  /// the primary path, false on the fallback path (replica state must not
+  /// gate future master flushes).
   std::vector<Result<ProfileData>> LoadBatchFrom(
       KvStore* kv, const std::vector<ProfileId>& pids,
       bool record_bookkeeping);
-  Result<ProfileData> LoadBulk(KvStore* kv, ProfileId pid);
-  Result<ProfileData> LoadSplit(KvStore* kv, ProfileId pid,
-                                const std::string& meta_value,
-                                bool record_bookkeeping);
 
   /// Rebuilds a split profile from already-fetched compressed slice values,
   /// aligned with `meta.entries` (both arrays have meta.entries.size()

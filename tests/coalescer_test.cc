@@ -816,15 +816,16 @@ TEST(CoalescerStoreTest, ConcurrentStormResolvesEveryPidAndDrainsClean) {
 }
 
 TEST(CoalescerStoreTest, EvictionWriteBackRoutesThroughCoalescerWhenInstalled) {
-  // With a store coalescer installed an eviction storm must ride its
-  // batches — and with it ablated the write-backs must fall back to the
-  // batch flusher, never silently drop.
+  // With the cache's store function composed over the coalescer (the broker
+  // on) an eviction storm must ride its batches — and with the store
+  // function calling storage directly (the broker ablated) the write-backs
+  // must still go out, never silently drop.
   MetricsRegistry metrics;
   Recorder rec;
   StoreCoalescer coalescer(RecordingStore(&rec), SystemClock::Instance(),
                            &metrics);
 
-  auto make_cache = [](std::atomic<int>* direct_flushes) {
+  auto make_cache = [](StoreFn store) {
     GCacheOptions options;
     options.start_background_threads = false;
     options.lru_shards = 1;
@@ -833,13 +834,12 @@ TEST(CoalescerStoreTest, EvictionWriteBackRoutesThroughCoalescerWhenInstalled) {
     options.write_granularity_ms = kMinute;
     return std::make_unique<GCache>(
         options, SystemClock::Instance(),
-        [direct_flushes](ProfileId, const ProfileData&) {
-          direct_flushes->fetch_add(1);
-          return Status::OK();
+        [](const std::vector<ProfileId>& pids, std::vector<bool>*,
+           TimestampMs) {
+          return std::vector<Result<ProfileData>>(
+              pids.size(), Result<ProfileData>(Status::NotFound("cold")));
         },
-        [](ProfileId, bool*) -> Result<ProfileData> {
-          return Status::NotFound("cold");
-        });
+        std::move(store));
   };
   auto fill = [](GCache& cache) {
     for (ProfileId pid = 1; pid <= 40; ++pid) {
@@ -858,24 +858,17 @@ TEST(CoalescerStoreTest, EvictionWriteBackRoutesThroughCoalescerWhenInstalled) {
     }
   };
 
-  std::atomic<int> direct_flushes{0};
-  std::atomic<int> batch_flushes{0};
-  std::unique_ptr<GCache> cache = make_cache(&direct_flushes);
-  cache->set_batch_flusher(
-      [&](const std::vector<ProfileId>& pids,
-          const std::vector<const ProfileData*>&) {
-        batch_flushes.fetch_add(1);
-        return std::vector<Status>(pids.size(), Status::OK());
+  std::unique_ptr<GCache> cache =
+      make_cache([&](const std::vector<ProfileId>& pids,
+                     const std::vector<uint64_t>& epochs,
+                     const std::vector<const ProfileData*>& snapshots) {
+        return coalescer.Submit(pids, epochs, snapshots);
       });
-  cache->set_store_coalescer(&coalescer);
   fill(*cache);
   ASSERT_GT(cache->MemoryBytes(), cache->options().memory_limit_bytes);
   ASSERT_GT(cache->SwapOnce(), 0u);
-  // The dirty victims' write-backs all rode the coalescer; neither fallback
-  // path saw a single call.
+  // The dirty victims' write-backs all rode the coalescer.
   EXPECT_GT(rec.Calls(), 0u);
-  EXPECT_EQ(direct_flushes.load(), 0);
-  EXPECT_EQ(batch_flushes.load(), 0);
   // And nothing was dropped: every pid is still resident or went out in a
   // coalesced batch.
   std::set<ProfileId> covered;
@@ -887,22 +880,21 @@ TEST(CoalescerStoreTest, EvictionWriteBackRoutesThroughCoalescerWhenInstalled) {
     EXPECT_TRUE(covered.count(pid) == 1) << pid;
   }
 
-  // Ablation: identical cache with NO coalescer — the eviction write-back
-  // falls back to the batch flusher and the coalescer sees nothing.
+  // Ablation: identical cache whose store function bypasses the coalescer
+  // — the eviction write-back still goes out, and the coalescer sees
+  // nothing.
   const size_t coalesced_before = rec.Calls();
-  std::atomic<int> ablated_direct{0};
-  std::atomic<int> ablated_batch{0};
-  std::unique_ptr<GCache> ablated = make_cache(&ablated_direct);
-  ablated->set_batch_flusher(
-      [&](const std::vector<ProfileId>& pids,
-          const std::vector<const ProfileData*>&) {
-        ablated_batch.fetch_add(1);
+  std::atomic<int> ablated_stores{0};
+  std::unique_ptr<GCache> ablated =
+      make_cache([&](const std::vector<ProfileId>& pids,
+                     const std::vector<uint64_t>&,
+                     const std::vector<const ProfileData*>&) {
+        ablated_stores.fetch_add(1);
         return std::vector<Status>(pids.size(), Status::OK());
       });
   fill(*ablated);
   ASSERT_GT(ablated->SwapOnce(), 0u);
-  EXPECT_GT(ablated_batch.load(), 0);
-  EXPECT_EQ(ablated_direct.load(), 0);  // batch flusher preempts point path
+  EXPECT_GT(ablated_stores.load(), 0);
   EXPECT_EQ(rec.Calls(), coalesced_before);
 }
 

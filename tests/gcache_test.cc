@@ -4,10 +4,12 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <set>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -21,35 +23,88 @@ namespace {
 
 constexpr int64_t kMinute = kMillisPerMinute;
 
-// A deterministic in-memory "persistent store" for the cache callbacks.
+// A deterministic in-memory "persistent store" behind the cache's two
+// storage functions.
 class FakeStore {
  public:
-  FlushFn Flusher() {
-    return [this](ProfileId pid, const ProfileData& profile) {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++flush_attempts_;
-      if (fail_flushes_) return Status::Unavailable("injected flush failure");
-      stored_[pid] = profile;  // deep copy
-      ++flush_count_;
-      return Status::OK();
-    };
-  }
-
+  /// Batch load function: one call per miss set, recorded in load_batches().
   LoadFn Loader() {
-    return [this](ProfileId pid, bool* /*out_degraded*/) -> Result<ProfileData> {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++load_count_;
-      auto it = stored_.find(pid);
-      if (it == stored_.end()) {
-        return Status::NotFound("no profile " + std::to_string(pid));
+    return [this](const std::vector<ProfileId>& pids,
+                  std::vector<bool>* out_degraded, TimestampMs) {
+      bool degrade = false;
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        load_batches_.push_back(pids);
+        degrade = degrade_loads_;
       }
-      return it->second;
+      std::vector<Result<ProfileData>> out;
+      out.reserve(pids.size());
+      for (ProfileId pid : pids) out.push_back(LoadOne(pid));
+      out_degraded->assign(pids.size(), degrade);
+      return out;
     };
   }
 
+  /// Batch store function. The store hook, when set, runs first with no
+  /// store lock held: tests gate or race the cache's write-back step there.
+  StoreFn Storer() {
+    return [this](const std::vector<ProfileId>& pids,
+                  const std::vector<uint64_t>&,
+                  const std::vector<const ProfileData*>& snapshots) {
+      if (store_hook_) store_hook_(pids);
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        ++store_calls_;
+      }
+      std::vector<Status> statuses;
+      statuses.reserve(pids.size());
+      for (size_t i = 0; i < pids.size(); ++i) {
+        statuses.push_back(StoreOne(pids[i], *snapshots[i]));
+      }
+      return statuses;
+    };
+  }
+
+  Result<ProfileData> LoadOne(ProfileId pid) {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++load_count_;
+    if (fail_loads_ > 0) {
+      --fail_loads_;
+      return Status::Unavailable("storage flaking");
+    }
+    auto it = stored_.find(pid);
+    if (it == stored_.end()) {
+      return Status::NotFound("no profile " + std::to_string(pid));
+    }
+    return it->second;
+  }
+
+  Status StoreOne(ProfileId pid, const ProfileData& profile) {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++flush_attempts_;
+    if (fail_flushes_) return Status::Unavailable("injected flush failure");
+    stored_[pid] = profile;  // deep copy
+    ++flush_count_;
+    return Status::OK();
+  }
+
+  /// Set during setup only (read unlocked by the store function).
+  void SetStoreHook(std::function<void(const std::vector<ProfileId>&)> hook) {
+    store_hook_ = std::move(hook);
+  }
   void SetFailFlushes(bool fail) {
     std::lock_guard<std::mutex> lock(mu_);
     fail_flushes_ = fail;
+  }
+  /// The next `n` per-pid loads fail with Unavailable.
+  void SetFailLoads(int n) {
+    std::lock_guard<std::mutex> lock(mu_);
+    fail_loads_ = n;
+  }
+  /// Loads report degraded (served by a fallback replica) while set.
+  void SetDegradeLoads(bool degrade) {
+    std::lock_guard<std::mutex> lock(mu_);
+    degrade_loads_ = degrade;
   }
   int flush_count() const {
     std::lock_guard<std::mutex> lock(mu_);
@@ -59,9 +114,17 @@ class FakeStore {
     std::lock_guard<std::mutex> lock(mu_);
     return flush_attempts_;
   }
+  int store_calls() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return store_calls_;
+  }
   int load_count() const {
     std::lock_guard<std::mutex> lock(mu_);
     return load_count_;
+  }
+  std::vector<std::vector<ProfileId>> load_batches() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return load_batches_;
   }
   bool Has(ProfileId pid) const {
     std::lock_guard<std::mutex> lock(mu_);
@@ -75,11 +138,26 @@ class FakeStore {
  private:
   mutable std::mutex mu_;
   std::map<ProfileId, ProfileData> stored_;
+  std::function<void(const std::vector<ProfileId>&)> store_hook_;
+  std::vector<std::vector<ProfileId>> load_batches_;
   bool fail_flushes_ = false;
+  bool degrade_loads_ = false;
+  int fail_loads_ = 0;
   int flush_count_ = 0;
   int flush_attempts_ = 0;
+  int store_calls_ = 0;
   int load_count_ = 0;
 };
+
+bool HasFeature(const ProfileData& profile, FeatureId fid) {
+  for (const auto& slice : profile.slices()) {
+    const InstanceSet* slot = slice.FindSlot(1);
+    if (slot == nullptr) continue;
+    const IndexedFeatureStats* type = slot->Find(1);
+    if (type != nullptr && type->Find(fid) != nullptr) return true;
+  }
+  return false;
+}
 
 GCacheOptions ManualOptions() {
   GCacheOptions options;
@@ -93,8 +171,8 @@ GCacheOptions ManualOptions() {
 
 TEST(GCacheTest, MissOnUnknownProfileReturnsNotFound) {
   FakeStore store;
-  GCache cache(ManualOptions(), SystemClock::Instance(), store.Flusher(),
-               store.Loader());
+  GCache cache(ManualOptions(), SystemClock::Instance(), store.Loader(),
+               store.Storer());
   bool hit = true;
   Status status =
       cache.WithProfile(1, [](const ProfileData&) {}, &hit);
@@ -105,8 +183,8 @@ TEST(GCacheTest, MissOnUnknownProfileReturnsNotFound) {
 
 TEST(GCacheTest, WriteCreatesEntryAndMarksDirty) {
   FakeStore store;
-  GCache cache(ManualOptions(), SystemClock::Instance(), store.Flusher(),
-               store.Loader());
+  GCache cache(ManualOptions(), SystemClock::Instance(), store.Loader(),
+               store.Storer());
   ASSERT_TRUE(cache
                   .WithProfileMutable(1,
                                       [](ProfileData& profile) {
@@ -126,8 +204,8 @@ TEST(GCacheTest, WriteCreatesEntryAndMarksDirty) {
 
 TEST(GCacheTest, SecondReadIsHit) {
   FakeStore store;
-  GCache cache(ManualOptions(), SystemClock::Instance(), store.Flusher(),
-               store.Loader());
+  GCache cache(ManualOptions(), SystemClock::Instance(), store.Loader(),
+               store.Storer());
   cache.WithProfileMutable(1, [](ProfileData&) {}).ok();
   bool hit = false;
   ASSERT_TRUE(cache.WithProfile(1, [](const ProfileData&) {}, &hit).ok());
@@ -139,8 +217,8 @@ TEST(GCacheTest, MissLoadsFromStore) {
   FakeStore store;
   {
     // Populate the store through a first cache.
-    GCache cache(ManualOptions(), SystemClock::Instance(), store.Flusher(),
-                 store.Loader());
+    GCache cache(ManualOptions(), SystemClock::Instance(), store.Loader(),
+                 store.Storer());
     cache
         .WithProfileMutable(42,
                             [](ProfileData& profile) {
@@ -151,8 +229,8 @@ TEST(GCacheTest, MissLoadsFromStore) {
     cache.FlushAll();
   }
   // Fresh cache: the read must load from the store.
-  GCache cache(ManualOptions(), SystemClock::Instance(), store.Flusher(),
-               store.Loader());
+  GCache cache(ManualOptions(), SystemClock::Instance(), store.Loader(),
+               store.Storer());
   bool hit = true;
   int64_t count = 0;
   ASSERT_TRUE(cache
@@ -174,8 +252,8 @@ TEST(GCacheTest, MissLoadsFromStore) {
 TEST(GCacheTest, WithProfilesCoalescesMissesIntoOneBatchLoad) {
   FakeStore store;
   {
-    GCache seeding(ManualOptions(), SystemClock::Instance(), store.Flusher(),
-                   store.Loader());
+    GCache seeding(ManualOptions(), SystemClock::Instance(), store.Loader(),
+                   store.Storer());
     for (ProfileId pid = 1; pid <= 4; ++pid) {
       seeding
           .WithProfileMutable(pid,
@@ -190,29 +268,12 @@ TEST(GCacheTest, WithProfilesCoalescesMissesIntoOneBatchLoad) {
     seeding.FlushAll();
   }
 
-  GCache cache(ManualOptions(), SystemClock::Instance(), store.Flusher(),
-               store.Loader());
-  std::atomic<int> batch_loads{0};
-  std::vector<std::vector<ProfileId>> batches;
-  std::mutex batches_mu;
-  LoadFn loader = store.Loader();
-  cache.set_batch_loader(
-      [&](const std::vector<ProfileId>& pids, std::vector<bool>* out_degraded)
-          -> std::vector<Result<ProfileData>> {
-        ++batch_loads;
-        {
-          std::lock_guard<std::mutex> lock(batches_mu);
-          batches.push_back(pids);
-        }
-        if (out_degraded != nullptr) out_degraded->assign(pids.size(), false);
-        std::vector<Result<ProfileData>> out;
-        out.reserve(pids.size());
-        for (ProfileId pid : pids) out.push_back(loader(pid, nullptr));
-        return out;
-      });
+  GCache cache(ManualOptions(), SystemClock::Instance(), store.Loader(),
+               store.Storer());
 
   // Warm pid 1 so the batch sees one hit, three misses, one unknown.
   ASSERT_TRUE(cache.WithProfile(1, [](const ProfileData&) {}).ok());
+  const size_t batches_before = store.load_batches().size();
 
   const std::vector<ProfileId> pids = {1, 2, 3, 99, 4};
   std::vector<ProfileId> seen;
@@ -227,11 +288,12 @@ TEST(GCacheTest, WithProfilesCoalescesMissesIntoOneBatchLoad) {
       &statuses);
 
   EXPECT_EQ(hits, 1u);
-  EXPECT_EQ(batch_loads.load(), 1);  // every miss in one loader call
-  ASSERT_EQ(batches.size(), 1u);
-  // The loader receives the deduped miss set in sorted pid order (the batch
-  // path sorts misses so duplicates coalesce without a hash map).
-  EXPECT_EQ(batches[0], (std::vector<ProfileId>{2, 3, 4, 99}));
+  // Every miss in one load-function call.
+  const std::vector<std::vector<ProfileId>> batches = store.load_batches();
+  ASSERT_EQ(batches.size(), batches_before + 1);
+  // The load function receives the deduped miss set in sorted pid order
+  // (the batch path sorts misses so duplicates coalesce without a hash map).
+  EXPECT_EQ(batches.back(), (std::vector<ProfileId>{2, 3, 4, 99}));
   ASSERT_EQ(statuses.size(), pids.size());
   EXPECT_TRUE(statuses[0].ok());
   EXPECT_TRUE(statuses[1].ok());
@@ -248,8 +310,8 @@ TEST(GCacheTest, WithProfilesCoalescesMissesIntoOneBatchLoad) {
 TEST(GCacheTest, WithProfilesCoalescesDuplicatePids) {
   FakeStore store;
   {
-    GCache seeding(ManualOptions(), SystemClock::Instance(), store.Flusher(),
-                   store.Loader());
+    GCache seeding(ManualOptions(), SystemClock::Instance(), store.Loader(),
+                   store.Storer());
     seeding
         .WithProfileMutable(
             7,
@@ -259,58 +321,29 @@ TEST(GCacheTest, WithProfilesCoalescesDuplicatePids) {
         .ok();
     seeding.FlushAll();
   }
-  GCache cache(ManualOptions(), SystemClock::Instance(), store.Flusher(),
-               store.Loader());
-  std::vector<std::vector<ProfileId>> batches;
-  LoadFn loader = store.Loader();
-  cache.set_batch_loader(
-      [&](const std::vector<ProfileId>& pids, std::vector<bool>* out_degraded)
-          -> std::vector<Result<ProfileData>> {
-        batches.push_back(pids);
-        if (out_degraded != nullptr) out_degraded->assign(pids.size(), false);
-        std::vector<Result<ProfileData>> out;
-        for (ProfileId pid : pids) out.push_back(loader(pid, nullptr));
-        return out;
-      });
+  GCache cache(ManualOptions(), SystemClock::Instance(), store.Loader(),
+               store.Storer());
+  const size_t batches_before = store.load_batches().size();
 
-  std::vector<Status> statuses;
-  int callbacks = 0;
-  cache.WithProfiles(
-      {7, 7, 7}, [&](size_t, const ProfileData&) { ++callbacks; }, &statuses);
-  // One load for the coalesced pid, but every occurrence gets its callback.
-  ASSERT_EQ(batches.size(), 1u);
-  EXPECT_EQ(batches[0], (std::vector<ProfileId>{7}));
-  EXPECT_EQ(callbacks, 3);
-  for (const auto& status : statuses) EXPECT_TRUE(status.ok());
-}
-
-TEST(GCacheTest, WithProfilesFallsBackToPerPidLoader) {
-  FakeStore store;
-  {
-    GCache seeding(ManualOptions(), SystemClock::Instance(), store.Flusher(),
-                   store.Loader());
-    seeding.WithProfileMutable(3, [](ProfileData&) {}).ok();
-    seeding.FlushAll();
-  }
-  // No batch loader installed: the per-pid loader serves each miss.
-  GCache cache(ManualOptions(), SystemClock::Instance(), store.Flusher(),
-               store.Loader());
   std::vector<Status> statuses;
   int callbacks = 0;
   const size_t hits = cache.WithProfiles(
-      {3, 404}, [&](size_t, const ProfileData&) { ++callbacks; }, &statuses);
+      {7, 7, 7}, [&](size_t, const ProfileData&) { ++callbacks; }, &statuses);
   EXPECT_EQ(hits, 0u);
-  EXPECT_EQ(callbacks, 1);
-  EXPECT_TRUE(statuses[0].ok());
-  EXPECT_TRUE(statuses[1].IsNotFound());
+  // One load for the coalesced pid, but every occurrence gets its callback.
+  const std::vector<std::vector<ProfileId>> batches = store.load_batches();
+  ASSERT_EQ(batches.size(), batches_before + 1);
+  EXPECT_EQ(batches.back(), (std::vector<ProfileId>{7}));
+  EXPECT_EQ(callbacks, 3);
+  for (const auto& status : statuses) EXPECT_TRUE(status.ok());
 }
 
 TEST(GCacheTest, MemoryUsageRatioZeroLimitIsZeroNotNan) {
   FakeStore store;
   GCacheOptions options = ManualOptions();
   options.memory_limit_bytes = 0;  // degenerate "unbounded" config
-  GCache cache(options, SystemClock::Instance(), store.Flusher(),
-               store.Loader());
+  GCache cache(options, SystemClock::Instance(), store.Loader(),
+               store.Storer());
   EXPECT_EQ(cache.MemoryUsageRatio(), 0.0);
   cache.WithProfileMutable(1, [](ProfileData&) {}).ok();
   EXPECT_EQ(cache.MemoryUsageRatio(), 0.0);  // still well-defined
@@ -322,8 +355,8 @@ TEST(GCacheTest, EvictionKeepsMemoryUnderWatermark) {
   options.memory_limit_bytes = 64 << 10;
   options.high_watermark = 0.85;
   options.low_watermark = 0.7;
-  GCache cache(options, SystemClock::Instance(), store.Flusher(),
-               store.Loader());
+  GCache cache(options, SystemClock::Instance(), store.Loader(),
+               store.Storer());
   // Write until well past the limit.
   for (ProfileId pid = 1; pid <= 200; ++pid) {
     cache
@@ -354,8 +387,8 @@ TEST(GCacheTest, EvictedDataReloadsIntact) {
   FakeStore store;
   GCacheOptions options = ManualOptions();
   options.memory_limit_bytes = 32 << 10;
-  GCache cache(options, SystemClock::Instance(), store.Flusher(),
-               store.Loader());
+  GCache cache(options, SystemClock::Instance(), store.Loader(),
+               store.Storer());
   for (ProfileId pid = 1; pid <= 100; ++pid) {
     cache
         .WithProfileMutable(pid,
@@ -390,8 +423,8 @@ TEST(GCacheTest, EvictedDataReloadsIntact) {
 
 TEST(GCacheTest, FlushFailureKeepsEntryDirty) {
   FakeStore store;
-  GCache cache(ManualOptions(), SystemClock::Instance(), store.Flusher(),
-               store.Loader());
+  GCache cache(ManualOptions(), SystemClock::Instance(), store.Loader(),
+               store.Storer());
   cache.WithProfileMutable(1, [](ProfileData&) {}).ok();
   store.SetFailFlushes(true);
   EXPECT_EQ(cache.FlushOnce(), 0u);
@@ -404,8 +437,8 @@ TEST(GCacheTest, FlushFailureKeepsEntryDirty) {
 
 TEST(GCacheTest, InvalidateFlushesDirtyEntry) {
   FakeStore store;
-  GCache cache(ManualOptions(), SystemClock::Instance(), store.Flusher(),
-               store.Loader());
+  GCache cache(ManualOptions(), SystemClock::Instance(), store.Loader(),
+               store.Storer());
   cache
       .WithProfileMutable(7,
                           [](ProfileData& profile) {
@@ -420,8 +453,8 @@ TEST(GCacheTest, InvalidateFlushesDirtyEntry) {
 
 TEST(GCacheTest, RepeatedMutationsOnlyOneDirtyEntry) {
   FakeStore store;
-  GCache cache(ManualOptions(), SystemClock::Instance(), store.Flusher(),
-               store.Loader());
+  GCache cache(ManualOptions(), SystemClock::Instance(), store.Loader(),
+               store.Storer());
   for (int i = 0; i < 10; ++i) {
     cache
         .WithProfileMutable(1,
@@ -440,8 +473,8 @@ TEST(GCacheTest, RepeatedMutationsOnlyOneDirtyEntry) {
 
 TEST(GCacheTest, HitRatioTracksAccessPattern) {
   FakeStore store;
-  GCache cache(ManualOptions(), SystemClock::Instance(), store.Flusher(),
-               store.Loader());
+  GCache cache(ManualOptions(), SystemClock::Instance(), store.Loader(),
+               store.Storer());
   cache.WithProfileMutable(1, [](ProfileData&) {}).ok();  // miss (create)
   for (int i = 0; i < 9; ++i) {
     cache.WithProfile(1, [](const ProfileData&) {}).ok();  // 9 hits
@@ -456,8 +489,8 @@ TEST(GCacheTest, BackgroundThreadsFlushAndSwap) {
   options.flush_interval_ms = 10;
   options.swap_interval_ms = 10;
   {
-    GCache cache(options, SystemClock::Instance(), store.Flusher(),
-                 store.Loader());
+    GCache cache(options, SystemClock::Instance(), store.Loader(),
+                 store.Storer());
     cache
         .WithProfileMutable(5,
                             [](ProfileData& profile) {
@@ -478,8 +511,8 @@ TEST(GCacheTest, ConcurrentMixedTrafficIsSafe) {
   FakeStore store;
   GCacheOptions options = ManualOptions();
   options.memory_limit_bytes = 256 << 10;
-  GCache cache(options, SystemClock::Instance(), store.Flusher(),
-               store.Loader());
+  GCache cache(options, SystemClock::Instance(), store.Loader(),
+               store.Storer());
   std::atomic<bool> stop{false};
   std::atomic<int> writes{0};
   std::vector<std::thread> threads;
@@ -530,8 +563,8 @@ TEST(GCacheTest, SwapCannotEvictWhenStoreDown) {
   FakeStore store;
   GCacheOptions options = ManualOptions();
   options.memory_limit_bytes = 16 << 10;
-  GCache cache(options, SystemClock::Instance(), store.Flusher(),
-               store.Loader());
+  GCache cache(options, SystemClock::Instance(), store.Loader(),
+               store.Storer());
   store.SetFailFlushes(true);
   for (ProfileId pid = 1; pid <= 60; ++pid) {
     cache
@@ -561,16 +594,8 @@ TEST(GCacheTest, SwapCannotEvictWhenStoreDown) {
 
 TEST(GCacheTest, LoaderFailurePropagatesWithoutCachingGarbage) {
   FakeStore store;
-  int fail_loads = 0;
-  GCache cache(
-      ManualOptions(), SystemClock::Instance(), store.Flusher(),
-      [&](ProfileId pid, bool* out_degraded) -> Result<ProfileData> {
-        if (fail_loads > 0) {
-          --fail_loads;
-          return Status::Unavailable("storage flaking");
-        }
-        return store.Loader()(pid, out_degraded);
-      });
+  GCache cache(ManualOptions(), SystemClock::Instance(), store.Loader(),
+               store.Storer());
   // Populate the store via a throwaway cache write + flush, then start
   // injecting load failures.
   cache.WithProfileMutable(5, [](ProfileData& p) {
@@ -578,7 +603,7 @@ TEST(GCacheTest, LoaderFailurePropagatesWithoutCachingGarbage) {
   }).ok();
   cache.FlushAll();
   cache.Invalidate(5).ok();
-  fail_loads = 2;
+  store.SetFailLoads(2);
 
   // Two failed loads surface the storage error; the third succeeds.
   EXPECT_TRUE(
@@ -607,8 +632,11 @@ TEST(GCacheTest, FlushPassStopsAtFailureCapAndRequeuesRemainder) {
   options.dirty_shards = 1;
   options.flush_threads = 1;
   options.max_flush_failures_per_pass = 3;
-  GCache cache(options, SystemClock::Instance(), store.Flusher(),
-               store.Loader(), &metrics);
+  // One entry per write-back step, so the cap is counted per flush attempt
+  // (BatchedFlushOutageBoundsFailuresAndRequeues covers larger groups).
+  options.flush_batch_max = 1;
+  GCache cache(options, SystemClock::Instance(), store.Loader(),
+               store.Storer(), &metrics);
   for (ProfileId pid = 1; pid <= 10; ++pid) {
     cache
         .WithProfileMutable(pid,
@@ -635,8 +663,8 @@ TEST(GCacheTest, FlushPassStopsAtFailureCapAndRequeuesRemainder) {
 TEST(GCacheTest, DegradedLoadFlagsReadsUntilCleanFlush) {
   FakeStore store;
   {
-    GCache seeding(ManualOptions(), SystemClock::Instance(), store.Flusher(),
-                   store.Loader());
+    GCache seeding(ManualOptions(), SystemClock::Instance(), store.Loader(),
+                   store.Storer());
     seeding
         .WithProfileMutable(
             42,
@@ -646,15 +674,10 @@ TEST(GCacheTest, DegradedLoadFlagsReadsUntilCleanFlush) {
         .ok();
     seeding.FlushAll();
   }
-  // Loader that simulates a fallback-replica read while degrade is set.
-  bool degrade = true;
-  LoadFn loader = store.Loader();
-  GCache cache(ManualOptions(), SystemClock::Instance(), store.Flusher(),
-               [&](ProfileId pid, bool* out_degraded) -> Result<ProfileData> {
-                 auto result = loader(pid, out_degraded);
-                 if (degrade && out_degraded != nullptr) *out_degraded = true;
-                 return result;
-               });
+  // Loads simulate a fallback-replica read while degrade is set.
+  store.SetDegradeLoads(true);
+  GCache cache(ManualOptions(), SystemClock::Instance(), store.Loader(),
+               store.Storer());
   bool hit = true;
   bool degraded = false;
   ASSERT_TRUE(
@@ -671,7 +694,7 @@ TEST(GCacheTest, DegradedLoadFlagsReadsUntilCleanFlush) {
   EXPECT_TRUE(degraded);
   // Dirty the entry and flush cleanly: the flush reaches the primary store,
   // so the entry is authoritative again and the health flag clears.
-  degrade = false;
+  store.SetDegradeLoads(false);
   cache
       .WithProfileMutable(42,
                           [](ProfileData& profile) {
@@ -692,26 +715,12 @@ TEST(GCacheTest, BatchedFlushDrainsShardInGroups) {
   GCacheOptions options = ManualOptions();
   options.dirty_shards = 1;
   options.flush_batch_max = 4;
-  GCache cache(options, SystemClock::Instance(), store.Flusher(),
-               store.Loader(), &metrics);
-  std::atomic<int> batch_calls{0};
   std::vector<size_t> group_sizes;
-  std::mutex groups_mu;
-  cache.set_batch_flusher(
-      [&](const std::vector<ProfileId>& pids,
-          const std::vector<const ProfileData*>& profiles) {
-        ++batch_calls;
-        {
-          std::lock_guard<std::mutex> lock(groups_mu);
-          group_sizes.push_back(pids.size());
-        }
-        FlushFn flusher = store.Flusher();
-        std::vector<Status> statuses;
-        for (size_t i = 0; i < pids.size(); ++i) {
-          statuses.push_back(flusher(pids[i], *profiles[i]));
-        }
-        return statuses;
-      });
+  store.SetStoreHook([&](const std::vector<ProfileId>& pids) {
+    group_sizes.push_back(pids.size());
+  });
+  GCache cache(options, SystemClock::Instance(), store.Loader(),
+               store.Storer(), &metrics);
   for (ProfileId pid = 1; pid <= 10; ++pid) {
     cache
         .WithProfileMutable(pid,
@@ -724,9 +733,9 @@ TEST(GCacheTest, BatchedFlushDrainsShardInGroups) {
   ASSERT_EQ(cache.DirtyCount(), 10u);
   EXPECT_EQ(cache.FlushOnce(), 10u);
   EXPECT_EQ(cache.DirtyCount(), 0u);
-  // 10 dirty entries in groups of <= 4: three flusher calls, never one per
+  // 10 dirty entries in groups of <= 4: three store calls, never one per
   // entry.
-  EXPECT_EQ(batch_calls.load(), 3);
+  EXPECT_EQ(store.store_calls(), 3);
   for (size_t size : group_sizes) EXPECT_LE(size, 4u);
   EXPECT_EQ(metrics.GetCounter("cache.batch_flushes")->Value(), 3);
   EXPECT_EQ(metrics.GetCounter("cache.flushed")->Value(), 10);
@@ -743,25 +752,9 @@ TEST(GCacheTest, BatchedFlushOutageBoundsFailuresAndRequeues) {
   options.dirty_shards = 1;
   options.flush_batch_max = 4;
   options.max_flush_failures_per_pass = 3;
-  GCache cache(options, SystemClock::Instance(), store.Flusher(),
-               store.Loader(), &metrics);
-  std::atomic<bool> kv_down{true};
-  std::atomic<int> batch_calls{0};
-  cache.set_batch_flusher(
-      [&](const std::vector<ProfileId>& pids,
-          const std::vector<const ProfileData*>& profiles) {
-        ++batch_calls;
-        if (kv_down.load()) {
-          return std::vector<Status>(pids.size(),
-                                     Status::Unavailable("kv outage"));
-        }
-        FlushFn flusher = store.Flusher();
-        std::vector<Status> statuses;
-        for (size_t i = 0; i < pids.size(); ++i) {
-          statuses.push_back(flusher(pids[i], *profiles[i]));
-        }
-        return statuses;
-      });
+  GCache cache(options, SystemClock::Instance(), store.Loader(),
+               store.Storer(), &metrics);
+  store.SetFailFlushes(true);  // KV outage
   for (ProfileId pid = 1; pid <= 12; ++pid) {
     cache
         .WithProfileMutable(pid,
@@ -773,13 +766,13 @@ TEST(GCacheTest, BatchedFlushOutageBoundsFailuresAndRequeues) {
   }
   EXPECT_EQ(cache.FlushOnce(), 0u);
   // One failing group trips the cap; the other 8 entries were requeued
-  // untried (no flusher call for them).
-  EXPECT_EQ(batch_calls.load(), 1);
+  // untried (no store call for them).
+  EXPECT_EQ(store.store_calls(), 1);
   EXPECT_EQ(cache.DirtyCount(), 12u);
   EXPECT_EQ(metrics.GetCounter("cache.flush_failures")->Value(), 4);
   EXPECT_TRUE(cache.StoreUnhealthy());
   // Outage over: everything drains, and the health flag clears.
-  kv_down.store(false);
+  store.SetFailFlushes(false);
   EXPECT_EQ(cache.FlushOnce(), 12u);
   EXPECT_EQ(cache.DirtyCount(), 0u);
   EXPECT_FALSE(cache.StoreUnhealthy());
@@ -797,7 +790,7 @@ TEST(GCacheTest, FlushAllZeroProgressBailsInsteadOfBusySpin) {
   GCacheOptions options = ManualOptions();
   options.dirty_shards = 1;
   options.max_flush_failures_per_pass = 0;
-  GCache cache(options, &clock, store.Flusher(), store.Loader());
+  GCache cache(options, &clock, store.Loader(), store.Storer());
   cache
       .WithProfileMutable(1,
                           [](ProfileData& profile) {
@@ -819,8 +812,8 @@ TEST(GCacheTest, LoadCoalescerSharesMissAndFansDegradedToEveryReader) {
   // BOTH readers, not just the one that initiated the fetch.
   FakeStore store;
   {
-    GCache seeding(ManualOptions(), SystemClock::Instance(), store.Flusher(),
-                   store.Loader());
+    GCache seeding(ManualOptions(), SystemClock::Instance(), store.Loader(),
+                   store.Storer());
     seeding
         .WithProfileMutable(
             42,
@@ -831,9 +824,6 @@ TEST(GCacheTest, LoadCoalescerSharesMissAndFansDegradedToEveryReader) {
     seeding.FlushAll();
   }
   MetricsRegistry metrics;
-  GCache cache(ManualOptions(), SystemClock::Instance(), store.Flusher(),
-               store.Loader(), &metrics);
-  LoadFn loader = store.Loader();
   std::atomic<int> fetch_calls{0};
   std::mutex gate_mu;
   std::condition_variable gate_cv;
@@ -852,11 +842,19 @@ TEST(GCacheTest, LoadCoalescerSharesMissAndFansDegradedToEveryReader) {
         }
         out_degraded->assign(pids.size(), true);  // replica fallback
         std::vector<Result<ProfileData>> out;
-        for (ProfileId pid : pids) out.push_back(loader(pid, nullptr));
+        for (ProfileId pid : pids) out.push_back(store.LoadOne(pid));
         return out;
       },
       SystemClock::Instance(), &metrics);
-  cache.set_load_coalescer(&coalescer);
+  // The cache's load function is the coalescer's Submit, as IpsInstance
+  // composes it with the load broker on.
+  GCache cache(
+      ManualOptions(), SystemClock::Instance(),
+      [&](const std::vector<ProfileId>& pids, std::vector<bool>* out_degraded,
+          TimestampMs deadline_ms) {
+        return coalescer.Submit(pids, {}, {}, out_degraded, deadline_ms);
+      },
+      store.Storer(), &metrics);
 
   const int loads_before = store.load_count();
   Status status_a, status_b;
@@ -906,24 +904,15 @@ TEST(GCacheTest, FlushStoreRoundTripRunsOutsideEntryLocks) {
   GCacheOptions options = ManualOptions();
   options.dirty_shards = 1;
   options.flush_batch_max = 8;
-  GCache cache(options, SystemClock::Instance(), store.Flusher(),
-               store.Loader());
-  cache.set_batch_flusher(
-      [&](const std::vector<ProfileId>& pids,
-          const std::vector<const ProfileData*>& profiles) {
-        for (ProfileId pid : pids) {
-          bool hit = false;
-          EXPECT_TRUE(
-              cache.WithProfile(pid, [](const ProfileData&) {}, &hit).ok());
-          EXPECT_TRUE(hit);
-        }
-        FlushFn flusher = store.Flusher();
-        std::vector<Status> statuses;
-        for (size_t i = 0; i < pids.size(); ++i) {
-          statuses.push_back(flusher(pids[i], *profiles[i]));
-        }
-        return statuses;
-      });
+  GCache cache(options, SystemClock::Instance(), store.Loader(),
+               store.Storer());
+  store.SetStoreHook([&](const std::vector<ProfileId>& pids) {
+    for (ProfileId pid : pids) {
+      bool hit = false;
+      EXPECT_TRUE(cache.WithProfile(pid, [](const ProfileData&) {}, &hit).ok());
+      EXPECT_TRUE(hit);
+    }
+  });
   for (ProfileId pid = 1; pid <= 4; ++pid) {
     cache
         .WithProfileMutable(pid,
@@ -936,54 +925,7 @@ TEST(GCacheTest, FlushStoreRoundTripRunsOutsideEntryLocks) {
   EXPECT_EQ(cache.FlushOnce(), 4u);
   EXPECT_EQ(cache.DirtyCount(), 0u);
   for (ProfileId pid = 1; pid <= 4; ++pid) EXPECT_TRUE(store.Has(pid));
-}
-
-TEST(GCacheTest, WriteDuringFlushRoundTripRequeuesInsteadOfLosingIt) {
-  // A write lands while the entry's snapshot is on the wire: the store gets
-  // the snapshot, but the entry must stay dirty (epoch recheck) so the next
-  // pass persists the newer state — no lost update, no premature clean.
-  FakeStore store;
-  GCacheOptions options = ManualOptions();
-  options.dirty_shards = 1;
-  options.flush_batch_max = 4;
-  GCache cache(options, SystemClock::Instance(), store.Flusher(),
-               store.Loader());
-  std::atomic<bool> mutate_during_flush{true};
-  cache.set_batch_flusher(
-      [&](const std::vector<ProfileId>& pids,
-          const std::vector<const ProfileData*>& profiles) {
-        if (mutate_during_flush.exchange(false)) {
-          EXPECT_TRUE(cache
-                          .WithProfileMutable(
-                              1,
-                              [](ProfileData& profile) {
-                                profile
-                                    .Add(kMinute, 1, 1, 2, CountVector{1})
-                                    .ok();
-                              })
-                          .ok());
-        }
-        FlushFn flusher = store.Flusher();
-        std::vector<Status> statuses;
-        for (size_t i = 0; i < pids.size(); ++i) {
-          statuses.push_back(flusher(pids[i], *profiles[i]));
-        }
-        return statuses;
-      });
-  cache
-      .WithProfileMutable(1,
-                          [](ProfileData& profile) {
-                            profile.Add(kMinute, 1, 1, 1, CountVector{1}).ok();
-                          })
-      .ok();
-  EXPECT_EQ(cache.FlushOnce(), 1u);
-  // The pre-write snapshot persisted, and the racing write kept the entry
-  // queued.
-  EXPECT_EQ(store.Get(1).TotalFeatures(), 1u);
-  EXPECT_EQ(cache.DirtyCount(), 1u);
-  EXPECT_EQ(cache.FlushOnce(), 1u);
-  EXPECT_EQ(store.Get(1).TotalFeatures(), 2u);
-  EXPECT_EQ(cache.DirtyCount(), 0u);
+  store.SetStoreHook(nullptr);  // the hook must not outlive `cache`
 }
 
 TEST(GCacheTest, EvictionWriteBackDoesNotBlockConcurrentReaders) {
@@ -998,20 +940,18 @@ TEST(GCacheTest, EvictionWriteBackDoesNotBlockConcurrentReaders) {
   bool eviction_flush_started = false;
   bool release_flush = false;
   constexpr ProfileId kCold = 1;
-  FlushFn blocking_flusher = [&](ProfileId pid, const ProfileData& profile) {
-    if (pid == kCold) {
-      std::unique_lock<std::mutex> lock(gate_mu);
-      eviction_flush_started = true;
-      gate_cv.notify_all();
-      gate_cv.wait(lock, [&] { return release_flush; });
-    }
-    return store.Flusher()(pid, profile);
-  };
+  store.SetStoreHook([&](const std::vector<ProfileId>& pids) {
+    if (std::find(pids.begin(), pids.end(), kCold) == pids.end()) return;
+    std::unique_lock<std::mutex> lock(gate_mu);
+    eviction_flush_started = true;
+    gate_cv.notify_all();
+    gate_cv.wait(lock, [&] { return release_flush; });
+  });
   GCacheOptions options = ManualOptions();
   options.lru_shards = 1;  // one shard: any held lock would block everyone
   options.memory_limit_bytes = 4 << 10;
-  GCache cache(options, SystemClock::Instance(), blocking_flusher,
-               store.Loader());
+  GCache cache(options, SystemClock::Instance(), store.Loader(),
+               store.Storer());
   // Cold dirty giant at the LRU tail...
   cache
       .WithProfileMutable(kCold,
@@ -1079,33 +1019,31 @@ TEST(GCacheTest, EvictionWriteBackDoesNotBlockConcurrentReaders) {
 }
 
 TEST(GCacheTest, InvalidateDoesNotDropWriteRacingItsFlush) {
-  // Regression: Invalidate used to flush under the entry lock, drop the
-  // lock, then erase under the shard lock — a writer landing in that window
-  // re-dirtied the entry and the erase silently discarded the write. The
-  // erase now re-checks `dirty` under both locks and loops back to flush
-  // again, so the racing write must survive to the store.
+  // Regression: Invalidate used to flush, then erase under the shard lock —
+  // a writer landing in between re-dirtied the entry and the erase silently
+  // discarded the write. Invalidate's write-back now holds no lock across
+  // the store, so the racing write lands mid-store; the commit's epoch
+  // recheck keeps the entry dirty and Invalidate writes back again before
+  // it erases, so the racing write must survive to the store.
   FakeStore store;
   std::mutex gate_mu;
   std::condition_variable gate_cv;
   bool flush_started = false;
-  bool writer_started = false;
-  std::atomic<int> flushes_of_7{0};
-  FlushFn gated_flusher = [&](ProfileId pid, const ProfileData& profile) {
-    if (pid == 7 && flushes_of_7.fetch_add(1) == 0) {
-      // First flush (Invalidate's): stall until the racing writer is
-      // en route to the entry lock, then a beat longer so it is parked ON
-      // the lock when we return and the erase re-check runs contended.
-      std::unique_lock<std::mutex> lock(gate_mu);
-      flush_started = true;
-      gate_cv.notify_all();
-      gate_cv.wait(lock, [&] { return writer_started; });
-      lock.unlock();
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    }
-    return store.Flusher()(pid, profile);
-  };
-  GCache cache(ManualOptions(), SystemClock::Instance(), gated_flusher,
-               store.Loader());
+  bool writer_done = false;
+  int flushes_of_7 = 0;
+  store.SetStoreHook([&](const std::vector<ProfileId>& pids) {
+    if (std::find(pids.begin(), pids.end(), 7) == pids.end()) return;
+    std::unique_lock<std::mutex> lock(gate_mu);
+    if (flushes_of_7++ > 0) return;
+    // First store (Invalidate's): stall until the racing write landed. It
+    // can only land here if no cache lock is held across the store.
+    flush_started = true;
+    gate_cv.notify_all();
+    EXPECT_TRUE(gate_cv.wait_for(lock, std::chrono::seconds(5),
+                                 [&] { return writer_done; }));
+  });
+  GCache cache(ManualOptions(), SystemClock::Instance(), store.Loader(),
+               store.Storer());
   cache
       .WithProfileMutable(7,
                           [](ProfileData& profile) {
@@ -1117,13 +1055,8 @@ TEST(GCacheTest, InvalidateDoesNotDropWriteRacingItsFlush) {
     std::unique_lock<std::mutex> lock(gate_mu);
     ASSERT_TRUE(gate_cv.wait_for(lock, std::chrono::seconds(5),
                                  [&] { return flush_started; }));
-    writer_started = true;
-    gate_cv.notify_all();
   }
-  // The racing write: lands either just before the erase re-check (the
-  // entry re-dirties and Invalidate flushes again) or just after the erase
-  // (the writer sees Entry::evicted, retries its lookup, and writes into a
-  // fresh entry reloaded from the store). Both ways it must reach the store.
+  // The racing write, while Invalidate's store is on the wire.
   ASSERT_TRUE(cache
                   .WithProfileMutable(7,
                                       [](ProfileData& profile) {
@@ -1133,11 +1066,17 @@ TEST(GCacheTest, InvalidateDoesNotDropWriteRacingItsFlush) {
                                             .ok();
                                       })
                   .ok());
+  {
+    std::lock_guard<std::mutex> lock(gate_mu);
+    writer_done = true;
+    gate_cv.notify_all();
+  }
   invalidator.join();
   cache.FlushAll();
   // Both the original feature and the racing writer's made it out.
   EXPECT_EQ(store.Get(7).TotalFeatures(), 2u);
   EXPECT_EQ(store.flush_count(), 2);
+  EXPECT_EQ(cache.EntryCount(), 0u);
 }
 
 TEST(GCacheTest, SinglePointSuccessDoesNotClearStoreHealth) {
@@ -1146,8 +1085,8 @@ TEST(GCacheTest, SinglePointSuccessDoesNotClearStoreHealth) {
   // still failing. Point successes (Invalidate/eviction write-backs) now
   // need kPointHealthClearStreak in a row; batch passes clear immediately.
   FakeStore store;
-  GCache cache(ManualOptions(), SystemClock::Instance(), store.Flusher(),
-               store.Loader());
+  GCache cache(ManualOptions(), SystemClock::Instance(), store.Loader(),
+               store.Storer());
   auto dirty = [&](ProfileId pid) {
     cache
         .WithProfileMutable(pid,
@@ -1196,8 +1135,8 @@ TEST(GCacheTest, FlushThreadsRoundedToShardMultiple) {
   GCacheOptions options = ManualOptions();
   options.dirty_shards = 4;
   options.flush_threads = 5;  // not a multiple; must round up to 8
-  GCache cache(options, SystemClock::Instance(), store.Flusher(),
-               store.Loader());
+  GCache cache(options, SystemClock::Instance(), store.Loader(),
+               store.Storer());
   EXPECT_EQ(cache.options().flush_threads % cache.options().dirty_shards, 0u);
   EXPECT_GE(cache.options().flush_threads, 5u);
 }
@@ -1206,8 +1145,8 @@ TEST(GCacheTest, FlushThreadsRoundedToShardMultiple) {
 
 TEST(GCacheTest, OffLockMutateCommitsAndMarksDirty) {
   FakeStore store;
-  GCache cache(ManualOptions(), SystemClock::Instance(), store.Flusher(),
-               store.Loader());
+  GCache cache(ManualOptions(), SystemClock::Instance(), store.Loader(),
+               store.Storer());
   ASSERT_TRUE(cache
                   .WithProfileMutable(1,
                                       [](ProfileData& profile) {
@@ -1244,8 +1183,8 @@ TEST(GCacheTest, OffLockMutateCommitsAndMarksDirty) {
 TEST(GCacheTest, OffLockMutateNeverFaultsInNonResidentProfiles) {
   FakeStore store;
   {
-    GCache cache(ManualOptions(), SystemClock::Instance(), store.Flusher(),
-                 store.Loader());
+    GCache cache(ManualOptions(), SystemClock::Instance(), store.Loader(),
+                 store.Storer());
     cache
         .WithProfileMutable(5,
                             [](ProfileData& profile) {
@@ -1256,8 +1195,8 @@ TEST(GCacheTest, OffLockMutateNeverFaultsInNonResidentProfiles) {
     cache.FlushAll();
   }
   ASSERT_TRUE(store.Has(5));
-  GCache cache(ManualOptions(), SystemClock::Instance(), store.Flusher(),
-               store.Loader());
+  GCache cache(ManualOptions(), SystemClock::Instance(), store.Loader(),
+               store.Storer());
   const int loads_before = store.load_count();
   // Persisted but not resident: maintenance must not page it in — the
   // slices get compacted when real traffic loads the profile.
@@ -1271,8 +1210,8 @@ TEST(GCacheTest, OffLockMutateNeverFaultsInNonResidentProfiles) {
 TEST(GCacheTest, OffLockMutateRetriesWhenWriteLandsMidPass) {
   FakeStore store;
   MetricsRegistry metrics;
-  GCache cache(ManualOptions(), SystemClock::Instance(), store.Flusher(),
-               store.Loader(), &metrics);
+  GCache cache(ManualOptions(), SystemClock::Instance(), store.Loader(),
+               store.Storer(), &metrics);
   ASSERT_TRUE(cache
                   .WithProfileMutable(1,
                                       [](ProfileData& profile) {
@@ -1320,8 +1259,8 @@ TEST(GCacheTest, OffLockMutateRetriesWhenWriteLandsMidPass) {
 TEST(GCacheTest, OffLockMutateAbortsAfterMaxRetries) {
   FakeStore store;
   MetricsRegistry metrics;
-  GCache cache(ManualOptions(), SystemClock::Instance(), store.Flusher(),
-               store.Loader(), &metrics);
+  GCache cache(ManualOptions(), SystemClock::Instance(), store.Loader(),
+               store.Storer(), &metrics);
   ASSERT_TRUE(cache.WithProfileMutable(1, [](ProfileData&) {}).ok());
   int passes = 0;
   Status status = cache.WithProfileOffLockMutate(
@@ -1359,8 +1298,8 @@ TEST(GCacheTest, OffLockMutateAbortsAfterMaxRetries) {
 
 TEST(GCacheTest, OffLockMutateAbandonedPassLeavesEntryClean) {
   FakeStore store;
-  GCache cache(ManualOptions(), SystemClock::Instance(), store.Flusher(),
-               store.Loader());
+  GCache cache(ManualOptions(), SystemClock::Instance(), store.Loader(),
+               store.Storer());
   ASSERT_TRUE(cache
                   .WithProfileMutable(1,
                                       [](ProfileData& profile) {
@@ -1399,8 +1338,8 @@ TEST(GCacheTest, LongOffLockMutateDoesNotBlockFlush) {
   // a profile holds no lock while it works, so a dirty-shard flush of that
   // same profile proceeds to the store instead of queueing behind it.
   FakeStore store;
-  GCache cache(ManualOptions(), SystemClock::Instance(), store.Flusher(),
-               store.Loader());
+  GCache cache(ManualOptions(), SystemClock::Instance(), store.Loader(),
+               store.Storer());
   ASSERT_TRUE(cache
                   .WithProfileMutable(1,
                                       [](ProfileData& profile) {
@@ -1448,6 +1387,162 @@ TEST(GCacheTest, LongOffLockMutateDoesNotBlockFlush) {
                   .ok());
   EXPECT_EQ(features, 2u);
 }
+
+// ------------------------------------------- write-back contract ---
+
+// Every snapshot-then-commit path in the cache: the three write-back steps
+// (flush pass, eviction, Invalidate) and the off-lock mutate that shares
+// their snapshot and epoch-recheck halves.
+enum class WriteBackPath { kFlushPass, kEviction, kInvalidate, kOffLockMutate };
+
+std::string WriteBackPathName(
+    const testing::TestParamInfo<WriteBackPath>& info) {
+  switch (info.param) {
+    case WriteBackPath::kFlushPass:
+      return "FlushPass";
+    case WriteBackPath::kEviction:
+      return "Eviction";
+    case WriteBackPath::kInvalidate:
+      return "Invalidate";
+    case WriteBackPath::kOffLockMutate:
+      return "OffLockMutate";
+  }
+  return "Unknown";
+}
+
+class WriteBackContractTest : public testing::TestWithParam<WriteBackPath> {};
+
+TEST_P(WriteBackContractTest, WriteLandingMidStepIsNeitherLostNorOverwritten) {
+  // A write lands while the step is unlocked (parked in its store, or in the
+  // off-lock work). It must not be lost or overwritten: right after the
+  // step the entry is still dirty and resident, or the store already holds
+  // the newer state; and after FlushAll the store holds it in any case.
+  constexpr ProfileId kPid = 1;
+  constexpr FeatureId kRacingFid = 2;
+  const WriteBackPath path = GetParam();
+  FakeStore store;
+  GCacheOptions options = ManualOptions();
+  options.lru_shards = 1;
+  options.dirty_shards = 1;
+  options.memory_limit_bytes = 4 << 10;  // the profile alone exceeds it
+  GCache cache(options, SystemClock::Instance(), store.Loader(),
+               store.Storer());
+
+  // Lands the racing write from another thread and waits for it: a cache
+  // lock held across the unlocked part of the step would stall it past the
+  // deadline (and fail the expectation) instead of hanging the test.
+  std::thread writer;
+  auto race_write = [&] {
+    std::atomic<bool> done{false};
+    writer = std::thread([&cache, &done] {
+      EXPECT_TRUE(cache
+                      .WithProfileMutable(kPid,
+                                          [](ProfileData& profile) {
+                                            profile
+                                                .Add(kMinute, 1, 1, kRacingFid,
+                                                     CountVector{1})
+                                                .ok();
+                                          })
+                      .ok());
+      done.store(true);
+    });
+    for (int i = 0; i < 5000 && !done.load(); ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_TRUE(done.load()) << "the write was blocked by the step";
+  };
+  bool raced = false;
+  store.SetStoreHook([&](const std::vector<ProfileId>& pids) {
+    if (path == WriteBackPath::kOffLockMutate) return;
+    if (std::find(pids.begin(), pids.end(), kPid) == pids.end()) return;
+    if (std::exchange(raced, true)) return;
+    race_write();
+  });
+
+  ASSERT_TRUE(cache
+                  .WithProfileMutable(kPid,
+                                      [](ProfileData& profile) {
+                                        for (int i = 0; i < 120; ++i) {
+                                          profile
+                                              .Add(kMinute * (i + 1), 1, 1,
+                                                   static_cast<FeatureId>(
+                                                       100 + i),
+                                                   CountVector{1, 2, 3})
+                                              .ok();
+                                        }
+                                      })
+                  .ok());
+  ASSERT_GT(cache.MemoryBytes(), options.memory_limit_bytes);
+
+  switch (path) {
+    case WriteBackPath::kFlushPass:
+      EXPECT_EQ(cache.FlushOnce(), 1u);  // the snapshot itself persisted
+      break;
+    case WriteBackPath::kEviction:
+      EXPECT_EQ(cache.SwapOnce(), 0u);  // re-dirtied mid-flight: kept
+      break;
+    case WriteBackPath::kInvalidate:
+      EXPECT_TRUE(cache.Invalidate(kPid).ok());
+      break;
+    case WriteBackPath::kOffLockMutate:
+      EXPECT_TRUE(cache
+                      .WithProfileOffLockMutate(kPid,
+                                                [&](ProfileData& profile) {
+                                                  if (!std::exchange(raced,
+                                                                     true)) {
+                                                    race_write();
+                                                  }
+                                                  profile.Add(kMinute, 1, 1, 3,
+                                                              CountVector{1})
+                                                      .ok();
+                                                  return true;
+                                                })
+                      .ok());
+      break;
+  }
+  if (writer.joinable()) writer.join();
+  ASSERT_TRUE(raced);
+
+  const bool stored_newer =
+      store.Has(kPid) && HasFeature(store.Get(kPid), kRacingFid);
+  if (path == WriteBackPath::kInvalidate) {
+    // Invalidate wrote the newer state back before it dropped the entry.
+    EXPECT_TRUE(stored_newer);
+    EXPECT_EQ(cache.EntryCount(), 0u);
+  } else {
+    // The flush pass and eviction stored the pre-write snapshot; the
+    // off-lock mutate stores nothing.
+    EXPECT_EQ(store.Has(kPid), path != WriteBackPath::kOffLockMutate);
+    EXPECT_FALSE(stored_newer);
+    EXPECT_EQ(cache.EntryCount(), 1u);
+    EXPECT_EQ(cache.DirtyCount(), 1u);
+    bool resident_has_write = false;
+    bool hit = false;
+    ASSERT_TRUE(cache
+                    .WithProfile(kPid,
+                                 [&](const ProfileData& profile) {
+                                   resident_has_write =
+                                       HasFeature(profile, kRacingFid);
+                                 },
+                                 &hit)
+                    .ok());
+    EXPECT_TRUE(hit);
+    EXPECT_TRUE(resident_has_write);
+  }
+  cache.FlushAll();
+  EXPECT_EQ(cache.DirtyCount(), 0u);
+  ASSERT_TRUE(store.Has(kPid));
+  EXPECT_TRUE(HasFeature(store.Get(kPid), kRacingFid));
+  EXPECT_TRUE(HasFeature(store.Get(kPid), 100));
+  store.SetStoreHook(nullptr);  // the hook must not outlive `cache`
+}
+
+INSTANTIATE_TEST_SUITE_P(AllPaths, WriteBackContractTest,
+                         testing::Values(WriteBackPath::kFlushPass,
+                                         WriteBackPath::kEviction,
+                                         WriteBackPath::kInvalidate,
+                                         WriteBackPath::kOffLockMutate),
+                         WriteBackPathName);
 
 }  // namespace
 }  // namespace ips

@@ -364,11 +364,9 @@ TEST_F(IpsInstanceTest, MultiAddFlushIssuesOneKvMultiSetPerBatch) {
   EXPECT_GE(kv_.MultiSetCalls() - multi_sets_before, 1);
   // 64 dirty profiles with the default flush_batch_max of 64: at most one
   // MultiSet per flush group per dirty shard, far fewer than one per
-  // profile. (Sanitized builds clamp the group's lock fan-in, hence the
-  // cap-derived group count.)
+  // profile.
   const GCacheOptions cache_defaults = ManualInstanceOptions().cache;
-  const size_t group_max =
-      std::min(cache_defaults.flush_batch_max, GCache::FlushGroupLockCap());
+  const size_t group_max = cache_defaults.flush_batch_max;
   const size_t groups_per_shard = (64 + group_max - 1) / group_max;
   EXPECT_LE(
       kv_.MultiSetCalls() - multi_sets_before,

@@ -483,6 +483,23 @@ TEST(PersisterTest, FlushIsBatchOfOne) {
   EXPECT_EQ(kv.MultiSetCalls() - multi_sets_before, 1);
 }
 
+TEST(PersisterTest, LoadIsBatchOfOne) {
+  // Load delegates to LoadBatch: a single-profile load must ride the
+  // batched read path (one MultiGet), not a point read.
+  MemKvStore kv;
+  PersisterOptions options;
+  options.mode = PersistenceMode::kBulk;
+  Persister persister("t", &kv, options);
+  ASSERT_TRUE(persister.Flush(1, MakeProfile(2, 2)).ok());
+  const int64_t multi_gets_before = kv.MultiGetCalls();
+  const int64_t point_reads_before = kv.PointReadCalls();
+  auto loaded = persister.Load(1);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->SliceCount(), 2u);
+  EXPECT_EQ(kv.MultiGetCalls() - multi_gets_before, 1);
+  EXPECT_EQ(kv.PointReadCalls() - point_reads_before, 0);
+}
+
 TEST(PersisterTest, SurvivesKvFailuresWithErrorNotCorruption) {
   MemKvOptions kv_options;
   kv_options.failure_probability = 1.0;

@@ -1,7 +1,9 @@
 #include "cache/victim_cache.h"
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -13,6 +15,7 @@
 #include "codec/profile_codec.h"
 #include "common/clock.h"
 #include "common/metrics.h"
+#include "common/random.h"
 #include "core/profile_data.h"
 
 namespace ips {
@@ -168,6 +171,29 @@ TEST(VictimCacheTest, ConcurrentHammerStaysConsistent) {
 
 // --- GCache integration: demote on eviction, promote on miss -------------
 
+// Storage functions for the tiered-cache tests: a store that accepts every
+// write-back, and a load function built from a per-pid body.
+StoreFn AcceptAllStore() {
+  return [](const std::vector<ProfileId>& pids, const std::vector<uint64_t>&,
+            const std::vector<const ProfileData*>&) {
+    return std::vector<Status>(pids.size(), Status::OK());
+  };
+}
+
+LoadFn PerPidLoad(std::function<Result<ProfileData>(ProfileId, bool*)> one) {
+  return [one = std::move(one)](const std::vector<ProfileId>& pids,
+                                std::vector<bool>* out_degraded,
+                                TimestampMs) {
+    std::vector<Result<ProfileData>> out;
+    for (size_t i = 0; i < pids.size(); ++i) {
+      bool degraded = false;
+      out.push_back(one(pids[i], &degraded));
+      (*out_degraded)[i] = degraded;
+    }
+    return out;
+  };
+}
+
 GCacheOptions TieredCacheOptions() {
   GCacheOptions options;
   options.start_background_threads = false;
@@ -193,13 +219,12 @@ VictimDecodeFn CodecDecode() {
 TEST(VictimCacheTest, EvictionDemotesAndMissPromotesWithoutStoreLoad) {
   // Count loads that reach the "store" — a promotion must not.
   std::atomic<int> store_loads{0};
-  GCache cache(
-      TieredCacheOptions(), SystemClock::Instance(),
-      [](ProfileId, const ProfileData&) { return Status::OK(); },
-      [&](ProfileId, bool*) -> Result<ProfileData> {
-        store_loads.fetch_add(1, std::memory_order_relaxed);
-        return Status::NotFound("not persisted");
-      });
+  GCache cache(TieredCacheOptions(), SystemClock::Instance(),
+               PerPidLoad([&](ProfileId, bool*) -> Result<ProfileData> {
+                 store_loads.fetch_add(1, std::memory_order_relaxed);
+                 return Status::NotFound("not persisted");
+               }),
+               AcceptAllStore());
   VictimCacheOptions l2_options;
   l2_options.admit_min_frequency = 2;
   l2_options.sketch_aging_window = 0;
@@ -266,13 +291,13 @@ TEST(VictimCacheTest, DegradedFlagSurvivesDemoteAndPromote) {
         .ok();
   }
   GCacheOptions options = TieredCacheOptions();
-  GCache cache(
-      options, SystemClock::Instance(),
-      [](ProfileId, const ProfileData&) { return Status::OK(); },
-      [&](ProfileId, bool* out_degraded) -> Result<ProfileData> {
-        *out_degraded = true;
-        return seeded;
-      });
+  GCache cache(options, SystemClock::Instance(),
+               PerPidLoad([&](ProfileId, bool* out_degraded)
+                              -> Result<ProfileData> {
+                 *out_degraded = true;
+                 return seeded;
+               }),
+               AcceptAllStore());
   VictimCacheOptions l2_options;
   l2_options.admit_min_frequency = 1;
   VictimCache l2(l2_options);
@@ -297,12 +322,11 @@ TEST(VictimCacheTest, DegradedFlagSurvivesDemoteAndPromote) {
 }
 
 TEST(VictimCacheTest, InvalidateErasesBothTiers) {
-  GCache cache(
-      TieredCacheOptions(), SystemClock::Instance(),
-      [](ProfileId, const ProfileData&) { return Status::OK(); },
-      [](ProfileId, bool*) -> Result<ProfileData> {
-        return Status::NotFound("no");
-      });
+  GCache cache(TieredCacheOptions(), SystemClock::Instance(),
+               PerPidLoad([](ProfileId, bool*) -> Result<ProfileData> {
+                 return Status::NotFound("no");
+               }),
+               AcceptAllStore());
   VictimCacheOptions l2_options;
   l2_options.admit_min_frequency = 0;
   VictimCache l2(l2_options);
@@ -318,13 +342,12 @@ TEST(VictimCacheTest, CorruptDemotedBytesFallThroughToLoader) {
   ProfileData seeded(kMinute);
   seeded.Add(kMinute, 1, 1, 9, CountVector{5}).ok();
   std::atomic<int> store_loads{0};
-  GCache cache(
-      TieredCacheOptions(), SystemClock::Instance(),
-      [](ProfileId, const ProfileData&) { return Status::OK(); },
-      [&](ProfileId, bool*) -> Result<ProfileData> {
-        store_loads.fetch_add(1, std::memory_order_relaxed);
-        return seeded;
-      });
+  GCache cache(TieredCacheOptions(), SystemClock::Instance(),
+               PerPidLoad([&](ProfileId, bool*) -> Result<ProfileData> {
+                 store_loads.fetch_add(1, std::memory_order_relaxed);
+                 return seeded;
+               }),
+               AcceptAllStore());
   VictimCacheOptions l2_options;
   l2_options.admit_min_frequency = 0;
   VictimCache l2(l2_options);
@@ -336,6 +359,131 @@ TEST(VictimCacheTest, CorruptDemotedBytesFallThroughToLoader) {
   EXPECT_FALSE(hit);
   EXPECT_EQ(store_loads.load(), 1);  // decode failed -> authoritative load
   EXPECT_EQ(l2.EntryCount(), 0u);    // corrupt bytes were dropped, not kept
+}
+
+// Fills `pid` past the tiered cache's whole budget, so one eviction pass
+// takes it.
+void WriteLargeProfile(GCache& cache, ProfileId pid) {
+  ASSERT_TRUE(cache
+                  .WithProfileMutable(pid,
+                                      [](ProfileData& profile) {
+                                        for (int i = 0; i < 120; ++i) {
+                                          profile
+                                              .Add(kMinute * (i + 1), 1, 1,
+                                                   static_cast<FeatureId>(
+                                                       i + 1),
+                                                   CountVector{1, 2, 3})
+                                              .ok();
+                                        }
+                                      })
+                  .ok());
+}
+
+TEST(VictimCacheTest, InvalidateRacingEvictionLeavesNoDemotedCopy) {
+  // An eviction of `kPid` commits — demoting it into L2 and unmapping it —
+  // while Invalidate's own write-back of the pid is on the wire. Invalidate
+  // then finds the map without the pid; it must still leave L2 empty, or the
+  // demoted copy is promotable after the handover.
+  constexpr ProfileId kPid = 5;
+  std::mutex gate_mu;
+  std::condition_variable gate_cv;
+  int stores_started = 0;
+  int stores_released = 0;
+  // Store call k (1-based) parks until stores_released >= k.
+  StoreFn gated = [&](const std::vector<ProfileId>& pids,
+                      const std::vector<uint64_t>&,
+                      const std::vector<const ProfileData*>&) {
+    std::unique_lock<std::mutex> lock(gate_mu);
+    const int call = ++stores_started;
+    gate_cv.notify_all();
+    EXPECT_TRUE(gate_cv.wait_for(lock, std::chrono::seconds(5),
+                                 [&] { return stores_released >= call; }));
+    return std::vector<Status>(pids.size(), Status::OK());
+  };
+  auto wait_started = [&](int calls) {
+    std::unique_lock<std::mutex> lock(gate_mu);
+    return gate_cv.wait_for(lock, std::chrono::seconds(5),
+                            [&] { return stores_started >= calls; });
+  };
+  auto release = [&](int calls) {
+    std::lock_guard<std::mutex> lock(gate_mu);
+    stores_released = calls;
+    gate_cv.notify_all();
+  };
+  GCache cache(TieredCacheOptions(), SystemClock::Instance(),
+               PerPidLoad([](ProfileId, bool*) -> Result<ProfileData> {
+                 return Status::NotFound("not persisted");
+               }),
+               gated);
+  VictimCacheOptions l2_options;
+  l2_options.admit_min_frequency = 0;
+  VictimCache l2(l2_options);
+  cache.set_victim_cache(&l2, CodecEncode(), CodecDecode());
+  WriteLargeProfile(cache, kPid);  // dirty victim
+
+  std::thread swapper([&] { cache.SwapOnce(); });
+  ASSERT_TRUE(wait_started(1));  // the eviction's write-back is parked
+  std::thread invalidator([&] { EXPECT_TRUE(cache.Invalidate(kPid).ok()); });
+  ASSERT_TRUE(wait_started(2));  // ...and so is Invalidate's
+  release(1);
+  swapper.join();
+  // The eviction committed while Invalidate's store was on the wire.
+  EXPECT_EQ(cache.EntryCount(), 0u);
+  EXPECT_EQ(l2.EntryCount(), 1u);
+  release(2);
+  invalidator.join();
+
+  std::string bytes;
+  bool degraded = false;
+  EXPECT_FALSE(l2.Take(kPid, &bytes, &degraded));
+  EXPECT_EQ(cache.EntryCount(), 0u);
+}
+
+TEST(VictimCacheTest, InvalidateNeverLeavesDemotedCopyUnderEvictionStress) {
+  // Seeded evict-vs-invalidate race over fresh pids: each round writes one
+  // large profile (dirty or flushed clean), then runs an eviction pass and
+  // an Invalidate of that pid concurrently, the Invalidate started after a
+  // seeded spin so the two sweep across each other's phases. Nothing
+  // reloads the pid, so a demoted copy left in L2 stays observable.
+  constexpr int kRounds = 2000;
+  GCache cache(TieredCacheOptions(), SystemClock::Instance(),
+               PerPidLoad([](ProfileId, bool*) -> Result<ProfileData> {
+                 return Status::NotFound("not persisted");
+               }),
+               AcceptAllStore());
+  VictimCacheOptions l2_options;
+  l2_options.admit_min_frequency = 0;
+  VictimCache l2(l2_options);
+  cache.set_victim_cache(&l2, CodecEncode(), CodecDecode());
+  Rng rng(20261017);
+  int stale = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    const ProfileId pid = static_cast<ProfileId>(1000 + round);
+    WriteLargeProfile(cache, pid);
+    if (rng.Uniform(2) == 0) cache.FlushOnce();  // clean victim
+    const uint64_t spins = rng.Uniform(60000);
+    std::atomic<bool> go{false};
+    std::thread swapper([&] {
+      while (!go.load()) {
+      }
+      cache.SwapOnce();
+    });
+    std::thread invalidator([&] {
+      while (!go.load()) {
+      }
+      for (volatile uint64_t i = 0; i < spins; i = i + 1) {
+      }
+      EXPECT_TRUE(cache.Invalidate(pid).ok());
+    });
+    go.store(true);
+    swapper.join();
+    invalidator.join();
+    std::string bytes;
+    bool degraded = false;
+    if (l2.Take(pid, &bytes, &degraded)) ++stale;
+    ASSERT_EQ(cache.EntryCount(), 0u) << "round " << round;
+  }
+  EXPECT_EQ(stale, 0);
 }
 
 }  // namespace
