@@ -68,7 +68,9 @@ run_suite() {
     # SetEnabled flips over the sharded pool), the coalescer's group-commit
     # storms (attach, claim, piggyback, requeue and detach from many
     # threads) and GCache's write-back step (flush, eviction and Invalidate
-    # racing writers and each other, with the L2 demotions) are the tests
+    # racing writers and each other, with the L2 demotions) and the client's
+    # fan-out (callers reclaiming sub-calls from the shared pool, the client
+    # destroyed right after a storm, spans from both threads) are the tests
     # TSan exists for; ctest runs them with the rest of the suite, but
     # explicit passes keep the race gates visible in the tier-1 log.
     echo "=== tier1: TSan drain storm (CompactionManagerTest) ==="
@@ -77,6 +79,8 @@ run_suite() {
     (cd "${build_dir}" && ctest --output-on-failure -R coalescer_test)
     echo "=== tier1: TSan write-back step (GCacheTest, VictimCacheTest) ==="
     (cd "${build_dir}" && ctest --output-on-failure -R 'gcache_test|victim_cache_test')
+    echo "=== tier1: TSan client fan-out (cluster_test, trace_test) ==="
+    (cd "${build_dir}" && ctest --output-on-failure -R 'cluster_test|trace_test')
   fi
 }
 

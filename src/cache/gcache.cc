@@ -28,6 +28,11 @@ GCache::GCache(GCacheOptions options, Clock* clock, LoadFn load, StoreFn store,
       load_(std::move(load)),
       store_(std::move(store)),
       metrics_(metrics) {
+  if (metrics_ != nullptr) {
+    hit_counter_ = metrics_->GetCounter("cache.hit");
+    miss_counter_ = metrics_->GetCounter("cache.miss");
+    batch_loads_counter_ = metrics_->GetCounter("cache.batch_loads");
+  }
   options_.lru_shards = RoundUpPow2(options_.lru_shards);
   options_.dirty_shards = RoundUpPow2(options_.dirty_shards);
   if (options_.flush_threads < options_.dirty_shards) {
@@ -91,7 +96,7 @@ Result<std::pair<GCache::EntryPtr, bool>> GCache::GetOrLoad(
     if (it != shard.map.end()) {
       TouchLru(shard, it->second);
       hits_.fetch_add(1, std::memory_order_relaxed);
-      if (metrics_ != nullptr) metrics_->GetCounter("cache.hit")->Increment();
+      if (hit_counter_ != nullptr) hit_counter_->Increment();
       return std::make_pair(it->second.entry, true);
     }
   }
@@ -100,7 +105,7 @@ Result<std::pair<GCache::EntryPtr, bool>> GCache::GetOrLoad(
   // outside the shard lock — loads can take milliseconds and must not block
   // unrelated traffic on this shard.
   misses_.fetch_add(1, std::memory_order_relaxed);
-  if (metrics_ != nullptr) metrics_->GetCounter("cache.miss")->Increment();
+  if (miss_counter_ != nullptr) miss_counter_->Increment();
   std::vector<bool> degraded;
   std::vector<Result<ProfileData>> loaded = LoadMisses(
       {pid}, &degraded, std::numeric_limits<TimestampMs>::max());
@@ -294,14 +299,10 @@ size_t GCache::WithProfiles(
     misses_.fetch_add(static_cast<int64_t>(miss_pids.size()),
                       std::memory_order_relaxed);
     if (metrics_ != nullptr) {
-      if (hits > 0) {
-        metrics_->GetCounter("cache.hit")->Increment(
-            static_cast<int64_t>(hits));
-      }
+      if (hits > 0) hit_counter_->Increment(static_cast<int64_t>(hits));
       if (!miss_pids.empty()) {
-        metrics_->GetCounter("cache.miss")->Increment(
-            static_cast<int64_t>(miss_pids.size()));
-        metrics_->GetCounter("cache.batch_loads")->Increment();
+        miss_counter_->Increment(static_cast<int64_t>(miss_pids.size()));
+        batch_loads_counter_->Increment();
       }
     }
   }

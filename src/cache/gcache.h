@@ -408,6 +408,11 @@ class GCache {
   VictimEncodeFn victim_encode_;
   VictimDecodeFn victim_decode_;
   MetricsRegistry* metrics_;
+  /// Read-path counters, resolved once at construction (null without a
+  /// registry).
+  Counter* hit_counter_ = nullptr;
+  Counter* miss_counter_ = nullptr;
+  Counter* batch_loads_counter_ = nullptr;
 
   std::vector<std::unique_ptr<LruShard>> lru_shards_;
   std::vector<std::unique_ptr<DirtyShard>> dirty_shards_;

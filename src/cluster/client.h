@@ -7,6 +7,9 @@
 #ifndef IPS_CLUSTER_CLIENT_H_
 #define IPS_CLUSTER_CLIENT_H_
 
+#include <atomic>
+#include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -22,6 +25,7 @@
 #include "common/call_context.h"
 #include "common/clock.h"
 #include "common/metrics.h"
+#include "common/thread_pool.h"
 #include "query/query.h"
 
 namespace ips {
@@ -67,6 +71,8 @@ size_t EstimateAddPayloadBytes(const std::vector<AddRecord>& records);
 
 class IpsClient {
  public:
+  /// Starts the client's fan-out pool (one worker per hardware thread);
+  /// the destructor joins it.
   IpsClient(IpsClientOptions options, Deployment* deployment);
 
   /// Write path: the record is sent to the owning instance in *every*
@@ -97,12 +103,12 @@ class IpsClient {
 
   /// Batched write path (mirror of MultiQuery): items are grouped by owning
   /// instance on each region's ring and each group goes out as ONE MultiAdd
-  /// RPC — sub-batches fan out to their owners in parallel, per region, and
-  /// per-item statuses reassemble in input order. An item is OK when at
-  /// least one region accepted it; items accepted by only some regions bump
-  /// `client.write_partial_regions`. Retries regroup unfinished items by
-  /// ring successor within each region under the usual retry policy /
-  /// breaker gates.
+  /// RPC — sub-batches fan out to their owners in parallel (see Scatter),
+  /// per region, and per-item statuses reassemble in input order. An item
+  /// is OK when at least one region accepted it; items accepted by only
+  /// some regions bump `client.write_partial_regions`. Retries regroup
+  /// unfinished items by ring successor within each region under the usual
+  /// retry policy / breaker gates.
   Result<MultiAddResult> MultiAdd(const std::string& table,
                                   const std::vector<MultiAddItem>& items) {
     return MultiAddAs(options_.caller, table, items, DefaultContext());
@@ -138,10 +144,10 @@ class IpsClient {
   /// Batched read path (the serving hot path): pids are deduplicated,
   /// grouped by owning instance on the consistent-hash ring, and each group
   /// goes out as ONE MultiQuery RPC — sub-batches fan out to their owners in
-  /// parallel and reassemble in input order with per-pid statuses. Retries
-  /// regroup unfinished pids by ring successor, then failover regions, same
-  /// policy as single-profile Query. Duplicate pids share one lookup but
-  /// each occurrence gets its own result slot.
+  /// parallel (see Scatter) and reassemble in input order with per-pid
+  /// statuses. Retries regroup unfinished pids by ring successor, then
+  /// failover regions, same policy as single-profile Query. Duplicate pids
+  /// share one lookup but each occurrence gets its own result slot.
   Result<MultiQueryResult> MultiQuery(const std::string& table,
                                       std::span<const ProfileId> pids,
                                       const QuerySpec& spec) {
@@ -171,14 +177,73 @@ class IpsClient {
   CircuitBreakerRegistry& breakers() { return breakers_; }
 
  private:
-  /// Ordered candidate node ids for `pid` reads in `region`: ring
-  /// successors, with open-breaker nodes filtered out (the ring is probed
-  /// deeper to keep `attempts` usable candidates; if breakers reject every
-  /// successor the unfiltered list is returned as a last resort).
-  std::vector<std::string> ReadCandidates(ProfileId pid,
-                                          const std::string& region,
-                                          int attempts);
+  /// A ring member resolved once per discovery refresh, so calls route by
+  /// member index with no node-id string lookups.
+  struct Member {
+    /// Null when discovery lists an id the deployment does not know.
+    IpsNode* node = nullptr;
+    CircuitBreaker* breaker = nullptr;
+  };
+
+  /// Routing state of one region: its ring and, in ring.members() order
+  /// (sorted by node id), each member's node and breaker.
+  struct RegionView {
+    ConsistentHashRing ring;
+    std::vector<Member> members;
+  };
+
+  /// One request's routing in one region (filled by Route) plus the
+  /// per-round grouping of its items by owner (filled by Group). Reused
+  /// across the rounds and regions of a request.
+  struct Routing {
+    static constexpr uint32_t kNone = UINT32_MAX;
+
+    /// Snapshot of the region's members.
+    std::vector<Member> members;
+    /// Row i holds item i's candidate member indices in ring order, best
+    /// first; kNone pads rows shorter than `attempts`.
+    std::vector<uint32_t> candidates;
+    size_t stride = 0;
+    size_t attempts = 0;
+
+    /// Groups of the last Group call: owners[g] is a member index, and
+    /// items[begin[g]..begin[g+1]) the ascending item ids it owns.
+    std::vector<uint32_t> owners;
+    std::vector<uint32_t> begin;
+    std::vector<uint32_t> items;
+    /// Groups that go out this round (indices into owners).
+    std::vector<uint32_t> sends;
+    /// Scratch, one entry per member: breaker verdicts in Route, counting
+    /// sort offsets in Group.
+    std::vector<uint32_t> per_member;
+
+    uint32_t Candidate(size_t item, size_t attempt) const {
+      return attempt < attempts ? candidates[item * stride + attempt] : kNone;
+    }
+    /// Buckets every item i < n with `pending(i)` and a candidate at
+    /// `attempt` by that candidate. Groups come out in member order, i.e.
+    /// sorted by node id, so the scatter order is deterministic. Returns
+    /// the number of groups.
+    template <typename Pending>
+    size_t Group(size_t n, size_t attempt, const Pending& pending);
+  };
+
+  /// Routes `pids` in `region`: up to `attempts` ring successors each, with
+  /// open-breaker nodes filtered out (the ring is probed deeper to keep
+  /// `attempts` usable candidates; if breakers reject every successor of a
+  /// pid, its plain ring order is kept as a last resort). Every pid is
+  /// resolved under one `mu_` hold.
+  void Route(const std::string& region, std::span<const ProfileId> pids,
+             int attempts, Routing* out);
   void MaybeRefresh();
+
+  /// Runs task(0) .. task(n - 1) in parallel and returns once all have
+  /// finished. Every task but the last goes to `pool_`; the caller runs the
+  /// last itself, then claims and runs any submitted task no worker has
+  /// started, so progress never depends on the pool's size or load. A task
+  /// runs exactly once, on whichever thread claims it; one the pool rejects
+  /// is simply left for the caller to claim.
+  void Scatter(size_t n, const std::function<void(size_t)>& task);
 
   CallContext DefaultContext() const {
     return CallContext::WithTimeout(*deployment_->clock(),
@@ -190,19 +255,52 @@ class IpsClient {
   /// deadline). False when the request must stop retrying.
   bool PrepareRetry(const Status& last_error, const CallContext& ctx);
 
-  /// Records a call outcome on the node's breaker.
-  void RecordOutcome(const std::string& node_id, const Status& status);
+  /// Records a call outcome on the member's breaker.
+  void RecordOutcome(const Member& member, const Status& status);
+
+  /// Hot-path counters, resolved once at construction (the registry lookup
+  /// takes a deployment-wide mutex).
+  struct Counters {
+    explicit Counters(MetricsRegistry* metrics);
+    Counter* read_requests;
+    Counter* read_errors;
+    Counter* write_requests;
+    Counter* write_errors;
+    Counter* write_region_errors;
+    Counter* write_partial_regions;
+    Counter* multi_read_requests;
+    Counter* multi_read_pids;
+    Counter* multi_read_errors;
+    Counter* multi_write_requests;
+    Counter* multi_write_pids;
+    Counter* multi_write_errors;
+    Counter* degraded_reads;
+    Counter* deadline_exceeded;
+    Counter* breaker_skips;
+    Counter* retries;
+    Counter* retry_budget_exhausted;
+    Counter* throttle_backoffs;
+  };
 
   IpsClientOptions options_;
   Deployment* deployment_;
-  MetricsRegistry* metrics_;
+  Counters counters_;
   RetryPolicy retry_policy_;
   CircuitBreakerRegistry breakers_;
+  /// Read region preference: local first, then failover regions in order
+  /// (every region when neither is configured).
+  std::vector<std::string> read_regions_;
 
   std::mutex mu_;
-  /// region -> ring over that region's live instances.
-  std::unordered_map<std::string, ConsistentHashRing> rings_;
+  /// region -> routing view over that region's live instances.
+  std::unordered_map<std::string, RegionView> regions_;
   TimestampMs last_refresh_ms_ = -1;
+
+  /// Round-robin shard hint for pool_ submissions.
+  std::atomic<uint64_t> next_shard_{0};
+  /// Fan-out workers for Scatter, one shard each. Declared last, so its
+  /// workers are joined before any other member is destroyed.
+  StripedThreadPool pool_;
 };
 
 }  // namespace ips

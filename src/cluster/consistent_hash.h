@@ -6,8 +6,8 @@
 #define IPS_CLUSTER_CONSISTENT_HASH_H_
 
 #include <cstdint>
-#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/types.h"
@@ -33,12 +33,22 @@ class ConsistentHashRing {
   /// Owner plus the next `count - 1` distinct successors (retry targets).
   std::vector<std::string> LookupN(ProfileId pid, size_t count) const;
 
+  /// LookupN as indices into members(): writes min(count, NodeCount())
+  /// distinct indices to `out` and returns how many. No allocation, so a
+  /// batch can route every pid under one lock hold.
+  size_t LookupNIndices(ProfileId pid, size_t count, uint32_t* out) const;
+
   size_t NodeCount() const { return members_.size(); }
+  /// Sorted by node id.
   const std::vector<std::string>& members() const { return members_; }
 
  private:
+  /// Recomputes ring_ from members_ (member indices shift on every change).
+  void Rebuild();
+
   int virtual_nodes_;
-  std::map<uint64_t, std::string> ring_;
+  /// (point, index into members_), sorted by point.
+  std::vector<std::pair<uint64_t, uint32_t>> ring_;
   std::vector<std::string> members_;
 };
 

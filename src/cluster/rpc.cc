@@ -52,12 +52,10 @@ Status Channel::Call(const CallContext& ctx, size_t request_bytes,
   if (partitioned_.load(std::memory_order_relaxed)) {
     return Status::Unavailable("network partition");
   }
-  {
+  const double drop = drop_probability_.load(std::memory_order_relaxed);
+  if (drop > 0.0) {
     std::lock_guard<std::mutex> lock(rng_mu_);
-    if (options_.drop_probability > 0.0 &&
-        rng_.Bernoulli(options_.drop_probability)) {
-      return Status::Unavailable("request dropped");
-    }
+    if (rng_.Bernoulli(drop)) return Status::Unavailable("request dropped");
   }
   const bool enforce = clock_ != nullptr && ctx.has_deadline();
   if (enforce && ctx.Expired(clock_->NowMs())) {
@@ -85,8 +83,7 @@ Status Channel::Call(const CallContext& ctx, size_t request_bytes,
 }
 
 void Channel::SetDropProbability(double p) {
-  std::lock_guard<std::mutex> lock(rng_mu_);
-  options_.drop_probability = p;
+  drop_probability_.store(p, std::memory_order_relaxed);
 }
 
 }  // namespace ips

@@ -40,7 +40,9 @@ struct ChannelOptions {
 class Channel {
  public:
   explicit Channel(ChannelOptions options, Clock* clock = nullptr)
-      : options_(options), clock_(clock) {
+      : options_(options),
+        clock_(clock),
+        drop_probability_(options.drop_probability) {
     rng_.Seed(options.seed);
   }
 
@@ -74,6 +76,9 @@ class Channel {
   ChannelOptions options_;
   Clock* clock_;
   std::atomic<bool> partitioned_{false};
+  /// Read on every call without a lock; rng_mu_ is taken only to draw when
+  /// it is > 0, so a drop-free channel never serializes its callers.
+  std::atomic<double> drop_probability_;
   std::mutex rng_mu_;
   Rng rng_;
 };

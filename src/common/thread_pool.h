@@ -1,9 +1,10 @@
 // Fixed-size worker pool with a bounded, sharded queue, used by the
 // asynchronous compaction drain (Section III-D: compaction runs off the
-// serving path in a dedicated pool "with capped parallelism"): tasks land in
-// per-shard FIFO queues and N workers drain N shards concurrently, stealing
-// from foreign shards when their own stripe runs dry, so a drain storm never
-// funnels through one queue mutex.
+// serving path in a dedicated pool "with capped parallelism") and by the
+// IpsClient's per-owner sub-call fan-out: tasks land in per-shard FIFO
+// queues and N workers drain N shards concurrently, stealing from foreign
+// shards when their own stripe runs dry, so a drain storm never funnels
+// through one queue mutex.
 #ifndef IPS_COMMON_THREAD_POOL_H_
 #define IPS_COMMON_THREAD_POOL_H_
 

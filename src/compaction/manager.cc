@@ -26,6 +26,17 @@ CompactionManager::CompactionManager(
     pool_ = std::make_unique<StripedThreadPool>(
         options_.num_threads, options_.queue_shards, options_.max_queue);
   }
+  if (metrics_ != nullptr) {
+    triggered_counter_ = metrics_->GetCounter("compaction.triggered");
+    full_counter_ = metrics_->GetCounter("compaction.full");
+    partial_counter_ = metrics_->GetCounter("compaction.partial");
+    micros_histogram_ = metrics_->GetHistogram("compaction.micros");
+    if (pool_) {
+      queue_depth_histogram_ = metrics_->GetHistogram("compaction.queue_depth");
+      shard_queue_depth_histogram_ =
+          metrics_->GetHistogram("compaction.shard_queue_depth");
+    }
+  }
 }
 
 CompactionManager::~CompactionManager() {
@@ -92,7 +103,7 @@ bool CompactionManager::MaybeTrigger(ProfileId pid) {
   }
 
   if (metrics_ != nullptr) {
-    metrics_->GetCounter("compaction.triggered")->Increment();
+    triggered_counter_->Increment();
     if (cap_evicted > 0) {
       metrics_->GetCounter("compaction.rate_limit_evictions")
           ->Increment(static_cast<int64_t>(cap_evicted));
@@ -107,10 +118,10 @@ bool CompactionManager::MaybeTrigger(ProfileId pid) {
     pressure.shard_queue_depth =
         pool_->ShardQueueDepth(static_cast<size_t>(hash));
     if (metrics_ != nullptr) {
-      metrics_->GetHistogram("compaction.queue_depth")
-          ->Record(static_cast<int64_t>(pressure.queue_depth));
-      metrics_->GetHistogram("compaction.shard_queue_depth")
-          ->Record(static_cast<int64_t>(pressure.shard_queue_depth));
+      queue_depth_histogram_->Record(
+          static_cast<int64_t>(pressure.queue_depth));
+      shard_queue_depth_histogram_->Record(
+          static_cast<int64_t>(pressure.shard_queue_depth));
     }
   }
 
@@ -151,10 +162,8 @@ void CompactionManager::Execute(ProfileId pid, bool full) {
     run_compaction_(pid, full);
   }
   if (metrics_ != nullptr) {
-    metrics_->GetCounter(full ? "compaction.full" : "compaction.partial")
-        ->Increment();
-    metrics_->GetHistogram("compaction.micros")
-        ->Record((MonotonicNanos() - begin_ns) / 1000);
+    (full ? full_counter_ : partial_counter_)->Increment();
+    micros_histogram_->Record((MonotonicNanos() - begin_ns) / 1000);
   }
   TriggerShard& shard = shards_[static_cast<size_t>(Mix64(pid)) &
                                 (kTriggerShards - 1)];

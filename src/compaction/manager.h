@@ -135,6 +135,15 @@ class CompactionManager {
   Clock* clock_;
   std::function<void(ProfileId, bool)> run_compaction_;
   MetricsRegistry* metrics_;
+  /// Metrics touched once per trigger or pass, resolved once at
+  /// construction (null without a registry; the queue-depth histograms also
+  /// without a pool).
+  Counter* triggered_counter_ = nullptr;
+  Counter* full_counter_ = nullptr;
+  Counter* partial_counter_ = nullptr;
+  Histogram* micros_histogram_ = nullptr;
+  Histogram* queue_depth_histogram_ = nullptr;
+  Histogram* shard_queue_depth_histogram_ = nullptr;
   std::unique_ptr<CompactionController> controller_;
   std::unique_ptr<StripedThreadPool> pool_;
 

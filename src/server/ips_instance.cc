@@ -7,12 +7,30 @@
 
 namespace ips {
 
+IpsInstance::ServingMetrics::ServingMetrics(MetricsRegistry* metrics)
+    : queries(metrics->GetCounter("server.queries")),
+      query_errors(metrics->GetCounter("server.query_errors")),
+      degraded_reads(metrics->GetCounter("server.degraded_reads")),
+      scratch_reuse(metrics->GetCounter("query.scratch_reuse")),
+      adds(metrics->GetCounter("server.adds")),
+      add_errors(metrics->GetCounter("server.add_errors")),
+      deadline_exceeded(metrics->GetCounter("server.deadline_exceeded")),
+      multi_query_micros(metrics->GetHistogram("server.multi_query_micros")),
+      multi_query_batch(metrics->GetHistogram("server.multi_query_batch")),
+      query_micros(metrics->GetHistogram("server.query_micros")),
+      query_micros_hit(metrics->GetHistogram("server.query_micros_hit")),
+      query_micros_miss(metrics->GetHistogram("server.query_micros_miss")),
+      multi_add_micros(metrics->GetHistogram("server.multi_add_micros")),
+      multi_add_batch(metrics->GetHistogram("server.multi_add_batch")),
+      add_micros(metrics->GetHistogram("server.add_micros")) {}
+
 IpsInstance::IpsInstance(IpsInstanceOptions options, KvStore* kv, Clock* clock,
                          MetricsRegistry* metrics)
     : options_(options),
       kv_(kv),
       clock_(clock),
       metrics_(metrics != nullptr ? metrics : &owned_metrics_),
+      serving_metrics_(metrics_),
       quota_(clock, options.default_caller_qps),
       overload_(options.overload, clock, metrics_) {
   isolation_enabled_.store(options_.isolation_enabled,
@@ -223,7 +241,7 @@ Status IpsInstance::AddProfile(const std::string& caller,
 
 Status IpsInstance::CheckDeadline(const CallContext& ctx) {
   if (ctx.Expired(clock_->NowMs())) {
-    metrics_->GetCounter("server.deadline_exceeded")->Increment();
+    serving_metrics_.deadline_exceeded->Increment();
     return Status::DeadlineExceeded("server-side deadline expired");
   }
   return Status::OK();
@@ -236,8 +254,7 @@ Status IpsInstance::AddProfiles(const std::string& caller,
   const int64_t begin_ns = MonotonicNanos();
   IPS_ASSIGN_OR_RETURN(MultiAddResult batch,
                        MultiAdd(caller, table, {{pid, records}}, ctx));
-  metrics_->GetHistogram("server.add_micros")
-      ->Record((MonotonicNanos() - begin_ns) / 1000);
+  serving_metrics_.add_micros->Record((MonotonicNanos() - begin_ns) / 1000);
   return batch.statuses[0];
 }
 
@@ -292,15 +309,10 @@ Result<MultiAddResult> IpsInstance::MultiAdd(
 
   const int64_t micros = (MonotonicNanos() - begin_ns) / 1000;
   overload_.RecordServiceSample(micros, static_cast<double>(items.size()));
-  metrics_->GetHistogram("server.multi_add_micros")->Record(micros);
-  metrics_->GetHistogram("server.multi_add_batch")
-      ->Record(static_cast<int64_t>(items.size()));
-  if (ok_records > 0) {
-    metrics_->GetCounter("server.adds")->Increment(ok_records);
-  }
-  if (error_items > 0) {
-    metrics_->GetCounter("server.add_errors")->Increment(error_items);
-  }
+  serving_metrics_.multi_add_micros->Record(micros);
+  serving_metrics_.multi_add_batch->Record(static_cast<int64_t>(items.size()));
+  if (ok_records > 0) serving_metrics_.adds->Increment(ok_records);
+  if (error_items > 0) serving_metrics_.add_errors->Increment(error_items);
   return out;
 }
 
@@ -412,9 +424,9 @@ Result<QueryResult> IpsInstance::Query(const std::string& caller,
   // attribute it so the traced stage sum stays honest.
   ScopedSpan record_span("server.queue");
   const int64_t micros = (MonotonicNanos() - begin_ns) / 1000;
-  metrics_->GetHistogram("server.query_micros")->Record(micros);
-  metrics_->GetHistogram(batch.cache_hits > 0 ? "server.query_micros_hit"
-                                              : "server.query_micros_miss")
+  serving_metrics_.query_micros->Record(micros);
+  (batch.cache_hits > 0 ? serving_metrics_.query_micros_hit
+                        : serving_metrics_.query_micros_miss)
       ->Record(micros);
 
   IPS_RETURN_IF_ERROR(batch.statuses[0]);
@@ -487,8 +499,8 @@ Result<MultiQueryResult> IpsInstance::MultiQuery(
       &cache_statuses, &degraded_flags, ctx.deadline_ms);
   overhead_span.emplace("server.queue");
   if (scratch_reuses > 0) {
-    metrics_->GetCounter("query.scratch_reuse")
-        ->Increment(static_cast<int64_t>(scratch_reuses));
+    serving_metrics_.scratch_reuse->Increment(
+        static_cast<int64_t>(scratch_reuses));
   }
   for (size_t i = 0; i < pid_vec.size(); ++i) {
     if (degraded_flags[i] && cache_statuses[i].ok() &&
@@ -498,8 +510,8 @@ Result<MultiQueryResult> IpsInstance::MultiQuery(
     }
   }
   if (out.degraded > 0) {
-    metrics_->GetCounter("server.degraded_reads")
-        ->Increment(static_cast<int64_t>(out.degraded));
+    serving_metrics_.degraded_reads->Increment(
+        static_cast<int64_t>(out.degraded));
   }
 
   // In synchronous mode (tests, III-D ablation) MaybeTrigger runs the
@@ -535,15 +547,11 @@ Result<MultiQueryResult> IpsInstance::MultiQuery(
   const int64_t micros = (MonotonicNanos() - begin_ns) / 1000;
   overload_.RecordServiceSample(micros,
                                 static_cast<double>(pid_vec.size()));
-  metrics_->GetHistogram("server.multi_query_micros")->Record(micros);
-  metrics_->GetHistogram("server.multi_query_batch")
-      ->Record(static_cast<int64_t>(pid_vec.size()));
-  if (ok_count > 0) {
-    metrics_->GetCounter("server.queries")->Increment(ok_count);
-  }
-  if (error_count > 0) {
-    metrics_->GetCounter("server.query_errors")->Increment(error_count);
-  }
+  serving_metrics_.multi_query_micros->Record(micros);
+  serving_metrics_.multi_query_batch->Record(
+      static_cast<int64_t>(pid_vec.size()));
+  if (ok_count > 0) serving_metrics_.queries->Increment(ok_count);
+  if (error_count > 0) serving_metrics_.query_errors->Increment(error_count);
   return out;
 }
 

@@ -332,11 +332,33 @@ class IpsInstance {
 
   void MergerLoop();
 
+  /// Serving-path metrics, resolved once at construction (the registry
+  /// lookup takes a deployment-wide mutex).
+  struct ServingMetrics {
+    explicit ServingMetrics(MetricsRegistry* metrics);
+    Counter* queries;
+    Counter* query_errors;
+    Counter* degraded_reads;
+    Counter* scratch_reuse;
+    Counter* adds;
+    Counter* add_errors;
+    Counter* deadline_exceeded;
+    Histogram* multi_query_micros;
+    Histogram* multi_query_batch;
+    Histogram* query_micros;
+    Histogram* query_micros_hit;
+    Histogram* query_micros_miss;
+    Histogram* multi_add_micros;
+    Histogram* multi_add_batch;
+    Histogram* add_micros;
+  };
+
   IpsInstanceOptions options_;
   KvStore* kv_;
   Clock* clock_;
   MetricsRegistry* metrics_;
   MetricsRegistry owned_metrics_;  // used when none injected
+  ServingMetrics serving_metrics_;
   QuotaManager quota_;
   OverloadController overload_;
 

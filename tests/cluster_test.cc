@@ -4,9 +4,13 @@
 #include "cluster/discovery.h"
 #include "cluster/rpc.h"
 
+#include <atomic>
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -169,6 +173,49 @@ TEST(ChannelTest, DropProbabilityDropsSomeCalls) {
   EXPECT_LT(delivered, 150);
   channel.SetDropProbability(0.0);
   for (int i = 0; i < 20; ++i) {
+    EXPECT_TRUE(channel.Call(0, 0, [] { return Status::OK(); }).ok());
+  }
+}
+
+TEST(ChannelTest, DropProbabilityFlipsWhileCallsAreInFlight) {
+  // Callers read the drop probability without the channel's rng lock;
+  // flipping it under load must stay race-free (run under TSan) and must
+  // take full effect once it settles at zero.
+  ChannelOptions options;
+  options.seed = 3;
+  Channel channel(options);
+  std::atomic<bool> stop{false};
+  std::atomic<int64_t> delivered{0};
+  std::atomic<int64_t> dropped{0};
+  std::vector<std::thread> callers;
+  for (int t = 0; t < 4; ++t) {
+    callers.emplace_back([&] {
+      while (!stop.load(std::memory_order_relaxed)) {
+        Status status = channel.Call(0, 0, [] { return Status::OK(); });
+        if (status.ok()) {
+          delivered.fetch_add(1, std::memory_order_relaxed);
+        } else {
+          EXPECT_TRUE(status.IsUnavailable()) << status.ToString();
+          dropped.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  for (int flip = 0; flip < 200; ++flip) {
+    channel.SetDropProbability(flip % 2 == 0 ? 0.5 : 0.0);
+    std::this_thread::yield();
+  }
+  // Flip until both outcomes were seen by the in-flight callers.
+  for (int flip = 0; dropped.load() == 0 || delivered.load() == 0; ++flip) {
+    channel.SetDropProbability(flip % 2 == 0 ? 0.5 : 0.0);
+    std::this_thread::yield();
+  }
+  channel.SetDropProbability(0.0);
+  stop.store(true);
+  for (auto& caller : callers) caller.join();
+  EXPECT_GT(delivered.load(), 0);
+  EXPECT_GT(dropped.load(), 0);
+  for (int i = 0; i < 50; ++i) {
     EXPECT_TRUE(channel.Call(0, 0, [] { return Status::OK(); }).ok());
   }
 }
@@ -831,6 +878,210 @@ TEST(WritePayloadTest, EstimateTracksEncodedRecords) {
   for (auto& r : narrow) r.counts = CountVector{1};
   for (auto& r : wide) r.counts = CountVector{1, 2, 3, 4, 5, 6, 7, 8};
   EXPECT_GT(EstimateAddPayloadBytes(wide), EstimateAddPayloadBytes(narrow));
+}
+
+TEST_F(DeploymentTest, DuplicatePidsGetIdenticalResultsAfterGather) {
+  // The gather moves each slot's result into its last occurrence and copies
+  // it for the earlier ones; every occurrence must read the same.
+  IpsClient client(LocalClientOptions("lf"), &deployment_);
+  const TimestampMs now = clock_.NowMs();
+  for (ProfileId pid = 1; pid <= 12; ++pid) {
+    for (FeatureId fid = 1; fid <= 3; ++fid) {
+      ASSERT_TRUE(client
+                      .AddProfile("profiles", pid, now - kMinute, 1, 1,
+                                  pid * 100 + fid, CountVector{int64_t(fid)})
+                      .ok());
+    }
+  }
+  std::vector<ProfileId> pids;
+  for (int round = 0; round < 3; ++round) {
+    for (ProfileId pid = 1; pid <= 12; ++pid) pids.push_back(pid);
+  }
+  QuerySpec spec;
+  spec.slot = 1;
+  spec.time_range = TimeRange::Current(kDay);
+  spec.sort_by = SortBy::kActionCount;
+  spec.k = 10;
+  auto batch = client.MultiQuery("profiles", pids, spec);
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  ASSERT_EQ(batch->results.size(), pids.size());
+  EXPECT_EQ(batch->degraded, 0u);
+  for (size_t i = 0; i < pids.size(); ++i) {
+    ASSERT_TRUE(batch->statuses[i].ok());
+    const QueryResult& result = batch->results[i];
+    ASSERT_EQ(result.features.size(), 3u) << "occurrence " << i;
+    // Sorted by count: fid 3 (count 3) first.
+    for (size_t f = 0; f < 3; ++f) {
+      EXPECT_EQ(result.features[f].fid, pids[i] * 100 + (3 - f));
+      EXPECT_EQ(result.features[f].counts[0], int64_t(3 - f));
+    }
+    const QueryResult& first = batch->results[i % 12];
+    EXPECT_EQ(result.slices_scanned, first.slices_scanned);
+    EXPECT_EQ(result.features_merged, first.features_merged);
+  }
+}
+
+TEST_F(DeploymentTest, DuplicatePidsCountEachDegradedOccurrence) {
+  // A cold read during a master outage is served from the replica and
+  // flagged degraded; MultiQueryResult::degraded counts every occurrence of
+  // the pid, not the one lookup the duplicates share.
+  const TimestampMs now = clock_.NowMs();
+  const ProfileId pid = 601;
+  ConsistentHashRing ring;
+  ring.SetMembers({"lf/ips-0", "lf/ips-1"});
+  // Write through the node that does NOT own the pid, so the owner serves
+  // it cold.
+  IpsNode* writer = deployment_.FindNode(
+      ring.Lookup(pid) == "lf/ips-0" ? "lf/ips-1" : "lf/ips-0");
+  ASSERT_TRUE(writer->instance()
+                  .AddProfile("w", "profiles", pid, now - kMinute, 1, 1, 7,
+                              CountVector{3})
+                  .ok());
+  writer->instance().FlushAll();
+  deployment_.kv().CatchUpAll();
+  deployment_.kv().master_store()->SetDown(true);
+
+  IpsClient client(LocalClientOptions("lf"), &deployment_);
+  Counter* degraded_reads =
+      deployment_.metrics()->GetCounter("client.degraded_reads");
+  const int64_t degraded_before = degraded_reads->Value();
+  QuerySpec spec;
+  spec.slot = 1;
+  spec.time_range = TimeRange::Current(kDay);
+  const std::vector<ProfileId> pids = {pid, pid, pid};
+  auto batch = client.MultiQuery("profiles", pids, spec);
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  EXPECT_EQ(batch->degraded, 3u);
+  EXPECT_EQ(degraded_reads->Value() - degraded_before, 3);
+  for (size_t i = 0; i < pids.size(); ++i) {
+    ASSERT_TRUE(batch->statuses[i].ok());
+    EXPECT_TRUE(batch->results[i].degraded);
+    ASSERT_EQ(batch->results[i].features.size(), 1u);
+    EXPECT_EQ(batch->results[i].features[0].fid, 7u);
+    EXPECT_EQ(batch->results[i].features[0].counts[0], 3);
+  }
+  deployment_.kv().master_store()->SetDown(false);
+}
+
+TEST(ClientFanOutTest, SaturationStormThroughOneSharedClient) {
+  // Four times as many caller threads as fan-out workers, over a channel
+  // with real latency, so sub-calls queue behind each other and callers
+  // reclaim the ones no worker has started. Every call must succeed with
+  // exact results, and destroying the client right after the storm must
+  // leave no wrapper touching freed state (run under ASan and TSan).
+  ManualClock clock(100 * kDay);
+  DeploymentOptions options;
+  options.regions = {{"lf", 4, /*is_primary=*/true}};
+  options.instance.start_background_threads = false;
+  options.instance.cache.start_background_threads = false;
+  options.instance.compaction.synchronous = true;
+  options.instance.isolation_enabled = false;
+  options.instance.cache.write_granularity_ms = kMinute;
+  // The storm is about the client; keep admission from shedding it.
+  options.instance.overload.enabled = false;
+  options.channel.base_latency_us = 50;
+  Deployment deployment(options, &clock);
+  ASSERT_TRUE(deployment.CreateTableEverywhere(ClusterSchema()).ok());
+  const TimestampMs now = clock.NowMs();
+
+  IpsClientOptions client_options;
+  client_options.caller = "storm";
+  client_options.local_region = "lf";
+  auto client = std::make_unique<IpsClient>(client_options, &deployment);
+
+  // Shared read set: pid p holds one feature fid = p with count p.
+  constexpr ProfileId kShared = 48;
+  std::vector<MultiAddItem> preload;
+  for (ProfileId pid = 1; pid <= kShared; ++pid) {
+    MultiAddItem item = MakeWriteItem(pid, now - kMinute, pid);
+    item.records[0].counts = CountVector{int64_t(pid)};
+    preload.push_back(item);
+  }
+  auto preloaded = client->MultiAdd("profiles", preload);
+  ASSERT_TRUE(preloaded.ok());
+  ASSERT_EQ(preloaded->ok_items, preload.size());
+
+  const size_t workers = std::max(1u, std::thread::hardware_concurrency());
+  const size_t num_threads = std::max<size_t>(8, 4 * workers);
+  constexpr int kIterations = 40;
+  constexpr ProfileId kPrivatePerThread = 8;
+  auto private_pid = [](size_t t, ProfileId k) {
+    return 10'000 + static_cast<ProfileId>(t) * 100 + k;
+  };
+  QuerySpec spec;
+  spec.slot = 1;
+  spec.time_range = TimeRange::Current(kDay);
+  spec.sort_by = SortBy::kActionCount;
+  spec.k = 10;
+
+  std::vector<int64_t> acked_adds(num_threads, 0);
+  std::atomic<int64_t> failures{0};
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < num_threads; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(17 + t);
+      for (int i = 0; i < kIterations; ++i) {
+        if (i % 3 == 2) {
+          std::vector<MultiAddItem> items;
+          for (ProfileId k = 0; k < kPrivatePerThread; ++k) {
+            items.push_back(MakeWriteItem(private_pid(t, k), now - kMinute, 9));
+          }
+          auto added = client->MultiAdd("profiles", items);
+          if (!added.ok() || added->ok_items != items.size()) {
+            failures.fetch_add(1);
+            continue;
+          }
+          ++acked_adds[t];
+          continue;
+        }
+        // 24 draws from the shared set: duplicates are likely.
+        std::vector<ProfileId> pids;
+        for (int d = 0; d < 24; ++d) pids.push_back(1 + rng.Next() % kShared);
+        auto batch = client->MultiQuery("profiles", pids, spec);
+        if (!batch.ok()) {
+          failures.fetch_add(1);
+          continue;
+        }
+        for (size_t j = 0; j < pids.size(); ++j) {
+          const QueryResult& result = batch->results[j];
+          if (!batch->statuses[j].ok() || result.features.size() != 1 ||
+              result.features[0].fid != pids[j] ||
+              result.features[0].counts[0] != int64_t(pids[j])) {
+            failures.fetch_add(1);
+          }
+        }
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  client.reset();
+  EXPECT_EQ(failures.load(), 0);
+
+  // Every acknowledged write landed exactly once per item.
+  IpsClient reader(client_options, &deployment);
+  for (size_t t = 0; t < num_threads; ++t) {
+    std::vector<ProfileId> pids;
+    for (ProfileId k = 0; k < kPrivatePerThread; ++k) {
+      pids.push_back(private_pid(t, k));
+    }
+    auto batch = reader.MultiQuery("profiles", pids, spec);
+    ASSERT_TRUE(batch.ok());
+    for (size_t j = 0; j < pids.size(); ++j) {
+      ASSERT_TRUE(batch->statuses[j].ok());
+      if (acked_adds[t] == 0) {
+        EXPECT_TRUE(batch->results[j].features.empty());
+        continue;
+      }
+      ASSERT_EQ(batch->results[j].features.size(), 1u) << pids[j];
+      EXPECT_EQ(batch->results[j].features[0].counts[0], acked_adds[t])
+          << pids[j];
+    }
+  }
+  EXPECT_EQ(
+      deployment.metrics()->GetCounter("client.multi_read_errors")->Value(), 0);
+  EXPECT_EQ(
+      deployment.metrics()->GetCounter("client.multi_write_errors")->Value(),
+      0);
 }
 
 TEST_F(DeploymentTest, StaleViewStopsRoutingToDeregisteredNode) {

@@ -340,6 +340,58 @@ TEST_F(TraceE2eTest, MultiQueryScatterGatherSpansNestUnderOneRoot) {
   EXPECT_GE(CountName(names, "server.query"), 2u);
 }
 
+TEST_F(TraceE2eTest, MultiAddScatterGatherSpansNestUnderOneRoot) {
+  // Writes scatter like reads, with one sub-call on the caller's own
+  // thread: every span still hangs under the one client.multi_add root.
+  std::vector<MultiAddItem> items;
+  for (ProfileId pid = 200; pid < 232; ++pid) {
+    MultiAddItem item;
+    item.pid = pid;
+    AddRecord record;
+    record.timestamp = clock_.NowMs() - kMinute;
+    record.slot = 1;
+    record.type = 1;
+    record.fid = 42;
+    record.counts = CountVector{1};
+    item.records.push_back(record);
+    items.push_back(item);
+  }
+
+  Trace trace(/*trace_id=*/101, clock_.NowMs());
+  CallContext ctx;
+  ctx.trace = TraceCollector::ContextFor(&trace);
+  auto result = client_->MultiAdd("profiles", items, ctx);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result->ok_items, items.size());
+
+  const std::vector<TraceSpan> spans = trace.Spans();
+  ASSERT_FALSE(spans.empty());
+
+  size_t roots = 0;
+  for (const TraceSpan& span : spans) {
+    if (span.parent == kNoSpan) {
+      ++roots;
+      EXPECT_STREQ(span.name, "client.multi_add");
+    }
+  }
+  EXPECT_EQ(roots, 1u);
+
+  for (const TraceSpan& span : spans) {
+    if (span.parent == kNoSpan) continue;
+    ASSERT_GE(span.parent, 0);
+    ASSERT_LT(static_cast<size_t>(span.parent), spans.size());
+    const TraceSpan& parent = spans[static_cast<size_t>(span.parent)];
+    EXPECT_GE(span.start_ns, parent.start_ns);
+    EXPECT_LE(span.end_ns, parent.end_ns);
+  }
+
+  // 32 items over a 2-node ring: both nodes get a sub-batch (all but
+  // ~2^-31 runs), so at least two server.add spans and four transfer legs.
+  const std::vector<std::string> names = SpanNames(trace);
+  EXPECT_GE(CountName(names, "rpc.transfer"), 4u);
+  EXPECT_GE(CountName(names, "server.add"), 2u);
+}
+
 TEST_F(TraceE2eTest, SamplingDecisionIsHonoredEndToEnd) {
   WriteProfile(11);
   ASSERT_TRUE(client_->Query("profiles", 11, Spec()).ok());  // warm cache
