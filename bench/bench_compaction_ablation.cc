@@ -2,9 +2,9 @@
 // trace (ingest/request_trace.h, round-tripped through its on-disk format
 // and committed as compaction_trace.txt) replays the identical (pid, spec,
 // arrival) sequence through every configuration, so the comparisons below
-// measure policy and drain mechanics, not sampling noise.
+// measure drain mechanics, not sampling noise.
 //
-// Three phases:
+// Two phases:
 //   A. sync vs async — the paper's claim: running compaction inline on the
 //      triggering request (the non-optimized strategy) inflates serving tail
 //      latency; the async drain keeps it off the serving path.
@@ -17,19 +17,14 @@
 //      parallelism. NOTE: the ratio only manifests on a multi-core host —
 //      on a single core parallel drain merely relocates the same CPU
 //      seconds — so the gate below is cores-aware.
-//   C. policy A/B — the same storm under the default controller vs the
-//      decay-biased one (cheaper partial passes earlier, backoff near
-//      saturation), selectable via CompactionManagerOptions::policy.
 //
 // Emits BENCH_compaction_ablation.json. `--smoke` runs small and exits
 // nonzero unless (a) phase-B pass counts are equal and nonzero across worker
-// configurations, (b) the multi-worker run stole work across shards, and
-// (c) on hosts with >= 4 cores, the 1-worker storm takes >= 2x the
-// kDrainWorkers storm.
+// configurations, and (b) on hosts with >= 4 cores, the 1-worker storm takes
+// >= 2x the kDrainWorkers storm.
 #include <algorithm>
 #include <cstring>
 #include <memory>
-#include <string>
 #include <thread>
 #include <unordered_set>
 #include <vector>
@@ -49,7 +44,7 @@ constexpr size_t kDrainWorkers = 4;
 
 struct BenchConfig {
   size_t num_requests;     // trace length
-  size_t backfill_slices;  // per-pid uncompacted history depth (phase B/C)
+  size_t backfill_slices;  // per-pid uncompacted history depth (phase B)
   size_t latency_pids;     // distinct-pid cap for phase A (sync is slow)
   size_t latency_slices;   // per-pid history depth for phase A
 };
@@ -58,14 +53,11 @@ BenchConfig FullConfig() { return {4000, 160, 240, 120}; }
 BenchConfig SmokeConfig() { return {1200, 80, 120, 80}; }
 
 struct DrainRun {
-  std::string policy;
   size_t workers = 0;
   int64_t storm_ms = 0;  // replay + Drain wall time
   int64_t full_passes = 0;
   int64_t partial_passes = 0;
-  int64_t backoff = 0;
   int64_t dropped = 0;
-  uint64_t steals = 0;
   int64_t overlap_stalls = 0;
 };
 
@@ -102,9 +94,8 @@ void Backfill(IpsInstance& instance, const std::vector<ProfileId>& pids,
   }
 }
 
-std::unique_ptr<IpsInstance> MakeInstance(MemKvStore& kv,
-                                          const std::string& policy,
-                                          size_t workers, bool synchronous,
+std::unique_ptr<IpsInstance> MakeInstance(MemKvStore& kv, size_t workers,
+                                          bool synchronous,
                                           size_t partial_threshold,
                                           size_t max_queue) {
   IpsInstanceOptions options;
@@ -117,14 +108,12 @@ std::unique_ptr<IpsInstance> MakeInstance(MemKvStore& kv,
   options.cache.start_background_threads = false;
   options.compaction.synchronous = synchronous;
   options.compaction.num_threads = workers;
-  options.compaction.queue_shards = 16;
   options.compaction.max_queue = max_queue;
   // First touch per pid triggers; every later touch is rate-limited away.
   // This makes the scheduled pass set identical across configurations no
   // matter how worker scheduling interleaves with the replay.
   options.compaction.min_interval_ms = 1'000'000'000;
   options.compaction.partial_threshold = partial_threshold;
-  options.compaction.policy = policy;
   return std::make_unique<IpsInstance>(options, &kv,
                                        SystemClock::Instance());
 }
@@ -164,14 +153,13 @@ int64_t Counter(IpsInstance& instance, const char* name) {
   return instance.metrics()->GetCounter(name)->Value();
 }
 
-/// Phase B/C core: back-fill deep histories with compaction paused, then
+/// Phase B core: back-fill deep histories with compaction paused, then
 /// storm the trigger path and drain, measuring replay+drain wall time.
 DrainRun RunStorm(const RequestTrace& trace, const QuerySpec& base_spec,
-                  const std::string& policy, size_t workers,
-                  size_t backfill_slices, size_t partial_threshold,
-                  size_t max_queue) {
+                  size_t workers, size_t backfill_slices,
+                  size_t partial_threshold, size_t max_queue) {
   MemKvStore kv;  // zero latency: the drain's CPU work is the subject
-  auto instance = MakeInstance(kv, policy, workers, /*synchronous=*/false,
+  auto instance = MakeInstance(kv, workers, /*synchronous=*/false,
                                partial_threshold, max_queue);
   instance->CreateTable(DefaultTableSchema(kTable)).ok();
   instance->SetCompactionEnabled(false);
@@ -184,45 +172,35 @@ DrainRun RunStorm(const RequestTrace& trace, const QuerySpec& base_spec,
   const int64_t end_ns = MonotonicNanos();
 
   DrainRun run;
-  run.policy = policy;
   run.workers = workers;
   run.storm_ms = (end_ns - begin_ns) / 1'000'000;
   run.full_passes = Counter(*instance, "compaction.full");
   run.partial_passes = Counter(*instance, "compaction.partial");
-  run.backoff = Counter(*instance, "compaction.backoff");
   run.dropped = Counter(*instance, "compaction.dropped");
-  run.steals =
-      static_cast<uint64_t>(Counter(*instance, "compaction.steals"));
   run.overlap_stalls = Counter(*instance, "compaction.overlap_stalls");
   return run;
 }
 
 void PrintDrainRun(const DrainRun& r) {
   std::printf(
-      "  policy=%-8s workers=%zu  storm=%-6lldms  full=%-5lld partial=%-5lld "
-      "backoff=%-4lld dropped=%-4lld steals=%-5llu stalls=%lld\n",
-      r.policy.c_str(), r.workers, static_cast<long long>(r.storm_ms),
+      "  workers=%zu  storm=%-6lldms  full=%-5lld partial=%-5lld "
+      "dropped=%-4lld stalls=%lld\n",
+      r.workers, static_cast<long long>(r.storm_ms),
       static_cast<long long>(r.full_passes),
       static_cast<long long>(r.partial_passes),
-      static_cast<long long>(r.backoff), static_cast<long long>(r.dropped),
-      static_cast<unsigned long long>(r.steals),
+      static_cast<long long>(r.dropped),
       static_cast<long long>(r.overlap_stalls));
 }
 
 void AppendDrainJson(std::FILE* f, const DrainRun& r, bool last) {
   std::fprintf(f,
-               "    {\"policy\": \"%s\", \"workers\": %zu, "
-               "\"storm_ms\": %lld, \"full_passes\": %lld, "
-               "\"partial_passes\": %lld, \"backoff\": %lld, "
-               "\"dropped\": %lld, \"steals\": %llu, "
-               "\"overlap_stalls\": %lld}%s\n",
-               r.policy.c_str(), r.workers,
-               static_cast<long long>(r.storm_ms),
+               "    {\"workers\": %zu, \"storm_ms\": %lld, "
+               "\"full_passes\": %lld, \"partial_passes\": %lld, "
+               "\"dropped\": %lld, \"overlap_stalls\": %lld}%s\n",
+               r.workers, static_cast<long long>(r.storm_ms),
                static_cast<long long>(r.full_passes),
                static_cast<long long>(r.partial_passes),
-               static_cast<long long>(r.backoff),
                static_cast<long long>(r.dropped),
-               static_cast<unsigned long long>(r.steals),
                static_cast<long long>(r.overlap_stalls), last ? "" : ",");
 }
 
@@ -258,8 +236,7 @@ int Run(bool smoke) {
   const size_t distinct_pids = DistinctPids(trace, 0).size();
 
   std::printf(
-      "=== Compaction ablation: sync vs async, drain scaling, policy A/B "
-      "===\ncores=%u trace=%zu requests distinct_pids=%zu "
+      "=== Compaction ablation: sync vs async, drain scaling ===\ncores=%u trace=%zu requests distinct_pids=%zu "
       "backfill=%zu slices/pid\n",
       cores, trace.requests.size(), distinct_pids, config.backfill_slices);
 
@@ -280,7 +257,7 @@ int Run(bool smoke) {
   for (const bool synchronous : {true, false}) {
     MemKvStore kv;
     auto instance =
-        MakeInstance(kv, "default", kDrainWorkers, synchronous,
+        MakeInstance(kv, kDrainWorkers, synchronous,
                      /*partial_threshold=*/64, /*max_queue=*/1 << 16);
     instance->CreateTable(DefaultTableSchema(kTable)).ok();
     instance->SetCompactionEnabled(false);
@@ -306,26 +283,11 @@ int Run(bool smoke) {
   std::printf("\n--- B. post-back-fill storm drain scaling ---\n");
   std::vector<DrainRun> drain_runs;
   for (const size_t workers : {size_t{1}, kDrainWorkers}) {
-    drain_runs.push_back(RunStorm(trace, base_spec, "default", workers,
+    drain_runs.push_back(RunStorm(trace, base_spec, workers,
                                   config.backfill_slices,
                                   /*partial_threshold=*/1 << 30,
                                   /*max_queue=*/1 << 20));
     PrintDrainRun(drain_runs.back());
-  }
-
-  // --- Phase C: policy A/B at kDrainWorkers -----------------------------
-  // Moderate thresholds so the policies actually diverge: the default
-  // degrades to partial past the threshold, the decay policy degrades at
-  // half that pressure and backs off near queue saturation.
-  std::printf("\n--- C. controller policy A/B (workers=%zu) ---\n",
-              kDrainWorkers);
-  std::vector<DrainRun> policy_runs;
-  for (const char* policy : {"default", "decay"}) {
-    policy_runs.push_back(RunStorm(trace, base_spec, policy, kDrainWorkers,
-                                   config.backfill_slices,
-                                   /*partial_threshold=*/64,
-                                   /*max_queue=*/512));
-    PrintDrainRun(policy_runs.back());
   }
 
   // --- JSON -------------------------------------------------------------
@@ -351,10 +313,6 @@ int Run(bool smoke) {
   for (size_t i = 0; i < drain_runs.size(); ++i) {
     AppendDrainJson(f, drain_runs[i], i + 1 == drain_runs.size());
   }
-  std::fprintf(f, "  ],\n  \"policies\": [\n");
-  for (size_t i = 0; i < policy_runs.size(); ++i) {
-    AppendDrainJson(f, policy_runs[i], i + 1 == policy_runs.size());
-  }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
   std::printf("\nwrote BENCH_compaction_ablation.json (and %s)\n",
@@ -367,10 +325,6 @@ int Run(bool smoke) {
       serial.full_passes > 0 &&
       serial.full_passes == parallel.full_passes &&
       serial.partial_passes == 0 && parallel.partial_passes == 0;
-  const bool steals_ok = parallel.steals > 0 && serial.steals == 0;
-  const bool policy_ok =
-      policy_runs.back().policy == "decay" &&
-      policy_runs.back().full_passes + policy_runs.back().partial_passes > 0;
   const double ratio =
       parallel.storm_ms > 0 ? static_cast<double>(serial.storm_ms) /
                                   static_cast<double>(parallel.storm_ms)
@@ -381,23 +335,15 @@ int Run(bool smoke) {
       "\nshape checks:\n"
       "  volumes: 1w full=%lld, %zuw full=%lld (need equal, nonzero, no "
       "partials)\n"
-      "  steals:  %zuw=%llu (need > 0), 1w=%llu (need 0)\n"
-      "  policy:  decay ran %lld passes (need > 0)\n"
       "  ratio:   1w/%zuw storm = %.2fx%s\n%s\n",
       static_cast<long long>(serial.full_passes), parallel.workers,
-      static_cast<long long>(parallel.full_passes), parallel.workers,
-      static_cast<unsigned long long>(parallel.steals),
-      static_cast<unsigned long long>(serial.steals),
-      static_cast<long long>(policy_runs.back().full_passes +
-                             policy_runs.back().partial_passes),
-      parallel.workers, ratio,
+      static_cast<long long>(parallel.full_passes), parallel.workers, ratio,
       multi_core
           ? " (need >= 2.0)"
           : " (single-core host: >= 2x gate skipped — parallel drain can "
             "only relocate CPU seconds here, not shorten them)",
-      volume_ok && steals_ok && policy_ok && ratio_ok ? "shape OK"
-                                                      : "SHAPE VIOLATION");
-  return volume_ok && steals_ok && policy_ok && ratio_ok ? 0 : 1;
+      volume_ok && ratio_ok ? "shape OK" : "SHAPE VIOLATION");
+  return volume_ok && ratio_ok ? 0 : 1;
 }
 
 }  // namespace

@@ -58,21 +58,25 @@ run_suite() {
     echo "=== tier1: perf smoke (bench_cache_tiers --smoke) ==="
     "${build_dir}/bench/bench_cache_tiers" --smoke
     # Parallel-drain gate: identical full-pass sets across worker configs,
-    # live cross-shard steals in the multi-worker drain, and (on >=4-core
-    # hosts) the 1-worker storm must take >= 2x the 4-worker storm.
+    # and (on >=4-core hosts) the 1-worker storm must take >= 2x the
+    # 4-worker storm.
     echo "=== tier1: perf smoke (bench_compaction_ablation --smoke) ==="
     "${build_dir}/bench/bench_compaction_ablation" --smoke
   fi
   if [[ "${sanitize}" == "thread" ]]; then
-    # The drain-concurrency storm (concurrent MaybeTrigger + Drain +
-    # SetEnabled flips over the sharded pool), the coalescer's group-commit
-    # storms (attach, claim, piggyback, requeue and detach from many
-    # threads) and GCache's write-back step (flush, eviction and Invalidate
-    # racing writers and each other, with the L2 demotions) and the client's
-    # fan-out (callers reclaiming sub-calls from the shared pool, the client
-    # destroyed right after a storm, spans from both threads) are the tests
-    # TSan exists for; ctest runs them with the rest of the suite, but
-    # explicit passes keep the race gates visible in the tier-1 log.
+    # The thread pool's contract (exact queue bound, drain-on-destroy,
+    # Submit racing the destructor), the drain-concurrency storm (concurrent
+    # MaybeTrigger + Drain + SetEnabled flips over the pool), the
+    # coalescer's group-commit storms (attach, claim, piggyback, requeue and
+    # detach from many threads) and GCache's write-back step (flush,
+    # eviction and Invalidate racing writers and each other, with the L2
+    # demotions) and the client's fan-out (callers reclaiming sub-calls from
+    # the shared pool, the client destroyed right after a storm, spans from
+    # both threads) are the tests TSan exists for; ctest runs them with the
+    # rest of the suite, but explicit passes keep the race gates visible in
+    # the tier-1 log.
+    echo "=== tier1: TSan thread pool (common_test) ==="
+    (cd "${build_dir}" && ctest --output-on-failure -R common_test)
     echo "=== tier1: TSan drain storm (CompactionManagerTest) ==="
     (cd "${build_dir}" && ctest --output-on-failure -R compaction_test)
     echo "=== tier1: TSan group-commit storm (CoalescerTest) ==="

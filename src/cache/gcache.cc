@@ -35,16 +35,6 @@ GCache::GCache(GCacheOptions options, Clock* clock, LoadFn load, StoreFn store,
   }
   options_.lru_shards = RoundUpPow2(options_.lru_shards);
   options_.dirty_shards = RoundUpPow2(options_.dirty_shards);
-  if (options_.flush_threads < options_.dirty_shards) {
-    options_.flush_threads = options_.dirty_shards;
-  }
-  // Round flush threads up to a multiple of the shard count so the shards
-  // are covered evenly (the Fig 9 constraint).
-  if (options_.flush_threads % options_.dirty_shards != 0) {
-    options_.flush_threads +=
-        options_.dirty_shards -
-        options_.flush_threads % options_.dirty_shards;
-  }
   for (size_t i = 0; i < options_.lru_shards; ++i) {
     lru_shards_.push_back(std::make_unique<LruShard>());
   }
@@ -52,11 +42,12 @@ GCache::GCache(GCacheOptions options, Clock* clock, LoadFn load, StoreFn store,
     dirty_shards_.push_back(std::make_unique<DirtyShard>());
   }
   if (options_.start_background_threads) {
-    for (size_t i = 0; i < options_.swap_threads; ++i) {
-      background_threads_.emplace_back([this] { SwapLoop(); });
-    }
-    for (size_t i = 0; i < options_.flush_threads; ++i) {
-      background_threads_.emplace_back([this, i] { FlushLoop(i); });
+    // One swap thread, and one flush thread per dirty shard: a second
+    // flusher on a shard would only race the first for an empty list.
+    background_threads_.emplace_back([this] { SwapLoop(); });
+    for (auto& shard : dirty_shards_) {
+      background_threads_.emplace_back(
+          [this, s = shard.get()] { FlushLoop(*s); });
     }
   }
 }
@@ -962,9 +953,7 @@ void GCache::SwapLoop() {
   }
 }
 
-void GCache::FlushLoop(size_t thread_index) {
-  DirtyShard& my_shard =
-      *dirty_shards_[thread_index % options_.dirty_shards];
+void GCache::FlushLoop(DirtyShard& my_shard) {
   int64_t backoff_ms = 0;  // extra wait after failing passes, doubling
   std::unique_lock<std::mutex> lock(bg_mu_);
   while (!shutdown_.load(std::memory_order_relaxed)) {

@@ -2,13 +2,12 @@
 // of the IPS compute-cache layer. Profiles live in memory wrapped in cache
 // entries tracked by two structures:
 //
-//   * a sharded LRU list (Fig 7) — swap threads evict cold entries when
+//   * a sharded LRU list (Fig 7) — a swap thread evicts cold entries when
 //     memory exceeds the configured threshold, starting from the largest
 //     shard, probing entries with try_lock and skipping contended ones
 //     instead of blocking (Fig 8);
 //   * a sharded dirty list (Fig 9) — flush threads persist updated profiles
-//     to the key-value store; the flush-thread count is a multiple of the
-//     dirty-shard count so every shard has dedicated threads.
+//     to the key-value store, one dedicated thread per dirty shard.
 //
 // Storage sits behind ONE seam of two batch functions handed to the
 // constructor, so this layer stays independent of the codec/kvstore choices
@@ -50,12 +49,8 @@ namespace ips {
 struct GCacheOptions {
   /// LRU partitions (Fig 7). Power of two.
   size_t lru_shards = 8;
-  /// Dirty-list partitions (Fig 9). Power of two.
+  /// Dirty-list partitions (Fig 9), one flush thread each. Power of two.
   size_t dirty_shards = 4;
-  /// Flush threads; must be a positive multiple of dirty_shards.
-  size_t flush_threads = 4;
-  /// Swap (eviction) threads.
-  size_t swap_threads = 1;
   /// Hard memory budget for cached profiles, in bytes.
   size_t memory_limit_bytes = 256 << 20;
   /// Swapping starts when usage exceeds limit * high watermark and stops
@@ -393,7 +388,7 @@ class GCache {
                        StoreHealthSource source = StoreHealthSource::kBatch);
 
   void SwapLoop();
-  void FlushLoop(size_t thread_index);
+  void FlushLoop(DirtyShard& shard);
 
   /// Inserts a freshly loaded entry into its shard, or adopts the entry a
   /// concurrent loader already established. Returns the entry to use.

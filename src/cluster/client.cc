@@ -1,6 +1,7 @@
 #include "cluster/client.h"
 
 #include <algorithm>
+#include <atomic>
 #include <latch>
 #include <optional>
 #include <thread>
@@ -96,8 +97,7 @@ IpsClient::IpsClient(IpsClientOptions options, Deployment* deployment)
       counters_(deployment->metrics()),
       retry_policy_(options_.retry),
       breakers_(options_.breaker),
-      pool_(std::max(1u, std::thread::hardware_concurrency()),
-            std::max(1u, std::thread::hardware_concurrency())) {
+      pool_(std::max(1u, std::thread::hardware_concurrency())) {
   if (!options_.local_region.empty()) {
     read_regions_.push_back(options_.local_region);
   }
@@ -230,12 +230,11 @@ void IpsClient::Scatter(size_t n, const std::function<void(size_t)>& task) {
   for (size_t i = 0; i < submitted; ++i) {
     // A rejected submission (queue bound, shutdown) leaves the task
     // unclaimed; the reclaim pass below runs it.
-    pool_.Submit(next_shard_.fetch_add(1, std::memory_order_relaxed),
-                 [state, fn, i] {
-                   if (!state->Claim(i)) return;
-                   (*fn)(i);
-                   state->done.count_down();
-                 });
+    pool_.Submit([state, fn, i] {
+      if (!state->Claim(i)) return;
+      (*fn)(i);
+      state->done.count_down();
+    });
   }
   task(n - 1);
   for (size_t i = 0; i < submitted; ++i) {

@@ -7,7 +7,6 @@
 #ifndef IPS_CLUSTER_CLIENT_H_
 #define IPS_CLUSTER_CLIENT_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -296,11 +295,9 @@ class IpsClient {
   std::unordered_map<std::string, RegionView> regions_;
   TimestampMs last_refresh_ms_ = -1;
 
-  /// Round-robin shard hint for pool_ submissions.
-  std::atomic<uint64_t> next_shard_{0};
-  /// Fan-out workers for Scatter, one shard each. Declared last, so its
-  /// workers are joined before any other member is destroyed.
-  StripedThreadPool pool_;
+  /// Fan-out workers for Scatter. Declared last, so its workers are joined
+  /// before any other member is destroyed.
+  ThreadPool pool_;
 };
 
 }  // namespace ips

@@ -8,42 +8,31 @@ namespace ips {
 CompactionManager::CompactionManager(
     CompactionManagerOptions options, Clock* clock,
     std::function<void(ProfileId, bool)> run_compaction,
-    MetricsRegistry* metrics, std::unique_ptr<CompactionController> controller)
+    MetricsRegistry* metrics)
     : options_(std::move(options)),
       clock_(clock),
       run_compaction_(std::move(run_compaction)),
-      metrics_(metrics),
-      controller_(std::move(controller)) {
-  if (controller_ == nullptr) {
-    controller_ = MakeCompactionController(options_.policy);
-  }
-  if (controller_ == nullptr) {
-    // Unknown policy name: fail safe to the legacy behavior rather than
-    // crash the serving process over a config typo.
-    controller_ = std::make_unique<DefaultCompactionController>();
-  }
+      metrics_(metrics) {
   if (!options_.synchronous) {
-    pool_ = std::make_unique<StripedThreadPool>(
-        options_.num_threads, options_.queue_shards, options_.max_queue);
+    pool_ = std::make_unique<ThreadPool>(options_.num_threads,
+                                         options_.max_queue);
   }
   if (metrics_ != nullptr) {
     triggered_counter_ = metrics_->GetCounter("compaction.triggered");
+    dropped_counter_ = metrics_->GetCounter("compaction.dropped");
+    rate_limit_evictions_counter_ =
+        metrics_->GetCounter("compaction.rate_limit_evictions");
     full_counter_ = metrics_->GetCounter("compaction.full");
     partial_counter_ = metrics_->GetCounter("compaction.partial");
     micros_histogram_ = metrics_->GetHistogram("compaction.micros");
     if (pool_) {
       queue_depth_histogram_ = metrics_->GetHistogram("compaction.queue_depth");
-      shard_queue_depth_histogram_ =
-          metrics_->GetHistogram("compaction.shard_queue_depth");
     }
   }
 }
 
 CompactionManager::~CompactionManager() {
-  if (pool_) {
-    pool_->Wait();
-    SyncStealMetric();
-  }
+  if (pool_) pool_->Wait();
 }
 
 void CompactionManager::ClearInFlight(ProfileId pid, TriggerShard& shard) {
@@ -54,17 +43,14 @@ void CompactionManager::ClearInFlight(ProfileId pid, TriggerShard& shard) {
 bool CompactionManager::MaybeTrigger(ProfileId pid) {
   if (!enabled_.load(std::memory_order_relaxed)) return false;
   const TimestampMs now = clock_->NowMs();
-  const uint64_t hash = Mix64(pid);
-  TriggerShard& shard = shards_[static_cast<size_t>(hash) &
+  TriggerShard& shard = shards_[static_cast<size_t>(Mix64(pid)) &
                                 (kTriggerShards - 1)];
-  const int64_t interval =
-      controller_->MinIntervalMs(options_.min_interval_ms);
+  const int64_t interval = options_.min_interval_ms;
   size_t cap_evicted = 0;
   {
     // Admission only: dedupe + per-profile rate limit. The dispatch below
-    // (queue-depth probe, controller classify, pool submit) stays outside
-    // the critical section so serving threads contend only on their pid's
-    // shard, and only briefly.
+    // (queue-depth probe, pool submit) stays outside the critical section so
+    // serving threads contend only on their pid's shard, and only briefly.
     std::lock_guard<std::mutex> lock(shard.mu);
     if (shard.in_flight.count(pid) > 0) return false;
     auto it = shard.last_run_ms.find(pid);
@@ -105,48 +91,29 @@ bool CompactionManager::MaybeTrigger(ProfileId pid) {
   if (metrics_ != nullptr) {
     triggered_counter_->Increment();
     if (cap_evicted > 0) {
-      metrics_->GetCounter("compaction.rate_limit_evictions")
-          ->Increment(static_cast<int64_t>(cap_evicted));
+      rate_limit_evictions_counter_->Increment(
+          static_cast<int64_t>(cap_evicted));
     }
   }
 
-  CompactionPressure pressure;
-  pressure.max_queue = options_.max_queue;
-  pressure.partial_threshold = options_.partial_threshold;
-  if (pool_) {
-    pressure.queue_depth = pool_->QueueDepth();
-    pressure.shard_queue_depth =
-        pool_->ShardQueueDepth(static_cast<size_t>(hash));
-    if (metrics_ != nullptr) {
-      queue_depth_histogram_->Record(
-          static_cast<int64_t>(pressure.queue_depth));
-      shard_queue_depth_histogram_->Record(
-          static_cast<int64_t>(pressure.shard_queue_depth));
-    }
+  // Load-adaptive degradation: a full pass while the drain queue is
+  // shallower than partial_threshold, a partial pass beyond it. Never a
+  // skip — the pool's queue bound is the only drop point. Sync mode has no
+  // queue to be behind.
+  const size_t depth = pool_ ? pool_->QueueDepth() : 0;
+  if (queue_depth_histogram_ != nullptr) {
+    queue_depth_histogram_->Record(static_cast<int64_t>(depth));
   }
-
-  const CompactionKind kind = controller_->Classify(pressure);
-  if (kind == CompactionKind::kSkip) {
-    ClearInFlight(pid, shard);
-    if (metrics_ != nullptr) {
-      metrics_->GetCounter("compaction.backoff")->Increment();
-    }
-    return false;
-  }
-  const bool full = kind == CompactionKind::kFull;
+  const bool full = depth < options_.partial_threshold;
 
   if (options_.synchronous) {
     Execute(pid, full);
     return true;
   }
 
-  const bool submitted =
-      pool_->Submit(hash, [this, pid, full] { Execute(pid, full); });
-  if (!submitted) {
+  if (!pool_->Submit([this, pid, full] { Execute(pid, full); })) {
     ClearInFlight(pid, shard);
-    if (metrics_ != nullptr) {
-      metrics_->GetCounter("compaction.dropped")->Increment();
-    }
+    if (metrics_ != nullptr) dropped_counter_->Increment();
     return false;
   }
   return true;
@@ -170,29 +137,12 @@ void CompactionManager::Execute(ProfileId pid, bool full) {
   ClearInFlight(pid, shard);
 }
 
-void CompactionManager::SyncStealMetric() {
-  if (pool_ == nullptr) return;
-  const uint64_t total = pool_->StealCount();
-  const uint64_t prev = steals_reported_.exchange(total);
-  if (metrics_ != nullptr && total > prev) {
-    metrics_->GetCounter("compaction.steals")
-        ->Increment(static_cast<int64_t>(total - prev));
-  }
-}
-
 void CompactionManager::Drain() {
-  if (pool_) {
-    pool_->Wait();
-    SyncStealMetric();
-  }
+  if (pool_) pool_->Wait();
 }
 
 size_t CompactionManager::QueueDepth() const {
   return pool_ ? pool_->QueueDepth() : 0;
-}
-
-uint64_t CompactionManager::StealCount() const {
-  return pool_ ? pool_->StealCount() : 0;
 }
 
 size_t CompactionManager::RateLimitEntriesForTest() const {

@@ -1,12 +1,8 @@
 // Background compaction manager (Section III-D): compaction is triggered by
-// serving traffic but executed asynchronously in a sharded drain pool with
-// capped parallelism, keeping the CPU cost off the main serving path. Jobs
-// are sharded by pid hash onto a striped work queue, so N workers drain N
-// shards concurrently (stealing across shards when theirs run dry) instead
-// of funnelling through one queue mutex. All judgement calls — full vs
-// partial degradation, per-profile rate limiting, queue-pressure backoff —
-// live behind the CompactionController policy interface; the manager is
-// pure mechanism.
+// serving traffic but executed asynchronously in a dedicated pool with
+// capped parallelism, keeping the CPU cost off the main serving path. Under
+// load it degrades from full to partial passes: a trigger that finds the
+// drain queue at or beyond partial_threshold schedules a partial pass.
 #ifndef IPS_COMPACTION_MANAGER_H_
 #define IPS_COMPACTION_MANAGER_H_
 
@@ -15,7 +11,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -23,7 +18,6 @@
 #include "common/metrics.h"
 #include "common/thread_pool.h"
 #include "compaction/compactor.h"
-#include "compaction/controller.h"
 #include "core/types.h"
 
 namespace ips {
@@ -31,24 +25,14 @@ namespace ips {
 struct CompactionManagerOptions {
   /// Worker threads for asynchronous compactions (capped parallelism).
   size_t num_threads = 2;
-  /// Drain-queue shards of the striped pool (rounded up to a power of two
-  /// and to at least num_threads). More shards than workers smooths skew.
-  size_t queue_shards = 16;
-  /// Maximum queued compaction jobs across all shards; beyond this,
-  /// triggers are dropped (the profile will be re-triggered by later
-  /// traffic).
+  /// Maximum queued compaction jobs; beyond this, triggers are dropped (the
+  /// profile will be re-triggered by later traffic).
   size_t max_queue = 1024;
-  /// Minimum interval between two compactions of the same profile. The
-  /// controller may shorten it (see CompactionController::MinIntervalMs).
+  /// Minimum interval between two compactions of the same profile.
   int64_t min_interval_ms = 60'000;
-  /// Queue depth beyond which full compactions degrade to partial ones
-  /// (the paper's load-adaptive full-vs-partial strategy). Interpreted by
-  /// the controller policy.
+  /// Queue depth at which full compactions degrade to partial ones (the
+  /// paper's load-adaptive full-vs-partial strategy).
   size_t partial_threshold = 64;
-  /// Controller policy name ("default", "decay"); see
-  /// MakeCompactionController. An explicit controller passed to the
-  /// constructor wins over this.
-  std::string policy = "default";
   /// When true, compactions run inline in the caller thread — the
   /// non-optimized strategy the paper started from; kept for the ablation
   /// bench.
@@ -59,12 +43,10 @@ class CompactionManager {
  public:
   /// `run_compaction(pid, full)` performs the actual work against the
   /// owning table's cache; the manager only decides *when* and *what kind*.
-  /// Metrics may be null. `controller` overrides options.policy when
-  /// non-null; an unknown options.policy falls back to the default policy.
+  /// Metrics may be null.
   CompactionManager(CompactionManagerOptions options, Clock* clock,
                     std::function<void(ProfileId, bool full)> run_compaction,
-                    MetricsRegistry* metrics = nullptr,
-                    std::unique_ptr<CompactionController> controller = nullptr);
+                    MetricsRegistry* metrics = nullptr);
   ~CompactionManager();
 
   CompactionManager(const CompactionManager&) = delete;
@@ -80,8 +62,6 @@ class CompactionManager {
   /// use this to decide whether MaybeTrigger may open trace spans.
   bool synchronous() const { return options_.synchronous; }
 
-  const CompactionController& controller() const { return *controller_; }
-
   /// Kill switch: while disabled, MaybeTrigger is a no-op. Operators pause
   /// compaction during heavy back-fills and run a sweep afterwards.
   void SetEnabled(bool enabled) {
@@ -91,15 +71,10 @@ class CompactionManager {
     return enabled_.load(std::memory_order_relaxed);
   }
 
-  /// Blocks until queued compactions complete (tests/benches), then settles
-  /// the steal-count metric.
+  /// Blocks until queued compactions complete (tests/benches).
   void Drain();
 
   size_t QueueDepth() const;
-
-  /// Cross-shard steals the drain pool has performed so far (0 in sync
-  /// mode). Deltas surface as the compaction.steals counter on Drain.
-  uint64_t StealCount() const;
 
   /// Total per-profile rate-limit entries across trigger shards; the
   /// bounded-growth regression test asserts this stays capped under a flood
@@ -128,27 +103,24 @@ class CompactionManager {
 
   void Execute(ProfileId pid, bool full);
   void ClearInFlight(ProfileId pid, TriggerShard& shard);
-  /// Folds new pool steals into the compaction.steals counter.
-  void SyncStealMetric();
 
   CompactionManagerOptions options_;
   Clock* clock_;
   std::function<void(ProfileId, bool)> run_compaction_;
   MetricsRegistry* metrics_;
   /// Metrics touched once per trigger or pass, resolved once at
-  /// construction (null without a registry; the queue-depth histograms also
+  /// construction (null without a registry; the queue-depth histogram also
   /// without a pool).
   Counter* triggered_counter_ = nullptr;
+  Counter* dropped_counter_ = nullptr;
+  Counter* rate_limit_evictions_counter_ = nullptr;
   Counter* full_counter_ = nullptr;
   Counter* partial_counter_ = nullptr;
   Histogram* micros_histogram_ = nullptr;
   Histogram* queue_depth_histogram_ = nullptr;
-  Histogram* shard_queue_depth_histogram_ = nullptr;
-  std::unique_ptr<CompactionController> controller_;
-  std::unique_ptr<StripedThreadPool> pool_;
+  std::unique_ptr<ThreadPool> pool_;
 
   std::atomic<bool> enabled_{true};
-  std::atomic<uint64_t> steals_reported_{0};
   std::array<TriggerShard, kTriggerShards> shards_;
 };
 

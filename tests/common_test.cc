@@ -1,6 +1,9 @@
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <mutex>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -250,128 +253,115 @@ TEST(TokenBucketTest, WeightedCosts) {
   EXPECT_TRUE(bucket.TryAcquire(2.0));
 }
 
-// -------------------------------------------------- StripedThreadPool ---
+// ---------------------------------------------------------- ThreadPool ---
 
-TEST(StripedThreadPoolTest, RunsAllTasksAcrossShards) {
-  StripedThreadPool pool(4, /*num_shards=*/16);
+TEST(ThreadPoolTest, RunsAllTasks) {
+  ThreadPool pool(4);
   std::atomic<int> counter{0};
-  for (uint64_t i = 0; i < 200; ++i) {
-    ASSERT_TRUE(pool.Submit(i, [&counter] { counter.fetch_add(1); }));
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_TRUE(pool.Submit([&counter] { counter.fetch_add(1); }));
   }
   pool.Wait();
   EXPECT_EQ(counter.load(), 200);
   EXPECT_EQ(pool.QueueDepth(), 0u);
 }
 
-TEST(StripedThreadPoolTest, LoneTaskOnAnyShardDrainsOnItsOwnWake) {
-  // Regression: the steal scan used stride num_workers, so with 4 workers
-  // and 16 shards each worker could reach only 8 of the 16 shards. A lone
-  // task on a shard outside the woken worker's reachable set made that
-  // worker busy-spin (queued_ > 0, PopTask always failing) while the task
-  // starved and Wait() hung. One task per shard with a Wait() between
-  // submissions forces every shard to drain off a single wake-up.
-  StripedThreadPool pool(4, /*num_shards=*/16);
+TEST(ThreadPoolTest, LoneTaskAfterEachWaitDrainsOnItsOwnWake) {
+  // Each task is the only one in the pool, so nothing but its own Submit
+  // can wake a worker for it; a lost wake-up hangs Wait().
+  ThreadPool pool(4);
   std::atomic<int> counter{0};
-  for (uint64_t shard = 0; shard < 16; ++shard) {
-    ASSERT_TRUE(pool.Submit(shard, [&counter] { counter.fetch_add(1); }));
+  for (int i = 0; i < 16; ++i) {
+    ASSERT_TRUE(pool.Submit([&counter] { counter.fetch_add(1); }));
     pool.Wait();
+    EXPECT_EQ(counter.load(), i + 1);
   }
-  EXPECT_EQ(counter.load(), 16);
 }
 
-TEST(StripedThreadPoolTest, SameShardHintKeepsFifoOrder) {
-  // One worker, all tasks on one shard: execution must follow submit order.
-  StripedThreadPool pool(1, /*num_shards=*/4);
+TEST(ThreadPoolTest, SingleWorkerRunsInFifoOrder) {
+  ThreadPool pool(1);
   std::mutex mu;
   std::vector<int> order;
-  std::atomic<bool> release{false};
-  ASSERT_TRUE(pool.Submit(7, [&release] {
-    while (!release.load()) std::this_thread::yield();
-  }));
-  for (int i = 0; i < 32; ++i) {
-    ASSERT_TRUE(pool.Submit(7, [&mu, &order, i] {
+  for (int i = 0; i < 64; ++i) {
+    ASSERT_TRUE(pool.Submit([&mu, &order, i] {
       std::lock_guard<std::mutex> lock(mu);
       order.push_back(i);
     }));
   }
-  release.store(true);
   pool.Wait();
-  ASSERT_EQ(order.size(), 32u);
+  ASSERT_EQ(order.size(), 64u);
   EXPECT_TRUE(std::is_sorted(order.begin(), order.end()));
 }
 
-TEST(StripedThreadPoolTest, RejectsWhenTotalQueueFull) {
-  StripedThreadPool pool(1, /*num_shards=*/2, /*max_queue=*/2);
+TEST(ThreadPoolTest, QueueBoundIsExact) {
+  constexpr size_t kMaxQueue = 3;
+  ThreadPool pool(1, kMaxQueue);
+  std::atomic<bool> started{false};
   std::atomic<bool> release{false};
-  ASSERT_TRUE(pool.Submit(0, [&release] {
+  ASSERT_TRUE(pool.Submit([&started, &release] {
+    started.store(true);
     while (!release.load()) std::this_thread::yield();
   }));
-  int accepted = 0;
-  for (uint64_t i = 0; i < 10; ++i) {
-    if (pool.Submit(i, [] {})) ++accepted;
+  // Once the blocker is popped the queue is empty and the only worker is
+  // busy, so exactly kMaxQueue more submissions fit.
+  while (!started.load()) std::this_thread::yield();
+  std::atomic<int> ran{0};
+  for (size_t i = 0; i < kMaxQueue; ++i) {
+    EXPECT_TRUE(pool.Submit([&ran] { ran.fetch_add(1); }));
   }
-  EXPECT_LE(accepted, 2);
+  EXPECT_EQ(pool.QueueDepth(), kMaxQueue);
+  EXPECT_FALSE(pool.Submit([&ran] { ran.fetch_add(1); }));
   release.store(true);
   pool.Wait();
+  EXPECT_EQ(ran.load(), static_cast<int>(kMaxQueue));
 }
 
-TEST(StripedThreadPoolTest, WorkersStealFromForeignShards) {
-  // Two workers; every task lands on one shard, so only one worker owns it
-  // as home stripe. The first task parks its worker until a SECOND task is
-  // also running — which the other worker can only reach by stealing from
-  // the foreign shard. Forces (and counts) a steal even on one core, where
-  // a free-running home worker would otherwise drain the queue alone.
-  StripedThreadPool pool(2, /*num_shards=*/2);
-  std::atomic<int> counter{0};
-  std::atomic<int> entered{0};
-  for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(pool.Submit(0, [&counter, &entered] {
-      entered.fetch_add(1);
-      while (entered.load() < 2) std::this_thread::yield();
-      counter.fetch_add(1);
+TEST(ThreadPoolTest, DestructorRunsEveryAcceptedTask) {
+  std::atomic<int> ran{0};
+  {
+    ThreadPool pool(1);
+    // The blocker keeps the rest queued while the destructor starts.
+    ASSERT_TRUE(pool.Submit([] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
     }));
+    for (int i = 0; i < 100; ++i) {
+      ASSERT_TRUE(pool.Submit([&ran] { ran.fetch_add(1); }));
+    }
   }
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 8);
-  EXPECT_GT(pool.StealCount(), 0u);
+  EXPECT_EQ(ran.load(), 100);
 }
 
-TEST(StripedThreadPoolTest, SingleWorkerNeverSteals) {
-  // With one worker every shard is its home stripe, so "steal" must stay 0
-  // regardless of how many shards the work spreads over — the structural
-  // property the ablation bench's serial row relies on.
-  StripedThreadPool pool(1, /*num_shards=*/8);
-  std::atomic<int> counter{0};
-  for (uint64_t i = 0; i < 100; ++i) {
-    ASSERT_TRUE(pool.Submit(i * 2654435761u,
-                            [&counter] { counter.fetch_add(1); }));
+TEST(ThreadPoolTest, SubmitRacingDestructorRunsEachAcceptedTaskOnce) {
+  // Tasks still running while the destructor drains submit follow-ups. Each
+  // follow-up is either accepted and run exactly once, or rejected and never
+  // run.
+  constexpr int kParents = 256;
+  std::vector<std::atomic<int>> runs(2 * kParents);
+  std::vector<std::atomic<bool>> accepted(2 * kParents);
+  {
+    ThreadPool pool(4);
+    for (int i = 0; i < kParents; ++i) {
+      ASSERT_TRUE(pool.Submit([&pool, &runs, &accepted, i] {
+        runs[i].fetch_add(1);
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
+        const int child = kParents + i;
+        accepted[child].store(
+            pool.Submit([&runs, child] { runs[child].fetch_add(1); }));
+      }));
+    }
   }
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 100);
-  EXPECT_EQ(pool.StealCount(), 0u);
+  for (int i = 0; i < kParents; ++i) {
+    EXPECT_EQ(runs[i].load(), 1) << "parent " << i;
+    const int child = kParents + i;
+    EXPECT_EQ(runs[child].load(), accepted[child].load() ? 1 : 0)
+        << "child " << child;
+  }
 }
 
-TEST(StripedThreadPoolTest, ShardQueueDepthTracksBacklog) {
-  StripedThreadPool pool(1, /*num_shards=*/4);
-  std::atomic<bool> release{false};
-  ASSERT_TRUE(pool.Submit(0, [&release] {
-    while (!release.load()) std::this_thread::yield();
-  }));
-  // Park three more tasks behind the blocker on shard 1's queue.
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(pool.Submit(1, [] {}));
-  }
-  EXPECT_GE(pool.ShardQueueDepth(1), 3u);
-  EXPECT_GE(pool.QueueDepth(), 3u);
-  release.store(true);
+TEST(ThreadPoolTest, WaitWithNoTasksReturnsImmediately) {
+  ThreadPool pool(3);
+  EXPECT_EQ(pool.num_threads(), 3u);
   pool.Wait();
-  EXPECT_EQ(pool.ShardQueueDepth(1), 0u);
-}
-
-TEST(StripedThreadPoolTest, WaitWithNoTasksReturnsImmediately) {
-  StripedThreadPool pool(3, /*num_shards=*/8);
-  pool.Wait();
-  SUCCEED();
 }
 
 // ------------------------------------------------------- ZipfGenerator ---

@@ -3,7 +3,8 @@
 
 #include <atomic>
 #include <chrono>
-#include <memory>
+#include <map>
+#include <mutex>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -13,7 +14,6 @@
 #include "common/clock.h"
 #include "common/metrics.h"
 #include "common/random.h"
-#include "compaction/controller.h"
 #include "query/query.h"
 
 namespace ips {
@@ -432,114 +432,55 @@ TEST(CompactionManagerTest, DedupesInFlightProfile) {
   EXPECT_EQ(runs.load(), 1);
 }
 
-// -------------------------------------------------- CompactionController ---
-
-TEST(CompactionControllerTest, DefaultMatchesLegacyFullVsPartial) {
-  // The pre-refactor manager ran a full pass iff the drain queue was
-  // shallower than partial_threshold, degraded to partial beyond it, and
-  // never skipped (the pool's queue bound was the only drop point). The
-  // default policy must reproduce that decision table verbatim.
-  DefaultCompactionController policy;
-  CompactionPressure p;
-  p.partial_threshold = 64;
-  p.max_queue = 128;
-  p.queue_depth = 0;
-  EXPECT_EQ(policy.Classify(p), CompactionKind::kFull);
-  p.queue_depth = 63;
-  EXPECT_EQ(policy.Classify(p), CompactionKind::kFull);
-  p.queue_depth = 64;
-  EXPECT_EQ(policy.Classify(p), CompactionKind::kPartial);
-  p.queue_depth = 128;  // saturated: still partial, never a skip
-  EXPECT_EQ(policy.Classify(p), CompactionKind::kPartial);
-  EXPECT_EQ(policy.MinIntervalMs(60'000), 60'000);
-}
-
-TEST(CompactionControllerTest, DecayBacksOffNearSaturationAndHalvesInterval) {
-  DecayBiasedCompactionController policy;
-  CompactionPressure p;
-  p.partial_threshold = 64;
-  p.max_queue = 1024;
-  p.queue_depth = 0;
-  EXPECT_EQ(policy.Classify(p), CompactionKind::kFull);
-  // Degrades to cheap partial passes at half the default pressure.
-  p.queue_depth = 32;
-  EXPECT_EQ(policy.Classify(p), CompactionKind::kPartial);
-  // A deep per-shard backlog alone is enough to degrade.
-  p.queue_depth = 0;
-  p.shard_queue_depth = 3;
-  EXPECT_EQ(policy.Classify(p), CompactionKind::kPartial);
-  // Near saturation (>= 7/8 of max_queue) it backs off entirely.
-  p.shard_queue_depth = 0;
-  p.queue_depth = 1024 - 1024 / 8;
-  EXPECT_EQ(policy.Classify(p), CompactionKind::kSkip);
-  // Compacts twice as often: the configured interval is halved.
-  EXPECT_EQ(policy.MinIntervalMs(60'000), 30'000);
-  EXPECT_EQ(policy.MinIntervalMs(1), 1);
-}
-
-TEST(CompactionControllerTest, FactoryResolvesNamesAndRejectsUnknown) {
-  auto dflt = MakeCompactionController("default");
-  ASSERT_NE(dflt, nullptr);
-  EXPECT_STREQ(dflt->name(), "default");
-  auto empty = MakeCompactionController("");
-  ASSERT_NE(empty, nullptr);
-  EXPECT_STREQ(empty->name(), "default");
-  auto decay = MakeCompactionController("decay");
-  ASSERT_NE(decay, nullptr);
-  EXPECT_STREQ(decay->name(), "decay");
-  EXPECT_EQ(MakeCompactionController("no-such-policy"), nullptr);
-}
-
-TEST(CompactionManagerTest, PolicySwapPreservesDefaultBehavior) {
-  // An explicitly injected DefaultCompactionController, the "default"
-  // policy-name path, and an unknown name (which falls back to default
-  // fail-safe) must all produce the identical run sequence over the same
-  // trigger schedule — pinning the refactor against the legacy manager.
-  auto run_schedule = [](CompactionManager& manager, ManualClock& clock) {
-    std::vector<bool> outcomes;
-    for (ProfileId pid = 1; pid <= 8; ++pid) {
-      outcomes.push_back(manager.MaybeTrigger(pid));
-      outcomes.push_back(manager.MaybeTrigger(pid));  // rate-limited
-    }
-    clock.AdvanceMs(2000);
-    for (ProfileId pid = 1; pid <= 8; ++pid) {
-      outcomes.push_back(manager.MaybeTrigger(pid));
-    }
-    return outcomes;
-  };
+TEST(CompactionManagerTest, FullBelowPartialThresholdPartialBeyondNeverSkips) {
+  // The one rule: a full pass while the drain queue is shallower than
+  // partial_threshold, a partial pass at or beyond it, never a skip. The
+  // pool's exact queue bound is the only drop point. A blocked single worker
+  // makes the depth each trigger sees deterministic: pid p (p >= 2) sees
+  // p - 2 queued jobs.
+  ManualClock clock(0);
+  MetricsRegistry metrics;
   CompactionManagerOptions options;
-  options.synchronous = true;
-  options.min_interval_ms = 1000;
+  options.num_threads = 1;
+  options.min_interval_ms = 0;
+  options.partial_threshold = 4;
+  options.max_queue = 8;
+  std::atomic<bool> started{false};
+  std::atomic<bool> block{true};
+  std::mutex mu;
+  std::map<ProfileId, bool> full_by_pid;
+  CompactionManager manager(
+      options, &clock,
+      [&](ProfileId pid, bool full) {
+        started.store(true);
+        while (block.load()) std::this_thread::yield();
+        std::lock_guard<std::mutex> lock(mu);
+        full_by_pid[pid] = full;
+      },
+      &metrics);
+  ASSERT_TRUE(manager.MaybeTrigger(1));
+  while (!started.load()) std::this_thread::yield();
+  for (ProfileId pid = 2; pid <= 9; ++pid) {
+    EXPECT_TRUE(manager.MaybeTrigger(pid)) << "pid " << pid;
+  }
+  EXPECT_EQ(manager.QueueDepth(), 8u);
+  EXPECT_FALSE(manager.MaybeTrigger(10));  // queue full: dropped
+  block.store(false);
+  manager.Drain();
 
-  std::vector<std::pair<ProfileId, bool>> runs_injected;
-  ManualClock clock_a(0);
-  CompactionManager with_injected(
-      options, &clock_a,
-      [&](ProfileId pid, bool full) { runs_injected.emplace_back(pid, full); },
-      nullptr, std::make_unique<DefaultCompactionController>());
-  const auto outcomes_injected = run_schedule(with_injected, clock_a);
-
-  std::vector<std::pair<ProfileId, bool>> runs_named;
-  ManualClock clock_b(0);
-  CompactionManager with_named(
-      options, &clock_b,
-      [&](ProfileId pid, bool full) { runs_named.emplace_back(pid, full); });
-  const auto outcomes_named = run_schedule(with_named, clock_b);
-
-  CompactionManagerOptions bad = options;
-  bad.policy = "typo-policy";
-  std::vector<std::pair<ProfileId, bool>> runs_fallback;
-  ManualClock clock_c(0);
-  CompactionManager with_fallback(
-      bad, &clock_c,
-      [&](ProfileId pid, bool full) { runs_fallback.emplace_back(pid, full); });
-  const auto outcomes_fallback = run_schedule(with_fallback, clock_c);
-
-  EXPECT_EQ(outcomes_injected, outcomes_named);
-  EXPECT_EQ(runs_injected, runs_named);
-  EXPECT_EQ(outcomes_injected, outcomes_fallback);
-  EXPECT_EQ(runs_injected, runs_fallback);
-  EXPECT_STREQ(with_fallback.controller().name(), "default");
+  std::map<ProfileId, bool> expected;
+  for (ProfileId pid = 1; pid <= 9; ++pid) {
+    const size_t depth = pid == 1 ? 0 : pid - 2;
+    expected[pid] = depth < options.partial_threshold;
+  }
+  EXPECT_EQ(full_by_pid, expected);
+  EXPECT_EQ(metrics.GetCounter("compaction.full")->Value(), 5);
+  EXPECT_EQ(metrics.GetCounter("compaction.partial")->Value(), 4);
+  EXPECT_EQ(metrics.GetCounter("compaction.dropped")->Value(), 1);
+  EXPECT_EQ(metrics.GetCounter("compaction.triggered")->Value(), 10);
+  // A dropped profile is not left in flight: it re-triggers after drain.
+  EXPECT_TRUE(manager.MaybeTrigger(10));
+  manager.Drain();
 }
 
 TEST(CompactionManagerTest, QueuePressureDegradesToPartial) {
@@ -567,42 +508,6 @@ TEST(CompactionManagerTest, QueuePressureDegradesToPartial) {
   EXPECT_GE(partial_runs.load(), 1);
 }
 
-TEST(CompactionManagerTest, DecayPolicySkipsNearSaturation) {
-  ManualClock clock(0);
-  MetricsRegistry metrics;
-  CompactionManagerOptions options;
-  options.num_threads = 1;
-  options.min_interval_ms = 0;
-  options.max_queue = 8;
-  options.policy = "decay";
-  std::atomic<bool> block{true};
-  std::atomic<int> runs{0};
-  CompactionManager manager(
-      options, &clock,
-      [&](ProfileId, bool) {
-        while (block.load()) std::this_thread::yield();
-        runs.fetch_add(1);
-      },
-      &metrics);
-  EXPECT_STREQ(manager.controller().name(), "decay");
-  // Occupy the worker, then pile distinct pids until the decay policy's
-  // near-saturation backoff (>= 7/8 of max_queue) starts refusing triggers.
-  ASSERT_TRUE(manager.MaybeTrigger(1));
-  ProfileId pid = 2;
-  int refused = 0;
-  for (; pid <= 64 && refused == 0; ++pid) {
-    if (!manager.MaybeTrigger(pid)) ++refused;
-  }
-  EXPECT_GT(refused, 0);
-  EXPECT_GT(metrics.GetCounter("compaction.backoff")->Value(), 0);
-  // A backed-off profile is not in flight: it can re-trigger after drain.
-  block.store(false);
-  manager.Drain();
-  const ProfileId refused_pid = pid - 1;
-  EXPECT_TRUE(manager.MaybeTrigger(refused_pid));
-  manager.Drain();
-}
-
 TEST(CompactionManagerTest, TriggerMapStaysBoundedUnderDistinctPidFlood) {
   // Regression: last_run_ms used to grow one entry per distinct pid forever.
   // A flood of fresh pids must leave the per-profile rate-limit state capped
@@ -623,14 +528,13 @@ TEST(CompactionManagerTest, TriggerMapStaysBoundedUnderDistinctPidFlood) {
 
 TEST(CompactionManagerTest, MultiShardStormIsThreadSafe) {
   // TSan target: concurrent MaybeTrigger floods from many threads, racing
-  // Drain calls and SetEnabled flips over the striped drain pool. Asserts
+  // Drain calls and SetEnabled flips over the drain pool. Asserts
   // only liveness and that nothing runs while disabled-and-drained; the
   // sanitizer asserts the absence of races.
   ManualClock clock(0);
   MetricsRegistry metrics;
   CompactionManagerOptions options;
   options.num_threads = 3;
-  options.queue_shards = 8;
   options.min_interval_ms = 0;
   options.max_queue = 256;
   std::atomic<int> runs{0};

@@ -630,7 +630,6 @@ TEST(GCacheTest, FlushPassStopsAtFailureCapAndRequeuesRemainder) {
   MetricsRegistry metrics;
   GCacheOptions options = ManualOptions();
   options.dirty_shards = 1;
-  options.flush_threads = 1;
   options.max_flush_failures_per_pass = 3;
   // One entry per write-back step, so the cap is counted per flush attempt
   // (BatchedFlushOutageBoundsFailuresAndRequeues covers larger groups).
@@ -1128,17 +1127,6 @@ TEST(GCacheTest, SinglePointSuccessDoesNotClearStoreHealth) {
   store.SetFailFlushes(false);
   EXPECT_EQ(cache.FlushOnce(), 1u);
   EXPECT_FALSE(cache.StoreUnhealthy());
-}
-
-TEST(GCacheTest, FlushThreadsRoundedToShardMultiple) {
-  FakeStore store;
-  GCacheOptions options = ManualOptions();
-  options.dirty_shards = 4;
-  options.flush_threads = 5;  // not a multiple; must round up to 8
-  GCache cache(options, SystemClock::Instance(), store.Loader(),
-               store.Storer());
-  EXPECT_EQ(cache.options().flush_threads % cache.options().dirty_shards, 0u);
-  EXPECT_GE(cache.options().flush_threads, 5u);
 }
 
 // ------------------------------------------- WithProfileOffLockMutate ---
