@@ -133,7 +133,6 @@ void PreloadKv(Deployment& deployment, WorkloadGenerator& workload,
   IpsInstanceOptions loader_options;
   loader_options.isolation_enabled = false;
   loader_options.start_background_threads = false;
-  loader_options.cache.start_background_threads = false;
   // Write through kv().master() (the replication wrapper), not the raw
   // store: only wrapped writes are journaled for slave catch-up.
   IpsInstance loader(loader_options, deployment.kv().master(),
@@ -161,7 +160,6 @@ RunResult RunOnce(const Schedule& schedule, bool policy_on) {
                      {"hl", 2, /*is_primary=*/false}};
   options.instance.isolation_enabled = false;
   options.instance.start_background_threads = false;
-  options.instance.cache.start_background_threads = false;
   options.channel = bench::FastChannel();
   options.kv.store_options = bench::FastKv();
   options.kv.replication_lag_ms = 100;

@@ -43,7 +43,6 @@ void Run() {
   IpsInstanceOptions ips_options;
   ips_options.isolation_enabled = true;
   ips_options.start_background_threads = false;
-  ips_options.cache.start_background_threads = false;
   ips_options.compaction.synchronous = true;
   IpsInstance ips(ips_options, &ips_kv, &clock);
   TableSchema schema = DefaultTableSchema("profiles");

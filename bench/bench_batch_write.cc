@@ -71,7 +71,6 @@ IpsInstanceOptions FlushInstanceOptions(size_t flush_batch_max) {
   IpsInstanceOptions options;
   options.isolation_enabled = false;
   options.start_background_threads = false;
-  options.cache.start_background_threads = false;
   options.compaction.synchronous = true;
   // One dirty shard so the flush-group cap alone decides how many MultiSet
   // round trips a FlushAll pays.

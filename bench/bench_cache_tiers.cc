@@ -4,14 +4,14 @@
 // YCSB's default skew).
 //
 // Eight request threads issue single-profile queries against an instance
-// whose L1 (GCache) is deliberately tiny, with the background swap thread
-// running, so the working set churns through eviction continuously. Without
-// the tier every L1 miss pays the calibrated KV round trip. With it, evicted
-// profiles are demoted as encoded bytes and a later miss promotes them back
-// for the price of a decode — the KV round trip disappears from the steady
-// state. The measured series is storage READ round trips per query
+// whose L1 (GCache) is deliberately tiny, with the instance's maintenance
+// loop swapping, so the working set churns through eviction continuously.
+// Without the tier every L1 miss pays the calibrated KV round trip. With it,
+// evicted profiles are demoted as encoded bytes and a later miss promotes
+// them back for the price of a decode — the KV round trip disappears from
+// the steady state. The measured series is storage READ round trips per query
 // (PointReadCalls + MultiGetCalls deltas over the measured phase; a warmup
-// phase first faults the working set in and lets the swap thread demote it,
+// phase first faults the working set in and lets the loop's swap demote it,
 // so first-touch loads don't pollute the comparison).
 //
 // `--smoke` runs only s=0.99 and exits nonzero unless the tier cuts KV read
@@ -69,13 +69,10 @@ QuerySpec BenchSpec() {
 
 IpsInstanceOptions BenchInstanceOptions(bool l2_on) {
   IpsInstanceOptions options;
-  options.start_background_threads = false;
+  // The maintenance loop runs (the default) and swaps: eviction churn is the
+  // regime where the tier earns its keep (demotions are what fill it).
+  // Isolation is off, so the loop never merges.
   options.isolation_enabled = false;
-  // The swap thread runs: eviction churn is the regime where the tier earns
-  // its keep (demotions are what fill it).
-  options.cache.start_background_threads = true;
-  options.cache.swap_interval_ms = 2;
-  options.cache.flush_interval_ms = 50;
   options.cache.write_granularity_ms = kMinute;
   // Tiny L1: the Zipf head cannot stay resident, so profiles keep cycling
   // through eviction and re-load.
@@ -94,7 +91,7 @@ void SeedStore(MemKvStore& kv) {
   ManualClock clock(500 * kDay);
   MemKvStore fast_kv(bench::FastKv());
   IpsInstanceOptions options = BenchInstanceOptions(/*l2_on=*/false);
-  options.cache.start_background_threads = false;
+  options.start_background_threads = false;
   options.cache.memory_limit_bytes = 64 << 20;  // seeding wants a real cache
   IpsInstance preload(options, &fast_kv, &clock);
   preload.CreateTable(DefaultTableSchema(kTable)).ok();
@@ -126,8 +123,8 @@ RunResult RunConfig(MemKvStore& kv, double theta, bool l2_on,
 
   // Warmup: fault the whole working set in twice. Two sweeps, not one, so
   // every pid clears the admission sketch's frequency floor by the time the
-  // swap thread demotes it; then give the swap thread a beat to churn the
-  // L1 back under its watermark (tier on: the sweep ends up demoted to L2).
+  // maintenance loop demotes it; then give the loop a beat to churn the L1
+  // back under its watermark (tier on: the sweep ends up demoted to L2).
   for (int sweep = 0; sweep < 2; ++sweep) {
     for (uint64_t rank = 0; rank < kNumUsers; ++rank) {
       instance.Query("warmup", kTable, ScrambleId(rank), spec).ok();

@@ -105,7 +105,6 @@ std::unique_ptr<IpsInstance> MakeInstance(MemKvStore& kv, size_t workers,
   // Everything stays resident: the storm must measure compaction drain, not
   // eviction or KV traffic.
   options.cache.memory_limit_bytes = 512 << 20;
-  options.cache.start_background_threads = false;
   options.compaction.synchronous = synchronous;
   options.compaction.num_threads = workers;
   options.compaction.max_queue = max_queue;

@@ -86,12 +86,12 @@ std::unique_ptr<IpsInstance> MakeInstance(MemKvStore& kv, bool controller_on,
                                           int64_t service_us) {
   IpsInstanceOptions options;
   options.isolation_enabled = false;
-  options.start_background_threads = false;
   options.enable_load_broker = false;
   // Small enough that the Zipf hot set does NOT fit: most reads pay the
   // calibrated KV miss, so serving a doomed request burns real capacity
   // (with a hit-dominated cache the service time is so small that shedding
-  // has nothing to save).
+  // has nothing to save). The maintenance loop (on by default) keeps
+  // evicting; isolation is off, so it never merges.
   options.cache.memory_limit_bytes = 32 << 10;
   options.compaction.num_threads = 1;
   options.overload.enabled = controller_on;

@@ -68,11 +68,13 @@ run_suite() {
     # Submit racing the destructor), the drain-concurrency storm (concurrent
     # MaybeTrigger + Drain + SetEnabled flips over the pool), the
     # coalescer's group-commit storms (attach, claim, piggyback, requeue and
-    # detach from many threads) and GCache's write-back step (flush,
+    # detach from many threads), GCache's write-back step (flush,
     # eviction and Invalidate racing writers and each other, with the L2
-    # demotions) and the client's fan-out (callers reclaiming sub-calls from
+    # demotions), the client's fan-out (callers reclaiming sub-calls from
     # the shared pool, the client destroyed right after a storm, spans from
-    # both threads) are the tests TSan exists for; ctest runs them with the
+    # both threads) and the instance's maintenance loop (swap, flush and
+    # merge racing CreateTable, serving writes, SetIsolationEnabled and the
+    # destructor) are the tests TSan exists for; ctest runs them with the
     # rest of the suite, but explicit passes keep the race gates visible in
     # the tier-1 log.
     echo "=== tier1: TSan thread pool (common_test) ==="
@@ -85,6 +87,8 @@ run_suite() {
     (cd "${build_dir}" && ctest --output-on-failure -R 'gcache_test|victim_cache_test')
     echo "=== tier1: TSan client fan-out (cluster_test, trace_test) ==="
     (cd "${build_dir}" && ctest --output-on-failure -R 'cluster_test|trace_test')
+    echo "=== tier1: TSan maintenance loop (ips_instance_test) ==="
+    (cd "${build_dir}" && ctest --output-on-failure -R ips_instance_test)
   fi
 }
 

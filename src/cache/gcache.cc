@@ -26,13 +26,19 @@ GCache::GCache(GCacheOptions options, Clock* clock, LoadFn load, StoreFn store,
     : options_(options),
       clock_(clock),
       load_(std::move(load)),
-      store_(std::move(store)),
-      metrics_(metrics) {
-  if (metrics_ != nullptr) {
-    hit_counter_ = metrics_->GetCounter("cache.hit");
-    miss_counter_ = metrics_->GetCounter("cache.miss");
-    batch_loads_counter_ = metrics_->GetCounter("cache.batch_loads");
-  }
+      store_(std::move(store)) {
+  if (metrics == nullptr) metrics = &owned_metrics_;
+  hit_counter_ = metrics->GetCounter("cache.hit");
+  miss_counter_ = metrics->GetCounter("cache.miss");
+  batch_loads_counter_ = metrics->GetCounter("cache.batch_loads");
+  flushed_counter_ = metrics->GetCounter("cache.flushed");
+  flush_failures_counter_ = metrics->GetCounter("cache.flush_failures");
+  batch_flushes_counter_ = metrics->GetCounter("cache.batch_flushes");
+  evicted_counter_ = metrics->GetCounter("cache.evicted");
+  demoted_counter_ = metrics->GetCounter("cache.demoted");
+  l2_decode_failures_counter_ =
+      metrics->GetCounter("cache_l2.decode_failures");
+  overlap_stalls_counter_ = metrics->GetCounter("compaction.overlap_stalls");
   options_.lru_shards = RoundUpPow2(options_.lru_shards);
   options_.dirty_shards = RoundUpPow2(options_.dirty_shards);
   for (size_t i = 0; i < options_.lru_shards; ++i) {
@@ -41,21 +47,9 @@ GCache::GCache(GCacheOptions options, Clock* clock, LoadFn load, StoreFn store,
   for (size_t i = 0; i < options_.dirty_shards; ++i) {
     dirty_shards_.push_back(std::make_unique<DirtyShard>());
   }
-  if (options_.start_background_threads) {
-    // One swap thread, and one flush thread per dirty shard: a second
-    // flusher on a shard would only race the first for an empty list.
-    background_threads_.emplace_back([this] { SwapLoop(); });
-    for (auto& shard : dirty_shards_) {
-      background_threads_.emplace_back(
-          [this, s = shard.get()] { FlushLoop(*s); });
-    }
-  }
 }
 
 GCache::~GCache() {
-  shutdown_.store(true, std::memory_order_relaxed);
-  bg_cv_.notify_all();
-  for (auto& t : background_threads_) t.join();
   // Final write-back so no acknowledged update is lost on clean shutdown.
   FlushAll();
 }
@@ -87,7 +81,7 @@ Result<std::pair<GCache::EntryPtr, bool>> GCache::GetOrLoad(
     if (it != shard.map.end()) {
       TouchLru(shard, it->second);
       hits_.fetch_add(1, std::memory_order_relaxed);
-      if (hit_counter_ != nullptr) hit_counter_->Increment();
+      hit_counter_->Increment();
       return std::make_pair(it->second.entry, true);
     }
   }
@@ -96,7 +90,7 @@ Result<std::pair<GCache::EntryPtr, bool>> GCache::GetOrLoad(
   // outside the shard lock — loads can take milliseconds and must not block
   // unrelated traffic on this shard.
   misses_.fetch_add(1, std::memory_order_relaxed);
-  if (miss_counter_ != nullptr) miss_counter_->Increment();
+  miss_counter_->Increment();
   std::vector<bool> degraded;
   std::vector<Result<ProfileData>> loaded = LoadMisses(
       {pid}, &degraded, std::numeric_limits<TimestampMs>::max());
@@ -145,9 +139,7 @@ bool GCache::TryPromoteFromL2(ProfileId pid, ProfileData* out,
   if (!decoded.ok()) {
     // Corrupt demoted bytes: Take already removed them, so the tier cannot
     // serve them again; the miss falls through to the authoritative store.
-    if (metrics_ != nullptr) {
-      metrics_->GetCounter("cache_l2.decode_failures")->Increment();
-    }
+    l2_decode_failures_counter_->Increment();
     return false;
   }
   *out_degraded = degraded;
@@ -289,12 +281,10 @@ size_t GCache::WithProfiles(
     hits_.fetch_add(static_cast<int64_t>(hits), std::memory_order_relaxed);
     misses_.fetch_add(static_cast<int64_t>(miss_pids.size()),
                       std::memory_order_relaxed);
-    if (metrics_ != nullptr) {
-      if (hits > 0) hit_counter_->Increment(static_cast<int64_t>(hits));
-      if (!miss_pids.empty()) {
-        miss_counter_->Increment(static_cast<int64_t>(miss_pids.size()));
-        batch_loads_counter_->Increment();
-      }
+    if (hits > 0) hit_counter_->Increment(static_cast<int64_t>(hits));
+    if (!miss_pids.empty()) {
+      miss_counter_->Increment(static_cast<int64_t>(miss_pids.size()));
+      batch_loads_counter_->Increment();
     }
   }
 
@@ -505,9 +495,7 @@ Status GCache::WithProfileOffLockMutate(
         // A write (or an eviction) landed during the unlocked pass.
         // Committing the stale snapshot would silently drop that write, so
         // throw this pass away and redo it from the current state.
-        if (metrics_ != nullptr) {
-          metrics_->GetCounter("compaction.overlap_stalls")->Increment();
-        }
+        overlap_stalls_counter_->Increment();
         continue;
       }
       current.profile = std::move(snap.profile);
@@ -568,15 +556,10 @@ std::vector<Status> GCache::StoreSnapshots(std::span<const Snapshot> snapshots,
   NoteStoreHealth(any_unavailable ? Status::Unavailable("write-back")
                                   : Status::OK(),
                   source);
-  if (metrics_ != nullptr) {
-    if (stored > 0) {
-      metrics_->GetCounter("cache.flushed")
-          ->Increment(static_cast<int64_t>(stored));
-    }
-    if (stored < statuses.size()) {
-      metrics_->GetCounter("cache.flush_failures")
-          ->Increment(static_cast<int64_t>(statuses.size() - stored));
-    }
+  if (stored > 0) flushed_counter_->Increment(static_cast<int64_t>(stored));
+  if (stored < statuses.size()) {
+    flush_failures_counter_->Increment(
+        static_cast<int64_t>(statuses.size() - stored));
   }
   return statuses;
 }
@@ -691,15 +674,8 @@ size_t GCache::EvictFromShard(LruShard& shard, size_t target_bytes) {
     memory_bytes_.fetch_sub(bytes, std::memory_order_relaxed);
     ++evicted;
   }
-  if (metrics_ != nullptr) {
-    if (evicted > 0) {
-      metrics_->GetCounter("cache.evicted")->Increment(evicted);
-    }
-    if (demoted > 0) {
-      metrics_->GetCounter("cache.demoted")
-          ->Increment(static_cast<int64_t>(demoted));
-    }
-  }
+  if (evicted > 0) evicted_counter_->Increment(static_cast<int64_t>(evicted));
+  if (demoted > 0) demoted_counter_->Increment(static_cast<int64_t>(demoted));
   return evicted;
 }
 
@@ -733,7 +709,7 @@ size_t GCache::SwapOnce() {
   return evicted;
 }
 
-size_t GCache::FlushShard(DirtyShard& dshard, size_t* out_failures) {
+size_t GCache::FlushShard(DirtyShard& dshard, bool* clean) {
   // Grab the current batch; new dirties accumulate behind it.
   std::list<ProfileId> batch;
   {
@@ -751,6 +727,7 @@ size_t GCache::FlushShard(DirtyShard& dshard, size_t* out_failures) {
       // remainder rather than grinding through the whole dirty list (the
       // caller backs off between passes).
       requeue.insert(requeue.end(), it, batch.end());
+      *clean = false;
       break;
     }
 
@@ -780,9 +757,7 @@ size_t GCache::FlushShard(DirtyShard& dshard, size_t* out_failures) {
     // One storage round trip per group, outside every entry lock.
     const std::vector<Status> statuses =
         StoreSnapshots(group, StoreHealthSource::kBatch);
-    if (metrics_ != nullptr) {
-      metrics_->GetCounter("cache.batch_flushes")->Increment();
-    }
+    batch_flushes_counter_->Increment();
 
     // Commit: an entry still dirty afterwards — its store failed, or a write
     // landed during the round trip — goes back on the list. A stored
@@ -808,46 +783,44 @@ size_t GCache::FlushShard(DirtyShard& dshard, size_t* out_failures) {
     std::lock_guard<std::mutex> lock(dshard.mu);
     dshard.dirty.splice(dshard.dirty.end(), requeue);
   }
-  if (out_failures != nullptr) *out_failures = failures;
+  if (failures > 0) *clean = false;
   return flushed;
 }
 
 size_t GCache::FlushOnce() {
-  size_t total = 0;
-  for (auto& shard : dirty_shards_) total += FlushShard(*shard);
-  return total;
+  size_t flushed = 0;
+  bool clean = true;
+  for (auto& shard : dirty_shards_) flushed += FlushShard(*shard, &clean);
+  // The backoff step. Concurrent passes (the maintenance loop and a caller's
+  // FlushAll) may race it; either outcome is a valid delay.
+  const int64_t backoff_ms = FlushBackoffMs();
+  flush_backoff_ms_.store(
+      clean ? 0
+            : std::min(options_.flush_backoff_max_ms,
+                       backoff_ms > 0 ? backoff_ms * 2
+                                      : options_.flush_backoff_ms),
+      std::memory_order_relaxed);
+  return flushed;
 }
 
 void GCache::FlushAll() {
   // Loop because flushes may fail transiently (injected storage errors) and
-  // new dirties can appear. Failing rounds back off (doubling, capped) and
+  // new dirties can appear. Failing passes wait out the flush backoff, and
   // the loop gives up after a few rounds of zero progress — a dead store at
-  // shutdown must not hold the destructor hostage.
-  int64_t backoff_ms = 0;
+  // shutdown must not hold the destructor hostage. A pass can flush nothing
+  // while reporting no failures (max_flush_failures_per_pass of 0 requeues
+  // everything untried); it is not clean, so it backs off like any other
+  // stuck pass.
   int stuck_rounds = 0;
   for (int round = 0; round < 64; ++round) {
-    size_t failures = 0;
-    size_t flushed = 0;
-    for (auto& shard : dirty_shards_) {
-      size_t shard_failures = 0;
-      flushed += FlushShard(*shard, &shard_failures);
-      failures += shard_failures;
-    }
-    if (flushed == 0 && failures == 0 && DirtyCount() == 0) return;
+    const size_t flushed = FlushOnce();
+    const int64_t backoff_ms = FlushBackoffMs();
+    if (flushed == 0 && backoff_ms == 0 && DirtyCount() == 0) return;
     if (flushed > 0) {
-      backoff_ms = 0;
       stuck_rounds = 0;
-      if (failures == 0) continue;
     } else if (++stuck_rounds >= 4) {
-      // Zero progress — regardless of the failure count: a pass can flush
-      // nothing while reporting no failures (e.g. max_flush_failures_per_pass
-      // of 0 requeues everything untried), and that must back off and bail
-      // like any other stuck pass instead of busy-spinning 64 rounds.
       break;
     }
-    backoff_ms = std::min(options_.flush_backoff_max_ms,
-                          backoff_ms > 0 ? backoff_ms * 2
-                                         : options_.flush_backoff_ms);
     clock_->SleepMs(backoff_ms);
   }
   IPS_LOG(Warn) << "FlushAll: dirty entries remain after bounded retries";
@@ -939,39 +912,6 @@ double GCache::HitRatio() const {
   const int64_t m = misses_.load(std::memory_order_relaxed);
   return h + m == 0 ? 0.0
                     : static_cast<double>(h) / static_cast<double>(h + m);
-}
-
-void GCache::SwapLoop() {
-  std::unique_lock<std::mutex> lock(bg_mu_);
-  while (!shutdown_.load(std::memory_order_relaxed)) {
-    bg_cv_.wait_for(lock,
-                    std::chrono::milliseconds(options_.swap_interval_ms));
-    if (shutdown_.load(std::memory_order_relaxed)) return;
-    lock.unlock();
-    SwapOnce();
-    lock.lock();
-  }
-}
-
-void GCache::FlushLoop(DirtyShard& my_shard) {
-  int64_t backoff_ms = 0;  // extra wait after failing passes, doubling
-  std::unique_lock<std::mutex> lock(bg_mu_);
-  while (!shutdown_.load(std::memory_order_relaxed)) {
-    bg_cv_.wait_for(lock, std::chrono::milliseconds(
-                              options_.flush_interval_ms + backoff_ms));
-    if (shutdown_.load(std::memory_order_relaxed)) return;
-    lock.unlock();
-    size_t failures = 0;
-    FlushShard(my_shard, &failures);
-    if (failures == 0) {
-      backoff_ms = 0;
-    } else {
-      backoff_ms = std::min(options_.flush_backoff_max_ms,
-                            backoff_ms > 0 ? backoff_ms * 2
-                                           : options_.flush_backoff_ms);
-    }
-    lock.lock();
-  }
 }
 
 }  // namespace ips

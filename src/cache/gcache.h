@@ -2,12 +2,16 @@
 // of the IPS compute-cache layer. Profiles live in memory wrapped in cache
 // entries tracked by two structures:
 //
-//   * a sharded LRU list (Fig 7) — a swap thread evicts cold entries when
-//     memory exceeds the configured threshold, starting from the largest
-//     shard, probing entries with try_lock and skipping contended ones
-//     instead of blocking (Fig 8);
-//   * a sharded dirty list (Fig 9) — flush threads persist updated profiles
-//     to the key-value store, one dedicated thread per dirty shard.
+//   * a sharded LRU list (Fig 7) — SwapOnce evicts cold entries when memory
+//     exceeds the configured threshold, starting from the largest shard,
+//     probing entries with try_lock and skipping contended ones instead of
+//     blocking (Fig 8);
+//   * a sharded dirty list (Fig 9) — FlushOnce persists updated profiles to
+//     the key-value store, draining the shards in order.
+//
+// The cache starts no threads. The owning IpsInstance's maintenance loop
+// drives SwapOnce and FlushOnce (tests call them directly); the destructor
+// runs a final FlushAll.
 //
 // Storage sits behind ONE seam of two batch functions handed to the
 // constructor, so this layer stays independent of the codec/kvstore choices
@@ -26,7 +30,6 @@
 #define IPS_CACHE_GCACHE_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <functional>
 #include <limits>
 #include <list>
@@ -34,7 +37,6 @@
 #include <mutex>
 #include <span>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -49,7 +51,9 @@ namespace ips {
 struct GCacheOptions {
   /// LRU partitions (Fig 7). Power of two.
   size_t lru_shards = 8;
-  /// Dirty-list partitions (Fig 9), one flush thread each. Power of two.
+  /// Dirty-list partitions (Fig 9). Power of two. Striping keeps MarkDirty
+  /// callers on different shards off one mutex; a flush pass drains them
+  /// in order.
   size_t dirty_shards = 4;
   /// Hard memory budget for cached profiles, in bytes.
   size_t memory_limit_bytes = 256 << 20;
@@ -57,24 +61,18 @@ struct GCacheOptions {
   /// below limit * low watermark (the paper's clusters hold ~85% usage).
   double high_watermark = 0.85;
   double low_watermark = 0.80;
-  /// Background thread cadence.
-  int64_t swap_interval_ms = 50;
-  int64_t flush_interval_ms = 100;
   /// Failed flushes tolerated per flush pass over one dirty shard: after
   /// this many the pass stops and requeues the untried remainder, so an
-  /// injected storage outage cannot turn the flush thread into a tight
-  /// retry loop over the whole dirty list.
+  /// injected storage outage cannot turn a flush pass into a tight retry
+  /// loop over the whole dirty list.
   size_t max_flush_failures_per_pass = 8;
   /// Backoff between failing flush passes, doubling up to the max; reset by
-  /// the first clean pass.
+  /// the first clean pass (see FlushBackoffMs).
   int64_t flush_backoff_ms = 50;
   int64_t flush_backoff_max_ms = 2000;
   /// Largest group of dirty entries a flush pass hands to the store function
   /// in one call (one storage round trip per group).
   size_t flush_batch_max = 64;
-  /// When false no background threads start; tests drive SwapOnce/FlushOnce
-  /// manually for determinism.
-  bool start_background_threads = true;
   /// Write slice granularity for profiles created on first touch.
   int64_t write_granularity_ms = 60'000;
 };
@@ -198,8 +196,17 @@ class GCache {
   /// number of entries evicted.
   size_t SwapOnce();
 
-  /// Flushes every dirty entry in every shard; returns entries flushed.
+  /// One flush pass: drains every dirty shard in order, in groups of up to
+  /// flush_batch_max; returns entries flushed. Then steps the backoff: a
+  /// pass with failures (or stopped at max_flush_failures_per_pass) doubles
+  /// FlushBackoffMs from flush_backoff_ms up to flush_backoff_max_ms, and a
+  /// clean pass resets it to 0.
   size_t FlushOnce();
+
+  /// Extra delay a caller should wait before the next flush pass.
+  int64_t FlushBackoffMs() const {
+    return flush_backoff_ms_.load(std::memory_order_relaxed);
+  }
 
   /// Flush + wait until the dirty lists are empty (shutdown, tests).
   void FlushAll();
@@ -380,15 +387,13 @@ class GCache {
   /// Flushes all entries queued in one dirty shard, in groups of up to
   /// flush_batch_max entries per write-back step. Stops early after
   /// max_flush_failures_per_pass failed flushes (requeueing the untried
-  /// remainder); `out_failures`, when non-null, reports the failure count.
-  size_t FlushShard(DirtyShard& shard, size_t* out_failures = nullptr);
+  /// remainder). Clears `*clean` when a flush failed or the pass stopped
+  /// early.
+  size_t FlushShard(DirtyShard& shard, bool* clean);
 
   /// Marks the backing store healthy/unhealthy from a flush/load outcome.
   void NoteStoreHealth(const Status& status,
                        StoreHealthSource source = StoreHealthSource::kBatch);
-
-  void SwapLoop();
-  void FlushLoop(DirtyShard& shard);
 
   /// Inserts a freshly loaded entry into its shard, or adopts the entry a
   /// concurrent loader already established. Returns the entry to use.
@@ -402,12 +407,20 @@ class GCache {
   VictimCache* victim_cache_ = nullptr;
   VictimEncodeFn victim_encode_;
   VictimDecodeFn victim_decode_;
-  MetricsRegistry* metrics_;
-  /// Read-path counters, resolved once at construction (null without a
-  /// registry).
+  /// Used when no registry is injected.
+  MetricsRegistry owned_metrics_;
+  /// Counters, resolved once at construction (a registry lookup takes a
+  /// deployment-wide mutex).
   Counter* hit_counter_ = nullptr;
   Counter* miss_counter_ = nullptr;
   Counter* batch_loads_counter_ = nullptr;
+  Counter* flushed_counter_ = nullptr;
+  Counter* flush_failures_counter_ = nullptr;
+  Counter* batch_flushes_counter_ = nullptr;
+  Counter* evicted_counter_ = nullptr;
+  Counter* demoted_counter_ = nullptr;
+  Counter* l2_decode_failures_counter_ = nullptr;
+  Counter* overlap_stalls_counter_ = nullptr;
 
   std::vector<std::unique_ptr<LruShard>> lru_shards_;
   std::vector<std::unique_ptr<DirtyShard>> dirty_shards_;
@@ -418,11 +431,8 @@ class GCache {
   /// Consecutive successful point write-backs observed while unhealthy; see
   /// StoreHealthSource.
   std::atomic<int> point_success_streak_{0};
-
-  std::atomic<bool> shutdown_{false};
-  std::mutex bg_mu_;
-  std::condition_variable bg_cv_;
-  std::vector<std::thread> background_threads_;
+  /// See FlushBackoffMs.
+  std::atomic<int64_t> flush_backoff_ms_{0};
 };
 
 }  // namespace ips

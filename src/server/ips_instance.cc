@@ -7,6 +7,15 @@
 
 namespace ips {
 
+namespace {
+
+// Maintenance cadences, in wall time: benchmarks drive a ManualClock far
+// ahead of wall time, and flushing on that clock would multiply KV writes.
+constexpr int64_t kMaintenanceTickMs = 10;
+constexpr int64_t kFlushIntervalMs = 100;
+
+}  // namespace
+
 IpsInstance::ServingMetrics::ServingMetrics(MetricsRegistry* metrics)
     : queries(metrics->GetCounter("server.queries")),
       query_errors(metrics->GetCounter("server.query_errors")),
@@ -22,7 +31,13 @@ IpsInstance::ServingMetrics::ServingMetrics(MetricsRegistry* metrics)
       query_micros_miss(metrics->GetHistogram("server.query_micros_miss")),
       multi_add_micros(metrics->GetHistogram("server.multi_add_micros")),
       multi_add_batch(metrics->GetHistogram("server.multi_add_batch")),
-      add_micros(metrics->GetHistogram("server.add_micros")) {}
+      add_micros(metrics->GetHistogram("server.add_micros")),
+      slices_merged(metrics->GetCounter("compaction.slices_merged")),
+      slices_truncated(metrics->GetCounter("compaction.slices_truncated")),
+      features_shrunk(metrics->GetCounter("compaction.features_shrunk")),
+      isolation_overflow(metrics->GetCounter("isolation.overflow")),
+      isolation_merged_profiles(
+          metrics->GetCounter("isolation.merged_profiles")) {}
 
 IpsInstance::IpsInstance(IpsInstanceOptions options, KvStore* kv, Clock* clock,
                          MetricsRegistry* metrics)
@@ -36,14 +51,17 @@ IpsInstance::IpsInstance(IpsInstanceOptions options, KvStore* kv, Clock* clock,
   isolation_enabled_.store(options_.isolation_enabled,
                            std::memory_order_relaxed);
   if (options_.start_background_threads) {
-    merger_thread_ = std::thread([this] { MergerLoop(); });
+    maintenance_thread_ = std::thread([this] { MaintenanceLoop(); });
   }
 }
 
 IpsInstance::~IpsInstance() {
-  shutdown_.store(true, std::memory_order_relaxed);
-  merger_cv_.notify_all();
-  if (merger_thread_.joinable()) merger_thread_.join();
+  {
+    std::lock_guard<std::mutex> lock(maintenance_mu_);
+    shutdown_ = true;
+  }
+  maintenance_cv_.notify_all();
+  if (maintenance_thread_.joinable()) maintenance_thread_.join();
   DetachConfigRegistry();
   // Drain pending writes, then persist the caches.
   MergeWriteTablesOnce();
@@ -167,12 +185,9 @@ Status IpsInstance::CreateTable(const TableSchema& schema) {
         // exhausted, pid evicted mid-pass) `stats` holds the discarded
         // attempt's numbers.
         if (pass_status.ok() && stats.AnyWork()) {
-          metrics_->GetCounter("compaction.slices_merged")
-              ->Increment(stats.slices_merged);
-          metrics_->GetCounter("compaction.slices_truncated")
-              ->Increment(stats.slices_truncated);
-          metrics_->GetCounter("compaction.features_shrunk")
-              ->Increment(stats.features_shrunk);
+          serving_metrics_.slices_merged->Increment(stats.slices_merged);
+          serving_metrics_.slices_truncated->Increment(stats.slices_truncated);
+          serving_metrics_.features_shrunk->Increment(stats.features_shrunk);
         }
       },
       metrics_);
@@ -224,6 +239,14 @@ const IpsInstance::Table* IpsInstance::FindTable(
   std::lock_guard<std::mutex> lock(tables_mu_);
   auto it = tables_.find(table);
   return it == tables_.end() ? nullptr : it->second.get();
+}
+
+std::vector<IpsInstance::Table*> IpsInstance::Tables() const {
+  std::lock_guard<std::mutex> lock(tables_mu_);
+  std::vector<Table*> tables;
+  tables.reserve(tables_.size());
+  for (const auto& [name, t] : tables_) tables.push_back(t.get());
+  return tables;
 }
 
 Status IpsInstance::AddProfile(const std::string& caller,
@@ -336,7 +359,7 @@ Status IpsInstance::AddIsolated(Table& t, ProfileId pid,
   // full, fall back to the direct path rather than grow without bound.
   if (t.write_table_bytes.load(std::memory_order_relaxed) >
       options_.isolation_memory_limit_bytes) {
-    metrics_->GetCounter("isolation.overflow")->Increment();
+    serving_metrics_.isolation_overflow->Increment();
     return AddDirect(t, pid, records);
   }
   t.write_table->WithProfileMutable(pid, [&](ProfileData& profile) {
@@ -396,16 +419,10 @@ size_t IpsInstance::MergeWriteTable(Table& t) {
 }
 
 size_t IpsInstance::MergeWriteTablesOnce() {
-  std::vector<Table*> tables;
-  {
-    std::lock_guard<std::mutex> lock(tables_mu_);
-    tables.reserve(tables_.size());
-    for (auto& [name, t] : tables_) tables.push_back(t.get());
-  }
   size_t merged = 0;
-  for (Table* t : tables) merged += MergeWriteTable(*t);
+  for (Table* t : Tables()) merged += MergeWriteTable(*t);
   if (merged > 0) {
-    metrics_->GetCounter("isolation.merged_profiles")->Increment(merged);
+    serving_metrics_.isolation_merged_profiles->Increment(merged);
   }
   return merged;
 }
@@ -606,26 +623,15 @@ void IpsInstance::SetIsolationEnabled(bool enabled) {
 }
 
 void IpsInstance::FlushAll() {
-  std::vector<Table*> tables;
-  {
-    std::lock_guard<std::mutex> lock(tables_mu_);
-    for (auto& [name, t] : tables_) tables.push_back(t.get());
-  }
-  for (Table* t : tables) t->cache->FlushAll();
+  for (Table* t : Tables()) t->cache->FlushAll();
 }
 
 void IpsInstance::DrainCompactions() {
-  std::vector<Table*> tables;
-  {
-    std::lock_guard<std::mutex> lock(tables_mu_);
-    for (auto& [name, t] : tables_) tables.push_back(t.get());
-  }
-  for (Table* t : tables) t->compaction->Drain();
+  for (Table* t : Tables()) t->compaction->Drain();
 }
 
 void IpsInstance::SetCompactionEnabled(bool enabled) {
-  std::lock_guard<std::mutex> lock(tables_mu_);
-  for (auto& [name, t] : tables_) t->compaction->SetEnabled(enabled);
+  for (Table* t : Tables()) t->compaction->SetEnabled(enabled);
 }
 
 Result<size_t> IpsInstance::CompactTableNow(const std::string& table) {
@@ -754,16 +760,30 @@ void IpsInstance::AttachConfigRegistry(ConfigRegistry* registry) {
   }
 }
 
-void IpsInstance::MergerLoop() {
-  std::unique_lock<std::mutex> lock(merger_mu_);
-  while (!shutdown_.load(std::memory_order_relaxed)) {
-    merger_cv_.wait_for(
-        lock,
-        std::chrono::milliseconds(options_.isolation_merge_interval_ms));
-    if (shutdown_.load(std::memory_order_relaxed)) return;
-    if (!isolation_enabled_.load(std::memory_order_relaxed)) continue;
+void IpsInstance::MaintenanceLoop() {
+  using std::chrono::milliseconds;
+  using std::chrono::steady_clock;
+  steady_clock::time_point last_merge = steady_clock::now();
+  std::unique_lock<std::mutex> lock(maintenance_mu_);
+  while (!maintenance_cv_.wait_for(lock, milliseconds(kMaintenanceTickMs),
+                                   [this] { return shutdown_; })) {
     lock.unlock();
-    MergeWriteTablesOnce();
+    // Merge first, so the profiles it dirties can flush in the same tick.
+    const steady_clock::time_point now = steady_clock::now();
+    const milliseconds merge_interval(options_.isolation_merge_interval_ms);
+    if (isolation_enabled_.load(std::memory_order_relaxed) &&
+        now - last_merge >= merge_interval) {
+      MergeWriteTablesOnce();
+      last_merge = now;
+    }
+    for (Table* t : Tables()) {
+      t->cache->SwapOnce();  // a no-op below the high watermark
+      if (steady_clock::now() < t->next_flush) continue;
+      t->cache->FlushOnce();
+      t->next_flush =
+          steady_clock::now() +
+          milliseconds(kFlushIntervalMs + t->cache->FlushBackoffMs());
+    }
     lock.lock();
   }
 }

@@ -4,15 +4,21 @@
 // quotas, read-write isolation, and hot-reloadable table configuration.
 //
 // Read-write isolation (Section III-F): when enabled, add_profile requests
-// land in a lightweight write-only ProfileTable; a merger thread folds the
-// write table into the main (cached) table every few seconds with the
+// land in a lightweight write-only ProfileTable; the maintenance loop folds
+// the write table into the main (cached) table every few seconds with the
 // table's aggregate function. This keeps write traffic off the main table's
 // entry locks at the cost of a small data-visibility delay and extra memory,
 // both bounded by configuration. A hot switch toggles the feature at runtime.
+//
+// Maintenance: one thread per instance runs every table's background work —
+// eviction above the memory watermark (GCache::SwapOnce, Figs 7-8), dirty
+// write-back (GCache::FlushOnce, Fig 9) and the isolation merge. Its
+// cadences are wall-clock, not the injected Clock (see MaintenanceLoop).
 #ifndef IPS_SERVER_IPS_INSTANCE_H_
 #define IPS_SERVER_IPS_INSTANCE_H_
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <memory>
 #include <mutex>
@@ -87,7 +93,9 @@ struct IpsInstanceOptions {
   /// persist to the master cluster; the others only read their local
   /// slave). Dirty entries are marked clean without I/O.
   bool persist_writes = true;
-  /// When false, no merger thread starts; tests call MergeWriteTablesOnce().
+  /// When false the maintenance thread does not start: nothing swaps,
+  /// flushes or merges until the caller does (tests call SwapOnce,
+  /// FlushAll and MergeWriteTablesOnce directly for determinism).
   bool start_background_threads = true;
 };
 
@@ -245,7 +253,7 @@ class IpsInstance {
   }
 
   /// Merges all tables' write tables into their main tables; returns
-  /// profiles merged. Normally driven by the background merger thread.
+  /// profiles merged. Normally driven by the maintenance loop.
   size_t MergeWriteTablesOnce();
 
   /// Flushes every dirty cache entry (shutdown / controlled failover).
@@ -314,10 +322,15 @@ class IpsInstance {
     /// Isolation write buffer (few shards: it is short-lived and small).
     std::unique_ptr<ProfileTable> write_table;
     std::atomic<size_t> write_table_bytes{0};
+    /// When the next flush pass is due; read and written only by the
+    /// maintenance loop.
+    std::chrono::steady_clock::time_point next_flush;
   };
 
   Table* FindTable(const std::string& table);
   const Table* FindTable(const std::string& table) const;
+  /// Snapshot of the table list (tables are never removed).
+  std::vector<Table*> Tables() const;
 
   /// DeadlineExceeded (and the server.deadline_exceeded counter) when the
   /// request's deadline already passed — checked on entry so an expired
@@ -330,10 +343,14 @@ class IpsInstance {
                      const std::vector<AddRecord>& records);
   size_t MergeWriteTable(Table& t);
 
-  void MergerLoop();
+  /// Wakes every kMaintenanceTickMs of wall time until shutdown: merges the
+  /// write tables every isolation_merge_interval_ms while isolation is on,
+  /// then per table swaps, and flushes every kFlushIntervalMs plus that
+  /// cache's flush backoff.
+  void MaintenanceLoop();
 
-  /// Serving-path metrics, resolved once at construction (the registry
-  /// lookup takes a deployment-wide mutex).
+  /// Serving- and maintenance-path metrics, resolved once at construction
+  /// (the registry lookup takes a deployment-wide mutex).
   struct ServingMetrics {
     explicit ServingMetrics(MetricsRegistry* metrics);
     Counter* queries;
@@ -351,6 +368,11 @@ class IpsInstance {
     Histogram* multi_add_micros;
     Histogram* multi_add_batch;
     Histogram* add_micros;
+    Counter* slices_merged;
+    Counter* slices_truncated;
+    Counter* features_shrunk;
+    Counter* isolation_overflow;
+    Counter* isolation_merged_profiles;
   };
 
   IpsInstanceOptions options_;
@@ -366,10 +388,10 @@ class IpsInstance {
   std::unordered_map<std::string, std::unique_ptr<Table>> tables_;
 
   std::atomic<bool> isolation_enabled_{true};
-  std::atomic<bool> shutdown_{false};
-  std::mutex merger_mu_;
-  std::condition_variable merger_cv_;
-  std::thread merger_thread_;
+  std::mutex maintenance_mu_;
+  std::condition_variable maintenance_cv_;
+  bool shutdown_ = false;  // guarded by maintenance_mu_
+  std::thread maintenance_thread_;
 
   std::vector<int64_t> config_subscriptions_;
   ConfigRegistry* config_registry_ = nullptr;

@@ -18,7 +18,6 @@ class BulkImportTest : public ::testing::Test {
     DeploymentOptions options;
     options.regions = {{"lf", 1, /*is_primary=*/true}};
     options.instance.start_background_threads = false;
-    options.instance.cache.start_background_threads = false;
     options.instance.compaction.synchronous = true;
     options.instance.isolation_enabled = false;
     options.instance.cache.write_granularity_ms = kMinute;

@@ -237,7 +237,6 @@ DeploymentOptions TwoRegionOptions() {
   options.regions = {{"lf", 2, /*is_primary=*/true},
                      {"hl", 2, /*is_primary=*/false}};
   options.instance.start_background_threads = false;
-  options.instance.cache.start_background_threads = false;
   options.instance.compaction.synchronous = true;
   options.instance.isolation_enabled = false;
   options.instance.cache.write_granularity_ms = kMinute;
@@ -973,7 +972,6 @@ TEST(ClientFanOutTest, SaturationStormThroughOneSharedClient) {
   DeploymentOptions options;
   options.regions = {{"lf", 4, /*is_primary=*/true}};
   options.instance.start_background_threads = false;
-  options.instance.cache.start_background_threads = false;
   options.instance.compaction.synchronous = true;
   options.instance.isolation_enabled = false;
   options.instance.cache.write_granularity_ms = kMinute;

@@ -827,7 +827,6 @@ TEST(CoalescerStoreTest, EvictionWriteBackRoutesThroughCoalescerWhenInstalled) {
 
   auto make_cache = [](StoreFn store) {
     GCacheOptions options;
-    options.start_background_threads = false;
     options.lru_shards = 1;
     options.dirty_shards = 1;
     options.memory_limit_bytes = 4 << 10;

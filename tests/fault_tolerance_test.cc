@@ -267,7 +267,6 @@ DeploymentOptions ShedDeploymentOptions() {
   DeploymentOptions options;
   options.regions = {{"lf", 2, /*is_primary=*/true}};
   options.instance.start_background_threads = false;
-  options.instance.cache.start_background_threads = false;
   options.instance.compaction.synchronous = true;
   options.instance.isolation_enabled = false;
   return options;

@@ -38,7 +38,6 @@ class FeatureAssemblerTest : public ::testing::Test {
   static IpsInstanceOptions InstanceOptions() {
     IpsInstanceOptions options;
     options.start_background_threads = false;
-    options.cache.start_background_threads = false;
     options.compaction.synchronous = true;
     options.isolation_enabled = false;
     return options;

@@ -161,7 +161,6 @@ bool HasFeature(const ProfileData& profile, FeatureId fid) {
 
 GCacheOptions ManualOptions() {
   GCacheOptions options;
-  options.start_background_threads = false;  // tests drive swap/flush
   options.lru_shards = 4;
   options.dirty_shards = 2;
   options.memory_limit_bytes = 1 << 20;
@@ -482,29 +481,29 @@ TEST(GCacheTest, HitRatioTracksAccessPattern) {
   EXPECT_NEAR(cache.HitRatio(), 0.9, 0.01);
 }
 
-TEST(GCacheTest, BackgroundThreadsFlushAndSwap) {
+TEST(GCacheTest, FlushBackoffDoublesOnFailingPassesAndResetsOnCleanPass) {
   FakeStore store;
   GCacheOptions options = ManualOptions();
-  options.start_background_threads = true;
-  options.flush_interval_ms = 10;
-  options.swap_interval_ms = 10;
-  {
-    GCache cache(options, SystemClock::Instance(), store.Loader(),
-                 store.Storer());
-    cache
-        .WithProfileMutable(5,
-                            [](ProfileData& profile) {
-                              profile.Add(kMinute, 1, 1, 1, CountVector{1})
-                                  .ok();
-                            })
-        .ok();
-    // Wait for a background flush.
-    for (int i = 0; i < 200 && !store.Has(5); ++i) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-    EXPECT_TRUE(store.Has(5));
+  options.flush_backoff_ms = 50;
+  options.flush_backoff_max_ms = 300;
+  GCache cache(options, SystemClock::Instance(), store.Loader(),
+               store.Storer());
+  EXPECT_EQ(cache.FlushBackoffMs(), 0);
+  cache
+      .WithProfileMutable(1,
+                          [](ProfileData& profile) {
+                            profile.Add(kMinute, 1, 1, 1, CountVector{1}).ok();
+                          })
+      .ok();
+  store.SetFailFlushes(true);
+  for (const int64_t expected : {50, 100, 200, 300, 300}) {
+    EXPECT_EQ(cache.FlushOnce(), 0u);
+    EXPECT_EQ(cache.FlushBackoffMs(), expected);
   }
-  // Destructor joined threads and flushed; no crash = pass.
+  store.SetFailFlushes(false);
+  EXPECT_EQ(cache.FlushOnce(), 1u);
+  EXPECT_EQ(cache.FlushBackoffMs(), 0);
+  EXPECT_TRUE(store.Has(1));
 }
 
 TEST(GCacheTest, ConcurrentMixedTrafficIsSafe) {

@@ -278,7 +278,6 @@ TEST(IngestionJobTest, EndToEndThroughLogAndCluster) {
   DeploymentOptions dep_options;
   dep_options.regions = {{"lf", 1, true}};
   dep_options.instance.start_background_threads = false;
-  dep_options.instance.cache.start_background_threads = false;
   dep_options.instance.compaction.synchronous = true;
   dep_options.instance.isolation_enabled = false;
   dep_options.instance.cache.write_granularity_ms = kMinute;
@@ -322,7 +321,6 @@ TEST(IngestionJobTest, MalformedRecordsCountedNotFatal) {
   DeploymentOptions dep_options;
   dep_options.regions = {{"lf", 1, true}};
   dep_options.instance.start_background_threads = false;
-  dep_options.instance.cache.start_background_threads = false;
   dep_options.instance.compaction.synchronous = true;
   dep_options.instance.isolation_enabled = false;
   Deployment deployment(dep_options, &clock);
@@ -352,7 +350,6 @@ TEST(IngestionJobTest, CustomExtractionLogic) {
   DeploymentOptions dep_options;
   dep_options.regions = {{"lf", 1, true}};
   dep_options.instance.start_background_threads = false;
-  dep_options.instance.cache.start_background_threads = false;
   dep_options.instance.compaction.synchronous = true;
   dep_options.instance.isolation_enabled = false;
   Deployment deployment(dep_options, &clock);

@@ -27,7 +27,6 @@ DeploymentOptions PipelineDeployment() {
   options.regions = {{"lf", 2, /*is_primary=*/true},
                      {"hl", 1, /*is_primary=*/false}};
   options.instance.start_background_threads = false;
-  options.instance.cache.start_background_threads = false;
   options.instance.compaction.synchronous = true;
   options.instance.compaction.min_interval_ms = 0;
   options.instance.isolation_enabled = false;
@@ -177,7 +176,6 @@ TEST(IntegrationTest, ColdRestartRecoversFromPersistentStore) {
 
   IpsInstanceOptions options;
   options.start_background_threads = false;
-  options.cache.start_background_threads = false;
   options.compaction.synchronous = true;
   options.isolation_enabled = false;
   options.cache.write_granularity_ms = kMinute;
@@ -221,7 +219,6 @@ TEST(IntegrationTest, YearLongReplayStaysBoundedWithCompaction) {
   MemKvStore kv;
   IpsInstanceOptions options;
   options.start_background_threads = false;
-  options.cache.start_background_threads = false;
   options.compaction.synchronous = true;
   options.compaction.min_interval_ms = 0;
   options.isolation_enabled = false;

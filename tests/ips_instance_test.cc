@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -20,7 +21,6 @@ constexpr int64_t kDay = kMillisPerDay;
 IpsInstanceOptions ManualInstanceOptions() {
   IpsInstanceOptions options;
   options.start_background_threads = false;
-  options.cache.start_background_threads = false;
   options.cache.write_granularity_ms = kMinute;
   options.compaction.synchronous = true;
   options.compaction.min_interval_ms = 0;
@@ -784,11 +784,10 @@ TEST_F(IpsInstanceTest, ServerLatencyMetricsSplitHitMiss) {
       0);
 }
 
-TEST(IpsInstanceBackgroundTest, MergerThreadRunsAutomatically) {
+TEST(IpsInstanceBackgroundTest, MaintenanceLoopRunsAutomatically) {
   MemKvStore kv;
   SystemClock* clock = SystemClock::Instance();
   IpsInstanceOptions options;
-  options.cache.start_background_threads = false;
   options.compaction.synchronous = true;
   options.isolation_enabled = true;
   options.isolation_merge_interval_ms = 20;
@@ -809,6 +808,126 @@ TEST(IpsInstanceBackgroundTest, MergerThreadRunsAutomatically) {
     visible = result.ok() && !result->features.empty();
   }
   EXPECT_TRUE(visible);
+}
+
+TEST(IpsInstanceBackgroundTest, MaintenanceLoopFlushesAndSwaps) {
+  MemKvStore kv;
+  SystemClock* clock = SystemClock::Instance();
+  IpsInstanceOptions options;
+  options.compaction.synchronous = true;
+  options.isolation_enabled = false;
+  options.cache.memory_limit_bytes = 16 << 10;  // far below 200 profiles
+  IpsInstance instance(options, &kv, clock);
+  ASSERT_TRUE(instance.CreateTable(DefaultTableSchema("t")).ok());
+  constexpr ProfileId kProfiles = 200;
+  const TimestampMs now = clock->NowMs();
+  for (ProfileId pid = 1; pid <= kProfiles; ++pid) {
+    ASSERT_TRUE(
+        instance.AddProfile("c", "t", pid, now, 1, 1, 5, CountVector{1}).ok());
+  }
+
+  // Every write reaches the KV with no FlushAll: a second instance, reading
+  // only through the KV, sees all of them.
+  IpsInstanceOptions reader_options;
+  reader_options.start_background_threads = false;
+  IpsInstance reader(reader_options, &kv, clock);
+  ASSERT_TRUE(reader.CreateTable(DefaultTableSchema("t")).ok());
+  ProfileId persisted = 0;
+  for (int i = 0; i < 400 && persisted < kProfiles; ++i) {
+    auto result = reader.GetProfileTopK("c", "t", persisted + 1, 1,
+                                        std::nullopt, TimeRange::Current(kDay),
+                                        SortBy::kActionCount, 0, 10);
+    if (result.ok() && !result->features.empty()) {
+      ++persisted;
+    } else {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+  }
+  EXPECT_EQ(persisted, kProfiles);
+
+  // And the swap brought usage back under the high watermark by evicting.
+  bool under = false;
+  for (int i = 0; i < 400 && !under; ++i) {
+    auto stats = instance.GetTableStats("t");
+    ASSERT_TRUE(stats.ok());
+    under = stats->memory_usage_ratio <= options.cache.high_watermark;
+    if (!under) std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_TRUE(under);
+  EXPECT_GT(instance.metrics()->GetCounter("cache.evicted")->Value(), 0);
+}
+
+TEST(IpsInstanceBackgroundTest, MaintenanceLoopRacingServingLosesNoWrite) {
+  // The loop swaps, flushes and merges while tables are created, a writer
+  // writes, isolation flips on and off and, at the end, the instance is
+  // destroyed. Every acknowledged write must be in the KV afterwards.
+  MemKvStore kv;
+  SystemClock* clock = SystemClock::Instance();
+  IpsInstanceOptions options;
+  options.compaction.synchronous = true;
+  options.isolation_merge_interval_ms = 10;
+  options.cache.memory_limit_bytes = 16 << 10;  // keeps the swap evicting
+  constexpr int kTables = 4;
+  constexpr ProfileId kPids = 32;
+  const auto table_name = [](int t) { return "t" + std::to_string(t); };
+  std::vector<std::vector<int64_t>> acked(kTables,
+                                          std::vector<int64_t>(kPids + 1));
+  const TimestampMs ts = clock->NowMs();
+  {
+    IpsInstance instance(options, &kv, clock);
+    ASSERT_TRUE(instance.CreateTable(DefaultTableSchema(table_name(0))).ok());
+    std::atomic<bool> done{false};
+    std::thread creator([&] {
+      for (int t = 1; t < kTables; ++t) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(15));
+        EXPECT_TRUE(
+            instance.CreateTable(DefaultTableSchema(table_name(t))).ok());
+      }
+    });
+    std::thread switcher([&] {
+      for (bool on = false; !done.load(); on = !on) {
+        instance.SetIsolationEnabled(on);
+        std::this_thread::sleep_for(std::chrono::milliseconds(7));
+      }
+    });
+    std::thread writer([&] {
+      std::vector<MultiAddItem> items;
+      for (ProfileId pid = 1; pid <= kPids; ++pid) {
+        items.push_back(MultiAddItem{pid, {{ts, 1, 1, 5, CountVector{1}}}});
+      }
+      for (int round = 0; round < 40; ++round) {
+        for (int t = 0; t < kTables; ++t) {
+          auto result = instance.MultiAdd("c", table_name(t), items);
+          if (!result.ok()) continue;  // table not created yet
+          for (size_t i = 0; i < items.size(); ++i) {
+            if (result->statuses[i].ok()) ++acked[t][items[i].pid];
+          }
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      }
+    });
+    writer.join();
+    creator.join();
+    done.store(true);
+    switcher.join();
+  }
+
+  IpsInstanceOptions reader_options;
+  reader_options.start_background_threads = false;
+  IpsInstance reader(reader_options, &kv, clock);
+  for (int t = 0; t < kTables; ++t) {
+    ASSERT_TRUE(reader.CreateTable(DefaultTableSchema(table_name(t))).ok());
+    for (ProfileId pid = 1; pid <= kPids; ++pid) {
+      auto result = reader.GetProfileTopK(
+          "c", table_name(t), pid, 1, std::nullopt, TimeRange::Current(kDay),
+          SortBy::kActionCount, 0, 10);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      int64_t stored = 0;
+      for (const auto& feature : result->features) stored += feature.counts[0];
+      EXPECT_EQ(stored, acked[t][pid]) << table_name(t) << " pid " << pid;
+    }
+  }
+  EXPECT_GT(acked[0][1], 0);
 }
 
 }  // namespace

@@ -178,7 +178,6 @@ DeploymentOptions TracedClusterOptions() {
   DeploymentOptions options;
   options.regions = {{"lf", 2, /*is_primary=*/true}};
   options.instance.start_background_threads = false;
-  options.instance.cache.start_background_threads = false;
   options.instance.compaction.synchronous = true;
   options.instance.isolation_enabled = false;
   options.instance.cache.write_granularity_ms = kMinute;

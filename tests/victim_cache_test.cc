@@ -196,7 +196,6 @@ LoadFn PerPidLoad(std::function<Result<ProfileData>(ProfileId, bool*)> one) {
 
 GCacheOptions TieredCacheOptions() {
   GCacheOptions options;
-  options.start_background_threads = false;
   options.lru_shards = 1;  // deterministic eviction ordering
   options.dirty_shards = 2;
   options.memory_limit_bytes = 4 << 10;
