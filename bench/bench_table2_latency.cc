@@ -18,8 +18,14 @@
 // codec.decode / feature.compute) is reported per path, with a built-in
 // self-check: the mean stage sum must land within 5% of the mean measured
 // end-to-end latency for both hit and miss — the substitution table in
-// DESIGN.md is only trustworthy if the stages account for the total.
+// DESIGN.md is only trustworthy if the stages account for the total. The
+// server-side rows are each query's `server.query` span.
+//
+// The process exits nonzero when the self-check fails or a path saw no
+// query. `--smoke` runs fewer queries for CI and writes no artifact, so a
+// CI run from the repository root leaves the committed one in place.
 #include <cstdio>
+#include <cstring>
 #include <map>
 
 #include "bench/bench_util.h"
@@ -30,6 +36,7 @@ namespace ips {
 namespace {
 
 constexpr int kQueries = 1500;
+constexpr int kSmokeQueries = 400;
 constexpr double kSumTolerance = 0.05;
 
 struct Split {
@@ -52,7 +59,11 @@ void PrintRow(const char* label, Histogram& h) {
   bench::EndRow();
 }
 
-void Run() {
+int Run(bool smoke) {
+  const int queries = smoke ? kSmokeQueries : kQueries;
+  // The smoke run shrinks users, preload and cache together, keeping the
+  // cold share of the working set (preload time grows with the users).
+  const size_t scale = smoke ? 3 : 1;
   std::printf(
       "=== Table II: client/server query latency, hit vs miss ===\n"
       "paper: hit saves ~2-4 ms; network overhead ~3 ms, size-"
@@ -62,17 +73,17 @@ void Run() {
   DeploymentOptions options = bench::SingleRegion(/*calibrated=*/true);
   options.discovery_ttl_ms = 365 * kMillisPerDay;
   // Small cache so a cold working set reliably misses.
-  options.instance.cache.memory_limit_bytes = 24u << 20;
+  options.instance.cache.memory_limit_bytes = (24u << 20) / scale;
   Deployment deployment(options, &sim_clock);
   TableSchema schema = DefaultTableSchema("user_profile");
-  if (!deployment.CreateTableEverywhere(schema).ok()) return;
+  if (!deployment.CreateTableEverywhere(schema).ok()) return 1;
 
   WorkloadOptions workload_options;
-  workload_options.num_users = 15'000;
+  workload_options.num_users = 15'000 / scale;
   workload_options.user_zipf_theta = 0.99;
   workload_options.seed = 2;
   WorkloadGenerator workload(workload_options);
-  bench::Preload(deployment, workload, "user_profile", 50'000,
+  bench::Preload(deployment, workload, "user_profile", 50'000 / scale,
                  sim_clock.NowMs(), 30 * kMillisPerDay);
   // Flush so cold profiles exist in the KV store and can be re-loaded, then
   // shrink the cache by evicting.
@@ -85,10 +96,6 @@ void Run() {
   IpsClient client(client_options, &deployment);
 
   MetricsRegistry* metrics = deployment.metrics();
-  Histogram* server_hit = metrics->GetHistogram("server.query_micros_hit");
-  Histogram* server_miss = metrics->GetHistogram("server.query_micros_miss");
-  server_hit->Reset();
-  server_miss->Reset();
 
   // Trace every query: the decomposition below is computed from the spans,
   // and the collector doubles as slow-query log + stage histogram feed.
@@ -102,7 +109,7 @@ void Run() {
 
   Split split;
   StageSplit traced_hit, traced_miss;
-  for (int q = 0; q < kQueries; ++q) {
+  for (int q = 0; q < queries; ++q) {
     ProfileId uid;
     QuerySpec spec = workload.NextQuerySpec(&uid);
     auto trace = collector.MaybeStartTrace();
@@ -117,6 +124,8 @@ void Run() {
         metrics->GetCounter("cache.hit")->Value() > hits_before;
     (was_hit ? split.client_hit : split.client_miss).Record(micros);
     if (trace != nullptr) {
+      (was_hit ? split.server_hit : split.server_miss)
+          .Record(trace->StageNs("server.query") / 1000);
       StageSplit& traced = was_hit ? traced_hit : traced_miss;
       int64_t sum_us = 0;
       for (size_t s = 0; s < num_stages; ++s) {
@@ -132,15 +141,15 @@ void Run() {
   bench::PrintHeader({"side/path", "count", "avg_ms", "p50_ms", "p99_ms"});
   PrintRow("client/hit", split.client_hit);
   PrintRow("client/miss", split.client_miss);
-  PrintRow("server/hit", *server_hit);
-  PrintRow("server/miss", *server_miss);
+  PrintRow("server/hit", split.server_hit);
+  PrintRow("server/miss", split.server_miss);
 
   const double hit_saving_ms =
       bench::UsToMs(split.client_miss.Percentile(0.50) -
                     split.client_hit.Percentile(0.50));
   const double network_ms =
       bench::UsToMs(split.client_hit.Percentile(0.50) -
-                    server_hit->Percentile(0.50));
+                    split.server_hit.Percentile(0.50));
   std::printf(
       "\nshape checks vs paper:\n"
       "  p50 saving from a cache hit: %.2f ms (paper: 2-4 ms)\n"
@@ -148,7 +157,7 @@ void Run() {
       "(paper: ~3 ms)\n"
       "  server-side hit p50: %.2f ms (paper: sub-ms compute)\n",
       hit_saving_ms, network_ms,
-      bench::UsToMs(server_hit->Percentile(0.50)));
+      bench::UsToMs(split.server_hit.Percentile(0.50)));
 
   // ---- Traced per-stage decomposition (Table II, from spans) ----
   std::printf("\n=== traced stage decomposition (avg ms/query) ===\n");
@@ -179,7 +188,8 @@ void Run() {
   bench::PrintCell(miss_e2e_ms);
   bench::EndRow();
 
-  // Self-check: the stages must account for the measured total.
+  // Self-check: the stages must account for the measured total. A path
+  // that saw no query has zero coverage, so it fails too.
   const double hit_cov = hit_e2e_ms > 0 ? hit_sum_ms / hit_e2e_ms : 0;
   const double miss_cov = miss_e2e_ms > 0 ? miss_sum_ms / miss_e2e_ms : 0;
   const bool hit_ok = hit_cov >= 1.0 - kSumTolerance &&
@@ -196,16 +206,17 @@ void Run() {
   std::printf("\n%s", collector.SlowQueryReport().c_str());
 
   // ---- JSON artifact ----
-  std::FILE* f = std::fopen("BENCH_table2_latency.json", "w");
+  std::FILE* f =
+      smoke ? nullptr : std::fopen("BENCH_table2_latency.json", "w");
   if (f != nullptr) {
     std::fprintf(f,
                  "{\n  \"bench\": \"table2_latency\",\n"
                  "  \"queries\": %d,\n  \"sum_tolerance\": %.2f,\n",
-                 kQueries, kSumTolerance);
+                 queries, kSumTolerance);
     std::fprintf(f,
                  "  \"server_us\": {\"hit_p50\": %lld, \"miss_p50\": %lld},\n",
-                 static_cast<long long>(server_hit->Percentile(0.50)),
-                 static_cast<long long>(server_miss->Percentile(0.50)));
+                 static_cast<long long>(split.server_hit.Percentile(0.50)),
+                 static_cast<long long>(split.server_miss.Percentile(0.50)));
     const struct {
       const char* label;
       Histogram* e2e;
@@ -248,16 +259,17 @@ void Run() {
                  "\"network_overhead_p50_ms\": %.2f, "
                  "\"server_hit_p50_ms\": %.2f}\n}\n",
                  hit_saving_ms, network_ms,
-                 bench::UsToMs(server_hit->Percentile(0.50)));
+                 bench::UsToMs(split.server_hit.Percentile(0.50)));
     std::fclose(f);
     std::printf("wrote BENCH_table2_latency.json\n");
   }
+  return hit_ok && miss_ok ? 0 : 1;
 }
 
 }  // namespace
 }  // namespace ips
 
-int main() {
-  ips::Run();
-  return 0;
+int main(int argc, char** argv) {
+  const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
+  return ips::Run(smoke);
 }

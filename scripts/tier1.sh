@@ -38,6 +38,10 @@ run_suite() {
     # ctest set, and prints the alloc/zero-copy evidence into the tier-1 log.
     echo "=== tier1: perf smoke (bench_micro --smoke) ==="
     "${build_dir}/bench/bench_micro" --smoke
+    # Stage-sum gate: traced single-profile Query stages must sum to within
+    # 5% of the measured end-to-end latency on the hit and the miss path.
+    echo "=== tier1: perf smoke (bench_table2_latency --smoke) ==="
+    "${build_dir}/bench/bench_table2_latency" --smoke
     # Read-path coalescing gate: the load-side Coalescer must keep cutting KV
     # round trips >= 3x at Zipf s=1.0 vs the coalescer-off ablation, with
     # live single-flight hits. ctest runs it too; this keeps the gate in the log.

@@ -56,6 +56,23 @@ void DedupePids(std::span<const ProfileId> pids, std::vector<ProfileId>* unique,
 /// The status of an item no node has answered yet.
 Status NoLiveInstance() { return Status::Unavailable("no live instance"); }
 
+/// One group's RPC as RunRounds hands it to its per-group callable: a
+/// node->Call with the request's context, with the sub-call's rpc.dispatch
+/// span suspended so it never overlaps rpc.transfer or a server stage.
+struct GroupCall {
+  Status operator()(size_t request_bytes, size_t response_bytes,
+                    const std::function<Status(IpsInstance&)>& handler) const {
+    dispatch->reset();
+    Status status = node->Call(*ctx, request_bytes, response_bytes, handler);
+    dispatch->emplace("rpc.dispatch");
+    return status;
+  }
+
+  IpsNode* node;
+  const CallContext* ctx;
+  std::optional<ScopedSpan>* dispatch;
+};
+
 }  // namespace
 
 size_t EstimateAddPayloadBytes(const std::vector<AddRecord>& records) {
@@ -272,25 +289,308 @@ bool IpsClient::PrepareRetry(const Status& last_error, const CallContext& ctx) {
   return true;
 }
 
-void IpsClient::RecordOutcome(const Member& member, const Status& status) {
-  if (!breakers_.enabled()) return;
-  if (CircuitBreaker::IsNodeFault(status)) {
-    member.breaker->RecordFailure(deployment_->clock()->NowMs());
-  } else {
-    member.breaker->RecordSuccess();
+/// One item's progress through RunRounds.
+struct IpsClient::ItemState {
+  /// Last error; OK until a node answers.
+  Status status;
+  /// Served (reads), or accepted by the region in progress (writes).
+  bool done = false;
+  /// Writes: the regions that accepted the item.
+  size_t regions_ok = 0;
+
+  /// The status of an item no node served or accepted.
+  Status Error() const { return status.ok() ? NoLiveInstance() : status; }
+};
+
+/// The client side of one request's trace: the root span, an rpc.dispatch
+/// span over the client-side machinery, and the context sub-calls carry,
+/// which node->Call re-installs on whichever thread runs them so every
+/// server-side span parents to the root.
+struct IpsClient::RequestScope {
+  RequestScope(const CallContext& caller_ctx, const char* root_name)
+      : install(caller_ctx.trace), root(root_name), ctx(caller_ctx) {
+    ctx.trace = CurrentTrace();
+    dispatch.emplace("rpc.dispatch");
+  }
+
+  TraceInstallScope install;
+  ScopedSpan root;
+  CallContext ctx;
+  std::optional<ScopedSpan> dispatch;
+};
+
+template <typename Rpc>
+void IpsClient::RunRounds(const std::vector<std::string>& regions,
+                          bool per_region, int max_attempts,
+                          std::span<const ProfileId> pids,
+                          RequestScope* request,
+                          std::vector<ItemState>* items, const Rpc& rpc) {
+  MaybeRefresh();
+  retry_policy_.OnRequestStart();
+  const CallContext& ctx = request->ctx;
+  Routing routing;
+  // Pids of the round's groups, laid out like routing.items so each
+  // sub-call sends a contiguous span.
+  std::vector<ProfileId> grouped_pids;
+  bool first_round = true;
+  bool stop_all = false;
+  for (const auto& region : regions) {
+    if (stop_all) break;
+    if (per_region) {
+      // Writes offer every item to every region; a region's first round is
+      // the write contract, not a retry.
+      for (ItemState& item : *items) item.done = false;
+      first_round = true;
+    }
+    Route(region, pids, max_attempts, &routing);
+    for (size_t attempt = 0; attempt < routing.attempts; ++attempt) {
+      const TimestampMs now = deployment_->clock()->NowMs();
+      if (ctx.Expired(now)) {
+        counters_.deadline_exceeded->Increment();
+        for (ItemState& item : *items) {
+          if (!item.done) {
+            item.status = Status::DeadlineExceeded("client deadline expired");
+          }
+        }
+        stop_all = true;
+        break;
+      }
+      // Group unfinished items by this attempt's ring successor.
+      const size_t groups = routing.Group(
+          pids.size(), attempt, [&](size_t i) { return !(*items)[i].done; });
+      if (groups == 0) break;
+
+      // Rounds after the first need a grant from the retry policy for the
+      // first unfinished item's last error. A load shed with a retry-after
+      // hint is granted at the hint's pace without spending budget.
+      if (!first_round && retry_policy_.enabled()) {
+        const auto unfinished =
+            std::find_if(items->begin(), items->end(),
+                         [](const ItemState& item) { return !item.done; });
+        if (!PrepareRetry(unfinished->Error(), ctx)) {
+          stop_all = !per_region;
+          break;
+        }
+      }
+      first_round = false;
+
+      // Nodes whose breaker opened since routing are skipped; their items
+      // stay unfinished for the next successor.
+      routing.sends.clear();
+      for (uint32_t g = 0; g < groups; ++g) {
+        const Member& member = routing.members[routing.owners[g]];
+        if (member.node == nullptr) continue;
+        if (breakers_.enabled() && !member.breaker->AllowRequest(now)) {
+          const uint32_t first = routing.begin[g];
+          const uint32_t last = routing.begin[g + 1];
+          counters_.breaker_skips->Increment(last - first);
+          for (uint32_t k = first; k < last; ++k) {
+            (*items)[routing.items[k]].status =
+                Status::Unavailable("circuit breaker open");
+          }
+          continue;
+        }
+        routing.sends.push_back(g);
+      }
+      grouped_pids.resize(routing.items.size());
+      for (size_t k = 0; k < routing.items.size(); ++k) {
+        grouped_pids[k] = pids[routing.items[k]];
+      }
+
+      // One RPC per owning node, in parallel; each sub-call writes a
+      // disjoint set of items. The request's dispatch span covers building
+      // `sub_call` and is suspended while the caller waits on the scatter; a
+      // sub-call the caller runs reports its own (a no-op span on pool
+      // workers, which have no trace installed).
+      std::atomic<bool> saw_quota{false};
+      const std::function<void(size_t)> sub_call = [&](size_t t) {
+        std::optional<ScopedSpan> dispatch(std::in_place, "rpc.dispatch");
+        const uint32_t g = routing.sends[t];
+        const Member& member = routing.members[routing.owners[g]];
+        const uint32_t first = routing.begin[g];
+        const uint32_t count = routing.begin[g + 1] - first;
+        const std::span<const uint32_t> ids(&routing.items[first], count);
+        std::vector<Status> statuses;
+        const Status status =
+            rpc(GroupCall{member.node, &ctx, &dispatch}, ids,
+                std::span<const ProfileId>(&grouped_pids[first], count),
+                &statuses);
+        if (breakers_.enabled()) {
+          if (CircuitBreaker::IsNodeFault(status)) {
+            member.breaker->RecordFailure(deployment_->clock()->NowMs());
+          } else {
+            member.breaker->RecordSuccess();
+          }
+        }
+        if (status.IsResourceExhausted() && !status.has_retry_after()) {
+          saw_quota.store(true, std::memory_order_relaxed);
+        }
+        for (uint32_t j = 0; j < count; ++j) {
+          ItemState& item = (*items)[ids[j]];
+          if (!status.ok()) {
+            // A group-level failure (node down, quota, unknown table) is
+            // every item's cause.
+            item.status = status;
+          } else if (statuses[j].ok()) {
+            item.done = true;
+          } else {
+            item.status = std::move(statuses[j]);
+          }
+        }
+      };
+      request->dispatch.reset();
+      Scatter(routing.sends.size(), sub_call);
+      request->dispatch.emplace("rpc.dispatch");
+      // A hint-less quota rejection is not retried: ring successors enforce
+      // the same per-caller budget.
+      if (saw_quota.load(std::memory_order_relaxed)) {
+        stop_all = !per_region;
+        break;
+      }
+    }
+    if (per_region) {
+      for (ItemState& item : *items) {
+        if (item.done) ++item.regions_ok;
+      }
+    }
+  }
+}
+
+MultiQueryResult IpsClient::ReadBatch(const char* span,
+                                      const std::string& table,
+                                      std::span<const ProfileId> pids,
+                                      const QuerySpec& spec,
+                                      const CallContext& ctx) {
+  RequestScope request(ctx, span);
+
+  // Deduplicate while preserving first-seen order: duplicate candidates cost
+  // one lookup and fan back out on reassembly.
+  std::vector<ProfileId> unique;
+  std::vector<uint32_t> slot_of;
+  DedupePids(pids, &unique, &slot_of);
+
+  std::vector<ItemState> slots(unique.size());
+  std::vector<QueryResult> results(unique.size());
+  std::atomic<size_t> cache_hits{0};
+  RunRounds(read_regions_, /*per_region=*/false, options_.max_read_attempts,
+            unique, &request, &slots,
+            [&](const GroupCall& call, std::span<const uint32_t> ids,
+                std::span<const ProfileId> sub,
+                std::vector<Status>* statuses) {
+              Result<MultiQueryResult> batch = Status::Unavailable("unset");
+              const Status status = call(
+                  options_.request_bytes + sub.size() * sizeof(ProfileId),
+                  options_.response_bytes * sub.size(),
+                  [&](IpsInstance& instance) {
+                    batch = instance.MultiQuery(options_.caller, table, sub,
+                                                spec, request.ctx);
+                    return batch.status();
+                  });
+              if (!status.ok()) return status;
+              cache_hits.fetch_add(batch->cache_hits,
+                                   std::memory_order_relaxed);
+              for (size_t j = 0; j < ids.size(); ++j) {
+                results[ids[j]] = std::move(batch->results[j]);
+              }
+              *statuses = std::move(batch->statuses);
+              return status;
+            });
+
+  // Gather: expand unique slots back to input order. Each slot's result is
+  // moved into its last occurrence; only earlier duplicates are copies.
+  std::vector<uint32_t> last_use(unique.size());
+  for (size_t i = 0; i < pids.size(); ++i) {
+    last_use[slot_of[i]] = static_cast<uint32_t>(i);
+  }
+  MultiQueryResult out;
+  out.results.resize(pids.size());
+  out.statuses.assign(pids.size(), Status::OK());
+  out.cache_hits = cache_hits.load(std::memory_order_relaxed);
+  for (size_t i = 0; i < pids.size(); ++i) {
+    const uint32_t s = slot_of[i];
+    if (!slots[s].done) {
+      out.statuses[i] = slots[s].Error();
+      continue;
+    }
+    if (results[s].degraded) ++out.degraded;
+    out.results[i] = last_use[s] == i ? std::move(results[s]) : results[s];
+  }
+  return out;
+}
+
+std::vector<IpsClient::ItemState> IpsClient::WriteBatch(
+    const char* span, const std::string& caller, const std::string& table,
+    const std::vector<MultiAddItem>& items, const CallContext& ctx) {
+  RequestScope request(ctx, span);
+  std::vector<ProfileId> pids(items.size());
+  for (size_t i = 0; i < items.size(); ++i) pids[i] = items[i].pid;
+
+  // Multi-region writing: every region gets every item on its owning node.
+  std::vector<ItemState> states(items.size());
+  RunRounds(deployment_->region_names(), /*per_region=*/true,
+            options_.max_write_attempts, pids, &request, &states,
+            [&](const GroupCall& call, std::span<const uint32_t> ids,
+                std::span<const ProfileId> /*sub*/,
+                std::vector<Status>* statuses) {
+              // The transport cost model is size-proportional: charge the
+              // encoded size of the records.
+              std::vector<MultiAddItem> sub;
+              sub.reserve(ids.size());
+              size_t request_bytes = 0;
+              for (const uint32_t id : ids) {
+                sub.push_back(items[id]);
+                request_bytes += EstimateAddPayloadBytes(items[id].records);
+              }
+              Result<MultiAddResult> batch = Status::Unavailable("unset");
+              const Status status = call(
+                  request_bytes, /*response_bytes=*/64 * sub.size(),
+                  [&](IpsInstance& instance) {
+                    batch = instance.MultiAdd(caller, table, sub, request.ctx);
+                    return batch.status();
+                  });
+              if (status.ok()) *statuses = std::move(batch->statuses);
+              return status;
+            });
+  return states;
+}
+
+void IpsClient::CountReads(const MultiQueryResult& result, Counter* errors) {
+  const int64_t failed = std::count_if(
+      result.statuses.begin(), result.statuses.end(),
+      [](const Status& status) { return !status.ok(); });
+  if (failed > 0) errors->Increment(failed);
+  if (result.degraded > 0) {
+    counters_.degraded_reads->Increment(static_cast<int64_t>(result.degraded));
+  }
+}
+
+void IpsClient::CountWrites(const std::vector<ItemState>& states,
+                            Counter* errors) {
+  // An item is acknowledged when at least one region accepted it (weak
+  // consistency); partial region coverage is counted, not dropped.
+  const size_t regions = deployment_->region_names().size();
+  int64_t failed = 0;
+  int64_t partial = 0;
+  int64_t region_errors = 0;
+  for (const ItemState& state : states) {
+    region_errors += static_cast<int64_t>(regions - state.regions_ok);
+    if (state.regions_ok == 0) {
+      ++failed;
+    } else if (state.regions_ok < regions) {
+      ++partial;
+    }
+  }
+  if (failed > 0) errors->Increment(failed);
+  if (partial > 0) counters_.write_partial_regions->Increment(partial);
+  if (region_errors > 0) {
+    counters_.write_region_errors->Increment(region_errors);
   }
 }
 
 Status IpsClient::AddProfile(const std::string& table, ProfileId pid,
                              TimestampMs timestamp, SlotId slot, TypeId type,
                              FeatureId fid, const CountVector& counts) {
-  AddRecord record;
-  record.timestamp = timestamp;
-  record.slot = slot;
-  record.type = type;
-  record.fid = fid;
-  record.counts = counts;
-  return AddProfiles(table, pid, {record});
+  return AddProfiles(table, pid, {{timestamp, slot, type, fid, counts}});
 }
 
 Status IpsClient::AddProfiles(const std::string& table, ProfileId pid,
@@ -312,353 +612,47 @@ Status IpsClient::AddProfilesAs(const std::string& caller,
                                 const std::string& table, ProfileId pid,
                                 const std::vector<AddRecord>& records,
                                 const CallContext& ctx, WriteAck* out_ack) {
-  MaybeRefresh();
   counters_.write_requests->Increment();
-  retry_policy_.OnRequestStart();
-
-  // The transport cost model is size-proportional: charge the encoded size
-  // of the record batch, not a fixed per-request constant.
-  const size_t request_bytes = EstimateAddPayloadBytes(records);
-
-  // Multi-region writing: every region gets the record on its owning node.
-  // The retry policy gates *successor* attempts within a region; the region
-  // fan-out itself is the write contract, not a retry.
-  size_t regions_ok = 0;
-  bool deadline_hit = false;
-  Status last_error = NoLiveInstance();
-  Routing routing;
-  for (const auto& region : deployment_->region_names()) {
-    if (deadline_hit) break;
-    Status region_status = NoLiveInstance();
-    Route(region, std::span<const ProfileId>(&pid, 1),
-          options_.max_write_attempts, &routing);
-    bool first_in_region = true;
-    for (size_t attempt = 0; attempt < routing.attempts; ++attempt) {
-      const uint32_t m = routing.Candidate(0, attempt);
-      if (m == Routing::kNone) break;
-      const Member& member = routing.members[m];
-      if (member.node == nullptr) continue;
-      if (ctx.Expired(deployment_->clock()->NowMs())) {
-        counters_.deadline_exceeded->Increment();
-        region_status = Status::DeadlineExceeded("client deadline expired");
-        deadline_hit = true;
-        break;
-      }
-      if (!first_in_region && retry_policy_.enabled() &&
-          !PrepareRetry(region_status, ctx)) {
-        break;
-      }
-      first_in_region = false;
-      region_status = member.node->Call(
-          ctx, request_bytes, /*response_bytes=*/64,
-          [&](IpsInstance& instance) {
-            return instance.AddProfiles(caller, table, pid, records, ctx);
-          });
-      RecordOutcome(member, region_status);
-      if (region_status.ok()) break;
-      // A hint-less quota rejection is a server decision, not a node fault:
-      // stop hammering successors (they enforce the same quota). A load-shed
-      // WITH a retry-after hint may continue — the next attempt's
-      // PrepareRetry paces it by the hint without burning budget.
-      if (region_status.IsResourceExhausted() &&
-          !region_status.has_retry_after()) {
-        break;
-      }
-    }
-    if (region_status.ok()) {
-      ++regions_ok;
-    } else {
-      last_error = region_status;
-      counters_.write_region_errors->Increment();
-    }
-  }
-  // A deadline can expire before later regions were even attempted; they
-  // still count as not-acked — the ack reports coverage of the full
-  // deployment, not of the subset we got around to.
-  const size_t regions_total = deployment_->region_names().size();
+  const std::vector<ItemState> states =
+      WriteBatch("client.add", caller, table, {{pid, records}}, ctx);
+  CountWrites(states, counters_.write_errors);
+  // The ack covers the whole deployment, regions a deadline left untried too.
   if (out_ack != nullptr) {
-    out_ack->regions_ok = regions_ok;
-    out_ack->regions_total = regions_total;
+    out_ack->regions_ok = states[0].regions_ok;
+    out_ack->regions_total = deployment_->region_names().size();
   }
-  if (regions_ok == 0) {
-    counters_.write_errors->Increment();
-    // Surface the representative cause: callers distinguish quota pacing
-    // (back off and retry) from unavailability (fail over / alert).
-    return last_error;
-  }
-  if (regions_ok < regions_total) {
-    // Partial multi-region write: acknowledged (weak-consistency contract)
-    // but NOT silent — the missed regions serve stale reads until repair.
-    counters_.write_partial_regions->Increment();
-  }
-  return Status::OK();
+  // The last error tells quota pacing (back off) from unavailability.
+  return states[0].regions_ok > 0 ? Status::OK() : states[0].Error();
 }
 
 Result<MultiAddResult> IpsClient::MultiAddAs(
     const std::string& caller, const std::string& table,
     const std::vector<MultiAddItem>& items, const CallContext& ctx) {
   if (items.empty()) return Status::InvalidArgument("empty add batch");
-  MaybeRefresh();
   counters_.multi_write_requests->Increment();
   counters_.multi_write_pids->Increment(static_cast<int64_t>(items.size()));
-  retry_policy_.OnRequestStart();
-
-  // Root span covering the whole multi-region scatter-gather; sub-calls pass
-  // the derived context to node->Call, which re-installs it on whichever
-  // thread runs them, so per-node spans parent to this root.
-  TraceInstallScope trace_install(ctx.trace);
-  ScopedSpan root_span("client.multi_add");
-  CallContext call_ctx = ctx;
-  call_ctx.trace = CurrentTrace();
-
-  struct ItemState {
-    size_t regions_ok = 0;
-    bool done_region = false;  // acknowledged in the region being processed
-    Status status;             // last error; OK until a node answers
-  };
-  std::vector<ItemState> states(items.size());
-  std::vector<ProfileId> item_pids(items.size());
-  for (size_t s = 0; s < items.size(); ++s) item_pids[s] = items[s].pid;
-  bool stop_all = false;
-
-  // Multi-region writing, one region at a time: within a region the items
-  // are grouped by ring owner and each group goes out as ONE MultiAdd RPC,
-  // sub-calls in parallel (they write disjoint item states — no lock). The
-  // region fan-out itself is the write contract, not a retry; the retry
-  // policy gates successor rounds *within* a region, like AddProfilesAs.
-  const std::vector<std::string>& regions = deployment_->region_names();
-  Routing routing;
-  for (const auto& region : regions) {
-    if (stop_all) break;
-    for (auto& state : states) state.done_region = false;
-    Route(region, item_pids, options_.max_write_attempts, &routing);
-    bool quota_stop = false;
-    bool first_in_region = true;
-    for (int attempt = 0;
-         attempt < options_.max_write_attempts && !quota_stop; ++attempt) {
-      const TimestampMs round_now = deployment_->clock()->NowMs();
-      if (ctx.Expired(round_now)) {
-        counters_.deadline_exceeded->Increment();
-        for (auto& state : states) {
-          if (!state.done_region && state.regions_ok == 0) {
-            state.status = Status::DeadlineExceeded("client deadline expired");
-          }
-        }
-        stop_all = true;
-        break;
-      }
-      // Group unfinished items by this attempt's ring owner.
-      const size_t groups = routing.Group(
-          items.size(), static_cast<size_t>(attempt),
-          [&](size_t s) { return !states[s].done_region; });
-      if (groups == 0) break;
-
-      // Successor rounds need a grant from the retry policy; refusal stops
-      // this region's retries but later regions still get their fan-out.
-      if (!first_in_region && retry_policy_.enabled()) {
-        Status round_error = NoLiveInstance();
-        for (const auto& state : states) {
-          if (!state.done_region) {
-            if (!state.status.ok()) round_error = state.status;
-            break;
-          }
-        }
-        if (!PrepareRetry(round_error, ctx)) break;
-      }
-      first_in_region = false;
-
-      // Nodes whose breaker re-opened since routing are skipped; their
-      // items stay unfinished for the next successor.
-      routing.sends.clear();
-      for (uint32_t g = 0; g < groups; ++g) {
-        const Member& member = routing.members[routing.owners[g]];
-        if (member.node == nullptr) continue;
-        if (breakers_.enabled() && !member.breaker->AllowRequest(round_now)) {
-          const uint32_t first = routing.begin[g];
-          const uint32_t last = routing.begin[g + 1];
-          counters_.breaker_skips->Increment(last - first);
-          for (uint32_t k = first; k < last; ++k) {
-            states[routing.items[k]].status =
-                Status::Unavailable("circuit breaker open");
-          }
-          continue;
-        }
-        routing.sends.push_back(g);
-      }
-
-      std::atomic<bool> saw_quota{false};
-      Scatter(routing.sends.size(), [&](size_t t) {
-        const uint32_t g = routing.sends[t];
-        const Member& member = routing.members[routing.owners[g]];
-        const uint32_t first = routing.begin[g];
-        const uint32_t count = routing.begin[g + 1] - first;
-        const uint32_t* item_ids = &routing.items[first];
-        std::vector<MultiAddItem> sub;
-        sub.reserve(count);
-        size_t request_bytes = 0;
-        for (uint32_t j = 0; j < count; ++j) {
-          sub.push_back(items[item_ids[j]]);
-          request_bytes += EstimateAddPayloadBytes(items[item_ids[j]].records);
-        }
-        Result<MultiAddResult> batch = Status::Unavailable("unset");
-        Status call_status = member.node->Call(
-            call_ctx, request_bytes,
-            /*response_bytes=*/64 * sub.size(),
-            [&](IpsInstance& instance) {
-              batch = instance.MultiAdd(caller, table, sub, call_ctx);
-              return batch.ok() ? Status::OK() : batch.status();
-            });
-        if (call_status.ok() && batch.ok()) {
-          RecordOutcome(member, Status::OK());
-          for (uint32_t j = 0; j < count; ++j) {
-            ItemState& state = states[item_ids[j]];
-            if (batch->statuses[j].ok()) {
-              state.done_region = true;
-            } else {
-              state.status = std::move(batch->statuses[j]);
-            }
-          }
-        } else {
-          // Batch-level failure (node down, quota, unknown table): every
-          // item in the sub-batch shares the cause.
-          Status error = call_status.ok() ? batch.status() : call_status;
-          RecordOutcome(member, error);
-          // Hint-less quota rejections stop the region's retries below; a
-          // load-shed WITH a retry-after hint is re-offered on the next
-          // round, paced by PrepareRetry honoring the hint.
-          if (error.IsResourceExhausted() && !error.has_retry_after()) {
-            saw_quota.store(true, std::memory_order_relaxed);
-          }
-          for (uint32_t j = 0; j < count; ++j) {
-            states[item_ids[j]].status = error;
-          }
-        }
-      });
-      // Quota rejections are not retried within the region: successors
-      // enforce the same per-caller budget.
-      if (saw_quota.load(std::memory_order_relaxed)) quota_stop = true;
-    }
-    for (auto& state : states) {
-      if (state.done_region) ++state.regions_ok;
-    }
-  }
-
-  // Gather: an item is acknowledged when at least one region accepted it
-  // (the weak-consistency write contract); partial region coverage is
-  // surfaced through the counter rather than silently dropped.
+  const std::vector<ItemState> states =
+      WriteBatch("client.multi_add", caller, table, items, ctx);
+  CountWrites(states, counters_.multi_write_errors);
   MultiAddResult out;
-  out.statuses.assign(items.size(), Status::OK());
-  int64_t failed = 0;
-  int64_t partial = 0;
-  for (size_t s = 0; s < items.size(); ++s) {
-    if (states[s].regions_ok == 0) {
-      out.statuses[s] = states[s].status.ok() ? NoLiveInstance()
-                                              : std::move(states[s].status);
-      ++failed;
-    } else {
-      ++out.ok_items;
-      if (states[s].regions_ok < regions.size()) ++partial;
-    }
+  out.statuses.reserve(states.size());
+  for (const ItemState& state : states) {
+    out.statuses.push_back(state.regions_ok > 0 ? Status::OK()
+                                                : state.Error());
+    if (state.regions_ok > 0) ++out.ok_items;
   }
-  if (failed > 0) counters_.multi_write_errors->Increment(failed);
-  if (partial > 0) counters_.write_partial_regions->Increment(partial);
   return out;
 }
 
 Result<QueryResult> IpsClient::Query(const std::string& table, ProfileId pid,
                                      const QuerySpec& spec,
                                      const CallContext& ctx) {
-  // Root span for the whole client-side request (attempts, backoff, RPC).
-  // Children recorded below (rpc.transfer, server.query, ...) parent to it
-  // via the derived context handed to node->Call.
-  TraceInstallScope trace_install(ctx.trace);
-  ScopedSpan root_span("client.query");
-  CallContext call_ctx = ctx;
-  call_ctx.trace = CurrentTrace();
-
-  // Client-side dispatch machinery — discovery refresh, routing, retry
-  // policy, outcome bookkeeping — is real per-request work. It reports as
-  // rpc.dispatch so the disjoint-stage sum accounts for it; the span is
-  // suspended around node->Call so it never overlaps rpc.transfer or any
-  // server-side stage.
-  std::optional<ScopedSpan> dispatch_span;
-  dispatch_span.emplace("rpc.dispatch");
-  MaybeRefresh();
   counters_.read_requests->Increment();
-  retry_policy_.OnRequestStart();
-
-  // The result slot and handler are built once, inside the dispatch span, and
-  // reused across attempts: the std::function allocation would otherwise land
-  // in the untraced window while the span is suspended around node->Call.
-  Result<QueryResult> query_result = Status::Unavailable("unset");
-  const std::function<Status(IpsInstance&)> handler =
-      [&](IpsInstance& instance) {
-        query_result =
-            instance.Query(options_.caller, table, pid, spec, call_ctx);
-        return query_result.ok() ? Status::OK() : query_result.status();
-      };
-
-  Status last_error = NoLiveInstance();
-  Routing routing;
-  bool first_attempt = true;
-  // Server-paced (retry-after) re-offers allowed for this request. The cap
-  // keeps a deadline-less request from pacing against a shedding server
-  // forever; with a deadline, PrepareRetry's headroom check bounds it too.
-  int throttle_retries = options_.max_read_attempts;
-  for (const auto& region : read_regions_) {
-    Route(region, std::span<const ProfileId>(&pid, 1),
-          options_.max_read_attempts, &routing);
-    for (size_t ci = 0; ci < routing.attempts;) {
-      const uint32_t m = routing.Candidate(0, ci);
-      if (m == Routing::kNone) break;
-      const Member& member = routing.members[m];
-      if (member.node == nullptr) {
-        ++ci;
-        continue;
-      }
-      if (ctx.Expired(deployment_->clock()->NowMs())) {
-        counters_.deadline_exceeded->Increment();
-        counters_.read_errors->Increment();
-        return Status::DeadlineExceeded("client deadline expired");
-      }
-      // Attempts after the first need a grant from the retry policy:
-      // terminal errors and an exhausted budget both stop the loop.
-      if (!first_attempt && retry_policy_.enabled() &&
-          !PrepareRetry(last_error, ctx)) {
-        counters_.read_errors->Increment();
-        return last_error;
-      }
-      first_attempt = false;
-      query_result = Status::Unavailable("unset");
-      dispatch_span.reset();
-      Status call_status = member.node->Call(
-          call_ctx, options_.request_bytes, options_.response_bytes, handler);
-      dispatch_span.emplace("rpc.dispatch");
-      if (call_status.ok() && query_result.ok()) {
-        RecordOutcome(member, Status::OK());
-        if (query_result->degraded) counters_.degraded_reads->Increment();
-        return query_result;
-      }
-      last_error = call_status.ok() ? query_result.status() : call_status;
-      RecordOutcome(member, last_error);
-      if (last_error.IsThrottled()) {
-        // A load-shed with a retry-after hint means "come back to ME after
-        // the hint" — re-offer to the SAME node after the server-paced
-        // backoff (PrepareRetry grants the hint without burning budget).
-        // A hint-less quota rejection stays terminal: successors enforce
-        // the same per-caller budget.
-        if (last_error.has_retry_after() && throttle_retries > 0) {
-          --throttle_retries;
-          continue;
-        }
-        break;
-      }
-      ++ci;
-    }
-    if (last_error.IsResourceExhausted()) break;
-  }
-  counters_.read_errors->Increment();
-  return last_error;
+  MultiQueryResult batch = ReadBatch(
+      "client.query", table, std::span<const ProfileId>(&pid, 1), spec, ctx);
+  CountReads(batch, counters_.read_errors);
+  if (!batch.statuses[0].ok()) return std::move(batch.statuses[0]);
+  return std::move(batch.results[0]);
 }
 
 Result<MultiQueryResult> IpsClient::MultiQuery(const std::string& table,
@@ -666,183 +660,11 @@ Result<MultiQueryResult> IpsClient::MultiQuery(const std::string& table,
                                                const QuerySpec& spec,
                                                const CallContext& ctx) {
   if (pids.empty()) return Status::InvalidArgument("empty pid batch");
-  MaybeRefresh();
   counters_.multi_read_requests->Increment();
   counters_.multi_read_pids->Increment(static_cast<int64_t>(pids.size()));
-  retry_policy_.OnRequestStart();
-
-  // Root span covering the whole scatter-gather. Sub-calls pass the derived
-  // context to node->Call, which re-installs it on whichever thread runs
-  // them, so the parallel per-node spans all parent to this root.
-  TraceInstallScope trace_install(ctx.trace);
-  ScopedSpan root_span("client.multi_query");
-  CallContext call_ctx = ctx;
-  call_ctx.trace = CurrentTrace();
-
-  // Deduplicate while preserving first-seen order: duplicate candidates cost
-  // one lookup and fan back out on reassembly.
-  std::vector<ProfileId> unique;
-  std::vector<uint32_t> slot_of;
-  DedupePids(pids, &unique, &slot_of);
-
-  struct SlotState {
-    bool done = false;
-    Status status;  // last error; OK until a node answers
-    QueryResult result;
-  };
-  std::vector<SlotState> slots(unique.size());
-  std::atomic<size_t> cache_hits{0};
-  bool quota_stop = false;
-  bool stop_all = false;
-
-  Routing routing;
-  // Pids of the round's groups, laid out like routing.items so each
-  // sub-call sends a contiguous span.
-  std::vector<ProfileId> grouped_pids;
-  bool first_round = true;
-  for (const auto& region : read_regions_) {
-    if (quota_stop || stop_all) break;
-    // Ring candidates for every slot, computed once per region.
-    Route(region, unique, options_.max_read_attempts, &routing);
-    for (int attempt = 0; attempt < options_.max_read_attempts && !quota_stop;
-         ++attempt) {
-      const TimestampMs round_now = deployment_->clock()->NowMs();
-      if (ctx.Expired(round_now)) {
-        counters_.deadline_exceeded->Increment();
-        for (auto& slot : slots) {
-          if (!slot.done) {
-            slot.status = Status::DeadlineExceeded("client deadline expired");
-          }
-        }
-        stop_all = true;
-        break;
-      }
-      // Group unfinished slots by this attempt's ring owner.
-      const size_t groups =
-          routing.Group(unique.size(), static_cast<size_t>(attempt),
-                        [&](size_t s) { return !slots[s].done; });
-      if (groups == 0) break;
-
-      // Rounds after the first need a grant from the retry policy. The
-      // representative error is the first unfinished slot's status from the
-      // previous round.
-      if (!first_round && retry_policy_.enabled()) {
-        Status round_error = NoLiveInstance();
-        for (const auto& slot : slots) {
-          if (!slot.done) {
-            if (!slot.status.ok()) round_error = slot.status;
-            break;
-          }
-        }
-        if (!PrepareRetry(round_error, ctx)) {
-          stop_all = true;
-          break;
-        }
-      }
-      first_round = false;
-
-      // Nodes whose breaker re-opened since routing are skipped here; their
-      // slots stay unfinished and move to the next ring successor.
-      routing.sends.clear();
-      for (uint32_t g = 0; g < groups; ++g) {
-        const Member& member = routing.members[routing.owners[g]];
-        if (member.node == nullptr) continue;
-        if (breakers_.enabled() && !member.breaker->AllowRequest(round_now)) {
-          const uint32_t first = routing.begin[g];
-          const uint32_t last = routing.begin[g + 1];
-          counters_.breaker_skips->Increment(last - first);
-          for (uint32_t k = first; k < last; ++k) {
-            slots[routing.items[k]].status =
-                Status::Unavailable("circuit breaker open");
-          }
-          continue;
-        }
-        routing.sends.push_back(g);
-      }
-      grouped_pids.resize(routing.items.size());
-      for (size_t k = 0; k < routing.items.size(); ++k) {
-        grouped_pids[k] = unique[routing.items[k]];
-      }
-
-      // Scatter: one sub-batch RPC per owning node, in parallel. Each
-      // sub-call writes a disjoint set of slots, so no lock is needed.
-      std::atomic<bool> saw_quota{false};
-      Scatter(routing.sends.size(), [&](size_t t) {
-        const uint32_t g = routing.sends[t];
-        const Member& member = routing.members[routing.owners[g]];
-        const uint32_t first = routing.begin[g];
-        const uint32_t count = routing.begin[g + 1] - first;
-        const std::span<const ProfileId> sub(&grouped_pids[first], count);
-        Result<MultiQueryResult> batch = Status::Unavailable("unset");
-        Status call_status = member.node->Call(
-            call_ctx, options_.request_bytes + count * sizeof(ProfileId),
-            options_.response_bytes * count, [&](IpsInstance& instance) {
-              batch = instance.MultiQuery(options_.caller, table, sub, spec,
-                                          call_ctx);
-              return batch.ok() ? Status::OK() : batch.status();
-            });
-        if (call_status.ok() && batch.ok()) {
-          RecordOutcome(member, Status::OK());
-          cache_hits.fetch_add(batch->cache_hits, std::memory_order_relaxed);
-          for (uint32_t j = 0; j < count; ++j) {
-            SlotState& slot = slots[routing.items[first + j]];
-            slot.status = std::move(batch->statuses[j]);
-            if (slot.status.ok()) {
-              slot.done = true;
-              slot.result = std::move(batch->results[j]);
-            }
-          }
-        } else {
-          // Batch-level failure (node down, quota, unknown table): every
-          // slot in the sub-batch shares the cause.
-          Status error = call_status.ok() ? batch.status() : call_status;
-          RecordOutcome(member, error);
-          // Hint-less quota rejections stop the scatter below; a load-shed
-          // WITH a retry-after hint is re-offered on the next round, paced
-          // by PrepareRetry honoring the hint.
-          if (error.IsResourceExhausted() && !error.has_retry_after()) {
-            saw_quota.store(true, std::memory_order_relaxed);
-          }
-          for (uint32_t j = 0; j < count; ++j) {
-            slots[routing.items[first + j]].status = error;
-          }
-        }
-      });
-      // Quota rejections are not retried: the server told us to back off,
-      // and ring successors enforce the same per-caller budget.
-      if (saw_quota.load(std::memory_order_relaxed)) quota_stop = true;
-    }
-  }
-
-  // Gather: expand unique slots back to input order. Each slot's result is
-  // moved into its last occurrence; only earlier duplicates are copies.
-  std::vector<uint32_t> last_use(unique.size());
-  for (size_t i = 0; i < pids.size(); ++i) {
-    last_use[slot_of[i]] = static_cast<uint32_t>(i);
-  }
-  MultiQueryResult out;
-  out.results.resize(pids.size());
-  out.statuses.assign(pids.size(), Status::OK());
-  out.cache_hits = cache_hits.load(std::memory_order_relaxed);
-  int64_t failed = 0;
-  for (size_t i = 0; i < pids.size(); ++i) {
-    SlotState& slot = slots[slot_of[i]];
-    if (slot.done) {
-      if (slot.result.degraded) ++out.degraded;
-      if (last_use[slot_of[i]] == i) {
-        out.results[i] = std::move(slot.result);
-      } else {
-        out.results[i] = slot.result;
-      }
-    } else {
-      out.statuses[i] = slot.status.ok() ? NoLiveInstance() : slot.status;
-      ++failed;
-    }
-  }
-  if (out.degraded > 0) {
-    counters_.degraded_reads->Increment(static_cast<int64_t>(out.degraded));
-  }
-  if (failed > 0) counters_.multi_read_errors->Increment(failed);
+  MultiQueryResult out =
+      ReadBatch("client.multi_query", table, pids, spec, ctx);
+  CountReads(out, counters_.multi_read_errors);
   return out;
 }
 
@@ -860,12 +682,17 @@ Result<QueryResult> IpsClient::GetProfileTopK(
   return Query(table, pid, spec);
 }
 
+// Batch calls count once per pid or item, the same as one call per pid.
 int64_t IpsClient::requests() const {
-  return counters_.read_requests->Value() + counters_.write_requests->Value();
+  return counters_.read_requests->Value() + counters_.write_requests->Value() +
+         counters_.multi_read_pids->Value() +
+         counters_.multi_write_pids->Value();
 }
 
 int64_t IpsClient::errors() const {
-  return counters_.read_errors->Value() + counters_.write_errors->Value();
+  return counters_.read_errors->Value() + counters_.write_errors->Value() +
+         counters_.multi_read_errors->Value() +
+         counters_.multi_write_errors->Value();
 }
 
 double IpsClient::ErrorRate() const {

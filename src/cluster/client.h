@@ -74,10 +74,8 @@ class IpsClient {
   /// the destructor joins it.
   IpsClient(IpsClientOptions options, Deployment* deployment);
 
-  /// Write path: the record is sent to the owning instance in *every*
-  /// region (multi-region writing). Succeeds when at least one region
-  /// acknowledged; per-region failures are counted but tolerated, matching
-  /// the weak-consistency contract.
+  /// Write path: a batch-of-one MultiAdd. Succeeds when at least one region
+  /// acknowledged (the weak-consistency contract).
   Status AddProfile(const std::string& table, ProfileId pid,
                     TimestampMs timestamp, SlotId slot, TypeId type,
                     FeatureId fid, const CountVector& counts);
@@ -100,14 +98,11 @@ class IpsClient {
                        ProfileId pid, const std::vector<AddRecord>& records,
                        const CallContext& ctx, WriteAck* out_ack = nullptr);
 
-  /// Batched write path (mirror of MultiQuery): items are grouped by owning
-  /// instance on each region's ring and each group goes out as ONE MultiAdd
-  /// RPC — sub-batches fan out to their owners in parallel (see Scatter),
-  /// per region, and per-item statuses reassemble in input order. An item
-  /// is OK when at least one region accepted it; items accepted by only
-  /// some regions bump `client.write_partial_regions`. Retries regroup
-  /// unfinished items by ring successor within each region under the usual
-  /// retry policy / breaker gates.
+  /// Batched write path, the one every write takes: in every region, items
+  /// are grouped by owning instance and each group goes out as ONE MultiAdd
+  /// RPC (see RunRounds). An item is OK when at least one region accepted
+  /// it; items only some regions accepted bump
+  /// `client.write_partial_regions`.
   Result<MultiAddResult> MultiAdd(const std::string& table,
                                   const std::vector<MultiAddItem>& items) {
     return MultiAddAs(options_.caller, table, items, DefaultContext());
@@ -128,10 +123,7 @@ class IpsClient {
   /// for batch jobs).
   bool HasTableAnywhere(const std::string& table);
 
-  /// Read path: local region first, ring successor retries, then failover
-  /// regions. Attempts after the first are granted by the retry policy
-  /// (classification + budget) and separated by jittered backoff; nodes
-  /// with an open circuit breaker are skipped at candidate selection.
+  /// Read path: a batch-of-one MultiQuery.
   Result<QueryResult> Query(const std::string& table, ProfileId pid,
                             const QuerySpec& spec) {
     return Query(table, pid, spec, DefaultContext());
@@ -140,13 +132,11 @@ class IpsClient {
   Result<QueryResult> Query(const std::string& table, ProfileId pid,
                             const QuerySpec& spec, const CallContext& ctx);
 
-  /// Batched read path (the serving hot path): pids are deduplicated,
-  /// grouped by owning instance on the consistent-hash ring, and each group
-  /// goes out as ONE MultiQuery RPC — sub-batches fan out to their owners in
-  /// parallel (see Scatter) and reassemble in input order with per-pid
-  /// statuses. Retries regroup unfinished pids by ring successor, then
-  /// failover regions, same policy as single-profile Query. Duplicate pids
-  /// share one lookup but each occurrence gets its own result slot.
+  /// Batched read path, the one every read takes: pids are deduplicated,
+  /// grouped by owning instance and each group goes out as ONE MultiQuery
+  /// RPC, local region first, then failover regions (see RunRounds).
+  /// Results reassemble in input order with per-pid statuses; duplicate
+  /// pids share one lookup.
   Result<MultiQueryResult> MultiQuery(const std::string& table,
                                       std::span<const ProfileId> pids,
                                       const QuerySpec& spec) {
@@ -166,7 +156,8 @@ class IpsClient {
   /// Forces a discovery refresh now (tests; normally interval-driven).
   void RefreshView();
 
-  /// Observability: client-side request/error counters.
+  /// Observability: client-side requests and errors, batch calls counted
+  /// once per pid or item.
   int64_t requests() const;
   int64_t errors() const;
   double ErrorRate() const;
@@ -254,8 +245,39 @@ class IpsClient {
   /// deadline). False when the request must stop retrying.
   bool PrepareRetry(const Status& last_error, const CallContext& ctx);
 
-  /// Records a call outcome on the member's breaker.
-  void RecordOutcome(const Member& member, const Status& status);
+  struct ItemState;
+  struct RequestScope;
+
+  /// The round loop of every request. Per region, one round per attempt:
+  /// deadline check, unfinished items grouped by that attempt's ring
+  /// successor, a PrepareRetry grant for all but the first round, breaker
+  /// skips, then `rpc(call, ids, pids, &statuses)` per group in parallel:
+  /// one `call` for items `ids`, returning the call status and, on OK, a
+  /// status per item. A hinted shed leaves its items to the next round; a
+  /// hint-less quota rejection or a refused retry stops the rounds.
+  /// `per_region` (writes): items are done per region and counted in
+  /// `regions_ok`, each region's first round is free, and a stop ends only
+  /// the region. Otherwise (reads) a stop ends the request.
+  template <typename Rpc>
+  void RunRounds(const std::vector<std::string>& regions, bool per_region,
+                 int max_attempts, std::span<const ProfileId> pids,
+                 RequestScope* request, std::vector<ItemState>* items,
+                 const Rpc& rpc);
+
+  /// The code behind Query and MultiQuery, under root span `span`.
+  MultiQueryResult ReadBatch(const char* span, const std::string& table,
+                             std::span<const ProfileId> pids,
+                             const QuerySpec& spec, const CallContext& ctx);
+
+  /// The code behind AddProfilesAs and MultiAddAs; per-item final states.
+  std::vector<ItemState> WriteBatch(const char* span, const std::string& caller,
+                                    const std::string& table,
+                                    const std::vector<MultiAddItem>& items,
+                                    const CallContext& ctx);
+
+  /// Outcome counters of one call, with the entry point's own `errors`.
+  void CountReads(const MultiQueryResult& result, Counter* errors);
+  void CountWrites(const std::vector<ItemState>& states, Counter* errors);
 
   /// Hot-path counters, resolved once at construction (the registry lookup
   /// takes a deployment-wide mutex).

@@ -39,6 +39,7 @@ constexpr StageMetric kStageMetrics[] = {
     {"server.query", "trace.stage.server.query"},
     {"server.add", "trace.stage.server.add"},
     {"client.query", "trace.stage.client.query"},
+    {"client.add", "trace.stage.client.add"},
     {"client.multi_query", "trace.stage.client.multi_query"},
     {"client.multi_add", "trace.stage.client.multi_add"},
     {"assembler.batch", "trace.stage.assembler.batch"},

@@ -5,6 +5,7 @@
 #include "cluster/rpc.h"
 
 #include <atomic>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -463,6 +464,27 @@ TEST_F(DeploymentTest, AllRegionsDownReportsUnavailable) {
   EXPECT_GT(client.ErrorRate(), 0.0);
 }
 
+TEST_F(DeploymentTest, BatchOnlyClientReportsItsErrorRate) {
+  // Batch calls count once per pid in requests() and errors(), so a client
+  // that serves only through MultiQuery still reports its failures.
+  IpsClient client(LocalClientOptions("lf"), &deployment_);
+  deployment_.FailRegion("lf");
+  deployment_.FailRegion("hl");
+  client.RefreshView();
+  QuerySpec spec;
+  spec.slot = 1;
+  spec.time_range = TimeRange::Current(kDay);
+  const std::vector<ProfileId> pids = {1, 2, 3};
+  auto batch = client.MultiQuery("profiles", pids, spec);
+  ASSERT_TRUE(batch.ok());
+  for (const auto& status : batch->statuses) {
+    EXPECT_TRUE(status.IsUnavailable()) << status.ToString();
+  }
+  EXPECT_EQ(client.requests(), 3);
+  EXPECT_EQ(client.errors(), 3);
+  EXPECT_GT(client.ErrorRate(), 0.0);
+}
+
 TEST_F(DeploymentTest, WriteToleratesSingleRegionFailure) {
   IpsClient client(LocalClientOptions("lf"), &deployment_);
   deployment_.FailRegion("hl");
@@ -859,6 +881,91 @@ TEST_F(DeploymentTest, PartialRegionWriteSurfacesAckAndCounter) {
                 ->GetCounter("client.write_partial_regions")
                 ->Value(),
             2);
+}
+
+TEST_F(DeploymentTest, HintedShedTakesOneRouteForSingleAndBatchCalls) {
+  // Every lf node sheds with a retry-after hint; hl is healthy. Query and
+  // AddProfilesAs are batch-of-one calls of the MultiQuery and MultiAddAs
+  // path, so each pair must reach the same nodes, wait out the same hints
+  // and end with the same status: the lf owner, its ring successor, then
+  // the hl owner.
+  for (auto* node : deployment_.NodesInRegion("lf")) {
+    node->instance().overload().SetLevelOverride(3);
+  }
+  std::vector<std::string> node_ids;
+  for (const auto& region : deployment_.region_names()) {
+    for (auto* node : deployment_.NodesInRegion(region)) {
+      node_ids.push_back(node->node_id());
+    }
+  }
+  struct Route {
+    std::vector<bool> reached;  // per node, lf first
+    int64_t sheds = 0;
+    int64_t paced_ms = 0;
+    Status status;
+  };
+  Counter* sheds = deployment_.metrics()->GetCounter("admission.shed_brownout");
+  // Runs `call` on a fresh client. A node the call reaches records the
+  // outcome on the client's breaker for it, and a shed or a served call
+  // resets the failure streak, so a streak primed to one marks the nodes
+  // the call never reached.
+  auto route = [&](const std::function<Status(IpsClient&)>& call) {
+    IpsClient client(LocalClientOptions("lf"), &deployment_);
+    for (const auto& id : node_ids) {
+      client.breakers().Get(id)->RecordFailure(clock_.NowMs());
+    }
+    const int64_t sheds_before = sheds->Value();
+    const TimestampMs start = clock_.NowMs();
+    Route out;
+    out.status = call(client);
+    out.paced_ms = clock_.NowMs() - start;
+    out.sheds = sheds->Value() - sheds_before;
+    for (const auto& id : node_ids) {
+      out.reached.push_back(client.breakers().Get(id)->consecutive_failures() ==
+                            0);
+    }
+    return out;
+  };
+  auto expect_same = [&](const Route& single, const Route& batch) {
+    EXPECT_EQ(single.reached, batch.reached);
+    EXPECT_EQ(single.sheds, batch.sheds);
+    EXPECT_EQ(single.paced_ms, batch.paced_ms);
+    EXPECT_EQ(single.status.code(), batch.status.code())
+        << single.status.ToString() << " vs " << batch.status.ToString();
+    // Both lf nodes shed once each, then one hl node answers.
+    ASSERT_EQ(single.reached.size(), 4u);
+    EXPECT_TRUE(single.reached[0] && single.reached[1]);
+    EXPECT_EQ(single.reached[2] + single.reached[3], 1);
+    EXPECT_EQ(single.sheds, 2);
+    EXPECT_GT(single.paced_ms, 0);
+    EXPECT_TRUE(single.status.ok()) << single.status.ToString();
+  };
+
+  constexpr ProfileId kPid = 7;
+  QuerySpec spec;
+  spec.slot = 1;
+  spec.time_range = TimeRange::Current(kDay);
+  expect_same(
+      route([&](IpsClient& client) {
+        return client.Query("profiles", kPid, spec).status();
+      }),
+      route([&](IpsClient& client) {
+        const std::vector<ProfileId> pids = {kPid};
+        auto batch = client.MultiQuery("profiles", pids, spec);
+        return batch.ok() ? batch->statuses[0] : batch.status();
+      }));
+
+  const MultiAddItem item = MakeWriteItem(kPid, clock_.NowMs() - kMinute, 5);
+  expect_same(
+      route([&](IpsClient& client) {
+        return client.AddProfilesAs("test", "profiles", kPid, item.records,
+                                    CallContext{});
+      }),
+      route([&](IpsClient& client) {
+        auto batch =
+            client.MultiAddAs("test", "profiles", {item}, CallContext{});
+        return batch.ok() ? batch->statuses[0] : batch.status();
+      }));
 }
 
 TEST(WritePayloadTest, EstimateTracksEncodedRecords) {
