@@ -73,7 +73,6 @@ IpsInstanceOptions BenchInstanceOptions(bool l2_on) {
   // regime where the tier earns its keep (demotions are what fill it).
   // Isolation is off, so the loop never merges.
   options.isolation_enabled = false;
-  options.cache.write_granularity_ms = kMinute;
   // Tiny L1: the Zipf head cannot stay resident, so profiles keep cycling
   // through eviction and re-load.
   options.cache.memory_limit_bytes = 8 * 1024;

@@ -18,13 +18,16 @@
 //      on a single core parallel drain merely relocates the same CPU
 //      seconds — so the gate below is cores-aware.
 //
-// Emits BENCH_compaction_ablation.json. `--smoke` runs small and exits
+// Emits BENCH_compaction_ablation.json and compaction_trace.txt. `--smoke`
+// runs small, writes neither (the trace goes through a temp file) and exits
 // nonzero unless (a) phase-B pass counts are equal and nonzero across worker
 // configurations, and (b) on hosts with >= 4 cores, the 1-worker storm takes
 // >= 2x the kDrainWorkers storm.
 #include <algorithm>
 #include <cstring>
+#include <filesystem>
 #include <memory>
+#include <string>
 #include <thread>
 #include <unordered_set>
 #include <vector>
@@ -222,13 +225,15 @@ int Run(bool smoke) {
   trace_options.num_requests = config.num_requests;
   trace_options.seed = 811;
   RequestTrace recorded = RecordTrace(workload, trace_options);
-  if (!recorded.SaveTo(kTracePath).ok()) {
-    std::printf("FAILED to save trace to %s\n", kTracePath);
+  const std::string trace_path = bench::RoundTripPath(kTracePath, smoke);
+  if (!recorded.SaveTo(trace_path).ok()) {
+    std::printf("FAILED to save trace to %s\n", trace_path.c_str());
     return 1;
   }
-  Result<RequestTrace> loaded = RequestTrace::LoadFrom(kTracePath);
+  Result<RequestTrace> loaded = RequestTrace::LoadFrom(trace_path);
+  if (smoke) std::filesystem::remove(trace_path);
   if (!loaded.ok() || loaded->requests.size() != recorded.requests.size()) {
-    std::printf("FAILED to reload trace from %s\n", kTracePath);
+    std::printf("FAILED to reload trace from %s\n", trace_path.c_str());
     return 1;
   }
   const RequestTrace& trace = *loaded;
@@ -289,33 +294,35 @@ int Run(bool smoke) {
     PrintDrainRun(drain_runs.back());
   }
 
-  // --- JSON -------------------------------------------------------------
-  std::FILE* f = std::fopen("BENCH_compaction_ablation.json", "w");
-  if (f == nullptr) {
-    std::printf("could not write BENCH_compaction_ablation.json\n");
-    return 1;
+  // --- JSON (full runs only) -------------------------------------------
+  if (!smoke) {
+    std::FILE* f = std::fopen("BENCH_compaction_ablation.json", "w");
+    if (f == nullptr) {
+      std::printf("could not write BENCH_compaction_ablation.json\n");
+      return 1;
+    }
+    std::fprintf(f,
+                 "{\n  \"bench\": \"compaction_ablation\",\n"
+                 "  \"mode\": \"full\",\n  \"cores\": %u,\n"
+                 "  \"trace_requests\": %zu,\n  \"distinct_pids\": %zu,\n"
+                 "  \"backfill_slices\": %zu,\n"
+                 "  \"sync_vs_async\": {\"sync_p50_us\": %lld, "
+                 "\"sync_p99_us\": %lld, \"async_p50_us\": %lld, "
+                 "\"async_p99_us\": %lld},\n  \"drain\": [\n",
+                 cores, trace.requests.size(), distinct_pids,
+                 config.backfill_slices,
+                 static_cast<long long>(sync_latency.Percentile(0.5)),
+                 static_cast<long long>(sync_latency.Percentile(0.99)),
+                 static_cast<long long>(async_latency.Percentile(0.5)),
+                 static_cast<long long>(async_latency.Percentile(0.99)));
+    for (size_t i = 0; i < drain_runs.size(); ++i) {
+      AppendDrainJson(f, drain_runs[i], i + 1 == drain_runs.size());
+    }
+    std::fprintf(f, "  ]\n}\n");
+    std::fclose(f);
+    std::printf("\nwrote BENCH_compaction_ablation.json (and %s)\n",
+                kTracePath);
   }
-  std::fprintf(f,
-               "{\n  \"bench\": \"compaction_ablation\",\n"
-               "  \"mode\": \"%s\",\n  \"cores\": %u,\n"
-               "  \"trace_requests\": %zu,\n  \"distinct_pids\": %zu,\n"
-               "  \"backfill_slices\": %zu,\n"
-               "  \"sync_vs_async\": {\"sync_p50_us\": %lld, "
-               "\"sync_p99_us\": %lld, \"async_p50_us\": %lld, "
-               "\"async_p99_us\": %lld},\n  \"drain\": [\n",
-               smoke ? "smoke" : "full", cores, trace.requests.size(),
-               distinct_pids, config.backfill_slices,
-               static_cast<long long>(sync_latency.Percentile(0.5)),
-               static_cast<long long>(sync_latency.Percentile(0.99)),
-               static_cast<long long>(async_latency.Percentile(0.5)),
-               static_cast<long long>(async_latency.Percentile(0.99)));
-  for (size_t i = 0; i < drain_runs.size(); ++i) {
-    AppendDrainJson(f, drain_runs[i], i + 1 == drain_runs.size());
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("\nwrote BENCH_compaction_ablation.json (and %s)\n",
-              kTracePath);
 
   // --- Shape gates ------------------------------------------------------
   const DrainRun& serial = drain_runs.front();

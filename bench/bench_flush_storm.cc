@@ -60,7 +60,6 @@ IpsInstanceOptions BenchInstanceOptions(bool broker_on) {
   IpsInstanceOptions options;
   options.start_background_threads = false;
   options.isolation_enabled = false;
-  options.cache.write_granularity_ms = kMinute;
   options.cache.memory_limit_bytes = 64 << 20;  // no eviction write-backs
   options.enable_load_broker = false;           // write path is the subject
   options.enable_store_broker = broker_on;

@@ -70,7 +70,6 @@ IpsInstanceOptions BenchInstanceOptions(bool broker_on) {
   IpsInstanceOptions options;
   options.start_background_threads = false;
   options.isolation_enabled = false;
-  options.cache.write_granularity_ms = kMinute;
   // Tiny cache: the Zipf head cannot stay resident, so hot pids keep
   // missing — the regime where cross-request coalescing matters.
   options.cache.memory_limit_bytes = 8 * 1024;

@@ -25,14 +25,17 @@
 // deadline budget waiting (bufferbloat), with it the brown-out ladder keeps
 // the queue near target so admitted requests finish in time.
 //
-// Emits BENCH_overload.json. `--smoke` runs a short trace and exits nonzero
-// unless goodput(on) >= 2x goodput(off) at the 5x point with sheds observed.
+// Emits BENCH_overload.json and overload_trace.txt. `--smoke` runs a short
+// trace, writes neither (the trace goes through a temp file) and exits
+// nonzero unless goodput(on) >= 2x goodput(off) at the 5x point with sheds
+// observed.
 #include <atomic>
 #include <chrono>
 #include <memory>
 #include <condition_variable>
 #include <cstring>
 #include <deque>
+#include <filesystem>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -325,19 +328,18 @@ void PrintRun(const RunStats& s) {
 }
 
 void WriteJson(const std::vector<std::pair<RunStats, RunStats>>& points,
-               double base_qps, int64_t service_us, int64_t deadline_ms,
-               bool smoke) {
+               double base_qps, int64_t service_us, int64_t deadline_ms) {
   std::FILE* f = std::fopen("BENCH_overload.json", "w");
   if (f == nullptr) {
     std::printf("could not write BENCH_overload.json\n");
     return;
   }
   std::fprintf(f,
-               "{\n  \"bench\": \"overload\",\n  \"mode\": \"%s\",\n"
+               "{\n  \"bench\": \"overload\",\n  \"mode\": \"full\",\n"
                "  \"workers\": %d,\n  \"base_qps\": %.1f,\n"
                "  \"service_us\": %lld,\n  \"deadline_ms\": %lld,\n"
                "  \"points\": [\n",
-               smoke ? "smoke" : "full", kWorkers, base_qps,
+               kWorkers, base_qps,
                static_cast<long long>(service_us),
                static_cast<long long>(deadline_ms));
   for (size_t i = 0; i < points.size(); ++i) {
@@ -391,14 +393,16 @@ int Run(bool smoke) {
       static_cast<double>(config.num_requests) / config.trace_seconds;
   trace_options.num_requests = config.num_requests;
   RequestTrace recorded = RecordTrace(workload, trace_options);
-  if (!recorded.SaveTo(kTracePath).ok()) {
-    std::printf("FAILED to save trace to %s\n", kTracePath);
+  const std::string trace_path = bench::RoundTripPath(kTracePath, smoke);
+  if (!recorded.SaveTo(trace_path).ok()) {
+    std::printf("FAILED to save trace to %s\n", trace_path.c_str());
     return 1;
   }
-  Result<RequestTrace> loaded = RequestTrace::LoadFrom(kTracePath);
+  Result<RequestTrace> loaded = RequestTrace::LoadFrom(trace_path);
+  if (smoke) std::filesystem::remove(trace_path);
   if (!loaded.ok() ||
       loaded->requests.size() != recorded.requests.size()) {
-    std::printf("FAILED to reload trace from %s\n", kTracePath);
+    std::printf("FAILED to reload trace from %s\n", trace_path.c_str());
     return 1;
   }
   const RequestTrace& trace = *loaded;
@@ -448,7 +452,7 @@ int Run(bool smoke) {
     points.emplace_back(std::move(on), std::move(off));
   }
 
-  WriteJson(points, base_qps, service_us, deadline_ms, smoke);
+  if (!smoke) WriteJson(points, base_qps, service_us, deadline_ms);
 
   // Shape gate at the highest multiplier: the controller must at least
   // double goodput and must actually shed (no vacuous pass where both

@@ -13,7 +13,10 @@
 #ifndef IPS_BENCH_BENCH_UTIL_H_
 #define IPS_BENCH_BENCH_UTIL_H_
 
+#include <unistd.h>
+
 #include <cstdio>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -99,6 +102,17 @@ inline void EndRow() { std::printf("\n"); }
 
 /// Microseconds -> milliseconds for display.
 inline double UsToMs(int64_t us) { return static_cast<double>(us) / 1000.0; }
+
+/// Where a bench saves a file it reads straight back (a recorded trace): the
+/// working directory on a full run, next to the committed artifacts, and a
+/// per-process name in the system temp directory on a `--smoke` run, so CI
+/// never rewrites a committed file. Smoke callers remove the file after use.
+inline std::string RoundTripPath(const std::string& name, bool smoke) {
+  if (!smoke) return name;
+  return (std::filesystem::temp_directory_path() /
+          (std::to_string(::getpid()) + "_" + name))
+      .string();
+}
 
 }  // namespace bench
 }  // namespace ips

@@ -66,6 +66,14 @@ run_suite() {
     # 4-worker storm.
     echo "=== tier1: perf smoke (bench_compaction_ablation --smoke) ==="
     "${build_dir}/bench/bench_compaction_ablation" --smoke
+    # Smokes write no committed file: every BENCH_*.json artifact and
+    # recorded trace must still match the checkout.
+    if git rev-parse --is-inside-work-tree >/dev/null 2>&1 &&
+        ! git diff --quiet -- 'BENCH_*.json' '*_trace.txt'; then
+      echo "tier1: a perf smoke rewrote a committed artifact:" >&2
+      git diff --stat -- 'BENCH_*.json' '*_trace.txt' >&2
+      exit 1
+    fi
   fi
   if [[ "${sanitize}" == "thread" ]]; then
     # The thread pool's contract (exact queue bound, drain-on-destroy,

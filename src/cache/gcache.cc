@@ -68,42 +68,6 @@ void GCache::TouchLru(LruShard& shard, LruShard::Slot& slot) {
   shard.lru.splice(shard.lru.begin(), shard.lru, slot.lru_it);
 }
 
-Result<std::pair<GCache::EntryPtr, bool>> GCache::GetOrLoad(
-    ProfileId pid, bool create_if_missing) {
-  LruShard& shard = *lru_shards_[LruIndex(pid)];
-  // Every lookup — hit or miss — feeds the victim tier's admission sketch:
-  // a profile hot because it is L1-resident must still look hot to the
-  // admission check when it is eventually demoted.
-  if (victim_cache_ != nullptr) victim_cache_->RecordAccess(pid);
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.map.find(pid);
-    if (it != shard.map.end()) {
-      TouchLru(shard, it->second);
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      hit_counter_->Increment();
-      return std::make_pair(it->second.entry, true);
-    }
-  }
-
-  // Miss: the same funnel as a batch read (victim tier, then one load), run
-  // outside the shard lock — loads can take milliseconds and must not block
-  // unrelated traffic on this shard.
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  miss_counter_->Increment();
-  std::vector<bool> degraded;
-  std::vector<Result<ProfileData>> loaded = LoadMisses(
-      {pid}, &degraded, std::numeric_limits<TimestampMs>::max());
-  ProfileData profile(options_.write_granularity_ms);
-  if (loaded[0].ok()) {
-    profile = std::move(loaded[0]).value();
-  } else if (!loaded[0].status().IsNotFound() || !create_if_missing) {
-    return loaded[0].status();  // storage unavailable etc.
-  }
-  return std::make_pair(InsertLoaded(pid, std::move(profile), degraded[0]),
-                        false);
-}
-
 GCache::EntryPtr GCache::InsertLoaded(ProfileId pid, ProfileData loaded,
                                       bool degraded) {
   LruShard& shard = *lru_shards_[LruIndex(pid)];
@@ -152,7 +116,7 @@ struct GCache::BatchScratch {
   /// duplicates without a per-call hash map.
   std::vector<std::pair<ProfileId, uint32_t>> misses;
   std::vector<ProfileId> miss_pids;  // unique, in load order
-  /// Phase-3 service order: occurrence indices grouped by entry.
+  /// Service order: occurrence indices grouped by entry (see ResolveBatch).
   std::vector<uint32_t> order;
 };
 
@@ -232,11 +196,10 @@ std::vector<Result<ProfileData>> GCache::LoadMisses(
   return results;
 }
 
-size_t GCache::WithProfiles(
-    const std::vector<ProfileId>& pids,
-    const std::function<void(size_t, const ProfileData&)>& fn,
-    std::vector<Status>* statuses, std::vector<bool>* out_degraded,
-    TimestampMs deadline_ms) {
+size_t GCache::ResolveBatch(const std::vector<ProfileId>& pids,
+                            std::vector<Status>* statuses,
+                            TimestampMs deadline_ms, bool create_if_missing,
+                            BatchScratch& scratch) {
   // Phase 1: partition into hits and misses against the shard maps — a
   // single hash probe per pid resolves the entry and its LRU position
   // together. Misses are coalesced (via sort, not a per-call hash map) so
@@ -245,22 +208,22 @@ size_t GCache::WithProfiles(
   // in-memory partition; the storage round trip (phase 2) reports itself as
   // kv.load / codec.decode from the layers that do the work.
   size_t hits = 0;
-  BatchScratch& scratch = ThreadBatchScratch();
   auto& entries = scratch.entries;
   auto& misses = scratch.misses;
   auto& miss_pids = scratch.miss_pids;
   {
     ScopedSpan lookup_span("cache.lookup");
     statuses->assign(pids.size(), Status::OK());
-    if (out_degraded != nullptr) out_degraded->assign(pids.size(), false);
     entries.assign(pids.size(), EntryPtr());
     misses.clear();
     miss_pids.clear();
     for (size_t i = 0; i < pids.size(); ++i) {
       const ProfileId pid = pids[i];
       LruShard& shard = *lru_shards_[LruIndex(pid)];
-      // Sketch bump outside the shard lock; every occurrence counts (see
-      // GetOrLoad).
+      // Every lookup — hit or miss, every occurrence — feeds the victim
+      // tier's admission sketch, outside the shard lock: a profile hot
+      // because it is L1-resident must still look hot to the admission
+      // check when it is eventually demoted.
       if (victim_cache_ != nullptr) victim_cache_->RecordAccess(pid);
       std::lock_guard<std::mutex> lock(shard.mu);
       auto it = shard.map.find(pid);
@@ -302,14 +265,18 @@ size_t GCache::WithProfiles(
       const ProfileId pid = miss_pids[m];
       const size_t begin = cursor;
       while (cursor < misses.size() && misses[cursor].first == pid) ++cursor;
-      if (!loaded[m].ok()) {
+      if (!loaded[m].ok() &&
+          (!create_if_missing || !loaded[m].status().IsNotFound())) {
         for (size_t x = begin; x < cursor; ++x) {
           (*statuses)[misses[x].second] = loaded[m].status();
         }
         continue;
       }
-      EntryPtr entry = InsertLoaded(pid, std::move(loaded[m]).value(),
-                                    loaded_degraded[m]);
+      EntryPtr entry = InsertLoaded(
+          pid,
+          loaded[m].ok() ? std::move(loaded[m]).value()
+                         : ProfileData(options_.write_granularity_ms),
+          loaded_degraded[m]);
       for (size_t x = begin; x < cursor; ++x) {
         entries[misses[x].second] = entry;
       }
@@ -319,29 +286,40 @@ size_t GCache::WithProfiles(
     // victim-tier promotion says nothing about the store).
   }
 
-  // Phase 3: serve each present profile under its entry lock. Occurrences
-  // are grouped by entry so every entry is locked exactly ONCE per batch —
-  // duplicate pids share a single lock hold and get a stable reference for
-  // the whole group instead of re-locking per occurrence. Entries are still
-  // locked one at a time, so no lock-order concerns.
-  const bool store_unhealthy = StoreUnhealthy();
+  // Service order: occurrences grouped by entry so the caller locks every
+  // entry exactly ONCE per batch — duplicate pids share a single lock hold.
+  // Grouping is cache-index bookkeeping, same stage as the phase-1 probe.
+  ScopedSpan group_span("cache.lookup");
   auto& order = scratch.order;
-  {
-    // Grouping occurrences by entry is cache-index bookkeeping, same stage
-    // as the phase-1 probe. The locked serve loop below is not spanned — it
-    // nests the caller's feature.compute spans.
-    ScopedSpan group_span("cache.lookup");
-    order.clear();
-    for (size_t i = 0; i < pids.size(); ++i) {
-      if (entries[i]) order.push_back(static_cast<uint32_t>(i));
-    }
-    std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-      const Entry* ea = entries[a].get();
-      const Entry* eb = entries[b].get();
-      if (ea != eb) return ea < eb;
-      return a < b;  // per-entry occurrence order stays deterministic
-    });
+  order.clear();
+  for (size_t i = 0; i < pids.size(); ++i) {
+    if (entries[i]) order.push_back(static_cast<uint32_t>(i));
   }
+  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    const Entry* ea = entries[a].get();
+    const Entry* eb = entries[b].get();
+    if (ea != eb) return ea < eb;
+    return a < b;  // input order within an entry
+  });
+  return hits;
+}
+
+size_t GCache::WithProfiles(
+    const std::vector<ProfileId>& pids,
+    const std::function<void(size_t, const ProfileData&)>& fn,
+    std::vector<Status>* statuses, std::vector<bool>* out_degraded,
+    TimestampMs deadline_ms) {
+  BatchScratch& scratch = ThreadBatchScratch();
+  if (out_degraded != nullptr) out_degraded->assign(pids.size(), false);
+  const size_t hits = ResolveBatch(pids, statuses, deadline_ms,
+                                   /*create_if_missing=*/false, scratch);
+
+  // Serve each present profile under its entry lock, one entry at a time
+  // (no lock-order concerns). Not spanned: it nests the caller's
+  // feature.compute spans.
+  const bool store_unhealthy = StoreUnhealthy();
+  const auto& entries = scratch.entries;
+  const auto& order = scratch.order;
   for (size_t x = 0; x < order.size();) {
     Entry* const entry = entries[order[x]].get();
     std::lock_guard<std::mutex> lock(entry->mu);
@@ -354,7 +332,56 @@ size_t GCache::WithProfiles(
     } while (x < order.size() && entries[order[x]].get() == entry);
   }
   // Drop the entry references before the next batch reuses the buffer.
-  entries.clear();
+  scratch.entries.clear();
+  return hits;
+}
+
+size_t GCache::WithProfilesMutable(
+    const std::vector<ProfileId>& pids,
+    const std::function<void(size_t, ProfileData&)>& fn,
+    std::vector<Status>* statuses) {
+  BatchScratch& scratch = ThreadBatchScratch();
+  const size_t hits = ResolveBatch(pids, statuses,
+                                   std::numeric_limits<TimestampMs>::max(),
+                                   /*create_if_missing=*/true, scratch);
+  // Between the lookup handing back an entry and this thread locking it, an
+  // eviction or Invalidate may unmap it. A write into an unmapped entry
+  // would be lost (no flush pass can reach it), so those occurrences are
+  // looked up again. This ends in practice: the lookup re-inserts the entry
+  // at the LRU front, where an eviction pass cannot reach it without first
+  // draining the whole shard.
+  std::vector<ProfileId> retry_pids;
+  std::vector<size_t> retry_ix;  // index into `pids` per retried occurrence
+  const auto& entries = scratch.entries;
+  const auto& order = scratch.order;
+  for (size_t x = 0; x < order.size();) {
+    Entry* const entry = entries[order[x]].get();
+    std::lock_guard<std::mutex> lock(entry->mu);
+    do {
+      if (entry->evicted) {
+        retry_pids.push_back(entry->pid);
+        retry_ix.push_back(order[x]);
+      } else {
+        fn(order[x], entry->profile);
+      }
+      ++x;
+    } while (x < order.size() && entries[order[x]].get() == entry);
+    if (!entry->evicted) {
+      UpdateAccounting(*lru_shards_[LruIndex(entry->pid)], *entry);
+      MarkDirty(*entry);
+    }
+  }
+  scratch.entries.clear();
+  if (!retry_pids.empty()) {
+    std::vector<Status> retry_statuses;
+    WithProfilesMutable(
+        retry_pids,
+        [&](size_t j, ProfileData& profile) { fn(retry_ix[j], profile); },
+        &retry_statuses);
+    for (size_t j = 0; j < retry_ix.size(); ++j) {
+      (*statuses)[retry_ix[j]] = retry_statuses[j];
+    }
+  }
   return hits;
 }
 
@@ -417,43 +444,24 @@ void GCache::NoteStoreHealth(const Status& status, StoreHealthSource source) {
 Status GCache::WithProfile(ProfileId pid,
                            const std::function<void(const ProfileData&)>& fn,
                            bool* out_was_hit, bool* out_degraded) {
-  if (out_was_hit != nullptr) *out_was_hit = false;
-  if (out_degraded != nullptr) *out_degraded = false;
-  IPS_ASSIGN_OR_RETURN(auto pair, GetOrLoad(pid, /*create_if_missing=*/false));
-  auto& [entry, was_hit] = pair;
-  if (out_was_hit != nullptr) *out_was_hit = was_hit;
-  const bool store_unhealthy = StoreUnhealthy();
-  std::lock_guard<std::mutex> lock(entry->mu);
-  fn(entry->profile);
-  if (out_degraded != nullptr) {
-    *out_degraded = entry->degraded || store_unhealthy;
-  }
-  return Status::OK();
+  std::vector<Status> statuses;
+  std::vector<bool> degraded;
+  const size_t hits = WithProfiles(
+      {pid}, [&](size_t, const ProfileData& profile) { fn(profile); },
+      &statuses, &degraded);
+  if (out_was_hit != nullptr) *out_was_hit = hits > 0;
+  if (out_degraded != nullptr) *out_degraded = degraded[0];
+  return statuses[0];
 }
 
 Status GCache::WithProfileMutable(
     ProfileId pid, const std::function<void(ProfileData&)>& fn,
     bool* out_was_hit) {
-  if (out_was_hit != nullptr) *out_was_hit = false;
-  LruShard& shard = *lru_shards_[LruIndex(pid)];
-  // Retry loop: between GetOrLoad handing back the entry and this thread
-  // acquiring its lock, a concurrent eviction/Invalidate may have unmapped
-  // it. Writing into an unmapped entry would be silently lost (no flush pass
-  // can reach it), so re-resolve instead. Terminates in practice: each retry
-  // re-inserts the entry at the LRU front, where an eviction pass cannot
-  // reach it without first draining the whole shard.
-  while (true) {
-    IPS_ASSIGN_OR_RETURN(auto pair,
-                         GetOrLoad(pid, /*create_if_missing=*/true));
-    auto& [entry, was_hit] = pair;
-    std::lock_guard<std::mutex> lock(entry->mu);
-    if (entry->evicted) continue;
-    if (out_was_hit != nullptr) *out_was_hit = was_hit;
-    fn(entry->profile);
-    UpdateAccounting(shard, *entry);
-    MarkDirty(*entry);
-    return Status::OK();
-  }
+  std::vector<Status> statuses;
+  const size_t hits = WithProfilesMutable(
+      {pid}, [&](size_t, ProfileData& profile) { fn(profile); }, &statuses);
+  if (out_was_hit != nullptr) *out_was_hit = hits > 0;
+  return statuses[0];
 }
 
 Status GCache::WithProfileOffLockMutate(

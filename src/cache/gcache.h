@@ -17,8 +17,9 @@
 // constructor, so this layer stays independent of the codec/kvstore choices
 // and of any coalescing stage composed in front of them:
 //
-//   * LoadFn — every miss (single-pid or batch) funnels through LoadMisses
-//     into one call;
+//   * LoadFn — every lookup, read or write, goes through one batch funnel
+//     (ResolveBatch): a hit/miss partition, one LoadMisses call for all the
+//     misses, then insertion of what was loaded;
 //   * StoreFn — every write-back (flush pass, eviction, Invalidate) is one
 //     write-back step: snapshot (entry, profile, epoch) under the entry lock,
 //     call StoreFn with no cache lock held, then commit per entry under its
@@ -74,6 +75,8 @@ struct GCacheOptions {
   /// in one call (one storage round trip per group).
   size_t flush_batch_max = 64;
   /// Write slice granularity for profiles created on first touch.
+  /// IpsInstance sets it from each table schema, so only direct GCache users
+  /// set it here.
   int64_t write_granularity_ms = 60'000;
 };
 
@@ -116,11 +119,10 @@ class GCache {
   GCache(const GCache&) = delete;
   GCache& operator=(const GCache&) = delete;
 
-  /// Read path: runs `fn` with shared (entry-locked) access to the profile.
-  /// On miss the load function is consulted; NotFound from it is returned
-  /// to the caller (queries on unknown profiles are empty, handled above).
-  /// `out_was_hit`, when non-null, reports whether this was a cache hit —
-  /// the Table II latency split keys on it. `out_degraded`, when non-null,
+  /// Read path for one pid: a batch of one over WithProfiles. NotFound from
+  /// the load function is returned to the caller (queries on unknown
+  /// profiles are empty, handled above). `out_was_hit`, when non-null,
+  /// reports whether this was a cache hit. `out_degraded`, when non-null,
   /// reports whether the served profile may be stale: it was loaded from a
   /// fallback replica, or the backing store is currently unhealthy (the
   /// resident copy cannot be revalidated or flushed).
@@ -138,9 +140,10 @@ class GCache {
   /// pid are served back-to-back under ONE entry lock hold (callbacks are
   /// grouped by entry, not issued in strict input order). Returns the
   /// number of cache hits.
-  /// `out_degraded`, when non-null, is filled aligned with `pids`; same
-  /// staleness contract as WithProfile. `deadline_ms` is handed to the
-  /// load function (see LoadFn).
+  /// `out_degraded`, when non-null, is filled aligned with `pids`: true
+  /// where the served profile may be stale (see WithProfile). `deadline_ms`
+  /// is handed to the load function (see LoadFn). `fn` must not call back
+  /// into the cache: the batch calls share per-thread scratch buffers.
   size_t WithProfiles(const std::vector<ProfileId>& pids,
                       const std::function<void(size_t, const ProfileData&)>& fn,
                       std::vector<Status>* statuses,
@@ -166,8 +169,19 @@ class GCache {
     victim_decode_ = std::move(decode);
   }
 
-  /// Write path: runs `fn` with exclusive access, creating the profile when
-  /// absent (after a load attempt), then marks the entry dirty.
+  /// Batch write path (MultiAdd, the isolation merge): the lookup and one
+  /// load call of WithProfiles, but a pid the load reports NotFound is
+  /// created empty. Runs `fn(index, profile)` under the entry lock, then
+  /// updates accounting and marks the entry dirty. Occurrences of one pid
+  /// apply in input order under ONE lock hold. An entry unmapped before it
+  /// was locked is looked up again, so no write is lost. A failed load
+  /// leaves its pids untouched with its status. Returns the hit count.
+  size_t WithProfilesMutable(
+      const std::vector<ProfileId>& pids,
+      const std::function<void(size_t, ProfileData&)>& fn,
+      std::vector<Status>* statuses);
+
+  /// Write path for one pid: a batch of one over WithProfilesMutable.
   Status WithProfileMutable(ProfileId pid,
                             const std::function<void(ProfileData&)>& fn,
                             bool* out_was_hit = nullptr);
@@ -184,7 +198,7 @@ class GCache {
   /// re-triggers. `work` returns false to abandon the pass (nothing to
   /// change); the entry is left untouched and OK is returned.
   ///
-  /// Unlike WithProfileMutable this never faults the profile in from
+  /// Unlike WithProfilesMutable this never faults the profile in from
   /// storage: NotFound for non-resident pids. Compacting an uncached
   /// profile would drag cold data into memory just to shrink it; persisted
   /// slices get compacted when real traffic next loads them.
@@ -269,7 +283,7 @@ class GCache {
     /// Set (under mu) when the entry is removed from its shard map by
     /// eviction or Invalidate. A mutator holding a stale EntryPtr from
     /// before the removal must NOT write into it — the entry is unmapped,
-    /// nothing would ever flush the write — so WithProfileMutable rechecks
+    /// nothing would ever flush the write — so WithProfilesMutable rechecks
     /// this after locking and retries its lookup instead.
     bool evicted = false;
 
@@ -302,16 +316,10 @@ class GCache {
   size_t LruIndex(ProfileId pid) const;
   size_t DirtyIndex(ProfileId pid) const;
 
-  /// Finds or creates the entry; returns (entry, was_hit). A miss goes
-  /// through LoadMisses, outside all shard locks.
-  Result<std::pair<EntryPtr, bool>> GetOrLoad(ProfileId pid,
-                                              bool create_if_missing);
-
   /// Serves `pids` (unique, sorted) from the victim tier where it can, loads
   /// the rest with one LoadFn call and notes store health from that call.
   /// Results and `out_degraded` align with `pids` (a short list from the
-  /// load function becomes Internal errors). The single funnel for every
-  /// miss in the cache.
+  /// load function becomes Internal errors). Called only by ResolveBatch.
   std::vector<Result<ProfileData>> LoadMisses(
       const std::vector<ProfileId>& pids, std::vector<bool>* out_degraded,
       TimestampMs deadline_ms);
@@ -327,10 +335,20 @@ class GCache {
   /// the stored iterator: no second hash probe.
   void TouchLru(LruShard& shard, LruShard::Slot& slot);
 
-  /// Reusable per-thread buffers for WithProfiles, so the warm batch read
+  /// Reusable per-thread buffers for the batch calls, so the warm batch read
   /// path does no steady-state allocation of its own.
   struct BatchScratch;
   static BatchScratch& ThreadBatchScratch();
+
+  /// The lookup-and-load funnel of both batch calls: hit/miss partition,
+  /// ONE LoadMisses call for every miss, then insertion (with
+  /// `create_if_missing`, NotFound inserts an empty profile). Leaves
+  /// `scratch.entries[i]` set for `pids[i]`, or null with its status, and
+  /// `scratch.order` grouped by entry, input order within an entry.
+  /// Returns the number of hits.
+  size_t ResolveBatch(const std::vector<ProfileId>& pids,
+                      std::vector<Status>* statuses, TimestampMs deadline_ms,
+                      bool create_if_missing, BatchScratch& scratch);
 
   /// Re-measures entry bytes (entry lock held) and fixes accounting.
   void UpdateAccounting(LruShard& shard, Entry& entry);

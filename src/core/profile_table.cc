@@ -15,28 +15,6 @@ ProfileTable::ProfileTable(TableSchema schema, size_t num_shards)
   }
 }
 
-Status ProfileTable::Add(ProfileId pid, TimestampMs timestamp, SlotId slot,
-                         TypeId type, FeatureId fid,
-                         const CountVector& counts) {
-  Shard& shard = ShardFor(pid);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto [it, inserted] = shard.profiles.try_emplace(
-      pid, ProfileData(schema_.write_granularity_ms));
-  return it->second.Add(timestamp, slot, type, fid, counts, schema_.reduce);
-}
-
-Status ProfileTable::WithProfile(
-    ProfileId pid, const std::function<void(const ProfileData&)>& fn) const {
-  const Shard& shard = ShardFor(pid);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.profiles.find(pid);
-  if (it == shard.profiles.end()) {
-    return Status::NotFound("profile " + std::to_string(pid));
-  }
-  fn(it->second);
-  return Status::OK();
-}
-
 void ProfileTable::WithProfileMutable(
     ProfileId pid, const std::function<void(ProfileData&)>& fn) {
   Shard& shard = ShardFor(pid);
@@ -46,34 +24,11 @@ void ProfileTable::WithProfileMutable(
   fn(it->second);
 }
 
-bool ProfileTable::Erase(ProfileId pid) {
-  Shard& shard = ShardFor(pid);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  return shard.profiles.erase(pid) > 0;
-}
-
-bool ProfileTable::Contains(ProfileId pid) const {
-  const Shard& shard = ShardFor(pid);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  return shard.profiles.find(pid) != shard.profiles.end();
-}
-
 size_t ProfileTable::ProfileCount() const {
   size_t total = 0;
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
     total += shard->profiles.size();
-  }
-  return total;
-}
-
-size_t ProfileTable::ApproximateBytes() const {
-  size_t total = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    for (const auto& [pid, data] : shard->profiles) {
-      total += sizeof(ProfileId) + data.ApproximateBytes() + 32;
-    }
   }
   return total;
 }

@@ -1,8 +1,7 @@
 // Profile Table (Section III-B): the logical container mapping profile IDs
-// to profile data, sharded by hashed profile id. This is the plain in-memory
-// table used directly by the library API and by the write-isolation side
-// table; the serving path wraps profiles in the GCache layer (src/cache) for
-// LRU/dirty management.
+// to profile data, sharded by hashed profile id. This plain in-memory table
+// is the write-isolation side table (Section III-F); the serving path wraps
+// profiles in the GCache layer (src/cache) for LRU/dirty management.
 #ifndef IPS_CORE_PROFILE_TABLE_H_
 #define IPS_CORE_PROFILE_TABLE_H_
 
@@ -28,25 +27,11 @@ class ProfileTable {
 
   const TableSchema& schema() const { return schema_; }
 
-  /// Records one observation (the add_profile API of Section II-B).
-  Status Add(ProfileId pid, TimestampMs timestamp, SlotId slot, TypeId type,
-             FeatureId fid, const CountVector& counts);
-
-  /// Runs `fn` with shared access to the profile; returns NotFound when the
-  /// profile does not exist.
-  Status WithProfile(ProfileId pid,
-                     const std::function<void(const ProfileData&)>& fn) const;
-
   /// Runs `fn` with exclusive access, creating the profile when absent.
   void WithProfileMutable(ProfileId pid,
                           const std::function<void(ProfileData&)>& fn);
 
-  /// Removes a profile entirely; returns whether it existed.
-  bool Erase(ProfileId pid);
-
-  bool Contains(ProfileId pid) const;
   size_t ProfileCount() const;
-  size_t ApproximateBytes() const;
 
   /// Moves every profile out, emptying each shard under one lock hold (the
   /// isolation merge's drain). A write to a shard already drained lands in
@@ -60,9 +45,6 @@ class ProfileTable {
   };
 
   Shard& ShardFor(ProfileId pid) {
-    return *shards_[Mix64(pid) & shard_mask_];
-  }
-  const Shard& ShardFor(ProfileId pid) const {
     return *shards_[Mix64(pid) & shard_mask_];
   }
 

@@ -14,24 +14,27 @@ namespace {
 constexpr int64_t kMaintenanceTickMs = 10;
 constexpr int64_t kFlushIntervalMs = 100;
 
+void ApplyRecords(const std::vector<AddRecord>& records, ReduceFn reduce,
+                  ProfileData& profile) {
+  for (const auto& r : records) {
+    profile.Add(r.timestamp, r.slot, r.type, r.fid, r.counts, reduce).ok();
+  }
+}
+
 }  // namespace
 
 IpsInstance::ServingMetrics::ServingMetrics(MetricsRegistry* metrics)
-    : queries(metrics->GetCounter("server.queries")),
-      query_errors(metrics->GetCounter("server.query_errors")),
+    : query{metrics->GetHistogram("server.multi_query_micros"),
+            metrics->GetHistogram("server.multi_query_batch"),
+            metrics->GetCounter("server.queries"),
+            metrics->GetCounter("server.query_errors")},
+      add{metrics->GetHistogram("server.multi_add_micros"),
+          metrics->GetHistogram("server.multi_add_batch"),
+          metrics->GetCounter("server.adds"),
+          metrics->GetCounter("server.add_errors")},
       degraded_reads(metrics->GetCounter("server.degraded_reads")),
       scratch_reuse(metrics->GetCounter("query.scratch_reuse")),
-      adds(metrics->GetCounter("server.adds")),
-      add_errors(metrics->GetCounter("server.add_errors")),
       deadline_exceeded(metrics->GetCounter("server.deadline_exceeded")),
-      multi_query_micros(metrics->GetHistogram("server.multi_query_micros")),
-      multi_query_batch(metrics->GetHistogram("server.multi_query_batch")),
-      query_micros(metrics->GetHistogram("server.query_micros")),
-      query_micros_hit(metrics->GetHistogram("server.query_micros_hit")),
-      query_micros_miss(metrics->GetHistogram("server.query_micros_miss")),
-      multi_add_micros(metrics->GetHistogram("server.multi_add_micros")),
-      multi_add_batch(metrics->GetHistogram("server.multi_add_batch")),
-      add_micros(metrics->GetHistogram("server.add_micros")),
       slices_merged(metrics->GetCounter("compaction.slices_merged")),
       slices_truncated(metrics->GetCounter("compaction.slices_truncated")),
       features_shrunk(metrics->GetCounter("compaction.features_shrunk")),
@@ -253,31 +256,57 @@ Status IpsInstance::AddProfile(const std::string& caller,
                                const std::string& table, ProfileId pid,
                                TimestampMs timestamp, SlotId slot, TypeId type,
                                FeatureId fid, const CountVector& counts) {
-  AddRecord record;
-  record.timestamp = timestamp;
-  record.slot = slot;
-  record.type = type;
-  record.fid = fid;
-  record.counts = counts;
-  return AddProfiles(caller, table, pid, {record});
+  return AddProfiles(caller, table, pid, {{timestamp, slot, type, fid, counts}});
 }
 
-Status IpsInstance::CheckDeadline(const CallContext& ctx) {
+Result<IpsInstance::Admitted> IpsInstance::Admit(const std::string& caller,
+                                                 const std::string& table,
+                                                 size_t batch_size,
+                                                 bool is_write,
+                                                 const CallContext& ctx) {
+  // "Queueing": everything that admits the request before any per-profile
+  // work. A request that is malformed or names an unknown table is rejected
+  // before the overload controller and the quota see it, so it costs the
+  // caller nothing. One quota charge covers the whole batch — a
+  // 500-candidate request is one admission decision, not 500.
+  ScopedSpan queue_span("server.queue");
+  const int64_t admit_ns = MonotonicNanos();
   if (ctx.Expired(clock_->NowMs())) {
     serving_metrics_.deadline_exceeded->Increment();
     return Status::DeadlineExceeded("server-side deadline expired");
   }
-  return Status::OK();
+  if (batch_size == 0) {
+    return Status::InvalidArgument(is_write ? "empty add batch"
+                                            : "empty pid batch");
+  }
+  Table* t = FindTable(table);
+  if (t == nullptr) return Status::NotFound("table " + table);
+  IPS_RETURN_IF_ERROR(overload_.Admit(overload_.TierFor(caller, is_write),
+                                      static_cast<double>(batch_size), ctx,
+                                      clock_->NowMs()));
+  IPS_RETURN_IF_ERROR(quota_.Check(caller));
+  overload_.RecordQueueSample((MonotonicNanos() - admit_ns) / 1000);
+  std::lock_guard<std::mutex> schema_lock(t->schema_mu);
+  return Admitted{t, t->schema.reduce};
+}
+
+void IpsInstance::Complete(const ServingMetrics::PathMetrics& path,
+                           int64_t begin_ns, size_t batch_size,
+                           int64_t ok_count, int64_t error_count) {
+  const int64_t micros = (MonotonicNanos() - begin_ns) / 1000;
+  overload_.RecordServiceSample(micros, static_cast<double>(batch_size));
+  path.micros->Record(micros);
+  path.batch->Record(static_cast<int64_t>(batch_size));
+  if (ok_count > 0) path.ok->Increment(ok_count);
+  if (error_count > 0) path.errors->Increment(error_count);
 }
 
 Status IpsInstance::AddProfiles(const std::string& caller,
                                 const std::string& table, ProfileId pid,
                                 const std::vector<AddRecord>& records,
                                 const CallContext& ctx) {
-  const int64_t begin_ns = MonotonicNanos();
   IPS_ASSIGN_OR_RETURN(MultiAddResult batch,
                        MultiAdd(caller, table, {{pid, records}}, ctx));
-  serving_metrics_.add_micros->Record((MonotonicNanos() - begin_ns) / 1000);
   return batch.statuses[0];
 }
 
@@ -288,93 +317,77 @@ Result<MultiAddResult> IpsInstance::MultiAdd(
   // directly, without a Channel hop having installed the context.
   TraceInstallScope trace_install(ctx.trace);
   ScopedSpan server_span("server.add");
-  Table* t = nullptr;
-  {
-    // Same admission shape as MultiQuery: deadline, then the overload
-    // controller, then ONE quota charge for the whole batch — a 256-profile
-    // ingestion burst is one admission decision, not 256.
-    ScopedSpan queue_span("server.queue");
-    const int64_t admit_ns = MonotonicNanos();
-    IPS_RETURN_IF_ERROR(CheckDeadline(ctx));
-    IPS_RETURN_IF_ERROR(
-        overload_.Admit(overload_.TierFor(caller, /*is_write=*/true),
-                        static_cast<double>(items.size()), ctx,
-                        clock_->NowMs()));
-    IPS_RETURN_IF_ERROR(quota_.Check(caller));
-    if (items.empty()) return Status::InvalidArgument("empty add batch");
-    t = FindTable(table);
-    if (t == nullptr) return Status::NotFound("table " + table);
-    overload_.RecordQueueSample((MonotonicNanos() - admit_ns) / 1000);
-  }
+  IPS_ASSIGN_OR_RETURN(const Admitted admitted,
+                       Admit(caller, table, items.size(), /*is_write=*/true,
+                             ctx));
+  Table& t = *admitted.table;
 
   const int64_t begin_ns = MonotonicNanos();
   const bool isolated = isolation_enabled_.load(std::memory_order_relaxed);
   MultiAddResult out;
   out.statuses.assign(items.size(), Status::OK());
-  int64_t ok_records = 0;
-  int64_t error_items = 0;
+  // Items that go to the cache — all of them with isolation off, those the
+  // full write buffer turned away with it on — in ONE WithProfilesMutable
+  // call: one lookup and at most one load for the whole batch.
+  std::vector<ProfileId> direct_pids;
+  std::vector<size_t> direct_items;
   for (size_t i = 0; i < items.size(); ++i) {
     if (items[i].records.empty()) {
       out.statuses[i] = Status::InvalidArgument("empty record batch");
-      ++error_items;
       continue;
     }
-    Status status = isolated ? AddIsolated(*t, items[i].pid, items[i].records)
-                             : AddDirect(*t, items[i].pid, items[i].records);
-    out.statuses[i] = status;
-    if (status.ok()) {
+    if (isolated && BufferIsolated(t, items[i], admitted.reduce)) continue;
+    direct_pids.push_back(items[i].pid);
+    direct_items.push_back(i);
+  }
+  if (!direct_pids.empty()) {
+    std::vector<Status> statuses;
+    t.cache->WithProfilesMutable(
+        direct_pids,
+        [&](size_t j, ProfileData& profile) {
+          ApplyRecords(items[direct_items[j]].records, admitted.reduce,
+                       profile);
+        },
+        &statuses);
+    for (size_t j = 0; j < direct_pids.size(); ++j) {
+      out.statuses[direct_items[j]] = statuses[j];
+      if (statuses[j].ok()) t.compaction->MaybeTrigger(direct_pids[j]);
+    }
+  }
+
+  int64_t ok_records = 0;
+  int64_t error_items = 0;
+  for (size_t i = 0; i < items.size(); ++i) {
+    if (out.statuses[i].ok()) {
       ++out.ok_items;
       ok_records += static_cast<int64_t>(items[i].records.size());
     } else {
       ++error_items;
     }
   }
-
-  const int64_t micros = (MonotonicNanos() - begin_ns) / 1000;
-  overload_.RecordServiceSample(micros, static_cast<double>(items.size()));
-  serving_metrics_.multi_add_micros->Record(micros);
-  serving_metrics_.multi_add_batch->Record(static_cast<int64_t>(items.size()));
-  if (ok_records > 0) serving_metrics_.adds->Increment(ok_records);
-  if (error_items > 0) serving_metrics_.add_errors->Increment(error_items);
+  Complete(serving_metrics_.add, begin_ns, items.size(), ok_records,
+           error_items);
   return out;
 }
 
-Status IpsInstance::AddDirect(Table& t, ProfileId pid,
-                              const std::vector<AddRecord>& records) {
-  Status status = t.cache->WithProfileMutable(pid, [&](ProfileData& profile) {
-    std::lock_guard<std::mutex> schema_lock(t.schema_mu);
-    for (const auto& r : records) {
-      profile.Add(r.timestamp, r.slot, r.type, r.fid, r.counts,
-                  t.schema.reduce)
-          .ok();
-    }
-  });
-  if (status.ok()) t.compaction->MaybeTrigger(pid);
-  return status;
-}
-
-Status IpsInstance::AddIsolated(Table& t, ProfileId pid,
-                                const std::vector<AddRecord>& records) {
+bool IpsInstance::BufferIsolated(Table& t, const MultiAddItem& item,
+                                 ReduceFn reduce) {
   // Hard cap on the write table's memory (Section III-F): if the buffer is
-  // full, fall back to the direct path rather than grow without bound.
+  // full, the item takes the direct path rather than grow it without bound.
   if (t.write_table_bytes.load(std::memory_order_relaxed) >
       options_.isolation_memory_limit_bytes) {
     serving_metrics_.isolation_overflow->Increment();
-    return AddDirect(t, pid, records);
+    return false;
   }
-  t.write_table->WithProfileMutable(pid, [&](ProfileData& profile) {
+  t.write_table->WithProfileMutable(item.pid, [&](ProfileData& profile) {
     const size_t before = profile.ApproximateBytes();
-    for (const auto& r : records) {
-      profile.Add(r.timestamp, r.slot, r.type, r.fid, r.counts,
-                  t.schema.reduce)
-          .ok();
-    }
+    ApplyRecords(item.records, reduce, profile);
     // Counted under the shard lock, so a drain always sees a profile's bytes
     // and the profile together.
     t.write_table_bytes.fetch_add(profile.ApproximateBytes() - before,
                                   std::memory_order_relaxed);
   });
-  return Status::OK();
+  return true;
 }
 
 size_t IpsInstance::MergeWriteTable(Table& t) {
@@ -388,32 +401,46 @@ size_t IpsInstance::MergeWriteTable(Table& t) {
           .ApproximateBytes();
   std::vector<std::pair<ProfileId, ProfileData>> pending =
       t.write_table->Drain();
+  if (pending.empty()) return 0;
   size_t drained_bytes = 0;
+  std::vector<ProfileId> pids;
+  pids.reserve(pending.size());
   for (const auto& [pid, buffered] : pending) {
     drained_bytes += buffered.ApproximateBytes() - empty_bytes;
+    pids.push_back(pid);
   }
   t.write_table_bytes.fetch_sub(drained_bytes, std::memory_order_relaxed);
+  ReduceFn reduce;
+  {
+    std::lock_guard<std::mutex> schema_lock(t.schema_mu);
+    reduce = t.schema.reduce;
+  }
 
+  // The whole drain folds in one WithProfilesMutable call: one lookup and at
+  // most one load for every non-resident profile.
+  std::vector<Status> statuses;
+  t.cache->WithProfilesMutable(
+      pids,
+      [&](size_t i, ProfileData& profile) {
+        profile.MergeProfile(pending[i].second, reduce);
+      },
+      &statuses);
   size_t merged = 0;
-  for (auto& [pid, buffered] : pending) {
-    const auto merge_into = [&](ProfileData& profile) {
-      std::lock_guard<std::mutex> schema_lock(t.schema_mu);
-      profile.MergeProfile(buffered, t.schema.reduce);
-    };
-    if (!t.cache->WithProfileMutable(pid, merge_into).ok()) {
+  for (size_t i = 0; i < pids.size(); ++i) {
+    if (!statuses[i].ok()) {
       // The cache could not take the profile (its load failed): put the
       // acknowledged writes back for the next merge instead of dropping
       // them.
-      t.write_table->WithProfileMutable(pid, [&](ProfileData& profile) {
+      t.write_table->WithProfileMutable(pids[i], [&](ProfileData& profile) {
         const size_t before = profile.ApproximateBytes();
-        merge_into(profile);
+        profile.MergeProfile(pending[i].second, reduce);
         t.write_table_bytes.fetch_add(profile.ApproximateBytes() - before,
                                       std::memory_order_relaxed);
       });
       continue;
     }
     ++merged;
-    t.compaction->MaybeTrigger(pid);
+    t.compaction->MaybeTrigger(pids[i]);
   }
   return merged;
 }
@@ -431,21 +458,10 @@ Result<QueryResult> IpsInstance::Query(const std::string& caller,
                                        const std::string& table,
                                        ProfileId pid, const QuerySpec& spec,
                                        const CallContext& ctx) {
-  const int64_t begin_ns = MonotonicNanos();
   IPS_ASSIGN_OR_RETURN(
       MultiQueryResult batch,
       MultiQuery(caller, table, std::span<const ProfileId>(&pid, 1), spec,
                  ctx));
-
-  // Point-read bookkeeping after the batch path returns is server overhead;
-  // attribute it so the traced stage sum stays honest.
-  ScopedSpan record_span("server.queue");
-  const int64_t micros = (MonotonicNanos() - begin_ns) / 1000;
-  serving_metrics_.query_micros->Record(micros);
-  (batch.cache_hits > 0 ? serving_metrics_.query_micros_hit
-                        : serving_metrics_.query_micros_miss)
-      ->Record(micros);
-
   IPS_RETURN_IF_ERROR(batch.statuses[0]);
   return std::move(batch.results[0]);
 }
@@ -458,30 +474,12 @@ Result<MultiQueryResult> IpsInstance::MultiQuery(
   // directly, without a Channel hop having installed the context.
   TraceInstallScope trace_install(ctx.trace);
   ScopedSpan server_span("server.query");
-  Table* t = nullptr;
+  IPS_ASSIGN_OR_RETURN(const Admitted admitted,
+                       Admit(caller, table, pids.size(), /*is_write=*/false,
+                             ctx));
+  Table* t = admitted.table;
   QuerySpec effective = spec;
-  {
-    // "Queueing": everything that admits the request before any per-profile
-    // work — deadline check, overload controller, quota, table resolution,
-    // schema snapshot.
-    ScopedSpan queue_span("server.queue");
-    const int64_t admit_ns = MonotonicNanos();
-    IPS_RETURN_IF_ERROR(CheckDeadline(ctx));
-    IPS_RETURN_IF_ERROR(
-        overload_.Admit(overload_.TierFor(caller, /*is_write=*/false),
-                        static_cast<double>(pids.size()), ctx,
-                        clock_->NowMs()));
-    // One quota charge per batch — a 500-candidate request is one admission
-    // decision, mirroring the batched write path.
-    IPS_RETURN_IF_ERROR(quota_.Check(caller));
-    if (pids.empty()) return Status::InvalidArgument("empty pid batch");
-    t = FindTable(table);
-    if (t == nullptr) return Status::NotFound("table " + table);
-
-    std::lock_guard<std::mutex> schema_lock(t->schema_mu);
-    effective.reduce = t->schema.reduce;
-    overload_.RecordQueueSample((MonotonicNanos() - admit_ns) / 1000);
-  }
+  effective.reduce = admitted.reduce;
 
   // Per-request setup and (below) result packaging are server overhead like
   // admission: both report under server.queue so the disjoint-stage sum
@@ -561,14 +559,8 @@ Result<MultiQueryResult> IpsInstance::MultiQuery(
   }
 
   overhead_span.emplace("server.queue");
-  const int64_t micros = (MonotonicNanos() - begin_ns) / 1000;
-  overload_.RecordServiceSample(micros,
-                                static_cast<double>(pid_vec.size()));
-  serving_metrics_.multi_query_micros->Record(micros);
-  serving_metrics_.multi_query_batch->Record(
-      static_cast<int64_t>(pid_vec.size()));
-  if (ok_count > 0) serving_metrics_.queries->Increment(ok_count);
-  if (error_count > 0) serving_metrics_.query_errors->Increment(error_count);
+  Complete(serving_metrics_.query, begin_ns, pid_vec.size(), ok_count,
+           error_count);
   return out;
 }
 

@@ -174,12 +174,13 @@ class IpsInstance {
                      ProfileId pid, const std::vector<AddRecord>& records,
                      const CallContext& ctx);
 
-  /// Batched write path (the ingestion hot path, mirroring MultiQuery): one
-  /// deadline check and ONE quota charge for the whole batch, then each
-  /// item's records are applied under its profile's entry lock. Statuses
-  /// align with `items`; a batch can partially succeed. The dirty entries it
-  /// creates are later drained in batched flushes (one KvStore::MultiSet per
-  /// flush group).
+  /// Batched write path (the ingestion hot path, mirroring MultiQuery): the
+  /// same admission step (ONE quota charge for the whole batch), then every
+  /// item bound for the cache goes through one GCache::WithProfilesMutable
+  /// call, so cold pids cost one load for the batch. Statuses align with
+  /// `items`; a batch can partially succeed. The dirty entries it creates
+  /// are later drained in batched flushes (one KvStore::MultiSet per flush
+  /// group).
   Result<MultiAddResult> MultiAdd(const std::string& caller,
                                   const std::string& table,
                                   const std::vector<MultiAddItem>& items) {
@@ -332,15 +333,23 @@ class IpsInstance {
   /// Snapshot of the table list (tables are never removed).
   std::vector<Table*> Tables() const;
 
-  /// DeadlineExceeded (and the server.deadline_exceeded counter) when the
-  /// request's deadline already passed — checked on entry so an expired
-  /// request is rejected before any cache/storage work.
-  Status CheckDeadline(const CallContext& ctx);
+  /// A request's table and its reduce function, read once under schema_mu.
+  struct Admitted {
+    Table* table;
+    ReduceFn reduce;
+  };
 
-  Status AddDirect(Table& t, ProfileId pid,
-                   const std::vector<AddRecord>& records);
-  Status AddIsolated(Table& t, ProfileId pid,
-                     const std::vector<AddRecord>& records);
+  /// The admission step MultiQuery and MultiAdd share, under one
+  /// server.queue span: the deadline (counting server.deadline_exceeded),
+  /// then an empty batch or unknown table is rejected before anything is
+  /// charged, then the overload controller and ONE quota charge.
+  Result<Admitted> Admit(const std::string& caller, const std::string& table,
+                         size_t batch_size, bool is_write,
+                         const CallContext& ctx);
+
+  /// Buffers one item in the isolation write table; false (counted as
+  /// isolation.overflow) when the buffer is over its memory cap.
+  bool BufferIsolated(Table& t, const MultiAddItem& item, ReduceFn reduce);
   size_t MergeWriteTable(Table& t);
 
   /// Wakes every kMaintenanceTickMs of wall time until shutdown: merges the
@@ -353,27 +362,29 @@ class IpsInstance {
   /// (the registry lookup takes a deployment-wide mutex).
   struct ServingMetrics {
     explicit ServingMetrics(MetricsRegistry* metrics);
-    Counter* queries;
-    Counter* query_errors;
+    /// What one request path records on completion (see Complete).
+    struct PathMetrics {
+      Histogram* micros;
+      Histogram* batch;
+      Counter* ok;
+      Counter* errors;
+    };
+    PathMetrics query;
+    PathMetrics add;
     Counter* degraded_reads;
     Counter* scratch_reuse;
-    Counter* adds;
-    Counter* add_errors;
     Counter* deadline_exceeded;
-    Histogram* multi_query_micros;
-    Histogram* multi_query_batch;
-    Histogram* query_micros;
-    Histogram* query_micros_hit;
-    Histogram* query_micros_miss;
-    Histogram* multi_add_micros;
-    Histogram* multi_add_batch;
-    Histogram* add_micros;
     Counter* slices_merged;
     Counter* slices_truncated;
     Counter* features_shrunk;
     Counter* isolation_overflow;
     Counter* isolation_merged_profiles;
   };
+
+  /// The completion step MultiQuery and MultiAdd share: the overload
+  /// service sample and the path's histograms and counters.
+  void Complete(const ServingMetrics::PathMetrics& path, int64_t begin_ns,
+                size_t batch_size, int64_t ok_count, int64_t error_count);
 
   IpsInstanceOptions options_;
   KvStore* kv_;

@@ -20,7 +20,6 @@ class BulkImportTest : public ::testing::Test {
     options.instance.start_background_threads = false;
     options.instance.compaction.synchronous = true;
     options.instance.isolation_enabled = false;
-    options.instance.cache.write_granularity_ms = kMinute;
     options.discovery_ttl_ms = 365 * kDay;
     deployment_ = std::make_unique<Deployment>(options, &clock_);
     EXPECT_TRUE(deployment_

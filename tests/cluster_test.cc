@@ -240,7 +240,6 @@ DeploymentOptions TwoRegionOptions() {
   options.instance.start_background_threads = false;
   options.instance.compaction.synchronous = true;
   options.instance.isolation_enabled = false;
-  options.instance.cache.write_granularity_ms = kMinute;
   options.kv.replication_lag_ms = 100;
   return options;
 }
@@ -1081,7 +1080,6 @@ TEST(ClientFanOutTest, SaturationStormThroughOneSharedClient) {
   options.instance.start_background_threads = false;
   options.instance.compaction.synchronous = true;
   options.instance.isolation_enabled = false;
-  options.instance.cache.write_granularity_ms = kMinute;
   // The storm is about the client; keep admission from shedding it.
   options.instance.overload.enabled = false;
   options.channel.base_latency_us = 50;

@@ -129,7 +129,6 @@ class GatedKv final : public KvStore {
 inline IpsInstanceOptions ManualInstanceOptions() {
   IpsInstanceOptions options;
   options.start_background_threads = false;
-  options.cache.write_granularity_ms = kMillisPerMinute;
   options.compaction.synchronous = true;
   options.compaction.min_interval_ms = 0;
   options.isolation_enabled = false;

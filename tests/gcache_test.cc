@@ -337,6 +337,90 @@ TEST(GCacheTest, WithProfilesCoalescesDuplicatePids) {
   for (const auto& status : statuses) EXPECT_TRUE(status.ok());
 }
 
+TEST(GCacheTest, WithProfilesMutableLoadsColdPidsOnceAndKeepsInputOrder) {
+  FakeStore store;
+  {
+    GCache seeding(ManualOptions(), SystemClock::Instance(), store.Loader(),
+                   store.Storer());
+    seeding
+        .WithProfileMutable(
+            2,
+            [](ProfileData& profile) {
+              profile.Add(kMinute, 1, 1, 200, CountVector{1}).ok();
+            })
+        .ok();
+    seeding.FlushAll();
+  }
+  GCache cache(ManualOptions(), SystemClock::Instance(), store.Loader(),
+               store.Storer());
+  const size_t batches_before = store.load_batches().size();
+
+  // Pid 2 is persisted, 5 and 9 were never written; 5 occurs three times.
+  const std::vector<ProfileId> pids = {5, 2, 5, 9, 5};
+  std::map<ProfileId, std::vector<size_t>> applied;
+  std::vector<Status> statuses;
+  const size_t hits = cache.WithProfilesMutable(
+      pids,
+      [&](size_t i, ProfileData& profile) {
+        applied[pids[i]].push_back(i);
+        profile.Add(kMinute, 1, 1, 500 + i, CountVector{1}).ok();
+      },
+      &statuses);
+  EXPECT_EQ(hits, 0u);
+  // Every cold pid, duplicates included, in one load-function call.
+  const std::vector<std::vector<ProfileId>> batches = store.load_batches();
+  ASSERT_EQ(batches.size(), batches_before + 1);
+  EXPECT_EQ(batches.back(), (std::vector<ProfileId>{2, 5, 9}));
+  ASSERT_EQ(statuses.size(), pids.size());
+  for (const auto& status : statuses) EXPECT_TRUE(status.ok());
+  // Occurrences of one pid apply in input order.
+  EXPECT_EQ(applied[5], (std::vector<size_t>{0, 2, 4}));
+  EXPECT_EQ(applied[2], (std::vector<size_t>{1}));
+  EXPECT_EQ(applied[9], (std::vector<size_t>{3}));
+  EXPECT_EQ(cache.EntryCount(), 3u);
+  EXPECT_EQ(cache.DirtyCount(), 3u);
+
+  // The loaded profile kept its stored data under the new write.
+  bool has_old = false;
+  bool has_new = false;
+  ASSERT_TRUE(cache
+                  .WithProfile(2,
+                               [&](const ProfileData& profile) {
+                                 has_old = HasFeature(profile, 200);
+                                 has_new = HasFeature(profile, 501);
+                               })
+                  .ok());
+  EXPECT_TRUE(has_old);
+  EXPECT_TRUE(has_new);
+}
+
+TEST(GCacheTest, WithProfilesMutableLoadErrorLeavesPidUnset) {
+  FakeStore store;
+  GCache cache(ManualOptions(), SystemClock::Instance(), store.Loader(),
+               store.Storer());
+  // The load function resolves pids in ascending order, so the first
+  // (failing) load is pid 1's.
+  store.SetFailLoads(1);
+  const std::vector<ProfileId> pids = {3, 1, 2};
+  std::vector<size_t> applied;
+  std::vector<Status> statuses;
+  cache.WithProfilesMutable(
+      pids, [&](size_t i, ProfileData&) { applied.push_back(i); },
+      &statuses);
+  ASSERT_EQ(statuses.size(), pids.size());
+  EXPECT_TRUE(statuses[0].ok());
+  EXPECT_TRUE(statuses[1].IsUnavailable());
+  EXPECT_TRUE(statuses[2].ok());
+  std::sort(applied.begin(), applied.end());
+  EXPECT_EQ(applied, (std::vector<size_t>{0, 2}));
+  // Nothing was created for the failed pid: it is neither resident nor
+  // dirty, so a later write retries the load.
+  EXPECT_EQ(cache.EntryCount(), 2u);
+  EXPECT_EQ(cache.DirtyCount(), 2u);
+  const std::vector<ProfileId> cached = cache.CachedIds();
+  EXPECT_EQ(std::count(cached.begin(), cached.end(), ProfileId{1}), 0);
+}
+
 TEST(GCacheTest, MemoryUsageRatioZeroLimitIsZeroNotNan) {
   FakeStore store;
   GCacheOptions options = ManualOptions();

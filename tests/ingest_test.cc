@@ -280,7 +280,6 @@ TEST(IngestionJobTest, EndToEndThroughLogAndCluster) {
   dep_options.instance.start_background_threads = false;
   dep_options.instance.compaction.synchronous = true;
   dep_options.instance.isolation_enabled = false;
-  dep_options.instance.cache.write_granularity_ms = kMinute;
   Deployment deployment(dep_options, &clock);
   TableSchema schema = DefaultTableSchema("user_profile");
   schema.write_granularity_ms = kMinute;

@@ -30,7 +30,6 @@ DeploymentOptions PipelineDeployment() {
   options.instance.compaction.synchronous = true;
   options.instance.compaction.min_interval_ms = 0;
   options.instance.isolation_enabled = false;
-  options.instance.cache.write_granularity_ms = kMinute;
   options.kv.replication_lag_ms = 100;
   return options;
 }
@@ -178,7 +177,6 @@ TEST(IntegrationTest, ColdRestartRecoversFromPersistentStore) {
   options.start_background_threads = false;
   options.compaction.synchronous = true;
   options.isolation_enabled = false;
-  options.cache.write_granularity_ms = kMinute;
   options.persistence.mode = PersistenceMode::kSliceSplit;
   options.persistence.split_threshold_bytes = 256;
 
@@ -222,7 +220,6 @@ TEST(IntegrationTest, YearLongReplayStaysBoundedWithCompaction) {
   options.compaction.synchronous = true;
   options.compaction.min_interval_ms = 0;
   options.isolation_enabled = false;
-  options.cache.write_granularity_ms = kMinute;
   IpsInstance instance(options, &kv, &clock);
   TableSchema schema = PipelineSchema();  // Listing 3 ladder + 365d truncate
   // Disable the (deliberately lossy) Shrink so the exact-count invariant of

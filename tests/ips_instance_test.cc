@@ -21,7 +21,6 @@ constexpr int64_t kDay = kMillisPerDay;
 IpsInstanceOptions ManualInstanceOptions() {
   IpsInstanceOptions options;
   options.start_background_threads = false;
-  options.cache.write_granularity_ms = kMinute;
   options.compaction.synchronous = true;
   options.compaction.min_interval_ms = 0;
   options.isolation_enabled = false;
@@ -335,6 +334,155 @@ TEST_F(IpsInstanceTest, MultiAddUnknownTableFails) {
   auto batch = instance_.MultiAdd("test", "nope", {item});
   ASSERT_FALSE(batch.ok());
   EXPECT_TRUE(batch.status().IsNotFound());
+}
+
+// One item of one record in slot 1, type 1.
+MultiAddItem OneRecordItem(ProfileId pid, TimestampMs ts, FeatureId fid,
+                           int64_t count) {
+  return MultiAddItem{pid, {{ts, 1, 1, fid, CountVector{count}}}};
+}
+
+TEST_F(IpsInstanceTest, RejectedRequestsAreNotChargedQuota) {
+  // An empty batch or an unknown table is rejected before admission charges
+  // anything: a 1-QPS caller (the ManualClock never refills it) still has
+  // its one token for the valid call that follows.
+  instance_.quota().SetQuota("one", 1.0);
+  QuerySpec spec;
+  spec.slot = 1;
+  spec.time_range = TimeRange::Current(kDay);
+  const std::vector<ProfileId> pids = {1};
+  const std::vector<MultiAddItem> items = {
+      OneRecordItem(1, clock_.NowMs() - kMinute, 5, 1)};
+
+  EXPECT_TRUE(instance_.MultiAdd("one", "profiles", {})
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_TRUE(instance_.MultiQuery("one", "profiles", {}, spec)
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_TRUE(instance_.MultiAdd("one", "nope", items).status().IsNotFound());
+  EXPECT_TRUE(
+      instance_.MultiQuery("one", "nope", pids, spec).status().IsNotFound());
+
+  auto valid = instance_.MultiAdd("one", "profiles", items);
+  ASSERT_TRUE(valid.ok()) << valid.status().ToString();
+  EXPECT_TRUE(valid->statuses[0].ok());
+  // The token is spent now.
+  EXPECT_TRUE(instance_.MultiAdd("one", "profiles", items)
+                  .status()
+                  .IsResourceExhausted());
+}
+
+TEST_F(IpsInstanceTest, MultiAddOfColdPidsIssuesOneKvMultiGet) {
+  // Isolation off: every item goes to the cache, and the 16 never-written
+  // pids are looked up and loaded as one batch, not one load per pid.
+  const TimestampMs ts = clock_.NowMs() - kMinute;
+  std::vector<MultiAddItem> items;
+  for (ProfileId pid = 1; pid <= 16; ++pid) {
+    items.push_back(OneRecordItem(pid, ts, pid, 2));
+  }
+  const int64_t multi_gets_before = kv_.MultiGetCalls();
+  auto batch = instance_.MultiAdd("test", "profiles", items);
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  EXPECT_EQ(batch->ok_items, items.size());
+  EXPECT_EQ(kv_.MultiGetCalls() - multi_gets_before, 1);
+
+  for (ProfileId pid = 1; pid <= 16; ++pid) {
+    auto result = TopK(pid, 1, 10);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_EQ(result->features.size(), 1u);
+    EXPECT_EQ(result->features[0].fid, pid);
+    EXPECT_EQ(result->features[0].counts[0], 2);
+  }
+}
+
+TEST_F(IpsInstanceTest, IsolationMergeOfNonResidentPidsIssuesOneKvMultiGet) {
+  // 16 profiles persisted by one instance, then buffered writes for all of
+  // them on a fresh instance (nothing resident): the merge folds the whole
+  // drain with one lookup and one load.
+  const TimestampMs ts = clock_.NowMs() - kMinute;
+  std::vector<MultiAddItem> items;
+  for (ProfileId pid = 1; pid <= 16; ++pid) {
+    items.push_back(OneRecordItem(pid, ts, 7, 1));
+  }
+  ASSERT_TRUE(instance_.MultiAdd("test", "profiles", items).ok());
+  instance_.FlushAll();
+
+  IpsInstanceOptions options = ManualInstanceOptions();
+  options.isolation_enabled = true;
+  IpsInstance fresh(options, &kv_, &clock_);
+  ASSERT_TRUE(fresh.CreateTable(TestSchema()).ok());
+  for (auto& item : items) item.records[0].counts = CountVector{2};
+  const int64_t multi_gets_before = kv_.MultiGetCalls();
+  auto buffered = fresh.MultiAdd("test", "profiles", items);
+  ASSERT_TRUE(buffered.ok()) << buffered.status().ToString();
+  EXPECT_EQ(buffered->ok_items, items.size());
+  EXPECT_EQ(kv_.MultiGetCalls(), multi_gets_before);  // only buffered
+
+  EXPECT_EQ(fresh.MergeWriteTablesOnce(), 16u);
+  EXPECT_EQ(kv_.MultiGetCalls() - multi_gets_before, 1);
+
+  QuerySpec spec;
+  spec.slot = 1;
+  spec.time_range = TimeRange::Current(kDay);
+  std::vector<ProfileId> pids;
+  for (const auto& item : items) pids.push_back(item.pid);
+  auto merged = fresh.MultiQuery("test", "profiles", pids, spec);
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  EXPECT_EQ(merged->cache_hits, pids.size());
+  for (size_t i = 0; i < pids.size(); ++i) {
+    ASSERT_EQ(merged->results[i].features.size(), 1u) << pids[i];
+    EXPECT_EQ(merged->results[i].features[0].counts[0], 3) << pids[i];
+  }
+}
+
+TEST_F(IpsInstanceTest, ReduceReloadRacingIsolatedWritesIsSafe) {
+  // Writers buffer under isolation and a merger folds the buffer while the
+  // table's reduce function is hot-reloaded back and forth. Every request
+  // reads reduce from one snapshot taken under the schema lock (TSan checks
+  // the race; the counts check that no write went missing).
+  instance_.SetIsolationEnabled(true);
+  constexpr int kWriters = 4;
+  constexpr int kBatches = 200;
+  constexpr ProfileId kPids = 32;
+  std::atomic<int> writers_left{kWriters};
+  std::atomic<int64_t> acked{0};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      const TimestampMs ts = clock_.NowMs() - kMinute;
+      for (int b = 0; b < kBatches; ++b) {
+        std::vector<MultiAddItem> items;
+        for (ProfileId k = 0; k < 4; ++k) {
+          items.push_back(
+              OneRecordItem(1 + (b * 4 + k + w * 7) % kPids, ts, 9, 1));
+        }
+        auto result = instance_.MultiAdd("test", "profiles", items);
+        if (result.ok()) acked.fetch_add(result->ok_items);
+      }
+      writers_left.fetch_sub(1);
+    });
+  }
+  threads.emplace_back([&] {
+    TableSchema schema = TestSchema();
+    for (int i = 0; writers_left.load() > 0; ++i) {
+      schema.reduce = i % 2 == 0 ? ReduceFn::kMax : ReduceFn::kSum;
+      EXPECT_TRUE(instance_.ReconfigureTable(schema).ok());
+    }
+  });
+  threads.emplace_back([&] {
+    while (writers_left.load() > 0) instance_.MergeWriteTablesOnce();
+  });
+  for (auto& t : threads) t.join();
+  instance_.MergeWriteTablesOnce();
+
+  EXPECT_EQ(acked.load(), int64_t{kWriters} * kBatches * 4);
+  for (ProfileId pid = 1; pid <= kPids; ++pid) {
+    auto result = TopK(pid, 1, 10);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_EQ(result->features.size(), 1u) << pid;
+    EXPECT_GE(result->features[0].counts[0], 1) << pid;
+  }
 }
 
 TEST_F(IpsInstanceTest, MultiAddFlushIssuesOneKvMultiSetPerBatch) {
@@ -769,19 +917,6 @@ TEST_F(IpsInstanceTest, TableStatsReflectCache) {
   EXPECT_EQ(stats->cached_profiles, 5u);
   EXPECT_GT(stats->cache_bytes, 0u);
   EXPECT_TRUE(instance_.GetTableStats("nope").status().IsNotFound());
-}
-
-TEST_F(IpsInstanceTest, ServerLatencyMetricsSplitHitMiss) {
-  const TimestampMs now = clock_.NowMs();
-  ASSERT_TRUE(instance_
-                  .AddProfile("test", "profiles", 1, now - kMinute, 1, 1, 1,
-                              CountVector{1})
-                  .ok());
-  TopK(1, 1, 10).ok();  // hit (just written)
-  instance_.FlushAll();
-  EXPECT_GT(
-      instance_.metrics()->GetHistogram("server.query_micros_hit")->count(),
-      0);
 }
 
 TEST(IpsInstanceBackgroundTest, MaintenanceLoopRunsAutomatically) {

@@ -55,7 +55,6 @@ TEST(MetricsDocTest, EveryLiveMetricNameIsDocumented) {
   options.instance.start_background_threads = false;
   options.instance.compaction.synchronous = true;
   options.instance.isolation_enabled = false;
-  options.instance.cache.write_granularity_ms = kMinute;
   Deployment deployment(options, &clock);
   TableSchema schema = DefaultTableSchema("profiles");
   schema.write_granularity_ms = kMinute;

@@ -180,7 +180,6 @@ DeploymentOptions TracedClusterOptions() {
   options.instance.start_background_threads = false;
   options.instance.compaction.synchronous = true;
   options.instance.isolation_enabled = false;
-  options.instance.cache.write_granularity_ms = kMinute;
   return options;
 }
 
