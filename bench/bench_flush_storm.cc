@@ -1,21 +1,19 @@
-// Flush-storm ablation: the store-side Coalescer (cross-shard flush
-// coalescing + in-flight store-back dedup) vs the coalescer-off ablation.
+// Flush storm: KV write round trips per flushed pid when flush passes are
+// serialized by GCache's write-back lock and grouped across dirty shards.
 //
 // Writer threads keep dirtying a Zipf-skewed working set while flusher
 // threads hammer FlushAll concurrently — the regime of aggressive flush
-// intervals, failover write-backs and shutdown storms. Without the coalescer
-// every flush pass pays one KvStore::MultiSet per dirty shard it drains, so
-// concurrent small passes multiply round trips; with it, groups from
-// different shards and different passes arriving while a MultiSet is on the
-// wire group-commit into the next one, and a hot pid re-flushed while its
-// store-back is on the wire rides or requeues instead of racing. The measured series is KV
-// write round trips per flushed pid (PointWriteCalls + MultiSetCalls deltas
-// over the cache.flushed delta).
+// intervals, failover write-backs and shutdown storms. Concurrent FlushAll
+// callers queue on the cache's write-back lock, so at most one pass stores
+// at a time, and each pass takes every dirty shard's list and writes it in
+// groups of up to flush_batch_max pids: a pass over <= 64 dirty pids is one
+// KvStore::MultiSet. The measured series is KV write round trips per flushed
+// pid (PointWriteCalls + MultiSetCalls deltas over the cache.flushed delta).
 //
-// `--smoke` runs a shortened storm and exits nonzero unless the coalescer cuts
-// write round trips per flushed pid by >= 3x with
-// store_broker.cross_shard_batches > 0 (the PR acceptance gate). The full
-// run emits BENCH_flush_storm.json.
+// The gate: no write errors, and at most 0.090 round trips per flushed pid
+// in `--smoke` (0.0606 in the full run). Those bars are what the deleted
+// store-side coalescer achieved on this storm. The full run emits
+// BENCH_flush_storm.json.
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -38,15 +36,11 @@ constexpr size_t kWriterThreads = 4;
 constexpr size_t kFlusherThreads = 4;
 
 struct RunResult {
-  bool broker = false;
   size_t writes = 0;
   size_t errors = 0;
   size_t flush_passes = 0;
   int64_t flushed = 0;
   int64_t kv_writes = 0;
-  int64_t single_flight = 0;
-  int64_t cross_shard = 0;
-  int64_t requeued = 0;
   double mean_batch_pids = 0;
   double elapsed_ms = 0;
   double WritesPerFlush() const {
@@ -56,20 +50,19 @@ struct RunResult {
   }
 };
 
-IpsInstanceOptions BenchInstanceOptions(bool broker_on) {
+IpsInstanceOptions BenchInstanceOptions() {
   IpsInstanceOptions options;
   options.start_background_threads = false;
   options.isolation_enabled = false;
   options.cache.memory_limit_bytes = 64 << 20;  // no eviction write-backs
   options.enable_load_broker = false;           // write path is the subject
-  options.enable_store_broker = broker_on;
   return options;
 }
 
-RunResult RunConfig(bool broker_on, size_t writes_per_writer) {
+RunResult RunStorm(size_t writes_per_writer) {
   MemKvStore kv(bench::CalibratedKv());
   ManualClock clock(500 * kDay);
-  IpsInstance instance(BenchInstanceOptions(broker_on), &kv, &clock);
+  IpsInstance instance(BenchInstanceOptions(), &kv, &clock);
   instance.CreateTable(DefaultTableSchema(kTable)).ok();
 
   const int64_t point_writes_before = kv.PointWriteCalls();
@@ -114,9 +107,9 @@ RunResult RunConfig(bool broker_on, size_t writes_per_writer) {
       while (writers_running.load(std::memory_order_relaxed) > 0) {
         instance.FlushAll();
         flush_passes.fetch_add(1);
-        // Long, random pauses keep the flushers out of lock-step with the
-        // coalescer's dispatch cycle: a pass that lands while another pass's
-        // store is on the wire exercises the single-flight table.
+        // Long, random pauses keep the flushers out of lock-step, so a
+        // FlushAll often arrives while another caller's pass is storing and
+        // queues behind it on the write-back lock.
         std::this_thread::sleep_for(
             std::chrono::microseconds(rng.Uniform(1500)));
       }
@@ -126,10 +119,8 @@ RunResult RunConfig(bool broker_on, size_t writes_per_writer) {
   for (auto& t : flushers) t.join();
   const auto elapsed = std::chrono::steady_clock::now() - start;
 
-  // Measure the storm phase only: the single-threaded drain below has no
-  // concurrency to coalesce, identically for both configs.
+  // Measure the storm phase only, not the single-threaded drain below.
   RunResult r;
-  r.broker = broker_on;
   r.writes = kWriterThreads * writes_per_writer;
   r.errors = errors.load();
   r.flush_passes = flush_passes.load();
@@ -137,11 +128,6 @@ RunResult RunConfig(bool broker_on, size_t writes_per_writer) {
                 (kv.MultiSetCalls() - multi_sets_before);
   MetricsRegistry* metrics = instance.metrics();
   r.flushed = metrics->GetCounter("cache.flushed")->Value() - flushed_before;
-  r.single_flight =
-      metrics->GetCounter("store_broker.single_flight_hits")->Value();
-  r.cross_shard =
-      metrics->GetCounter("store_broker.cross_shard_batches")->Value();
-  r.requeued = metrics->GetCounter("store_broker.requeued_pids")->Value();
   r.mean_batch_pids =
       metrics->GetHistogram("store_broker.batch_pids")->Mean();
   r.elapsed_ms =
@@ -151,44 +137,21 @@ RunResult RunConfig(bool broker_on, size_t writes_per_writer) {
   return r;
 }
 
-void PrintRow(const RunResult& r) {
-  bench::PrintCell(r.broker ? "on" : "off");
-  bench::PrintCell(static_cast<int64_t>(r.writes));
-  bench::PrintCell(static_cast<int64_t>(r.flush_passes));
-  bench::PrintCell(r.flushed);
-  bench::PrintCell(r.kv_writes);
-  bench::PrintCell(r.WritesPerFlush());
-  bench::PrintCell(r.single_flight);
-  bench::PrintCell(r.cross_shard);
-  bench::PrintCell(r.requeued);
-  bench::PrintCell(r.mean_batch_pids);
-  bench::EndRow();
-}
-
-void WriteJson(const std::vector<RunResult>& rows) {
+void WriteJson(const RunResult& r) {
   std::FILE* f = std::fopen("BENCH_flush_storm.json", "w");
   if (f == nullptr) {
     std::printf("could not write BENCH_flush_storm.json\n");
     return;
   }
   std::fprintf(f, "{\n  \"bench\": \"flush_storm\",\n  \"rows\": [\n");
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const RunResult& r = rows[i];
-    std::fprintf(
-        f,
-        "    {\"broker\": %s, \"writes\": %zu, \"flush_passes\": %zu, "
-        "\"flushed_pids\": %lld, \"kv_write_round_trips\": %lld, "
-        "\"writes_per_flushed_pid\": %.4f, \"single_flight_hits\": %lld, "
-        "\"cross_shard_batches\": %lld, \"requeued_pids\": %lld, "
-        "\"mean_batch_pids\": %.2f, \"elapsed_ms\": %.0f}%s\n",
-        r.broker ? "true" : "false", r.writes, r.flush_passes,
-        static_cast<long long>(r.flushed),
-        static_cast<long long>(r.kv_writes), r.WritesPerFlush(),
-        static_cast<long long>(r.single_flight),
-        static_cast<long long>(r.cross_shard),
-        static_cast<long long>(r.requeued), r.mean_batch_pids, r.elapsed_ms,
-        i + 1 < rows.size() ? "," : "");
-  }
+  std::fprintf(
+      f,
+      "    {\"writes\": %zu, \"flush_passes\": %zu, \"flushed_pids\": %lld, "
+      "\"kv_write_round_trips\": %lld, \"writes_per_flushed_pid\": %.4f, "
+      "\"mean_batch_pids\": %.2f, \"elapsed_ms\": %.0f}\n",
+      r.writes, r.flush_passes, static_cast<long long>(r.flushed),
+      static_cast<long long>(r.kv_writes), r.WritesPerFlush(),
+      r.mean_batch_pids, r.elapsed_ms);
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
   std::printf("\nwrote BENCH_flush_storm.json\n");
@@ -196,45 +159,42 @@ void WriteJson(const std::vector<RunResult>& rows) {
 
 int Run(bool smoke) {
   std::printf(
-      "=== Flush storm: store Coalescer vs coalescer-off ablation (%s) ===\n"
+      "=== Flush storm: serialized, cross-shard flush passes (%s) ===\n"
       "%zu writers dirtying %zu Zipf users, %zu concurrent FlushAll threads;"
       "\nseries = KV write round trips per flushed pid\n",
       smoke ? "smoke" : "full", kWriterThreads, kNumUsers, kFlusherThreads);
 
   const size_t writes_per_writer = smoke ? 400 : 1500;
+  // The store-side coalescer's own results on this storm.
+  const double bound = smoke ? 0.090 : 0.0606;
 
-  bench::PrintHeader({"broker", "writes", "passes", "flushed", "kv_wr",
-                      "wr_per_flush", "sflight", "xshard", "requeued",
-                      "batch_pids"});
-  const RunResult off = RunConfig(/*broker_on=*/false, writes_per_writer);
-  const RunResult on = RunConfig(/*broker_on=*/true, writes_per_writer);
-  PrintRow(off);
-  PrintRow(on);
-
-  const double ratio =
-      on.WritesPerFlush() > 0 ? off.WritesPerFlush() / on.WritesPerFlush()
-                              : 0;
-  std::printf("%14s coalescer cuts KV write round trips per flushed pid %.1fx "
-              "(%.3f -> %.3f)\n",
-              "", ratio, off.WritesPerFlush(), on.WritesPerFlush());
+  bench::PrintHeader({"writes", "passes", "flushed", "kv_wr", "wr_per_flush",
+                      "batch_pids", "elapsed_ms"});
+  const RunResult r = RunStorm(writes_per_writer);
+  bench::PrintCell(static_cast<int64_t>(r.writes));
+  bench::PrintCell(static_cast<int64_t>(r.flush_passes));
+  bench::PrintCell(r.flushed);
+  bench::PrintCell(r.kv_writes);
+  bench::PrintCell(r.WritesPerFlush());
+  bench::PrintCell(r.mean_batch_pids);
+  bench::PrintCell(r.elapsed_ms);
+  bench::EndRow();
 
   int rc = 0;
-  if (off.errors + on.errors != 0) {
-    std::printf("FAIL: %zu writes returned errors\n",
-                off.errors + on.errors);
+  if (r.errors != 0) {
+    std::printf("FAIL: %zu writes returned errors\n", r.errors);
     rc = 1;
   }
-  std::printf(
-      "\nacceptance: write rt reduction %.1fx (need >= 3.0), "
-      "cross_shard_batches %lld (need > 0)\n",
-      ratio, static_cast<long long>(on.cross_shard));
-  if (ratio < 3.0 || on.cross_shard <= 0) {
-    std::printf("FAIL: flush coalescing gate not met\n");
+  std::printf("\nacceptance: %.4f KV write round trips per flushed pid "
+              "(need <= %.4f, flushed > 0)\n",
+              r.WritesPerFlush(), bound);
+  if (r.flushed <= 0 || r.WritesPerFlush() > bound) {
+    std::printf("FAIL: flush round-trip gate not met\n");
     rc = 1;
-  } else {
+  } else if (rc == 0) {
     std::printf("PASS\n");
   }
-  if (!smoke) WriteJson({off, on});
+  if (!smoke) WriteJson(r);
   return rc;
 }
 

@@ -103,6 +103,26 @@ for path in sys.argv[1:]:
                   f"{parallel['workers']}w={parallel}", file=sys.stderr)
             fail = 1
             continue
+    if doc["bench"] == "flush_storm":
+        # The committed artifact must satisfy the full run's gate: no more
+        # than 0.0606 KV write round trips per flushed pid (the deleted
+        # store-side coalescer's own result on this storm).
+        rows = doc.get("rows")
+        required = {"flushed_pids", "kv_write_round_trips",
+                    "writes_per_flushed_pid"}
+        if (not isinstance(rows, list) or len(rows) != 1
+                or not required.issubset(rows[0])):
+            print(f"check_bench: {path}: flush_storm artifact needs one row "
+                  f"carrying {sorted(required)}", file=sys.stderr)
+            fail = 1
+            continue
+        row = rows[0]
+        if row["flushed_pids"] <= 0 or row["writes_per_flushed_pid"] > 0.0606:
+            print(f"check_bench: {path}: flush-storm gate not met: "
+                  f"{row['writes_per_flushed_pid']} KV write round trips per "
+                  f"flushed pid (need <= 0.0606)", file=sys.stderr)
+            fail = 1
+            continue
     print(f"check_bench: {path}: ok (bench={doc['bench']})")
 sys.exit(fail)
 EOF

@@ -51,9 +51,10 @@ run_suite() {
     # with the admission controller on must beat controller-off >= 2x.
     echo "=== tier1: perf smoke (bench_overload --smoke) ==="
     "${build_dir}/bench/bench_overload" --smoke
-    # Write-path coalescing gate: under a concurrent FlushAll storm, the
-    # store-side Coalescer must cut KV write round trips per flushed pid >= 3x
-    # vs the coalescer-off ablation, with cross-shard merges observed.
+    # Write-path batching gate: under a concurrent FlushAll storm, flush
+    # passes serialized by the cache's write-back lock and grouped across
+    # dirty shards must pay <= 0.090 KV write round trips per flushed pid
+    # (the store coalescer's own result on this storm), with no write errors.
     echo "=== tier1: perf smoke (bench_flush_storm --smoke) ==="
     "${build_dir}/bench/bench_flush_storm" --smoke
     # Cache-tier gate: with a tiny L1 under eviction churn, the compressed L2
@@ -76,27 +77,30 @@ run_suite() {
     fi
   fi
   if [[ "${sanitize}" == "thread" ]]; then
-    # The thread pool's contract (exact queue bound, drain-on-destroy,
-    # Submit racing the destructor), the drain-concurrency storm (concurrent
-    # MaybeTrigger + Drain + SetEnabled flips over the pool), the
-    # coalescer's group-commit storms (attach, claim, piggyback, requeue and
-    # detach from many threads), GCache's write-back step (flush,
-    # eviction and Invalidate racing writers and each other, with the L2
-    # demotions), the client's fan-out (callers reclaiming sub-calls from
-    # the shared pool, the client destroyed right after a storm, spans from
-    # both threads) and the instance's maintenance loop (swap, flush and
-    # merge racing CreateTable, serving writes, SetIsolationEnabled and the
-    # destructor) are the tests TSan exists for; ctest runs them with the
-    # rest of the suite, but explicit passes keep the race gates visible in
-    # the tier-1 log.
+    # The thread pool's contract (exact queue bound, drain-on-destroy, Submit
+    # racing the destructor), the drain-concurrency storm (concurrent
+    # MaybeTrigger + Drain + SetEnabled flips over the pool), the load
+    # coalescer's group-commit storm (attach, claim, single flight and detach
+    # from many threads), GCache's write-back step (flush, eviction and
+    # Invalidate racing writers and queueing on the write-back lock, with the
+    # L2 demotions), ReplicatedKv's slave drains (concurrent readers applying
+    # the replication queue), the client's fan-out (callers reclaiming
+    # sub-calls from the shared pool, the client destroyed right after a
+    # storm, spans from both threads) and the instance's maintenance loop
+    # (swap, flush and merge racing CreateTable, serving writes,
+    # SetIsolationEnabled and the destructor) are the tests TSan exists for;
+    # ctest runs them with the rest of the suite, but explicit passes keep the
+    # race gates visible in the tier-1 log.
     echo "=== tier1: TSan thread pool (common_test) ==="
     (cd "${build_dir}" && ctest --output-on-failure -R common_test)
     echo "=== tier1: TSan drain storm (CompactionManagerTest) ==="
     (cd "${build_dir}" && ctest --output-on-failure -R compaction_test)
-    echo "=== tier1: TSan group-commit storm (CoalescerTest) ==="
+    echo "=== tier1: TSan load group-commit storm (CoalescerTest) ==="
     (cd "${build_dir}" && ctest --output-on-failure -R coalescer_test)
     echo "=== tier1: TSan write-back step (GCacheTest, VictimCacheTest) ==="
     (cd "${build_dir}" && ctest --output-on-failure -R 'gcache_test|victim_cache_test')
+    echo "=== tier1: TSan replication drains (kvstore_test) ==="
+    (cd "${build_dir}" && ctest --output-on-failure -R kvstore_test)
     echo "=== tier1: TSan client fan-out (cluster_test, trace_test) ==="
     (cd "${build_dir}" && ctest --output-on-failure -R 'cluster_test|trace_test')
     echo "=== tier1: TSan maintenance loop (ips_instance_test) ==="

@@ -39,6 +39,7 @@ GCache::GCache(GCacheOptions options, Clock* clock, LoadFn load, StoreFn store,
   l2_decode_failures_counter_ =
       metrics->GetCounter("cache_l2.decode_failures");
   overlap_stalls_counter_ = metrics->GetCounter("compaction.overlap_stalls");
+  store_batch_pids_ = metrics->GetHistogram("store_broker.batch_pids");
   options_.lru_shards = RoundUpPow2(options_.lru_shards);
   options_.dirty_shards = RoundUpPow2(options_.dirty_shards);
   for (size_t i = 0; i < options_.lru_shards; ++i) {
@@ -546,6 +547,7 @@ std::vector<Status> GCache::StoreSnapshots(std::span<const Snapshot> snapshots,
     epochs.push_back(snap.epoch);
     profiles.push_back(&snap.profile);
   }
+  store_batch_pids_->Record(static_cast<int64_t>(pids.size()));
   std::vector<Status> statuses = store_(pids, epochs, profiles);
   if (statuses.size() != pids.size()) {
     statuses.assign(pids.size(),
@@ -574,12 +576,13 @@ std::vector<Status> GCache::StoreSnapshots(std::span<const Snapshot> snapshots,
 
 size_t GCache::EvictFromShard(LruShard& shard, size_t target_bytes) {
   // The write-back step applied to eviction victims, so a KV millisecond of
-  // a dirty victim's write-back never blocks traffic on the shard. Phases:
+  // a dirty victim's write-back never blocks traffic on the shard. All four
+  // phases run under the write-back lock, which serving paths never take:
   //   1. collect victims under shard.mu (try_lock probing, Fig 8),
   //      snapshotting one entry lock at a time;
-  //   2. store the dirty victims with NO lock held (point-source health: a
-  //      lone eviction success must not clear an outage flag batch traffic
-  //      still sees);
+  //   2. store the dirty victims with no other lock held (point-source
+  //      health: a lone eviction success must not clear an outage flag batch
+  //      traffic still sees);
   //   3. encode surviving victims for L2 demotion, still unlocked;
   //   4. commit per victim under shard.mu + entry try_lock with the epoch
   //      recheck — an entry re-dirtied during the round trip stays resident
@@ -587,6 +590,7 @@ size_t GCache::EvictFromShard(LruShard& shard, size_t target_bytes) {
   //      BEFORE the map erase, so no concurrent reload can slip a fresh entry
   //      in while stale bytes land in L2, and Invalidate (which erases L2
   //      under shard.mu once the pid is unmapped) cannot be overtaken.
+  std::lock_guard<std::mutex> write_back(write_back_mu_);
   // Dirty victims first, then clean ones: the store takes the dirty prefix.
   std::vector<Snapshot> victims;
   size_t num_dirty = 0;
@@ -717,16 +721,19 @@ size_t GCache::SwapOnce() {
   return evicted;
 }
 
-size_t GCache::FlushShard(DirtyShard& dshard, bool* clean) {
-  // Grab the current batch; new dirties accumulate behind it.
+size_t GCache::FlushOnce() {
+  std::lock_guard<std::mutex> write_back(write_back_mu_);
+  // Take every shard's current list; new dirties accumulate behind them.
   std::list<ProfileId> batch;
-  {
-    std::lock_guard<std::mutex> lock(dshard.mu);
-    batch.swap(dshard.dirty);
+  for (auto& dshard : dirty_shards_) {
+    std::lock_guard<std::mutex> lock(dshard->mu);
+    batch.splice(batch.end(), dshard->dirty);
   }
+  // Pids going back on the dirty lists, one list per dirty shard.
+  std::vector<std::list<ProfileId>> requeue(dirty_shards_.size());
   size_t flushed = 0;
   size_t failures = 0;
-  std::list<ProfileId> requeue;
+  bool clean = true;
   const size_t group_max = std::max<size_t>(1, options_.flush_batch_max);
   auto it = batch.begin();
   while (it != batch.end()) {
@@ -734,12 +741,16 @@ size_t GCache::FlushShard(DirtyShard& dshard, bool* clean) {
       // The store is misbehaving: stop the pass and requeue the untried
       // remainder rather than grinding through the whole dirty list (the
       // caller backs off between passes).
-      requeue.insert(requeue.end(), it, batch.end());
-      *clean = false;
+      while (it != batch.end()) {
+        auto& shard_requeue = requeue[DirtyIndex(*it)];
+        shard_requeue.splice(shard_requeue.end(), batch, it++);
+      }
+      clean = false;
       break;
     }
 
-    // Snapshot the next group, entries locked strictly one at a time.
+    // Snapshot the next group, across dirty shards, entries locked strictly
+    // one at a time.
     std::vector<Snapshot> group;
     while (it != batch.end() && group.size() < group_max) {
       const ProfileId pid = *it;
@@ -754,7 +765,7 @@ size_t GCache::FlushShard(DirtyShard& dshard, bool* clean) {
       if (!entry) continue;  // evicted (was flushed on eviction)
       std::lock_guard<std::mutex> entry_lock(entry->mu);
       {
-        std::lock_guard<std::mutex> dlock(dshard.mu);
+        std::lock_guard<std::mutex> dlock(dirty_shards_[DirtyIndex(pid)]->mu);
         entry->in_dirty_list = false;
       }
       if (!entry->dirty) continue;
@@ -768,7 +779,7 @@ size_t GCache::FlushShard(DirtyShard& dshard, bool* clean) {
     batch_flushes_counter_->Increment();
 
     // Commit: an entry still dirty afterwards — its store failed, or a write
-    // landed during the round trip — goes back on the list. A stored
+    // landed during the round trip — goes back on its list. A stored
     // snapshot counts as progress either way.
     for (size_t g = 0; g < group.size(); ++g) {
       Entry& entry = *group[g].entry;
@@ -780,27 +791,21 @@ size_t GCache::FlushShard(DirtyShard& dshard, bool* clean) {
         ++failures;
       }
       if (!entry.dirty) continue;
-      std::lock_guard<std::mutex> dlock(dshard.mu);
+      const size_t d = DirtyIndex(entry.pid);
+      std::lock_guard<std::mutex> dlock(dirty_shards_[d]->mu);
       if (!entry.in_dirty_list) {
-        requeue.push_back(entry.pid);
+        requeue[d].push_back(entry.pid);
         entry.in_dirty_list = true;
       }
     }
   }
-  if (!requeue.empty()) {
-    std::lock_guard<std::mutex> lock(dshard.mu);
-    dshard.dirty.splice(dshard.dirty.end(), requeue);
+  for (size_t d = 0; d < requeue.size(); ++d) {
+    if (requeue[d].empty()) continue;
+    std::lock_guard<std::mutex> lock(dirty_shards_[d]->mu);
+    dirty_shards_[d]->dirty.splice(dirty_shards_[d]->dirty.end(), requeue[d]);
   }
-  if (failures > 0) *clean = false;
-  return flushed;
-}
-
-size_t GCache::FlushOnce() {
-  size_t flushed = 0;
-  bool clean = true;
-  for (auto& shard : dirty_shards_) flushed += FlushShard(*shard, &clean);
-  // The backoff step. Concurrent passes (the maintenance loop and a caller's
-  // FlushAll) may race it; either outcome is a valid delay.
+  if (failures > 0) clean = false;
+  // The backoff step, under the same lock as the pass it judges.
   const int64_t backoff_ms = FlushBackoffMs();
   flush_backoff_ms_.store(
       clean ? 0
@@ -812,18 +817,21 @@ size_t GCache::FlushOnce() {
 }
 
 void GCache::FlushAll() {
-  // Loop because flushes may fail transiently (injected storage errors) and
-  // new dirties can appear. Failing passes wait out the flush backoff, and
-  // the loop gives up after a few rounds of zero progress — a dead store at
-  // shutdown must not hold the destructor hostage. A pass can flush nothing
-  // while reporting no failures (max_flush_failures_per_pass of 0 requeues
-  // everything untried); it is not clean, so it backs off like any other
-  // stuck pass.
+  // Passes run one at a time, so the first clean pass (no failure, not
+  // stopped early) that starts after this call stores every write
+  // acknowledged before it — including one a write-back in progress at the
+  // call missed, which that write-back requeued. Loop because flushes may
+  // fail transiently (injected storage errors). Failing passes wait out the
+  // flush backoff, and the loop gives up after a few failing rounds with zero
+  // progress — a dead store at shutdown must not hold the destructor
+  // hostage. A pass can flush nothing while reporting no failures
+  // (max_flush_failures_per_pass of 0 requeues everything untried); it is
+  // not clean, so it backs off like any other stuck pass.
   int stuck_rounds = 0;
   for (int round = 0; round < 64; ++round) {
     const size_t flushed = FlushOnce();
     const int64_t backoff_ms = FlushBackoffMs();
-    if (flushed == 0 && backoff_ms == 0 && DirtyCount() == 0) return;
+    if (backoff_ms == 0) return;
     if (flushed > 0) {
       stuck_rounds = 0;
     } else if (++stuck_rounds >= 4) {
@@ -844,11 +852,12 @@ Status GCache::Invalidate(ProfileId pid) {
     if (victim_cache_ != nullptr) victim_cache_->Erase(pid);
     return Status::OK();
   };
-  // Each attempt runs the write-back step on a dirty entry (no lock held
-  // across the store), then erases under both locks only if the entry is
-  // still clean; a write that landed meanwhile re-dirties it and sends us
-  // around again.
+  // Each attempt runs the write-back step on a dirty entry (no cache lock
+  // but the write-back lock held across the store), then erases under both
+  // locks only if the entry is still clean; a write that landed meanwhile
+  // re-dirties it and sends us around again.
   for (int attempt = 0; attempt < 16; ++attempt) {
+    std::lock_guard<std::mutex> write_back(write_back_mu_);
     EntryPtr entry;
     {
       std::lock_guard<std::mutex> lock(shard.mu);

@@ -7,7 +7,7 @@
 //     probing entries with try_lock and skipping contended ones instead of
 //     blocking (Fig 8);
 //   * a sharded dirty list (Fig 9) — FlushOnce persists updated profiles to
-//     the key-value store, draining the shards in order.
+//     the key-value store, one pass over every shard's list at once.
 //
 // The cache starts no threads. The owning IpsInstance's maintenance loop
 // drives SwapOnce and FlushOnce (tests call them directly); the destructor
@@ -27,6 +27,13 @@
 //     A write landing mid-step therefore keeps the entry dirty (or resident)
 //     and is never lost. WithProfileOffLockMutate shares the snapshot and
 //     epoch-recheck halves of that step.
+//
+// One write-back runs at a time. Every write-back step holds the cache's
+// write-back lock from its snapshot to its last commit. That lock is the
+// outermost cache lock and no serving path takes it, so reads and writes
+// never wait on storage. Two things follow: one pid's stores reach the
+// StoreFn in snapshot (epoch) order, and FlushAll returns only after every
+// write-back that started before it has landed.
 #ifndef IPS_CACHE_GCACHE_H_
 #define IPS_CACHE_GCACHE_H_
 
@@ -53,8 +60,8 @@ struct GCacheOptions {
   /// LRU partitions (Fig 7). Power of two.
   size_t lru_shards = 8;
   /// Dirty-list partitions (Fig 9). Power of two. Striping keeps MarkDirty
-  /// callers on different shards off one mutex; a flush pass drains them
-  /// in order.
+  /// callers on different shards off one mutex; a flush pass takes every
+  /// shard's list and groups pids across shards.
   size_t dirty_shards = 4;
   /// Hard memory budget for cached profiles, in bytes.
   size_t memory_limit_bytes = 256 << 20;
@@ -62,7 +69,7 @@ struct GCacheOptions {
   /// below limit * low watermark (the paper's clusters hold ~85% usage).
   double high_watermark = 0.85;
   double low_watermark = 0.80;
-  /// Failed flushes tolerated per flush pass over one dirty shard: after
+  /// Failed flushes tolerated per flush pass (over all dirty shards): after
   /// this many the pass stops and requeues the untried remainder, so an
   /// injected storage outage cannot turn a flush pass into a tight retry
   /// loop over the whole dirty list.
@@ -96,9 +103,11 @@ using LoadFn = std::function<std::vector<Result<ProfileData>>(
     TimestampMs deadline_ms)>;
 /// Persists a batch of snapshots in one storage round trip: the only way the
 /// cache writes to storage (flush passes, eviction and Invalidate
-/// write-backs). Always called with NO cache lock held. `snapshots[i]` was
-/// taken at mutation epoch `epochs[i]` and is borrowed for the call.
-/// Statuses align with `pids` — a batch can partially land.
+/// write-backs). Always called with no cache lock held but the write-back
+/// lock, so calls never overlap. `snapshots[i]` was taken at mutation epoch
+/// `epochs[i]` and is borrowed for the call. Statuses align with `pids` — a
+/// batch can partially land. The function must not call back into the
+/// cache's write-back paths (FlushOnce, FlushAll, SwapOnce, Invalidate).
 using StoreFn = std::function<std::vector<Status>(
     const std::vector<ProfileId>& pids, const std::vector<uint64_t>& epochs,
     const std::vector<const ProfileData*>& snapshots)>;
@@ -191,7 +200,7 @@ class GCache {
   /// the result back under the lock — but only if the entry's mutation
   /// epoch is unchanged (the snapshot and recheck halves of the write-back
   /// step). A long pass therefore never pins the entry lock: serving
-  /// writes and FlushShard proceed concurrently, and a pass
+  /// writes and flush passes proceed concurrently, and a pass
   /// that lost the race retries from a fresh snapshot (each lost race is
   /// counted as compaction.overlap_stalls), up to `max_retries` extra
   /// attempts before giving up with Aborted — harmless, later traffic
@@ -210,11 +219,14 @@ class GCache {
   /// number of entries evicted.
   size_t SwapOnce();
 
-  /// One flush pass: drains every dirty shard in order, in groups of up to
-  /// flush_batch_max; returns entries flushed. Then steps the backoff: a
-  /// pass with failures (or stopped at max_flush_failures_per_pass) doubles
-  /// FlushBackoffMs from flush_backoff_ms up to flush_backoff_max_ms, and a
-  /// clean pass resets it to 0.
+  /// One flush pass, under the write-back lock: takes every dirty shard's
+  /// list and stores it in groups of up to flush_batch_max pids drawn across
+  /// shards, requeueing each pid still dirty to its own shard. Stops early
+  /// after max_flush_failures_per_pass failed flushes, requeueing the
+  /// untried remainder. Returns entries flushed. Then steps the backoff: a
+  /// pass with failures (or stopped early) doubles FlushBackoffMs from
+  /// flush_backoff_ms up to flush_backoff_max_ms, and a clean pass resets it
+  /// to 0.
   size_t FlushOnce();
 
   /// Extra delay a caller should wait before the next flush pass.
@@ -222,11 +234,16 @@ class GCache {
     return flush_backoff_ms_.load(std::memory_order_relaxed);
   }
 
-  /// Flush + wait until the dirty lists are empty (shutdown, tests).
+  /// Runs flush passes until one is clean (shutdown, tests). A barrier:
+  /// every write acknowledged before the call has been stored when it
+  /// returns, including one a write-back already storing at the call missed.
+  /// Failing passes back off; after a few of them without progress FlushAll
+  /// gives up, logs a warning and leaves the rest dirty.
   void FlushAll();
 
   /// Drops the pid from L1 and the victim tier (failover handover). A dirty
-  /// entry is written back first through the write-back step; a write that
+  /// entry is written back first through the write-back step (each attempt
+  /// queues behind any flush pass or eviction in progress); a write that
   /// lands meanwhile re-dirties it and the write-back repeats (bounded:
   /// Aborted after 16 attempts). The store's error is returned when a
   /// write-back fails, and the entry stays resident and dirty.
@@ -383,9 +400,10 @@ class GCache {
     return !entry.evicted && entry.mutation_epoch == epoch;
   }
 
-  /// Store half: hands the snapshots to the StoreFn in one call (no cache
-  /// lock may be held), notes store health as `source`, and counts
-  /// cache.flushed / cache.flush_failures. Statuses align with `snapshots`.
+  /// Store half: hands the snapshots to the StoreFn in one call (the
+  /// write-back lock held, no other cache lock), notes store health as
+  /// `source`, and counts store_broker.batch_pids, cache.flushed and
+  /// cache.flush_failures. Statuses align with `snapshots`.
   std::vector<Status> StoreSnapshots(std::span<const Snapshot> snapshots,
                                      StoreHealthSource source);
 
@@ -394,20 +412,13 @@ class GCache {
   /// again (dirty and degraded cleared). Returns whether it was.
   static bool CommitWriteBack(Entry& entry, uint64_t epoch);
 
-  /// Evicts from `shard` until `target_bytes` freed or shard exhausted.
-  /// Victims are collected (and snapshotted) under shard.mu, written back
-  /// and encoded for demotion with NO lock held, then committed one at a
-  /// time under shard.mu + entry lock with the epoch recheck — an entry
-  /// re-dirtied during the unlocked round trip stays resident and keeps its
-  /// newer state.
+  /// Evicts from `shard` until `target_bytes` freed or shard exhausted, under
+  /// the write-back lock. Victims are collected (and snapshotted) under
+  /// shard.mu, written back and encoded for demotion with no other lock
+  /// held, then committed one at a time under shard.mu + entry lock with the
+  /// epoch recheck — an entry re-dirtied during the round trip stays
+  /// resident and keeps its newer state.
   size_t EvictFromShard(LruShard& shard, size_t target_bytes);
-
-  /// Flushes all entries queued in one dirty shard, in groups of up to
-  /// flush_batch_max entries per write-back step. Stops early after
-  /// max_flush_failures_per_pass failed flushes (requeueing the untried
-  /// remainder). Clears `*clean` when a flush failed or the pass stopped
-  /// early.
-  size_t FlushShard(DirtyShard& shard, bool* clean);
 
   /// Marks the backing store healthy/unhealthy from a flush/load outcome.
   void NoteStoreHealth(const Status& status,
@@ -439,7 +450,12 @@ class GCache {
   Counter* demoted_counter_ = nullptr;
   Counter* l2_decode_failures_counter_ = nullptr;
   Counter* overlap_stalls_counter_ = nullptr;
+  Histogram* store_batch_pids_ = nullptr;
 
+  /// The write-back lock (see the file comment): held by every flush pass,
+  /// eviction and Invalidate attempt from snapshot to last commit. Always
+  /// taken first, never while another cache lock is held.
+  std::mutex write_back_mu_;
   std::vector<std::unique_ptr<LruShard>> lru_shards_;
   std::vector<std::unique_ptr<DirtyShard>> dirty_shards_;
   std::atomic<size_t> memory_bytes_{0};

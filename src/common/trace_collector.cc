@@ -34,8 +34,6 @@ constexpr StageMetric kStageMetrics[] = {
     {"codec.decode", "trace.stage.codec.decode"},
     {"feature.compute", "trace.stage.feature.compute"},
     {"kv.store", "trace.stage.kv.store"},
-    {"server.store_coalesce", "trace.stage.server.store_coalesce"},
-    {"kv.store.shared", "trace.stage.kv.store.shared"},
     {"server.query", "trace.stage.server.query"},
     {"server.add", "trace.stage.server.add"},
     {"client.query", "trace.stage.client.query"},
@@ -45,7 +43,7 @@ constexpr StageMetric kStageMetrics[] = {
     {"assembler.batch", "trace.stage.assembler.batch"},
     {"compaction.run", "trace.stage.compaction.run"},
 };
-constexpr size_t kDisjointStages = 13;
+constexpr size_t kDisjointStages = 11;
 
 void AppendJsonString(std::string* out, std::string_view s) {
   out->push_back('"');

@@ -1,5 +1,7 @@
 #include "kvstore/replicated_kv.h"
 
+#include <iterator>
+
 namespace ips {
 
 /// Writable facade over the master store that also fans mutations into the
@@ -150,6 +152,9 @@ void ReplicatedKv::EnqueueReplication(bool is_delete, std::string_view key,
 
 void ReplicatedKv::DrainSlave(SlaveState& slave, TimestampMs now_ms,
                               bool force) {
+  // One drainer applies at a time, so two concurrent slave reads cannot
+  // apply a key's older value after its newer one.
+  std::lock_guard<std::mutex> apply_lock(slave.apply_mu);
   std::deque<PendingWrite> ready;
   {
     std::lock_guard<std::mutex> lock(slave.mu);
@@ -159,17 +164,22 @@ void ReplicatedKv::DrainSlave(SlaveState& slave, TimestampMs now_ms,
       slave.pending.pop_front();
     }
   }
-  for (const auto& w : ready) {
+  while (!ready.empty()) {
     // Applies go through the plain store interface, so a down slave keeps
-    // its backlog and retries later (the write is re-queued on failure).
-    Status status = w.is_delete ? slave.store->Delete(w.key)
-                                : slave.store->Set(w.key, w.value);
-    if (!status.ok()) {
-      std::lock_guard<std::mutex> lock(slave.mu);
-      slave.pending.push_front(w);
-      break;
-    }
+    // its backlog and retries later.
+    const PendingWrite& w = ready.front();
+    const Status status = w.is_delete ? slave.store->Delete(w.key)
+                                      : slave.store->Set(w.key, w.value);
+    if (!status.ok()) break;
+    ready.pop_front();
   }
+  if (ready.empty()) return;
+  // The failed mutation and everything after it go back in front of what
+  // was enqueued meanwhile, in their original order.
+  std::lock_guard<std::mutex> lock(slave.mu);
+  slave.pending.insert(slave.pending.begin(),
+                       std::make_move_iterator(ready.begin()),
+                       std::make_move_iterator(ready.end()));
 }
 
 void ReplicatedKv::CatchUpAll() {

@@ -67,6 +67,10 @@ class ReplicatedKv {
 
   struct SlaveState {
     std::unique_ptr<MemKvStore> store;
+    /// Held by DrainSlave across taking and applying a run of mutations;
+    /// taken before `mu`.
+    std::mutex apply_mu;
+    /// Guards `pending`.
     mutable std::mutex mu;
     std::deque<PendingWrite> pending;
   };

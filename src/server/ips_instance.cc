@@ -83,14 +83,14 @@ Status IpsInstance::CreateTable(const TableSchema& schema) {
   Persister* persister = table->persister.get();
 
   // The storage seam: one batch load function and one batch store function,
-  // composed here. With the broker flags on (the default) each goes through
-  // its side's Coalescer — concurrent requests' misses, and concurrent flush
-  // and eviction write-backs, share one LoadBatch / StoreBatch round trip,
-  // and a hot pid already on the wire is joined instead of refetched or
-  // rewritten. With a flag off the cache calls the persister directly. A
+  // composed here. With the load broker on (the default) loads go through
+  // the table's LoadCoalescer — concurrent requests' misses share one
+  // LoadBatch round trip, and a hot pid already on the wire is joined
+  // instead of refetched. Stores go straight to the persister: the cache
+  // runs one write-back at a time, so there is nothing to coalesce. A
   // non-primary region persists nothing: durability is the primary region's
   // job, so write-backs simply drop the dirty bit. The instance owns the
-  // coalescers; the cache's functions only borrow them.
+  // coalescer; the cache's load function only borrows it.
   LoadFn load_fn = [persister](const std::vector<ProfileId>& pids,
                                std::vector<bool>* out_degraded, TimestampMs) {
     return persister->LoadBatch(pids, out_degraded);
@@ -98,7 +98,6 @@ Status IpsInstance::CreateTable(const TableSchema& schema) {
   if (options_.enable_load_broker) {
     table->load_coalescer = std::make_unique<LoadCoalescer>(
         [persister](const std::vector<ProfileId>& pids,
-                    const std::vector<const ProfileData*>&,
                     std::vector<bool>* out_degraded) {
           return persister->LoadBatch(pids, out_degraded);
         },
@@ -106,7 +105,7 @@ Status IpsInstance::CreateTable(const TableSchema& schema) {
     load_fn = [coalescer = table->load_coalescer.get()](
                   const std::vector<ProfileId>& pids,
                   std::vector<bool>* out_degraded, TimestampMs deadline_ms) {
-      return coalescer->Submit(pids, {}, {}, out_degraded, deadline_ms);
+      return coalescer->Submit(pids, out_degraded, deadline_ms);
     };
   }
   StoreFn store_fn = [](const std::vector<ProfileId>& pids,
@@ -114,21 +113,7 @@ Status IpsInstance::CreateTable(const TableSchema& schema) {
                         const std::vector<const ProfileData*>&) {
     return std::vector<Status>(pids.size(), Status::OK());
   };
-  if (options_.persist_writes && options_.enable_store_broker) {
-    table->store_coalescer = std::make_unique<StoreCoalescer>(
-        [persister](const std::vector<ProfileId>& pids,
-                    const std::vector<const ProfileData*>& profiles,
-                    std::vector<bool>*) {
-          return persister->StoreBatch(pids, profiles);
-        },
-        clock_, metrics_);
-    store_fn = [coalescer = table->store_coalescer.get()](
-                   const std::vector<ProfileId>& pids,
-                   const std::vector<uint64_t>& epochs,
-                   const std::vector<const ProfileData*>& profiles) {
-      return coalescer->Submit(pids, epochs, profiles);
-    };
-  } else if (options_.persist_writes) {
+  if (options_.persist_writes) {
     store_fn = [persister](const std::vector<ProfileId>& pids,
                            const std::vector<uint64_t>&,
                            const std::vector<const ProfileData*>& profiles) {
@@ -669,9 +654,6 @@ Result<IpsInstance::TableStats> IpsInstance::GetTableStats(
   }
   if (t->load_coalescer != nullptr) {
     stats.load_coalescer_pids = t->load_coalescer->InFlightCount();
-  }
-  if (t->store_coalescer != nullptr) {
-    stats.store_coalescer_pids = t->store_coalescer->InFlightCount();
   }
   return stats;
 }

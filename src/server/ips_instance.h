@@ -60,13 +60,6 @@ struct IpsInstanceOptions {
   /// load is on the wire group-commit into the next KvStore::MultiGet.
   /// Disable for ablation (bench_hotkey_skew measures both).
   bool enable_load_broker = true;
-  /// Write-path store coalescer (server-side flush coalescing): flush groups
-  /// arriving while a store is on the wire group-commit into the next
-  /// KvStore::MultiSet, and a hot dirty pid re-flushed while its store is in
-  /// flight piggybacks on it (same snapshot) or requeues behind it (newer
-  /// snapshot). Only takes effect when the instance persists writes.
-  /// Disable for ablation (bench_flush_storm measures both).
-  bool enable_store_broker = true;
   /// Compressed L2 victim tier between the cache and the persister: entries
   /// evicted from the (L1) GCache are demoted as encoded bytes after their
   /// write-back instead of dropped, and a later miss promotes them back for
@@ -283,9 +276,8 @@ class IpsInstance {
     /// Victim-tier occupancy; zero when the tier is disabled.
     size_t l2_cached_profiles = 0;
     size_t l2_bytes = 0;
-    /// Pids pending or in flight in each coalescer; zero when ablated.
+    /// Pids pending or in flight in the load coalescer; zero when ablated.
     size_t load_coalescer_pids = 0;
-    size_t store_coalescer_pids = 0;
   };
   Result<TableStats> GetTableStats(const std::string& table) const;
 
@@ -307,12 +299,10 @@ class IpsInstance {
     TableSchema schema;
     std::mutex schema_mu;  // guards schema replacement on hot reload
     std::unique_ptr<Persister> persister;
-    /// Coalescing stages between the cache and the persister, one per side.
-    /// Declared before `cache` so they are destroyed after it: the cache's
-    /// load and store functions borrow them, and its shutdown flush still
-    /// drains through the store side.
+    /// Load coalescing stage between the cache and the persister (when
+    /// enabled). Declared before `cache` so it is destroyed after it: the
+    /// cache's load function borrows it.
     std::unique_ptr<LoadCoalescer> load_coalescer;
-    std::unique_ptr<StoreCoalescer> store_coalescer;
     /// Compressed L2 victim tier (when enabled). Declared before `cache` for
     /// the same reason: the cache demotes into it up to its last eviction.
     std::unique_ptr<VictimCache> victim_cache;

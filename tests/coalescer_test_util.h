@@ -1,6 +1,7 @@
-// Helpers shared by the Coalescer tests: a gate that holds round trips at a
-// deterministic point, a bounded spin-wait, and a KV store whose batched
-// calls can be held at that gate while an IpsInstance runs on top of it.
+// Helpers shared by the load-coalescer and write-back tests: a gate that
+// holds round trips at a deterministic point, a bounded spin-wait, and a KV
+// store whose batched calls can be held at that gate while an IpsInstance
+// runs on top of it.
 #ifndef IPS_TESTS_COALESCER_TEST_UTIL_H_
 #define IPS_TESTS_COALESCER_TEST_UTIL_H_
 

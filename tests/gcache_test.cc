@@ -7,6 +7,7 @@
 #include <functional>
 #include <map>
 #include <mutex>
+#include <random>
 #include <set>
 #include <thread>
 #include <utility>
@@ -15,7 +16,9 @@
 #include <gtest/gtest.h>
 
 #include "cache/coalescer.h"
+#include "coalescer_test_util.h"
 #include "common/clock.h"
+#include "common/hash.h"
 #include "common/metrics.h"
 
 namespace ips {
@@ -888,6 +891,275 @@ TEST(GCacheTest, FlushAllZeroProgressBailsInsteadOfBusySpin) {
   EXPECT_LE(clock.NowMs(), 4 * options.flush_backoff_max_ms);
 }
 
+// ------------------------------------------- one write-back at a time ---
+
+// Adds one count of `fid` to `pid` at the first minute.
+void AddCount(GCache& cache, ProfileId pid, FeatureId fid) {
+  ASSERT_TRUE(cache
+                  .WithProfileMutable(pid,
+                                      [fid](ProfileData& profile) {
+                                        profile
+                                            .Add(kMinute, 1, 1, fid,
+                                                 CountVector{1})
+                                            .ok();
+                                      })
+                  .ok());
+}
+
+// Waits up to `ms` for `done`. Used only to give a caller that does NOT
+// queue behind a parked write-back the chance to run ahead of it; the
+// outcome of every test below is the same whether the wait times out or not.
+void GraceWait(const std::atomic<bool>& done, int ms) {
+  for (int i = 0; i < ms && !done.load(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
+TEST(GCacheTest, FlushPassGroupsDirtyPidsAcrossShards) {
+  FakeStore store;
+  GCacheOptions options = ManualOptions();
+  options.dirty_shards = 4;
+  GCache cache(options, SystemClock::Instance(), store.Loader(),
+               store.Storer());
+  // Three pids in three different dirty shards (GCache's sharding).
+  std::vector<ProfileId> pids;
+  std::set<size_t> shards;
+  for (ProfileId pid = 1; pids.size() < 3; ++pid) {
+    if (shards.insert((Mix64(pid) >> 17) & (options.dirty_shards - 1))
+            .second) {
+      pids.push_back(pid);
+    }
+  }
+  for (ProfileId pid : pids) AddCount(cache, pid, 1);
+  EXPECT_EQ(cache.FlushOnce(), 3u);
+  EXPECT_EQ(store.store_calls(), 1);
+  EXPECT_EQ(cache.DirtyCount(), 0u);
+  for (ProfileId pid : pids) EXPECT_TRUE(store.Has(pid));
+}
+
+TEST(GCacheTest, ShortStoreResultListFailsTheWriteBack) {
+  FakeStore store;
+  MetricsRegistry metrics;
+  GCache cache(ManualOptions(), SystemClock::Instance(), store.Loader(),
+               [](const std::vector<ProfileId>&, const std::vector<uint64_t>&,
+                  const std::vector<const ProfileData*>&) {
+                 return std::vector<Status>{};  // misbehaving store
+               },
+               &metrics);
+  AddCount(cache, 3, 1);
+  EXPECT_EQ(cache.FlushOnce(), 0u);
+  EXPECT_EQ(cache.DirtyCount(), 1u);  // kept for the next pass
+  EXPECT_EQ(metrics.GetCounter("cache.flush_failures")->Value(), 1);
+  EXPECT_EQ(metrics.GetHistogram("store_broker.batch_pids")->count(), 1u);
+  EXPECT_GT(cache.FlushBackoffMs(), 0);
+}
+
+TEST(GCacheTest, FlushAllQueuedBehindParkedEvictionStoresNewerEpochLast) {
+  // An eviction pass parks in the store with the pid's snapshot at epoch e.
+  // A write lands (epoch e+1), then FlushAll runs on another thread. The
+  // epochs that land in the store for the pid never decrease, and once both
+  // return the store holds the resident profile and the entry is clean.
+  constexpr ProfileId kPid = 1;
+  FakeStore store;
+  coalescer_test::Gate gate;
+  std::mutex mu;
+  int calls = 0;
+  std::vector<uint64_t> landed;  // kPid's stored epochs, in landing order
+  StoreFn inner = store.Storer();
+  GCacheOptions options = ManualOptions();
+  options.lru_shards = 1;
+  options.memory_limit_bytes = 4 << 10;  // the profile alone exceeds it
+  GCache cache(options, SystemClock::Instance(), store.Loader(),
+               [&](const std::vector<ProfileId>& pids,
+                   const std::vector<uint64_t>& epochs,
+                   const std::vector<const ProfileData*>& snapshots) {
+                 bool first = false;
+                 {
+                   std::lock_guard<std::mutex> lock(mu);
+                   first = calls++ == 0;
+                 }
+                 if (first) gate.Enter();
+                 std::vector<Status> statuses = inner(pids, epochs, snapshots);
+                 std::lock_guard<std::mutex> lock(mu);
+                 for (size_t i = 0; i < pids.size(); ++i) {
+                   if (pids[i] == kPid && statuses[i].ok()) {
+                     landed.push_back(epochs[i]);
+                   }
+                 }
+                 return statuses;
+               });
+  ASSERT_TRUE(cache
+                  .WithProfileMutable(kPid,
+                                      [](ProfileData& profile) {
+                                        for (int i = 0; i < 120; ++i) {
+                                          profile
+                                              .Add(kMinute * (i + 1), 1, 1,
+                                                   static_cast<FeatureId>(
+                                                       100 + i),
+                                                   CountVector{1, 2, 3})
+                                              .ok();
+                                        }
+                                      })
+                  .ok());
+  ASSERT_GT(cache.MemoryBytes(), options.memory_limit_bytes);
+
+  std::thread swapper([&] { cache.SwapOnce(); });
+  gate.AwaitEntered();  // the eviction's write-back (epoch e) is parked
+  AddCount(cache, kPid, 2);  // epoch e+1
+  std::atomic<bool> flushed{false};
+  std::thread flusher([&] {
+    cache.FlushAll();
+    flushed.store(true);
+  });
+  GraceWait(flushed, 500);
+  gate.Open();
+  swapper.join();
+  flusher.join();
+
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    ASSERT_EQ(landed.size(), 2u);
+    EXPECT_LT(landed[0], landed[1]) << "an older epoch landed last";
+  }
+  EXPECT_EQ(cache.DirtyCount(), 0u);
+  size_t resident_features = 0;
+  bool hit = false;
+  ASSERT_TRUE(cache
+                  .WithProfile(kPid,
+                               [&](const ProfileData& profile) {
+                                 resident_features = profile.TotalFeatures();
+                               },
+                               &hit)
+                  .ok());
+  EXPECT_TRUE(hit);
+  ASSERT_TRUE(store.Has(kPid));
+  EXPECT_TRUE(HasFeature(store.Get(kPid), 2));
+  EXPECT_EQ(store.Get(kPid).TotalFeatures(), resident_features);
+}
+
+TEST(GCacheTest, FlushAllWaitsForAParkedBackgroundPass) {
+  // A FlushAll started while another thread's flush pass is parked in the
+  // store returns only after that store has landed.
+  FakeStore store;
+  coalescer_test::Gate gate;
+  std::atomic<bool> landed{false};
+  StoreFn inner = store.Storer();
+  GCache cache(ManualOptions(), SystemClock::Instance(), store.Loader(),
+               [&](const std::vector<ProfileId>& pids,
+                   const std::vector<uint64_t>& epochs,
+                   const std::vector<const ProfileData*>& snapshots) {
+                 gate.Enter();
+                 std::vector<Status> statuses = inner(pids, epochs, snapshots);
+                 landed.store(true);
+                 return statuses;
+               });
+  AddCount(cache, 1, 1);
+
+  std::thread pass([&] { EXPECT_EQ(cache.FlushOnce(), 1u); });
+  gate.AwaitEntered();
+  std::atomic<bool> returned{false};
+  bool landed_at_return = false;
+  std::thread flusher([&] {
+    cache.FlushAll();
+    landed_at_return = landed.load();
+    returned.store(true);
+  });
+  GraceWait(returned, 500);
+  gate.Open();
+  pass.join();
+  flusher.join();
+
+  EXPECT_TRUE(landed_at_return);
+  EXPECT_TRUE(store.Has(1));
+  EXPECT_EQ(cache.DirtyCount(), 0u);
+}
+
+TEST(GCacheTest, WriteBacksNeverOverlapAndNeverStoreOlderStateUnderStorm) {
+  // Writers add one count per write while flush passes, FlushAll, eviction
+  // and Invalidate run concurrently. Store calls never overlap, a pid's
+  // stored count never goes down, and after a final FlushAll the store
+  // holds every write.
+  constexpr ProfileId kPids = 24;
+  constexpr int kWriters = 3;
+  constexpr int kWritesPerWriter = 200;
+  FakeStore store;
+  std::atomic<int> in_store{0};
+  std::atomic<int> overlaps{0};
+  std::mutex mu;
+  std::map<ProfileId, int64_t> stored_count;
+  int backwards = 0;
+  auto count_of = [](const ProfileData& profile) {
+    const InstanceSet* slot = profile.slices().front().FindSlot(1);
+    return slot->Find(1)->Find(1)->counts[0];
+  };
+  StoreFn inner = store.Storer();
+  GCacheOptions options = ManualOptions();
+  options.dirty_shards = 4;
+  options.flush_batch_max = 4;
+  options.memory_limit_bytes = 4 << 10;
+  GCache cache(options, SystemClock::Instance(), store.Loader(),
+               [&](const std::vector<ProfileId>& pids,
+                   const std::vector<uint64_t>& epochs,
+                   const std::vector<const ProfileData*>& snapshots) {
+                 if (in_store.fetch_add(1) != 0) overlaps.fetch_add(1);
+                 {
+                   std::lock_guard<std::mutex> lock(mu);
+                   for (size_t i = 0; i < pids.size(); ++i) {
+                     const int64_t count = count_of(*snapshots[i]);
+                     int64_t& last = stored_count[pids[i]];
+                     if (count < last) ++backwards;
+                     last = count;
+                   }
+                 }
+                 for (int i = 0; i < 50; ++i) std::this_thread::yield();
+                 std::vector<Status> statuses = inner(pids, epochs, snapshots);
+                 in_store.fetch_sub(1);
+                 return statuses;
+               });
+
+  std::atomic<int> writers_left{kWriters};
+  std::vector<std::thread> threads;
+  std::vector<std::vector<int>> writes(kWriters, std::vector<int>(kPids, 0));
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      std::mt19937 rng(17 + w);
+      for (int i = 0; i < kWritesPerWriter; ++i) {
+        const ProfileId pid = rng() % kPids;
+        AddCount(cache, pid, 1);
+        ++writes[w][pid];
+      }
+      writers_left.fetch_sub(1);
+    });
+  }
+  auto maintenance = [&](std::function<void(std::mt19937&)> step) {
+    return std::thread([&, step, seed = threads.size()] {
+      std::mt19937 rng(static_cast<uint32_t>(seed));
+      while (writers_left.load() > 0) step(rng);
+    });
+  };
+  threads.push_back(maintenance([&](std::mt19937&) { cache.FlushOnce(); }));
+  threads.push_back(maintenance([&](std::mt19937&) { cache.FlushAll(); }));
+  threads.push_back(maintenance([&](std::mt19937&) { cache.SwapOnce(); }));
+  threads.push_back(maintenance([&](std::mt19937& rng) {
+    // Aborted (kept being re-dirtied) is a legal outcome under this load.
+    const Status status = cache.Invalidate(rng() % kPids);
+    EXPECT_TRUE(status.ok() || status.IsAborted()) << status.ToString();
+  }));
+  for (auto& t : threads) t.join();
+  cache.FlushAll();
+
+  EXPECT_EQ(overlaps.load(), 0);
+  EXPECT_EQ(backwards, 0);
+  EXPECT_EQ(cache.DirtyCount(), 0u);
+  for (ProfileId pid = 0; pid < kPids; ++pid) {
+    int64_t want = 0;
+    for (const auto& per_writer : writes) want += per_writer[pid];
+    if (want == 0) continue;
+    ASSERT_TRUE(store.Has(pid)) << pid;
+    EXPECT_EQ(count_of(store.Get(pid)), want) << pid;
+  }
+}
+
 TEST(GCacheTest, LoadCoalescerSharesMissAndFansDegradedToEveryReader) {
   // Two concurrent readers miss on the same pid with a coalescer installed:
   // the store sees ONE load, and a replica-fallback (degraded) load flags
@@ -913,7 +1185,6 @@ TEST(GCacheTest, LoadCoalescerSharesMissAndFansDegradedToEveryReader) {
   bool gate_open = false;
   LoadCoalescer coalescer(
       [&](const std::vector<ProfileId>& pids,
-          const std::vector<const ProfileData*>&,
           std::vector<bool>* out_degraded) -> std::vector<Result<ProfileData>> {
         ++fetch_calls;
         {
@@ -934,7 +1205,7 @@ TEST(GCacheTest, LoadCoalescerSharesMissAndFansDegradedToEveryReader) {
       ManualOptions(), SystemClock::Instance(),
       [&](const std::vector<ProfileId>& pids, std::vector<bool>* out_degraded,
           TimestampMs deadline_ms) {
-        return coalescer.Submit(pids, {}, {}, out_degraded, deadline_ms);
+        return coalescer.Submit(pids, out_degraded, deadline_ms);
       },
       store.Storer(), &metrics);
 

@@ -3,13 +3,16 @@
 #include <algorithm>
 #include <atomic>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "coalescer_test_util.h"
 #include "common/clock.h"
+#include "common/hash.h"
 #include "kvstore/mem_kv_store.h"
 
 namespace ips {
@@ -509,16 +512,11 @@ TEST_F(IpsInstanceTest, MultiAddFlushIssuesOneKvMultiSetPerBatch) {
   const int64_t multi_sets_before = kv_.MultiSetCalls();
   const int64_t point_writes_before = kv_.PointWriteCalls();
   instance_.FlushAll();
-  EXPECT_GE(kv_.MultiSetCalls() - multi_sets_before, 1);
-  // 64 dirty profiles with the default flush_batch_max of 64: at most one
-  // MultiSet per flush group per dirty shard, far fewer than one per
-  // profile.
-  const GCacheOptions cache_defaults = ManualInstanceOptions().cache;
-  const size_t group_max = cache_defaults.flush_batch_max;
-  const size_t groups_per_shard = (64 + group_max - 1) / group_max;
-  EXPECT_LE(
-      kv_.MultiSetCalls() - multi_sets_before,
-      static_cast<int64_t>(cache_defaults.dirty_shards * groups_per_shard));
+  // 64 dirty profiles with the default flush_batch_max of 64: a flush pass
+  // groups across dirty shards, so one MultiSet per flush group.
+  const size_t group_max = ManualInstanceOptions().cache.flush_batch_max;
+  EXPECT_EQ(kv_.MultiSetCalls() - multi_sets_before,
+            static_cast<int64_t>((64 + group_max - 1) / group_max));
   EXPECT_EQ(kv_.PointWriteCalls() - point_writes_before, 0);
   // And the batch is durable: a fresh instance reads it back from the KV.
   IpsInstance fresh(ManualInstanceOptions(), &kv_, &clock_);
@@ -529,6 +527,74 @@ TEST_F(IpsInstanceTest, MultiAddFlushIssuesOneKvMultiSetPerBatch) {
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->features.size(), 1u);
   EXPECT_EQ(result->features[0].fid, 64u);
+}
+
+TEST(IpsInstanceWriteBackTest, WritesLandingDuringAGatedFlushShareOneMultiSet) {
+  // One FlushAll pass's MultiSet is held on the wire while writes land on
+  // pids in three different dirty shards, and two more FlushAll callers
+  // queue behind it on the cache's write-back lock. Everything written
+  // meanwhile goes out in exactly one more MultiSet, and is durable.
+  coalescer_test::GatedKv kv;
+  ManualClock clock(100 * kDay);
+  const IpsInstanceOptions options = ManualInstanceOptions();
+  IpsInstance instance(options, &kv, &clock);
+  ASSERT_TRUE(instance.CreateTable(TestSchema()).ok());
+
+  // Same sharding function as GCache's dirty lists.
+  const size_t shard_mask = options.cache.dirty_shards - 1;
+  std::vector<ProfileId> pids;
+  std::set<size_t> shards;
+  for (ProfileId pid = 1; pids.size() < 3; ++pid) {
+    if (shards.insert((Mix64(pid) >> 17) & shard_mask).second) {
+      pids.push_back(pid);
+    }
+  }
+  auto write = [&](ProfileId pid, FeatureId fid) {
+    ASSERT_TRUE(instance
+                    .AddProfile("test", "profiles", pid,
+                                clock.NowMs() - kMinute, 1, 1, fid,
+                                CountVector{1})
+                    .ok());
+  };
+  // Make every pid resident and clean first, so no write below loads (the
+  // gate holds MultiGet as well).
+  for (ProfileId pid : pids) write(pid, static_cast<FeatureId>(pid));
+  instance.FlushAll();
+  const int64_t point_writes_before = kv.inner().PointWriteCalls();
+  MetricsRegistry* metrics = instance.metrics();
+  const int64_t flushed_before = metrics->GetCounter("cache.flushed")->Value();
+
+  write(pids[0], 100);
+  kv.Arm();
+  std::thread t0([&] { instance.FlushAll(); });
+  kv.gate().AwaitEntered();  // the pass storing pids[0] is on the wire
+  for (ProfileId pid : pids) write(pid, static_cast<FeatureId>(200 + pid));
+  std::thread t1([&] { instance.FlushAll(); });
+  std::thread t2([&] { instance.FlushAll(); });
+  kv.gate().Open();
+  t0.join();
+  t1.join();
+  t2.join();
+
+  EXPECT_EQ(kv.MultiSetKeys(), (std::vector<size_t>{1, 3}));
+  EXPECT_EQ(kv.inner().PointWriteCalls() - point_writes_before, 0);
+  EXPECT_EQ(metrics->GetCounter("cache.flushed")->Value() - flushed_before, 4);
+
+  // A cold instance reads every write back.
+  IpsInstance cold(options, &kv.inner(), &clock);
+  ASSERT_TRUE(cold.CreateTable(TestSchema()).ok());
+  for (ProfileId pid : pids) {
+    auto result = cold.GetProfileTopK("test", "profiles", pid, 1,
+                                      std::nullopt, TimeRange::Current(kDay),
+                                      SortBy::kActionCount, 0, 10);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    std::set<FeatureId> fids;
+    for (const auto& feature : result->features) fids.insert(feature.fid);
+    std::set<FeatureId> want = {static_cast<FeatureId>(pid),
+                                static_cast<FeatureId>(200 + pid)};
+    if (pid == pids[0]) want.insert(100);
+    EXPECT_EQ(fids, want) << "pid " << pid;
+  }
 }
 
 TEST_F(IpsInstanceTest, IsolationDelaysVisibilityUntilMerge) {

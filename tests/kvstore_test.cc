@@ -1,8 +1,11 @@
 #include "kvstore/mem_kv_store.h"
 #include "kvstore/replicated_kv.h"
 
+#include <atomic>
 #include <chrono>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -539,6 +542,63 @@ TEST(ReplicatedKvTest, OrderingPreservedThroughReplication) {
   std::string value;
   ASSERT_TRUE(kv.slave(0)->Get("k", &value).ok());
   EXPECT_EQ(value, "v49");
+}
+
+TEST(ReplicatedKvTest, DownSlaveKeepsEveryUnappliedMutationInOrder) {
+  // Three matured writes meet a slave that is down for one drain: the
+  // failed apply and everything behind it stay queued, in order, and land
+  // once the slave is back.
+  ManualClock clock(0);
+  ReplicatedKvOptions options;
+  options.replication_lag_ms = 10;
+  ReplicatedKv kv(options, &clock);
+  ASSERT_TRUE(kv.master()->Set("a", "1").ok());
+  ASSERT_TRUE(kv.master()->Set("b", "2").ok());
+  ASSERT_TRUE(kv.master()->Set("c", "3").ok());
+  clock.AdvanceMs(20);
+  kv.slave_store(0)->SetDown(true);
+  std::string value;
+  EXPECT_TRUE(kv.slave(0)->Get("a", &value).IsUnavailable());
+  EXPECT_EQ(kv.PendingMutations(0), 3u);
+
+  kv.slave_store(0)->SetDown(false);
+  kv.CatchUpAll();
+  EXPECT_EQ(kv.PendingMutations(0), 0u);
+  for (const auto& [key, want] : {std::pair<std::string, std::string>{"a", "1"},
+                                  {"b", "2"},
+                                  {"c", "3"}}) {
+    ASSERT_TRUE(kv.slave(0)->Get(key, &value).ok()) << key;
+    EXPECT_EQ(value, want);
+  }
+}
+
+TEST(ReplicatedKvTest, ConcurrentSlaveReadersNeverApplyAnOlderValueLast) {
+  // Slave reads drain the replication queue. Four readers race while the
+  // master rewrites one key; once replication catches up the slave holds
+  // the master's value, not an older one a slower drainer applied last.
+  ManualClock clock(0);
+  ReplicatedKvOptions options;
+  options.replication_lag_ms = 0;
+  ReplicatedKv kv(options, &clock);
+  std::atomic<bool> done{false};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 4; ++r) {
+    readers.emplace_back([&] {
+      std::string value;
+      while (!done.load()) kv.slave(0)->Get("k", &value).ok();
+    });
+  }
+  for (int i = 0; i < 2000; ++i) {
+    ASSERT_TRUE(kv.master()->Set("k", "v" + std::to_string(i)).ok());
+  }
+  done.store(true);
+  for (auto& t : readers) t.join();
+  kv.CatchUpAll();
+
+  std::string master_value, slave_value;
+  ASSERT_TRUE(kv.master()->Get("k", &master_value).ok());
+  ASSERT_TRUE(kv.slave(0)->Get("k", &slave_value).ok());
+  EXPECT_EQ(slave_value, master_value);
 }
 
 }  // namespace

@@ -378,36 +378,25 @@ void WriteLargeProfile(GCache& cache, ProfileId pid) {
                   .ok());
 }
 
-TEST(VictimCacheTest, InvalidateRacingEvictionLeavesNoDemotedCopy) {
-  // An eviction of `kPid` commits — demoting it into L2 and unmapping it —
-  // while Invalidate's own write-back of the pid is on the wire. Invalidate
-  // then finds the map without the pid; it must still leave L2 empty, or the
-  // demoted copy is promotable after the handover.
+TEST(VictimCacheTest, InvalidateQueuedBehindEvictionLeavesNoDemotedCopy) {
+  // An eviction of `kPid` is parked in its write-back when Invalidate of the
+  // pid starts, so Invalidate queues behind it on the write-back lock. The
+  // eviction then commits — demoting the pid into L2 and unmapping it — and
+  // Invalidate, finding the map without the pid, must still leave L2 empty,
+  // or the demoted copy is promotable after the handover.
   constexpr ProfileId kPid = 5;
   std::mutex gate_mu;
   std::condition_variable gate_cv;
-  int stores_started = 0;
-  int stores_released = 0;
-  // Store call k (1-based) parks until stores_released >= k.
+  int stores = 0;
+  bool released = false;
   StoreFn gated = [&](const std::vector<ProfileId>& pids,
                       const std::vector<uint64_t>&,
                       const std::vector<const ProfileData*>&) {
     std::unique_lock<std::mutex> lock(gate_mu);
-    const int call = ++stores_started;
+    ++stores;
     gate_cv.notify_all();
-    EXPECT_TRUE(gate_cv.wait_for(lock, std::chrono::seconds(5),
-                                 [&] { return stores_released >= call; }));
+    gate_cv.wait(lock, [&] { return released; });
     return std::vector<Status>(pids.size(), Status::OK());
-  };
-  auto wait_started = [&](int calls) {
-    std::unique_lock<std::mutex> lock(gate_mu);
-    return gate_cv.wait_for(lock, std::chrono::seconds(5),
-                            [&] { return stores_started >= calls; });
-  };
-  auto release = [&](int calls) {
-    std::lock_guard<std::mutex> lock(gate_mu);
-    stores_released = calls;
-    gate_cv.notify_all();
   };
   GCache cache(TieredCacheOptions(), SystemClock::Instance(),
                PerPidLoad([](ProfileId, bool*) -> Result<ProfileData> {
@@ -421,20 +410,26 @@ TEST(VictimCacheTest, InvalidateRacingEvictionLeavesNoDemotedCopy) {
   WriteLargeProfile(cache, kPid);  // dirty victim
 
   std::thread swapper([&] { cache.SwapOnce(); });
-  ASSERT_TRUE(wait_started(1));  // the eviction's write-back is parked
+  {
+    std::unique_lock<std::mutex> lock(gate_mu);
+    gate_cv.wait(lock, [&] { return stores == 1; });
+  }
   std::thread invalidator([&] { EXPECT_TRUE(cache.Invalidate(kPid).ok()); });
-  ASSERT_TRUE(wait_started(2));  // ...and so is Invalidate's
-  release(1);
+  {
+    std::lock_guard<std::mutex> lock(gate_mu);
+    released = true;
+    gate_cv.notify_all();
+  }
   swapper.join();
-  // The eviction committed while Invalidate's store was on the wire.
-  EXPECT_EQ(cache.EntryCount(), 0u);
-  EXPECT_EQ(l2.EntryCount(), 1u);
-  release(2);
   invalidator.join();
 
+  // The eviction's write-back was the only store: Invalidate found the pid
+  // already written back and unmapped, and erased the demoted copy.
+  EXPECT_EQ(stores, 1);
   std::string bytes;
   bool degraded = false;
   EXPECT_FALSE(l2.Take(kPid, &bytes, &degraded));
+  EXPECT_EQ(l2.EntryCount(), 0u);
   EXPECT_EQ(cache.EntryCount(), 0u);
 }
 
