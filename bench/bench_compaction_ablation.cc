@@ -10,10 +10,12 @@
 //      latency; the async drain keeps it off the serving path.
 //   B. drain scaling — after a back-fill leaves every traced profile with a
 //      deep uncompacted history, the replay storms the trigger path and the
-//      sharded drain pool is measured end-to-end (replay + Drain) with 1
-//      worker vs kDrainWorkers. Every configuration performs the IDENTICAL
-//      set of full passes (first touch per pid triggers, the rest are
-//      rate-limited away), so the wall-clock ratio is pure drain
+//      drain pool is measured end-to-end (replay + Drain) with 1 worker vs
+//      kDrainWorkers. Every configuration performs the IDENTICAL set of
+//      full passes, one per traced pid: a back-filled profile is due on its
+//      first touch, and once fully compacted it is not due again within the
+//      storm (its next ladder crossing is an hour or more away), so later
+//      touches submit nothing. The wall-clock ratio is therefore pure drain
 //      parallelism. NOTE: the ratio only manifests on a multi-core host —
 //      on a single core parallel drain merely relocates the same CPU
 //      seconds — so the gate below is cores-aware.
@@ -111,10 +113,6 @@ std::unique_ptr<IpsInstance> MakeInstance(MemKvStore& kv, size_t workers,
   options.compaction.synchronous = synchronous;
   options.compaction.num_threads = workers;
   options.compaction.max_queue = max_queue;
-  // First touch per pid triggers; every later touch is rate-limited away.
-  // This makes the scheduled pass set identical across configurations no
-  // matter how worker scheduling interleaves with the replay.
-  options.compaction.min_interval_ms = 1'000'000'000;
   options.compaction.partial_threshold = partial_threshold;
   return std::make_unique<IpsInstance>(options, &kv,
                                        SystemClock::Instance());

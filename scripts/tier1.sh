@@ -78,8 +78,11 @@ run_suite() {
   fi
   if [[ "${sanitize}" == "thread" ]]; then
     # The thread pool's contract (exact queue bound, drain-on-destroy, Submit
-    # racing the destructor), the drain-concurrency storm (concurrent
-    # MaybeTrigger + Drain + SetEnabled flips over the pool), the load
+    # racing the destructor), the compaction due-flag storm (writers, batch
+    # readers, eviction, flushes, Invalidate, kill-switch flips and pool
+    # passes racing on one pid set, after which no resident entry may still
+    # be flagged queued) with the manager's Submit + Drain + SetEnabled
+    # storm, the load
     # coalescer's group-commit storm (attach, claim, single flight and detach
     # from many threads), GCache's write-back step (flush, eviction and
     # Invalidate racing writers and queueing on the write-back lock, with the
@@ -93,7 +96,8 @@ run_suite() {
     # race gates visible in the tier-1 log.
     echo "=== tier1: TSan thread pool (common_test) ==="
     (cd "${build_dir}" && ctest --output-on-failure -R common_test)
-    echo "=== tier1: TSan drain storm (CompactionManagerTest) ==="
+    echo "=== tier1: TSan due-flag storm (GCacheCompactionTest, CompactionManagerTest) ==="
+    "${build_dir}/tests/gcache_test" --gtest_filter='GCacheCompactionTest.*'
     (cd "${build_dir}" && ctest --output-on-failure -R compaction_test)
     echo "=== tier1: TSan load group-commit storm (CoalescerTest) ==="
     (cd "${build_dir}" && ctest --output-on-failure -R coalescer_test)

@@ -92,6 +92,10 @@ GCache::EntryPtr GCache::InsertLoaded(ProfileId pid, ProfileData loaded,
   it->second.lru_it = shard.lru.begin();
   shard.bytes.fetch_add(entry->bytes, std::memory_order_relaxed);
   memory_bytes_.fetch_add(entry->bytes, std::memory_order_relaxed);
+  // Due time under the shard lock, so a concurrent MarkAllCompactionDue
+  // either finds this entry or ran before the due function is read.
+  std::lock_guard<std::mutex> entry_lock(entry->mu);
+  entry->compact_due_ms = next_due_(entry->profile, clock_->NowMs());
   return entry;
 }
 
@@ -319,10 +323,12 @@ size_t GCache::WithProfiles(
   // (no lock-order concerns). Not spanned: it nests the caller's
   // feature.compute spans.
   const bool store_unhealthy = StoreUnhealthy();
+  const TimestampMs now_ms = clock_->NowMs();
+  std::vector<EntryPtr> due;
   const auto& entries = scratch.entries;
   const auto& order = scratch.order;
   for (size_t x = 0; x < order.size();) {
-    Entry* const entry = entries[order[x]].get();
+    const EntryPtr& entry = entries[order[x]];
     std::lock_guard<std::mutex> lock(entry->mu);
     const bool degraded = entry->degraded || store_unhealthy;
     do {
@@ -330,10 +336,15 @@ size_t GCache::WithProfiles(
       fn(i, entry->profile);
       if (out_degraded != nullptr) (*out_degraded)[i] = degraded;
       ++x;
-    } while (x < order.size() && entries[order[x]].get() == entry);
+    } while (x < order.size() && entries[order[x]] == entry);
+    if (!entry->compaction_queued && now_ms >= entry->compact_due_ms) {
+      entry->compaction_queued = true;
+      due.push_back(entry);
+    }
   }
   // Drop the entry references before the next batch reuses the buffer.
   scratch.entries.clear();
+  SubmitCompactions(due);
   return hits;
 }
 
@@ -353,10 +364,12 @@ size_t GCache::WithProfilesMutable(
   // draining the whole shard.
   std::vector<ProfileId> retry_pids;
   std::vector<size_t> retry_ix;  // index into `pids` per retried occurrence
+  const TimestampMs now_ms = clock_->NowMs();
+  std::vector<EntryPtr> due;
   const auto& entries = scratch.entries;
   const auto& order = scratch.order;
   for (size_t x = 0; x < order.size();) {
-    Entry* const entry = entries[order[x]].get();
+    const EntryPtr& entry = entries[order[x]];
     std::lock_guard<std::mutex> lock(entry->mu);
     do {
       if (entry->evicted) {
@@ -366,13 +379,19 @@ size_t GCache::WithProfilesMutable(
         fn(order[x], entry->profile);
       }
       ++x;
-    } while (x < order.size() && entries[order[x]].get() == entry);
+    } while (x < order.size() && entries[order[x]] == entry);
     if (!entry->evicted) {
       UpdateAccounting(*lru_shards_[LruIndex(entry->pid)], *entry);
       MarkDirty(*entry);
+      entry->compact_due_ms = next_due_(entry->profile, now_ms);
+      if (!entry->compaction_queued && now_ms >= entry->compact_due_ms) {
+        entry->compaction_queued = true;
+        due.push_back(entry);
+      }
     }
   }
   scratch.entries.clear();
+  SubmitCompactions(due);
   if (!retry_pids.empty()) {
     std::vector<Status> retry_statuses;
     WithProfilesMutable(
@@ -384,6 +403,27 @@ size_t GCache::WithProfilesMutable(
     }
   }
   return hits;
+}
+
+void GCache::SubmitCompactions(const std::vector<EntryPtr>& due) {
+  for (const EntryPtr& entry : due) {
+    if (submit_compaction_(entry->pid)) continue;
+    std::lock_guard<std::mutex> lock(entry->mu);
+    entry->compaction_queued = false;
+  }
+}
+
+void GCache::MarkAllCompactionDue() {
+  if (!submit_compaction_) return;
+  std::vector<EntryPtr> entries;
+  for (const auto& shard : lru_shards_) {
+    std::lock_guard<std::mutex> lock(shard->mu);
+    for (const auto& [pid, slot] : shard->map) entries.push_back(slot.entry);
+  }
+  for (const EntryPtr& entry : entries) {
+    std::lock_guard<std::mutex> lock(entry->mu);
+    entry->compact_due_ms = std::numeric_limits<TimestampMs>::min();
+  }
 }
 
 void GCache::UpdateAccounting(LruShard& shard, Entry& entry) {
@@ -469,11 +509,12 @@ Status GCache::WithProfileOffLockMutate(
     ProfileId pid, const std::function<bool(ProfileData&)>& work,
     int max_retries) {
   LruShard& shard = *lru_shards_[LruIndex(pid)];
+  EntryPtr entry;
+  Status status = Status::Aborted("off-lock mutate kept losing the epoch race");
   for (int attempt = 0; attempt <= max_retries; ++attempt) {
     // Resolve the resident entry without touching LRU recency: a
     // maintenance pass reading a profile is not evidence of user interest,
     // and promoting victims-to-be would fight the eviction policy.
-    EntryPtr entry;
     {
       std::lock_guard<std::mutex> lock(shard.mu);
       auto it = shard.map.find(pid);
@@ -489,31 +530,35 @@ Status GCache::WithProfileOffLockMutate(
         // Unmapped between the shard lookup and the entry lock; re-resolve.
         continue;
       }
-      snap = TakeSnapshot(std::move(entry));
+      snap = TakeSnapshot(entry);
     }
 
     // The expensive part — merge/truncate/shrink — runs here with no lock
     // held, overlapping serving writes and dirty-shard flushes of the same
     // entry.
-    if (!work(snap.profile)) return Status::OK();
-
-    {
-      Entry& current = *snap.entry;
-      std::lock_guard<std::mutex> lock(current.mu);
-      if (!SnapshotCurrent(current, snap.epoch)) {
-        // A write (or an eviction) landed during the unlocked pass.
-        // Committing the stale snapshot would silently drop that write, so
-        // throw this pass away and redo it from the current state.
-        overlap_stalls_counter_->Increment();
-        continue;
-      }
-      current.profile = std::move(snap.profile);
-      UpdateAccounting(shard, current);
-      MarkDirty(current);
+    if (!work(snap.profile)) {
+      status = Status::OK();
+      break;
     }
-    return Status::OK();
+    std::lock_guard<std::mutex> lock(entry->mu);
+    if (!SnapshotCurrent(*entry, snap.epoch)) {
+      // A write (or an eviction) landed during the unlocked pass.
+      // Committing the stale snapshot would silently drop that write, so
+      // throw this pass away and redo it from the current state.
+      overlap_stalls_counter_->Increment();
+      continue;
+    }
+    entry->profile = std::move(snap.profile);
+    UpdateAccounting(shard, *entry);
+    MarkDirty(*entry);
+    status = Status::OK();
+    break;
   }
-  return Status::Aborted("off-lock mutate kept losing the epoch race");
+  // Every exit ends the pass's compaction claim.
+  std::lock_guard<std::mutex> lock(entry->mu);
+  entry->compaction_queued = false;
+  entry->compact_due_ms = next_due_(entry->profile, clock_->NowMs());
+  return status;
 }
 
 GCache::Snapshot GCache::TakeSnapshot(EntryPtr entry, bool with_profile) {

@@ -34,6 +34,10 @@
 // never wait on storage. Two things follow: one pid's stores reach the
 // StoreFn in snapshot (epoch) order, and FlushAll returns only after every
 // write-back that started before it has landed.
+//
+// Compaction (Section III-D) is triggered from the same funnel: each entry
+// keeps the time its next pass would find work, and a touch at or past it
+// hands the pid to the owner once, until the pass ends (see set_compaction).
 #ifndef IPS_CACHE_GCACHE_H_
 #define IPS_CACHE_GCACHE_H_
 
@@ -118,6 +122,13 @@ using VictimEncodeFn = std::function<void(const ProfileData&, std::string*)>;
 /// malformed input: the promotion is abandoned and the miss falls through to
 /// the load function.
 using VictimDecodeFn = std::function<Status(std::string_view, ProfileData*)>;
+/// When a compaction pass would next find work in `profile`. Called under
+/// the entry lock, so it must not call into the cache.
+using CompactDueFn =
+    std::function<TimestampMs(const ProfileData& profile, TimestampMs now_ms)>;
+/// Hands a due pid to the compactor; false when it refused or dropped it.
+/// An accepted pass ends in WithProfileOffLockMutate.
+using CompactSubmitFn = std::function<bool(ProfileId pid)>;
 
 class GCache {
  public:
@@ -178,6 +189,19 @@ class GCache {
     victim_decode_ = std::move(decode);
   }
 
+  /// Installs the compaction trigger during setup (without one, nothing is
+  /// ever due). The due time is recomputed on load, after every mutation in
+  /// WithProfilesMutable and when a pass ends. Both batch calls flag a due
+  /// entry queued and hand it to `submit` once no lock is held.
+  void set_compaction(CompactDueFn next_due, CompactSubmitFn submit) {
+    next_due_ = std::move(next_due);
+    submit_compaction_ = std::move(submit);
+  }
+
+  /// Makes every resident entry due on its next touch (the due function
+  /// changed, e.g. a table's schema was reloaded).
+  void MarkAllCompactionDue();
+
   /// Batch write path (MultiAdd, the isolation merge): the lookup and one
   /// load call of WithProfiles, but a pid the load reports NotFound is
   /// created empty. Runs `fn(index, profile)` under the entry lock, then
@@ -211,6 +235,8 @@ class GCache {
   /// storage: NotFound for non-resident pids. Compacting an uncached
   /// profile would drag cold data into memory just to shrink it; persisted
   /// slices get compacted when real traffic next loads them.
+  /// Every exit but NotFound ends the entry's compaction claim: the queued
+  /// flag clears and the due time is recomputed.
   Status WithProfileOffLockMutate(ProfileId pid,
                                   const std::function<bool(ProfileData&)>& work,
                                   int max_retries = 2);
@@ -297,6 +323,9 @@ class GCache {
     uint64_t mutation_epoch = 0;
     /// Guarded by the owning DirtyShard's mutex.
     bool in_dirty_list = false;
+    /// See set_compaction. Both guarded by mu.
+    TimestampMs compact_due_ms = std::numeric_limits<TimestampMs>::max();
+    bool compaction_queued = false;
     /// Set (under mu) when the entry is removed from its shard map by
     /// eviction or Invalidate. A mutator holding a stale EntryPtr from
     /// before the removal must NOT write into it — the entry is unmapped,
@@ -367,6 +396,10 @@ class GCache {
                       std::vector<Status>* statuses, TimestampMs deadline_ms,
                       bool create_if_missing, BatchScratch& scratch);
 
+  /// Submits the entries the funnel flagged queued (no lock held); clears
+  /// the flag of each one refused.
+  void SubmitCompactions(const std::vector<EntryPtr>& due);
+
   /// Re-measures entry bytes (entry lock held) and fixes accounting.
   void UpdateAccounting(LruShard& shard, Entry& entry);
 
@@ -436,6 +469,11 @@ class GCache {
   VictimCache* victim_cache_ = nullptr;
   VictimEncodeFn victim_encode_;
   VictimDecodeFn victim_decode_;
+  /// Installed at setup (see set_compaction).
+  CompactDueFn next_due_ = [](const ProfileData&, TimestampMs) {
+    return std::numeric_limits<TimestampMs>::max();
+  };
+  CompactSubmitFn submit_compaction_;
   /// Used when no registry is injected.
   MetricsRegistry owned_metrics_;
   /// Counters, resolved once at construction (a registry lookup takes a

@@ -1,7 +1,9 @@
 #include "compaction/compactor.h"
 
 #include <algorithm>
-#include <unordered_set>
+#include <limits>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "query/scratch.h"
@@ -9,6 +11,8 @@
 namespace ips {
 
 namespace {
+
+constexpr TimestampMs kNever = std::numeric_limits<TimestampMs>::max();
 
 // Granularity the ladder prescribes for data of the given age; falls back to
 // the write granularity for ages before the ladder and to the coarsest rung
@@ -26,10 +30,35 @@ int64_t GranularityForAge(const TableSchema& schema, int64_t age_ms) {
   return schema.write_granularity_ms;
 }
 
+// The smallest ladder boundary (a rung's from or to age) above `age_ms`:
+// where GranularityForAge may next change. Never past the last rung.
+int64_t NextBoundaryAfter(const TableSchema& schema, int64_t age_ms) {
+  int64_t next = kNever;
+  for (const auto& rule : schema.time_dimensions) {
+    if (rule.from_age_ms > age_ms) next = std::min(next, rule.from_age_ms);
+    if (rule.to_age_ms > age_ms) next = std::min(next, rule.to_age_ms);
+  }
+  return next;
+}
+
 int64_t BucketOf(TimestampMs ts, int64_t granularity) {
   int64_t b = ts / granularity;
   if (ts < 0 && b * granularity > ts) --b;
   return b;
+}
+
+// Compact's merge test: `older` folds into `newer` when both lie in one
+// granularity-`g` bucket and the merged window is no wider than `g`.
+bool Mergeable(const Slice& newer, const Slice& older, int64_t g) {
+  return BucketOf(older.start_ms(), g) == BucketOf(newer.end_ms() - 1, g) &&
+         newer.end_ms() - older.start_ms() <= g;
+}
+
+// The slot's shrink budget; zero or less disables shrinking it.
+int64_t SlotBudget(const ShrinkPolicy& policy, SlotId slot) {
+  auto it = policy.retain_per_slot.find(slot);
+  return it != policy.retain_per_slot.end() ? it->second
+                                            : policy.default_retain;
 }
 
 }  // namespace
@@ -61,11 +90,8 @@ size_t Compactor::Compact(ProfileData& profile, TimestampMs now_ms,
     // The rung is chosen by the newer slice's age: as data ages it migrates
     // down the ladder, and using the finer (newer) granularity guarantees we
     // never produce a window wider than either member's prescription.
-    const int64_t age_ms = now_ms - it->end_ms();
-    const int64_t g = GranularityForAge(*schema_, age_ms);
-    const bool same_bucket =
-        BucketOf(older->start_ms(), g) == BucketOf(it->end_ms() - 1, g);
-    if (same_bucket && it->end_ms() - older->start_ms() <= g) {
+    const int64_t g = GranularityForAge(*schema_, now_ms - it->end_ms());
+    if (Mergeable(*it, *older, g)) {
       it->MergeFrom(*older, schema_->reduce, merge_scratch);
       slices.erase(older);
       ++merged;
@@ -117,10 +143,7 @@ size_t Compactor::Shrink(ProfileData& profile, TimestampMs now_ms) const {
     if (slice.end_ms() > fresh_after) continue;
 
     for (auto& [slot, set] : slice.mutable_slots()) {
-      auto budget_it = policy.retain_per_slot.find(slot);
-      const int64_t budget = budget_it != policy.retain_per_slot.end()
-                                 ? budget_it->second
-                                 : policy.default_retain;
+      const int64_t budget = SlotBudget(policy, slot);
       if (budget <= 0) continue;  // shrink disabled for this slot
 
       const size_t total = set.TotalFeatures();
@@ -150,16 +173,15 @@ size_t Compactor::Shrink(ProfileData& profile, TimestampMs now_ms) const {
                        entries.end(), better);
       entries.resize(budget);
 
-      std::unordered_set<uint64_t> kept;
-      kept.reserve(entries.size());
-      for (const auto& e : entries) {
-        kept.insert((static_cast<uint64_t>(e.type) << 48) ^ e.fid);
-      }
+      // Keyed on the whole (type, fid) pair: distinct features must never
+      // share a key, or a slot keeps more than its budget.
+      std::set<std::pair<TypeId, FeatureId>> kept;
+      for (const auto& e : entries) kept.emplace(e.type, e.fid);
       for (auto& [type, stats] : set.mutable_types()) {
         const TypeId t = type;
         const size_t before = stats.size();
         stats.Retain([&](const FeatureStat& stat) {
-          return kept.count((static_cast<uint64_t>(t) << 48) ^ stat.fid) > 0;
+          return kept.count({t, stat.fid}) > 0;
         });
         removed += before - stats.size();
       }
@@ -169,16 +191,61 @@ size_t Compactor::Shrink(ProfileData& profile, TimestampMs now_ms) const {
   return removed;
 }
 
+TimestampMs Compactor::NextDueMs(const ProfileData& profile,
+                                 TimestampMs now_ms) const {
+  const auto& slices = profile.slices();
+  if (slices.empty()) return kNever;
+  const TruncatePolicy& truncate = schema_->truncate;
+  if (truncate.max_slices > 0 &&
+      slices.size() > static_cast<size_t>(truncate.max_slices)) {
+    return now_ms;
+  }
+  TimestampMs due = kNever;
+  if (truncate.max_age_ms > 0) {
+    due = slices.back().end_ms() + truncate.max_age_ms;
+  }
+
+  // Merges: walk each adjacent pair's ladder intervals from the newer
+  // slice's current age on, and stop at the first whose granularity passes
+  // Compact's test.
+  for (auto newer = slices.begin();
+       !schema_->time_dimensions.empty() && due > now_ms; ++newer) {
+    auto older = std::next(newer);
+    if (older == slices.end()) break;
+    for (int64_t age = now_ms - newer->end_ms();
+         age != kNever && newer->end_ms() + age < due;
+         age = NextBoundaryAfter(*schema_, age)) {
+      if (Mergeable(*newer, *older, GranularityForAge(*schema_, age))) {
+        due = newer->end_ms() + age;
+        break;
+      }
+    }
+  }
+
+  // Shrink: a slice leaves the freshness horizon at end + horizon, and from
+  // then on any slot of it over budget loses features.
+  const ShrinkPolicy& shrink = schema_->shrink;
+  for (const Slice& slice : slices) {
+    const TimestampMs at = slice.end_ms() + shrink.freshness_horizon_ms;
+    if (at >= due) continue;
+    for (const auto& [slot, set] : slice.slots()) {
+      const int64_t budget = SlotBudget(shrink, slot);
+      if (budget > 0 && set.TotalFeatures() > static_cast<size_t>(budget)) {
+        due = at;
+        break;
+      }
+    }
+  }
+  return std::max(due, now_ms);
+}
+
 CompactionStats Compactor::FullCompact(ProfileData& profile,
                                        TimestampMs now_ms) const {
+  // Each step re-measures the profile's bytes when it changes the slices.
   CompactionStats stats;
-  stats.bytes_before = profile.ApproximateBytes();
   stats.slices_merged = Compact(profile, now_ms);
   stats.slices_truncated = Truncate(profile, now_ms);
   stats.features_shrunk = Shrink(profile, now_ms);
-  // The passes above mutate the slice list directly, so the incremental
-  // byte counter must be re-measured.
-  stats.bytes_after = profile.RecomputeBytes();
   return stats;
 }
 
@@ -188,10 +255,8 @@ CompactionStats Compactor::PartialCompact(ProfileData& profile,
   // is the expensive part, deferred to full compactions.
   constexpr size_t kPartialMergeBudget = 4;
   CompactionStats stats;
-  stats.bytes_before = profile.ApproximateBytes();
   stats.slices_merged = Compact(profile, now_ms, kPartialMergeBudget);
   stats.slices_truncated = Truncate(profile, now_ms);
-  stats.bytes_after = profile.RecomputeBytes();
   return stats;
 }
 

@@ -25,8 +25,6 @@ struct CompactionStats {
   size_t slices_merged = 0;      // removed by Compact
   size_t slices_truncated = 0;   // removed by Truncate
   size_t features_shrunk = 0;    // removed by Shrink
-  size_t bytes_before = 0;
-  size_t bytes_after = 0;
 
   bool AnyWork() const {
     return slices_merged + slices_truncated + features_shrunk > 0;
@@ -60,6 +58,13 @@ class Compactor {
 
   /// Applies the shrink policy; returns features eliminated.
   size_t Shrink(ProfileData& profile, TimestampMs now_ms) const;
+
+  /// The earliest time, never before `now_ms`, at which FullCompact would
+  /// do any work on `profile` (the maximum TimestampMs if never): the first
+  /// ladder interval where Compact merges an adjacent pair, the truncate
+  /// age of the oldest slice, the slice cap, or an over-budget slot's
+  /// slice leaving the shrink freshness horizon.
+  TimestampMs NextDueMs(const ProfileData& profile, TimestampMs now_ms) const;
 
   /// Importance score of a feature under the schema's action weights:
   /// sum_i weight[i] * counts[i]. Exposed for tests and benches.

@@ -75,7 +75,7 @@ IpsInstance::~IpsInstance() {
 Status IpsInstance::CreateTable(const TableSchema& schema) {
   IPS_RETURN_IF_ERROR(schema.Validate());
   auto table = std::make_unique<Table>();
-  table->schema = schema;
+  table->schema = std::make_shared<const TableSchema>(schema);
   PersisterOptions persist_options = options_.persistence;
   persist_options.metrics = metrics_;
   table->persister =
@@ -145,40 +145,16 @@ Status IpsInstance::CreateTable(const TableSchema& schema) {
 
   Table* raw = table.get();
   table->compaction = std::make_unique<CompactionManager>(
-      options_.compaction, clock_,
+      options_.compaction,
       [this, raw](ProfileId pid, bool full) {
-        // Snapshot the schema under its lock, then run the whole pass
-        // against the copy: neither a hot reload nor another compaction is
-        // blocked while this pass merges (the old shape held schema_mu
-        // across the pass, serializing all compactions of a table onto one
-        // core no matter how many drain workers ran). The pass itself goes
-        // through the off-lock mutate path, so serving writes and flushes
-        // of the same profile overlap it too; a lost epoch race or an
-        // evicted/non-resident pid just abandons the pass — later traffic
-        // re-triggers.
-        TableSchema schema_copy;
-        {
-          std::lock_guard<std::mutex> schema_lock(raw->schema_mu);
-          schema_copy = raw->schema;
-        }
-        Compactor compactor(&schema_copy);
-        CompactionStats stats;
-        const Status pass_status = raw->cache->WithProfileOffLockMutate(
-            pid, [&](ProfileData& profile) {
-              stats = full ? compactor.FullCompact(profile, clock_->NowMs())
-                           : compactor.PartialCompact(profile, clock_->NowMs());
-              return stats.AnyWork();
-            });
-        // Only count committed work: on an abandoned pass (epoch-race retries
-        // exhausted, pid evicted mid-pass) `stats` holds the discarded
-        // attempt's numbers.
-        if (pass_status.ok() && stats.AnyWork()) {
-          serving_metrics_.slices_merged->Increment(stats.slices_merged);
-          serving_metrics_.slices_truncated->Increment(stats.slices_truncated);
-          serving_metrics_.features_shrunk->Increment(stats.features_shrunk);
-        }
+        CompactResident(*raw, pid, full);
       },
       metrics_);
+  table->cache->set_compaction(
+      [raw](const ProfileData& profile, TimestampMs now_ms) {
+        return Compactor(raw->Schema().get()).NextDueMs(profile, now_ms);
+      },
+      [raw](ProfileId pid) { return raw->compaction->Submit(pid); });
 
   table->write_table = std::make_unique<ProfileTable>(schema, /*shards=*/8);
 
@@ -199,19 +175,21 @@ Status IpsInstance::ReconfigureTable(const TableSchema& schema) {
   IPS_RETURN_IF_ERROR(schema.Validate());
   Table* t = FindTable(schema.name);
   if (t == nullptr) return Status::NotFound("table " + schema.name);
-  std::lock_guard<std::mutex> lock(t->schema_mu);
-  if (schema.actions != t->schema.actions) {
-    return Status::InvalidArgument(
-        "hot reload cannot change the action schema");
+  {
+    std::lock_guard<std::mutex> lock(t->schema_mu);
+    if (schema.actions != t->schema->actions) {
+      return Status::InvalidArgument(
+          "hot reload cannot change the action schema");
+    }
+    if (schema.write_granularity_ms != t->schema->write_granularity_ms) {
+      return Status::InvalidArgument(
+          "hot reload cannot change the write granularity");
+    }
+    // Only reduce and the compaction policies differ; every resident
+    // profile's due time is recomputed on its next touch (below).
+    t->schema = std::make_shared<const TableSchema>(schema);
   }
-  if (schema.write_granularity_ms != t->schema.write_granularity_ms) {
-    return Status::InvalidArgument(
-        "hot reload cannot change the write granularity");
-  }
-  t->schema.reduce = schema.reduce;
-  t->schema.time_dimensions = schema.time_dimensions;
-  t->schema.truncate = schema.truncate;
-  t->schema.shrink = schema.shrink;
+  t->cache->MarkAllCompactionDue();
   metrics_->GetCounter("config.table_reload")->Increment();
   return Status::OK();
 }
@@ -244,11 +222,11 @@ Status IpsInstance::AddProfile(const std::string& caller,
   return AddProfiles(caller, table, pid, {{timestamp, slot, type, fid, counts}});
 }
 
-Result<IpsInstance::Admitted> IpsInstance::Admit(const std::string& caller,
-                                                 const std::string& table,
-                                                 size_t batch_size,
-                                                 bool is_write,
-                                                 const CallContext& ctx) {
+Result<IpsInstance::Table*> IpsInstance::Admit(const std::string& caller,
+                                               const std::string& table,
+                                               size_t batch_size,
+                                               bool is_write,
+                                               const CallContext& ctx) {
   // "Queueing": everything that admits the request before any per-profile
   // work. A request that is malformed or names an unknown table is rejected
   // before the overload controller and the quota see it, so it costs the
@@ -271,8 +249,7 @@ Result<IpsInstance::Admitted> IpsInstance::Admit(const std::string& caller,
                                       clock_->NowMs()));
   IPS_RETURN_IF_ERROR(quota_.Check(caller));
   overload_.RecordQueueSample((MonotonicNanos() - admit_ns) / 1000);
-  std::lock_guard<std::mutex> schema_lock(t->schema_mu);
-  return Admitted{t, t->schema.reduce};
+  return t;
 }
 
 void IpsInstance::Complete(const ServingMetrics::PathMetrics& path,
@@ -302,10 +279,11 @@ Result<MultiAddResult> IpsInstance::MultiAdd(
   // directly, without a Channel hop having installed the context.
   TraceInstallScope trace_install(ctx.trace);
   ScopedSpan server_span("server.add");
-  IPS_ASSIGN_OR_RETURN(const Admitted admitted,
+  IPS_ASSIGN_OR_RETURN(Table* const admitted,
                        Admit(caller, table, items.size(), /*is_write=*/true,
                              ctx));
-  Table& t = *admitted.table;
+  Table& t = *admitted;
+  const ReduceFn reduce = t.Schema()->reduce;
 
   const int64_t begin_ns = MonotonicNanos();
   const bool isolated = isolation_enabled_.load(std::memory_order_relaxed);
@@ -321,7 +299,7 @@ Result<MultiAddResult> IpsInstance::MultiAdd(
       out.statuses[i] = Status::InvalidArgument("empty record batch");
       continue;
     }
-    if (isolated && BufferIsolated(t, items[i], admitted.reduce)) continue;
+    if (isolated && BufferIsolated(t, items[i], reduce)) continue;
     direct_pids.push_back(items[i].pid);
     direct_items.push_back(i);
   }
@@ -330,13 +308,11 @@ Result<MultiAddResult> IpsInstance::MultiAdd(
     t.cache->WithProfilesMutable(
         direct_pids,
         [&](size_t j, ProfileData& profile) {
-          ApplyRecords(items[direct_items[j]].records, admitted.reduce,
-                       profile);
+          ApplyRecords(items[direct_items[j]].records, reduce, profile);
         },
         &statuses);
     for (size_t j = 0; j < direct_pids.size(); ++j) {
       out.statuses[direct_items[j]] = statuses[j];
-      if (statuses[j].ok()) t.compaction->MaybeTrigger(direct_pids[j]);
     }
   }
 
@@ -395,11 +371,7 @@ size_t IpsInstance::MergeWriteTable(Table& t) {
     pids.push_back(pid);
   }
   t.write_table_bytes.fetch_sub(drained_bytes, std::memory_order_relaxed);
-  ReduceFn reduce;
-  {
-    std::lock_guard<std::mutex> schema_lock(t.schema_mu);
-    reduce = t.schema.reduce;
-  }
+  const ReduceFn reduce = t.Schema()->reduce;
 
   // The whole drain folds in one WithProfilesMutable call: one lookup and at
   // most one load for every non-resident profile.
@@ -425,7 +397,6 @@ size_t IpsInstance::MergeWriteTable(Table& t) {
       continue;
     }
     ++merged;
-    t.compaction->MaybeTrigger(pids[i]);
   }
   return merged;
 }
@@ -459,12 +430,11 @@ Result<MultiQueryResult> IpsInstance::MultiQuery(
   // directly, without a Channel hop having installed the context.
   TraceInstallScope trace_install(ctx.trace);
   ScopedSpan server_span("server.query");
-  IPS_ASSIGN_OR_RETURN(const Admitted admitted,
+  IPS_ASSIGN_OR_RETURN(Table* const t,
                        Admit(caller, table, pids.size(), /*is_write=*/false,
                              ctx));
-  Table* t = admitted.table;
   QuerySpec effective = spec;
-  effective.reduce = admitted.reduce;
+  effective.reduce = t->Schema()->reduce;
 
   // Per-request setup and (below) result packaging are server overhead like
   // admission: both report under server.queue so the disjoint-stage sum
@@ -514,12 +484,6 @@ Result<MultiQueryResult> IpsInstance::MultiQuery(
         static_cast<int64_t>(out.degraded));
   }
 
-  // In synchronous mode (tests, III-D ablation) MaybeTrigger runs the
-  // compaction inline and opens its own stage spans — suspend the overhead
-  // span there so they never nest inside it. In the async serving config the
-  // trigger is admission bookkeeping only, so the status-folding loop stays
-  // attributed to server.queue.
-  if (t->compaction->synchronous()) overhead_span.reset();
   int64_t ok_count = 0;
   int64_t error_count = 0;
   for (size_t i = 0; i < pid_vec.size(); ++i) {
@@ -540,10 +504,7 @@ Result<MultiQueryResult> IpsInstance::MultiQuery(
       continue;
     }
     ++ok_count;
-    t->compaction->MaybeTrigger(pid_vec[i]);
   }
-
-  overhead_span.emplace("server.queue");
   Complete(serving_metrics_.query, begin_ns, pid_vec.size(), ok_count,
            error_count);
   return out;
@@ -611,27 +572,36 @@ void IpsInstance::SetCompactionEnabled(bool enabled) {
   for (Table* t : Tables()) t->compaction->SetEnabled(enabled);
 }
 
+bool IpsInstance::CompactResident(Table& t, ProfileId pid, bool full) {
+  // One immutable schema snapshot per pass. The off-lock mutate path lets
+  // serving writes and flushes overlap the pass; an abandoned pass leaves
+  // the profile due.
+  const std::shared_ptr<const TableSchema> schema = t.Schema();
+  const Compactor compactor(schema.get());
+  CompactionStats stats;
+  const Status status = t.cache->WithProfileOffLockMutate(
+      pid, [&](ProfileData& profile) {
+        stats = full ? compactor.FullCompact(profile, clock_->NowMs())
+                     : compactor.PartialCompact(profile, clock_->NowMs());
+        return stats.AnyWork();
+      });
+  // Only committed work counts: on an abandoned pass `stats` holds the
+  // discarded attempt's numbers.
+  if (!status.ok() || !stats.AnyWork()) return false;
+  serving_metrics_.slices_merged->Increment(stats.slices_merged);
+  serving_metrics_.slices_truncated->Increment(stats.slices_truncated);
+  serving_metrics_.features_shrunk->Increment(stats.features_shrunk);
+  return true;
+}
+
 Result<size_t> IpsInstance::CompactTableNow(const std::string& table) {
   Table* t = FindTable(table);
   if (t == nullptr) return Status::NotFound("table " + table);
-  // Same schema-snapshot + off-lock discipline as the triggered path: the
-  // sweep never holds schema_mu or an entry lock across a pass, so it can
-  // run against live traffic. Profiles evicted mid-sweep are simply skipped.
-  TableSchema schema_copy;
-  {
-    std::lock_guard<std::mutex> schema_lock(t->schema_mu);
-    schema_copy = t->schema;
-  }
-  Compactor compactor(&schema_copy);
-  const std::vector<ProfileId> ids = t->cache->CachedIds();
+  // The triggered pass over every resident profile; safe under live
+  // traffic, and an unchanged profile stays clean.
   size_t compacted = 0;
-  for (ProfileId pid : ids) {
-    const Status status = t->cache->WithProfileOffLockMutate(
-        pid, [&](ProfileData& profile) {
-          compactor.FullCompact(profile, clock_->NowMs());
-          return true;
-        });
-    if (status.ok()) ++compacted;
+  for (ProfileId pid : t->cache->CachedIds()) {
+    if (CompactResident(*t, pid, /*full=*/true)) ++compacted;
   }
   return compacted;
 }

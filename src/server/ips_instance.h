@@ -145,7 +145,7 @@ class IpsInstance {
   bool HasTable(const std::string& table) const;
   /// Replaces the compaction/truncate/shrink parts of a table's schema at
   /// runtime (the hot-reload path of Section V-b). Actions and granularity
-  /// cannot change live.
+  /// cannot change live. Every resident profile is due on its next touch.
   Status ReconfigureTable(const TableSchema& schema);
 
   // --- Write APIs (Section II-B) -------------------------------------
@@ -258,11 +258,12 @@ class IpsInstance {
 
   /// Ops sweep: synchronously runs a full compaction over every cached
   /// profile of `table` (back-fill cleanup, pre-benchmark steady-state).
-  /// Returns profiles compacted.
+  /// Returns the profiles it changed; the others stay clean.
   Result<size_t> CompactTableNow(const std::string& table);
 
   /// Kill switch for traffic-triggered compaction across all tables (ops:
-  /// pause during heavy back-fill, re-enable afterwards).
+  /// pause during heavy back-fill, re-enable afterwards). A profile that
+  /// became due while disabled is compacted on its first touch after.
   void SetCompactionEnabled(bool enabled);
 
   /// Cache statistics for one table.
@@ -296,8 +297,13 @@ class IpsInstance {
 
  private:
   struct Table {
-    TableSchema schema;
-    std::mutex schema_mu;  // guards schema replacement on hot reload
+    /// Immutable; ReconfigureTable swaps the pointer under schema_mu.
+    std::shared_ptr<const TableSchema> schema;
+    mutable std::mutex schema_mu;
+    std::shared_ptr<const TableSchema> Schema() const {
+      std::lock_guard<std::mutex> lock(schema_mu);
+      return schema;
+    }
     std::unique_ptr<Persister> persister;
     /// Load coalescing stage between the cache and the persister (when
     /// enabled). Declared before `cache` so it is destroyed after it: the
@@ -307,8 +313,7 @@ class IpsInstance {
     /// the same reason: the cache demotes into it up to its last eviction.
     std::unique_ptr<VictimCache> victim_cache;
     std::unique_ptr<GCache> cache;
-    /// Compaction passes construct a local Compactor over a schema snapshot
-    /// (see CreateTable) so no shared compactor instance is needed.
+    /// Runs the passes the cache's funnel submits (see CompactResident).
     std::unique_ptr<CompactionManager> compaction;
     /// Isolation write buffer (few shards: it is short-lived and small).
     std::unique_ptr<ProfileTable> write_table;
@@ -323,19 +328,18 @@ class IpsInstance {
   /// Snapshot of the table list (tables are never removed).
   std::vector<Table*> Tables() const;
 
-  /// A request's table and its reduce function, read once under schema_mu.
-  struct Admitted {
-    Table* table;
-    ReduceFn reduce;
-  };
-
   /// The admission step MultiQuery and MultiAdd share, under one
   /// server.queue span: the deadline (counting server.deadline_exceeded),
   /// then an empty batch or unknown table is rejected before anything is
-  /// charged, then the overload controller and ONE quota charge.
-  Result<Admitted> Admit(const std::string& caller, const std::string& table,
-                         size_t batch_size, bool is_write,
-                         const CallContext& ctx);
+  /// charged, then the overload controller and ONE quota charge. Returns
+  /// the request's table.
+  Result<Table*> Admit(const std::string& caller, const std::string& table,
+                       size_t batch_size, bool is_write,
+                       const CallContext& ctx);
+
+  /// One compaction pass over a resident pid (the triggered pass and the
+  /// CompactTableNow sweep); true when the profile changed.
+  bool CompactResident(Table& t, ProfileId pid, bool full);
 
   /// Buffers one item in the isolation write table; false (counted as
   /// isolation.overflow) when the buffer is over its memory cap.

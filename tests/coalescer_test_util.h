@@ -131,7 +131,6 @@ inline IpsInstanceOptions ManualInstanceOptions() {
   IpsInstanceOptions options;
   options.start_background_threads = false;
   options.compaction.synchronous = true;
-  options.compaction.min_interval_ms = 0;
   options.isolation_enabled = false;
   return options;
 }

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <thread>
@@ -245,9 +246,13 @@ TEST(CompactorTest, FullCompactReducesBytes) {
                          rng.Uniform(500) + 1, One())
                     .ok());
   }
+  const size_t bytes_before = profile.ApproximateBytes();
   const CompactionStats stats = compactor.FullCompact(profile, now);
   EXPECT_TRUE(stats.AnyWork());
-  EXPECT_LT(stats.bytes_after, stats.bytes_before);
+  EXPECT_LT(profile.ApproximateBytes(), bytes_before);
+  // The incremental byte counter is exact after the pass.
+  const size_t counted = profile.ApproximateBytes();
+  EXPECT_EQ(profile.RecomputeBytes(), counted);
   EXPECT_TRUE(profile.CheckInvariants());
 }
 
@@ -366,83 +371,236 @@ TEST_P(CompactQueryEquivalenceTest, FullWindowResultsUnchanged) {
 INSTANTIATE_TEST_SUITE_P(Seeds, CompactQueryEquivalenceTest,
                          ::testing::Values(3, 14, 41));
 
+TEST(CompactorTest, ShrinkKeysKeptSetOnTypeAndFid) {
+  // Regression: the kept set was keyed on (type << 48) ^ fid, so distinct
+  // features aliased and a slot kept more than its budget. Slot 1: type 1
+  // fid (3 << 48) | 5 against type 2 fid 5. Slot 2: types 1 and 65537, whose
+  // shifted keys wrap to the same value, with one fid.
+  TableSchema schema = MinuteLadderSchema();
+  schema.shrink.default_retain = 1;
+  Compactor compactor(&schema);
+  ProfileData profile(kMinute);
+  const TimestampMs now = 100 * kDay;
+  const TimestampMs ts = now - kDay;
+  ASSERT_TRUE(profile.Add(ts, 1, 2, 5, CountVector{10}).ok());
+  ASSERT_TRUE(
+      profile.Add(ts, 1, 1, (FeatureId{3} << 48) | 5, CountVector{1}).ok());
+  ASSERT_TRUE(profile.Add(ts, 2, 65537, 9, CountVector{10}).ok());
+  ASSERT_TRUE(profile.Add(ts, 2, 1, 9, CountVector{1}).ok());
+  EXPECT_EQ(compactor.Shrink(profile, now), 2u);
+  const Slice& slice = profile.slices().front();
+  EXPECT_EQ(slice.FindSlot(1)->TotalFeatures(), 1u);
+  EXPECT_EQ(slice.FindSlot(2)->TotalFeatures(), 1u);
+  // The top-scored feature of each slot is the one kept.
+  EXPECT_NE(slice.FindSlot(1)->Find(2), nullptr);
+  EXPECT_NE(slice.FindSlot(2)->Find(65537), nullptr);
+}
+
+// --------------------------------------------------------------- NextDueMs ---
+
+constexpr TimestampMs kNever = std::numeric_limits<TimestampMs>::max();
+
+// True when a full pass at `at` would change a copy of `profile`.
+bool FullCompactFindsWork(const Compactor& compactor,
+                          const ProfileData& profile, TimestampMs at) {
+  ProfileData copy = profile;
+  return compactor.FullCompact(copy, at).AnyWork();
+}
+
+TEST(NextDueTest, EmptyProfileIsNeverDue) {
+  const TableSchema schema = DefaultTableSchema("t");
+  EXPECT_EQ(Compactor(&schema).NextDueMs(ProfileData(kMinute), 100 * kDay),
+            kNever);
+}
+
+TEST(NextDueTest, PairIsDueWhenItsNewerSliceReachesTheMergingRung) {
+  // Two adjacent minute slices in one 10-minute bucket: the minute rung
+  // never merges them, the 10-minute rung does from the moment the newer
+  // one is 10 minutes old.
+  const TableSchema schema = MinuteLadderSchema();
+  const Compactor compactor(&schema);
+  ProfileData profile(kMinute);
+  const TimestampMs base = 100 * kDay;
+  ASSERT_TRUE(profile.Add(base + 21 * kMinute, 1, 1, 1, One()).ok());
+  ASSERT_TRUE(profile.Add(base + 22 * kMinute, 1, 1, 1, One()).ok());
+  const TimestampMs now = base + 25 * kMinute;
+  EXPECT_EQ(compactor.NextDueMs(profile, now), base + 33 * kMinute);
+  EXPECT_FALSE(
+      FullCompactFindsWork(compactor, profile, base + 33 * kMinute - 1));
+  EXPECT_TRUE(FullCompactFindsWork(compactor, profile, base + 33 * kMinute));
+  // Past due, a profile is due now.
+  EXPECT_EQ(compactor.NextDueMs(profile, base + kDay), base + kDay);
+}
+
+TEST(NextDueTest, TruncateAndShrinkDueTimes) {
+  TableSchema schema = MinuteLadderSchema();
+  schema.time_dimensions.clear();
+  schema.truncate.max_age_ms = 30 * kDay;
+  schema.shrink.default_retain = 1;
+  schema.shrink.freshness_horizon_ms = kHour;
+  const Compactor compactor(&schema);
+  ProfileData profile(kMinute);
+  const TimestampMs base = 100 * kDay;
+  ASSERT_TRUE(profile.Add(base, 1, 1, 1, One()).ok());
+  // One feature per slot: only truncation is ever due.
+  EXPECT_EQ(compactor.NextDueMs(profile, base), base + kMinute + 30 * kDay);
+  // A second feature puts the slot over budget once the slice leaves the
+  // freshness horizon.
+  ASSERT_TRUE(profile.Add(base, 1, 1, 2, One()).ok());
+  EXPECT_EQ(compactor.NextDueMs(profile, base), base + kMinute + kHour);
+  // Over max_slices: due at once.
+  schema.truncate.max_slices = 1;
+  ASSERT_TRUE(profile.Add(base + kMinute, 1, 1, 1, One()).ok());
+  EXPECT_EQ(compactor.NextDueMs(profile, base), base);
+}
+
+// A ladder whose widths are not multiples of each other — a pair can pass
+// the bucket test on one rung, fail it on the next and pass again later —
+// with a slice cap and per-slot shrink budgets.
+TableSchema OddLadderSchema() {
+  TableSchema schema;
+  schema.name = "odd";
+  schema.actions = {"click", "like"};
+  schema.write_granularity_ms = kMinute;
+  schema.time_dimensions = {
+      {7 * kMinute, 0, 30 * kMinute},
+      {25 * kMinute, 30 * kMinute, 4 * kHour},
+      {90 * kMinute, 4 * kHour, 2 * kDay},
+  };
+  schema.truncate.max_age_ms = 3 * kDay;
+  schema.truncate.max_slices = 40;
+  schema.shrink.retain_per_slot = {{1, 3}, {2, 5}};
+  schema.shrink.action_weights = {1.0, 2.0};
+  schema.shrink.freshness_horizon_ms = 45 * kMinute;
+  return schema;
+}
+
+// Every instant at which FullCompact's answer can change for `profile`: a
+// pair's merge test changes only where its newer slice crosses a ladder
+// boundary, truncation and shrink only at a slice end plus the max age or
+// the freshness horizon.
+std::vector<TimestampMs> EventTimes(const TableSchema& schema,
+                                    const ProfileData& profile) {
+  std::vector<TimestampMs> times;
+  for (const Slice& slice : profile.slices()) {
+    for (const auto& rule : schema.time_dimensions) {
+      times.push_back(slice.end_ms() + rule.from_age_ms);
+      times.push_back(slice.end_ms() + rule.to_age_ms);
+    }
+    times.push_back(slice.end_ms() + schema.truncate.max_age_ms);
+    times.push_back(slice.end_ms() + schema.shrink.freshness_horizon_ms);
+  }
+  return times;
+}
+
+// Reference model: FullCompact on a copy finds no work at any instant from
+// now up to NextDueMs, and finds work at NextDueMs when that is finite.
+// Work can only start at an event time, so probing now, every event time and
+// a few random instants in [now, due) covers the whole interval.
+class NextDuePropertyTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(NextDuePropertyTest, NoWorkBeforeDueAndWorkAtDue) {
+  for (const TableSchema& schema :
+       {DefaultTableSchema("default"), MinuteLadderSchema(),
+        OddLadderSchema()}) {
+    SCOPED_TRACE(schema.name);
+    const Compactor compactor(&schema);
+    Rng rng(GetParam());
+    ProfileData profile(kMinute);
+    TimestampMs now = 400 * kDay;
+    int finite = 0;
+    int not_due = 0;
+    for (int round = 0; round < 16; ++round) {
+      // Every other round writes: mostly recent records, some late ones
+      // into days-old history; the rest probe a freshly compacted profile.
+      const int writes = round % 2 == 0 ? static_cast<int>(rng.Uniform(40))
+                                        : 0;
+      for (int w = 0; w < writes; ++w) {
+        const bool late = rng.Uniform(4) == 0;
+        const TimestampMs ts = now - static_cast<TimestampMs>(rng.Uniform(
+                                         late ? 5 * kDay : 3 * kHour));
+        ASSERT_TRUE(profile
+                        .Add(ts, static_cast<SlotId>(rng.Uniform(3) + 1),
+                             static_cast<TypeId>(rng.Uniform(2) + 1),
+                             rng.Uniform(8) + 1,
+                             CountVector{static_cast<int64_t>(
+                                 rng.Uniform(5) + 1)})
+                        .ok());
+      }
+      const TimestampMs due = compactor.NextDueMs(profile, now);
+      ASSERT_GE(due, now);
+      const TimestampMs until = due == kNever ? now + 800 * kDay : due;
+      std::vector<TimestampMs> probes = EventTimes(schema, profile);
+      probes.push_back(now);
+      probes.push_back(until - 1);
+      for (int p = 0; p < 8 && until > now; ++p) {
+        probes.push_back(now + static_cast<TimestampMs>(
+                                   rng.Uniform(until - now)));
+      }
+      for (TimestampMs at : probes) {
+        if (at < now || at >= until) continue;
+        ASSERT_FALSE(FullCompactFindsWork(compactor, profile, at))
+            << "round " << round << ": work at now+" << at - now
+            << " ms, due at now+" << due - now << " ms";
+      }
+      if (due != kNever) {
+        ++finite;
+        ASSERT_TRUE(FullCompactFindsWork(compactor, profile, due))
+            << "round " << round << ": no work at due now+" << due - now;
+      }
+      if (due > now) ++not_due;
+      // A triggered pass runs at or after the due time and compacts there.
+      if (due != kNever) now = due;
+      now += static_cast<TimestampMs>(rng.Uniform(2 * kHour));
+      compactor.FullCompact(profile, now);
+    }
+    EXPECT_GT(finite, 0);
+    EXPECT_GT(not_due, 0);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, NextDuePropertyTest,
+                         ::testing::Values(4, 17, 90));
+
 // ------------------------------------------------------ CompactionManager ---
 
 TEST(CompactionManagerTest, SynchronousModeRunsInline) {
-  ManualClock clock(0);
   CompactionManagerOptions options;
   options.synchronous = true;
-  options.min_interval_ms = 1000;
   std::atomic<int> runs{0};
-  CompactionManager manager(options, &clock,
-                            [&](ProfileId, bool full) {
-                              EXPECT_TRUE(full);
-                              runs.fetch_add(1);
-                            });
-  EXPECT_TRUE(manager.MaybeTrigger(1));
+  CompactionManager manager(options, [&](ProfileId, bool full) {
+    EXPECT_TRUE(full);
+    runs.fetch_add(1);
+  });
+  EXPECT_TRUE(manager.Submit(1));
   EXPECT_EQ(runs.load(), 1);
+  // No per-profile state: the cache decides when a pid is due again.
+  EXPECT_TRUE(manager.Submit(1));
+  EXPECT_EQ(runs.load(), 2);
 }
 
-TEST(CompactionManagerTest, RateLimitsPerProfile) {
-  ManualClock clock(0);
-  CompactionManagerOptions options;
-  options.synchronous = true;
-  options.min_interval_ms = 1000;
-  std::atomic<int> runs{0};
-  CompactionManager manager(options, &clock,
-                            [&](ProfileId, bool) { runs.fetch_add(1); });
-  EXPECT_TRUE(manager.MaybeTrigger(1));
-  EXPECT_FALSE(manager.MaybeTrigger(1));  // too soon
-  EXPECT_TRUE(manager.MaybeTrigger(2));   // different profile OK
-  clock.AdvanceMs(1001);
-  EXPECT_TRUE(manager.MaybeTrigger(1));
-  EXPECT_EQ(runs.load(), 3);
-}
-
-TEST(CompactionManagerTest, AsyncExecutesAllTriggers) {
-  ManualClock clock(0);
+TEST(CompactionManagerTest, AsyncExecutesAllSubmits) {
   CompactionManagerOptions options;
   options.num_threads = 2;
-  options.min_interval_ms = 0;
   std::atomic<int> runs{0};
-  CompactionManager manager(options, &clock,
+  CompactionManager manager(options,
                             [&](ProfileId, bool) { runs.fetch_add(1); });
   for (ProfileId pid = 1; pid <= 50; ++pid) {
-    manager.MaybeTrigger(pid);
+    EXPECT_TRUE(manager.Submit(pid));
   }
   manager.Drain();
   EXPECT_EQ(runs.load(), 50);
-}
-
-TEST(CompactionManagerTest, DedupesInFlightProfile) {
-  ManualClock clock(0);
-  CompactionManagerOptions options;
-  options.num_threads = 1;
-  options.min_interval_ms = 0;
-  std::atomic<int> runs{0};
-  std::atomic<bool> block{true};
-  CompactionManager manager(options, &clock, [&](ProfileId, bool) {
-    while (block.load()) std::this_thread::yield();
-    runs.fetch_add(1);
-  });
-  EXPECT_TRUE(manager.MaybeTrigger(1));
-  EXPECT_FALSE(manager.MaybeTrigger(1));  // in flight
-  block.store(false);
-  manager.Drain();
-  EXPECT_EQ(runs.load(), 1);
 }
 
 TEST(CompactionManagerTest, FullBelowPartialThresholdPartialBeyondNeverSkips) {
   // The one rule: a full pass while the drain queue is shallower than
   // partial_threshold, a partial pass at or beyond it, never a skip. The
   // pool's exact queue bound is the only drop point. A blocked single worker
-  // makes the depth each trigger sees deterministic: pid p (p >= 2) sees
+  // makes the depth each submit sees deterministic: pid p (p >= 2) sees
   // p - 2 queued jobs.
-  ManualClock clock(0);
   MetricsRegistry metrics;
   CompactionManagerOptions options;
   options.num_threads = 1;
-  options.min_interval_ms = 0;
   options.partial_threshold = 4;
   options.max_queue = 8;
   std::atomic<bool> started{false};
@@ -450,7 +608,7 @@ TEST(CompactionManagerTest, FullBelowPartialThresholdPartialBeyondNeverSkips) {
   std::mutex mu;
   std::map<ProfileId, bool> full_by_pid;
   CompactionManager manager(
-      options, &clock,
+      options,
       [&](ProfileId pid, bool full) {
         started.store(true);
         while (block.load()) std::this_thread::yield();
@@ -458,13 +616,13 @@ TEST(CompactionManagerTest, FullBelowPartialThresholdPartialBeyondNeverSkips) {
         full_by_pid[pid] = full;
       },
       &metrics);
-  ASSERT_TRUE(manager.MaybeTrigger(1));
+  ASSERT_TRUE(manager.Submit(1));
   while (!started.load()) std::this_thread::yield();
   for (ProfileId pid = 2; pid <= 9; ++pid) {
-    EXPECT_TRUE(manager.MaybeTrigger(pid)) << "pid " << pid;
+    EXPECT_TRUE(manager.Submit(pid)) << "pid " << pid;
   }
   EXPECT_EQ(manager.QueueDepth(), 8u);
-  EXPECT_FALSE(manager.MaybeTrigger(10));  // queue full: dropped
+  EXPECT_FALSE(manager.Submit(10));  // queue full: dropped
   block.store(false);
   manager.Drain();
 
@@ -478,75 +636,53 @@ TEST(CompactionManagerTest, FullBelowPartialThresholdPartialBeyondNeverSkips) {
   EXPECT_EQ(metrics.GetCounter("compaction.partial")->Value(), 4);
   EXPECT_EQ(metrics.GetCounter("compaction.dropped")->Value(), 1);
   EXPECT_EQ(metrics.GetCounter("compaction.triggered")->Value(), 10);
-  // A dropped profile is not left in flight: it re-triggers after drain.
-  EXPECT_TRUE(manager.MaybeTrigger(10));
+  // A dropped pid can be submitted again once the queue has room.
+  EXPECT_TRUE(manager.Submit(10));
   manager.Drain();
 }
 
 TEST(CompactionManagerTest, QueuePressureDegradesToPartial) {
-  ManualClock clock(0);
   CompactionManagerOptions options;
   options.num_threads = 1;
-  options.min_interval_ms = 0;
   options.partial_threshold = 1;
   std::atomic<bool> block{true};
   std::atomic<int> full_runs{0};
   std::atomic<int> partial_runs{0};
-  CompactionManager manager(options, &clock, [&](ProfileId, bool full) {
+  CompactionManager manager(options, [&](ProfileId, bool full) {
     while (block.load()) std::this_thread::yield();
     (full ? full_runs : partial_runs).fetch_add(1);
   });
-  // First trigger occupies the single worker; the second queues while the
+  // First submit occupies the single worker; the second queues while the
   // probe still reads depth 0 (full); the third sees depth >= 1 -> partial.
-  EXPECT_TRUE(manager.MaybeTrigger(1));
-  EXPECT_TRUE(manager.MaybeTrigger(2));
+  EXPECT_TRUE(manager.Submit(1));
+  EXPECT_TRUE(manager.Submit(2));
   while (manager.QueueDepth() < 1) std::this_thread::yield();
-  EXPECT_TRUE(manager.MaybeTrigger(3));
+  EXPECT_TRUE(manager.Submit(3));
   block.store(false);
   manager.Drain();
   EXPECT_EQ(full_runs.load() + partial_runs.load(), 3);
   EXPECT_GE(partial_runs.load(), 1);
 }
 
-TEST(CompactionManagerTest, TriggerMapStaysBoundedUnderDistinctPidFlood) {
-  // Regression: last_run_ms used to grow one entry per distinct pid forever.
-  // A flood of fresh pids must leave the per-profile rate-limit state capped
-  // near (4 * max_queue + 1024) regardless of flood size.
-  ManualClock clock(0);
-  CompactionManagerOptions options;
-  options.synchronous = true;
-  options.min_interval_ms = 1'000'000;
-  options.max_queue = 64;
-  CompactionManager manager(options, &clock, [](ProfileId, bool) {});
-  for (ProfileId pid = 1; pid <= 50'000; ++pid) {
-    manager.MaybeTrigger(pid);
-  }
-  const size_t cap = 4 * options.max_queue + 1024;
-  EXPECT_LE(manager.RateLimitEntriesForTest(), cap + 16);  // +shard rounding
-  EXPECT_GT(manager.RateLimitEntriesForTest(), 0u);
-}
-
-TEST(CompactionManagerTest, MultiShardStormIsThreadSafe) {
-  // TSan target: concurrent MaybeTrigger floods from many threads, racing
-  // Drain calls and SetEnabled flips over the drain pool. Asserts
-  // only liveness and that nothing runs while disabled-and-drained; the
-  // sanitizer asserts the absence of races.
-  ManualClock clock(0);
+TEST(CompactionManagerTest, SubmitDrainStormIsThreadSafe) {
+  // TSan target: concurrent Submit floods from many threads, racing Drain
+  // calls and SetEnabled flips over the drain pool. Asserts only liveness
+  // and that nothing runs while disabled-and-drained; the sanitizer asserts
+  // the absence of races.
   MetricsRegistry metrics;
   CompactionManagerOptions options;
   options.num_threads = 3;
-  options.min_interval_ms = 0;
   options.max_queue = 256;
   std::atomic<int> runs{0};
   CompactionManager manager(
-      options, &clock, [&](ProfileId, bool) { runs.fetch_add(1); }, &metrics);
+      options, [&](ProfileId, bool) { runs.fetch_add(1); }, &metrics);
   std::atomic<bool> stop{false};
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&manager, &stop, t] {
       Rng rng(static_cast<uint64_t>(t) + 1);
       while (!stop.load()) {
-        manager.MaybeTrigger(rng.Uniform(512) + 1);
+        manager.Submit(rng.Uniform(512) + 1);
       }
     });
   }
@@ -572,7 +708,7 @@ TEST(CompactionManagerTest, MultiShardStormIsThreadSafe) {
   EXPECT_GT(runs.load(), 0);
   const int settled = runs.load();
   manager.SetEnabled(false);
-  EXPECT_FALSE(manager.MaybeTrigger(9999));
+  EXPECT_FALSE(manager.Submit(9999));
   manager.Drain();
   EXPECT_EQ(runs.load(), settled);
 }

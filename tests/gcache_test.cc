@@ -5,6 +5,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <functional>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <random>
@@ -20,6 +21,7 @@
 #include "common/clock.h"
 #include "common/hash.h"
 #include "common/metrics.h"
+#include "compaction/manager.h"
 
 namespace ips {
 namespace {
@@ -1885,6 +1887,231 @@ INSTANTIATE_TEST_SUITE_P(AllPaths, WriteBackContractTest,
                                          WriteBackPath::kInvalidate,
                                          WriteBackPath::kOffLockMutate),
                          WriteBackPathName);
+
+// ------------------------------------------------- compaction trigger ---
+
+// A submit function that records every pid it is handed and accepts or
+// refuses it; the pass itself is left to the test.
+class RecordingSubmit {
+ public:
+  CompactSubmitFn Fn() {
+    return [this](ProfileId pid) {
+      std::lock_guard<std::mutex> lock(mu_);
+      pids_.push_back(pid);
+      return accept_;
+    };
+  }
+  void set_accept(bool accept) {
+    std::lock_guard<std::mutex> lock(mu_);
+    accept_ = accept;
+  }
+  std::vector<ProfileId> pids() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return pids_;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::vector<ProfileId> pids_;
+  bool accept_ = true;
+};
+
+// Due as soon as the profile holds two slices or more.
+CompactDueFn DueFromTwoSlices() {
+  return [](const ProfileData& profile, TimestampMs now_ms) {
+    return profile.SliceCount() >= 2 ? now_ms
+                                     : std::numeric_limits<TimestampMs>::max();
+  };
+}
+
+void AddAt(GCache& cache, ProfileId pid, TimestampMs ts) {
+  ASSERT_TRUE(cache
+                  .WithProfileMutable(pid,
+                                      [&](ProfileData& profile) {
+                                        profile.Add(ts, 1, 1, 1, CountVector{1})
+                                            .ok();
+                                      })
+                  .ok());
+}
+
+void Touch(GCache& cache, const std::vector<ProfileId>& pids) {
+  std::vector<Status> statuses;
+  cache.WithProfiles(pids, [](size_t, const ProfileData&) {}, &statuses);
+}
+
+TEST(GCacheCompactionTest, DueEntryIsSubmittedOnceUntilItsPassEnds) {
+  // The in-flight dedupe lives in the entry: a queued pid is not handed to
+  // the submit function again, however often it is touched.
+  FakeStore store;
+  GCache cache(ManualOptions(), SystemClock::Instance(), store.Loader(),
+               store.Storer());
+  RecordingSubmit submit;
+  cache.set_compaction(DueFromTwoSlices(), submit.Fn());
+  AddAt(cache, 1, kMinute);  // one slice: not due
+  Touch(cache, {1, 1});
+  EXPECT_TRUE(submit.pids().empty());
+  AddAt(cache, 1, 3 * kMinute);  // two slices: due after the write
+  EXPECT_EQ(submit.pids(), std::vector<ProfileId>({1}));
+  Touch(cache, {1});
+  AddAt(cache, 1, 5 * kMinute);
+  EXPECT_EQ(submit.pids().size(), 1u);
+  // The pass ends without work; the profile is still due, so the next touch
+  // submits it again.
+  ASSERT_TRUE(
+      cache.WithProfileOffLockMutate(1, [](ProfileData&) { return false; })
+          .ok());
+  Touch(cache, {1});
+  EXPECT_EQ(submit.pids(), std::vector<ProfileId>({1, 1}));
+}
+
+TEST(GCacheCompactionTest, RefusedSubmitLeavesThePidSubmittable) {
+  FakeStore store;
+  GCache cache(ManualOptions(), SystemClock::Instance(), store.Loader(),
+               store.Storer());
+  RecordingSubmit submit;
+  submit.set_accept(false);
+  cache.set_compaction(DueFromTwoSlices(), submit.Fn());
+  AddAt(cache, 1, kMinute);
+  AddAt(cache, 1, 3 * kMinute);
+  Touch(cache, {1});
+  Touch(cache, {1});
+  EXPECT_EQ(submit.pids(), std::vector<ProfileId>({1, 1, 1}));
+}
+
+TEST(GCacheCompactionTest, CommittedPassRecomputesDue) {
+  FakeStore store;
+  GCache cache(ManualOptions(), SystemClock::Instance(), store.Loader(),
+               store.Storer());
+  RecordingSubmit submit;
+  cache.set_compaction(DueFromTwoSlices(), submit.Fn());
+  AddAt(cache, 1, kMinute);
+  AddAt(cache, 1, 3 * kMinute);
+  ASSERT_EQ(submit.pids().size(), 1u);
+  // The pass drops the older slice: one slice left, no longer due.
+  ASSERT_TRUE(cache
+                  .WithProfileOffLockMutate(1,
+                                            [](ProfileData& profile) {
+                                              profile.mutable_slices()
+                                                  .pop_back();
+                                              profile.RecomputeBytes();
+                                              return true;
+                                            })
+                  .ok());
+  Touch(cache, {1});
+  EXPECT_EQ(submit.pids().size(), 1u);
+}
+
+TEST(GCacheCompactionTest, LoadComputesDueAndMarkAllMakesEveryEntryDue) {
+  FakeStore store;
+  {
+    GCache writer(ManualOptions(), SystemClock::Instance(), store.Loader(),
+                  store.Storer());
+    AddAt(writer, 1, kMinute);
+    AddAt(writer, 1, 3 * kMinute);
+    AddAt(writer, 2, kMinute);
+  }
+  ASSERT_TRUE(store.Has(1) && store.Has(2));
+  GCache cache(ManualOptions(), SystemClock::Instance(), store.Loader(),
+               store.Storer());
+  RecordingSubmit submit;
+  cache.set_compaction(DueFromTwoSlices(), submit.Fn());
+  Touch(cache, {1, 2});  // loads both: pid 1 is due on arrival
+  EXPECT_EQ(submit.pids(), std::vector<ProfileId>({1}));
+  cache.MarkAllCompactionDue();
+  Touch(cache, {1, 2});  // pid 1 is still queued; pid 2 is due now
+  EXPECT_EQ(submit.pids(), std::vector<ProfileId>({1, 2}));
+}
+
+TEST(GCacheCompactionTest, DueFlagStormLeavesNoEntryQueued) {
+  // TSan target: writers, batch readers, eviction, flushes, Invalidate,
+  // kill-switch flips and pool passes race on one pid set, every entry
+  // always due. Once quiet and drained, no resident entry may still be
+  // flagged queued: touching them all submits every one exactly once.
+  FakeStore store;
+  GCacheOptions options = ManualOptions();
+  options.memory_limit_bytes = 64 << 10;  // keeps the swap evicting
+  GCache cache(options, SystemClock::Instance(), store.Loader(),
+               store.Storer());
+  CompactionManagerOptions manager_options;
+  manager_options.num_threads = 2;
+  manager_options.max_queue = 4;  // small: some submits are dropped
+  CompactionManager manager(manager_options, [&](ProfileId pid, bool) {
+    cache
+        .WithProfileOffLockMutate(pid,
+                                  [](ProfileData& profile) {
+                                    if (profile.SliceCount() <= 4) {
+                                      return false;
+                                    }
+                                    profile.mutable_slices().pop_back();
+                                    profile.RecomputeBytes();
+                                    return true;
+                                  })
+        .ok();
+  });
+  std::atomic<int> submits{0};
+  cache.set_compaction(
+      [](const ProfileData&, TimestampMs now_ms) { return now_ms; },
+      [&](ProfileId pid) {
+        submits.fetch_add(1);
+        return manager.Submit(pid);
+      });
+
+  constexpr ProfileId kPids = 40;
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> traffic;
+  for (int t = 0; t < 2; ++t) {
+    traffic.emplace_back([&, t] {
+      std::vector<ProfileId> batch(4);
+      std::vector<Status> statuses;
+      for (int i = 0; i < 1000; ++i) {
+        for (size_t b = 0; b < batch.size(); ++b) {
+          batch[b] = static_cast<ProfileId>((t * 17 + i * 5 + b * 11) %
+                                            kPids) +
+                     1;
+        }
+        cache.WithProfilesMutable(
+            batch,
+            [&](size_t b, ProfileData& profile) {
+              profile
+                  .Add(kMinute * static_cast<TimestampMs>(i % 50 + 1), 1, 1,
+                       batch[b], CountVector{1})
+                  .ok();
+            },
+            &statuses);
+      }
+    });
+  }
+  traffic.emplace_back([&] {
+    std::vector<ProfileId> batch(8);
+    for (int i = 0; i < 1000; ++i) {
+      for (size_t b = 0; b < batch.size(); ++b) {
+        batch[b] = static_cast<ProfileId>((i * 3 + b * 7) % kPids) + 1;
+      }
+      Touch(cache, batch);
+    }
+  });
+  std::thread maintenance([&] {
+    for (int i = 0; !stop.load(); ++i) {
+      cache.SwapOnce();
+      cache.FlushOnce();
+      cache.Invalidate(static_cast<ProfileId>(i % kPids) + 1).ok();
+      manager.SetEnabled(i % 4 != 0);
+      std::this_thread::yield();
+    }
+  });
+  for (auto& thread : traffic) thread.join();
+  stop.store(true);
+  maintenance.join();
+  manager.SetEnabled(true);
+  manager.Drain();
+
+  const std::vector<ProfileId> resident = cache.CachedIds();
+  ASSERT_FALSE(resident.empty());
+  const int before = submits.load();
+  Touch(cache, resident);
+  EXPECT_EQ(submits.load() - before, static_cast<int>(resident.size()));
+  manager.Drain();
+}
 
 }  // namespace
 }  // namespace ips

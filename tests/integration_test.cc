@@ -28,7 +28,6 @@ DeploymentOptions PipelineDeployment() {
                      {"hl", 1, /*is_primary=*/false}};
   options.instance.start_background_threads = false;
   options.instance.compaction.synchronous = true;
-  options.instance.compaction.min_interval_ms = 0;
   options.instance.isolation_enabled = false;
   options.kv.replication_lag_ms = 100;
   return options;
@@ -218,7 +217,6 @@ TEST(IntegrationTest, YearLongReplayStaysBoundedWithCompaction) {
   IpsInstanceOptions options;
   options.start_background_threads = false;
   options.compaction.synchronous = true;
-  options.compaction.min_interval_ms = 0;
   options.isolation_enabled = false;
   IpsInstance instance(options, &kv, &clock);
   TableSchema schema = PipelineSchema();  // Listing 3 ladder + 365d truncate

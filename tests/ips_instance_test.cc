@@ -19,13 +19,13 @@ namespace ips {
 namespace {
 
 constexpr int64_t kMinute = kMillisPerMinute;
+constexpr int64_t kHour = kMillisPerHour;
 constexpr int64_t kDay = kMillisPerDay;
 
 IpsInstanceOptions ManualInstanceOptions() {
   IpsInstanceOptions options;
   options.start_background_threads = false;
   options.compaction.synchronous = true;
-  options.compaction.min_interval_ms = 0;
   options.isolation_enabled = false;
   return options;
 }
@@ -49,6 +49,12 @@ class IpsInstanceTest : public ::testing::Test {
     return instance_.GetProfileTopK("test", "profiles", pid, slot,
                                     std::nullopt, TimeRange::Current(window),
                                     SortBy::kActionCount, 0, k);
+  }
+
+  /// Compaction passes run so far, full and partial.
+  int64_t Passes() {
+    return instance_.metrics()->GetCounter("compaction.full")->Value() +
+           instance_.metrics()->GetCounter("compaction.partial")->Value();
   }
 
   MemKvStore kv_;
@@ -924,6 +930,8 @@ TEST_F(IpsInstanceTest, CompactionTriggeredByTraffic) {
 }
 
 TEST_F(IpsInstanceTest, CompactTableNowSweepsEveryCachedProfile) {
+  // Pause traffic-triggered compaction so the sweep does the work.
+  instance_.SetCompactionEnabled(false);
   const TimestampMs base = clock_.NowMs() - 2 * kDay;
   for (ProfileId pid = 1; pid <= 3; ++pid) {
     for (int i = 0; i < 90; ++i) {
@@ -935,8 +943,6 @@ TEST_F(IpsInstanceTest, CompactTableNowSweepsEveryCachedProfile) {
                       .ok());
     }
   }
-  // Pause traffic-triggered compaction so the sweep does the work.
-  instance_.SetCompactionEnabled(false);
   auto swept = instance_.CompactTableNow("profiles");
   ASSERT_TRUE(swept.ok());
   EXPECT_EQ(*swept, 3u);
@@ -945,6 +951,16 @@ TEST_F(IpsInstanceTest, CompactTableNowSweepsEveryCachedProfile) {
   ASSERT_TRUE(result.ok());
   EXPECT_LT(result->slices_scanned, 30u);
   EXPECT_TRUE(instance_.CompactTableNow("nope").status().IsNotFound());
+
+  // A second sweep over the compacted table changes nothing, so nothing is
+  // written back.
+  instance_.FlushAll();
+  const int64_t keys_before = kv_.MultiSetKeys() + kv_.PointWriteCalls();
+  swept = instance_.CompactTableNow("profiles");
+  ASSERT_TRUE(swept.ok());
+  EXPECT_EQ(*swept, 0u);
+  instance_.FlushAll();
+  EXPECT_EQ(kv_.MultiSetKeys() + kv_.PointWriteCalls(), keys_before);
 }
 
 TEST_F(IpsInstanceTest, CompactionKillSwitchStopsTriggers) {
@@ -958,16 +974,137 @@ TEST_F(IpsInstanceTest, CompactionKillSwitchStopsTriggers) {
                     .ok());
   }
   instance_.DrainCompactions();
+  EXPECT_EQ(Passes(), 0);
   EXPECT_EQ(
       instance_.metrics()->GetCounter("compaction.slices_merged")->Value(),
       0);
-  // Re-enable: the next touch triggers consolidation again.
+  // Re-enable: the profile became due while compaction was off, so its
+  // first touch runs the pass; the compacted profile is not due again.
   instance_.SetCompactionEnabled(true);
-  TopK(8, 1, 0, 30 * kDay).ok();
+  ASSERT_TRUE(TopK(8, 1, 0, 30 * kDay).ok());
+  ASSERT_TRUE(TopK(8, 1, 0, 30 * kDay).ok());
   instance_.DrainCompactions();
+  EXPECT_EQ(Passes(), 1);
   EXPECT_GT(
       instance_.metrics()->GetCounter("compaction.slices_merged")->Value(),
       0);
+}
+
+TEST_F(IpsInstanceTest, TouchingAProfileThatIsNotDueRunsNoPass) {
+  const TimestampMs now = clock_.NowMs();
+  ASSERT_TRUE(instance_
+                  .AddProfile("test", "profiles", 30, now - kMinute, 1, 1, 1,
+                              CountVector{1})
+                  .ok());
+  for (int i = 0; i < 5; ++i) ASSERT_TRUE(TopK(30, 1, 10).ok());
+  ASSERT_TRUE(instance_
+                  .AddProfile("test", "profiles", 30, now - kMinute, 1, 1, 2,
+                              CountVector{1})
+                  .ok());
+  EXPECT_EQ(Passes(), 0);
+  EXPECT_EQ(instance_.metrics()->GetCounter("compaction.triggered")->Value(),
+            0);
+}
+
+TEST_F(IpsInstanceTest, TouchPastDueRunsExactlyOnePass) {
+  const TimestampMs base = clock_.NowMs();  // hour-aligned
+  clock_.AdvanceMs(10 * kMinute);
+  for (const int minute : {5, 6}) {
+    ASSERT_TRUE(instance_
+                    .AddProfile("test", "profiles", 31,
+                                base + minute * kMinute, 1, 1, 1,
+                                CountVector{1})
+                    .ok());
+  }
+  // The two minute slices share an hour: the hour rung merges them once the
+  // newer one (ending at base + 7m) is an hour old.
+  const TimestampMs due = base + 67 * kMinute;
+  ASSERT_TRUE(TopK(31, 1, 10).ok());
+  clock_.SetMs(due - 1);
+  ASSERT_TRUE(TopK(31, 1, 10).ok());
+  EXPECT_EQ(Passes(), 0);
+  clock_.SetMs(due);
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(TopK(31, 1, 10).ok());
+  EXPECT_EQ(Passes(), 1);
+  EXPECT_EQ(
+      instance_.metrics()->GetCounter("compaction.slices_merged")->Value(),
+      1);
+}
+
+TEST_F(IpsInstanceTest, LateWriteOverShrinkBudgetIsDueAtOnce) {
+  TableSchema tight = TestSchema("tight");
+  tight.shrink.retain_per_slot = {{1, 3}};
+  ASSERT_TRUE(instance_.CreateTable(tight).ok());
+  // Three features in a slice past the one-hour freshness horizon: at the
+  // budget, not over it.
+  const TimestampMs old = clock_.NowMs() - 2 * kHour;
+  for (FeatureId fid = 1; fid <= 3; ++fid) {
+    ASSERT_TRUE(instance_
+                    .AddProfile("test", "tight", 32, old, 1, 1, fid,
+                                CountVector{static_cast<int64_t>(fid)})
+                    .ok());
+  }
+  EXPECT_EQ(Passes(), 0);
+  // A late fourth feature puts the old slot over budget: due at once.
+  ASSERT_TRUE(
+      instance_.AddProfile("test", "tight", 32, old, 1, 1, 4, CountVector{1})
+          .ok());
+  EXPECT_EQ(Passes(), 1);
+  EXPECT_EQ(
+      instance_.metrics()->GetCounter("compaction.features_shrunk")->Value(),
+      1);
+}
+
+TEST_F(IpsInstanceTest, ReloadToTighterTruncateTruncatesOnNextTouch) {
+  ASSERT_TRUE(instance_
+                  .AddProfile("test", "profiles", 33,
+                              clock_.NowMs() - 10 * kDay, 1, 1, 1,
+                              CountVector{1})
+                  .ok());
+  ASSERT_TRUE(TopK(33, 1, 10, 30 * kDay).ok());
+  EXPECT_EQ(Passes(), 0);
+  TableSchema tighter = TestSchema();
+  tighter.truncate.max_age_ms = 5 * kDay;
+  ASSERT_TRUE(instance_.ReconfigureTable(tighter).ok());
+  EXPECT_EQ(Passes(), 0);  // the reload itself runs nothing
+  ASSERT_TRUE(TopK(33, 1, 10, 30 * kDay).ok());
+  EXPECT_EQ(Passes(), 1);
+  EXPECT_EQ(
+      instance_.metrics()->GetCounter("compaction.slices_truncated")->Value(),
+      1);
+  auto result = TopK(33, 1, 10, 30 * kDay);
+  ASSERT_TRUE(result.ok());
+  EXPECT_TRUE(result->features.empty());
+}
+
+TEST(IpsInstanceCompactionTest, DroppedSubmitLeavesPidRetriggerable) {
+  MemKvStore kv;
+  ManualClock clock(100 * kDay);
+  IpsInstanceOptions options = ManualInstanceOptions();
+  options.compaction.synchronous = false;
+  options.compaction.num_threads = 1;
+  options.compaction.max_queue = 0;  // every submit is dropped
+  IpsInstance instance(options, &kv, &clock);
+  ASSERT_TRUE(instance.CreateTable(TestSchema()).ok());
+  // Day-old minute slices: due at once.
+  std::vector<AddRecord> records;
+  for (int i = 0; i < 10; ++i) {
+    records.push_back({clock.NowMs() - 2 * kDay + i * kMinute, 1, 1,
+                       static_cast<FeatureId>(i + 1), CountVector{1}});
+  }
+  ASSERT_TRUE(instance.AddProfiles("test", "profiles", 40, records).ok());
+  Counter* dropped = instance.metrics()->GetCounter("compaction.dropped");
+  EXPECT_EQ(dropped->Value(), 1);
+  // The drop cleared the queued flag: every touch submits the pid again.
+  for (int touch = 2; touch <= 3; ++touch) {
+    ASSERT_TRUE(instance
+                    .GetProfileTopK("test", "profiles", 40, 1, std::nullopt,
+                                    TimeRange::Current(30 * kDay),
+                                    SortBy::kActionCount, 0, 10)
+                    .ok());
+    EXPECT_EQ(dropped->Value(), touch);
+  }
+  EXPECT_EQ(instance.metrics()->GetCounter("compaction.full")->Value(), 0);
 }
 
 TEST_F(IpsInstanceTest, TableStatsReflectCache) {
