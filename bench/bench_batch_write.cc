@@ -72,9 +72,8 @@ IpsInstanceOptions FlushInstanceOptions(size_t flush_batch_max) {
   options.isolation_enabled = false;
   options.start_background_threads = false;
   options.compaction.synchronous = true;
-  // One dirty shard so the flush-group cap alone decides how many MultiSet
-  // round trips a FlushAll pays.
-  options.cache.dirty_shards = 1;
+  // The flush-group cap alone decides how many MultiSet round trips a
+  // FlushAll pays.
   options.cache.flush_batch_max = flush_batch_max;
   return options;
 }

@@ -1,11 +1,11 @@
 // Flush storm: KV write round trips per flushed pid when flush passes are
-// serialized by GCache's write-back lock and grouped across dirty shards.
+// serialized by GCache's write-back lock, each draining the one dirty list.
 //
 // Writer threads keep dirtying a Zipf-skewed working set while flusher
 // threads hammer FlushAll concurrently — the regime of aggressive flush
 // intervals, failover write-backs and shutdown storms. Concurrent FlushAll
 // callers queue on the cache's write-back lock, so at most one pass stores
-// at a time, and each pass takes every dirty shard's list and writes it in
+// at a time, and each pass takes the whole dirty list and writes it in
 // groups of up to flush_batch_max pids: a pass over <= 64 dirty pids is one
 // KvStore::MultiSet. The measured series is KV write round trips per flushed
 // pid (PointWriteCalls + MultiSetCalls deltas over the cache.flushed delta).

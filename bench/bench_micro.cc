@@ -22,7 +22,6 @@
 #include "common/random.h"
 #include "common/trace.h"
 #include "core/profile_data.h"
-#include "query/merger.h"
 #include "query/query.h"
 #include "server/quota.h"
 
@@ -194,8 +193,8 @@ void BM_QueryDecay(benchmark::State& state) {
 }
 BENCHMARK(BM_QueryDecay);
 
-// Ablation: hash-based accumulation (ExecuteQuery's strategy) vs the sorted
-// k-way heap merge that exploits the fid ordering.
+// `runs` sorted runs of up to `entries` stats each, for the accumulator
+// ablation below.
 std::vector<IndexedFeatureStats> BuildRuns(int runs, int entries) {
   Rng rng(9);
   std::vector<IndexedFeatureStats> out(runs);
@@ -206,31 +205,6 @@ std::vector<IndexedFeatureStats> BuildRuns(int runs, int entries) {
   }
   return out;
 }
-
-void BM_MergeHeap(benchmark::State& state) {
-  auto runs = BuildRuns(static_cast<int>(state.range(0)), 64);
-  std::vector<const IndexedFeatureStats*> ptrs;
-  for (const auto& r : runs) ptrs.push_back(&r);
-  for (auto _ : state) {
-    IndexedFeatureStats merged = MergeSortedRuns(ptrs, ReduceFn::kSum);
-    benchmark::DoNotOptimize(merged.size());
-  }
-}
-BENCHMARK(BM_MergeHeap)->Arg(4)->Arg(16)->Arg(62);
-
-void BM_MergeHash(benchmark::State& state) {
-  auto runs = BuildRuns(static_cast<int>(state.range(0)), 64);
-  for (auto _ : state) {
-    std::unordered_map<FeatureId, CountVector> acc;
-    for (const auto& run : runs) {
-      for (const auto& stat : run.stats()) {
-        acc[stat.fid].AccumulateSum(stat.counts);
-      }
-    }
-    benchmark::DoNotOptimize(acc.size());
-  }
-}
-BENCHMARK(BM_MergeHash)->Arg(4)->Arg(16)->Arg(62);
 
 // Ablation behind the ExecuteQuery accumulator change: the node-allocating
 // std::unordered_map accumulator it used to build per query vs the reusable

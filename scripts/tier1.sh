@@ -52,9 +52,10 @@ run_suite() {
     echo "=== tier1: perf smoke (bench_overload --smoke) ==="
     "${build_dir}/bench/bench_overload" --smoke
     # Write-path batching gate: under a concurrent FlushAll storm, flush
-    # passes serialized by the cache's write-back lock and grouped across
-    # dirty shards must pay <= 0.090 KV write round trips per flushed pid
-    # (the store coalescer's own result on this storm), with no write errors.
+    # passes serialized by the cache's write-back lock, each draining the one
+    # dirty list in groups, must pay <= 0.090 KV write round trips per
+    # flushed pid (the store coalescer's own result on this storm), with no
+    # write errors.
     echo "=== tier1: perf smoke (bench_flush_storm --smoke) ==="
     "${build_dir}/bench/bench_flush_storm" --smoke
     # Cache-tier gate: with a tiny L1 under eviction churn, the compressed L2
@@ -103,6 +104,10 @@ run_suite() {
     (cd "${build_dir}" && ctest --output-on-failure -R coalescer_test)
     echo "=== tier1: TSan write-back step (GCacheTest, VictimCacheTest) ==="
     (cd "${build_dir}" && ctest --output-on-failure -R 'gcache_test|victim_cache_test')
+    # The write-back step's races (store-and-commit, unmap, the dirty list)
+    # get ten schedules per run, not one.
+    "${build_dir}/tests/gcache_test" --gtest_repeat=10 \
+      --gtest_filter='GCacheTest.*Evict*:GCacheTest.*Invalidate*:GCacheTest.WriteBacks*:GCacheTest.FlushAll*'
     echo "=== tier1: TSan replication drains (kvstore_test) ==="
     (cd "${build_dir}" && ctest --output-on-failure -R kvstore_test)
     echo "=== tier1: TSan client fan-out (cluster_test, trace_test) ==="

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <iterator>
 #include <limits>
+#include <utility>
 
 #include "cache/victim_cache.h"
 #include "common/hash.h"
@@ -41,12 +42,8 @@ GCache::GCache(GCacheOptions options, Clock* clock, LoadFn load, StoreFn store,
   overlap_stalls_counter_ = metrics->GetCounter("compaction.overlap_stalls");
   store_batch_pids_ = metrics->GetHistogram("store_broker.batch_pids");
   options_.lru_shards = RoundUpPow2(options_.lru_shards);
-  options_.dirty_shards = RoundUpPow2(options_.dirty_shards);
   for (size_t i = 0; i < options_.lru_shards; ++i) {
     lru_shards_.push_back(std::make_unique<LruShard>());
-  }
-  for (size_t i = 0; i < options_.dirty_shards; ++i) {
-    dirty_shards_.push_back(std::make_unique<DirtyShard>());
   }
 }
 
@@ -59,10 +56,11 @@ size_t GCache::LruIndex(ProfileId pid) const {
   return Mix64(pid) & (options_.lru_shards - 1);
 }
 
-size_t GCache::DirtyIndex(ProfileId pid) const {
-  // Use a different bit range than the LRU shard index so the two shardings
-  // are independent.
-  return (Mix64(pid) >> 17) & (options_.dirty_shards - 1);
+GCache::EntryPtr GCache::FindResident(ProfileId pid) const {
+  const LruShard& shard = *lru_shards_[LruIndex(pid)];
+  std::lock_guard<std::mutex> lock(shard.mu);
+  auto it = shard.map.find(pid);
+  return it == shard.map.end() ? nullptr : it->second.entry;
 }
 
 void GCache::TouchLru(LruShard& shard, LruShard::Slot& slot) {
@@ -442,17 +440,18 @@ void GCache::UpdateAccounting(LruShard& shard, Entry& entry) {
 }
 
 void GCache::MarkDirty(Entry& entry) {
-  // Caller holds entry.mu. The epoch bump is what lets an unlocked
-  // snapshot-flush detect writes that landed during its storage round trip.
+  // The epoch bump is what lets an unlocked write-back detect writes that
+  // landed during its storage round trip.
   ++entry.mutation_epoch;
-  if (entry.dirty) return;
   entry.dirty = true;
-  DirtyShard& dshard = *dirty_shards_[DirtyIndex(entry.pid)];
-  std::lock_guard<std::mutex> lock(dshard.mu);
-  if (!entry.in_dirty_list) {
-    dshard.dirty.push_back(entry.pid);
-    entry.in_dirty_list = true;
-  }
+  ListDirty(entry);
+}
+
+void GCache::ListDirty(Entry& entry) {
+  if (entry.in_dirty_list) return;
+  entry.in_dirty_list = true;
+  std::lock_guard<std::mutex> lock(dirty_mu_);
+  dirty_.push_back(entry.pid);
 }
 
 void GCache::NoteStoreHealth(const Status& status, StoreHealthSource source) {
@@ -512,17 +511,9 @@ Status GCache::WithProfileOffLockMutate(
   EntryPtr entry;
   Status status = Status::Aborted("off-lock mutate kept losing the epoch race");
   for (int attempt = 0; attempt <= max_retries; ++attempt) {
-    // Resolve the resident entry without touching LRU recency: a
-    // maintenance pass reading a profile is not evidence of user interest,
-    // and promoting victims-to-be would fight the eviction policy.
-    {
-      std::lock_guard<std::mutex> lock(shard.mu);
-      auto it = shard.map.find(pid);
-      if (it == shard.map.end()) {
-        return Status::NotFound("profile not resident");
-      }
-      entry = it->second.entry;
-    }
+    // No LRU touch: promoting victims-to-be would fight the eviction policy.
+    entry = FindResident(pid);
+    if (!entry) return Status::NotFound("profile not resident");
     Snapshot snap;
     {
       std::lock_guard<std::mutex> lock(entry->mu);
@@ -534,7 +525,7 @@ Status GCache::WithProfileOffLockMutate(
     }
 
     // The expensive part — merge/truncate/shrink — runs here with no lock
-    // held, overlapping serving writes and dirty-shard flushes of the same
+    // held, overlapping serving writes and flush passes over the same
     // entry.
     if (!work(snap.profile)) {
       status = Status::OK();
@@ -569,18 +560,8 @@ GCache::Snapshot GCache::TakeSnapshot(EntryPtr entry, bool with_profile) {
   return snap;
 }
 
-bool GCache::CommitWriteBack(Entry& entry, uint64_t epoch) {
-  if (!SnapshotCurrent(entry, epoch)) return false;
-  // The snapshot (== current state, by the recheck) reached the store:
-  // whatever stale base the entry was loaded from, the persisted copy is
-  // now the authoritative merge.
-  entry.dirty = false;
-  entry.degraded = false;
-  return true;
-}
-
-std::vector<Status> GCache::StoreSnapshots(std::span<const Snapshot> snapshots,
-                                           StoreHealthSource source) {
+std::vector<Status> GCache::WriteBack(std::span<const Snapshot> snapshots,
+                                      StoreHealthSource source) {
   std::vector<ProfileId> pids;
   std::vector<uint64_t> epochs;
   std::vector<const ProfileData*> profiles;
@@ -602,11 +583,8 @@ std::vector<Status> GCache::StoreSnapshots(std::span<const Snapshot> snapshots,
   size_t stored = 0;
   bool any_unavailable = false;
   for (const Status& status : statuses) {
-    if (status.ok()) {
-      ++stored;
-    } else if (status.IsUnavailable()) {
-      any_unavailable = true;
-    }
+    if (status.ok()) ++stored;
+    if (status.IsUnavailable()) any_unavailable = true;
   }
   NoteStoreHealth(any_unavailable ? Status::Unavailable("write-back")
                                   : Status::OK(),
@@ -616,25 +594,52 @@ std::vector<Status> GCache::StoreSnapshots(std::span<const Snapshot> snapshots,
     flush_failures_counter_->Increment(
         static_cast<int64_t>(statuses.size() - stored));
   }
+
+  for (size_t i = 0; i < snapshots.size(); ++i) {
+    Entry& entry = *snapshots[i].entry;
+    std::lock_guard<std::mutex> lock(entry.mu);
+    if (statuses[i].ok() && SnapshotCurrent(entry, snapshots[i].epoch)) {
+      // The snapshot (== current state, by the recheck) reached the store:
+      // whatever stale base the entry was loaded from, the persisted copy is
+      // now the authoritative merge.
+      entry.dirty = false;
+      entry.degraded = false;
+    } else if (entry.dirty) {
+      ListDirty(entry);  // the store failed, or a write landed meanwhile
+    }
+  }
   return statuses;
 }
 
+bool GCache::Unmap(const Snapshot& snap, std::string* demote) {
+  Entry& entry = *snap.entry;
+  LruShard& shard = *lru_shards_[LruIndex(entry.pid)];
+  std::lock_guard<std::mutex> lock(shard.mu);
+  auto it = shard.map.find(entry.pid);
+  if (it == shard.map.end() || it->second.entry != snap.entry) return false;
+  std::unique_lock<std::mutex> entry_lock(entry.mu, std::try_to_lock);
+  // Contended: it is being served right now. Dirty or past the snapshot: a
+  // write landed since, which the next write-back must store first.
+  if (!entry_lock.owns_lock() || entry.dirty ||
+      !SnapshotCurrent(entry, snap.epoch)) {
+    return false;
+  }
+  if (demote != nullptr &&
+      victim_cache_->Put(entry.pid, std::move(*demote), entry.degraded)) {
+    demoted_counter_->Increment();
+  }
+  entry.evicted = true;
+  shard.lru.erase(it->second.lru_it);
+  shard.map.erase(it);
+  shard.bytes.fetch_sub(entry.bytes, std::memory_order_relaxed);
+  memory_bytes_.fetch_sub(entry.bytes, std::memory_order_relaxed);
+  return true;
+}
+
 size_t GCache::EvictFromShard(LruShard& shard, size_t target_bytes) {
-  // The write-back step applied to eviction victims, so a KV millisecond of
-  // a dirty victim's write-back never blocks traffic on the shard. All four
-  // phases run under the write-back lock, which serving paths never take:
-  //   1. collect victims under shard.mu (try_lock probing, Fig 8),
-  //      snapshotting one entry lock at a time;
-  //   2. store the dirty victims with no other lock held (point-source
-  //      health: a lone eviction success must not clear an outage flag batch
-  //      traffic still sees);
-  //   3. encode surviving victims for L2 demotion, still unlocked;
-  //   4. commit per victim under shard.mu + entry try_lock with the epoch
-  //      recheck — an entry re-dirtied during the round trip stays resident
-  //      with its newer state. The demotion Put happens under shard.mu
-  //      BEFORE the map erase, so no concurrent reload can slip a fresh entry
-  //      in while stale bytes land in L2, and Invalidate (which erases L2
-  //      under shard.mu once the pid is unmapped) cannot be overtaken.
+  // The write-back step applied to eviction victims, under the write-back
+  // lock, which serving paths never take: a KV millisecond of a dirty
+  // victim's write-back blocks no traffic on the shard.
   std::lock_guard<std::mutex> write_back(write_back_mu_);
   // Dirty victims first, then clean ones: the store takes the dirty prefix.
   std::vector<Snapshot> victims;
@@ -643,18 +648,9 @@ size_t GCache::EvictFromShard(LruShard& shard, size_t target_bytes) {
     std::vector<Snapshot> clean;
     std::lock_guard<std::mutex> lock(shard.mu);
     size_t planned = 0;
-    auto it = shard.lru.end();
-    while (planned < target_bytes && it != shard.lru.begin()) {
-      --it;
-      const ProfileId pid = *it;
-      auto map_it = shard.map.find(pid);
-      if (map_it == shard.map.end()) {
-        // Stale pid in the list; drop it. (Unreachable now that the map slot
-        // owns the list position, kept as a cheap guard.)
-        it = shard.lru.erase(it);
-        continue;
-      }
-      EntryPtr entry = map_it->second.entry;
+    for (auto it = shard.lru.rbegin();
+         planned < target_bytes && it != shard.lru.rend(); ++it) {
+      EntryPtr entry = shard.map.at(*it).entry;
       // Fig 8: probe with try_lock; a contended entry is being served right
       // now — skip it and move up the list instead of blocking.
       std::unique_lock<std::mutex> entry_lock(entry->mu, std::try_to_lock);
@@ -674,65 +670,29 @@ size_t GCache::EvictFromShard(LruShard& shard, size_t target_bytes) {
   }
   if (victims.empty()) return 0;
 
+  // Point-source health: a lone eviction success must not clear an outage
+  // flag batch traffic still sees.
   std::vector<Status> statuses(victims.size(), Status::OK());
   if (num_dirty > 0) {
     std::vector<Status> stored =
-        StoreSnapshots(std::span<const Snapshot>(victims.data(), num_dirty),
-                       StoreHealthSource::kPoint);
+        WriteBack(std::span<const Snapshot>(victims.data(), num_dirty),
+                  StoreHealthSource::kPoint);
     std::move(stored.begin(), stored.end(), statuses.begin());
   }
 
-  // Phase 3: encode demotions from the snapshots, still unlocked (the codec
-  // walk can be hundreds of microseconds for large profiles). WouldAdmit
-  // pre-check skips the encode for scan traffic the tier would reject.
-  std::vector<std::string> encoded(victims.size());
-  std::vector<bool> demote(victims.size(), false);
-  if (victim_cache_ != nullptr) {
-    for (size_t i = 0; i < victims.size(); ++i) {
-      if (!statuses[i].ok()) continue;  // stays resident; nothing to demote
-      if (!victim_cache_->WouldAdmit(victims[i].entry->pid)) continue;
-      victim_encode_(victims[i].profile, &encoded[i]);
-      demote[i] = true;
-    }
-  }
-
-  // Phase 4: commit.
   size_t evicted = 0;
-  size_t demoted = 0;
   for (size_t i = 0; i < victims.size(); ++i) {
     if (!statuses[i].ok()) continue;  // write-back failed: flush later, keep
-    const Snapshot& v = victims[i];
-    const ProfileId pid = v.entry->pid;
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto map_it = shard.map.find(pid);
-    if (map_it == shard.map.end() || map_it->second.entry != v.entry) {
-      continue;  // already gone / replaced while unlocked
-    }
-    std::unique_lock<std::mutex> entry_lock(v.entry->mu, std::try_to_lock);
-    if (!entry_lock.owns_lock()) continue;  // being served again — keep it
-    Entry& entry = *v.entry;
-    // A dirty victim commits its write-back; a clean one only rechecks (its
-    // degraded mark rides into the tier). Either way a write that landed
-    // mid-flight keeps the entry resident.
-    if (i < num_dirty ? !CommitWriteBack(entry, v.epoch)
-                      : !SnapshotCurrent(entry, v.epoch)) {
-      continue;
-    }
-    if (demote[i]) {
-      if (victim_cache_->Put(pid, std::move(encoded[i]), entry.degraded)) {
-        ++demoted;
-      }
-    }
-    entry.evicted = true;
-    const size_t bytes = entry.bytes;
-    shard.lru.erase(map_it->second.lru_it);
-    shard.map.erase(map_it);
-    shard.bytes.fetch_sub(bytes, std::memory_order_relaxed);
-    memory_bytes_.fetch_sub(bytes, std::memory_order_relaxed);
-    ++evicted;
+    // Encode the demotion with no lock held (the codec walk can take hundreds
+    // of microseconds for a large profile). The WouldAdmit pre-check skips
+    // the encode for scan traffic the tier would reject.
+    std::string encoded;
+    const bool demote = victim_cache_ != nullptr &&
+                        victim_cache_->WouldAdmit(victims[i].entry->pid);
+    if (demote) victim_encode_(victims[i].profile, &encoded);
+    if (Unmap(victims[i], demote ? &encoded : nullptr)) ++evicted;
   }
   if (evicted > 0) evicted_counter_->Increment(static_cast<int64_t>(evicted));
-  if (demoted > 0) demoted_counter_->Increment(static_cast<int64_t>(demoted));
   return evicted;
 }
 
@@ -745,8 +705,10 @@ size_t GCache::SwapOnce() {
       options_.low_watermark);
   size_t evicted = 0;
   // Evict starting from the largest shard until usage drops under the low
-  // watermark (the paper's largest-shard-first strategy).
-  while (MemoryBytes() > high) {
+  // watermark (the paper's largest-shard-first strategy). Usage is read once
+  // per round: a commit or Invalidate lowering it between two reads must not
+  // turn the target into an underflow.
+  for (size_t used = MemoryBytes(); used > high; used = MemoryBytes()) {
     LruShard* largest = nullptr;
     size_t largest_bytes = 0;
     for (auto& shard : lru_shards_) {
@@ -757,99 +719,55 @@ size_t GCache::SwapOnce() {
       }
     }
     if (largest == nullptr || largest_bytes == 0) break;
-    const size_t over = MemoryBytes() - low;
+    const size_t over = used - std::min(used, low);
     const size_t pass = EvictFromShard(*largest, std::min(over, largest_bytes));
     if (pass == 0) break;  // everything contended or dirty-unflushable
     evicted += pass;
-    if (MemoryBytes() <= low) break;
   }
   return evicted;
 }
 
 size_t GCache::FlushOnce() {
   std::lock_guard<std::mutex> write_back(write_back_mu_);
-  // Take every shard's current list; new dirties accumulate behind them.
-  std::list<ProfileId> batch;
-  for (auto& dshard : dirty_shards_) {
-    std::lock_guard<std::mutex> lock(dshard->mu);
-    batch.splice(batch.end(), dshard->dirty);
+  // Take the whole list; new dirties accumulate behind it.
+  std::vector<ProfileId> batch;
+  {
+    std::lock_guard<std::mutex> lock(dirty_mu_);
+    batch.swap(dirty_);
   }
-  // Pids going back on the dirty lists, one list per dirty shard.
-  std::vector<std::list<ProfileId>> requeue(dirty_shards_.size());
   size_t flushed = 0;
   size_t failures = 0;
-  bool clean = true;
   const size_t group_max = std::max<size_t>(1, options_.flush_batch_max);
-  auto it = batch.begin();
-  while (it != batch.end()) {
-    if (failures >= options_.max_flush_failures_per_pass) {
-      // The store is misbehaving: stop the pass and requeue the untried
-      // remainder rather than grinding through the whole dirty list (the
-      // caller backs off between passes).
-      while (it != batch.end()) {
-        auto& shard_requeue = requeue[DirtyIndex(*it)];
-        shard_requeue.splice(shard_requeue.end(), batch, it++);
-      }
-      clean = false;
-      break;
-    }
-
-    // Snapshot the next group, across dirty shards, entries locked strictly
-    // one at a time.
+  size_t next = 0;  // first untried pid of `batch`
+  while (next < batch.size() &&
+         failures < options_.max_flush_failures_per_pass) {
+    // Snapshot the next group, entries locked strictly one at a time. A pid
+    // listed twice (its entry was dropped and reloaded) is stored once.
     std::vector<Snapshot> group;
-    while (it != batch.end() && group.size() < group_max) {
-      const ProfileId pid = *it;
-      ++it;
-      LruShard& shard = *lru_shards_[LruIndex(pid)];
-      EntryPtr entry;
-      {
-        std::lock_guard<std::mutex> lock(shard.mu);
-        auto map_it = shard.map.find(pid);
-        if (map_it != shard.map.end()) entry = map_it->second.entry;
-      }
-      if (!entry) continue;  // evicted (was flushed on eviction)
+    while (next < batch.size() && group.size() < group_max) {
+      EntryPtr entry = FindResident(batch[next++]);
+      if (!entry) continue;  // evicted or invalidated (written back then)
       std::lock_guard<std::mutex> entry_lock(entry->mu);
-      {
-        std::lock_guard<std::mutex> dlock(dirty_shards_[DirtyIndex(pid)]->mu);
-        entry->in_dirty_list = false;
+      if (!std::exchange(entry->in_dirty_list, false) || !entry->dirty) {
+        continue;
       }
-      if (!entry->dirty) continue;
       group.push_back(TakeSnapshot(std::move(entry)));
     }
     if (group.empty()) continue;
-
-    // One storage round trip per group, outside every entry lock.
-    const std::vector<Status> statuses =
-        StoreSnapshots(group, StoreHealthSource::kBatch);
-    batch_flushes_counter_->Increment();
-
-    // Commit: an entry still dirty afterwards — its store failed, or a write
-    // landed during the round trip — goes back on its list. A stored
-    // snapshot counts as progress either way.
-    for (size_t g = 0; g < group.size(); ++g) {
-      Entry& entry = *group[g].entry;
-      std::lock_guard<std::mutex> entry_lock(entry.mu);
-      if (statuses[g].ok()) {
-        ++flushed;
-        CommitWriteBack(entry, group[g].epoch);
-      } else {
-        ++failures;
-      }
-      if (!entry.dirty) continue;
-      const size_t d = DirtyIndex(entry.pid);
-      std::lock_guard<std::mutex> dlock(dirty_shards_[d]->mu);
-      if (!entry.in_dirty_list) {
-        requeue[d].push_back(entry.pid);
-        entry.in_dirty_list = true;
-      }
+    // One storage round trip per group; what is still dirty is requeued.
+    for (const Status& status : WriteBack(group, StoreHealthSource::kBatch)) {
+      ++(status.ok() ? flushed : failures);
     }
+    batch_flushes_counter_->Increment();
   }
-  for (size_t d = 0; d < requeue.size(); ++d) {
-    if (requeue[d].empty()) continue;
-    std::lock_guard<std::mutex> lock(dirty_shards_[d]->mu);
-    dirty_shards_[d]->dirty.splice(dirty_shards_[d]->dirty.end(), requeue[d]);
+  // The store is misbehaving: requeue the untried remainder rather than
+  // grinding through the whole list (the caller backs off between passes).
+  const bool clean = next == batch.size() && failures == 0;
+  if (next < batch.size()) {
+    std::lock_guard<std::mutex> lock(dirty_mu_);
+    dirty_.insert(dirty_.end(), batch.begin() + static_cast<ptrdiff_t>(next),
+                  batch.end());
   }
-  if (failures > 0) clean = false;
   // The backoff step, under the same lock as the pass it judges.
   const int64_t backoff_ms = FlushBackoffMs();
   flush_backoff_ms_.store(
@@ -888,56 +806,30 @@ void GCache::FlushAll() {
 }
 
 Status GCache::Invalidate(ProfileId pid) {
-  LruShard& shard = *lru_shards_[LruIndex(pid)];
-  // Called with shard.mu held once the map no longer holds the pid: the
-  // profile must leave EVERY tier, and eviction demotes (Puts) under
-  // shard.mu before unmapping, so no demotion of this pid can land after
-  // this erase and leave stale bytes to serve a miss after the handover.
-  auto erase_from_l2 = [&] {
-    if (victim_cache_ != nullptr) victim_cache_->Erase(pid);
-    return Status::OK();
-  };
-  // Each attempt runs the write-back step on a dirty entry (no cache lock
-  // but the write-back lock held across the store), then erases under both
-  // locks only if the entry is still clean; a write that landed meanwhile
-  // re-dirties it and sends us around again.
+  // Each attempt runs the write-back step on a dirty entry, then unmaps it
+  // only if it is still clean at the snapshot's epoch; a write that landed
+  // meanwhile re-dirtied it and sends us around again. Nothing else unmaps
+  // while the write-back lock is held, and eviction demotes only under it,
+  // so no demotion of this pid can land after the L2 erase below.
   for (int attempt = 0; attempt < 16; ++attempt) {
     std::lock_guard<std::mutex> write_back(write_back_mu_);
-    EntryPtr entry;
-    {
-      std::lock_guard<std::mutex> lock(shard.mu);
-      auto it = shard.map.find(pid);
-      if (it == shard.map.end()) return erase_from_l2();
-      entry = it->second.entry;
+    if (EntryPtr entry = FindResident(pid)) {
+      Snapshot snap;
+      bool dirty = false;
+      {
+        std::lock_guard<std::mutex> entry_lock(entry->mu);
+        dirty = entry->dirty;
+        snap = TakeSnapshot(std::move(entry), dirty);
+      }
+      if (dirty) {
+        const Status stored =
+            WriteBack({&snap, 1}, StoreHealthSource::kPoint).front();
+        if (!stored.ok()) return stored;
+      }
+      if (!Unmap(snap, nullptr)) continue;
     }
-    std::vector<Snapshot> snap;
-    {
-      std::lock_guard<std::mutex> entry_lock(entry->mu);
-      if (entry->evicted) continue;  // raced an eviction; re-probe the map
-      if (entry->dirty) snap.push_back(TakeSnapshot(entry));
-    }
-    if (!snap.empty()) {
-      const Status stored =
-          StoreSnapshots(snap, StoreHealthSource::kPoint).front();
-      if (!stored.ok()) return stored;
-      std::lock_guard<std::mutex> entry_lock(entry->mu);
-      CommitWriteBack(*entry, snap[0].epoch);
-    }
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.map.find(pid);
-    if (it == shard.map.end()) return erase_from_l2();
-    if (it->second.entry != entry) continue;  // reloaded meanwhile: redo
-    std::unique_lock<std::mutex> entry_lock(entry->mu, std::try_to_lock);
-    // Contended: a writer may hold the lock right now — re-run the check
-    // rather than erasing state we have not re-examined. Dirty: a write
-    // landed during the write-back; write back again.
-    if (!entry_lock.owns_lock() || entry->dirty) continue;
-    entry->evicted = true;
-    shard.lru.erase(it->second.lru_it);
-    shard.map.erase(it);
-    shard.bytes.fetch_sub(entry->bytes, std::memory_order_relaxed);
-    memory_bytes_.fetch_sub(entry->bytes, std::memory_order_relaxed);
-    return erase_from_l2();
+    if (victim_cache_ != nullptr) victim_cache_->Erase(pid);
+    return Status::OK();
   }
   return Status::Aborted("invalidate: entry kept being re-dirtied");
 }
@@ -961,12 +853,8 @@ size_t GCache::EntryCount() const {
 }
 
 size_t GCache::DirtyCount() const {
-  size_t total = 0;
-  for (const auto& shard : dirty_shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    total += shard->dirty.size();
-  }
-  return total;
+  std::lock_guard<std::mutex> lock(dirty_mu_);
+  return dirty_.size();
 }
 
 double GCache::HitRatio() const {

@@ -6,8 +6,10 @@
 //     exceeds the configured threshold, starting from the largest shard,
 //     probing entries with try_lock and skipping contended ones instead of
 //     blocking (Fig 8);
-//   * a sharded dirty list (Fig 9) — FlushOnce persists updated profiles to
-//     the key-value store, one pass over every shard's list at once.
+//   * one dirty list (Fig 9) under one mutex — FlushOnce persists updated
+//     profiles to the key-value store, taking the whole list in one pass. A
+//     writer takes the mutex only when an entry turns dirty, and one thread
+//     drains the list, so striping it buys nothing.
 //
 // The cache starts no threads. The owning IpsInstance's maintenance loop
 // drives SwapOnce and FlushOnce (tests call them directly); the destructor
@@ -22,11 +24,12 @@
 //     misses, then insertion of what was loaded;
 //   * StoreFn — every write-back (flush pass, eviction, Invalidate) is one
 //     write-back step: snapshot (entry, profile, epoch) under the entry lock,
-//     call StoreFn with no cache lock held, then commit per entry under its
-//     lock, clearing dirty/degraded only if the mutation epoch is unchanged.
-//     A write landing mid-step therefore keeps the entry dirty (or resident)
-//     and is never lost. WithProfileOffLockMutate shares the snapshot and
-//     epoch-recheck halves of that step.
+//     then WriteBack calls StoreFn with no cache lock held and commits per
+//     entry under its lock, clearing dirty/degraded only if the mutation
+//     epoch is unchanged; eviction and Invalidate then drop entries through
+//     one Unmap. A write landing mid-step therefore keeps the entry dirty
+//     (or resident) and is never lost. WithProfileOffLockMutate shares the
+//     snapshot and epoch-recheck halves of that step.
 //
 // One write-back runs at a time. Every write-back step holds the cache's
 // write-back lock from its snapshot to its last commit. That lock is the
@@ -63,20 +66,16 @@ namespace ips {
 struct GCacheOptions {
   /// LRU partitions (Fig 7). Power of two.
   size_t lru_shards = 8;
-  /// Dirty-list partitions (Fig 9). Power of two. Striping keeps MarkDirty
-  /// callers on different shards off one mutex; a flush pass takes every
-  /// shard's list and groups pids across shards.
-  size_t dirty_shards = 4;
   /// Hard memory budget for cached profiles, in bytes.
   size_t memory_limit_bytes = 256 << 20;
   /// Swapping starts when usage exceeds limit * high watermark and stops
   /// below limit * low watermark (the paper's clusters hold ~85% usage).
   double high_watermark = 0.85;
   double low_watermark = 0.80;
-  /// Failed flushes tolerated per flush pass (over all dirty shards): after
-  /// this many the pass stops and requeues the untried remainder, so an
-  /// injected storage outage cannot turn a flush pass into a tight retry
-  /// loop over the whole dirty list.
+  /// Failed flushes tolerated per flush pass: after this many the pass
+  /// stops and requeues the untried remainder, so an injected storage outage
+  /// cannot turn a flush pass into a tight retry loop over the whole dirty
+  /// list.
   size_t max_flush_failures_per_pass = 8;
   /// Backoff between failing flush passes, doubling up to the max; reset by
   /// the first clean pass (see FlushBackoffMs).
@@ -245,14 +244,13 @@ class GCache {
   /// number of entries evicted.
   size_t SwapOnce();
 
-  /// One flush pass, under the write-back lock: takes every dirty shard's
-  /// list and stores it in groups of up to flush_batch_max pids drawn across
-  /// shards, requeueing each pid still dirty to its own shard. Stops early
-  /// after max_flush_failures_per_pass failed flushes, requeueing the
-  /// untried remainder. Returns entries flushed. Then steps the backoff: a
-  /// pass with failures (or stopped early) doubles FlushBackoffMs from
-  /// flush_backoff_ms up to flush_backoff_max_ms, and a clean pass resets it
-  /// to 0.
+  /// One flush pass, under the write-back lock: takes the dirty list and
+  /// stores it in groups of up to flush_batch_max pids, requeueing each pid
+  /// still dirty. Stops early after max_flush_failures_per_pass failed
+  /// flushes, requeueing the untried remainder. Returns entries flushed.
+  /// Then steps the backoff: a pass with failures (or stopped early) doubles
+  /// FlushBackoffMs from flush_backoff_ms up to flush_backoff_max_ms, and a
+  /// clean pass resets it to 0.
   size_t FlushOnce();
 
   /// Extra delay a caller should wait before the next flush pass.
@@ -321,7 +319,7 @@ class GCache {
     /// rechecks: an entry re-dirtied mid-flight keeps its dirty bit instead
     /// of silently losing the newer write.
     uint64_t mutation_epoch = 0;
-    /// Guarded by the owning DirtyShard's mutex.
+    /// Whether the pid is on the dirty list for this entry. Guarded by mu.
     bool in_dirty_list = false;
     /// See set_compaction. Both guarded by mu.
     TimestampMs compact_due_ms = std::numeric_limits<TimestampMs>::max();
@@ -340,9 +338,7 @@ class GCache {
 
   struct LruShard {
     /// Map payload: the entry plus its position in the LRU list, so a hit
-    /// resolves entry AND recency bookkeeping with ONE hash probe (the old
-    /// layout kept a separate pid -> iterator map and paid a second probe
-    /// per touch).
+    /// resolves entry AND recency bookkeeping with ONE hash probe.
     struct Slot {
       EntryPtr entry;
       std::list<ProfileId>::iterator lru_it;
@@ -354,13 +350,11 @@ class GCache {
     std::atomic<size_t> bytes{0};
   };
 
-  struct DirtyShard {
-    mutable std::mutex mu;
-    std::list<ProfileId> dirty;
-  };
-
   size_t LruIndex(ProfileId pid) const;
-  size_t DirtyIndex(ProfileId pid) const;
+
+  /// The resident entry for `pid`, or null. No LRU touch: a maintenance
+  /// pass reading an entry is not evidence of user interest.
+  EntryPtr FindResident(ProfileId pid) const;
 
   /// Serves `pids` (unique, sorted) from the victim tier where it can, loads
   /// the rest with one LoadFn call and notes store health from that call.
@@ -405,6 +399,9 @@ class GCache {
 
   void MarkDirty(Entry& entry);
 
+  /// Appends the pid to the dirty list unless listed (entry lock held).
+  void ListDirty(Entry& entry);
+
   /// Where a store-health observation came from. Batch observations are the
   /// flush/load passes that sweep many pids — representative of the store's
   /// real state, so one success clears the unhealthy flag. Point
@@ -433,24 +430,24 @@ class GCache {
     return !entry.evicted && entry.mutation_epoch == epoch;
   }
 
-  /// Store half: hands the snapshots to the StoreFn in one call (the
-  /// write-back lock held, no other cache lock), notes store health as
-  /// `source`, and counts store_broker.batch_pids, cache.flushed and
-  /// cache.flush_failures. Statuses align with `snapshots`.
-  std::vector<Status> StoreSnapshots(std::span<const Snapshot> snapshots,
-                                     StoreHealthSource source);
+  /// Store and commit, the write-back lock held and no other cache lock: ONE
+  /// StoreFn call (health noted as `source`), then per snapshot under its
+  /// entry lock: stored and still current leaves the entry clean and
+  /// authoritative (dirty and degraded cleared); still dirty is requeued.
+  /// Statuses align with `snapshots`.
+  std::vector<Status> WriteBack(std::span<const Snapshot> snapshots,
+                                StoreHealthSource source);
 
-  /// Commit half (entry lock held), after the snapshot at `epoch` was
-  /// stored: if it is still current the entry is clean and authoritative
-  /// again (dirty and degraded cleared). Returns whether it was.
-  static bool CommitWriteBack(Entry& entry, uint64_t epoch);
+  /// Drops `snap.entry` (the write-back lock held) if, under shard.mu plus
+  /// the entry's try_lock, it is still mapped, clean and at the snapshot's
+  /// epoch. A non-null `demote` goes into the victim tier before the map
+  /// erase, so no reload can slip in while stale bytes land in L2.
+  bool Unmap(const Snapshot& snap, std::string* demote);
 
   /// Evicts from `shard` until `target_bytes` freed or shard exhausted, under
-  /// the write-back lock. Victims are collected (and snapshotted) under
-  /// shard.mu, written back and encoded for demotion with no other lock
-  /// held, then committed one at a time under shard.mu + entry lock with the
-  /// epoch recheck — an entry re-dirtied during the round trip stays
-  /// resident and keeps its newer state.
+  /// the write-back lock: victims are snapshotted under shard.mu with
+  /// try_lock probing, the dirty ones written back, then each stored victim
+  /// is encoded for demotion with no lock held and unmapped.
   size_t EvictFromShard(LruShard& shard, size_t target_bytes);
 
   /// Marks the backing store healthy/unhealthy from a flush/load outcome.
@@ -495,7 +492,9 @@ class GCache {
   /// taken first, never while another cache lock is held.
   std::mutex write_back_mu_;
   std::vector<std::unique_ptr<LruShard>> lru_shards_;
-  std::vector<std::unique_ptr<DirtyShard>> dirty_shards_;
+  /// The dirty list (Fig 9); a pass skips a pid no longer resident.
+  mutable std::mutex dirty_mu_;
+  std::vector<ProfileId> dirty_;
   std::atomic<size_t> memory_bytes_{0};
   std::atomic<int64_t> hits_{0};
   std::atomic<int64_t> misses_{0};

@@ -1,5 +1,6 @@
 #include "codec/compress.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 
@@ -150,7 +151,10 @@ Status BlockUncompress(std::string_view compressed, std::string* output) {
     return Status::Corruption("compressed frame header truncated");
   }
   output->clear();
-  output->reserve(expected_len);
+  // The header is outside the checksum: reserve no more than the ops in
+  // this frame could plausibly produce, and refuse any op that would write
+  // past the declared length before it writes.
+  output->reserve(std::min<uint64_t>(expected_len, 8 * compressed.size()));
   while (!dec.Empty()) {
     uint64_t tag;
     if (!dec.GetVarint64(&tag)) {
@@ -158,6 +162,9 @@ Status BlockUncompress(std::string_view compressed, std::string* output) {
     }
     const uint64_t len = tag >> 1;
     if (len == 0) return Status::Corruption("zero-length op");
+    if (len > expected_len - output->size()) {
+      return Status::Corruption("decompressed past declared length");
+    }
     if ((tag & 1) == 0) {
       std::string_view literal;
       if (!dec.GetBytes(len, &literal)) {
@@ -177,9 +184,6 @@ Status BlockUncompress(std::string_view compressed, std::string* output) {
       for (uint64_t i = 0; i < len; ++i) {
         output->push_back((*output)[src + i]);
       }
-    }
-    if (output->size() > expected_len) {
-      return Status::Corruption("decompressed past declared length");
     }
   }
   if (output->size() != expected_len) {

@@ -1,6 +1,6 @@
 #include "codec/profile_codec.h"
 
-#include <algorithm>
+#include <limits>
 #include <map>
 
 #include "codec/coding.h"
@@ -13,6 +13,15 @@ namespace {
 constexpr uint32_t kProfileMagic = 0x49505346;  // "IPSF"
 constexpr uint32_t kSliceMetaMagic = 0x49505349;
 
+// Table schemas require a positive write granularity: zero, or a value that
+// turns negative as int64, can only come from corrupt bytes, and a profile
+// holding it builds empty or inverted slices on its next write.
+bool PlausibleGranularity(uint64_t granularity) {
+  return granularity > 0 &&
+         granularity <=
+             static_cast<uint64_t>(std::numeric_limits<int64_t>::max());
+}
+
 void EncodeCounts(const CountVector& counts, std::string* out) {
   PutVarint64(out, counts.size());
   for (size_t i = 0; i < counts.size(); ++i) {
@@ -23,7 +32,9 @@ void EncodeCounts(const CountVector& counts, std::string* out) {
 bool DecodeCounts(Decoder* dec, CountVector* counts) {
   uint64_t n;
   if (!dec->GetVarint64(&n)) return false;
-  if (n > 1u << 20) return false;  // sanity bound against corrupt lengths
+  // Each count takes a byte at least, so a corrupt length cannot force an
+  // allocation larger than the input.
+  if (n > dec->Remaining()) return false;
   counts->Resize(n);
   for (uint64_t i = 0; i < n; ++i) {
     int64_t v;
@@ -48,10 +59,10 @@ void EncodeStats(const IndexedFeatureStats& stats, std::string* out) {
 bool DecodeStats(Decoder* dec, IndexedFeatureStats* stats) {
   uint64_t n;
   if (!dec->GetVarint64(&n)) return false;
-  if (n > 1u << 26) return false;
-  // Reserve what the header claims, capped so a corrupt length can't force
-  // a huge allocation before the per-entry parses start failing.
-  stats->Reserve(static_cast<size_t>(std::min<uint64_t>(n, 4096)));
+  // Each entry takes two bytes at least (fid delta, count length), so the
+  // reservation stays proportional to the input whatever the header claims.
+  if (n > dec->Remaining() / 2) return false;
+  stats->Reserve(static_cast<size_t>(n));
   FeatureId prev = 0;
   for (uint64_t i = 0; i < n; ++i) {
     uint64_t delta;
@@ -174,6 +185,9 @@ Status DecodeProfile(std::string_view data, ProfileData* profile,
   if (num_slices > 1u << 24) {
     return Status::Corruption("implausible slice count");
   }
+  if (!PlausibleGranularity(granularity)) {
+    return Status::Corruption("implausible write granularity");
+  }
   *profile = ProfileData(static_cast<int64_t>(granularity));
   profile->set_last_action_ms(last_action);
   for (uint64_t i = 0; i < num_slices; ++i) {
@@ -218,7 +232,13 @@ Status DecodeSliceMeta(std::string_view data, SliceMeta* meta) {
       !dec.GetVarintSigned64(&last_action) || !dec.GetVarint64(&num)) {
     return Status::Corruption("truncated slice-meta header");
   }
-  if (num > 1u << 24) return Status::Corruption("implausible entry count");
+  // Each entry takes three bytes at least.
+  if (num > dec.Remaining() / 3) {
+    return Status::Corruption("implausible entry count");
+  }
+  if (!PlausibleGranularity(granularity)) {
+    return Status::Corruption("implausible write granularity");
+  }
   meta->write_granularity_ms = static_cast<int64_t>(granularity);
   meta->last_action_ms = last_action;
   meta->entries.clear();

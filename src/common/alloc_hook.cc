@@ -16,7 +16,6 @@ namespace ips {
 namespace {
 
 thread_local std::uint64_t tls_alloc_count = 0;
-thread_local std::uint64_t tls_alloc_bytes = 0;
 std::atomic<std::uint64_t> g_alloc_count{0};
 
 inline void* CountedAlloc(std::size_t size) {
@@ -25,7 +24,6 @@ inline void* CountedAlloc(std::size_t size) {
   void* p = std::malloc(size);
   if (p == nullptr) return nullptr;
   ++tls_alloc_count;
-  tls_alloc_bytes += size;
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
   return p;
 }
@@ -38,7 +36,6 @@ inline void* CountedAlignedAlloc(std::size_t size, std::size_t align) {
     return nullptr;
   }
   ++tls_alloc_count;
-  tls_alloc_bytes += size;
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
   return p;
 }
@@ -46,7 +43,6 @@ inline void* CountedAlignedAlloc(std::size_t size, std::size_t align) {
 }  // namespace
 
 std::uint64_t ThreadAllocCount() { return tls_alloc_count; }
-std::uint64_t ThreadAllocBytes() { return tls_alloc_bytes; }
 std::uint64_t GlobalAllocCount() {
   return g_alloc_count.load(std::memory_order_relaxed);
 }

@@ -19,9 +19,6 @@ namespace ips {
 // Allocations performed by the calling thread since it started. Monotonic.
 std::uint64_t ThreadAllocCount();
 
-// Bytes requested by the calling thread since it started. Monotonic.
-std::uint64_t ThreadAllocBytes();
-
 // Process-wide allocation count (relaxed; approximate ordering only).
 std::uint64_t GlobalAllocCount();
 

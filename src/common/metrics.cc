@@ -42,12 +42,6 @@ std::vector<std::string> MetricsRegistry::MetricNames() const {
   return out;
 }
 
-void MetricsRegistry::ResetAll() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [name, counter] : counters_) counter->Reset();
-  for (auto& [name, histogram] : histograms_) histogram->Reset();
-}
-
 std::string MetricsRegistry::Report() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::ostringstream out;

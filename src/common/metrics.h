@@ -24,7 +24,6 @@ class Counter {
     value_.fetch_add(delta, std::memory_order_relaxed);
   }
   int64_t Value() const { return value_.load(std::memory_order_relaxed); }
-  void Reset() { value_.store(0, std::memory_order_relaxed); }
 
  private:
   std::atomic<int64_t> value_{0};
@@ -58,9 +57,6 @@ class MetricsRegistry {
   /// histograms (which SnapshotValues omits because a histogram has no
   /// single value). The docs/METRICS.md completeness test walks this.
   std::vector<std::string> MetricNames() const;
-
-  /// Zeroes every counter and histogram (gauges keep their last value).
-  void ResetAll();
 
   std::string Report() const;
 

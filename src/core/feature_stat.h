@@ -73,17 +73,12 @@ class IndexedFeatureStats {
   const std::vector<FeatureStat>& stats() const { return stats_; }
   size_t size() const { return stats_.size(); }
   bool empty() const { return stats_.empty(); }
-  void Clear() { stats_.clear(); }
   void Reserve(size_t n) { stats_.reserve(n); }
 
   /// Direct append for deserialization; caller guarantees ascending fids.
   void AppendSortedUnchecked(FeatureStat stat) {
     stats_.push_back(std::move(stat));
   }
-
-  /// Last appended entry, for in-place combination during k-way merges.
-  /// Callers must not change the fid (that would break ordering).
-  FeatureStat* MutableBack() { return stats_.empty() ? nullptr : &stats_.back(); }
 
   size_t ApproximateBytes() const;
 

@@ -18,11 +18,6 @@ const IndexedFeatureStats* InstanceSet::Find(TypeId type) const {
   return it == types_.end() ? nullptr : &it->second;
 }
 
-IndexedFeatureStats* InstanceSet::FindMutable(TypeId type) {
-  auto it = types_.find(type);
-  return it == types_.end() ? nullptr : &it->second;
-}
-
 void InstanceSet::MergeFrom(const InstanceSet& other, ReduceFn reduce) {
   for (const auto& [type, stats] : other.types_) {
     types_[type].MergeFrom(stats, reduce);

@@ -23,7 +23,6 @@ class InstanceSet {
 
   /// Stats for `type`, or nullptr when the type is absent.
   const IndexedFeatureStats* Find(TypeId type) const;
-  IndexedFeatureStats* FindMutable(TypeId type);
 
   /// Merges all of `other` into this set.
   void MergeFrom(const InstanceSet& other, ReduceFn reduce);

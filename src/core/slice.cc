@@ -20,11 +20,6 @@ const InstanceSet* Slice::FindSlot(SlotId slot) const {
   return it == slots_.end() ? nullptr : &it->second;
 }
 
-InstanceSet* Slice::FindSlotMutable(SlotId slot) {
-  auto it = slots_.find(slot);
-  return it == slots_.end() ? nullptr : &it->second;
-}
-
 void Slice::MergeFrom(const Slice& other, ReduceFn reduce) {
   for (const auto& [slot, set] : other.slots_) {
     slots_[slot].MergeFrom(set, reduce);

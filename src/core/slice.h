@@ -47,7 +47,6 @@ class Slice {
 
   /// Instance set for `slot`, or nullptr.
   const InstanceSet* FindSlot(SlotId slot) const;
-  InstanceSet* FindSlotMutable(SlotId slot);
 
   /// Absorbs all data of `other` (an adjacent slice) and widens this slice's
   /// interval to cover both. The reduce function aggregates same-fid counts,

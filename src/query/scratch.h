@@ -67,9 +67,6 @@ struct QueryScratch {
   /// route bulk merges (compaction) through the shared scratch.
   std::vector<FeatureStat> merge_buf;
 
-  /// IndexedFeatureStats output buffer for MergeSortedRuns callers.
-  IndexedFeatureStats merge_out;
-
   /// Queries served by this scratch (the first one pays the warm-up
   /// allocations; the rest are the `query.scratch_reuse` counter).
   uint64_t uses = 0;

@@ -9,7 +9,6 @@
 #include <map>
 #include <mutex>
 #include <random>
-#include <set>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -19,7 +18,6 @@
 #include "cache/coalescer.h"
 #include "coalescer_test_util.h"
 #include "common/clock.h"
-#include "common/hash.h"
 #include "common/metrics.h"
 #include "compaction/manager.h"
 
@@ -167,7 +165,6 @@ bool HasFeature(const ProfileData& profile, FeatureId fid) {
 GCacheOptions ManualOptions() {
   GCacheOptions options;
   options.lru_shards = 4;
-  options.dirty_shards = 2;
   options.memory_limit_bytes = 1 << 20;
   options.write_granularity_ms = kMinute;
   return options;
@@ -717,7 +714,6 @@ TEST(GCacheTest, FlushPassStopsAtFailureCapAndRequeuesRemainder) {
   FakeStore store;
   MetricsRegistry metrics;
   GCacheOptions options = ManualOptions();
-  options.dirty_shards = 1;
   options.max_flush_failures_per_pass = 3;
   // One entry per write-back step, so the cap is counted per flush attempt
   // (BatchedFlushOutageBoundsFailuresAndRequeues covers larger groups).
@@ -800,7 +796,6 @@ TEST(GCacheTest, BatchedFlushDrainsShardInGroups) {
   FakeStore store;
   MetricsRegistry metrics;
   GCacheOptions options = ManualOptions();
-  options.dirty_shards = 1;
   options.flush_batch_max = 4;
   std::vector<size_t> group_sizes;
   store.SetStoreHook([&](const std::vector<ProfileId>& pids) {
@@ -836,7 +831,6 @@ TEST(GCacheTest, BatchedFlushOutageBoundsFailuresAndRequeues) {
   FakeStore store;
   MetricsRegistry metrics;
   GCacheOptions options = ManualOptions();
-  options.dirty_shards = 1;
   options.flush_batch_max = 4;
   options.max_flush_failures_per_pass = 3;
   GCache cache(options, SystemClock::Instance(), store.Loader(),
@@ -875,7 +869,6 @@ TEST(GCacheTest, FlushAllZeroProgressBailsInsteadOfBusySpin) {
   FakeStore store;
   ManualClock clock(0);
   GCacheOptions options = ManualOptions();
-  options.dirty_shards = 1;
   options.max_flush_failures_per_pass = 0;
   GCache cache(options, &clock, store.Loader(), store.Storer());
   cache
@@ -919,19 +912,9 @@ void GraceWait(const std::atomic<bool>& done, int ms) {
 
 TEST(GCacheTest, FlushPassGroupsDirtyPidsAcrossShards) {
   FakeStore store;
-  GCacheOptions options = ManualOptions();
-  options.dirty_shards = 4;
-  GCache cache(options, SystemClock::Instance(), store.Loader(),
+  GCache cache(ManualOptions(), SystemClock::Instance(), store.Loader(),
                store.Storer());
-  // Three pids in three different dirty shards (GCache's sharding).
-  std::vector<ProfileId> pids;
-  std::set<size_t> shards;
-  for (ProfileId pid = 1; pids.size() < 3; ++pid) {
-    if (shards.insert((Mix64(pid) >> 17) & (options.dirty_shards - 1))
-            .second) {
-      pids.push_back(pid);
-    }
-  }
+  const std::vector<ProfileId> pids = {1, 2, 3};
   for (ProfileId pid : pids) AddCount(cache, pid, 1);
   EXPECT_EQ(cache.FlushOnce(), 3u);
   EXPECT_EQ(store.store_calls(), 1);
@@ -1096,7 +1079,6 @@ TEST(GCacheTest, WriteBacksNeverOverlapAndNeverStoreOlderStateUnderStorm) {
   };
   StoreFn inner = store.Storer();
   GCacheOptions options = ManualOptions();
-  options.dirty_shards = 4;
   options.flush_batch_max = 4;
   options.memory_limit_bytes = 4 << 10;
   GCache cache(options, SystemClock::Instance(), store.Loader(),
@@ -1257,7 +1239,6 @@ TEST(GCacheTest, FlushStoreRoundTripRunsOutsideEntryLocks) {
   // flushing the entries stay readable (and writable) during the trip.
   FakeStore store;
   GCacheOptions options = ManualOptions();
-  options.dirty_shards = 1;
   options.flush_batch_max = 8;
   GCache cache(options, SystemClock::Instance(), store.Loader(),
                store.Storer());
@@ -1371,6 +1352,74 @@ TEST(GCacheTest, EvictionWriteBackDoesNotBlockConcurrentReaders) {
   bool hit = true;
   EXPECT_TRUE(cache.WithProfile(kCold, [](const ProfileData&) {}, &hit).ok());
   EXPECT_FALSE(hit);  // reloaded from the store, not resident
+}
+
+TEST(GCacheTest, EvictionVictimReadDuringItsStoreIsNotStoredAgain) {
+  // A reader takes a dirty victim's entry lock while the eviction's store is
+  // on the wire and holds it past the store. The stored snapshot is still
+  // current, so the eviction commits the victim clean even if its unmap
+  // loses the try_lock: the next flush pass makes no store call for it.
+  constexpr ProfileId kCold = 1;
+  FakeStore store;
+  coalescer_test::Gate gate;
+  std::atomic<int> cold_stores{0};
+  store.SetStoreHook([&](const std::vector<ProfileId>& pids) {
+    if (std::find(pids.begin(), pids.end(), kCold) == pids.end()) return;
+    if (cold_stores.fetch_add(1) == 0) gate.Enter();
+  });
+  GCacheOptions options = ManualOptions();
+  options.lru_shards = 1;
+  options.memory_limit_bytes = 4 << 10;  // the profile alone exceeds it
+  GCache cache(options, SystemClock::Instance(), store.Loader(),
+               store.Storer());
+  ASSERT_TRUE(cache
+                  .WithProfileMutable(kCold,
+                                      [](ProfileData& profile) {
+                                        for (int i = 0; i < 120; ++i) {
+                                          profile
+                                              .Add(kMinute * (i + 1), 1, 1,
+                                                   static_cast<FeatureId>(
+                                                       i + 1),
+                                                   CountVector{1, 2, 3})
+                                              .ok();
+                                        }
+                                      })
+                  .ok());
+  ASSERT_GT(cache.MemoryBytes(), options.memory_limit_bytes);
+
+  std::atomic<bool> swapped{false};
+  std::thread swapper([&] {
+    cache.SwapOnce();
+    swapped.store(true);
+  });
+  gate.AwaitEntered();  // the victim's write-back is on the wire
+  std::atomic<bool> reading{false};
+  std::atomic<bool> release_reader{false};
+  std::thread reader([&] {
+    EXPECT_TRUE(cache
+                    .WithProfile(kCold,
+                                 [&](const ProfileData&) {
+                                   reading.store(true);
+                                   while (!release_reader.load()) {
+                                     std::this_thread::yield();
+                                   }
+                                 })
+                    .ok());
+  });
+  ASSERT_TRUE(coalescer_test::SpinUntil([&] { return reading.load(); }));
+  gate.Open();
+  // Lets an eviction that does not wait for the entry lock finish first.
+  GraceWait(swapped, 500);
+  release_reader.store(true);
+  reader.join();
+  swapper.join();
+  ASSERT_EQ(cold_stores.load(), 1);
+  ASSERT_TRUE(store.Has(kCold));
+
+  cache.FlushOnce();
+  EXPECT_EQ(cold_stores.load(), 1) << "the stored victim was stored again";
+  EXPECT_EQ(cache.DirtyCount(), 0u);
+  store.SetStoreHook(nullptr);  // the hook must not outlive `cache`
 }
 
 TEST(GCacheTest, InvalidateDoesNotDropWriteRacingItsFlush) {
@@ -1679,7 +1728,7 @@ TEST(GCacheTest, OffLockMutateAbandonedPassLeavesEntryClean) {
 
 TEST(GCacheTest, LongOffLockMutateDoesNotBlockFlush) {
   // The point of the collect/work/commit split: a long compaction pass over
-  // a profile holds no lock while it works, so a dirty-shard flush of that
+  // a profile holds no lock while it works, so a flush pass over that
   // same profile proceeds to the store instead of queueing behind it.
   FakeStore store;
   GCache cache(ManualOptions(), SystemClock::Instance(), store.Loader(),
@@ -1767,7 +1816,6 @@ TEST_P(WriteBackContractTest, WriteLandingMidStepIsNeitherLostNorOverwritten) {
   FakeStore store;
   GCacheOptions options = ManualOptions();
   options.lru_shards = 1;
-  options.dirty_shards = 1;
   options.memory_limit_bytes = 4 << 10;  // the profile alone exceeds it
   GCache cache(options, SystemClock::Instance(), store.Loader(),
                store.Storer());

@@ -12,7 +12,6 @@
 
 #include "coalescer_test_util.h"
 #include "common/clock.h"
-#include "common/hash.h"
 #include "kvstore/mem_kv_store.h"
 
 namespace ips {
@@ -519,7 +518,7 @@ TEST_F(IpsInstanceTest, MultiAddFlushIssuesOneKvMultiSetPerBatch) {
   const int64_t point_writes_before = kv_.PointWriteCalls();
   instance_.FlushAll();
   // 64 dirty profiles with the default flush_batch_max of 64: a flush pass
-  // groups across dirty shards, so one MultiSet per flush group.
+  // takes the whole dirty list, so one MultiSet per flush group.
   const size_t group_max = ManualInstanceOptions().cache.flush_batch_max;
   EXPECT_EQ(kv_.MultiSetCalls() - multi_sets_before,
             static_cast<int64_t>((64 + group_max - 1) / group_max));
@@ -537,7 +536,7 @@ TEST_F(IpsInstanceTest, MultiAddFlushIssuesOneKvMultiSetPerBatch) {
 
 TEST(IpsInstanceWriteBackTest, WritesLandingDuringAGatedFlushShareOneMultiSet) {
   // One FlushAll pass's MultiSet is held on the wire while writes land on
-  // pids in three different dirty shards, and two more FlushAll callers
+  // three pids, and two more FlushAll callers
   // queue behind it on the cache's write-back lock. Everything written
   // meanwhile goes out in exactly one more MultiSet, and is durable.
   coalescer_test::GatedKv kv;
@@ -546,15 +545,7 @@ TEST(IpsInstanceWriteBackTest, WritesLandingDuringAGatedFlushShareOneMultiSet) {
   IpsInstance instance(options, &kv, &clock);
   ASSERT_TRUE(instance.CreateTable(TestSchema()).ok());
 
-  // Same sharding function as GCache's dirty lists.
-  const size_t shard_mask = options.cache.dirty_shards - 1;
-  std::vector<ProfileId> pids;
-  std::set<size_t> shards;
-  for (ProfileId pid = 1; pids.size() < 3; ++pid) {
-    if (shards.insert((Mix64(pid) >> 17) & shard_mask).second) {
-      pids.push_back(pid);
-    }
-  }
+  const std::vector<ProfileId> pids = {1, 2, 3};
   auto write = [&](ProfileId pid, FeatureId fid) {
     ASSERT_TRUE(instance
                     .AddProfile("test", "profiles", pid,

@@ -4,14 +4,12 @@
 // GCache records for every write-back store call. Write-back ordering under
 // the cache's write-back lock is covered by gcache_test; a flush held on the
 // wire while more writes land is covered by ips_instance_test.
-#include <set>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "coalescer_test_util.h"
 #include "common/clock.h"
-#include "common/hash.h"
 #include "common/metrics.h"
 #include "kvstore/mem_kv_store.h"
 #include "server/ips_instance.h"
@@ -24,20 +22,6 @@ using coalescer_test::TestSchema;
 
 constexpr int64_t kMinute = kMillisPerMinute;
 constexpr int64_t kDay = kMillisPerDay;
-
-// Three pids in three different dirty shards (GCache's sharding function).
-std::vector<ProfileId> PidsInDistinctDirtyShards(
-    const IpsInstanceOptions& options) {
-  const size_t shard_mask = options.cache.dirty_shards - 1;
-  std::vector<ProfileId> pids;
-  std::set<size_t> shards;
-  for (ProfileId pid = 1; pids.size() < 3; ++pid) {
-    if (shards.insert((Mix64(pid) >> 17) & shard_mask).second) {
-      pids.push_back(pid);
-    }
-  }
-  return pids;
-}
 
 void AddOne(IpsInstance& instance, const Clock& clock, ProfileId pid) {
   ASSERT_TRUE(instance
@@ -53,13 +37,13 @@ TEST(StoreBrokerInstanceTest, CrossShardFlushIsOneStoreBatchAndDurable) {
   const IpsInstanceOptions options = ManualInstanceOptions();
   IpsInstance instance(options, &kv, &clock);
   ASSERT_TRUE(instance.CreateTable(TestSchema()).ok());
-  const std::vector<ProfileId> pids = PidsInDistinctDirtyShards(options);
+  const std::vector<ProfileId> pids = {1, 2, 3};
   for (ProfileId pid : pids) AddOne(instance, clock, pid);
   const int64_t multi_sets_before = kv.MultiSetCalls();
   const int64_t point_writes_before = kv.PointWriteCalls();
   instance.FlushAll();
 
-  // One flush pass takes every dirty shard's list: one store call, one
+  // One flush pass takes the whole dirty list: one store call, one
   // MultiSet, no point writes.
   EXPECT_EQ(kv.MultiSetCalls() - multi_sets_before, 1);
   EXPECT_EQ(kv.PointWriteCalls() - point_writes_before, 0);
@@ -89,7 +73,7 @@ TEST(StoreBrokerInstanceTest, PersistWritesOffCleansWithoutTouchingTheKv) {
   options.persist_writes = false;  // a read replica: the all-OK store
   IpsInstance instance(options, &kv, &clock);
   ASSERT_TRUE(instance.CreateTable(TestSchema()).ok());
-  const std::vector<ProfileId> pids = PidsInDistinctDirtyShards(options);
+  const std::vector<ProfileId> pids = {1, 2, 3};
   for (ProfileId pid : pids) AddOne(instance, clock, pid);
   const int64_t multi_sets_before = kv.MultiSetCalls();
   const int64_t point_writes_before = kv.PointWriteCalls();

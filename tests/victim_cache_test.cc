@@ -197,7 +197,6 @@ LoadFn PerPidLoad(std::function<Result<ProfileData>(ProfileId, bool*)> one) {
 GCacheOptions TieredCacheOptions() {
   GCacheOptions options;
   options.lru_shards = 1;  // deterministic eviction ordering
-  options.dirty_shards = 2;
   options.memory_limit_bytes = 4 << 10;
   options.write_granularity_ms = kMinute;
   return options;
