@@ -7,6 +7,7 @@
 //   * tracing hot-path overhead with sampling off vs a live trace.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <list>
@@ -22,7 +23,10 @@
 #include "common/random.h"
 #include "common/trace.h"
 #include "core/profile_data.h"
+#include "core/table_schema.h"
+#include "kvstore/mem_kv_store.h"
 #include "query/query.h"
+#include "server/ips_instance.h"
 #include "server/quota.h"
 
 namespace ips {
@@ -441,12 +445,56 @@ BENCHMARK(BM_ProfileAdd);
 
 // ---------------------------------------------------------------- smoke ---
 
-// ctest gate (`bench_micro --smoke`): a warmed QueryScratch + reused result
-// must execute the serving compute core with ZERO heap allocations per
-// query. Runs in every build flavor, including the ASan/TSan tier-1 passes
-// (the counting operator-new hook forwards to malloc, so the sanitizer
-// interceptors still see every allocation that does happen).
+// Heap allocations of one resident 16-pid IpsInstance::MultiQuery — the
+// serving shape, where every pid gets a fresh QueryResult — as the most any
+// of `calls` measured calls made. Background threads off and synchronous
+// compaction keep every allocation on this thread and the count exact.
+// Returns -1 when a call fails.
+int64_t MultiQueryAllocs(const QuerySpec& spec, TimestampMs now, int calls) {
+  constexpr size_t kPids = 16;
+  ManualClock clock(now);
+  MemKvStore kv;
+  IpsInstanceOptions options;
+  options.start_background_threads = false;
+  options.compaction.synchronous = true;
+  options.isolation_enabled = false;
+  IpsInstance instance(options, &kv, &clock);
+  if (!instance.CreateTable(DefaultTableSchema("t")).ok()) return -1;
+  Rng rng(5);
+  std::vector<ProfileId> pids;
+  for (ProfileId pid = 1; pid <= kPids; ++pid) {
+    std::vector<AddRecord> records;
+    for (int r = 0; r < 160; ++r) {
+      records.push_back(AddRecord{
+          now - static_cast<TimestampMs>(rng.Uniform(kMillisPerDay)),
+          static_cast<SlotId>(r % 4), static_cast<TypeId>(r % 3),
+          rng.Next() | 1, CountVector{1, 2, 0, 1}});
+    }
+    if (!instance.AddProfiles("smoke", "t", pid, records).ok()) return -1;
+    pids.push_back(pid);
+  }
+  int64_t most = 0;
+  // The first calls warm the thread's scratch and settle compaction.
+  for (int call = -4; call < calls; ++call) {
+    const uint64_t allocs_before = ThreadAllocCount();
+    auto result = instance.MultiQuery("smoke", "t", pids, spec);
+    const uint64_t allocs = ThreadAllocCount() - allocs_before;
+    if (!result.ok() || result->cache_hits != kPids) return -1;
+    if (call >= 0) most = std::max(most, static_cast<int64_t>(allocs));
+  }
+  return most;
+}
+
+// ctest gate (`bench_micro --smoke`): a warmed QueryScratch must execute the
+// serving compute core with ZERO heap allocations per query into a reused
+// result and at most ONE (the features array) into a fresh one, and a
+// resident 16-pid MultiQuery must stay within kMultiQueryAllocBudget. Runs in
+// every build flavor, including the ASan/TSan tier-1 passes (the counting
+// operator-new hook forwards to malloc, so the sanitizer interceptors still
+// see every allocation that does happen).
 int RunAllocSmoke() {
+  // 16 fresh results' feature arrays plus the batch's own vectors.
+  constexpr int64_t kMultiQueryAllocBudget = 32;
   if (!AllocHookInstalled()) {
     std::fprintf(stderr, "[smoke] FAIL: alloc hook not linked in\n");
     return 1;
@@ -503,6 +551,45 @@ int RunAllocSmoke() {
                    name);
       ++failures;
     }
+
+    // The serving shape: the server writes each pid into a fresh result, so
+    // only its features array may allocate.
+    const uint64_t fresh_before = ThreadAllocCount();
+    for (int i = 0; i < kIters; ++i) {
+      QueryResult fresh;
+      ExecuteQueryInto(profile, spec, now, &scratch, &fresh).ok();
+      benchmark::DoNotOptimize(fresh.features.data());
+    }
+    const uint64_t fresh_allocs = ThreadAllocCount() - fresh_before;
+    std::fprintf(stderr,
+                 "[smoke] %-5s fresh result: %d queries, %llu heap "
+                 "allocations (%.2f/query, budget 1)\n",
+                 name, kIters, static_cast<unsigned long long>(fresh_allocs),
+                 static_cast<double>(fresh_allocs) / kIters);
+    if (fresh_allocs > static_cast<uint64_t>(kIters)) {
+      std::fprintf(stderr,
+                   "[smoke] FAIL: %s query into a fresh result made more "
+                   "than 1 allocation\n",
+                   name);
+      ++failures;
+    }
+  }
+
+  const int64_t multi_allocs = MultiQueryAllocs(topk, now, 16);
+  std::fprintf(stderr,
+               "[smoke] 16-pid resident MultiQuery: %lld heap allocations "
+               "(most of 16 calls, budget %lld)\n",
+               static_cast<long long>(multi_allocs),
+               static_cast<long long>(kMultiQueryAllocBudget));
+  if (multi_allocs < 0) {
+    std::fprintf(stderr, "[smoke] FAIL: resident MultiQuery failed\n");
+    return 1;
+  }
+  if (multi_allocs > kMultiQueryAllocBudget) {
+    std::fprintf(stderr,
+                 "[smoke] FAIL: resident MultiQuery over its allocation "
+                 "budget\n");
+    ++failures;
   }
 
   // Zero-copy decode sanity: a raw-stored frame (incompressible payload)

@@ -32,10 +32,12 @@ run_suite() {
   cmake --build "${build_dir}" -j "$(nproc)"
   (cd "${build_dir}" && ctest --output-on-failure -j "$(nproc)")
   if [[ -z "${sanitize}" ]]; then
-    # Release perf smoke: the serving-path allocation gate must hold in the
-    # exact configuration we benchmark (NDEBUG, -O2). ctest already runs it,
-    # but an explicit pass here keeps the gate visible when someone trims the
-    # ctest set, and prints the alloc/zero-copy evidence into the tier-1 log.
+    # Release perf smoke: the serving-path allocation gates must hold in the
+    # exact configuration we benchmark (NDEBUG, -O2): a warm-scratch query
+    # makes 0 allocations into a reused result and <= 1 into a fresh one, and
+    # a resident 16-pid MultiQuery makes <= 32. ctest already runs it, but an
+    # explicit pass here keeps the gates visible when someone trims the ctest
+    # set, and prints the alloc/zero-copy evidence into the tier-1 log.
     echo "=== tier1: perf smoke (bench_micro --smoke) ==="
     "${build_dir}/bench/bench_micro" --smoke
     # Stage-sum gate: traced single-profile Query stages must sum to within

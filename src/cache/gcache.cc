@@ -452,6 +452,14 @@ void GCache::ListDirty(Entry& entry) {
   entry.in_dirty_list = true;
   std::lock_guard<std::mutex> lock(dirty_mu_);
   dirty_.push_back(entry.pid);
+  ++dirty_listed_;
+}
+
+bool GCache::Unlist(Entry& entry) {
+  if (!std::exchange(entry.in_dirty_list, false)) return false;
+  std::lock_guard<std::mutex> lock(dirty_mu_);
+  --dirty_listed_;
+  return true;
 }
 
 void GCache::NoteStoreHealth(const Status& status, StoreHealthSource source) {
@@ -604,6 +612,7 @@ std::vector<Status> GCache::WriteBack(std::span<const Snapshot> snapshots,
       // now the authoritative merge.
       entry.dirty = false;
       entry.degraded = false;
+      Unlist(entry);
     } else if (entry.dirty) {
       ListDirty(entry);  // the store failed, or a write landed meanwhile
     }
@@ -748,9 +757,7 @@ size_t GCache::FlushOnce() {
       EntryPtr entry = FindResident(batch[next++]);
       if (!entry) continue;  // evicted or invalidated (written back then)
       std::lock_guard<std::mutex> entry_lock(entry->mu);
-      if (!std::exchange(entry->in_dirty_list, false) || !entry->dirty) {
-        continue;
-      }
+      if (!Unlist(*entry)) continue;  // a write-back stored it since
       group.push_back(TakeSnapshot(std::move(entry)));
     }
     if (group.empty()) continue;
@@ -854,7 +861,7 @@ size_t GCache::EntryCount() const {
 
 size_t GCache::DirtyCount() const {
   std::lock_guard<std::mutex> lock(dirty_mu_);
-  return dirty_.size();
+  return dirty_listed_;
 }
 
 double GCache::HitRatio() const {

@@ -287,6 +287,9 @@ class GCache {
     return static_cast<double>(MemoryBytes()) /
            static_cast<double>(options_.memory_limit_bytes);
   }
+  /// Entries currently on the dirty list and dirty. A pid a write-back
+  /// stored clean (eviction, Invalidate) stops counting at once, though its
+  /// stale list slot waits for the next flush pass to skip it.
   size_t DirtyCount() const;
 
   /// Lifetime hit ratio in [0,1]; 0 when no lookups yet.
@@ -319,7 +322,8 @@ class GCache {
     /// rechecks: an entry re-dirtied mid-flight keeps its dirty bit instead
     /// of silently losing the newer write.
     uint64_t mutation_epoch = 0;
-    /// Whether the pid is on the dirty list for this entry. Guarded by mu.
+    /// Whether the pid is on the dirty list for this entry; implies dirty.
+    /// Guarded by mu; changed only through ListDirty and Unlist.
     bool in_dirty_list = false;
     /// See set_compaction. Both guarded by mu.
     TimestampMs compact_due_ms = std::numeric_limits<TimestampMs>::max();
@@ -401,6 +405,9 @@ class GCache {
 
   /// Appends the pid to the dirty list unless listed (entry lock held).
   void ListDirty(Entry& entry);
+  /// Takes the entry off the dirty count (entry lock held); a stale pid left
+  /// in `dirty_` is skipped by the next flush pass. False if not listed.
+  bool Unlist(Entry& entry);
 
   /// Where a store-health observation came from. Batch observations are the
   /// flush/load passes that sweep many pids — representative of the store's
@@ -492,9 +499,13 @@ class GCache {
   /// taken first, never while another cache lock is held.
   std::mutex write_back_mu_;
   std::vector<std::unique_ptr<LruShard>> lru_shards_;
-  /// The dirty list (Fig 9); a pass skips a pid no longer resident.
+  /// The dirty list (Fig 9); a pass skips a pid no longer resident or no
+  /// longer listed.
   mutable std::mutex dirty_mu_;
   std::vector<ProfileId> dirty_;
+  /// Entries with in_dirty_list set: what DirtyCount reports. `dirty_` can
+  /// be longer, holding pids a write-back unlisted since.
+  size_t dirty_listed_ = 0;
   std::atomic<size_t> memory_bytes_{0};
   std::atomic<int64_t> hits_{0};
   std::atomic<int64_t> misses_{0};

@@ -1,73 +1,28 @@
 #include "core/types.h"
 
 #include <algorithm>
-#include <cstring>
 
 namespace ips {
 
-void CountVector::Resize(size_t n) {
-  if (n == size_) return;
-  if (n <= kInlineCapacity) {
-    if (size_ > kInlineCapacity) {
-      // Shrink heap -> inline.
-      for (size_t i = 0; i < n; ++i) inline_[i] = heap_[i];
-      heap_.clear();
-      heap_.shrink_to_fit();
-    } else {
-      for (size_t i = size_; i < n; ++i) inline_[i] = 0;
-    }
-  } else {
-    if (size_ <= kInlineCapacity) {
-      std::vector<int64_t> grown(n, 0);
-      for (size_t i = 0; i < size_; ++i) grown[i] = inline_[i];
-      heap_ = std::move(grown);
-    } else {
-      heap_.resize(n, 0);
-    }
-  }
-  size_ = n;
-}
-
 void CountVector::AccumulateSum(const CountVector& other) {
-  if (other.size_ > size_) Resize(other.size_);
+  if (other.size() > size()) Resize(other.size());
   const int64_t* src = other.data();
   int64_t* dst = data();
-  for (size_t i = 0; i < other.size_; ++i) dst[i] += src[i];
+  for (size_t i = 0; i < other.size(); ++i) dst[i] += src[i];
 }
 
 void CountVector::AccumulateMax(const CountVector& other) {
-  if (other.size_ > size_) Resize(other.size_);
+  if (other.size() > size()) Resize(other.size());
   const int64_t* src = other.data();
   int64_t* dst = data();
-  for (size_t i = 0; i < other.size_; ++i) dst[i] = std::max(dst[i], src[i]);
+  for (size_t i = 0; i < other.size(); ++i) dst[i] = std::max(dst[i], src[i]);
 }
 
 int64_t CountVector::Total() const {
   const int64_t* p = data();
   int64_t sum = 0;
-  for (size_t i = 0; i < size_; ++i) sum += p[i];
+  for (size_t i = 0; i < size(); ++i) sum += p[i];
   return sum;
-}
-
-bool CountVector::operator==(const CountVector& other) const {
-  if (size_ != other.size_) return false;
-  return std::memcmp(data(), other.data(), size_ * sizeof(int64_t)) == 0;
-}
-
-void CountVector::CopyFrom(const CountVector& other) {
-  Resize(other.size_);
-  std::memcpy(data(), other.data(), other.size_ * sizeof(int64_t));
-}
-
-void CountVector::MoveFrom(CountVector&& other) {
-  if (other.size_ <= kInlineCapacity) {
-    Resize(other.size_);
-    std::memcpy(inline_, other.inline_, other.size_ * sizeof(int64_t));
-  } else {
-    heap_ = std::move(other.heap_);
-    size_ = other.size_;
-  }
-  other.size_ = 0;
 }
 
 }  // namespace ips

@@ -18,6 +18,8 @@
 #ifndef IPS_CORE_TYPES_H_
 #define IPS_CORE_TYPES_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <initializer_list>
 #include <string>
@@ -33,30 +35,31 @@ using TypeId = uint32_t;
 using FeatureId = uint64_t;
 using ActionIndex = uint32_t;
 
-/// Vector of per-action counts attached to one feature, e.g.
-/// [clicks, likes, shares, comments]. Small-buffer-optimized: profiles hold
-/// millions of these, and production count vectors have <= 4 actions in the
-/// common case, so the inline representation avoids a heap allocation per
-/// feature.
-class CountVector {
+/// Small-buffer vector of arithmetic values: up to kInlineCapacity elements
+/// live inline, longer ones in a heap vector. The one implementation of the
+/// inline <-> heap switch, behind both CountVector and the decay weights of
+/// query results (WeightVector): per-feature vectors of <= 4 actions, the
+/// common case, then cost no heap allocation.
+template <typename T>
+class SmallVector {
  public:
+  using value_type = T;
   static constexpr size_t kInlineCapacity = 4;
 
-  CountVector() = default;
-  explicit CountVector(size_t n) { Resize(n); }
-  CountVector(std::initializer_list<int64_t> init) {
+  SmallVector() = default;
+  explicit SmallVector(size_t n) { Resize(n); }
+  SmallVector(std::initializer_list<T> init) {
     Resize(init.size());
-    size_t i = 0;
-    for (int64_t v : init) (*this)[i++] = v;
+    std::copy(init.begin(), init.end(), data());
   }
 
-  CountVector(const CountVector& other) { CopyFrom(other); }
-  CountVector& operator=(const CountVector& other) {
+  SmallVector(const SmallVector& other) { CopyFrom(other); }
+  SmallVector& operator=(const SmallVector& other) {
     if (this != &other) CopyFrom(other);
     return *this;
   }
-  CountVector(CountVector&& other) noexcept { MoveFrom(std::move(other)); }
-  CountVector& operator=(CountVector&& other) noexcept {
+  SmallVector(SmallVector&& other) noexcept { MoveFrom(std::move(other)); }
+  SmallVector& operator=(SmallVector&& other) noexcept {
     if (this != &other) MoveFrom(std::move(other));
     return *this;
   }
@@ -64,20 +67,81 @@ class CountVector {
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
 
-  int64_t& operator[](size_t i) { return data()[i]; }
-  int64_t operator[](size_t i) const { return data()[i]; }
+  T& operator[](size_t i) { return data()[i]; }
+  T operator[](size_t i) const { return data()[i]; }
 
   /// Value at `i`, or 0 when out of range (queries may name an action the
   /// writer never recorded).
-  int64_t At(size_t i) const { return i < size_ ? data()[i] : 0; }
+  T At(size_t i) const { return i < size_ ? data()[i] : T{0}; }
 
-  int64_t* data() { return size_ <= kInlineCapacity ? inline_ : heap_.data(); }
-  const int64_t* data() const {
+  T* data() { return size_ <= kInlineCapacity ? inline_ : heap_.data(); }
+  const T* data() const {
     return size_ <= kInlineCapacity ? inline_ : heap_.data();
   }
 
   /// Grows or shrinks; new elements are zero.
-  void Resize(size_t n);
+  void Resize(size_t n) {
+    if (n == size_) return;
+    if (n <= kInlineCapacity) {
+      if (size_ > kInlineCapacity) {
+        // Shrink heap -> inline.
+        std::copy_n(heap_.data(), n, inline_);
+        heap_.clear();
+        heap_.shrink_to_fit();
+      } else if (n > size_) {
+        std::fill(inline_ + size_, inline_ + n, T{0});
+      }
+    } else if (size_ <= kInlineCapacity) {
+      std::vector<T> grown(n, T{0});
+      std::copy_n(inline_, size_, grown.data());
+      heap_ = std::move(grown);
+    } else {
+      heap_.resize(n, T{0});
+    }
+    size_ = n;
+  }
+
+  bool operator==(const SmallVector& other) const {
+    return size_ == other.size_ &&
+           std::equal(data(), data() + size_, other.data());
+  }
+
+  /// Approximate heap + inline footprint for cache memory accounting.
+  size_t ApproximateBytes() const {
+    return sizeof(SmallVector) +
+           (size_ > kInlineCapacity ? heap_.capacity() * sizeof(T) : 0);
+  }
+
+ private:
+  void CopyFrom(const SmallVector& other) {
+    Resize(other.size_);
+    std::copy_n(other.data(), other.size_, data());
+  }
+
+  void MoveFrom(SmallVector&& other) {
+    if (other.size_ <= kInlineCapacity) {
+      Resize(other.size_);
+      std::copy_n(other.inline_, other.size_, inline_);
+    } else {
+      heap_ = std::move(other.heap_);
+      size_ = other.size_;
+    }
+    other.size_ = 0;
+  }
+
+  size_t size_ = 0;
+  T inline_[kInlineCapacity] = {};
+  std::vector<T> heap_;
+};
+
+/// Vector of per-action counts attached to one feature, e.g.
+/// [clicks, likes, shares, comments]. Small-buffer-optimized: profiles hold
+/// millions of these, and production count vectors have <= 4 actions in the
+/// common case, so the inline representation avoids a heap allocation per
+/// feature.
+class CountVector : public SmallVector<int64_t> {
+ public:
+  using SmallVector<int64_t>::SmallVector;
 
   /// Element-wise accumulate, growing to other's width; the SUM reduce path.
   void AccumulateSum(const CountVector& other);
@@ -86,23 +150,10 @@ class CountVector {
 
   /// Sum of all elements (used by size-agnostic importance scoring).
   int64_t Total() const;
-
-  bool operator==(const CountVector& other) const;
-
-  /// Approximate heap + inline footprint for cache memory accounting.
-  size_t ApproximateBytes() const {
-    return sizeof(CountVector) +
-           (size_ > kInlineCapacity ? heap_.capacity() * sizeof(int64_t) : 0);
-  }
-
- private:
-  void CopyFrom(const CountVector& other);
-  void MoveFrom(CountVector&& other);
-
-  size_t size_ = 0;
-  int64_t inline_[kInlineCapacity] = {0, 0, 0, 0};
-  std::vector<int64_t> heap_;
 };
+
+/// Decay-weighted counts of one query result feature, one per action.
+using WeightVector = SmallVector<double>;
 
 /// Sort orders for top-K queries (Section II-B get_profile_topK sort_type):
 /// by one action's count, by timestamp (slice recency), or by feature id.

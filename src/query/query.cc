@@ -10,14 +10,14 @@ namespace {
 
 using Accumulator = QueryScratch::Accumulator;
 
-// Accumulator (re)initialization overwrites a possibly-reused element: the
-// count/weight buffers keep whatever capacity a previous query grew them to,
-// so a warmed scratch initializes without touching the heap.
+// Accumulator (re)initialization overwrites a possibly-reused element. Counts
+// and weights of <= 4 actions live inline, so a warmed scratch initializes
+// without touching the heap.
 void InitAccumulator(Accumulator& acc, const FeatureStat& stat, double weight,
                      TimestampMs slice_end_ms) {
   acc.fid = stat.fid;
   acc.counts = stat.counts;
-  acc.weighted.assign(stat.counts.size(), 0.0);
+  acc.weighted.Resize(stat.counts.size());
   for (size_t i = 0; i < stat.counts.size(); ++i) {
     acc.weighted[i] = static_cast<double>(stat.counts[i]) * weight;
   }
@@ -35,7 +35,7 @@ void AccumulateInto(Accumulator& acc, const FeatureStat& stat, double weight,
       break;
   }
   if (acc.weighted.size() < stat.counts.size()) {
-    acc.weighted.resize(stat.counts.size(), 0.0);
+    acc.weighted.Resize(stat.counts.size());
   }
   for (size_t i = 0; i < stat.counts.size(); ++i) {
     const double contribution = static_cast<double>(stat.counts[i]) * weight;
@@ -196,10 +196,9 @@ Status ExecuteQueryInto(const ProfileData& profile, const QuerySpec& spec,
   out->features_merged = scratch->acc_count;
 
   // Step 3: filter + top-K over accumulator INDICES. Sorting 4-byte indices
-  // instead of FeatureResult objects avoids shuffling their heap buffers,
-  // and only the K winners ever get materialized — so the result vector's
-  // high-water size is the result size, not the merged-feature count, and
-  // its elements (with their buffers) survive between queries.
+  // instead of FeatureResult objects avoids moving whole features, and only
+  // the K winners ever get materialized — so the result vector's size is the
+  // result size, not the merged-feature count.
   auto& order = scratch->emit_order;
   order.clear();
   for (size_t i = 0; i < scratch->acc_count; ++i) {
@@ -223,19 +222,19 @@ Status ExecuteQueryInto(const ProfileData& profile, const QuerySpec& spec,
   }
 
   // Step 4: emit the winners, overwriting `out`'s existing feature elements
-  // in place so their buffers are reused; the vector only grows past its
-  // high-water size on a bigger-than-ever result.
+  // in place. The vector is sized to the result count once up front, so a
+  // fresh result pays one allocation and a reused one none; counts and
+  // weights live inline.
   auto& features = out->features;
+  features.resize(count);
   for (size_t i = 0; i < count; ++i) {
     const Accumulator& acc = accs[order[i]];
-    if (i == features.size()) features.emplace_back();
     FeatureResult& f = features[i];
     f.fid = acc.fid;
     f.counts = acc.counts;
-    f.weighted.assign(acc.weighted.begin(), acc.weighted.end());
+    f.weighted = acc.weighted;
     f.newest_ms = acc.newest_ms;
   }
-  features.resize(count);
   return Status::OK();
 }
 

@@ -27,14 +27,12 @@ struct FeatureResult {
   /// Counts aggregated across the window (reduce function of the table).
   CountVector counts;
   /// Decay-weighted counts; equals raw counts when no decay is applied.
-  std::vector<double> weighted;
+  WeightVector weighted;
   /// End timestamp of the newest slice that contributed (for sort-by-time).
   TimestampMs newest_ms = 0;
 
   /// Weighted value of one action dimension (0 when out of range).
-  double WeightedAt(size_t i) const {
-    return i < weighted.size() ? weighted[i] : 0.0;
-  }
+  double WeightedAt(size_t i) const { return weighted.At(i); }
 };
 
 /// Filter predicates for get_profile_filter.
@@ -97,9 +95,11 @@ Result<QueryResult> ExecuteQuery(const ProfileData& profile,
 /// Allocation-free core of ExecuteQuery: all transient state lives in
 /// `*scratch` and the result is written into `*out` reusing whatever storage
 /// it already holds (`out->features` elements are overwritten in place and
-/// the vector is resized to the result count). With a warmed scratch and a
-/// reused `out` of stable shape, a query performs zero heap allocations —
-/// the property the bench_micro --smoke gate asserts.
+/// the vector is resized to the result count). Result features keep their
+/// counts and weights inline (<= 4 actions), so with a warmed scratch a query
+/// performs zero heap allocations into a reused `out`, and exactly one — the
+/// `features` array, sized once — into a fresh one: the properties the
+/// bench_micro --smoke gate asserts.
 ///
 /// `out->degraded` is left untouched for the caller to set.
 Status ExecuteQueryInto(const ProfileData& profile, const QuerySpec& spec,

@@ -35,14 +35,12 @@ struct QueryScratch {
   struct Accumulator {
     FeatureId fid = 0;
     CountVector counts;
-    std::vector<double> weighted;
+    WeightVector weighted;
     TimestampMs newest_ms = 0;
 
     /// Weighted value of one action dimension (0 when out of range), the
     /// sort key for count-ordered results.
-    double WeightedAt(size_t i) const {
-      return i < weighted.size() ? weighted[i] : 0.0;
-    }
+    double WeightedAt(size_t i) const { return weighted.At(i); }
   };
 
   std::vector<Run> runs;

@@ -1,6 +1,8 @@
 #include "core/types.h"
 
+#include <cstdint>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -146,6 +148,135 @@ TEST_P(CountVectorSizeTest, RoundTripThroughResizeAndCopy) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, CountVectorSizeTest,
                          ::testing::Values(0, 1, 2, 3, 4, 5, 6, 8, 16, 64));
+
+// The layout cache byte accounting is built on: a size, four inline counts
+// and the heap fallback, nothing else.
+TEST(CountVectorTest, LayoutIsSizeInlineArrayAndHeapVector) {
+  EXPECT_EQ(sizeof(CountVector), sizeof(size_t) + 4 * sizeof(int64_t) +
+                                     sizeof(std::vector<int64_t>));
+  EXPECT_EQ(CountVector({1, 2}).ApproximateBytes(), sizeof(CountVector));
+}
+
+// The inline <-> heap switch of SmallVector, run for both instantiations:
+// CountVector (int64) and WeightVector (double).
+template <typename V>
+class SmallVectorTest : public ::testing::Test {
+ protected:
+  using T = typename V::value_type;
+  static constexpr size_t kCap = V::kInlineCapacity;
+
+  /// [1, 2, ..., n].
+  static V Iota(size_t n) {
+    V v(n);
+    for (size_t i = 0; i < n; ++i) v[i] = static_cast<T>(i + 1);
+    return v;
+  }
+  static void ExpectIota(const V& v, size_t n) {
+    ASSERT_EQ(v.size(), n);
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(v[i], static_cast<T>(i + 1)) << "at " << i;
+    }
+  }
+  /// Whether the elements live inside the object (no heap block).
+  static bool IsInline(const V& v) {
+    const auto p = reinterpret_cast<uintptr_t>(v.data());
+    const auto self = reinterpret_cast<uintptr_t>(&v);
+    return p >= self && p < self + sizeof(V);
+  }
+};
+
+using SmallVectorTypes = ::testing::Types<CountVector, WeightVector>;
+TYPED_TEST_SUITE(SmallVectorTest, SmallVectorTypes);
+
+TYPED_TEST(SmallVectorTest, SwitchesToHeapAtFiveAndBackAtFour) {
+  constexpr size_t kCap = TestFixture::kCap;
+  static_assert(kCap == 4);
+  TypeParam v = TestFixture::Iota(kCap);
+  EXPECT_TRUE(TestFixture::IsInline(v));
+  EXPECT_EQ(v.ApproximateBytes(), sizeof(TypeParam));
+
+  v.Resize(kCap + 1);  // inline -> heap, values kept, new element zero
+  EXPECT_FALSE(TestFixture::IsInline(v));
+  EXPECT_GT(v.ApproximateBytes(), sizeof(TypeParam));
+  EXPECT_EQ(v[kCap], 0);
+  v[kCap] = static_cast<typename TestFixture::T>(kCap + 1);
+  TestFixture::ExpectIota(v, kCap + 1);
+
+  v.Resize(kCap);  // heap -> inline, values kept, heap block released
+  EXPECT_TRUE(TestFixture::IsInline(v));
+  EXPECT_EQ(v.ApproximateBytes(), sizeof(TypeParam));
+  TestFixture::ExpectIota(v, kCap);
+
+  v.Resize(kCap + 1);  // the dropped fifth element comes back zero
+  EXPECT_EQ(v[kCap], 0);
+  EXPECT_EQ(v.At(kCap + 1), 0);  // out of range
+
+  v.Resize(1);  // shrinking within the inline slots, then regrowing
+  v.Resize(kCap);
+  EXPECT_TRUE(TestFixture::IsInline(v));
+  EXPECT_EQ(v[0], 1);
+  for (size_t i = 1; i < kCap; ++i) EXPECT_EQ(v[i], 0) << "at " << i;
+}
+
+TYPED_TEST(SmallVectorTest, CopyAndMoveFromInlineAndHeap) {
+  constexpr size_t kCap = TestFixture::kCap;
+  for (const size_t n : {kCap - 1, kCap, kCap + 1, kCap + 3}) {
+    SCOPED_TRACE(n);
+    // The other state than `n`'s, for cross-state assignment.
+    const size_t other_n = n <= kCap ? kCap + 2 : 2;
+    const TypeParam source = TestFixture::Iota(n);
+
+    TypeParam copy(source);
+    TestFixture::ExpectIota(copy, n);
+    copy[0] = 99;  // a deep copy
+    EXPECT_EQ(source[0], 1);
+
+    TypeParam assigned = TestFixture::Iota(other_n);
+    assigned = source;
+    EXPECT_EQ(assigned, source);
+    EXPECT_EQ(TestFixture::IsInline(assigned), n <= kCap);
+
+    TypeParam moved_from = source;
+    TypeParam moved(std::move(moved_from));
+    EXPECT_EQ(moved, source);
+    // NOLINTNEXTLINE(bugprone-use-after-move): a moved-from value is empty
+    EXPECT_TRUE(moved_from.empty());
+    moved_from.Resize(other_n);  // and usable in either state
+    EXPECT_EQ(moved_from, TypeParam(other_n));
+    moved_from = source;
+    EXPECT_EQ(moved_from, source);
+
+    TypeParam move_assigned = TestFixture::Iota(other_n);
+    move_assigned = std::move(moved);
+    EXPECT_EQ(move_assigned, source);
+    // NOLINTNEXTLINE(bugprone-use-after-move)
+    EXPECT_TRUE(moved.empty());
+    moved = TestFixture::Iota(other_n);
+    TestFixture::ExpectIota(moved, other_n);
+  }
+}
+
+TYPED_TEST(SmallVectorTest, Equality) {
+  constexpr size_t kCap = TestFixture::kCap;
+  EXPECT_EQ(TypeParam(), TypeParam());
+  EXPECT_EQ(TestFixture::Iota(kCap), TestFixture::Iota(kCap));
+  EXPECT_EQ(TestFixture::Iota(kCap + 2), TestFixture::Iota(kCap + 2));
+  // Same prefix, different width: a trailing zero still differs.
+  TypeParam wider = TestFixture::Iota(kCap);
+  wider.Resize(kCap + 1);
+  EXPECT_FALSE(wider == TestFixture::Iota(kCap));
+  // One element off, inline and on the heap.
+  TypeParam inline_off = TestFixture::Iota(kCap);
+  inline_off[kCap - 1] = 0;
+  EXPECT_FALSE(inline_off == TestFixture::Iota(kCap));
+  TypeParam heap_off = TestFixture::Iota(kCap + 2);
+  heap_off[kCap + 1] = 0;
+  EXPECT_FALSE(heap_off == TestFixture::Iota(kCap + 2));
+  // A vector shrunk back from the heap equals one that never left inline.
+  TypeParam shrunk = TestFixture::Iota(kCap + 2);
+  shrunk.Resize(kCap);
+  EXPECT_EQ(shrunk, TestFixture::Iota(kCap));
+}
 
 }  // namespace
 }  // namespace ips

@@ -536,6 +536,65 @@ TEST(GCacheTest, InvalidateFlushesDirtyEntry) {
   EXPECT_TRUE(store.Has(7));  // flushed before drop
 }
 
+// DirtyCount reports only entries still listed and dirty: a pid that a
+// write-back stored clean and dropped stops counting at once, not at the
+// next flush pass.
+TEST(GCacheTest, InvalidatedPidLeavesDirtyCountAtOnce) {
+  FakeStore store;
+  GCache cache(ManualOptions(), SystemClock::Instance(), store.Loader(),
+               store.Storer());
+  ASSERT_TRUE(cache
+                  .WithProfileMutable(7,
+                                      [](ProfileData& profile) {
+                                        profile
+                                            .Add(kMinute, 1, 1, 1,
+                                                 CountVector{1})
+                                            .ok();
+                                      })
+                  .ok());
+  ASSERT_EQ(cache.DirtyCount(), 1u);
+  ASSERT_TRUE(cache.Invalidate(7).ok());
+  EXPECT_TRUE(store.Has(7));
+  EXPECT_EQ(cache.DirtyCount(), 0u);  // no FlushOnce in between
+  // The stale list slot is skipped: the next pass stores nothing.
+  EXPECT_EQ(cache.FlushOnce(), 0u);
+  EXPECT_EQ(store.flush_count(), 1);
+}
+
+TEST(GCacheTest, EvictedDirtyVictimsLeaveDirtyCountAtOnce) {
+  FakeStore store;
+  GCacheOptions options = ManualOptions();
+  options.memory_limit_bytes = 64 << 10;
+  GCache cache(options, SystemClock::Instance(), store.Loader(),
+               store.Storer());
+  constexpr ProfileId kPids = 200;
+  for (ProfileId pid = 1; pid <= kPids; ++pid) {
+    ASSERT_TRUE(cache
+                    .WithProfileMutable(pid,
+                                        [](ProfileData& profile) {
+                                          for (int i = 0; i < 20; ++i) {
+                                            profile
+                                                .Add(kMinute * (i + 1), 1, 1,
+                                                     static_cast<FeatureId>(
+                                                         i + 1),
+                                                     CountVector{1, 2, 3})
+                                                .ok();
+                                          }
+                                        })
+                    .ok());
+  }
+  ASSERT_EQ(cache.DirtyCount(), kPids);
+  ASSERT_GT(cache.SwapOnce(), 0u);
+  const size_t resident = cache.EntryCount();
+  ASSERT_LT(resident, kPids);
+  // Every victim was stored clean and dropped; every resident pid is still
+  // dirty, and the count says exactly that before any flush pass.
+  EXPECT_EQ(cache.DirtyCount(), resident);
+  EXPECT_EQ(cache.FlushOnce(), resident);
+  EXPECT_EQ(cache.DirtyCount(), 0u);
+  EXPECT_EQ(store.flush_count(), static_cast<int>(kPids));
+}
+
 TEST(GCacheTest, RepeatedMutationsOnlyOneDirtyEntry) {
   FakeStore store;
   GCache cache(ManualOptions(), SystemClock::Instance(), store.Loader(),

@@ -1,5 +1,6 @@
 #include "query/query.h"
 
+#include <algorithm>
 #include <map>
 #include <optional>
 #include <vector>
@@ -453,6 +454,95 @@ TEST_P(QueryPropertyTest, MatchesBruteForceReference) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, QueryPropertyTest,
                          ::testing::Values(3, 17, 23, 57, 101));
+
+// Count vectors wider than the 4 inline slots: 6-action writes, mixed with
+// narrower ones on the same fids, grow counts and weights onto the heap in
+// accumulate and emit. Counts and decay weights must match a brute-force
+// reference.
+TEST(QueryTest, SixActionDecayQueryMatchesReference) {
+  constexpr size_t kActions = 6;
+  const TimestampMs now = 100 * kDay;
+  Rng rng(6);
+  ProfileData profile(kMillisPerMinute);
+  struct Write {
+    TimestampMs ts;
+    FeatureId fid;
+    CountVector counts;
+  };
+  std::vector<Write> writes;
+  for (int i = 0; i < 120; ++i) {
+    Write w;
+    w.ts = now - static_cast<TimestampMs>(rng.Uniform(8 * kDay)) - 1;
+    w.fid = rng.Uniform(12) + 1;
+    // Every third write is narrow: inline accumulators must widen too.
+    w.counts = CountVector(i % 3 == 0 ? 2 : kActions);
+    for (size_t a = 0; a < w.counts.size(); ++a) {
+      w.counts[a] = static_cast<int64_t>(rng.Uniform(5)) + 1;
+    }
+    ASSERT_TRUE(
+        profile.Add(w.ts, kSports, kBasketball, w.fid, w.counts).ok());
+    writes.push_back(std::move(w));
+  }
+
+  const TimestampMs from = now - 6 * kDay;
+  const TimestampMs to = now;
+  DecaySpec decay;
+  decay.function = DecayFunction::kExponential;
+  decay.factor = 0.7;
+  decay.unit_ms = kDay;
+
+  // Reference: per fid, sum counts and count * weight(slice midpoint age)
+  // over the writes whose slice overlaps the window.
+  std::map<FeatureId, std::pair<CountVector, std::vector<double>>> expected;
+  for (const auto& w : writes) {
+    for (const auto& slice : profile.slices()) {
+      if (!slice.Contains(w.ts)) continue;
+      if (slice.Overlaps(from, to)) {
+        const double weight = decay.WeightForAge(
+            to - (slice.start_ms() + slice.DurationMs() / 2));
+        auto& [counts, weighted] = expected[w.fid];
+        counts.AccumulateSum(w.counts);
+        weighted.resize(std::max(weighted.size(), w.counts.size()), 0.0);
+        for (size_t a = 0; a < w.counts.size(); ++a) {
+          weighted[a] += static_cast<double>(w.counts[a]) * weight;
+        }
+      }
+      break;
+    }
+  }
+  ASSERT_FALSE(expected.empty());
+
+  QuerySpec spec;
+  spec.slot = kSports;
+  spec.type = kBasketball;
+  spec.time_range = TimeRange::Absolute(from, to);
+  spec.decay = decay;
+  spec.sort_by = SortBy::kActionCount;
+  spec.sort_action = kActions - 1;  // ranks by a heap-held weight
+  QueryScratch scratch;
+  QueryResult result;
+  for (int round = 0; round < 2; ++round) {  // fresh, then reused
+    ASSERT_TRUE(
+        ExecuteQueryInto(profile, spec, now, &scratch, &result).ok());
+    ASSERT_EQ(result.features.size(), expected.size());
+    for (size_t i = 0; i < result.features.size(); ++i) {
+      const FeatureResult& f = result.features[i];
+      auto it = expected.find(f.fid);
+      ASSERT_NE(it, expected.end()) << "fid " << f.fid;
+      const auto& [counts, weighted] = it->second;
+      EXPECT_EQ(f.counts, counts) << "fid " << f.fid;
+      ASSERT_EQ(f.weighted.size(), weighted.size()) << "fid " << f.fid;
+      for (size_t a = 0; a < weighted.size(); ++a) {
+        EXPECT_NEAR(f.weighted[a], weighted[a], 1e-9 * weighted[a])
+            << "fid " << f.fid << " action " << a;
+      }
+      if (i > 0) {
+        EXPECT_GE(result.features[i - 1].WeightedAt(kActions - 1),
+                  f.WeightedAt(kActions - 1));
+      }
+    }
+  }
+}
 
 // Buffer reuse must never leak state: one scratch + one result object,
 // reused across queries of different shapes (bigger results, smaller

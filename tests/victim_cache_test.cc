@@ -464,7 +464,9 @@ TEST(VictimCacheTest, InvalidateNeverLeavesDemotedCopyUnderEvictionStress) {
     std::thread invalidator([&] {
       while (!go.load()) {
       }
-      for (volatile uint64_t i = 0; i < spins; i = i + 1) {
+      // A relaxed atomic counter: a spin the compiler may not delete.
+      std::atomic<uint64_t> spun{0};
+      while (spun.fetch_add(1, std::memory_order_relaxed) < spins) {
       }
       EXPECT_TRUE(cache.Invalidate(pid).ok());
     });
