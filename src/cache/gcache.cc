@@ -199,7 +199,7 @@ std::vector<Result<ProfileData>> GCache::LoadMisses(
   return results;
 }
 
-size_t GCache::ResolveBatch(const std::vector<ProfileId>& pids,
+size_t GCache::ResolveBatch(std::span<const ProfileId> pids,
                             std::vector<Status>* statuses,
                             TimestampMs deadline_ms, bool create_if_missing,
                             BatchScratch& scratch) {
@@ -308,7 +308,7 @@ size_t GCache::ResolveBatch(const std::vector<ProfileId>& pids,
 }
 
 size_t GCache::WithProfiles(
-    const std::vector<ProfileId>& pids,
+    std::span<const ProfileId> pids,
     const std::function<void(size_t, const ProfileData&)>& fn,
     std::vector<Status>* statuses, std::vector<bool>* out_degraded,
     TimestampMs deadline_ms) {
@@ -347,7 +347,7 @@ size_t GCache::WithProfiles(
 }
 
 size_t GCache::WithProfilesMutable(
-    const std::vector<ProfileId>& pids,
+    std::span<const ProfileId> pids,
     const std::function<void(size_t, ProfileData&)>& fn,
     std::vector<Status>* statuses) {
   BatchScratch& scratch = ThreadBatchScratch();
@@ -495,8 +495,9 @@ Status GCache::WithProfile(ProfileId pid,
   std::vector<Status> statuses;
   std::vector<bool> degraded;
   const size_t hits = WithProfiles(
-      {pid}, [&](size_t, const ProfileData& profile) { fn(profile); },
-      &statuses, &degraded);
+      std::span(&pid, 1),
+      [&](size_t, const ProfileData& profile) { fn(profile); }, &statuses,
+      &degraded);
   if (out_was_hit != nullptr) *out_was_hit = hits > 0;
   if (out_degraded != nullptr) *out_degraded = degraded[0];
   return statuses[0];
@@ -507,7 +508,8 @@ Status GCache::WithProfileMutable(
     bool* out_was_hit) {
   std::vector<Status> statuses;
   const size_t hits = WithProfilesMutable(
-      {pid}, [&](size_t, ProfileData& profile) { fn(profile); }, &statuses);
+      std::span(&pid, 1), [&](size_t, ProfileData& profile) { fn(profile); },
+      &statuses);
   if (out_was_hit != nullptr) *out_was_hit = hits > 0;
   return statuses[0];
 }

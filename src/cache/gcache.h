@@ -163,7 +163,7 @@ class GCache {
   /// where the served profile may be stale (see WithProfile). `deadline_ms`
   /// is handed to the load function (see LoadFn). `fn` must not call back
   /// into the cache: the batch calls share per-thread scratch buffers.
-  size_t WithProfiles(const std::vector<ProfileId>& pids,
+  size_t WithProfiles(std::span<const ProfileId> pids,
                       const std::function<void(size_t, const ProfileData&)>& fn,
                       std::vector<Status>* statuses,
                       std::vector<bool>* out_degraded = nullptr,
@@ -209,7 +209,7 @@ class GCache {
   /// was locked is looked up again, so no write is lost. A failed load
   /// leaves its pids untouched with its status. Returns the hit count.
   size_t WithProfilesMutable(
-      const std::vector<ProfileId>& pids,
+      std::span<const ProfileId> pids,
       const std::function<void(size_t, ProfileData&)>& fn,
       std::vector<Status>* statuses);
 
@@ -390,7 +390,7 @@ class GCache {
   /// `scratch.entries[i]` set for `pids[i]`, or null with its status, and
   /// `scratch.order` grouped by entry, input order within an entry.
   /// Returns the number of hits.
-  size_t ResolveBatch(const std::vector<ProfileId>& pids,
+  size_t ResolveBatch(std::span<const ProfileId> pids,
                       std::vector<Status>* statuses, TimestampMs deadline_ms,
                       bool create_if_missing, BatchScratch& scratch);
 

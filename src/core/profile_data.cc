@@ -23,53 +23,41 @@ Status ProfileData::Add(TimestampMs timestamp, SlotId slot, TypeId type,
   const TimestampMs aligned = AlignDown(timestamp);
   const TimestampMs aligned_end = aligned + write_granularity_ms_;
 
-  // Overhead charged per freshly created slice (list node + empty slice).
-  constexpr int64_t kNewSliceBytes = static_cast<int64_t>(sizeof(Slice)) + 16;
-
+  // Locate the slice covering `timestamp`, or open one in its gap (the
+  // vector is newest-first), at `index`.
+  const size_t block_before = SliceBlockBytes();
+  size_t index = 0;
   if (slices_.empty()) {
-    slices_.emplace_front(aligned, aligned_end);
-    approx_bytes_ += kNewSliceBytes +
-                     slices_.front().Add(slot, type, fid, counts, reduce);
-    return Status::OK();
-  }
-
-  // Newer than (or at) the head's end: open a new head slice. Its start is
-  // clamped to the head's end so intervals stay disjoint even when the head
-  // has been compacted into a non-grid-aligned width.
-  Slice& head = slices_.front();
-  if (timestamp >= head.end_ms()) {
-    const TimestampMs start = std::max(aligned, head.end_ms());
-    slices_.emplace_front(start, std::max(aligned_end, start + 1));
-    approx_bytes_ += kNewSliceBytes +
-                     slices_.front().Add(slot, type, fid, counts, reduce);
-    return Status::OK();
-  }
-
-  // Walk newest -> oldest to find the covering slice or the insertion gap.
-  for (auto it = slices_.begin(); it != slices_.end(); ++it) {
-    if (it->Contains(timestamp)) {
-      approx_bytes_ += it->Add(slot, type, fid, counts, reduce);
-      return Status::OK();
+    slices_.emplace_back(aligned, aligned_end);
+  } else if (timestamp >= slices_.front().end_ms()) {
+    // Newer than (or at) the head's end: open a new head slice. Its start
+    // is clamped to the head's end so intervals stay disjoint even when the
+    // head has been compacted into a non-grid-aligned width.
+    const TimestampMs start = std::max(aligned, slices_.front().end_ms());
+    slices_.emplace(slices_.begin(), start, std::max(aligned_end, start + 1));
+  } else {
+    // Walk newest -> oldest to find the covering slice or the insertion gap.
+    while (index < slices_.size() && !slices_[index].Contains(timestamp) &&
+           timestamp < slices_[index].end_ms()) {
+      ++index;
     }
-    if (timestamp >= it->end_ms()) {
-      // Gap between the previous (newer) slice and *it.
-      auto newer = std::prev(it);
-      const TimestampMs lo = std::max(aligned, it->end_ms());
-      const TimestampMs hi = std::min(aligned_end, newer->start_ms());
-      auto inserted = slices_.emplace(it, lo, std::max(hi, lo + 1));
-      approx_bytes_ +=
-          kNewSliceBytes + inserted->Add(slot, type, fid, counts, reduce);
-      return Status::OK();
+    if (index == slices_.size()) {
+      // Older than everything: append at the tail.
+      const TimestampMs hi = std::min(aligned_end, slices_.back().start_ms());
+      const TimestampMs lo = std::min(aligned, hi - 1);
+      slices_.emplace_back(lo, hi);
+    } else if (!slices_[index].Contains(timestamp)) {
+      // Gap between the newer slice index - 1 and slices_[index].
+      const TimestampMs lo = std::max(aligned, slices_[index].end_ms());
+      const TimestampMs hi =
+          std::min(aligned_end, slices_[index - 1].start_ms());
+      slices_.emplace(slices_.begin() + static_cast<ptrdiff_t>(index), lo,
+                      std::max(hi, lo + 1));
     }
   }
-
-  // Older than everything: append at the tail.
-  Slice& tail = slices_.back();
-  const TimestampMs hi = std::min(aligned_end, tail.start_ms());
-  const TimestampMs lo = std::min(aligned, hi - 1);
-  slices_.emplace_back(lo, hi);
+  const int64_t delta = slices_[index].Add(slot, type, fid, counts, reduce);
   approx_bytes_ +=
-      kNewSliceBytes + slices_.back().Add(slot, type, fid, counts, reduce);
+      SliceBlockBytes() - block_before + static_cast<size_t>(delta);
   return Status::OK();
 }
 
@@ -87,9 +75,13 @@ size_t ProfileData::TotalFeatures() const {
   return total;
 }
 
+size_t ProfileData::SliceBlockBytes() const {
+  return HeapBlockBytes(slices_.capacity() * sizeof(Slice));
+}
+
 size_t ProfileData::RecomputeBytes() {
-  size_t bytes = sizeof(ProfileData);
-  for (const auto& s : slices_) bytes += s.ApproximateBytes() + 16;
+  size_t bytes = sizeof(ProfileData) + SliceBlockBytes();
+  for (const auto& s : slices_) bytes += s.HeapBytes();
   approx_bytes_ = bytes;
   return bytes;
 }
@@ -102,11 +94,7 @@ bool ProfileData::CheckInvariants() const {
     if (!first && s.end_ms() > prev_start) return false;  // overlap/disorder
     prev_start = s.start_ms();
     first = false;
-    for (const auto& [slot, set] : s.slots()) {
-      for (const auto& [type, stats] : set.types()) {
-        if (!stats.IsSorted()) return false;
-      }
-    }
+    if (!RowsSorted(s.rows())) return false;
   }
   return true;
 }
@@ -118,13 +106,9 @@ void ProfileData::MergeProfile(const ProfileData& other, ReduceFn reduce) {
     // invariant without needing interval surgery; isolation-merge slices are
     // narrow (seconds wide) so the aggregation error is bounded by the write
     // granularity, the same trade-off the paper accepts for compaction.
-    for (const auto& [slot, set] : it->slots()) {
-      for (const auto& [type, stats] : set.types()) {
-        for (const auto& stat : stats.stats()) {
-          Add(it->start_ms(), slot, type, stat.fid, stat.counts, reduce)
-              .ok();
-        }
-      }
+    for (const FeatureRow& row : it->rows()) {
+      Add(it->start_ms(), row.slot, row.type, row.fid, row.counts, reduce)
+          .ok();
     }
   }
   last_action_ms_ = std::max(last_action_ms_, other.last_action_ms_);

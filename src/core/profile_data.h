@@ -7,7 +7,7 @@
 #define IPS_CORE_PROFILE_DATA_H_
 
 #include <cstddef>
-#include <list>
+#include <vector>
 
 #include "common/status.h"
 #include "core/slice.h"
@@ -29,10 +29,10 @@ class ProfileData {
   Status Add(TimestampMs timestamp, SlotId slot, TypeId type, FeatureId fid,
              const CountVector& counts, ReduceFn reduce = ReduceFn::kSum);
 
-  /// Slices newest-first. Query code iterates this to collect the slices
-  /// overlapping a window.
-  const std::list<Slice>& slices() const { return slices_; }
-  std::list<Slice>& mutable_slices() { return slices_; }
+  /// Slices newest-first, in one vector. Query code iterates this to collect
+  /// the slices overlapping a window.
+  const std::vector<Slice>& slices() const { return slices_; }
+  std::vector<Slice>& mutable_slices() { return slices_; }
 
   size_t SliceCount() const { return slices_.size(); }
   bool empty() const { return slices_.empty(); }
@@ -53,7 +53,9 @@ class ProfileData {
 
   size_t TotalFeatures() const;
 
-  /// Approximate memory footprint. O(1): maintained incrementally by Add.
+  /// Memory footprint: this object, the slice vector's block and every
+  /// slice's heap bytes, by capacity and as malloc rounds each block (what
+  /// the layout really allocates). O(1): maintained incrementally by Add.
   /// Code that mutates the slice list directly (compaction, deserialization,
   /// anything going through mutable_slices()) must call RecomputeBytes()
   /// afterwards — the cache layer charges this value against its memory
@@ -75,11 +77,13 @@ class ProfileData {
  private:
   /// Aligns `ts` down to the write granularity grid.
   TimestampMs AlignDown(TimestampMs ts) const;
+  /// Heap bytes of the slice vector's block.
+  size_t SliceBlockBytes() const;
 
   int64_t write_granularity_ms_;
   TimestampMs last_action_ms_ = 0;
   size_t approx_bytes_ = sizeof(ProfileData);
-  std::list<Slice> slices_;  // newest first
+  std::vector<Slice> slices_;  // newest first
 };
 
 }  // namespace ips

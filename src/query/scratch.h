@@ -21,10 +21,10 @@
 namespace ips {
 
 struct QueryScratch {
-  /// One window-overlapping sorted stat run: the slice's fid_index for the
-  /// queried (slot, type) scope plus the slice-derived merge parameters.
+  /// One window-overlapping sorted fid run: the slice's rows of one queried
+  /// (slot, type) group plus the slice-derived merge parameters.
   struct Run {
-    const IndexedFeatureStats* stats;
+    RowSpan rows;
     double weight;
     TimestampMs end_ms;
   };
@@ -60,10 +60,6 @@ struct QueryScratch {
   /// over these 4-byte indices, not over FeatureResult objects, and only the
   /// K winners are materialized into the caller's result.
   std::vector<uint32_t> emit_order;
-
-  /// Merge buffer handed to IndexedFeatureStats::MergeFrom by callers that
-  /// route bulk merges (compaction) through the shared scratch.
-  std::vector<FeatureStat> merge_buf;
 
   /// Queries served by this scratch (the first one pays the warm-up
   /// allocations; the rest are the `query.scratch_reuse` counter).

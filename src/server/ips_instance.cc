@@ -14,6 +14,19 @@ namespace {
 constexpr int64_t kMaintenanceTickMs = 10;
 constexpr int64_t kFlushIntervalMs = 100;
 
+// Per-pid outcome vectors of one MultiQuery, reused by the calling thread's
+// next batch so a warm thread allocates none of them.
+struct MultiQueryScratch {
+  std::vector<Status> cache_statuses;
+  std::vector<bool> degraded_flags;
+  std::vector<Status> exec_statuses;
+};
+
+MultiQueryScratch& ThreadMultiQueryScratch() {
+  thread_local MultiQueryScratch scratch;
+  return scratch;
+}
+
 void ApplyRecords(const std::vector<AddRecord>& records, ReduceFn reduce,
                   ProfileData& profile) {
   for (const auto& r : records) {
@@ -448,17 +461,18 @@ Result<MultiQueryResult> IpsInstance::MultiQuery(
   out.results.resize(pids.size());
   out.statuses.assign(pids.size(), Status::OK());
 
-  std::vector<ProfileId> pid_vec(pids.begin(), pids.end());
-  std::vector<Status> cache_statuses;
-  std::vector<bool> degraded_flags;
-  std::vector<Status> exec_statuses(pid_vec.size(), Status::OK());
+  MultiQueryScratch& batch = ThreadMultiQueryScratch();
+  std::vector<Status>& cache_statuses = batch.cache_statuses;
+  std::vector<bool>& degraded_flags = batch.degraded_flags;
+  std::vector<Status>& exec_statuses = batch.exec_statuses;
+  exec_statuses.assign(pids.size(), Status::OK());
   // All computes in the batch share this thread's warmed scratch: after the
   // first query on a worker, the compute core runs allocation-free.
   QueryScratch& scratch = QueryScratch::ThreadLocal();
   uint64_t scratch_reuses = 0;
   overhead_span.reset();
   out.cache_hits = t->cache->WithProfiles(
-      pid_vec,
+      pids,
       [&](size_t i, const ProfileData& profile) {
         ScopedSpan compute_span("feature.compute");
         if (scratch.uses > 0) ++scratch_reuses;
@@ -472,7 +486,7 @@ Result<MultiQueryResult> IpsInstance::MultiQuery(
     serving_metrics_.scratch_reuse->Increment(
         static_cast<int64_t>(scratch_reuses));
   }
-  for (size_t i = 0; i < pid_vec.size(); ++i) {
+  for (size_t i = 0; i < pids.size(); ++i) {
     if (degraded_flags[i] && cache_statuses[i].ok() &&
         exec_statuses[i].ok()) {
       out.results[i].degraded = true;
@@ -486,7 +500,7 @@ Result<MultiQueryResult> IpsInstance::MultiQuery(
 
   int64_t ok_count = 0;
   int64_t error_count = 0;
-  for (size_t i = 0; i < pid_vec.size(); ++i) {
+  for (size_t i = 0; i < pids.size(); ++i) {
     if (cache_statuses[i].IsNotFound()) {
       // Unknown profile: an empty result, not an error — recommendation
       // callers treat new users as empty profiles.
@@ -505,7 +519,7 @@ Result<MultiQueryResult> IpsInstance::MultiQuery(
     }
     ++ok_count;
   }
-  Complete(serving_metrics_.query, begin_ns, pid_vec.size(), ok_count,
+  Complete(serving_metrics_.query, begin_ns, pids.size(), ok_count,
            error_count);
   return out;
 }

@@ -319,6 +319,8 @@ Result<ProfileData> Persister::AssembleSplit(ProfileId pid,
   std::unordered_map<uint64_t, uint32_t> loaded_sums;
   loaded_sums.reserve(meta.entries.size());
   uint64_t zero_copy = 0;
+  std::vector<Slice>& slices = profile.mutable_slices();
+  slices.reserve(meta.entries.size());
   for (size_t i = 0; i < meta.entries.size(); ++i) {
     IPS_RETURN_IF_ERROR(slice_statuses[i]);
     const std::string& compressed = slice_values[i];
@@ -331,9 +333,7 @@ Result<ProfileData> Persister::AssembleSplit(ProfileId pid,
     IPS_RETURN_IF_ERROR(
         BlockUncompressView(compressed, &scratch.uncompress, &raw, &aliased));
     if (aliased) ++zero_copy;
-    Slice slice;
-    IPS_RETURN_IF_ERROR(DecodeSlice(raw, &slice));
-    profile.mutable_slices().push_back(std::move(slice));
+    IPS_RETURN_IF_ERROR(DecodeSlice(raw, &slices.emplace_back()));
   }
   if (zero_copy_decodes_ != nullptr && zero_copy > 0) {
     zero_copy_decodes_->Increment(static_cast<int64_t>(zero_copy));

@@ -29,8 +29,7 @@ ProfileData MakeProfile(FeatureId fid) {
 }
 
 FeatureId OnlyFid(const ProfileData& profile) {
-  return profile.slices().front().slots().begin()->second.types()
-      .begin()->second.stats().front().fid;
+  return profile.slices().front().rows().front().fid;
 }
 
 // Records every round trip's pids and calling thread, then holds it at the

@@ -74,7 +74,7 @@ TEST(CompactorTest, CompactAggregatesSameFeature) {
   ASSERT_TRUE(profile.Add(base + kMinute, 1, 1, 7, CountVector{3}).ok());
   compactor.Compact(profile, base + 30 * kMinute);
   ASSERT_EQ(profile.SliceCount(), 1u);
-  EXPECT_EQ(profile.slices().front().FindSlot(1)->Find(1)->Find(7)->counts[0],
+  EXPECT_EQ(profile.slices().front().Find(1, 1, 7)->counts[0],
             5);
 }
 
@@ -121,7 +121,7 @@ TEST(CompactorTest, TruncateByAge) {
   ASSERT_TRUE(profile.Add(now - 10 * kMinute, 1, 1, 3, One()).ok());  // keep
   EXPECT_EQ(compactor.Truncate(profile, now), 2u);
   EXPECT_EQ(profile.SliceCount(), 1u);
-  EXPECT_NE(profile.slices().front().FindSlot(1)->Find(1)->Find(3), nullptr);
+  EXPECT_NE(profile.slices().front().Find(1, 1, 3), nullptr);
 }
 
 TEST(CompactorTest, TruncateByCountKeepsNewest) {
@@ -168,14 +168,13 @@ TEST(CompactorTest, ShrinkKeepsTopFeaturesByWeightedScore) {
   ASSERT_TRUE(profile.Add(base, 1, 1, 5, CountVector{1, 0}).ok());
   const TimestampMs now = base + kHour;
   EXPECT_EQ(compactor.Shrink(profile, now), 2u);
-  const auto* stats = profile.slices().front().FindSlot(1)->Find(1);
-  ASSERT_NE(stats, nullptr);
-  EXPECT_EQ(stats->size(), 3u);
+  const Slice& slice = profile.slices().front();
+  EXPECT_EQ(slice.GroupRows(1, 1).size(), 3u);
   // Weighted scores: f2-4 = 10, f1 = 5, f5 = 1 -> f5 and one of f1 gone;
   // exact survivors: 2, 3, 4.
-  EXPECT_EQ(stats->Find(5), nullptr);
-  EXPECT_EQ(stats->Find(1), nullptr);
-  EXPECT_NE(stats->Find(2), nullptr);
+  EXPECT_EQ(slice.Find(1, 1, 5), nullptr);
+  EXPECT_EQ(slice.Find(1, 1, 1), nullptr);
+  EXPECT_NE(slice.Find(1, 1, 2), nullptr);
 }
 
 TEST(CompactorTest, ShrinkSparesFreshSlices) {
@@ -207,8 +206,8 @@ TEST(CompactorTest, ShrinkPerSlotBudgets) {
   }
   compactor.Shrink(profile, base + kDay);
   const auto& slice = profile.slices().front();
-  EXPECT_EQ(slice.FindSlot(1)->TotalFeatures(), 1u);
-  EXPECT_EQ(slice.FindSlot(2)->TotalFeatures(), 4u);
+  EXPECT_EQ(slice.SlotRows(1).size(), 1u);
+  EXPECT_EQ(slice.SlotRows(2).size(), 4u);
 }
 
 TEST(CompactorTest, ShrinkBudgetAcrossTypesInSlot) {
@@ -224,9 +223,9 @@ TEST(CompactorTest, ShrinkBudgetAcrossTypesInSlot) {
   ASSERT_TRUE(profile.Add(base, 1, 1, 3, CountVector{1}).ok());
   ASSERT_TRUE(profile.Add(base, 1, 2, 4, CountVector{1}).ok());
   compactor.Shrink(profile, base + kDay);
-  EXPECT_EQ(profile.slices().front().FindSlot(1)->TotalFeatures(), 2u);
-  EXPECT_NE(profile.slices().front().FindSlot(1)->Find(1)->Find(1), nullptr);
-  EXPECT_NE(profile.slices().front().FindSlot(1)->Find(2)->Find(2), nullptr);
+  EXPECT_EQ(profile.slices().front().SlotRows(1).size(), 2u);
+  EXPECT_NE(profile.slices().front().Find(1, 1, 1), nullptr);
+  EXPECT_NE(profile.slices().front().Find(1, 2, 2), nullptr);
 }
 
 TEST(CompactorTest, FullCompactReducesBytes) {
@@ -310,12 +309,8 @@ TEST_P(CompactionPropertyTest, CompactPreservesTotals) {
   ASSERT_TRUE(profile.CheckInvariants());
   int64_t total_stored = 0;
   for (const auto& slice : profile.slices()) {
-    for (const auto& [slot, set] : slice.slots()) {
-      for (const auto& [type, stats] : set.types()) {
-        for (const auto& stat : stats.stats()) {
-          total_stored += stat.counts.Total();
-        }
-      }
+    for (const FeatureRow& row : slice.rows()) {
+      total_stored += row.counts.Total();
     }
   }
   EXPECT_EQ(total_stored, total_written);
@@ -389,11 +384,11 @@ TEST(CompactorTest, ShrinkKeysKeptSetOnTypeAndFid) {
   ASSERT_TRUE(profile.Add(ts, 2, 1, 9, CountVector{1}).ok());
   EXPECT_EQ(compactor.Shrink(profile, now), 2u);
   const Slice& slice = profile.slices().front();
-  EXPECT_EQ(slice.FindSlot(1)->TotalFeatures(), 1u);
-  EXPECT_EQ(slice.FindSlot(2)->TotalFeatures(), 1u);
+  EXPECT_EQ(slice.SlotRows(1).size(), 1u);
+  EXPECT_EQ(slice.SlotRows(2).size(), 1u);
   // The top-scored feature of each slot is the one kept.
-  EXPECT_NE(slice.FindSlot(1)->Find(2), nullptr);
-  EXPECT_NE(slice.FindSlot(2)->Find(65537), nullptr);
+  EXPECT_NE(slice.Find(1, 2, 5), nullptr);
+  EXPECT_NE(slice.Find(2, 65537, 9), nullptr);
 }
 
 // --------------------------------------------------------------- NextDueMs ---

@@ -29,8 +29,7 @@ ProfileData MakeProfile(int slices, int features_per_slice) {
 int64_t ReadCount(const ProfileData& profile, TimestampMs ts, FeatureId fid) {
   for (const auto& slice : profile.slices()) {
     if (slice.Contains(ts)) {
-      const auto* stats = slice.FindSlot(1)->Find(1);
-      const auto* stat = stats->Find(fid);
+      const FeatureRow* stat = slice.Find(1, 1, fid);
       return stat == nullptr ? -1 : stat->counts[0];
     }
   }

@@ -43,24 +43,11 @@ bool ProfilesEqual(const ProfileData& a, const ProfileData& b) {
     if (ia->start_ms() != ib->start_ms() || ia->end_ms() != ib->end_ms()) {
       return false;
     }
-    if (ia->slots().size() != ib->slots().size()) return false;
-    for (const auto& [slot, set] : ia->slots()) {
-      const InstanceSet* other = ib->FindSlot(slot);
-      if (other == nullptr) return false;
-      if (set.types().size() != other->types().size()) return false;
-      for (const auto& [type, stats] : set.types()) {
-        const IndexedFeatureStats* other_stats = other->Find(type);
-        if (other_stats == nullptr) return false;
-        if (stats.size() != other_stats->size()) return false;
-        for (size_t i = 0; i < stats.size(); ++i) {
-          if (stats.stats()[i].fid != other_stats->stats()[i].fid) {
-            return false;
-          }
-          if (!(stats.stats()[i].counts == other_stats->stats()[i].counts)) {
-            return false;
-          }
-        }
-      }
+    if (ia->rows().size() != ib->rows().size()) return false;
+    for (size_t i = 0; i < ia->rows().size(); ++i) {
+      const FeatureRow& ra = ia->rows()[i];
+      const FeatureRow& rb = ib->rows()[i];
+      if (ra.Key() != rb.Key() || !(ra.counts == rb.counts)) return false;
     }
   }
   return true;
@@ -102,11 +89,11 @@ TEST(ProfileCodecTest, SliceRoundTrips) {
   ASSERT_TRUE(DecodeSlice(encoded, &decoded).ok());
   EXPECT_EQ(decoded.start_ms(), 1000);
   EXPECT_EQ(decoded.end_ms(), 2000);
-  EXPECT_EQ(decoded.FindSlot(1)->Find(2)->Find(3)->counts,
+  EXPECT_EQ(decoded.Find(1, 2, 3)->counts,
             (CountVector{1, 2, 3}));
-  EXPECT_EQ(decoded.FindSlot(1)->Find(2)->Find(99)->counts,
+  EXPECT_EQ(decoded.Find(1, 2, 99)->counts,
             (CountVector{-4, 5}));
-  EXPECT_EQ(decoded.FindSlot(4)->Find(5)->Find(6)->counts[0], 7);
+  EXPECT_EQ(decoded.Find(4, 5, 6)->counts[0], 7);
 }
 
 TEST(ProfileCodecTest, CompressionShrinksTypicalProfiles) {

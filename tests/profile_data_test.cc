@@ -1,11 +1,17 @@
 #include "core/profile_data.h"
 
+#include <malloc.h>
+
+#include <cstdio>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "codec/profile_codec.h"
 #include "common/clock.h"
 #include "common/random.h"
+#include "perfbench_profile.h"
 
 namespace ips {
 namespace {
@@ -38,11 +44,10 @@ TEST(ProfileDataTest, SameWindowAggregatesInPlace) {
   ASSERT_TRUE(profile.Add(60'000, 1, 1, 7, CountVector{1, 2}).ok());
   ASSERT_TRUE(profile.Add(119'999, 1, 1, 7, CountVector{3, 4}).ok());
   ASSERT_EQ(profile.SliceCount(), 1u);
-  const IndexedFeatureStats* stats =
-      profile.slices().front().FindSlot(1)->Find(1);
-  ASSERT_NE(stats, nullptr);
-  EXPECT_EQ(stats->Find(7)->counts[0], 4);
-  EXPECT_EQ(stats->Find(7)->counts[1], 6);
+  const FeatureRow* row = profile.slices().front().Find(1, 1, 7);
+  ASSERT_NE(row, nullptr);
+  EXPECT_EQ(row->counts[0], 4);
+  EXPECT_EQ(row->counts[1], 6);
 }
 
 TEST(ProfileDataTest, OutOfOrderWriteFillsGap) {
@@ -101,9 +106,9 @@ TEST(ProfileDataTest, MergeProfileAggregates) {
   a.MergeProfile(b, ReduceFn::kSum);
   EXPECT_TRUE(a.CheckInvariants());
   EXPECT_EQ(a.TotalFeatures(), 2u);
-  const auto* stats = a.slices().back().FindSlot(1)->Find(1);
-  ASSERT_NE(stats, nullptr);
-  EXPECT_EQ(stats->Find(7)->counts[0], 3);
+  const FeatureRow* row = a.slices().back().Find(1, 1, 7);
+  ASSERT_NE(row, nullptr);
+  EXPECT_EQ(row->counts[0], 3);
 }
 
 TEST(ProfileDataTest, MergeProfilePreservesLastAction) {
@@ -165,8 +170,8 @@ TEST(ProfileDataTest, SliceMergeFromWidensAndAggregates) {
   newer.MergeFrom(older, ReduceFn::kSum);
   EXPECT_EQ(newer.start_ms(), 100);
   EXPECT_EQ(newer.end_ms(), 300);
-  EXPECT_EQ(newer.FindSlot(1)->Find(1)->Find(7)->counts[0], 3);
-  EXPECT_EQ(newer.FindSlot(2)->Find(1)->Find(9)->counts[0], 5);
+  EXPECT_EQ(newer.Find(1, 1, 7)->counts[0], 3);
+  EXPECT_EQ(newer.Find(2, 1, 9)->counts[0], 5);
 }
 
 // Property: the O(1) incremental byte counter maintained by Add stays equal
@@ -207,6 +212,50 @@ TEST(ProfileDataTest, ApproximateBytesGrowsWithData) {
             .ok());
   }
   EXPECT_GT(profile.ApproximateBytes(), empty_bytes + 1000);
+}
+
+// The cache charges ApproximateBytes against its memory budget, so it must
+// track what the heap really holds: for 1,000 perfbench-shaped profiles,
+// decoded (exact blocks) and built by writes then compacted (grown
+// blocks), the accounted bytes are within [0.8, 1.5]x of the growth of
+// malloc's in-use bytes. Sanitizer runtimes replace malloc, so mallinfo2
+// says nothing there.
+TEST(ProfileDataTest, ApproximateBytesTracksHeapUse) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "malloc is replaced by the sanitizer runtime";
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+  GTEST_SKIP() << "malloc is replaced by the sanitizer runtime";
+#endif
+#endif
+  constexpr int kProfiles = 1000;
+  std::vector<std::string> encoded(kProfiles);
+  for (int i = 0; i < kProfiles; ++i) {
+    EncodeProfile(PerfbenchProfile(1, static_cast<ProfileId>(i)), &encoded[i]);
+  }
+  auto check = [&](const char* what, auto make) {
+    std::vector<ProfileData> profiles;
+    profiles.reserve(kProfiles);
+    make(0, profiles);  // warms any per-thread buffer the path keeps
+    profiles.clear();
+    const size_t before = mallinfo2().uordblks;
+    for (int i = 0; i < kProfiles; ++i) make(i, profiles);
+    const double heap = static_cast<double>(mallinfo2().uordblks - before);
+    double accounted = 0;
+    for (const ProfileData& p : profiles) {
+      accounted += static_cast<double>(p.ApproximateBytes() - sizeof(p));
+    }
+    EXPECT_GE(accounted, 0.8 * heap) << what;
+    EXPECT_LE(accounted, 1.5 * heap) << what;
+    std::printf("%s: %.0f accounted vs %.0f heap bytes per profile\n", what,
+                accounted / kProfiles, heap / kProfiles);
+  };
+  check("decoded", [&](int i, std::vector<ProfileData>& out) {
+    ASSERT_TRUE(DecodeProfile(encoded[i], &out.emplace_back()).ok());
+  });
+  check("compacted", [&](int i, std::vector<ProfileData>& out) {
+    out.push_back(PerfbenchProfile(1, static_cast<ProfileId>(i)));
+  });
 }
 
 }  // namespace

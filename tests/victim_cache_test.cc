@@ -263,10 +263,8 @@ TEST(VictimCacheTest, EvictionDemotesAndMissPromotesWithoutStoreLoad) {
                   .WithProfile(1,
                                [&](const ProfileData& profile) {
                                  for (const auto& slice : profile.slices()) {
-                                   const auto* slot = slice.FindSlot(1);
-                                   if (slot == nullptr) continue;
                                    feature_count += static_cast<int64_t>(
-                                       slot->TotalFeatures());
+                                       slice.SlotRows(1).size());
                                  }
                                },
                                &hit)
