@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the core building blocks, plus
 // the design-choice ablations DESIGN.md calls out:
 //   * sharded-LRU + try_lock swap vs a single global mutex (Fig 7/8),
-//   * hash-accumulator merge vs sorted k-way heap merge,
+//   * the serving query kernel on perfbench-shaped profiles,
 //   * codec / compression throughput (the Fig 12 serialization path),
 //   * consistent-hash routing cost,
 //   * tracing hot-path overhead with sampling off vs a live trace.
@@ -13,6 +13,7 @@
 #include <list>
 #include <mutex>
 #include <optional>
+#include <unordered_map>
 
 #include "cluster/consistent_hash.h"
 #include "codec/coding.h"
@@ -151,8 +152,8 @@ void BM_PerfbenchDeepCopy(benchmark::State& state) {
 }
 BENCHMARK(BM_PerfbenchDeepCopy);
 
-void BM_PerfbenchServingQuery(benchmark::State& state) {
-  const ProfileData profile = PerfbenchProfile(1, 7);
+// The serving query on `profile` into a reused result.
+void RunServingQuery(benchmark::State& state, const ProfileData& profile) {
   const QuerySpec spec = PerfbenchServingSpec();
   QueryScratch scratch;
   QueryResult result;
@@ -163,7 +164,18 @@ void BM_PerfbenchServingQuery(benchmark::State& state) {
   }
   ReportAllocs(state, allocs_before);
 }
+
+void BM_PerfbenchServingQuery(benchmark::State& state) {
+  RunServingQuery(state, PerfbenchProfile(1, 7));
+}
 BENCHMARK(BM_PerfbenchServingQuery);
+
+// The same query on perfbench's `read_hot` shape: the profile plus two
+// one-minute write slices (tests/perfbench_profile.h).
+void BM_PerfbenchHotServingQuery(benchmark::State& state) {
+  RunServingQuery(state, PerfbenchHotProfile(1, 7));
+}
+BENCHMARK(BM_PerfbenchHotServingQuery);
 
 void BM_BlockCompress(benchmark::State& state) {
   ProfileData profile = BuildProfile(62, 20);
@@ -239,83 +251,6 @@ void BM_QueryDecay(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_QueryDecay);
-
-// `runs` slices of up to `entries` rows each (one sorted fid run per
-// slice), for the accumulator ablation below.
-std::vector<Slice> BuildRuns(int runs, int entries) {
-  Rng rng(9);
-  std::vector<Slice> out(runs);
-  for (auto& run : out) {
-    for (int i = 0; i < entries; ++i) {
-      run.Add(1, 1, rng.Uniform(entries * 4), CountVector{1, 2});
-    }
-  }
-  return out;
-}
-
-// Ablation behind the ExecuteQuery accumulator change: the node-allocating
-// std::unordered_map accumulator it used to build per query vs the reusable
-// flat open-addressing table over a dense accumulator array it uses now.
-// Same inputs, same output multiset; the flat variant reuses one scratch.
-void BM_AccumulatorVsFlatMerge_Map(benchmark::State& state) {
-  auto runs = BuildRuns(static_cast<int>(state.range(0)), 64);
-  const uint64_t allocs_before = ThreadAllocCount();
-  for (auto _ : state) {
-    std::unordered_map<FeatureId, CountVector> acc;
-    for (const auto& run : runs) {
-      for (const auto& stat : run.rows()) {
-        acc[stat.fid].AccumulateSum(stat.counts);
-      }
-    }
-    benchmark::DoNotOptimize(acc.size());
-  }
-  ReportAllocs(state, allocs_before);
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_AccumulatorVsFlatMerge_Map)->Arg(4)->Arg(16)->Arg(62);
-
-void BM_AccumulatorVsFlatMerge_Flat(benchmark::State& state) {
-  auto runs = BuildRuns(static_cast<int>(state.range(0)), 64);
-  size_t total_entries = 0;
-  for (const auto& run : runs) total_entries += run.TotalFeatures();
-  QueryScratch scratch;
-  const uint64_t allocs_before = ThreadAllocCount();
-  for (auto _ : state) {
-    scratch.acc_count = 0;
-    size_t needed = 16;
-    while (needed < 2 * total_entries) needed <<= 1;
-    if (scratch.table.size() < needed) scratch.table.resize(needed);
-    std::fill_n(scratch.table.begin(), needed, 0u);
-    const size_t mask = needed - 1;
-    for (const auto& run : runs) {
-      for (const auto& stat : run.rows()) {
-        size_t idx = static_cast<size_t>(Mix64(stat.fid)) & mask;
-        for (;;) {
-          const uint32_t slot = scratch.table[idx];
-          if (slot == 0) {
-            const size_t acc_idx = scratch.acc_count++;
-            if (acc_idx == scratch.accs.size()) scratch.accs.emplace_back();
-            auto& acc = scratch.accs[acc_idx];
-            acc.fid = stat.fid;
-            acc.counts = stat.counts;
-            scratch.table[idx] = static_cast<uint32_t>(acc_idx) + 1;
-            break;
-          }
-          auto& acc = scratch.accs[slot - 1];
-          if (acc.fid == stat.fid) {
-            acc.counts.AccumulateSum(stat.counts);
-            break;
-          }
-          idx = (idx + 1) & mask;
-        }
-      }
-    }
-    benchmark::DoNotOptimize(scratch.acc_count);
-  }
-  ReportAllocs(state, allocs_before);
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_AccumulatorVsFlatMerge_Flat)->Arg(4)->Arg(16)->Arg(62);
 
 // ------------------------------------------------------------ LRU ablation
 
@@ -530,13 +465,14 @@ int64_t MultiQueryAllocs(const QuerySpec& spec, TimestampMs now, int calls) {
 
 // ctest gate (`bench_micro --smoke`): a warmed QueryScratch must execute the
 // serving compute core with ZERO heap allocations per query into a reused
-// result and at most ONE (the features array) into a fresh one, a resident
-// 16-pid MultiQuery must stay within kMultiQueryAllocBudget, and the
-// perfbench-shaped profile must decode and deep-copy within the layout
-// budgets of ProfileLayoutSmoke. Runs in
-// every build flavor, including the ASan/TSan tier-1 passes (the counting
-// operator-new hook forwards to malloc, so the sanitizer interceptors still
-// see every allocation that does happen).
+// result and at most ONE (the features array) into a fresh one, the same
+// holds for perfbench's read_hot query shape into a reused result, a
+// resident 16-pid MultiQuery must stay within kMultiQueryAllocBudget, and
+// the perfbench-shaped profile must decode and deep-copy within the layout
+// budgets of ProfileLayoutSmoke. Runs in every build flavor, including the
+// ASan/TSan tier-1 passes (the counting operator-new hook forwards to
+// malloc, so the sanitizer interceptors still see every allocation that
+// does happen).
 // Heap allocations per call of `op`, averaged over `iters` calls after one
 // warm-up call.
 template <typename Op>
@@ -584,9 +520,9 @@ int ProfileLayoutSmoke() {
 }
 
 int RunAllocSmoke() {
-  // 16 fresh results' feature arrays, the batch's two returned vectors and
-  // the std::function wrapping the per-profile callback (measured: 19).
-  constexpr int64_t kMultiQueryAllocBudget = 20;
+  // 16 fresh results' feature arrays and the batch's two returned vectors
+  // (measured: 18), plus one spare.
+  constexpr int64_t kMultiQueryAllocBudget = 19;
   if (!AllocHookInstalled()) {
     std::fprintf(stderr, "[smoke] FAIL: alloc hook not linked in\n");
     return 1;
@@ -663,6 +599,28 @@ int RunAllocSmoke() {
                    "[smoke] FAIL: %s query into a fresh result made more "
                    "than 1 allocation\n",
                    name);
+      ++failures;
+    }
+  }
+
+  {
+    // perfbench's read_hot shape into a reused result: no allocation.
+    const ProfileData hot = PerfbenchHotProfile(1, 7);
+    const QuerySpec spec = PerfbenchServingSpec();
+    QueryScratch scratch;
+    QueryResult result;
+    const double allocs = AllocsPerCall(1000, [&] {
+      ExecuteQueryInto(hot, spec, kPerfbenchNowMs, &scratch, &result).ok();
+      benchmark::DoNotOptimize(result.features.data());
+    });
+    std::fprintf(stderr,
+                 "[smoke] read_hot-shaped query (%zu of %zu features): %.3f "
+                 "heap allocations/query into a reused result (budget 0)\n",
+                 result.features.size(), result.features_merged, allocs);
+    if (result.features.empty() || allocs != 0) {
+      std::fprintf(stderr,
+                   "[smoke] FAIL: read_hot-shaped query allocated or "
+                   "returned nothing\n");
       ++failures;
     }
   }

@@ -34,8 +34,9 @@ run_suite() {
   if [[ -z "${sanitize}" ]]; then
     # Release perf smoke: the serving-path allocation gates must hold in the
     # exact configuration we benchmark (NDEBUG, -O2): a warm-scratch query
-    # makes 0 allocations into a reused result and <= 1 into a fresh one, a
-    # resident 16-pid MultiQuery makes <= 20, and the perfbench-shaped
+    # makes 0 allocations into a reused result and <= 1 into a fresh one (the
+    # read_hot query shape 0 into a reused one), a resident 16-pid
+    # MultiQuery makes <= 19, and the perfbench-shaped
     # profile decodes in <= slices + 2 and deep-copies in <= slices + 1
     # allocations. ctest already runs it, but an
     # explicit pass here keeps the gates visible when someone trims the ctest

@@ -309,7 +309,7 @@ size_t GCache::ResolveBatch(std::span<const ProfileId> pids,
 
 size_t GCache::WithProfiles(
     std::span<const ProfileId> pids,
-    const std::function<void(size_t, const ProfileData&)>& fn,
+    FunctionRef<void(size_t, const ProfileData&)> fn,
     std::vector<Status>* statuses, std::vector<bool>* out_degraded,
     TimestampMs deadline_ms) {
   BatchScratch& scratch = ThreadBatchScratch();
@@ -346,10 +346,9 @@ size_t GCache::WithProfiles(
   return hits;
 }
 
-size_t GCache::WithProfilesMutable(
-    std::span<const ProfileId> pids,
-    const std::function<void(size_t, ProfileData&)>& fn,
-    std::vector<Status>* statuses) {
+size_t GCache::WithProfilesMutable(std::span<const ProfileId> pids,
+                                   FunctionRef<void(size_t, ProfileData&)> fn,
+                                   std::vector<Status>* statuses) {
   BatchScratch& scratch = ThreadBatchScratch();
   const size_t hits = ResolveBatch(pids, statuses,
                                    std::numeric_limits<TimestampMs>::max(),
@@ -490,7 +489,7 @@ void GCache::NoteStoreHealth(const Status& status, StoreHealthSource source) {
 }
 
 Status GCache::WithProfile(ProfileId pid,
-                           const std::function<void(const ProfileData&)>& fn,
+                           FunctionRef<void(const ProfileData&)> fn,
                            bool* out_was_hit, bool* out_degraded) {
   std::vector<Status> statuses;
   std::vector<bool> degraded;
@@ -503,9 +502,9 @@ Status GCache::WithProfile(ProfileId pid,
   return statuses[0];
 }
 
-Status GCache::WithProfileMutable(
-    ProfileId pid, const std::function<void(ProfileData&)>& fn,
-    bool* out_was_hit) {
+Status GCache::WithProfileMutable(ProfileId pid,
+                                  FunctionRef<void(ProfileData&)> fn,
+                                  bool* out_was_hit) {
   std::vector<Status> statuses;
   const size_t hits = WithProfilesMutable(
       std::span(&pid, 1), [&](size_t, ProfileData& profile) { fn(profile); },

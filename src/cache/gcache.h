@@ -56,6 +56,7 @@
 #include <vector>
 
 #include "common/clock.h"
+#include "common/function_ref.h"
 #include "common/metrics.h"
 #include "common/status.h"
 #include "core/profile_data.h"
@@ -145,8 +146,7 @@ class GCache {
   /// reports whether the served profile may be stale: it was loaded from a
   /// fallback replica, or the backing store is currently unhealthy (the
   /// resident copy cannot be revalidated or flushed).
-  Status WithProfile(ProfileId pid,
-                     const std::function<void(const ProfileData&)>& fn,
+  Status WithProfile(ProfileId pid, FunctionRef<void(const ProfileData&)> fn,
                      bool* out_was_hit = nullptr,
                      bool* out_degraded = nullptr);
 
@@ -164,7 +164,7 @@ class GCache {
   /// is handed to the load function (see LoadFn). `fn` must not call back
   /// into the cache: the batch calls share per-thread scratch buffers.
   size_t WithProfiles(std::span<const ProfileId> pids,
-                      const std::function<void(size_t, const ProfileData&)>& fn,
+                      FunctionRef<void(size_t, const ProfileData&)> fn,
                       std::vector<Status>* statuses,
                       std::vector<bool>* out_degraded = nullptr,
                       TimestampMs deadline_ms =
@@ -208,14 +208,12 @@ class GCache {
   /// apply in input order under ONE lock hold. An entry unmapped before it
   /// was locked is looked up again, so no write is lost. A failed load
   /// leaves its pids untouched with its status. Returns the hit count.
-  size_t WithProfilesMutable(
-      std::span<const ProfileId> pids,
-      const std::function<void(size_t, ProfileData&)>& fn,
-      std::vector<Status>* statuses);
+  size_t WithProfilesMutable(std::span<const ProfileId> pids,
+                             FunctionRef<void(size_t, ProfileData&)> fn,
+                             std::vector<Status>* statuses);
 
   /// Write path for one pid: a batch of one over WithProfilesMutable.
-  Status WithProfileMutable(ProfileId pid,
-                            const std::function<void(ProfileData&)>& fn,
+  Status WithProfileMutable(ProfileId pid, FunctionRef<void(ProfileData&)> fn,
                             bool* out_was_hit = nullptr);
 
   /// Maintenance write path (compaction): snapshots the profile under the

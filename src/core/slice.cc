@@ -52,6 +52,12 @@ int64_t Slice::Add(SlotId slot, TypeId type, FeatureId fid,
 }
 
 RowSpan Slice::SlotRows(SlotId slot) const {
+  // A slice whose rows all belong to `slot` (the common one-slot profile)
+  // needs no search.
+  if (!rows_.empty() && rows_.front().slot == slot &&
+      rows_.back().slot == slot) {
+    return rows_;
+  }
   return EqualRange(rows_, SlotKey, slot);
 }
 

@@ -9,36 +9,43 @@ namespace ips {
 namespace {
 
 using Accumulator = QueryScratch::Accumulator;
+using RankKey = QueryScratch::RankKey;
+
+// Sets `weighted` to `counts` scaled by `weight`.
+void ScaleInto(WeightVector& weighted, const CountVector& counts,
+               double weight) {
+  weighted.Resize(counts.size());
+  for (size_t i = 0; i < counts.size(); ++i) {
+    weighted[i] = static_cast<double>(counts[i]) * weight;
+  }
+}
 
 // Accumulator (re)initialization overwrites a possibly-reused element. Counts
 // and weights of <= 4 actions live inline, so a warmed scratch initializes
-// without touching the heap.
-void InitAccumulator(Accumulator& acc, const FeatureRow& stat, double weight,
-                     TimestampMs slice_end_ms) {
-  acc.fid = stat.fid;
-  acc.counts = stat.counts;
-  acc.weighted.Resize(stat.counts.size());
-  for (size_t i = 0; i < stat.counts.size(); ++i) {
-    acc.weighted[i] = static_cast<double>(stat.counts[i]) * weight;
-  }
+// without touching the heap. Only decayed queries keep weights; an
+// undecayed one derives its winners' weights from their counts at emission.
+void InitAccumulator(Accumulator& acc, const FeatureRow& row, double weight,
+                     TimestampMs slice_end_ms, bool decayed) {
+  acc.fid = row.fid;
+  acc.counts = row.counts;
   acc.newest_ms = slice_end_ms;
+  if (decayed) ScaleInto(acc.weighted, row.counts, weight);
 }
 
-void AccumulateInto(Accumulator& acc, const FeatureRow& stat, double weight,
-                    TimestampMs slice_end_ms, ReduceFn reduce) {
-  ReduceInto(acc.counts, stat.counts, reduce);
-  if (acc.weighted.size() < stat.counts.size()) {
-    acc.weighted.Resize(stat.counts.size());
-  }
-  for (size_t i = 0; i < stat.counts.size(); ++i) {
-    const double contribution = static_cast<double>(stat.counts[i]) * weight;
+void AccumulateInto(Accumulator& acc, const FeatureRow& row, double weight,
+                    TimestampMs slice_end_ms, ReduceFn reduce, bool decayed) {
+  ReduceInto(acc.counts, row.counts, reduce);
+  acc.newest_ms = std::max(acc.newest_ms, slice_end_ms);
+  if (!decayed) return;
+  acc.weighted.Resize(acc.counts.size());  // reduce grew counts to the row
+  for (size_t i = 0; i < row.counts.size(); ++i) {
+    const double contribution = static_cast<double>(row.counts[i]) * weight;
     if (reduce == ReduceFn::kSum) {
       acc.weighted[i] += contribution;
     } else {
       acc.weighted[i] = std::max(acc.weighted[i], contribution);
     }
   }
-  acc.newest_ms = std::max(acc.newest_ms, slice_end_ms);
 }
 
 // `sorted_fids` is the scratch-held sorted copy of filter.fids (only
@@ -61,27 +68,13 @@ bool PassesFilter(const FilterSpec& filter,
   return true;
 }
 
-// Strict-weak ordering for the final sort; works over Accumulator (the
-// serving path sorts accumulator indices) and FeatureResult alike. Weighted
-// values are used for the count sort so decay queries rank by decayed score,
-// as the API intends.
-template <typename T>
-bool ResultLess(const T& a, const T& b, SortBy sort_by, ActionIndex action) {
-  switch (sort_by) {
-    case SortBy::kActionCount: {
-      const double wa = a.WeightedAt(action);
-      const double wb = b.WeightedAt(action);
-      if (wa != wb) return wa > wb;  // descending by score
-      return a.fid < b.fid;         // deterministic tie-break
-    }
-    case SortBy::kTimestamp:
-      if (a.newest_ms != b.newest_ms) return a.newest_ms > b.newest_ms;
-      return a.fid < b.fid;
-    case SortBy::kFeatureId:
-      return a.fid < b.fid;
-  }
+// Descending score, then ascending fid: a strict total order, so any
+// selection algorithm yields the same winners in the same order.
+// (A lambda, so the selection and sort calls inline it.)
+constexpr auto kRankLess = [](const RankKey& a, const RankKey& b) {
+  if (a.score != b.score) return a.score > b.score;
   return a.fid < b.fid;
-}
+};
 
 }  // namespace
 
@@ -94,7 +87,6 @@ Status ExecuteQueryInto(const ProfileData& profile, const QuerySpec& spec,
 
   ++scratch->uses;
   out->slices_scanned = 0;
-  out->features_merged = 0;
 
   const FilterSpec& filter = spec.filter;
   if (filter.op == FilterOp::kFidIn || filter.op == FilterOp::kFidNotIn) {
@@ -102,131 +94,132 @@ Status ExecuteQueryInto(const ProfileData& profile, const QuerySpec& spec,
     std::sort(scratch->filter_fids.begin(), scratch->filter_fids.end());
   }
 
-  // Step 1 (paper II-B): locate the sorted fid runs of the slices
-  // overlapping the window: one run per (slot, type) group, each a span of
-  // the slice's rows found by binary search. The slice list is newest-first;
-  // once a slice ends at or before `from` every older slice is out of range
-  // too. Knowing every run's length up front is what lets step 2 size its
-  // table exactly once — the payoff of keeping each group a sorted run.
+  // Step 1 (paper II-B): per slice overlapping the window, find the span of
+  // the queried (slot, type) group or of the whole slot by binary search.
+  // The slice list is newest-first, so the first slice ending at or before
+  // `from` ends the scan. The spans' total length sizes step 2's table.
   scratch->runs.clear();
-  size_t total_entries = 0;
+  size_t total_rows = 0;
   for (const auto& slice : profile.slices()) {
     if (slice.start_ms() >= to_ms) continue;  // newer than the window
     if (slice.end_ms() <= from_ms) break;     // older; list is sorted
     const RowSpan slot_rows = slice.SlotRows(spec.slot);
     if (slot_rows.empty()) continue;
     ++out->slices_scanned;
-
+    const RowSpan rows = spec.type.has_value()
+                             ? slice.GroupRows(spec.slot, *spec.type)
+                             : slot_rows;
+    if (rows.empty()) continue;
     // Decay weight depends on the age of the slice midpoint relative to the
     // window end (recent slices weigh ~1).
     const TimestampMs mid = slice.start_ms() + slice.DurationMs() / 2;
-    const double weight = spec.decay.WeightForAge(to_ms - mid);
-
-    auto add_run = [&](RowSpan group) {
-      if (group.empty()) return;
-      scratch->runs.push_back({group, weight, slice.end_ms()});
-      total_entries += group.size();
-    };
-    if (spec.type.has_value()) {
-      add_run(slice.GroupRows(spec.slot, *spec.type));
-    } else {
-      ForEachRun(slot_rows, GroupKey, add_run);
-    }
+    scratch->runs.push_back(
+        {rows, spec.decay.WeightForAge(to_ms - mid), slice.end_ms()});
+    total_rows += rows.size();
   }
 
-  // Step 2: merge and aggregate feature counts across the runs into the
-  // dense accumulator array, reusing elements (and their heap blocks) from
-  // previous queries.
+  // Step 2: merge the runs into the dense accumulators, reusing elements
+  // (and their heap blocks) from previous queries. An undecayed query (the
+  // serving shape) accumulates counts only.
+  const bool decayed = spec.decay.function != DecayFunction::kNone;
   scratch->acc_count = 0;
   auto& accs = scratch->accs;
-  auto new_acc = [&](const FeatureRow& stat, double weight,
-                     TimestampMs end_ms) -> uint32_t {
+  auto new_acc = [&](const FeatureRow& row, const QueryScratch::Run& run) {
     const size_t idx = scratch->acc_count++;
     if (idx == accs.size()) accs.emplace_back();
-    InitAccumulator(accs[idx], stat, weight, end_ms);
+    InitAccumulator(accs[idx], row, run.weight, run.end_ms, decayed);
     return static_cast<uint32_t>(idx);
   };
 
-  if (scratch->runs.size() == 1) {
-    // Single overlapping run: fids are unique and already sorted, so the
-    // accumulators are just the run in order — no index needed at all.
-    const QueryScratch::Run& run = scratch->runs[0];
-    for (const FeatureRow& stat : run.rows) {
-      new_acc(stat, run.weight, run.end_ms);
+  const auto& runs = scratch->runs;
+  if (runs.size() == 1 &&
+      runs[0].rows.front().type == runs[0].rows.back().type) {
+    // One (slot, type) group of one slice: its fids are unique and already
+    // sorted, so the accumulators are just the rows in order — no index.
+    for (const FeatureRow& row : runs[0].rows) new_acc(row, runs[0]);
+  } else if (!runs.empty()) {
+    // Open-addressing (fid, accumulator index) table, linear probing, at a
+    // load factor <= 0.5 of the known row count, so it never rehashes and a
+    // probe reads an accumulator only to fold a row into it. Bumping the
+    // stamp empties the table; only a wrap of the stamp clears it.
+    size_t size = 16;
+    while (size < 2 * total_rows) size <<= 1;
+    auto& probes = scratch->probes;
+    if (probes.size() < size) probes.resize(size);
+    if (++scratch->stamp == 0) {
+      for (QueryScratch::Probe& probe : probes) probe.stamp = 0;
+      scratch->stamp = 1;
     }
-  } else if (!scratch->runs.empty()) {
-    // Flat open-addressing index over the dense accumulators (slot value =
-    // index + 1, 0 = empty; linear probing). Sized once from the known run
-    // lengths to a load factor <= 0.5, cleared with one fill — no rehashing
-    // and no per-node allocations, unlike the unordered_map it replaced.
-    size_t needed = 16;
-    while (needed < 2 * total_entries) needed <<= 1;
-    if (scratch->table.size() < needed) scratch->table.resize(needed);
-    scratch->table_size = needed;
-    std::fill_n(scratch->table.begin(), needed, 0u);
-    const size_t mask = needed - 1;
-
-    for (const QueryScratch::Run& run : scratch->runs) {
-      for (const FeatureRow& stat : run.rows) {
-        size_t idx = static_cast<size_t>(Mix64(stat.fid)) & mask;
-        for (;;) {
-          const uint32_t slot = scratch->table[idx];
-          if (slot == 0) {
-            scratch->table[idx] = new_acc(stat, run.weight, run.end_ms) + 1;
-            break;
-          }
-          Accumulator& acc = accs[slot - 1];
-          if (acc.fid == stat.fid) {
-            AccumulateInto(acc, stat, run.weight, run.end_ms, spec.reduce);
-            break;
-          }
-          idx = (idx + 1) & mask;
+    const uint32_t stamp = scratch->stamp;
+    const size_t mask = size - 1;
+    for (const QueryScratch::Run& run : runs) {
+      for (const FeatureRow& row : run.rows) {
+        size_t i = static_cast<size_t>(Mix64(row.fid)) & mask;
+        while (probes[i].stamp == stamp && probes[i].fid != row.fid) {
+          i = (i + 1) & mask;
+        }
+        if (probes[i].stamp == stamp) {
+          AccumulateInto(accs[probes[i].acc], row, run.weight, run.end_ms,
+                         spec.reduce, decayed);
+        } else {
+          probes[i] = {row.fid, new_acc(row, run), stamp};
         }
       }
     }
   }
-
   out->features_merged = scratch->acc_count;
 
-  // Step 3: filter + top-K over accumulator INDICES. Sorting 4-byte indices
-  // instead of FeatureResult objects avoids moving whole features, and only
-  // the K winners ever get materialized — so the result vector's size is the
-  // result size, not the merged-feature count.
-  auto& order = scratch->emit_order;
-  order.clear();
+  // Step 3: filter, then top-K over one contiguous array of small rank
+  // keys, so no comparison reads an accumulator: nth_element finds the K
+  // winners, and only they are sorted.
+  auto& ranked = scratch->ranked;
+  ranked.clear();
   for (size_t i = 0; i < scratch->acc_count; ++i) {
     const Accumulator& acc = accs[i];
-    if (PassesFilter(filter, scratch->filter_fids, acc.fid, acc.counts)) {
-      order.push_back(static_cast<uint32_t>(i));
+    if (!PassesFilter(filter, scratch->filter_fids, acc.fid, acc.counts)) {
+      continue;
     }
+    // Count order ranks by weighted value, so decay queries rank by decayed
+    // score (an undecayed weight is its count); time order by the newest
+    // slice end (exact below 2^53 ms); fid order by the fid alone.
+    double score = 0;
+    if (spec.sort_by == SortBy::kActionCount) {
+      score = decayed ? acc.weighted.At(spec.sort_action)
+                      : static_cast<double>(acc.counts.At(spec.sort_action));
+    } else if (spec.sort_by == SortBy::kTimestamp) {
+      score = static_cast<double>(acc.newest_ms);
+    }
+    ranked.push_back({score, acc.fid, static_cast<uint32_t>(i)});
   }
-  auto less = [&](uint32_t a, uint32_t b) {
-    return ResultLess(accs[a], accs[b], spec.sort_by, spec.sort_action);
-  };
-  size_t count = order.size();
+  size_t count = ranked.size();
   if (spec.k > 0 && spec.k < count) {
-    // partial_sort keeps the serving cost at O(n log k) for the common
-    // small-k case.
-    std::partial_sort(order.begin(), order.begin() + spec.k, order.end(),
-                      less);
+    std::nth_element(ranked.begin(), ranked.begin() + spec.k, ranked.end(),
+                     kRankLess);
     count = spec.k;
-  } else {
-    std::sort(order.begin(), order.end(), less);
   }
+  std::sort(ranked.begin(), ranked.begin() + count, kRankLess);
 
-  // Step 4: emit the winners, overwriting `out`'s existing feature elements
-  // in place. The vector is sized to the result count once up front, so a
-  // fresh result pays one allocation and a reused one none; counts and
-  // weights live inline.
+  // Step 4: emit the winners. Elements `out` already holds are overwritten
+  // in place and the rest constructed once at the back; the vector reserves
+  // the result count up front, so a fresh result pays one allocation and a
+  // reused one none (counts and weights live inline).
   auto& features = out->features;
-  features.resize(count);
+  if (features.size() > count) features.resize(count);
+  features.reserve(count);
   for (size_t i = 0; i < count; ++i) {
-    const Accumulator& acc = accs[order[i]];
-    FeatureResult& f = features[i];
-    f.fid = acc.fid;
-    f.counts = acc.counts;
-    f.weighted = acc.weighted;
-    f.newest_ms = acc.newest_ms;
+    const Accumulator& acc = accs[ranked[i].acc];
+    if (i == features.size()) {
+      features.emplace_back(acc.fid, acc.counts, WeightVector(), acc.newest_ms);
+    } else {
+      features[i].fid = acc.fid;
+      features[i].counts = acc.counts;
+      features[i].newest_ms = acc.newest_ms;
+    }
+    if (decayed) {
+      features[i].weighted = acc.weighted;
+    } else {
+      ScaleInto(features[i].weighted, acc.counts, 1.0);
+    }
   }
   return Status::OK();
 }

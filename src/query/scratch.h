@@ -1,7 +1,7 @@
 // Reusable per-thread working memory for the query compute path.
 //
 // ExecuteQuery runs on every read; its transient state (the run list, the
-// fid-keyed accumulator table, filter fid copies, merge buffers) used to be
+// fid-keyed accumulator table, filter fid copies, rank keys) used to be
 // rebuilt on the heap per call. A QueryScratch owns all of it with retained
 // capacity, so a warmed thread executes queries with ZERO steady-state heap
 // allocations in the compute core — the property bench_micro's --smoke gate
@@ -21,45 +21,53 @@
 namespace ips {
 
 struct QueryScratch {
-  /// One window-overlapping sorted fid run: the slice's rows of one queried
-  /// (slot, type) group plus the slice-derived merge parameters.
+  /// One slice's window-overlapping rows (the queried (slot, type) group,
+  /// or the whole slot) plus the slice-derived merge parameters.
   struct Run {
     RowSpan rows;
     double weight;
     TimestampMs end_ms;
   };
 
-  /// One merged feature. Dense storage: the first `acc_count` elements of
-  /// `accs` are live; elements are overwritten in place across queries so
-  /// their count/weight buffers keep their high-water capacity.
+  /// One merged feature; the first `acc_count` elements of `accs` are live.
+  /// Elements are overwritten in place across queries, so their buffers
+  /// keep their high-water capacity. Only decayed queries fill `weighted`.
   struct Accumulator {
     FeatureId fid = 0;
     CountVector counts;
     WeightVector weighted;
     TimestampMs newest_ms = 0;
+  };
 
-    /// Weighted value of one action dimension (0 when out of range), the
-    /// sort key for count-ordered results.
-    double WeightedAt(size_t i) const { return weighted.At(i); }
+  /// A slot of the fid -> accumulator index, occupied only while `stamp`
+  /// equals the scratch's: a query empties the table by bumping the stamp.
+  struct Probe {
+    FeatureId fid = 0;
+    uint32_t acc = 0;
+    uint32_t stamp = 0;
+  };
+
+  /// A filter survivor's sort score, tie-breaking fid and accumulator.
+  struct RankKey {
+    double score;
+    FeatureId fid;
+    uint32_t acc;
   };
 
   std::vector<Run> runs;
   std::vector<Accumulator> accs;
   size_t acc_count = 0;
 
-  /// Open-addressing index over `accs`: slot value = accumulator index + 1,
-  /// 0 = empty. Only the first `table_size` (a power of two) slots are
-  /// active; the vector never shrinks.
-  std::vector<uint32_t> table;
-  size_t table_size = 0;
+  /// The probe table (a query uses a power-of-two prefix) and the current
+  /// query's stamp, never 0; when it wraps, every slot's stamp is zeroed.
+  std::vector<Probe> probes;
+  uint32_t stamp = 0;
 
   /// Sorted copy of FilterSpec::fids for kFidIn / kFidNotIn queries.
   std::vector<FeatureId> filter_fids;
 
-  /// Filter-surviving accumulator indices, sorted for emission. Top-K runs
-  /// over these 4-byte indices, not over FeatureResult objects, and only the
-  /// K winners are materialized into the caller's result.
-  std::vector<uint32_t> emit_order;
+  /// Rank keys of the filter survivors; the first K end up sorted.
+  std::vector<RankKey> ranked;
 
   /// Queries served by this scratch (the first one pays the warm-up
   /// allocations; the rest are the `query.scratch_reuse` counter).

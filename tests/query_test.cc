@@ -1,6 +1,8 @@
 #include "query/query.h"
 
 #include <algorithm>
+#include <bit>
+#include <limits>
 #include <map>
 #include <optional>
 #include <vector>
@@ -544,6 +546,21 @@ TEST(QueryTest, SixActionDecayQueryMatchesReference) {
   }
 }
 
+// Result fields of two executions, compared bit for bit.
+void ExpectSameResult(const QueryResult& got, const QueryResult& want) {
+  EXPECT_EQ(got.slices_scanned, want.slices_scanned);
+  EXPECT_EQ(got.features_merged, want.features_merged);
+  ASSERT_EQ(got.features.size(), want.features.size());
+  for (size_t i = 0; i < want.features.size(); ++i) {
+    EXPECT_EQ(got.features[i].fid, want.features[i].fid) << "rank " << i;
+    EXPECT_EQ(got.features[i].counts, want.features[i].counts) << "rank " << i;
+    EXPECT_EQ(got.features[i].weighted, want.features[i].weighted)
+        << "rank " << i;
+    EXPECT_EQ(got.features[i].newest_ms, want.features[i].newest_ms)
+        << "rank " << i;
+  }
+}
+
 // Buffer reuse must never leak state: one scratch + one result object,
 // reused across queries of different shapes (bigger results, smaller
 // results, different filters/sorts/profiles), must produce exactly what a
@@ -602,15 +619,252 @@ TEST(QueryTest, ReusedScratchMatchesFreshExecution) {
       QueryResult fresh;
       ASSERT_TRUE(
           ExecuteQueryInto(*profile, spec, now, &fresh_scratch, &fresh).ok());
-      ASSERT_EQ(reused.features.size(), fresh.features.size());
-      EXPECT_EQ(reused.slices_scanned, fresh.slices_scanned);
-      EXPECT_EQ(reused.features_merged, fresh.features_merged);
-      for (size_t i = 0; i < fresh.features.size(); ++i) {
-        EXPECT_EQ(reused.features[i].fid, fresh.features[i].fid);
-        EXPECT_EQ(reused.features[i].counts, fresh.features[i].counts);
-        EXPECT_EQ(reused.features[i].weighted, fresh.features[i].weighted);
-        EXPECT_EQ(reused.features[i].newest_ms, fresh.features[i].newest_ms);
+      ExpectSameResult(reused, fresh);
+    }
+  }
+}
+
+
+// An undecayed query's weights are its counts converted to double, bit for
+// bit, whatever the reduce, the count width (inline or heap-held) and the
+// sign of the counts.
+TEST(QueryTest, UndecayedWeightsAreCountsBitForBit) {
+  const TimestampMs now = 100 * kDay;
+  Rng rng(31);
+  ProfileData profile(kMillisPerMinute);
+  std::vector<std::pair<TimestampMs, CountVector>> writes[9];
+  for (int i = 0; i < 90; ++i) {
+    const TimestampMs ts =
+        now - static_cast<TimestampMs>(rng.Uniform(5 * kDay)) - 1;
+    const FeatureId fid = 1 + rng.Uniform(8);
+    // Alternate 2-action and 6-action (heap-held) rows on the same fids.
+    CountVector counts(i % 2 == 0 ? 2 : 6);
+    for (size_t a = 0; a < counts.size(); ++a) {
+      counts[a] = static_cast<int64_t>(rng.Uniform(11)) - 5;  // -5 .. 5
+    }
+    ASSERT_TRUE(profile.Add(ts, kSports, kBasketball, fid, counts).ok());
+    writes[fid].emplace_back(ts, counts);
+  }
+
+  for (ReduceFn reduce : {ReduceFn::kSum, ReduceFn::kMax}) {
+    // Reference counts: each slice's row for a fid (the writes summed,
+    // as Add does), reduced across slices.
+    std::map<FeatureId, CountVector> expected;
+    for (FeatureId fid = 1; fid <= 8; ++fid) {
+      for (const auto& slice : profile.slices()) {
+        const FeatureRow* row = slice.Find(kSports, kBasketball, fid);
+        if (row == nullptr) continue;
+        auto [it, fresh] = expected.try_emplace(fid, row->counts);
+        if (!fresh) ReduceInto(it->second, row->counts, reduce);
       }
+    }
+    for (SortBy sort_by : {SortBy::kFeatureId, SortBy::kActionCount}) {
+      QuerySpec spec;
+      spec.slot = kSports;
+      spec.time_range = TimeRange::Current(6 * kDay);
+      spec.sort_by = sort_by;
+      spec.sort_action = 5;  // a heap-held action for the 6-wide rows
+      spec.reduce = reduce;
+      QueryScratch scratch;
+      QueryResult result;
+      ASSERT_TRUE(
+          ExecuteQueryInto(profile, spec, now, &scratch, &result).ok());
+      ASSERT_EQ(result.features.size(), expected.size());
+      for (const FeatureResult& f : result.features) {
+        EXPECT_EQ(f.counts, expected[f.fid]) << "fid " << f.fid;
+        ASSERT_EQ(f.weighted.size(), f.counts.size()) << "fid " << f.fid;
+        for (size_t a = 0; a < f.counts.size(); ++a) {
+          EXPECT_EQ(std::bit_cast<uint64_t>(f.weighted[a]),
+                    std::bit_cast<uint64_t>(static_cast<double>(f.counts[a])))
+              << "fid " << f.fid << " action " << a;
+        }
+      }
+    }
+  }
+}
+
+// Scores tied across the K cut rank by ascending fid, for both score
+// orders. The fids sit in several slices, newest holding the largest, so
+// the merge meets them out of fid order.
+TEST(QueryTest, TiesAcrossTheKCutRankByAscendingFid) {
+  const TimestampMs now = 100 * kDay;
+  ProfileData profile(kMillisPerMinute);
+  // Slice d (d = 0..3) holds fids 10d + 1 .. 10d + 10 and ends 3 - d
+  // minutes before the others; every third fid has 7 likes, the rest 4.
+  for (int d = 0; d < 4; ++d) {
+    const TimestampMs ts = now - kDay + (3 - d) * kMillisPerMinute;
+    const FeatureId base = 10 * static_cast<FeatureId>(d);
+    for (FeatureId fid = base + 1; fid <= base + 10; ++fid) {
+      const int64_t likes = fid % 3 == 0 ? 7 : 4;
+      ASSERT_TRUE(
+          profile.Add(ts, kSports, kBasketball, fid, CountVector{likes}).ok());
+    }
+  }
+  struct Case {
+    SortBy sort_by;
+    size_t k;
+  };
+  // 13 fids have 7 likes, so k = 20 cuts through the 4-like tie; each
+  // slice holds 10 fids of one end time, so k = 15 cuts through the
+  // second-newest slice's tie.
+  for (const Case& c : {Case{SortBy::kActionCount, 20},
+                        Case{SortBy::kTimestamp, 15}}) {
+    std::vector<std::pair<int64_t, FeatureId>> all;  // (score, fid)
+    for (const auto& slice : profile.slices()) {
+      for (const FeatureRow& row : slice.rows()) {
+        const int64_t score = c.sort_by == SortBy::kActionCount
+                                  ? row.counts[0]
+                                  : slice.end_ms();
+        all.emplace_back(score, row.fid);
+      }
+    }
+    std::sort(all.begin(), all.end(), [](const auto& a, const auto& b) {
+      if (a.first != b.first) return a.first > b.first;
+      return a.second < b.second;
+    });
+    ASSERT_NE(all[c.k - 1].first, all[0].first);
+    ASSERT_EQ(all[c.k - 1].first, all[c.k].first) << "k must cut a tie";
+
+    QuerySpec spec;
+    spec.slot = kSports;
+    spec.time_range = TimeRange::Current(2 * kDay);
+    spec.sort_by = c.sort_by;
+    spec.k = c.k;
+    QueryScratch scratch;
+    QueryResult result;
+    ASSERT_TRUE(ExecuteQueryInto(profile, spec, now, &scratch, &result).ok());
+    ASSERT_EQ(result.features.size(), c.k);
+    for (size_t i = 0; i < c.k; ++i) {
+      EXPECT_EQ(result.features[i].fid, all[i].second)
+          << "sort " << static_cast<int>(c.sort_by) << " rank " << i;
+    }
+  }
+}
+
+// Rows of one fid under two types of one slice, and one fid in several
+// slices of a type-scoped query, fold into one feature each; rows of
+// another slot in the same slice stay out.
+TEST(QueryTest, SharedFidsMergeWithinAndAcrossSlices) {
+  const TimestampMs now = 100 * kDay;
+  ProfileData profile(kMillisPerMinute);
+  const TimestampMs ts = now - kDay;
+  ASSERT_TRUE(
+      profile.Add(ts, kSports, kBasketball, 7, CountVector{2, 1}).ok());
+  ASSERT_TRUE(profile.Add(ts, kSports, kSoccer, 7, CountVector{3}).ok());
+  ASSERT_TRUE(profile.Add(ts, kSports, kSoccer, 8, CountVector{1}).ok());
+  ASSERT_TRUE(profile.Add(ts, kNews, 1, 9, CountVector{50}).ok());
+  ASSERT_EQ(profile.SliceCount(), 1u);
+
+  auto slot_wide = GetProfileTopK(profile, kSports, std::nullopt,
+                                  TimeRange::Current(2 * kDay),
+                                  SortBy::kFeatureId, 0, 0, now);
+  ASSERT_TRUE(slot_wide.ok());
+  ASSERT_EQ(slot_wide->features.size(), 2u);
+  EXPECT_EQ(slot_wide->features_merged, 2u);
+  EXPECT_EQ(slot_wide->features[0].fid, 7u);
+  EXPECT_EQ(slot_wide->features[0].counts, (CountVector{5, 1}));
+  EXPECT_EQ(slot_wide->features[1].fid, 8u);
+
+  for (int d = 2; d <= 4; ++d) {
+    ASSERT_TRUE(profile
+                    .Add(now - d * kDay, kSports, kSoccer, 7, CountVector{1})
+                    .ok());
+  }
+  auto typed = GetProfileTopK(profile, kSports, kSoccer,
+                              TimeRange::Current(5 * kDay),
+                              SortBy::kActionCount, 0, 0, now);
+  ASSERT_TRUE(typed.ok());
+  EXPECT_EQ(typed->slices_scanned, 4u);
+  ASSERT_EQ(typed->features.size(), 2u);
+  EXPECT_EQ(typed->features[0].fid, 7u);
+  EXPECT_EQ(typed->features[0].counts, CountVector{6});
+  EXPECT_EQ(typed->features[1].fid, 8u);
+}
+
+// Profiles and specs for the reuse tests: slot-wide and type-scoped,
+// undecayed and decayed, cut and uncut, over two overlapping fid sets.
+std::vector<std::pair<ProfileData, QuerySpec>> ReuseCases(TimestampMs now) {
+  std::vector<std::pair<ProfileData, QuerySpec>> cases;
+  for (uint64_t seed : {5, 6}) {
+    Rng rng(seed);
+    ProfileData profile(kMillisPerMinute);
+    for (int i = 0; i < 200; ++i) {
+      profile
+          .Add(now - static_cast<TimestampMs>(rng.Uniform(6 * kDay)) - 1,
+               kSports, static_cast<TypeId>(rng.Uniform(3)),
+               rng.Uniform(30 + 20 * seed) + 1,
+               CountVector{static_cast<int64_t>(rng.Uniform(9)),
+                           static_cast<int64_t>(rng.Uniform(3))})
+          .ok();
+    }
+    QuerySpec spec;
+    spec.slot = kSports;
+    spec.time_range = TimeRange::Current(7 * kDay);
+    spec.sort_by = SortBy::kActionCount;
+    spec.k = 10;
+    cases.emplace_back(profile, spec);
+    spec.type = 1;
+    spec.k = 0;
+    spec.decay = DecaySpec{DecayFunction::kExponential, 0.8, kDay};
+    cases.emplace_back(profile, spec);
+    spec.type.reset();
+    spec.time_range = TimeRange::Current(2 * kDay);
+    spec.sort_by = SortBy::kTimestamp;
+    spec.reduce = ReduceFn::kMax;
+    cases.emplace_back(std::move(profile), spec);
+  }
+  return cases;
+}
+
+// The probe table empties between queries without being cleared: 10,000
+// queries through one scratch each equal a fresh scratch's result.
+TEST(QueryTest, ProbeTableStaysEmptyAcrossTenThousandQueries) {
+  const TimestampMs now = 100 * kDay;
+  const auto cases = ReuseCases(now);
+  std::vector<QueryResult> fresh(cases.size());
+  for (size_t c = 0; c < cases.size(); ++c) {
+    QueryScratch scratch;
+    ASSERT_TRUE(ExecuteQueryInto(cases[c].first, cases[c].second, now,
+                                 &scratch, &fresh[c])
+                    .ok());
+  }
+  QueryScratch shared;
+  QueryResult reused;
+  for (int q = 0; q < 10'000; ++q) {
+    const size_t c = (q * 7 + q / 5) % cases.size();
+    ASSERT_TRUE(ExecuteQueryInto(cases[c].first, cases[c].second, now,
+                                 &shared, &reused)
+                    .ok());
+    ExpectSameResult(reused, fresh[c]);
+    if (::testing::Test::HasFailure()) FAIL() << "query " << q;
+  }
+}
+
+// When the stamp wraps, slots written under the old stamps must not read
+// as occupied.
+TEST(QueryTest, ProbeTableResetsWhenItsStampWraps) {
+  const TimestampMs now = 100 * kDay;
+  const auto cases = ReuseCases(now);
+  QueryScratch shared;
+  QueryResult reused;
+  for (size_t c = 0; c < cases.size(); ++c) {
+    for (size_t prior = 0; prior < cases.size(); ++prior) {
+      // Fill the table under the stamp the wrap restarts from, then query
+      // across the wrap.
+      shared.stamp = 0;
+      ASSERT_TRUE(ExecuteQueryInto(cases[prior].first, cases[prior].second,
+                                   now, &shared, &reused)
+                      .ok());
+      shared.stamp = std::numeric_limits<uint32_t>::max();
+      ASSERT_TRUE(ExecuteQueryInto(cases[c].first, cases[c].second, now,
+                                   &shared, &reused)
+                      .ok());
+      QueryScratch scratch;
+      QueryResult fresh;
+      ASSERT_TRUE(ExecuteQueryInto(cases[c].first, cases[c].second, now,
+                                   &scratch, &fresh)
+                      .ok());
+      ExpectSameResult(reused, fresh);
     }
   }
 }
