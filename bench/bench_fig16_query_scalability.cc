@@ -76,10 +76,7 @@ void Run() {
         WorkloadOptions per_thread = workload_options;
         per_thread.seed = 1000 + hour * kThreads + t;
         WorkloadGenerator workload(per_thread);
-        IpsClientOptions client_options;
-        client_options.caller = "ranker";
-        client_options.local_region = "lf";
-        IpsClient client(client_options, &deployment);
+        IpsClient client(bench::LocalClient("ranker"), &deployment);
         // Open-loop pacing: each request is due at a fixed offset; latency
         // does not slow the offered rate.
         int64_t next_due = MonotonicNanos();

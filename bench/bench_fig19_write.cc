@@ -74,10 +74,7 @@ void Run() {
         WorkloadOptions per_thread = workload_options;
         per_thread.seed = 5000 + hour * kThreads + t;
         WorkloadGenerator workload(per_thread);
-        IpsClientOptions client_options;
-        client_options.caller = "ingest";
-        client_options.local_region = "lf";
-        IpsClient client(client_options, &deployment);
+        IpsClient client(bench::LocalClient("ingest"), &deployment);
         int64_t next_due = MonotonicNanos();
         for (int w = 0; w < writes_per_thread; ++w) {
           next_due += inter_arrival_ns;

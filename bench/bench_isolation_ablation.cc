@@ -55,10 +55,7 @@ void RunMode(bool isolation, RunResult* out) {
       WorkloadOptions per_thread = workload_options;
       per_thread.seed = 100 + t + (isolation ? 50 : 0);
       WorkloadGenerator workload(per_thread);
-      IpsClientOptions client_options;
-      client_options.caller = "mixed";
-      client_options.local_region = "lf";
-      IpsClient client(client_options, &deployment);
+      IpsClient client(bench::LocalClient("mixed"), &deployment);
       for (int w = 0; w < kWritesPerThread; ++w) {
         ProfileId uid;
         auto records = workload.NextAddBatch(sim_clock.NowMs(), &uid);

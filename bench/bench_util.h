@@ -65,6 +65,14 @@ inline DeploymentOptions SingleRegion(bool calibrated_latency) {
   return options;
 }
 
+/// Options for a client of `caller` in the SingleRegion deployment.
+inline IpsClientOptions LocalClient(const char* caller) {
+  IpsClientOptions options;
+  options.caller = caller;
+  options.local_region = "lf";
+  return options;
+}
+
 /// Loads `num_users` profiles with `writes_per_user` historical actions so
 /// queries have data to chew on. Writes go straight into the node instances
 /// (bulk import), bypassing the client-side latency simulation.

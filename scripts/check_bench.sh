@@ -38,39 +38,6 @@ for path in sys.argv[1:]:
               "run instead", file=sys.stderr)
         fail = 1
         continue
-    if doc["bench"] == "cache_tiers":
-        # The committed artifact must itself satisfy the PR acceptance gate:
-        # at the highest skew, the L2-on row pays >= 2x fewer KV read round
-        # trips per query than L2-off, with live promotions (l2_hits > 0).
-        rows = doc.get("rows")
-        required = {"theta", "l2", "queries", "kv_round_trips",
-                    "rt_per_query", "l2_hits"}
-        if (not isinstance(rows, list) or not rows
-                or any(not required.issubset(r) for r in rows)):
-            print(f"check_bench: {path}: cache_tiers artifact needs "
-                  f"non-empty 'rows' each carrying {sorted(required)}",
-                  file=sys.stderr)
-            fail = 1
-            continue
-        theta = max(r["theta"] for r in rows)
-        off = next((r for r in rows
-                    if r["theta"] == theta and not r["l2"]), None)
-        on = next((r for r in rows if r["theta"] == theta and r["l2"]), None)
-        if off is None or on is None:
-            print(f"check_bench: {path}: no off/on pair at theta={theta}",
-                  file=sys.stderr)
-            fail = 1
-            continue
-        gate_ok = (on["l2_hits"] > 0 and off["rt_per_query"] > 0
-                   and (on["rt_per_query"] == 0
-                        or off["rt_per_query"] / on["rt_per_query"] >= 2.0))
-        if not gate_ok:
-            print(f"check_bench: {path}: cache-tier gate not met at "
-                  f"theta={theta}: off rt/q={off['rt_per_query']}, "
-                  f"on rt/q={on['rt_per_query']}, l2_hits={on['l2_hits']}",
-                  file=sys.stderr)
-            fail = 1
-            continue
     if doc["bench"] == "compaction_ablation":
         # The committed artifact must satisfy the PR acceptance gate: every
         # drain row carries the full shape, worker configurations performed

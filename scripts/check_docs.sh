@@ -22,7 +22,7 @@ if [[ ! -f "${doc}" ]]; then
 fi
 
 # Subsystem prefixes that metric and span names may use.
-prefixes='admission|broker|store_broker|cache|cache_l2|client|server|compaction|isolation|config|overload|trace|rpc|kv|codec|feature|assembler|query'
+prefixes='admission|broker|store_broker|cache|client|server|compaction|isolation|config|overload|trace|rpc|kv|codec|feature|assembler|query'
 name_re="(${prefixes})\.[a-z0-9_.]+"
 
 src_names=$(grep -rhoE "\"${name_re}\"" src | tr -d '"' | sort -u)

@@ -63,11 +63,6 @@ run_suite() {
     # write errors.
     echo "=== tier1: perf smoke (bench_flush_storm --smoke) ==="
     "${build_dir}/bench/bench_flush_storm" --smoke
-    # Cache-tier gate: with a tiny L1 under eviction churn, the compressed L2
-    # victim tier must cut KV read round trips per query >= 2x vs the
-    # tier-off ablation, with live cache_l2.hit promotions.
-    echo "=== tier1: perf smoke (bench_cache_tiers --smoke) ==="
-    "${build_dir}/bench/bench_cache_tiers" --smoke
     # Parallel-drain gate: identical full-pass sets across worker configs,
     # and (on >=4-core hosts) the 1-worker storm must take >= 2x the
     # 4-worker storm.
@@ -91,8 +86,8 @@ run_suite() {
     # storm, the load
     # coalescer's group-commit storm (attach, claim, single flight and detach
     # from many threads), GCache's write-back step (flush, eviction and
-    # Invalidate racing writers and queueing on the write-back lock, with the
-    # L2 demotions), ReplicatedKv's slave drains (concurrent readers applying
+    # Invalidate racing writers and queueing on the write-back lock),
+    # ReplicatedKv's slave drains (concurrent readers applying
     # the replication queue), the client's fan-out (callers reclaiming
     # sub-calls from the shared pool, the client destroyed right after a
     # storm, spans from both threads) and the instance's maintenance loop
@@ -107,8 +102,8 @@ run_suite() {
     (cd "${build_dir}" && ctest --output-on-failure -R compaction_test)
     echo "=== tier1: TSan load group-commit storm (CoalescerTest) ==="
     (cd "${build_dir}" && ctest --output-on-failure -R coalescer_test)
-    echo "=== tier1: TSan write-back step (GCacheTest, VictimCacheTest) ==="
-    (cd "${build_dir}" && ctest --output-on-failure -R 'gcache_test|victim_cache_test')
+    echo "=== tier1: TSan write-back step (GCacheTest) ==="
+    (cd "${build_dir}" && ctest --output-on-failure -R gcache_test)
     # The write-back step's races (store-and-commit, unmap, the dirty list)
     # get ten schedules per run, not one.
     "${build_dir}/tests/gcache_test" --gtest_repeat=10 \

@@ -5,7 +5,6 @@
 #include <limits>
 #include <utility>
 
-#include "cache/victim_cache.h"
 #include "common/hash.h"
 #include "common/logging.h"
 #include "common/trace.h"
@@ -36,9 +35,6 @@ GCache::GCache(GCacheOptions options, Clock* clock, LoadFn load, StoreFn store,
   flush_failures_counter_ = metrics->GetCounter("cache.flush_failures");
   batch_flushes_counter_ = metrics->GetCounter("cache.batch_flushes");
   evicted_counter_ = metrics->GetCounter("cache.evicted");
-  demoted_counter_ = metrics->GetCounter("cache.demoted");
-  l2_decode_failures_counter_ =
-      metrics->GetCounter("cache_l2.decode_failures");
   overlap_stalls_counter_ = metrics->GetCounter("compaction.overlap_stalls");
   store_batch_pids_ = metrics->GetHistogram("store_broker.batch_pids");
   options_.lru_shards = RoundUpPow2(options_.lru_shards);
@@ -97,22 +93,6 @@ GCache::EntryPtr GCache::InsertLoaded(ProfileId pid, ProfileData loaded,
   return entry;
 }
 
-bool GCache::TryPromoteFromL2(ProfileId pid, ProfileData* out,
-                              bool* out_degraded) {
-  std::string encoded;
-  bool degraded = false;
-  if (!victim_cache_->Take(pid, &encoded, &degraded)) return false;
-  const Status decoded = victim_decode_(encoded, out);
-  if (!decoded.ok()) {
-    // Corrupt demoted bytes: Take already removed them, so the tier cannot
-    // serve them again; the miss falls through to the authoritative store.
-    l2_decode_failures_counter_->Increment();
-    return false;
-  }
-  *out_degraded = degraded;
-  return true;
-}
-
 struct GCache::BatchScratch {
   std::vector<EntryPtr> entries;
   /// (pid, occurrence index) per missing occurrence; sorted to group
@@ -131,72 +111,33 @@ GCache::BatchScratch& GCache::ThreadBatchScratch() {
 std::vector<Result<ProfileData>> GCache::LoadMisses(
     const std::vector<ProfileId>& pids, std::vector<bool>* out_degraded,
     TimestampMs deadline_ms) {
-  // Victim tier first: misses served by promoting demoted bytes never reach
-  // the load function at all — a decode instead of a storage round trip.
-  const bool tiered = victim_cache_ != nullptr;
-  std::vector<Result<ProfileData>> results;
-  std::vector<ProfileId> remaining;
-  std::vector<size_t> remaining_ix;  // positions in `pids` still to load
-  if (tiered) {
-    ScopedSpan l2_span("cache.l2_lookup");
-    out_degraded->assign(pids.size(), false);
-    results.assign(pids.size(),
-                   Result<ProfileData>(Status::NotFound("unresolved")));
-    for (size_t i = 0; i < pids.size(); ++i) {
-      ProfileData promoted(options_.write_granularity_ms);
-      bool promoted_degraded = false;
-      if (TryPromoteFromL2(pids[i], &promoted, &promoted_degraded)) {
-        results[i] = std::move(promoted);
-        (*out_degraded)[i] = promoted_degraded;
-      } else {
-        remaining.push_back(pids[i]);
-        remaining_ix.push_back(i);
-      }
-    }
-    if (remaining.empty()) return results;
-  }
-  const std::vector<ProfileId>& load_pids = tiered ? remaining : pids;
-
-  // One load-function call for what the tier could not serve, with the
-  // caller's deadline bounding any wait on a shared load.
-  std::vector<bool> loaded_degraded(load_pids.size(), false);
+  // One load-function call, with the caller's deadline bounding any wait on
+  // a shared load.
+  out_degraded->assign(pids.size(), false);
   std::vector<Result<ProfileData>> loaded =
-      load_(load_pids, &loaded_degraded, deadline_ms);
-  if (loaded.size() != load_pids.size()) {
-    loaded.assign(load_pids.size(),
+      load_(pids, out_degraded, deadline_ms);
+  if (loaded.size() != pids.size()) {
+    loaded.assign(pids.size(),
                   Result<ProfileData>(Status::Internal(
                       "load function returned a short result list")));
   }
-  if (loaded_degraded.size() != load_pids.size()) {
-    loaded_degraded.assign(load_pids.size(), false);
+  if (out_degraded->size() != pids.size()) {
+    out_degraded->assign(pids.size(), false);
   }
 
-  // Store health is judged ONLY on outcomes that actually touched the load
-  // function: a degraded profile served out of the victim tier carries its
-  // historical staleness mark and says nothing about the store's current
-  // state.
   bool any_unavailable = false;
   bool any_degraded = false;
   for (size_t m = 0; m < loaded.size(); ++m) {
     if (!loaded[m].ok()) {
       if (loaded[m].status().IsUnavailable()) any_unavailable = true;
-    } else if (loaded_degraded[m]) {
+    } else if ((*out_degraded)[m]) {
       any_degraded = true;
     }
   }
   NoteStoreHealth(any_unavailable || any_degraded
                       ? Status::Unavailable("batch load")
                       : Status::OK());
-
-  if (!tiered) {
-    *out_degraded = std::move(loaded_degraded);
-    return loaded;
-  }
-  for (size_t m = 0; m < remaining_ix.size(); ++m) {
-    results[remaining_ix[m]] = std::move(loaded[m]);
-    (*out_degraded)[remaining_ix[m]] = loaded_degraded[m];
-  }
-  return results;
+  return loaded;
 }
 
 size_t GCache::ResolveBatch(std::span<const ProfileId> pids,
@@ -223,11 +164,6 @@ size_t GCache::ResolveBatch(std::span<const ProfileId> pids,
     for (size_t i = 0; i < pids.size(); ++i) {
       const ProfileId pid = pids[i];
       LruShard& shard = *lru_shards_[LruIndex(pid)];
-      // Every lookup — hit or miss, every occurrence — feeds the victim
-      // tier's admission sketch, outside the shard lock: a profile hot
-      // because it is L1-resident must still look hot to the admission
-      // check when it is eventually demoted.
-      if (victim_cache_ != nullptr) victim_cache_->RecordAccess(pid);
       std::lock_guard<std::mutex> lock(shard.mu);
       auto it = shard.map.find(pid);
       if (it != shard.map.end()) {
@@ -284,9 +220,6 @@ size_t GCache::ResolveBatch(std::span<const ProfileId> pids,
         entries[misses[x].second] = entry;
       }
     }
-    // Store health was already noted inside LoadMisses, judged only on the
-    // subset of misses that actually reached the load function (a
-    // victim-tier promotion says nothing about the store).
   }
 
   // Service order: occurrences grouped by entry so the caller locks every
@@ -621,7 +554,7 @@ std::vector<Status> GCache::WriteBack(std::span<const Snapshot> snapshots,
   return statuses;
 }
 
-bool GCache::Unmap(const Snapshot& snap, std::string* demote) {
+bool GCache::Unmap(const Snapshot& snap) {
   Entry& entry = *snap.entry;
   LruShard& shard = *lru_shards_[LruIndex(entry.pid)];
   std::lock_guard<std::mutex> lock(shard.mu);
@@ -633,10 +566,6 @@ bool GCache::Unmap(const Snapshot& snap, std::string* demote) {
   if (!entry_lock.owns_lock() || entry.dirty ||
       !SnapshotCurrent(entry, snap.epoch)) {
     return false;
-  }
-  if (demote != nullptr &&
-      victim_cache_->Put(entry.pid, std::move(*demote), entry.degraded)) {
-    demoted_counter_->Increment();
   }
   entry.evicted = true;
   shard.lru.erase(it->second.lru_it);
@@ -666,14 +595,10 @@ size_t GCache::EvictFromShard(LruShard& shard, size_t target_bytes) {
       std::unique_lock<std::mutex> entry_lock(entry->mu, std::try_to_lock);
       if (!entry_lock.owns_lock()) continue;
       planned += entry->bytes;
-      // Clean victims only need the profile when a tier exists to demote
-      // them into; dirty ones always need it for the write-back.
-      if (entry->dirty) {
-        victims.push_back(TakeSnapshot(std::move(entry)));
-      } else {
-        clean.push_back(
-            TakeSnapshot(std::move(entry), victim_cache_ != nullptr));
-      }
+      // Only the write-back of a dirty victim needs its profile.
+      const bool dirty = entry->dirty;
+      (dirty ? victims : clean)
+          .push_back(TakeSnapshot(std::move(entry), dirty));
     }
     num_dirty = victims.size();
     std::move(clean.begin(), clean.end(), std::back_inserter(victims));
@@ -692,15 +617,8 @@ size_t GCache::EvictFromShard(LruShard& shard, size_t target_bytes) {
 
   size_t evicted = 0;
   for (size_t i = 0; i < victims.size(); ++i) {
-    if (!statuses[i].ok()) continue;  // write-back failed: flush later, keep
-    // Encode the demotion with no lock held (the codec walk can take hundreds
-    // of microseconds for a large profile). The WouldAdmit pre-check skips
-    // the encode for scan traffic the tier would reject.
-    std::string encoded;
-    const bool demote = victim_cache_ != nullptr &&
-                        victim_cache_->WouldAdmit(victims[i].entry->pid);
-    if (demote) victim_encode_(victims[i].profile, &encoded);
-    if (Unmap(victims[i], demote ? &encoded : nullptr)) ++evicted;
+    // A failed write-back keeps the victim resident for a later flush.
+    if (statuses[i].ok() && Unmap(victims[i])) ++evicted;
   }
   if (evicted > 0) evicted_counter_->Increment(static_cast<int64_t>(evicted));
   return evicted;
@@ -816,9 +734,7 @@ void GCache::FlushAll() {
 Status GCache::Invalidate(ProfileId pid) {
   // Each attempt runs the write-back step on a dirty entry, then unmaps it
   // only if it is still clean at the snapshot's epoch; a write that landed
-  // meanwhile re-dirtied it and sends us around again. Nothing else unmaps
-  // while the write-back lock is held, and eviction demotes only under it,
-  // so no demotion of this pid can land after the L2 erase below.
+  // meanwhile re-dirtied it and sends us around again.
   for (int attempt = 0; attempt < 16; ++attempt) {
     std::lock_guard<std::mutex> write_back(write_back_mu_);
     if (EntryPtr entry = FindResident(pid)) {
@@ -834,9 +750,8 @@ Status GCache::Invalidate(ProfileId pid) {
             WriteBack({&snap, 1}, StoreHealthSource::kPoint).front();
         if (!stored.ok()) return stored;
       }
-      if (!Unmap(snap, nullptr)) continue;
+      if (!Unmap(snap)) continue;
     }
-    if (victim_cache_ != nullptr) victim_cache_->Erase(pid);
     return Status::OK();
   }
   return Status::Aborted("invalidate: entry kept being re-dirtied");

@@ -51,7 +51,6 @@
 #include <memory>
 #include <mutex>
 #include <span>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -91,8 +90,6 @@ struct GCacheOptions {
   int64_t write_granularity_ms = 60'000;
 };
 
-class VictimCache;
-
 /// Loads a batch of profiles in one storage round trip: the only way a miss
 /// reaches storage. Results align with `pids`; NotFound marks profiles that
 /// were never persisted. `out_degraded` (never null) arrives sized to `pids`
@@ -115,13 +112,6 @@ using LoadFn = std::function<std::vector<Result<ProfileData>>(
 using StoreFn = std::function<std::vector<Status>(
     const std::vector<ProfileId>& pids, const std::vector<uint64_t>& epochs,
     const std::vector<const ProfileData*>& snapshots)>;
-/// Encodes a profile into the victim tier's byte format (the persister's
-/// compressed block format). Called on eviction snapshots with no lock held.
-using VictimEncodeFn = std::function<void(const ProfileData&, std::string*)>;
-/// Decodes victim-tier bytes back into a profile (promotion). Corruption on
-/// malformed input: the promotion is abandoned and the miss falls through to
-/// the load function.
-using VictimDecodeFn = std::function<Status(std::string_view, ProfileData*)>;
 /// When a compaction pass would next find work in `profile`. Called under
 /// the entry lock, so it must not call into the cache.
 using CompactDueFn =
@@ -169,24 +159,6 @@ class GCache {
                       std::vector<bool>* out_degraded = nullptr,
                       TimestampMs deadline_ms =
                           std::numeric_limits<TimestampMs>::max());
-
-  /// Installs the compressed L2 victim tier (non-owning; must outlive the
-  /// cache) together with the codec callbacks that translate between
-  /// ProfileData and the tier's encoded-bytes format. With a tier installed:
-  ///   * every lookup feeds the tier's admission sketch;
-  ///   * every miss probes the tier (the cache.l2_lookup trace stage) and a
-  ///     hit promotes the bytes back into L1 — decode instead of KV trip;
-  ///   * eviction demotes written-back victims into the tier instead of
-  ///     dropping them;
-  ///   * Invalidate erases the pid from BOTH tiers.
-  /// Not thread-safe w.r.t. concurrent traffic; call during setup, right
-  /// after construction.
-  void set_victim_cache(VictimCache* victim, VictimEncodeFn encode,
-                        VictimDecodeFn decode) {
-    victim_cache_ = victim;
-    victim_encode_ = std::move(encode);
-    victim_decode_ = std::move(decode);
-  }
 
   /// Installs the compaction trigger during setup (without one, nothing is
   /// ever due). The due time is recomputed on load, after every mutation in
@@ -263,12 +235,12 @@ class GCache {
   /// gives up, logs a warning and leaves the rest dirty.
   void FlushAll();
 
-  /// Drops the pid from L1 and the victim tier (failover handover). A dirty
-  /// entry is written back first through the write-back step (each attempt
-  /// queues behind any flush pass or eviction in progress); a write that
-  /// lands meanwhile re-dirties it and the write-back repeats (bounded:
-  /// Aborted after 16 attempts). The store's error is returned when a
-  /// write-back fails, and the entry stays resident and dirty.
+  /// Drops the pid from the cache (failover handover). A dirty entry is
+  /// written back first through the write-back step (each attempt queues
+  /// behind any flush pass or eviction in progress); a write that lands
+  /// meanwhile re-dirties it and the write-back repeats (bounded: Aborted
+  /// after 16 attempts). The store's error is returned when a write-back
+  /// fails, and the entry stays resident and dirty.
   Status Invalidate(ProfileId pid);
 
   /// Profile ids currently cached (ops sweeps, e.g. forced compaction).
@@ -358,20 +330,13 @@ class GCache {
   /// pass reading an entry is not evidence of user interest.
   EntryPtr FindResident(ProfileId pid) const;
 
-  /// Serves `pids` (unique, sorted) from the victim tier where it can, loads
-  /// the rest with one LoadFn call and notes store health from that call.
-  /// Results and `out_degraded` align with `pids` (a short list from the
-  /// load function becomes Internal errors). Called only by ResolveBatch.
+  /// Loads `pids` (unique, sorted) with one LoadFn call and notes store
+  /// health from it. Results and `out_degraded` align with `pids` (a short
+  /// list from the load function becomes Internal errors). Called only by
+  /// ResolveBatch.
   std::vector<Result<ProfileData>> LoadMisses(
       const std::vector<ProfileId>& pids, std::vector<bool>* out_degraded,
       TimestampMs deadline_ms);
-
-  /// Probes the victim tier for `pid` (caller wraps in the cache.l2_lookup
-  /// span); on a hit the bytes are taken out of the tier and decoded into
-  /// `*out` (promotion), `*out_degraded` carries the demoted staleness mark.
-  /// False on tier miss — and on decode failure, where the corrupt bytes are
-  /// simply dropped and the miss falls through to the load function.
-  bool TryPromoteFromL2(ProfileId pid, ProfileData* out, bool* out_degraded);
 
   /// Moves the slot's pid to the LRU front (shard lock held). Splicing via
   /// the stored iterator: no second hash probe.
@@ -445,14 +410,13 @@ class GCache {
 
   /// Drops `snap.entry` (the write-back lock held) if, under shard.mu plus
   /// the entry's try_lock, it is still mapped, clean and at the snapshot's
-  /// epoch. A non-null `demote` goes into the victim tier before the map
-  /// erase, so no reload can slip in while stale bytes land in L2.
-  bool Unmap(const Snapshot& snap, std::string* demote);
+  /// epoch.
+  bool Unmap(const Snapshot& snap);
 
   /// Evicts from `shard` until `target_bytes` freed or shard exhausted, under
   /// the write-back lock: victims are snapshotted under shard.mu with
   /// try_lock probing, the dirty ones written back, then each stored victim
-  /// is encoded for demotion with no lock held and unmapped.
+  /// unmapped.
   size_t EvictFromShard(LruShard& shard, size_t target_bytes);
 
   /// Marks the backing store healthy/unhealthy from a flush/load outcome.
@@ -467,10 +431,6 @@ class GCache {
   Clock* clock_;
   LoadFn load_;
   StoreFn store_;
-  /// Non-owning; installed at setup (see set_victim_cache).
-  VictimCache* victim_cache_ = nullptr;
-  VictimEncodeFn victim_encode_;
-  VictimDecodeFn victim_decode_;
   /// Installed at setup (see set_compaction).
   CompactDueFn next_due_ = [](const ProfileData&, TimestampMs) {
     return std::numeric_limits<TimestampMs>::max();
@@ -487,8 +447,6 @@ class GCache {
   Counter* flush_failures_counter_ = nullptr;
   Counter* batch_flushes_counter_ = nullptr;
   Counter* evicted_counter_ = nullptr;
-  Counter* demoted_counter_ = nullptr;
-  Counter* l2_decode_failures_counter_ = nullptr;
   Counter* overlap_stalls_counter_ = nullptr;
   Histogram* store_batch_pids_ = nullptr;
 

@@ -27,7 +27,6 @@ constexpr StageMetric kStageMetrics[] = {
     {"rpc.transfer", "trace.stage.rpc.transfer"},
     {"server.queue", "trace.stage.server.queue"},
     {"cache.lookup", "trace.stage.cache.lookup"},
-    {"cache.l2_lookup", "trace.stage.cache.l2_lookup"},
     {"server.coalesce", "trace.stage.server.coalesce"},
     {"kv.load", "trace.stage.kv.load"},
     {"kv.load.shared", "trace.stage.kv.load.shared"},
@@ -43,7 +42,7 @@ constexpr StageMetric kStageMetrics[] = {
     {"assembler.batch", "trace.stage.assembler.batch"},
     {"compaction.run", "trace.stage.compaction.run"},
 };
-constexpr size_t kDisjointStages = 11;
+constexpr size_t kDisjointStages = 10;
 
 void AppendJsonString(std::string* out, std::string_view s) {
   out->push_back('"');

@@ -139,23 +139,6 @@ Status IpsInstance::CreateTable(const TableSchema& schema) {
       std::make_unique<GCache>(cache_options, clock_, std::move(load_fn),
                                std::move(store_fn), metrics_);
 
-  // The compressed L2 victim tier sits between the cache and the persister:
-  // eviction demotes written-back entries as the persister's compressed
-  // block bytes; a later miss promotes them back for a decode instead of a
-  // KV round trip. The instance owns the tier; the cache only borrows it.
-  if (options_.enable_victim_cache) {
-    table->victim_cache =
-        std::make_unique<VictimCache>(options_.victim_cache, metrics_);
-    table->cache->set_victim_cache(
-        table->victim_cache.get(),
-        [persister](const ProfileData& profile, std::string* out) {
-          persister->EncodeForCache(profile, out);
-        },
-        [persister](std::string_view bytes, ProfileData* profile) {
-          return persister->DecodeCached(bytes, profile);
-        });
-  }
-
   Table* raw = table.get();
   table->compaction = std::make_unique<CompactionManager>(
       options_.compaction,
@@ -632,10 +615,6 @@ Result<IpsInstance::TableStats> IpsInstance::GetTableStats(
   stats.write_table_profiles = t->write_table->ProfileCount();
   stats.write_table_bytes =
       t->write_table_bytes.load(std::memory_order_relaxed);
-  if (t->victim_cache != nullptr) {
-    stats.l2_cached_profiles = t->victim_cache->EntryCount();
-    stats.l2_bytes = t->victim_cache->MemoryBytes();
-  }
   if (t->load_coalescer != nullptr) {
     stats.load_coalescer_pids = t->load_coalescer->InFlightCount();
   }

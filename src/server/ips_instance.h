@@ -31,7 +31,6 @@
 
 #include "cache/gcache.h"
 #include "cache/coalescer.h"
-#include "cache/victim_cache.h"
 #include "common/call_context.h"
 #include "common/clock.h"
 #include "common/config.h"
@@ -60,16 +59,6 @@ struct IpsInstanceOptions {
   /// load is on the wire group-commit into the next KvStore::MultiGet.
   /// Disable for ablation (bench_hotkey_skew measures both).
   bool enable_load_broker = true;
-  /// Compressed L2 victim tier between the cache and the persister: entries
-  /// evicted from the (L1) GCache are demoted as encoded bytes after their
-  /// write-back instead of dropped, and a later miss promotes them back for
-  /// the price of a decode rather than a KV round trip. Admission is
-  /// frequency-gated (TinyLFU-style sketch) so one-touch scans cannot
-  /// pollute the tier. Off by default: the tier changes what a "miss" costs,
-  /// which the coalescing benches measure in isolation; opt in per deployment
-  /// (bench_cache_tiers measures both sides).
-  bool enable_victim_cache = false;
-  VictimCacheOptions victim_cache;
   /// Read-write isolation initial state + merge cadence + memory cap.
   bool isolation_enabled = true;
   int64_t isolation_merge_interval_ms = 2000;
@@ -274,9 +263,6 @@ class IpsInstance {
     double memory_usage_ratio = 0.0;
     size_t write_table_profiles = 0;
     size_t write_table_bytes = 0;
-    /// Victim-tier occupancy; zero when the tier is disabled.
-    size_t l2_cached_profiles = 0;
-    size_t l2_bytes = 0;
     /// Pids pending or in flight in the load coalescer; zero when ablated.
     size_t load_coalescer_pids = 0;
   };
@@ -309,9 +295,6 @@ class IpsInstance {
     /// enabled). Declared before `cache` so it is destroyed after it: the
     /// cache's load function borrows it.
     std::unique_ptr<LoadCoalescer> load_coalescer;
-    /// Compressed L2 victim tier (when enabled). Declared before `cache` for
-    /// the same reason: the cache demotes into it up to its last eviction.
-    std::unique_ptr<VictimCache> victim_cache;
     std::unique_ptr<GCache> cache;
     /// Runs the passes the cache's funnel submits (see CompactResident).
     std::unique_ptr<CompactionManager> compaction;

@@ -100,18 +100,6 @@ Status Persister::Flush(ProfileId pid, const ProfileData& profile) {
   return StoreBatch({pid}, {&profile})[0];
 }
 
-void Persister::EncodeForCache(const ProfileData& profile,
-                               std::string* out) const {
-  PersistScratch& scratch = Scratch();
-  EncodeProfileRaw(profile, &scratch.raw);
-  BlockCompress(scratch.raw, out);
-}
-
-Status Persister::DecodeCached(std::string_view bytes,
-                               ProfileData* profile) const {
-  return DecodeProfile(bytes, profile);
-}
-
 std::vector<Status> Persister::StoreBatch(
     const std::vector<ProfileId>& pids,
     const std::vector<const ProfileData*>& profiles) {

@@ -90,17 +90,6 @@ class Persister {
   /// Removes all stored values for the profile.
   Status Erase(ProfileId pid);
 
-  /// Encode-for-demotion: produces the same compressed block bytes a bulk
-  /// flush would store (raw hierarchical encode + block compression, through
-  /// the thread-local scratch), without touching the KV store. The victim
-  /// tier stores these bytes so a demoted profile costs compressed size in
-  /// memory and one decode — not a storage round trip — to come back.
-  void EncodeForCache(const ProfileData& profile, std::string* out) const;
-
-  /// Decodes EncodeForCache bytes back into a profile (promotion).
-  /// Corruption on malformed input.
-  Status DecodeCached(std::string_view bytes, ProfileData* profile) const;
-
   const std::string& table_name() const { return table_name_; }
   PersistenceMode mode() const { return options_.mode; }
 

@@ -1,7 +1,6 @@
-// Seeded mutation loop over every decoder that reads bytes back from storage
-// or from the victim tier: DecodeProfile, DecodeSlice, DecodeSliceMeta and
-// Persister::DecodeCached. Inputs are valid encodings with bits flipped, the
-// tail cut off, or a varint overwritten by a length that claims more bytes
+// Seeded mutation loop over every decoder that reads bytes back from storage:
+// DecodeProfile, DecodeSlice and DecodeSliceMeta. Inputs are valid encodings
+// with bits flipped, the tail cut off, or a varint overwritten by a length that claims more bytes
 // than exist. Profile images are re-compressed after the mutation, so they
 // pass the frame checksum and reach the profile decoder itself; the stored
 // frames are also mutated directly. Every call must return OK or Corruption,
@@ -25,8 +24,6 @@
 #include "codec/profile_codec.h"
 #include "common/clock.h"
 #include "common/random.h"
-#include "kvstore/mem_kv_store.h"
-#include "server/persistence.h"
 
 namespace {
 
@@ -39,7 +36,10 @@ thread_local std::size_t g_largest = 0;
 
 }  // namespace
 
-void* operator new(std::size_t size) {
+// noinline: inlined into a caller, GCC 12 pairs this operator new with the
+// std::free of the operator delete below and warns of a mismatch
+// (-Wmismatched-new-delete), though the two are a matched replacement pair.
+__attribute__((noinline)) void* operator new(std::size_t size) {
   if (g_tracking) {
     g_largest = std::max(g_largest, size);
     if (size > kRefuseBytes) throw std::bad_alloc();
@@ -136,8 +136,6 @@ void CheckDecode(const char* decoder, uint64_t seed, std::string_view input,
 }
 
 TEST(DecodeMutationTest, MutatedProfilesDecodeOrFailCleanly) {
-  MemKvStore kv;
-  Persister persister("profiles", &kv, PersisterOptions());
   std::string raw;
   std::string frame;
   for (uint64_t seed = 1; seed <= kMutationsPerDecoder; ++seed) {
@@ -149,11 +147,6 @@ TEST(DecodeMutationTest, MutatedProfilesDecodeOrFailCleanly) {
                 [](std::string_view bytes) {
                   ProfileData profile;
                   return DecodeProfile(bytes, &profile);
-                });
-    CheckDecode("Persister::DecodeCached", seed, frame, mutated.size(),
-                [&](std::string_view bytes) {
-                  ProfileData profile;
-                  return persister.DecodeCached(bytes, &profile);
                 });
     // The stored frame itself, header and ops included.
     BlockCompress(raw, &frame);

@@ -19,6 +19,7 @@
 #include "coalescer_test_util.h"
 #include "common/clock.h"
 #include "common/metrics.h"
+#include "common/random.h"
 #include "compaction/manager.h"
 
 namespace ips {
@@ -1468,6 +1469,113 @@ TEST(GCacheTest, EvictionVictimReadDuringItsStoreIsNotStoredAgain) {
 
   cache.FlushOnce();
   EXPECT_EQ(cold_stores.load(), 1) << "the stored victim was stored again";
+  EXPECT_EQ(cache.DirtyCount(), 0u);
+  store.SetStoreHook(nullptr);  // the hook must not outlive `cache`
+}
+
+// Fills `pid` past a 4 KB cache's whole budget, so one eviction pass takes
+// it.
+void WriteLargeProfile(GCache& cache, ProfileId pid) {
+  ASSERT_TRUE(cache
+                  .WithProfileMutable(pid,
+                                      [](ProfileData& profile) {
+                                        for (int i = 0; i < 120; ++i) {
+                                          profile
+                                              .Add(kMinute * (i + 1), 1, 1,
+                                                   static_cast<FeatureId>(
+                                                       i + 1),
+                                                   CountVector{1, 2, 3})
+                                              .ok();
+                                        }
+                                      })
+                  .ok());
+}
+
+GCacheOptions OneShardTinyOptions() {
+  GCacheOptions options = ManualOptions();
+  options.lru_shards = 1;
+  options.memory_limit_bytes = 4 << 10;
+  return options;
+}
+
+TEST(GCacheTest, InvalidateQueuedBehindEvictionFindsThePidGone) {
+  // An eviction of `kPid` is parked in its write-back when Invalidate of the
+  // pid starts, so Invalidate queues behind it on the write-back lock. The
+  // eviction then commits and unmaps the pid; Invalidate must find it gone
+  // and store nothing more.
+  constexpr ProfileId kPid = 5;
+  FakeStore store;
+  coalescer_test::Gate gate;
+  store.SetStoreHook([&](const std::vector<ProfileId>&) { gate.Enter(); });
+  GCache cache(OneShardTinyOptions(), SystemClock::Instance(), store.Loader(),
+               store.Storer());
+  WriteLargeProfile(cache, kPid);  // dirty victim
+
+  std::thread swapper([&] { cache.SwapOnce(); });
+  gate.AwaitEntered();
+  std::atomic<bool> invalidated{false};
+  std::thread invalidator([&] {
+    EXPECT_TRUE(cache.Invalidate(kPid).ok());
+    invalidated.store(true);
+  });
+  GraceWait(invalidated, 100);  // an Invalidate that does not queue runs now
+  gate.Open();
+  swapper.join();
+  invalidator.join();
+
+  EXPECT_EQ(store.store_calls(), 1);  // the eviction's write-back only
+  EXPECT_EQ(store.flush_count(), 1);
+  EXPECT_EQ(cache.EntryCount(), 0u);
+  EXPECT_EQ(cache.DirtyCount(), 0u);
+  store.SetStoreHook(nullptr);  // the hook must not outlive `cache`
+}
+
+TEST(GCacheTest, InvalidateRacingEvictionStoresEachDirtyWriteOnce) {
+  // Seeded evict-vs-invalidate race over fresh pids: each round writes one
+  // large profile (left dirty, or flushed clean first), then runs an
+  // eviction pass and an Invalidate of that pid concurrently, the Invalidate
+  // started after a seeded spin so the two sweep across each other's
+  // phases. Whichever wins, the pid ends unmapped and its one write reached
+  // the store exactly once.
+  constexpr int kRounds = 2000;
+  constexpr ProfileId kFirstPid = 1000;
+  FakeStore store;
+  // Store calls are serialized by the write-back lock and read after the
+  // joins, so the counts need no lock of their own.
+  std::vector<int> stores(kRounds, 0);
+  store.SetStoreHook([&](const std::vector<ProfileId>& pids) {
+    for (ProfileId pid : pids) ++stores[pid - kFirstPid];
+  });
+  GCache cache(OneShardTinyOptions(), SystemClock::Instance(), store.Loader(),
+               store.Storer());
+  Rng rng(20261017);
+  for (int round = 0; round < kRounds; ++round) {
+    const ProfileId pid = kFirstPid + static_cast<ProfileId>(round);
+    WriteLargeProfile(cache, pid);
+    if (rng.Uniform(2) == 0) cache.FlushOnce();  // clean victim
+    const uint64_t spins = rng.Uniform(60000);
+    std::atomic<bool> go{false};
+    std::thread swapper([&] {
+      while (!go.load()) {
+      }
+      cache.SwapOnce();
+    });
+    std::thread invalidator([&] {
+      while (!go.load()) {
+      }
+      // A relaxed atomic counter: a spin the compiler may not delete.
+      std::atomic<uint64_t> spun{0};
+      while (spun.fetch_add(1, std::memory_order_relaxed) < spins) {
+      }
+      EXPECT_TRUE(cache.Invalidate(pid).ok());
+    });
+    go.store(true);
+    swapper.join();
+    invalidator.join();
+    ASSERT_EQ(cache.EntryCount(), 0u) << "round " << round;
+    ASSERT_EQ(stores[round], 1) << "round " << round;
+  }
+  EXPECT_EQ(store.flush_count(), kRounds);
   EXPECT_EQ(cache.DirtyCount(), 0u);
   store.SetStoreHook(nullptr);  // the hook must not outlive `cache`
 }

@@ -1198,7 +1198,11 @@ TEST(IpsInstanceBackgroundTest, MaintenanceLoopRacingServingLosesNoWrite) {
   options.cache.memory_limit_bytes = 16 << 10;  // keeps the swap evicting
   constexpr int kTables = 4;
   constexpr ProfileId kPids = 32;
-  const auto table_name = [](int t) { return "t" + std::to_string(t); };
+  const auto table_name = [](int t) {
+    std::string name = "t";
+    name += std::to_string(t);
+    return name;
+  };
   std::vector<std::vector<int64_t>> acked(kTables,
                                           std::vector<int64_t>(kPids + 1));
   const TimestampMs ts = clock->NowMs();

@@ -14,6 +14,14 @@
 namespace ips {
 namespace {
 
+// "<prefix><i>", built by appends rather than a "lit" + std::string
+// temporary, which GCC 12 misreads as an overlapping copy (-Wrestrict).
+std::string Numbered(const char* prefix, int i) {
+  std::string out = prefix;
+  out += std::to_string(i);
+  return out;
+}
+
 TEST(MemKvStoreTest, SetGetDelete) {
   MemKvStore kv;
   EXPECT_TRUE(kv.Set("k1", "v1").ok());
@@ -106,13 +114,13 @@ TEST(MemKvStoreTest, FailureInjectionProducesUnavailable) {
   MemKvStore kv(options);
   int failures = 0;
   for (int i = 0; i < 200; ++i) {
-    if (kv.Set("k" + std::to_string(i), "v").IsUnavailable()) ++failures;
+    if (kv.Set(Numbered("k", i), "v").IsUnavailable()) ++failures;
   }
   EXPECT_GT(failures, 50);
   EXPECT_LT(failures, 150);
   kv.SetFailureProbability(0.0);
   for (int i = 0; i < 50; ++i) {
-    EXPECT_TRUE(kv.Set("x" + std::to_string(i), "v").ok());
+    EXPECT_TRUE(kv.Set(Numbered("x", i), "v").ok());
   }
 }
 
@@ -156,7 +164,7 @@ TEST(MemKvStoreTest, MultiGetChargesOneRoundTripPerBatch) {
   MemKvStore kv(options);
   std::vector<std::string> keys;
   for (int i = 0; i < 50; ++i) {
-    const std::string key = "k" + std::to_string(i);
+    const std::string key = Numbered("k", i);
     kv.Set(key, "v").ok();
     keys.push_back(key);
   }
@@ -193,7 +201,7 @@ TEST(MemKvStoreTest, MultiGetFailsPerKeyOnInjectedFailures) {
   MemKvStore kv(options);
   std::vector<std::string> keys;
   for (int i = 0; i < 200; ++i) {
-    const std::string key = "k" + std::to_string(i);
+    const std::string key = Numbered("k", i);
     keys.push_back(key);
   }
   kv.SetFailureProbability(0.0);
@@ -282,7 +290,7 @@ TEST(MemKvStoreTest, MultiSetChargesOneRoundTripPerBatch) {
   MemKvStore kv(options);
   std::vector<std::string> keys, values;
   for (int i = 0; i < 50; ++i) {
-    keys.push_back("k" + std::to_string(i));
+    keys.push_back(Numbered("k", i));
     values.push_back("v");
   }
 
@@ -317,7 +325,7 @@ TEST(MemKvStoreTest, MultiSetFailsPerKeyOnInjectedFailures) {
   MemKvStore kv(options);
   std::vector<std::string> keys, values;
   for (int i = 0; i < 200; ++i) {
-    keys.push_back("k" + std::to_string(i));
+    keys.push_back(Numbered("k", i));
     values.push_back("v");
   }
   std::vector<Status> statuses;
@@ -379,7 +387,7 @@ TEST(MemKvStoreTest, MultiSetBumpsVersions) {
 TEST(MemKvStoreTest, ForEachVisitsEverything) {
   MemKvStore kv;
   for (int i = 0; i < 20; ++i) {
-    kv.Set("k" + std::to_string(i), "v").ok();
+    kv.Set(Numbered("k", i), "v").ok();
   }
   int visited = 0;
   kv.ForEach([&](const std::string&, const KvEntry&) { ++visited; });
@@ -536,7 +544,7 @@ TEST(ReplicatedKvTest, OrderingPreservedThroughReplication) {
   options.replication_lag_ms = 10;
   ReplicatedKv kv(options, &clock);
   for (int i = 0; i < 50; ++i) {
-    kv.master()->Set("k", "v" + std::to_string(i)).ok();
+    kv.master()->Set("k", Numbered("v", i)).ok();
   }
   clock.AdvanceMs(20);
   std::string value;
@@ -589,7 +597,7 @@ TEST(ReplicatedKvTest, ConcurrentSlaveReadersNeverApplyAnOlderValueLast) {
     });
   }
   for (int i = 0; i < 2000; ++i) {
-    ASSERT_TRUE(kv.master()->Set("k", "v" + std::to_string(i)).ok());
+    ASSERT_TRUE(kv.master()->Set("k", Numbered("v", i)).ok());
   }
   done.store(true);
   for (auto& t : readers) t.join();
