@@ -37,7 +37,7 @@ run_suite() {
     # makes 0 allocations into a reused result and <= 1 into a fresh one (the
     # read_hot query shape 0 into a reused one), a resident 16-pid
     # MultiQuery makes <= 19, and the perfbench-shaped
-    # profile decodes in <= slices + 2 and deep-copies in <= slices + 1
+    # profile decodes and deep-copies in <= slices + 1
     # allocations. ctest already runs it, but an
     # explicit pass here keeps the gates visible when someone trims the ctest
     # set, and prints the alloc/zero-copy evidence into the tier-1 log.

@@ -1,5 +1,9 @@
 #include "codec/coding.h"
 
+#include <algorithm>
+#include <bit>
+#include <cstring>
+
 namespace ips {
 
 void PutFixed32(std::string* dst, uint32_t value) {
@@ -54,38 +58,47 @@ bool Decoder::GetFixed64(uint64_t* value) {
   return true;
 }
 
-bool Decoder::GetVarint64(uint64_t* value) {
-  uint64_t result = 0;
-  for (int shift = 0; shift <= 63 && !input_.empty(); shift += 7) {
-    const uint64_t byte = static_cast<unsigned char>(input_.front());
-    input_.remove_prefix(1);
-    result |= (byte & 0x7F) << shift;
-    if ((byte & 0x80) == 0) {
-      *value = result;
-      return true;
+size_t Decoder::DecodeVarint64Slow(const char* data, size_t size,
+                                   uint64_t* value) {
+  const auto* p = reinterpret_cast<const unsigned char*>(data);
+  if (std::endian::native == std::endian::little && size >= 8) {
+    // Up to eight bytes (56 bits: timestamps, hashed ids) without a loop:
+    // find the terminating byte in one word, drop what follows it and the
+    // continuation bits, then close the 7-bit groups up pairwise.
+    uint64_t word;
+    std::memcpy(&word, p, 8);
+    const uint64_t stops = ~word & 0x8080808080808080ULL;
+    if (stops != 0) {
+      const size_t len = static_cast<size_t>(__builtin_ctzll(stops) >> 3) + 1;
+      if (len < 8) word &= (uint64_t{1} << (8 * len)) - 1;
+      word &= 0x7F7F7F7F7F7F7F7FULL;
+      word = ((word & 0x7F007F007F007F00ULL) >> 1) |
+             (word & 0x007F007F007F007FULL);
+      word = ((word & 0x3FFF00003FFF0000ULL) >> 2) |
+             (word & 0x00003FFF00003FFFULL);
+      word = ((word & 0x0FFFFFFF00000000ULL) >> 4) |
+             (word & 0x000000000FFFFFFFULL);
+      *value = word;
+      return len;
     }
   }
-  return false;
-}
-
-bool Decoder::GetVarintSigned64(int64_t* value) {
-  uint64_t raw;
-  if (!GetVarint64(&raw)) return false;
-  *value = ZigZagDecode(raw);
-  return true;
+  const size_t limit = std::min<size_t>(size, 10);
+  uint64_t result = 0;
+  for (size_t i = 0; i < limit; ++i) {
+    const uint64_t byte = p[i];
+    result |= (byte & 0x7F) << (7 * i);
+    if ((byte & 0x80) == 0) {
+      *value = result;
+      return i + 1;
+    }
+  }
+  return 0;
 }
 
 bool Decoder::GetLengthPrefixed(std::string_view* value) {
   uint64_t len;
   if (!GetVarint64(&len)) return false;
   return GetBytes(static_cast<size_t>(len), value);
-}
-
-bool Decoder::GetBytes(size_t n, std::string_view* value) {
-  if (input_.size() < n) return false;
-  *value = input_.substr(0, n);
-  input_.remove_prefix(n);
-  return true;
 }
 
 }  // namespace ips

@@ -1,7 +1,7 @@
 #include "codec/profile_codec.h"
 
+#include <algorithm>
 #include <cstdint>
-#include <iterator>
 #include <limits>
 #include <vector>
 
@@ -29,21 +29,6 @@ void EncodeCounts(const CountVector& counts, std::string* out) {
   for (size_t i = 0; i < counts.size(); ++i) {
     PutVarintSigned64(out, counts[i]);
   }
-}
-
-bool DecodeCounts(Decoder* dec, CountVector* counts) {
-  uint64_t n;
-  if (!dec->GetVarint64(&n)) return false;
-  // Each count takes a byte at least, so a corrupt length cannot force an
-  // allocation larger than the input.
-  if (n > dec->Remaining()) return false;
-  counts->Resize(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    int64_t v;
-    if (!dec->GetVarintSigned64(&v)) return false;
-    (*counts)[i] = v;
-  }
-  return true;
 }
 
 // The number of slots (key SlotKey) or groups (GroupKey) in `rows`.
@@ -92,50 +77,94 @@ bool GetAscendingId(Decoder* dec, bool first, uint32_t* id) {
   return true;
 }
 
-// Decodes the rows into a per-thread staging buffer, rejecting any key that
-// is not strictly ascending (repeated or descending slot, type or fid), then
-// moves them into the slice (which must hold no rows) with one exactly
-// sized allocation.
-bool DecodeSliceBody(Decoder* dec, Slice* slice) {
+// The rows of one slice as DecodeSliceBody reads them: keys, and each row's
+// counts as a range of one flat array. Plain values, so staging a row costs
+// no count-vector bookkeeping; each FeatureRow is then built once, in place.
+struct StagedRows {
+  struct Row {
+    SlotId slot;
+    TypeId type;
+    FeatureId fid;
+    size_t first_count;
+    size_t num_counts;
+  };
+  std::vector<Row> rows;
+  std::vector<int64_t> counts;
+};
+
+StagedRows& Staging() {
+  thread_local StagedRows staging;
+  return staging;
+}
+
+// Decodes the rows into `staging`, rejecting any key that is not strictly
+// ascending (repeated or descending slot, type or fid), then builds them in
+// the slice (which must hold no rows) with one exactly sized allocation.
+// Works on a local copy of the decoder, so its cursor stays in registers.
+bool DecodeSliceBody(Decoder* in, StagedRows& staging, Slice* slice) {
+  Decoder local = *in;
+  Decoder* dec = &local;
   int64_t start, end;
   if (!dec->GetVarintSigned64(&start) || !dec->GetVarintSigned64(&end)) {
     return false;
   }
   slice->set_range(start, end);
-  thread_local std::vector<FeatureRow> staged;
-  staged.clear();
+  staging.rows.clear();
+  staging.counts.clear();
   uint64_t num_slots;
   if (!dec->GetVarint64(&num_slots)) return false;
-  FeatureRow row;
+  SlotId slot = 0;
   for (uint64_t s = 0; s < num_slots; ++s) {
     uint64_t num_types;
-    if (!GetAscendingId(dec, s == 0, &row.slot) ||
+    if (!GetAscendingId(dec, s == 0, &slot) ||
         !dec->GetVarint64(&num_types)) {
       return false;
     }
+    TypeId type = 0;
     for (uint64_t t = 0; t < num_types; ++t) {
       uint64_t n;
-      if (!GetAscendingId(dec, t == 0, &row.type) || !dec->GetVarint64(&n)) {
+      if (!GetAscendingId(dec, t == 0, &type) || !dec->GetVarint64(&n)) {
         return false;
       }
       // Each entry takes two bytes at least (fid delta, count length), so
       // the staging buffer stays proportional to the input whatever the
       // header claims.
       if (n > dec->Remaining() / 2) return false;
-      row.fid = 0;
+      FeatureId fid = 0;
       for (uint64_t i = 0; i < n; ++i) {
-        uint64_t delta;
+        uint64_t delta, num_counts;
         if (!dec->GetVarint64(&delta)) return false;
         // A zero delta after the first fid repeats it; a wrap descends.
-        if ((i > 0 && delta == 0) || row.fid + delta < row.fid) return false;
-        row.fid += delta;
-        if (!DecodeCounts(dec, &row.counts)) return false;
-        staged.push_back(row);
+        if ((i > 0 && delta == 0) || fid + delta < fid) return false;
+        fid += delta;
+        // Each count takes a byte at least, so a corrupt length cannot
+        // force an allocation larger than the input.
+        if (!dec->GetVarint64(&num_counts) ||
+            num_counts > dec->Remaining()) {
+          return false;
+        }
+        staging.rows.push_back(
+            {slot, type, fid, staging.counts.size(), num_counts});
+        for (uint64_t c = 0; c < num_counts; ++c) {
+          int64_t value;
+          if (!dec->GetVarintSigned64(&value)) return false;
+          staging.counts.push_back(value);
+        }
       }
     }
   }
-  slice->mutable_rows().assign(std::make_move_iterator(staged.begin()),
-                               std::make_move_iterator(staged.end()));
+  std::vector<FeatureRow>& rows = slice->mutable_rows();
+  rows.reserve(staging.rows.size());
+  for (const StagedRows::Row& staged : staging.rows) {
+    FeatureRow& row = rows.emplace_back();
+    row.slot = staged.slot;
+    row.type = staged.type;
+    row.fid = staged.fid;
+    row.counts.Resize(staged.num_counts);
+    std::copy_n(staging.counts.data() + staged.first_count,
+                staged.num_counts, row.counts.data());
+  }
+  *in = local;
   return true;
 }
 
@@ -149,7 +178,7 @@ void EncodeSlice(const Slice& slice, std::string* out) {
 Status DecodeSlice(std::string_view data, Slice* slice) {
   *slice = Slice();
   Decoder dec(data);
-  if (!DecodeSliceBody(&dec, slice) || !dec.Empty()) {
+  if (!DecodeSliceBody(&dec, Staging(), slice) || !dec.Empty()) {
     return Status::Corruption("malformed slice encoding");
   }
   return Status::OK();
@@ -207,8 +236,9 @@ Status DecodeProfile(std::string_view data, ProfileData* profile,
   profile->set_last_action_ms(last_action);
   std::vector<Slice>& slices = profile->mutable_slices();
   slices.reserve(num_slices);
+  StagedRows& staging = Staging();
   for (uint64_t i = 0; i < num_slices; ++i) {
-    if (!DecodeSliceBody(&dec, &slices.emplace_back())) {
+    if (!DecodeSliceBody(&dec, staging, &slices.emplace_back())) {
       return Status::Corruption("malformed slice in profile");
     }
   }
@@ -268,6 +298,38 @@ Status DecodeSliceMeta(std::string_view data, SliceMeta* meta) {
     meta->entries.push_back(e);
   }
   if (!dec.Empty()) return Status::Corruption("trailing bytes in slice-meta");
+  return Status::OK();
+}
+
+Status DecodeFetchedProfile(const FetchedProfile& fetched,
+                            ProfileData* profile, uint64_t* zero_copy) {
+  bool aliased = false;
+  if (!fetched.split) {
+    IPS_RETURN_IF_ERROR(DecodeProfile(fetched.bulk, profile, &aliased));
+    if (aliased && zero_copy != nullptr) ++*zero_copy;
+    return Status::OK();
+  }
+  const SliceMeta& meta = fetched.meta;
+  if (fetched.slices.size() != meta.entries.size()) {
+    return Status::Corruption("slice frames do not match the slice meta");
+  }
+  *profile = ProfileData(meta.write_granularity_ms);
+  profile->set_last_action_ms(meta.last_action_ms);
+  // Raw-stored frames decode straight off the fetched value (no copy of the
+  // uncompressed image); compressed ones land in the reused scratch.
+  thread_local std::string scratch;
+  std::vector<Slice>& slices = profile->mutable_slices();
+  slices.reserve(meta.entries.size());
+  for (const std::string& frame : fetched.slices) {
+    std::string_view raw;
+    IPS_RETURN_IF_ERROR(BlockUncompressView(frame, &scratch, &raw, &aliased));
+    if (aliased && zero_copy != nullptr) ++*zero_copy;
+    IPS_RETURN_IF_ERROR(DecodeSlice(raw, &slices.emplace_back()));
+  }
+  if (!profile->CheckInvariants()) {
+    return Status::Corruption("loaded profile violates slice invariants");
+  }
+  profile->RecomputeBytes();  // slices were attached directly
   return Status::OK();
 }
 

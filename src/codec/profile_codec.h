@@ -10,6 +10,7 @@
 #ifndef IPS_CODEC_PROFILE_CODEC_H_
 #define IPS_CODEC_PROFILE_CODEC_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -63,6 +64,35 @@ struct SliceMeta {
 
 void EncodeSliceMeta(const SliceMeta& meta, std::string* out);
 Status DecodeSliceMeta(std::string_view data, SliceMeta* meta);
+
+/// One profile's stored bytes as a load fetched them, before any decode: a
+/// bulk frame, or (slice-split mode) the slice meta and one frame per meta
+/// entry. Decoding is a pure function of these bytes, so one fetch can be
+/// shared by every request that wants the profile while each decodes on
+/// its own thread (see LoadCoalescer).
+struct FetchedProfile {
+  /// The fetch outcome; the bytes below mean something only when OK.
+  Status status;
+  bool split = false;
+  /// Bulk frame (split == false).
+  std::string bulk;
+  /// Slice meta and frames, aligned with meta.entries (split == true).
+  SliceMeta meta;
+  std::vector<std::string> slices;
+  /// Served by a fallback replica while the primary store was unavailable.
+  /// `primary_status` keeps the primary's error: a decode that fails on the
+  /// replica's bytes reports it, since a bad replica proves nothing about
+  /// the profile.
+  bool degraded = false;
+  Status primary_status;
+};
+
+/// Decodes a fetch whose status is OK into `*profile`. Corruption on any
+/// malformed frame or a profile that breaks the slice invariants.
+/// `zero_copy`, when non-null, counts the frames decoded without a copy of
+/// their uncompressed image.
+Status DecodeFetchedProfile(const FetchedProfile& fetched,
+                            ProfileData* profile, uint64_t* zero_copy);
 
 /// Uncompressed encoded size of a profile, handy for the paper's ~40 KB
 /// serialized-profile observations in benches. Encodes into a thread-local

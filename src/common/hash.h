@@ -35,16 +35,33 @@ inline uint64_t HashCombine(uint64_t a, uint64_t b) {
   return a ^ (b + 0x9E3779B97F4A7C15ULL + (a << 12) + (a >> 4));
 }
 
-/// CRC-ish checksum for codec framing. Not a real CRC32C (no hardware
-/// dependency) but detects the corruption classes the tests inject.
+/// Checksum for codec framing, eight bytes per step. Not a real CRC32C (no
+/// hardware dependency). Each step xors in a native-order word and applies
+/// a bijection (odd multiply, xor-shift), so two inputs of one length that
+/// differ in any bits leave different 64-bit states; only the final fold to
+/// 32 bits can collide. The length seeds the state and the tail word is
+/// zero-padded, so truncation changes the sum too.
 inline uint32_t Checksum32(const void* data, size_t len) {
   const unsigned char* p = static_cast<const unsigned char*>(data);
-  uint64_t h = 0x811C9DC5ULL ^ len;
-  for (size_t i = 0; i < len; ++i) {
-    h ^= p[i];
-    h *= 0x01000193ULL;
-    h ^= h >> 17;
+  constexpr uint64_t kMul = 0x9E3779B97F4A7C15ULL;
+  uint64_t h = 0x811C9DC5ULL ^ (len * kMul);
+  const auto step = [&h](uint64_t word) {
+    h ^= word;
+    h *= kMul;
+    h ^= h >> 29;
+  };
+  size_t i = 0;
+  for (; i + 8 <= len; i += 8) {
+    uint64_t word;
+    std::memcpy(&word, p + i, 8);
+    step(word);
   }
+  if (i < len) {
+    uint64_t word = 0;
+    std::memcpy(&word, p + i, len - i);
+    step(word);
+  }
+  h = Mix64(h);
   return static_cast<uint32_t>(h ^ (h >> 32));
 }
 

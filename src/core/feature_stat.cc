@@ -9,15 +9,4 @@ bool RowsSorted(RowSpan rows) {
   return true;
 }
 
-void ReduceInto(CountVector& into, const CountVector& from, ReduceFn reduce) {
-  switch (reduce) {
-    case ReduceFn::kSum:
-      into.AccumulateSum(from);
-      break;
-    case ReduceFn::kMax:
-      into.AccumulateMax(from);
-      break;
-  }
-}
-
 }  // namespace ips

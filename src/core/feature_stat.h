@@ -48,7 +48,10 @@ inline std::pair<SlotId, TypeId> GroupKey(const FeatureRow& r) {
 bool RowsSorted(RowSpan rows);
 
 /// Applies `reduce` element-wise, growing `into` to `from`'s width.
-void ReduceInto(CountVector& into, const CountVector& from, ReduceFn reduce);
+inline void ReduceInto(CountVector& into, const CountVector& from,
+                       ReduceFn reduce) {
+  into.Reduce(from, reduce);
+}
 
 /// Calls `fn(run)` for each maximal run of rows with an equal `key(row)`,
 /// in order: with SlotKey one call per slot, with GroupKey one per

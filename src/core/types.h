@@ -153,13 +153,14 @@ class SmallVector {
   void CopyFrom(const SmallVector& other) { Assign(other.data(), other.size_); }
 
   void MoveFrom(SmallVector&& other) {
+    Release();
     if (other.OnHeap()) {
-      Release();
       heap_ = other.heap_;
-      size_ = other.size_;
     } else {
-      Assign(other.inline_, other.size_);
+      std::copy_n(other.inline_, std::min(other.size_, kInlineCapacity),
+                  inline_);
     }
+    size_ = other.size_;
     other.size_ = 0;
   }
 
@@ -168,6 +169,13 @@ class SmallVector {
     T inline_[kInlineCapacity];
     HeapBlock heap_;
   };
+};
+
+/// Reduce functions applied when merging the same feature across slices
+/// (compaction, Listing 2) or across the write table and the main table.
+enum class ReduceFn : int {
+  kSum = 0,
+  kMax = 1,
 };
 
 /// Vector of per-action counts attached to one feature, e.g.
@@ -179,10 +187,27 @@ class CountVector : public SmallVector<int64_t> {
  public:
   using SmallVector<int64_t>::SmallVector;
 
-  /// Element-wise accumulate, growing to other's width; the SUM reduce path.
-  void AccumulateSum(const CountVector& other);
-  /// Element-wise max, growing to other's width; the MAX reduce path.
-  void AccumulateMax(const CountVector& other);
+  /// Folds `other` in element-wise under `reduce`, growing to other's
+  /// width. Inline: the query kernel and slice merges fold once per merged
+  /// row.
+  void Reduce(const CountVector& other, ReduceFn reduce) {
+    const size_t n = other.size();
+    if (n > size()) Resize(n);
+    const int64_t* src = other.data();
+    int64_t* dst = data();
+    if (reduce == ReduceFn::kMax) {
+      for (size_t i = 0; i < n; ++i) dst[i] = std::max(dst[i], src[i]);
+    } else {
+      for (size_t i = 0; i < n; ++i) dst[i] += src[i];
+    }
+  }
+  /// The SUM and MAX reduce paths.
+  void AccumulateSum(const CountVector& other) {
+    Reduce(other, ReduceFn::kSum);
+  }
+  void AccumulateMax(const CountVector& other) {
+    Reduce(other, ReduceFn::kMax);
+  }
 
   /// Sum of all elements (used by size-agnostic importance scoring).
   int64_t Total() const;
@@ -200,13 +225,6 @@ enum class SortBy : int {
   kActionCount = 0,
   kTimestamp = 1,
   kFeatureId = 2,
-};
-
-/// Reduce functions applied when merging the same feature across slices
-/// (compaction, Listing 2) or across the write table and the main table.
-enum class ReduceFn : int {
-  kSum = 0,
-  kMax = 1,
 };
 
 }  // namespace ips

@@ -13,15 +13,12 @@ namespace ips {
 
 namespace {
 
-// Encode/decode working buffers reused across flushes and loads on the same
-// thread. The store path re-encodes every flushed profile and the load path
-// uncompresses every fetched value; per-call string churn here is visible in
-// the Table II codec.decode span, so the buffers keep their high-water
-// capacity between calls.
+// Encode working buffers reused across flushes on the same thread. The
+// store path re-encodes every flushed profile, so the buffers keep their
+// high-water capacity between calls.
 struct PersistScratch {
   std::string raw;         // uncompressed profile/slice encoding
   std::string compressed;  // compressed image before it is kept or skipped
-  std::string uncompress;  // BlockUncompressView spill target
 };
 
 PersistScratch& Scratch() {
@@ -294,69 +291,26 @@ Result<ProfileData> Persister::Load(ProfileId pid, bool* out_degraded) {
   return std::move(out[0]);
 }
 
-Result<ProfileData> Persister::AssembleSplit(ProfileId pid,
-                                             const SliceMeta& meta,
-                                             const std::string* slice_values,
-                                             const Status* slice_statuses,
-                                             bool record_bookkeeping) {
-  ProfileData profile(meta.write_granularity_ms);
-  profile.set_last_action_ms(meta.last_action_ms);
-  // Checksum + uncompress + decode of every slice is codec work.
-  ScopedSpan decode_span("codec.decode");
-  PersistScratch& scratch = Scratch();
-  std::unordered_map<uint64_t, uint32_t> loaded_sums;
-  loaded_sums.reserve(meta.entries.size());
-  uint64_t zero_copy = 0;
-  std::vector<Slice>& slices = profile.mutable_slices();
-  slices.reserve(meta.entries.size());
-  for (size_t i = 0; i < meta.entries.size(); ++i) {
-    IPS_RETURN_IF_ERROR(slice_statuses[i]);
-    const std::string& compressed = slice_values[i];
-    loaded_sums[meta.entries[i].slice_key] =
-        Checksum32(compressed.data(), compressed.size());
-    // Raw-stored frames decode straight off the fetched value (no copy of
-    // the uncompressed image); compressed ones land in the reused scratch.
-    std::string_view raw;
-    bool aliased = false;
-    IPS_RETURN_IF_ERROR(
-        BlockUncompressView(compressed, &scratch.uncompress, &raw, &aliased));
-    if (aliased) ++zero_copy;
-    IPS_RETURN_IF_ERROR(DecodeSlice(raw, &slices.emplace_back()));
-  }
-  if (zero_copy_decodes_ != nullptr && zero_copy > 0) {
-    zero_copy_decodes_->Increment(static_cast<int64_t>(zero_copy));
-  }
-  if (record_bookkeeping) {
-    std::lock_guard<std::mutex> lock(version_mu_);
-    last_slices_[pid] = std::move(loaded_sums);
-  }
-  if (!profile.CheckInvariants()) {
-    return Status::Corruption("loaded profile violates slice invariants");
-  }
-  profile.RecomputeBytes();  // slices were attached directly
-  return profile;
-}
-
 std::vector<Result<ProfileData>> Persister::LoadBatch(
     const std::vector<ProfileId>& pids, std::vector<bool>* out_degraded) {
-  // Wrapper glue — degraded bookkeeping and the fallback-retry scan — is
-  // storage read-path work; it reports as kv.load, suspended around the
-  // LoadBatchFrom calls that open their own spans.
-  std::optional<ScopedSpan> glue_span;
-  glue_span.emplace("kv.load");
-  if (out_degraded != nullptr) out_degraded->assign(pids.size(), false);
-  glue_span.reset();
-  std::vector<Result<ProfileData>> out =
-      LoadBatchFrom(kv_, pids, /*record_bookkeeping=*/true);
-  glue_span.emplace("kv.load");
+  return DecodeBatch(FetchBatch(pids), out_degraded);
+}
+
+std::vector<FetchedProfile> Persister::FetchBatch(
+    const std::vector<ProfileId>& pids) {
+  std::vector<FetchedProfile> out =
+      FetchFrom(kv_, pids, /*record_bookkeeping=*/true);
   if (options_.fallback_kv == nullptr) return out;
 
   // Primary-store outages are retried as one batch against the fallback
   // replica (keeping the coalesced round-trip shape even while degraded).
+  // The scan is storage read-path work; it reports as kv.load.
+  std::optional<ScopedSpan> glue_span;
+  glue_span.emplace("kv.load");
   std::vector<size_t> retry_index;
   std::vector<ProfileId> retry_pids;
   for (size_t i = 0; i < pids.size(); ++i) {
-    if (!out[i].ok() && out[i].status().IsUnavailable()) {
+    if (out[i].status.IsUnavailable()) {
       retry_index.push_back(i);
       retry_pids.push_back(pids[i]);
     }
@@ -364,58 +318,75 @@ std::vector<Result<ProfileData>> Persister::LoadBatch(
   if (retry_pids.empty()) return out;
 
   glue_span.reset();
-  std::vector<Result<ProfileData>> fallback =
-      LoadBatchFrom(options_.fallback_kv, retry_pids,
-                    /*record_bookkeeping=*/false);
+  std::vector<FetchedProfile> fallback =
+      FetchFrom(options_.fallback_kv, retry_pids,
+                /*record_bookkeeping=*/false);
   glue_span.emplace("kv.load");
   for (size_t j = 0; j < retry_pids.size(); ++j) {
     // Only a successful fallback read replaces the primary error: NotFound
     // on a lagging replica proves nothing, so the caller gets the primary's
-    // outage rather than a false "no such profile".
-    if (!fallback[j].ok()) continue;
-    out[retry_index[j]] = std::move(fallback[j]);
+    // outage rather than a false "no such profile". Replica state must not
+    // gate future master flushes, so the next flush rewrites everything.
+    if (!fallback[j].status.ok()) continue;
+    FetchedProfile& slot = out[retry_index[j]];
+    fallback[j].degraded = true;
+    fallback[j].primary_status = std::move(slot.status);
+    slot = std::move(fallback[j]);
     ForgetFlushState(retry_pids[j]);
-    if (out_degraded != nullptr) (*out_degraded)[retry_index[j]] = true;
   }
   return out;
 }
 
-std::vector<Result<ProfileData>> Persister::LoadBatchFrom(
+std::vector<Result<ProfileData>> Persister::DecodeBatch(
+    const std::vector<FetchedProfile>& fetched,
+    std::vector<bool>* out_degraded) {
+  // Checksum + uncompress + decode of every frame is codec work.
+  ScopedSpan decode_span("codec.decode");
+  if (out_degraded != nullptr) out_degraded->assign(fetched.size(), false);
+  std::vector<Result<ProfileData>> out;
+  out.reserve(fetched.size());
+  uint64_t zero_copy = 0;
+  for (size_t i = 0; i < fetched.size(); ++i) {
+    const FetchedProfile& f = fetched[i];
+    if (!f.status.ok()) {
+      out.emplace_back(f.status);
+      continue;
+    }
+    ProfileData profile;
+    Status decoded = DecodeFetchedProfile(f, &profile, &zero_copy);
+    if (!decoded.ok()) {
+      out.emplace_back(f.degraded ? f.primary_status : decoded);
+      continue;
+    }
+    out.emplace_back(std::move(profile));
+    if (out_degraded != nullptr) (*out_degraded)[i] = f.degraded;
+  }
+  if (zero_copy_decodes_ != nullptr && zero_copy > 0) {
+    zero_copy_decodes_->Increment(static_cast<int64_t>(zero_copy));
+  }
+  return out;
+}
+
+std::vector<FetchedProfile> Persister::FetchFrom(
     KvStore* kv, const std::vector<ProfileId>& pids,
     bool record_bookkeeping) {
-  std::vector<Result<ProfileData>> out;
+  std::vector<FetchedProfile> out(pids.size());
 
   if (options_.mode == PersistenceMode::kBulk) {
     std::vector<std::string> keys;
     {
-      // Result-slot setup and key marshaling are part of the KV read path;
-      // spanned separately so the work never nests inside the store's own
-      // kv.load span.
+      // Key marshaling is part of the KV read path; spanned separately so
+      // the work never nests inside the store's own kv.load span.
       ScopedSpan prep_span("kv.load");
-      out.assign(pids.size(),
-                 Result<ProfileData>(Status::NotFound("pending")));
       keys.reserve(pids.size());
       for (ProfileId pid : pids) keys.push_back(BulkKey(pid));
     }
     std::vector<std::string> values;
     std::vector<Status> statuses;
     kv->MultiGet(keys, &values, &statuses);
-    ScopedSpan decode_span("codec.decode");
-    uint64_t zero_copy = 0;
     for (size_t i = 0; i < pids.size(); ++i) {
-      if (!statuses[i].ok()) {
-        out[i] = statuses[i];
-        continue;
-      }
-      ProfileData profile;
-      bool aliased = false;
-      Status decoded = DecodeProfile(values[i], &profile, &aliased);
-      if (aliased) ++zero_copy;
-      out[i] = decoded.ok() ? Result<ProfileData>(std::move(profile))
-                            : Result<ProfileData>(decoded);
-    }
-    if (zero_copy_decodes_ != nullptr && zero_copy > 0) {
-      zero_copy_decodes_->Increment(static_cast<int64_t>(zero_copy));
+      out[i].status = std::move(statuses[i]);
+      out[i].bulk = std::move(values[i]);
     }
     return out;
   }
@@ -424,36 +395,25 @@ std::vector<Result<ProfileData>> Persister::LoadBatchFrom(
   // Fig 14 protocol needs them individually), then every referenced slice
   // value across ALL profiles — plus bulk fallbacks for profiles without a
   // meta — is fetched with a single MultiGet.
-  out.assign(pids.size(), Result<ProfileData>(Status::NotFound("pending")));
-  struct PendingSplit {
-    size_t index;
-    SliceMeta meta;
-    size_t first_key;  // offset of this profile's slice values in `keys`
-  };
-  std::vector<PendingSplit> splits;
-  std::vector<std::pair<size_t, size_t>> bulk_fallbacks;  // (index, key pos)
+  std::vector<size_t> first_key(pids.size(), 0);
   std::vector<std::string> keys;
   for (size_t i = 0; i < pids.size(); ++i) {
+    FetchedProfile& f = out[i];
+    first_key[i] = keys.size();
     KvEntry meta_entry;
     Status status = kv->XGet(MetaKey(pids[i]), &meta_entry);
     if (status.ok()) {
       if (record_bookkeeping) RememberVersion(pids[i], meta_entry.version);
-      SliceMeta meta;
-      Status decoded = DecodeSliceMeta(meta_entry.value, &meta);
-      if (!decoded.ok()) {
-        out[i] = decoded;
-        continue;
-      }
-      PendingSplit pending{i, std::move(meta), keys.size()};
-      for (const auto& entry : pending.meta.entries) {
+      f.split = true;
+      f.status = DecodeSliceMeta(meta_entry.value, &f.meta);
+      if (!f.status.ok()) continue;
+      for (const auto& entry : f.meta.entries) {
         keys.push_back(SliceKey(pids[i], entry.slice_key));
       }
-      splits.push_back(std::move(pending));
     } else if (status.IsNotFound()) {
-      bulk_fallbacks.emplace_back(i, keys.size());
       keys.push_back(BulkKey(pids[i]));
     } else {
-      out[i] = status;
+      f.status = std::move(status);
     }
   }
 
@@ -461,30 +421,33 @@ std::vector<Result<ProfileData>> Persister::LoadBatchFrom(
   std::vector<Status> statuses;
   if (!keys.empty()) kv->MultiGet(keys, &values, &statuses);
 
-  for (auto& pending : splits) {
-    out[pending.index] =
-        AssembleSplit(pids[pending.index], pending.meta,
-                      values.data() + pending.first_key,
-                      statuses.data() + pending.first_key,
-                      record_bookkeeping);
-  }
-  if (!bulk_fallbacks.empty()) {
-    ScopedSpan decode_span("codec.decode");
-    uint64_t zero_copy = 0;
-    for (const auto& [index, key_pos] : bulk_fallbacks) {
-      if (!statuses[key_pos].ok()) {
-        out[index] = statuses[key_pos];
-        continue;
-      }
-      ProfileData profile;
-      bool aliased = false;
-      Status decoded = DecodeProfile(values[key_pos], &profile, &aliased);
-      if (aliased) ++zero_copy;
-      out[index] = decoded.ok() ? Result<ProfileData>(std::move(profile))
-                                : Result<ProfileData>(decoded);
+  for (size_t i = 0; i < pids.size(); ++i) {
+    FetchedProfile& f = out[i];
+    if (!f.status.ok()) continue;
+    const size_t k = first_key[i];
+    if (!f.split) {
+      f.status = std::move(statuses[k]);
+      f.bulk = std::move(values[k]);
+      continue;
     }
-    if (zero_copy_decodes_ != nullptr && zero_copy > 0) {
-      zero_copy_decodes_->Increment(static_cast<int64_t>(zero_copy));
+    // A profile whose slice values did not all arrive fails with the first
+    // missing one. Otherwise the checksums of the values read become the
+    // slice bookkeeping: the next flush rewrites only slices that differ.
+    std::unordered_map<uint64_t, uint32_t> loaded_sums;
+    loaded_sums.reserve(f.meta.entries.size());
+    f.slices.reserve(f.meta.entries.size());
+    for (size_t e = 0; e < f.meta.entries.size(); ++e) {
+      if (!statuses[k + e].ok()) {
+        f.status = std::move(statuses[k + e]);
+        break;
+      }
+      std::string& value = f.slices.emplace_back(std::move(values[k + e]));
+      loaded_sums[f.meta.entries[e].slice_key] =
+          Checksum32(value.data(), value.size());
+    }
+    if (f.status.ok() && record_bookkeeping) {
+      std::lock_guard<std::mutex> lock(version_mu_);
+      last_slices_[pids[i]] = std::move(loaded_sums);
     }
   }
   return out;

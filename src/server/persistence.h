@@ -43,7 +43,7 @@ struct PersisterOptions {
   /// degraded (it may lag replication). Flushes never use the fallback.
   KvStore* fallback_kv = nullptr;
   /// Optional registry (non-owning, may be null) for the persister's codec
-  /// observability: `codec.zero_copy_decodes` counts decodes whose
+  /// observability: `codec.zero_copy_decodes` counts decoded frames whose
   /// uncompressed image was aliased straight out of the stored bytes.
   MetricsRegistry* metrics = nullptr;
 };
@@ -76,15 +76,31 @@ class Persister {
   /// over LoadBatch.
   Result<ProfileData> Load(ProfileId pid, bool* out_degraded = nullptr);
 
-  /// Batched load: results align with `pids`. Bulk mode fetches every
-  /// profile's value with one KvStore::MultiGet; slice-split mode reads the
-  /// metas, then fetches ALL referenced slice values (plus bulk fallbacks
-  /// for meta-less profiles) in one MultiGet — the batch-miss-coalescing
-  /// step of the MultiQuery read path. Pids the primary store failed with
-  /// Unavailable are retried as one batch against the fallback replica;
-  /// `out_degraded` (aligned with `pids`) marks the ones served that way.
+  /// Batched load: FetchBatch, then DecodeBatch on the calling thread.
+  /// Results and `out_degraded` align with `pids`.
   std::vector<Result<ProfileData>> LoadBatch(
       const std::vector<ProfileId>& pids,
+      std::vector<bool>* out_degraded = nullptr);
+
+  /// The storage half of a load: reads every stored value `pids` need and
+  /// decodes nothing but slice metas. Bulk mode fetches every profile's
+  /// value with one KvStore::MultiGet; slice-split mode reads the metas,
+  /// then fetches ALL referenced slice values (plus bulk fallbacks for
+  /// meta-less profiles) in one MultiGet — the batch-miss-coalescing step
+  /// of the MultiQuery read path. Pids the primary store failed with
+  /// Unavailable are re-fetched as one batch from the fallback replica and
+  /// marked degraded. Keeps the Fig 14 bookkeeping of what it read from the
+  /// primary (the meta version, the checksums of the slice values) and drops
+  /// it for a pid the replica served. Results align with `pids`.
+  std::vector<FetchedProfile> FetchBatch(const std::vector<ProfileId>& pids);
+
+  /// The codec half of a load: decodes each fetch on the calling thread, so
+  /// requests sharing one FetchBatch decode in parallel. Results and
+  /// `out_degraded` align with `fetched`. A fetch error passes through; a
+  /// replica-served profile that fails to decode reports the primary's
+  /// error, not degraded.
+  std::vector<Result<ProfileData>> DecodeBatch(
+      const std::vector<FetchedProfile>& fetched,
       std::vector<bool>* out_degraded = nullptr);
 
   /// Removes all stored values for the profile.
@@ -108,23 +124,13 @@ class Persister {
       const std::unordered_map<uint64_t, uint32_t>& prior,
       std::unordered_map<uint64_t, uint32_t> new_sums);
 
-  /// Batched load against `kv`; the LoadBatch strategy with an explicit
-  /// store so the degraded path can rerun it against the fallback replica.
-  /// `record_bookkeeping` gates the version / slice-checksum caches: true on
-  /// the primary path, false on the fallback path (replica state must not
-  /// gate future master flushes).
-  std::vector<Result<ProfileData>> LoadBatchFrom(
-      KvStore* kv, const std::vector<ProfileId>& pids,
-      bool record_bookkeeping);
-
-  /// Rebuilds a split profile from already-fetched compressed slice values,
-  /// aligned with `meta.entries` (both arrays have meta.entries.size()
-  /// elements). Updates the slice-checksum bookkeeping when
-  /// `record_bookkeeping` is set.
-  Result<ProfileData> AssembleSplit(ProfileId pid, const SliceMeta& meta,
-                                    const std::string* slice_values,
-                                    const Status* slice_statuses,
-                                    bool record_bookkeeping);
+  /// FetchBatch against `kv`, so the degraded path can rerun it against the
+  /// fallback replica. `record_bookkeeping` gates the version and
+  /// slice-checksum caches: true on the primary path, false on the fallback
+  /// path (replica state must not gate future master flushes).
+  std::vector<FetchedProfile> FetchFrom(KvStore* kv,
+                                        const std::vector<ProfileId>& pids,
+                                        bool record_bookkeeping);
 
   /// Drops the version + slice-checksum state for `pid` so the next flush
   /// rewrites everything (called after a degraded fallback load).

@@ -1,7 +1,8 @@
 // Helpers shared by the load-coalescer and write-back tests: a gate that
-// holds round trips at a deterministic point, a bounded spin-wait, and a KV
-// store whose batched calls can be held at that gate while an IpsInstance
-// runs on top of it.
+// holds round trips at a deterministic point, a bounded spin-wait, fetch
+// and decode stand-ins for a coalescer without a persister, and a KV store
+// whose batched calls can be held at that gate while an IpsInstance runs on
+// top of it.
 #ifndef IPS_TESTS_COALESCER_TEST_UTIL_H_
 #define IPS_TESTS_COALESCER_TEST_UTIL_H_
 
@@ -16,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include "codec/profile_codec.h"
 #include "common/clock.h"
 #include "kvstore/mem_kv_store.h"
 #include "server/ips_instance.h"
@@ -62,6 +64,38 @@ template <typename Pred>
     std::this_thread::yield();
   }
   return ::testing::AssertionSuccess();
+}
+
+// What a bulk-mode fetch of `profile` reads.
+inline FetchedProfile FetchedOf(const ProfileData& profile,
+                                bool degraded = false) {
+  FetchedProfile fetched;
+  EncodeProfile(profile, &fetched.bulk);
+  fetched.degraded = degraded;
+  return fetched;
+}
+
+// Decodes like Persister::DecodeBatch (a fetch error passes through), with
+// no persister behind it.
+inline std::vector<Result<ProfileData>> DecodeAll(
+    const std::vector<FetchedProfile>& fetched, std::vector<bool>* degraded) {
+  if (degraded != nullptr) degraded->assign(fetched.size(), false);
+  std::vector<Result<ProfileData>> out;
+  for (size_t i = 0; i < fetched.size(); ++i) {
+    if (!fetched[i].status.ok()) {
+      out.emplace_back(fetched[i].status);
+      continue;
+    }
+    ProfileData profile;
+    Status status = DecodeFetchedProfile(fetched[i], &profile, nullptr);
+    if (!status.ok()) {
+      out.emplace_back(status);
+      continue;
+    }
+    out.emplace_back(std::move(profile));
+    if (degraded != nullptr) (*degraded)[i] = fetched[i].degraded;
+  }
+  return out;
 }
 
 // MemKvStore whose batched calls can be held at a gate: once armed, every

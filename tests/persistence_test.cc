@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "codec/profile_codec.h"
 #include "common/clock.h"
 #include "common/random.h"
 #include "kvstore/mem_kv_store.h"
@@ -497,6 +498,184 @@ TEST(PersisterTest, LoadIsBatchOfOne) {
   EXPECT_EQ(loaded->SliceCount(), 2u);
   EXPECT_EQ(kv.MultiGetCalls() - multi_gets_before, 1);
   EXPECT_EQ(kv.PointReadCalls() - point_reads_before, 0);
+}
+
+
+// ----------------------------------------------- fetch / decode split ---
+
+std::string Encoded(const ProfileData& profile) {
+  std::string raw;
+  EncodeProfileRaw(profile, &raw);
+  return raw;
+}
+
+// FetchBatch then DecodeBatch, checked against what was flushed: the
+// profiles the flushed bytes encode, NotFound for a never-written pid, and
+// nothing decoded by the fetch alone.
+void ExpectFetchDecodeRoundTrip(PersisterOptions options,
+                                const std::vector<ProfileData>& profiles) {
+  MemKvStore kv;
+  Persister persister("t", &kv, options);
+  std::vector<ProfileId> pids;
+  for (size_t i = 0; i < profiles.size(); ++i) {
+    pids.push_back(i + 1);
+    ASSERT_TRUE(persister.Flush(pids.back(), profiles[i]).ok());
+  }
+  pids.push_back(404);
+  std::vector<FetchedProfile> fetched = persister.FetchBatch(pids);
+  ASSERT_EQ(fetched.size(), pids.size());
+  std::vector<bool> degraded;
+  auto decoded = persister.DecodeBatch(fetched, &degraded);
+  auto loaded = persister.LoadBatch(pids);
+  ASSERT_EQ(decoded.size(), pids.size());
+  ASSERT_EQ(degraded, std::vector<bool>(pids.size(), false));
+  for (size_t i = 0; i < profiles.size(); ++i) {
+    ASSERT_TRUE(fetched[i].status.ok()) << i;
+    ASSERT_TRUE(decoded[i].ok()) << decoded[i].status().ToString();
+    EXPECT_EQ(Encoded(*decoded[i]), Encoded(profiles[i])) << i;
+    ASSERT_TRUE(loaded[i].ok());
+    EXPECT_EQ(Encoded(*loaded[i]), Encoded(profiles[i])) << i;
+  }
+  EXPECT_TRUE(fetched.back().status.IsNotFound());
+  EXPECT_TRUE(decoded.back().status().IsNotFound());
+  EXPECT_TRUE(loaded.back().status().IsNotFound());
+}
+
+TEST(PersisterFetchDecodeTest, BulkRoundTrips) {
+  ExpectFetchDecodeRoundTrip({}, {MakeProfile(3, 4), MakeProfile(1, 1)});
+}
+
+TEST(PersisterFetchDecodeTest, SplitRoundTrips) {
+  PersisterOptions options;
+  options.mode = PersistenceMode::kSliceSplit;
+  ExpectFetchDecodeRoundTrip(options, {MakeProfile(5, 3), MakeProfile(2, 7)});
+}
+
+TEST(PersisterFetchDecodeTest, SplitThresholdRoundTripsBothForms) {
+  PersisterOptions options;
+  options.mode = PersistenceMode::kSliceSplit;
+  options.split_threshold_bytes = 256;
+  // The small profile stays bulk, the large one splits.
+  ExpectFetchDecodeRoundTrip(options, {MakeProfile(1, 1), MakeProfile(20, 6)});
+}
+
+TEST(PersisterFetchDecodeTest, FetchAloneKeepsTheSplitBookkeeping) {
+  // A fresh persister fetches without decoding. The fetch must remember the
+  // meta version (its next meta commit lands without the Aborted refresh,
+  // i.e. without an XGet) and the slice checksums (its next flush of the
+  // same profile rewrites only the meta).
+  MemKvStore kv;
+  PersisterOptions options;
+  options.mode = PersistenceMode::kSliceSplit;
+  const ProfileData profile = MakeProfile(10, 5);
+  {
+    Persister writer("t", &kv, options);
+    ASSERT_TRUE(writer.Flush(1, profile).ok());
+  }
+  Persister restarted("t", &kv, options);
+  std::vector<FetchedProfile> fetched = restarted.FetchBatch({1});
+  ASSERT_TRUE(fetched[0].status.ok());
+  EXPECT_TRUE(fetched[0].split);
+  EXPECT_EQ(fetched[0].slices.size(), profile.SliceCount());
+  const int64_t bytes_before = kv.TotalBytesWritten();
+  const int64_t reads_before = kv.PointReadCalls();
+  ASSERT_TRUE(restarted.Flush(1, profile).ok());
+  EXPECT_LT(kv.TotalBytesWritten() - bytes_before, 200);
+  // One point read: the bulk-key probe after the commit. A forgotten
+  // version would add the XGet of the refresh.
+  EXPECT_EQ(kv.PointReadCalls() - reads_before, 1);
+
+  // The control: with no fetch, the same flush rewrites every slice and
+  // refreshes the version.
+  Persister amnesiac("t", &kv, options);
+  const int64_t amnesiac_bytes = kv.TotalBytesWritten();
+  const int64_t amnesiac_reads = kv.PointReadCalls();
+  ASSERT_TRUE(amnesiac.Flush(1, profile).ok());
+  EXPECT_GT(kv.TotalBytesWritten() - amnesiac_bytes, 200);
+  EXPECT_EQ(kv.PointReadCalls() - amnesiac_reads, 2);
+}
+
+TEST(PersisterFetchDecodeTest, UnavailableAndDegradedFallback) {
+  MemKvStore primary;
+  MemKvStore replica;
+  PersisterOptions options;
+  options.mode = PersistenceMode::kSliceSplit;
+  options.fallback_kv = &replica;
+  Persister persister("t", &primary, options);
+  const ProfileData one = MakeProfile(3, 2);
+  ASSERT_TRUE(persister.Flush(1, one).ok());
+  ASSERT_TRUE(persister.Flush(2, MakeProfile(6, 2)).ok());
+  ASSERT_TRUE(persister.Flush(3, MakeProfile(2, 2)).ok());
+  {
+    // Pid 1 replicated intact, pid 3 replicated with a corrupt slice; pid 2
+    // never replicated.
+    Persister replica_writer("t", &replica, options);
+    ASSERT_TRUE(replica_writer.Flush(1, one).ok());
+    ASSERT_TRUE(replica_writer.Flush(3, MakeProfile(2, 2)).ok());
+    SliceMeta meta;
+    std::string value;
+    ASSERT_TRUE(replica.Get(persister.MetaKey(3), &value).ok());
+    ASSERT_TRUE(DecodeSliceMeta(value, &meta).ok());
+    const std::string key =
+        persister.SliceKey(3, meta.entries.front().slice_key);
+    ASSERT_TRUE(replica.Get(key, &value).ok());
+    value[value.size() / 2] ^= 0x40;
+    ASSERT_TRUE(replica.Set(key, value).ok());
+  }
+  primary.SetDown(true);
+  std::vector<FetchedProfile> fetched = persister.FetchBatch({1, 2, 3});
+  ASSERT_EQ(fetched.size(), 3u);
+  EXPECT_TRUE(fetched[0].degraded);
+  EXPECT_TRUE(fetched[0].primary_status.IsUnavailable());
+  EXPECT_TRUE(fetched[1].status.IsUnavailable());
+  EXPECT_FALSE(fetched[1].degraded);
+  EXPECT_TRUE(fetched[2].degraded);
+
+  std::vector<bool> degraded;
+  auto decoded = persister.DecodeBatch(fetched, &degraded);
+  ASSERT_TRUE(decoded[0].ok()) << decoded[0].status().ToString();
+  EXPECT_EQ(Encoded(*decoded[0]), Encoded(one));
+  EXPECT_TRUE(degraded[0]);
+  EXPECT_TRUE(decoded[1].status().IsUnavailable());
+  EXPECT_FALSE(degraded[1]);
+  // The replica's bytes for pid 3 do not decode: a bad replica proves
+  // nothing, so the primary's outage surfaces, unflagged.
+  EXPECT_TRUE(decoded[2].status().IsUnavailable())
+      << decoded[2].status().ToString();
+  EXPECT_FALSE(degraded[2]);
+
+  // LoadBatch is the same two steps.
+  std::vector<bool> load_degraded;
+  auto loaded = persister.LoadBatch({1, 2, 3}, &load_degraded);
+  EXPECT_EQ(load_degraded, degraded);
+  for (size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(loaded[i].ok(), decoded[i].ok()) << i;
+    if (!loaded[i].ok()) {
+      EXPECT_EQ(loaded[i].status().code(), decoded[i].status().code()) << i;
+    }
+  }
+
+  // The replica-served pid forgot its flush state: once the primary is
+  // back, its next flush refreshes the version (an extra XGet) and rewrites
+  // every slice.
+  primary.SetDown(false);
+  const int64_t reads_before = primary.PointReadCalls();
+  ASSERT_TRUE(persister.Flush(1, one).ok());
+  EXPECT_EQ(primary.PointReadCalls() - reads_before, 2);
+}
+
+TEST(PersisterFetchDecodeTest, CorruptBulkValueFailsOnlyItsPid) {
+  MemKvStore kv;
+  Persister persister("t", &kv, {});
+  ASSERT_TRUE(persister.Flush(1, MakeProfile(2, 2)).ok());
+  ASSERT_TRUE(persister.Flush(2, MakeProfile(2, 2)).ok());
+  std::string value;
+  ASSERT_TRUE(kv.Get(persister.BulkKey(2), &value).ok());
+  value.resize(value.size() - 1);
+  ASSERT_TRUE(kv.Set(persister.BulkKey(2), value).ok());
+  auto results = persister.DecodeBatch(persister.FetchBatch({1, 2}));
+  EXPECT_TRUE(results[0].ok());
+  EXPECT_TRUE(results[1].status().IsCorruption());
 }
 
 TEST(PersisterTest, SurvivesKvFailuresWithErrorNotCorruption) {
