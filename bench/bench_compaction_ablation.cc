@@ -106,7 +106,6 @@ std::unique_ptr<IpsInstance> MakeInstance(MemKvStore& kv, size_t workers,
   IpsInstanceOptions options;
   options.isolation_enabled = false;
   options.start_background_threads = false;
-  options.enable_load_broker = false;
   // Everything stays resident: the storm must measure compaction drain, not
   // eviction or KV traffic.
   options.cache.memory_limit_bytes = 512 << 20;

@@ -55,7 +55,6 @@ IpsInstanceOptions BenchInstanceOptions() {
   options.start_background_threads = false;
   options.isolation_enabled = false;
   options.cache.memory_limit_bytes = 64 << 20;  // no eviction write-backs
-  options.enable_load_broker = false;           // write path is the subject
   return options;
 }
 

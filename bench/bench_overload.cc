@@ -89,7 +89,6 @@ std::unique_ptr<IpsInstance> MakeInstance(MemKvStore& kv, bool controller_on,
                                           int64_t service_us) {
   IpsInstanceOptions options;
   options.isolation_enabled = false;
-  options.enable_load_broker = false;
   // Small enough that the Zipf hot set does NOT fit: most reads pay the
   // calibrated KV miss, so serving a doomed request burns real capacity
   // (with a hit-dominated cache the service time is so small that shedding

@@ -47,11 +47,6 @@ run_suite() {
     # 5% of the measured end-to-end latency on the hit and the miss path.
     echo "=== tier1: perf smoke (bench_table2_latency --smoke) ==="
     "${build_dir}/bench/bench_table2_latency" --smoke
-    # Read-path coalescing gate: the load-side Coalescer must keep cutting KV
-    # round trips >= 3x at Zipf s=1.0 vs the coalescer-off ablation, with
-    # live single-flight hits. ctest runs it too; this keeps the gate in the log.
-    echo "=== tier1: perf smoke (bench_hotkey_skew --smoke) ==="
-    "${build_dir}/bench/bench_hotkey_skew" --smoke
     # Overload gate: replaying the recorded trace at 5x capacity, goodput
     # with the admission controller on must beat controller-off >= 2x.
     echo "=== tier1: perf smoke (bench_overload --smoke) ==="
@@ -59,8 +54,8 @@ run_suite() {
     # Write-path batching gate: under a concurrent FlushAll storm, flush
     # passes serialized by the cache's write-back lock, each draining the one
     # dirty list in groups, must pay <= 0.090 KV write round trips per
-    # flushed pid (the store coalescer's own result on this storm), with no
-    # write errors.
+    # flushed pid (the deleted store-side coalescer's own result on this
+    # storm), with no write errors.
     echo "=== tier1: perf smoke (bench_flush_storm --smoke) ==="
     "${build_dir}/bench/bench_flush_storm" --smoke
     # Parallel-drain gate: identical full-pass sets across worker configs,
@@ -83,11 +78,9 @@ run_suite() {
     # readers, eviction, flushes, Invalidate, kill-switch flips and pool
     # passes racing on one pid set, after which no resident entry may still
     # be flagged queued) with the manager's Submit + Drain + SetEnabled
-    # storm, the load
-    # coalescer's group-commit storm (attach, claim, single flight and detach
-    # from many threads), GCache's write-back step (flush, eviction and
-    # Invalidate racing writers and queueing on the write-back lock),
-    # ReplicatedKv's slave drains (concurrent readers applying
+    # storm, GCache's write-back step (flush, eviction and Invalidate racing
+    # writers, queueing on the write-back lock and racing loads of the pids
+    # they unmap), ReplicatedKv's slave drains (concurrent readers applying
     # the replication queue), the client's fan-out (callers reclaiming
     # sub-calls from the shared pool, the client destroyed right after a
     # storm, spans from both threads) and the instance's maintenance loop
@@ -100,8 +93,6 @@ run_suite() {
     echo "=== tier1: TSan due-flag storm (GCacheCompactionTest, CompactionManagerTest) ==="
     "${build_dir}/tests/gcache_test" --gtest_filter='GCacheCompactionTest.*'
     (cd "${build_dir}" && ctest --output-on-failure -R compaction_test)
-    echo "=== tier1: TSan load group-commit storm (CoalescerTest) ==="
-    (cd "${build_dir}" && ctest --output-on-failure -R coalescer_test)
     echo "=== tier1: TSan write-back step (GCacheTest) ==="
     (cd "${build_dir}" && ctest --output-on-failure -R gcache_test)
     # The write-back step's races (store-and-commit, unmap, the dirty list)

@@ -63,8 +63,23 @@ void GCache::TouchLru(LruShard& shard, LruShard::Slot& slot) {
   shard.lru.splice(shard.lru.begin(), shard.lru, slot.lru_it);
 }
 
+uint32_t GCache::BeginLoad(ProfileId pid) {
+  LruShard& shard = *lru_shards_[LruIndex(pid)];
+  std::lock_guard<std::mutex> lock(shard.mu);
+  LruShard::Loads& loads = shard.loads[pid];
+  ++loads.in_flight;
+  return loads.unmaps;
+}
+
+bool GCache::EndLoad(LruShard& shard, ProfileId pid, uint32_t unmaps) {
+  auto it = shard.loads.find(pid);
+  const bool current = it->second.unmaps == unmaps;
+  if (--it->second.in_flight == 0) shard.loads.erase(it);
+  return current;
+}
+
 GCache::EntryPtr GCache::InsertLoaded(ProfileId pid, ProfileData loaded,
-                                      bool degraded) {
+                                      bool degraded, uint32_t unmaps) {
   LruShard& shard = *lru_shards_[LruIndex(pid)];
   auto entry = std::make_shared<Entry>(pid, std::move(loaded));
   {
@@ -74,12 +89,19 @@ GCache::EntryPtr GCache::InsertLoaded(ProfileId pid, ProfileData loaded,
   }
 
   std::lock_guard<std::mutex> lock(shard.mu);
+  const bool current = EndLoad(shard, pid, unmaps);
   auto [it, inserted] = shard.map.try_emplace(pid);
   if (!inserted) {
     // Lost a race with a concurrent loader; use the established entry and
-    // drop ours. (Its loaded contents are equivalent.)
+    // drop ours. (It holds every write our bytes could have seen.)
     TouchLru(shard, it->second);
     return it->second.entry;
+  }
+  if (!current) {
+    // Unmapped while this load was in flight: a write the unmap's write-back
+    // stored may be missing from our bytes.
+    shard.map.erase(it);
+    return nullptr;
   }
   shard.lru.push_front(pid);
   it->second.entry = entry;
@@ -99,6 +121,7 @@ struct GCache::BatchScratch {
   /// duplicates without a per-call hash map.
   std::vector<std::pair<ProfileId, uint32_t>> misses;
   std::vector<ProfileId> miss_pids;  // unique, in load order
+  std::vector<uint32_t> miss_unmaps;  // BeginLoad's result per miss_pids
   /// Service order: occurrence indices grouped by entry (see ResolveBatch).
   std::vector<uint32_t> order;
 };
@@ -109,13 +132,9 @@ GCache::BatchScratch& GCache::ThreadBatchScratch() {
 }
 
 std::vector<Result<ProfileData>> GCache::LoadMisses(
-    const std::vector<ProfileId>& pids, std::vector<bool>* out_degraded,
-    TimestampMs deadline_ms) {
-  // One load-function call, with the caller's deadline bounding any wait on
-  // a shared load.
+    const std::vector<ProfileId>& pids, std::vector<bool>* out_degraded) {
   out_degraded->assign(pids.size(), false);
-  std::vector<Result<ProfileData>> loaded =
-      load_(pids, out_degraded, deadline_ms);
+  std::vector<Result<ProfileData>> loaded = load_(pids, out_degraded);
   if (loaded.size() != pids.size()) {
     loaded.assign(pids.size(),
                   Result<ProfileData>(Status::Internal(
@@ -142,25 +161,27 @@ std::vector<Result<ProfileData>> GCache::LoadMisses(
 
 size_t GCache::ResolveBatch(std::span<const ProfileId> pids,
                             std::vector<Status>* statuses,
-                            TimestampMs deadline_ms, bool create_if_missing,
-                            BatchScratch& scratch) {
+                            bool create_if_missing, BatchScratch& scratch) {
   // Phase 1: partition into hits and misses against the shard maps — a
   // single hash probe per pid resolves the entry and its LRU position
   // together. Misses are coalesced (via sort, not a per-call hash map) so
   // each unique pid is loaded once even when the incoming batch carries
-  // duplicates. The cache.lookup span covers the scratch setup and this
+  // duplicates, and each load is registered before it reads storage (see
+  // BeginLoad). The cache.lookup span covers the scratch setup and this
   // in-memory partition; the storage round trip (phase 2) reports itself as
   // kv.load / codec.decode from the layers that do the work.
   size_t hits = 0;
   auto& entries = scratch.entries;
   auto& misses = scratch.misses;
   auto& miss_pids = scratch.miss_pids;
+  auto& miss_unmaps = scratch.miss_unmaps;
   {
     ScopedSpan lookup_span("cache.lookup");
     statuses->assign(pids.size(), Status::OK());
     entries.assign(pids.size(), EntryPtr());
     misses.clear();
     miss_pids.clear();
+    miss_unmaps.clear();
     for (size_t i = 0; i < pids.size(); ++i) {
       const ProfileId pid = pids[i];
       LruShard& shard = *lru_shards_[LruIndex(pid)];
@@ -178,6 +199,7 @@ size_t GCache::ResolveBatch(std::span<const ProfileId> pids,
     for (const auto& [pid, i] : misses) {
       if (miss_pids.empty() || miss_pids.back() != pid) {
         miss_pids.push_back(pid);
+        miss_unmaps.push_back(BeginLoad(pid));
       }
     }
     hits_.fetch_add(static_cast<int64_t>(hits), std::memory_order_relaxed);
@@ -191,21 +213,30 @@ size_t GCache::ResolveBatch(std::span<const ProfileId> pids,
   }
 
   // Phase 2: one LoadMisses call covers every miss, outside all shard locks.
-  if (!miss_pids.empty()) {
+  // A pid unmapped while its load was in flight goes round once more, with
+  // a load registered after that unmap.
+  while (!miss_pids.empty()) {
     std::vector<bool> loaded_degraded;
     std::vector<Result<ProfileData>> loaded =
-        LoadMisses(miss_pids, &loaded_degraded, deadline_ms);
+        LoadMisses(miss_pids, &loaded_degraded);
     // Integrating loaded profiles back into the shard maps (entry creation,
     // LRU insert, accounting) is cache-index work like the phase-1 probe, so
     // it reports under the same cache.lookup stage.
     ScopedSpan insert_span("cache.lookup");
+    size_t reload = 0;  // stale pids, compacted to the front of miss_pids
     size_t cursor = 0;  // walks `misses`, whose pids ascend like miss_pids
     for (size_t m = 0; m < miss_pids.size(); ++m) {
       const ProfileId pid = miss_pids[m];
+      while (misses[cursor].first < pid) ++cursor;
       const size_t begin = cursor;
       while (cursor < misses.size() && misses[cursor].first == pid) ++cursor;
       if (!loaded[m].ok() &&
           (!create_if_missing || !loaded[m].status().IsNotFound())) {
+        {
+          LruShard& shard = *lru_shards_[LruIndex(pid)];
+          std::lock_guard<std::mutex> lock(shard.mu);
+          EndLoad(shard, pid, miss_unmaps[m]);
+        }
         for (size_t x = begin; x < cursor; ++x) {
           (*statuses)[misses[x].second] = loaded[m].status();
         }
@@ -215,10 +246,19 @@ size_t GCache::ResolveBatch(std::span<const ProfileId> pids,
           pid,
           loaded[m].ok() ? std::move(loaded[m]).value()
                          : ProfileData(options_.write_granularity_ms),
-          loaded_degraded[m]);
+          loaded_degraded[m], miss_unmaps[m]);
+      if (!entry) {
+        miss_pids[reload++] = pid;
+        continue;
+      }
       for (size_t x = begin; x < cursor; ++x) {
         entries[misses[x].second] = entry;
       }
+    }
+    miss_pids.resize(reload);
+    miss_unmaps.resize(reload);
+    for (size_t m = 0; m < reload; ++m) {
+      miss_unmaps[m] = BeginLoad(miss_pids[m]);
     }
   }
 
@@ -243,12 +283,11 @@ size_t GCache::ResolveBatch(std::span<const ProfileId> pids,
 size_t GCache::WithProfiles(
     std::span<const ProfileId> pids,
     FunctionRef<void(size_t, const ProfileData&)> fn,
-    std::vector<Status>* statuses, std::vector<bool>* out_degraded,
-    TimestampMs deadline_ms) {
+    std::vector<Status>* statuses, std::vector<bool>* out_degraded) {
   BatchScratch& scratch = ThreadBatchScratch();
   if (out_degraded != nullptr) out_degraded->assign(pids.size(), false);
-  const size_t hits = ResolveBatch(pids, statuses, deadline_ms,
-                                   /*create_if_missing=*/false, scratch);
+  const size_t hits =
+      ResolveBatch(pids, statuses, /*create_if_missing=*/false, scratch);
 
   // Serve each present profile under its entry lock, one entry at a time
   // (no lock-order concerns). Not spanned: it nests the caller's
@@ -283,9 +322,8 @@ size_t GCache::WithProfilesMutable(std::span<const ProfileId> pids,
                                    FunctionRef<void(size_t, ProfileData&)> fn,
                                    std::vector<Status>* statuses) {
   BatchScratch& scratch = ThreadBatchScratch();
-  const size_t hits = ResolveBatch(pids, statuses,
-                                   std::numeric_limits<TimestampMs>::max(),
-                                   /*create_if_missing=*/true, scratch);
+  const size_t hits =
+      ResolveBatch(pids, statuses, /*create_if_missing=*/true, scratch);
   // Between the lookup handing back an entry and this thread locking it, an
   // eviction or Invalidate may unmap it. A write into an unmapped entry
   // would be lost (no flush pass can reach it), so those occurrences are
@@ -567,6 +605,11 @@ bool GCache::Unmap(const Snapshot& snap) {
     return false;
   }
   entry.evicted = true;
+  // Loads of this pid in flight may have read storage before the write-back
+  // this unmap follows: none of them may install its bytes.
+  if (auto loads = shard.loads.find(entry.pid); loads != shard.loads.end()) {
+    ++loads->second.unmaps;
+  }
   shard.lru.erase(it->second.lru_it);
   shard.map.erase(it);
   shard.bytes.fetch_sub(entry.bytes, std::memory_order_relaxed);

@@ -16,12 +16,14 @@
 // runs a final FlushAll.
 //
 // Storage sits behind ONE seam of two batch functions handed to the
-// constructor, so this layer stays independent of the codec/kvstore choices
-// and of any coalescing stage composed in front of them:
+// constructor, so this layer stays independent of the codec/kvstore choices:
 //
 //   * LoadFn — every lookup, read or write, goes through one batch funnel
 //     (ResolveBatch): a hit/miss partition, one LoadMisses call for all the
-//     misses, then insertion of what was loaded;
+//     misses, then insertion of what was loaded. Each shard tracks the loads
+//     in flight per pid, so a load that read storage before its pid was
+//     unmapped is dropped and loaded again instead of installed: its bytes
+//     may predate the write that unmap stored;
 //   * StoreFn — every write-back (flush pass, eviction, Invalidate) is one
 //     write-back step: snapshot (entry, profile, epoch) under the entry lock,
 //     then WriteBack calls StoreFn with no cache lock held and commits per
@@ -95,13 +97,8 @@ struct GCacheOptions {
 /// were never persisted. `out_degraded` (never null) arrives sized to `pids`
 /// and all false; an entry is set when that profile came from a fallback
 /// replica and may be stale (the cache carries the flag through to readers).
-/// `deadline_ms` (absolute, in the cache clock's domain) bounds how long the
-/// call may wait on a load shared with other requests; pids unresolved by
-/// then get DeadlineExceeded. A function that cannot abandon a load ignores
-/// it.
 using LoadFn = std::function<std::vector<Result<ProfileData>>(
-    const std::vector<ProfileId>& pids, std::vector<bool>* out_degraded,
-    TimestampMs deadline_ms)>;
+    const std::vector<ProfileId>& pids, std::vector<bool>* out_degraded)>;
 /// Persists a batch of snapshots in one storage round trip: the only way the
 /// cache writes to storage (flush passes, eviction and Invalidate
 /// write-backs). Always called with no cache lock held but the write-back
@@ -150,15 +147,13 @@ class GCache {
   /// grouped by entry, not issued in strict input order). Returns the
   /// number of cache hits.
   /// `out_degraded`, when non-null, is filled aligned with `pids`: true
-  /// where the served profile may be stale (see WithProfile). `deadline_ms`
-  /// is handed to the load function (see LoadFn). `fn` must not call back
-  /// into the cache: the batch calls share per-thread scratch buffers.
+  /// where the served profile may be stale (see WithProfile). `fn` must not
+  /// call back into the cache: the batch calls share per-thread scratch
+  /// buffers.
   size_t WithProfiles(std::span<const ProfileId> pids,
                       FunctionRef<void(size_t, const ProfileData&)> fn,
                       std::vector<Status>* statuses,
-                      std::vector<bool>* out_degraded = nullptr,
-                      TimestampMs deadline_ms =
-                          std::numeric_limits<TimestampMs>::max());
+                      std::vector<bool>* out_degraded = nullptr);
 
   /// Installs the compaction trigger during setup (without one, nothing is
   /// ever due). The due time is recomputed on load, after every mutation in
@@ -325,6 +320,15 @@ class GCache {
     /// Most-recent at front. Kept strictly in sync with `map` under `mu`.
     std::list<ProfileId> lru;
     std::atomic<size_t> bytes{0};
+    /// Loads in flight per pid, registered before the load reads storage
+    /// (see BeginLoad). Unmap bumps `unmaps` of a pid listed here, which
+    /// tells each of its loads that registered earlier that it may have read
+    /// bytes older than the write-back the unmap followed.
+    struct Loads {
+      uint32_t in_flight = 0;
+      uint32_t unmaps = 0;
+    };
+    std::unordered_map<ProfileId, Loads> loads;
   };
 
   size_t LruIndex(ProfileId pid) const;
@@ -338,8 +342,14 @@ class GCache {
   /// list from the load function becomes Internal errors). Called only by
   /// ResolveBatch.
   std::vector<Result<ProfileData>> LoadMisses(
-      const std::vector<ProfileId>& pids, std::vector<bool>* out_degraded,
-      TimestampMs deadline_ms);
+      const std::vector<ProfileId>& pids, std::vector<bool>* out_degraded);
+
+  /// Registers one load of `pid` in its shard's in-flight loads, before the
+  /// load reads storage. Returns the unmap count to hand to EndLoad.
+  uint32_t BeginLoad(ProfileId pid);
+  /// Ends a load begun at unmap count `unmaps` (shard lock held): false when
+  /// the pid was unmapped since, so the load's bytes must not be installed.
+  static bool EndLoad(LruShard& shard, ProfileId pid, uint32_t unmaps);
 
   /// Moves the slot's pid to the LRU front (shard lock held). Splicing via
   /// the stored iterator: no second hash probe.
@@ -352,13 +362,14 @@ class GCache {
 
   /// The lookup-and-load funnel of both batch calls: hit/miss partition,
   /// ONE LoadMisses call for every miss, then insertion (with
-  /// `create_if_missing`, NotFound inserts an empty profile). Leaves
+  /// `create_if_missing`, NotFound inserts an empty profile). A pid unmapped
+  /// while its load was in flight is loaded once more. Leaves
   /// `scratch.entries[i]` set for `pids[i]`, or null with its status, and
   /// `scratch.order` grouped by entry, input order within an entry.
   /// Returns the number of hits.
   size_t ResolveBatch(std::span<const ProfileId> pids,
-                      std::vector<Status>* statuses, TimestampMs deadline_ms,
-                      bool create_if_missing, BatchScratch& scratch);
+                      std::vector<Status>* statuses, bool create_if_missing,
+                      BatchScratch& scratch);
 
   /// Submits the entries the funnel flagged queued (no lock held); clears
   /// the flag of each one refused.
@@ -426,9 +437,12 @@ class GCache {
   void NoteStoreHealth(const Status& status,
                        StoreHealthSource source = StoreHealthSource::kBatch);
 
-  /// Inserts a freshly loaded entry into its shard, or adopts the entry a
-  /// concurrent loader already established. Returns the entry to use.
-  EntryPtr InsertLoaded(ProfileId pid, ProfileData loaded, bool degraded);
+  /// Ends the load begun at unmap count `unmaps` and inserts what it loaded
+  /// into its shard, or adopts the entry a concurrent loader already
+  /// established. Returns the entry to use, or null when the pid was
+  /// unmapped while the load was in flight (the caller loads it again).
+  EntryPtr InsertLoaded(ProfileId pid, ProfileData loaded, bool degraded,
+                        uint32_t unmaps);
 
   GCacheOptions options_;
   Clock* clock_;

@@ -67,9 +67,8 @@ Status DecodeSliceMeta(std::string_view data, SliceMeta* meta);
 
 /// One profile's stored bytes as a load fetched them, before any decode: a
 /// bulk frame, or (slice-split mode) the slice meta and one frame per meta
-/// entry. Decoding is a pure function of these bytes, so one fetch can be
-/// shared by every request that wants the profile while each decodes on
-/// its own thread (see LoadCoalescer).
+/// entry. Decoding is a pure function of these bytes: Persister::LoadBatch
+/// fetches a batch (FetchBatch), then decodes it (DecodeBatch).
 struct FetchedProfile {
   /// The fetch outcome; the bytes below mean something only when OK.
   Status status;

@@ -27,9 +27,7 @@ constexpr StageMetric kStageMetrics[] = {
     {"rpc.transfer", "trace.stage.rpc.transfer"},
     {"server.queue", "trace.stage.server.queue"},
     {"cache.lookup", "trace.stage.cache.lookup"},
-    {"server.coalesce", "trace.stage.server.coalesce"},
     {"kv.load", "trace.stage.kv.load"},
-    {"kv.load.shared", "trace.stage.kv.load.shared"},
     {"codec.decode", "trace.stage.codec.decode"},
     {"feature.compute", "trace.stage.feature.compute"},
     {"kv.store", "trace.stage.kv.store"},
@@ -42,7 +40,7 @@ constexpr StageMetric kStageMetrics[] = {
     {"assembler.batch", "trace.stage.assembler.batch"},
     {"compaction.run", "trace.stage.compaction.run"},
 };
-constexpr size_t kDisjointStages = 10;
+constexpr size_t kDisjointStages = 8;
 
 void AppendJsonString(std::string* out, std::string_view s) {
   out->push_back('"');

@@ -96,34 +96,15 @@ Status IpsInstance::CreateTable(const TableSchema& schema) {
   Persister* persister = table->persister.get();
 
   // The storage seam: one batch load function and one batch store function,
-  // composed here. With the load broker on (the default) loads go through
-  // the table's LoadCoalescer — concurrent requests' misses share one
-  // FetchBatch round trip, a hot pid already on the wire is joined instead
-  // of refetched, and each request decodes its own pids on its own thread.
-  // Stores go straight to the persister: the cache runs one write-back at a
-  // time, so there is nothing to coalesce. A non-primary region persists
-  // nothing: durability is the primary region's job, so write-backs simply
-  // drop the dirty bit. The instance owns the coalescer; the cache's load
-  // function only borrows it.
+  // composed here. A request's misses go straight to the persister as one
+  // LoadBatch: one MultiGet, decoded on the requesting thread. Stores go
+  // straight to the persister too: the cache runs one write-back at a time.
+  // A non-primary region persists nothing: durability is the primary
+  // region's job, so write-backs simply drop the dirty bit.
   LoadFn load_fn = [persister](const std::vector<ProfileId>& pids,
-                               std::vector<bool>* out_degraded, TimestampMs) {
+                               std::vector<bool>* out_degraded) {
     return persister->LoadBatch(pids, out_degraded);
   };
-  if (options_.enable_load_broker) {
-    table->load_coalescer = std::make_unique<LoadCoalescer>(
-        [persister](const std::vector<ProfileId>& pids) {
-          return persister->FetchBatch(pids);
-        },
-        clock_, metrics_);
-    load_fn = [persister, coalescer = table->load_coalescer.get()](
-                  const std::vector<ProfileId>& pids,
-                  std::vector<bool>* out_degraded, TimestampMs deadline_ms) {
-      // The round trip is shared; the decode runs here, on the requesting
-      // thread.
-      return persister->DecodeBatch(coalescer->Submit(pids, deadline_ms),
-                                    out_degraded);
-    };
-  }
   StoreFn store_fn = [](const std::vector<ProfileId>& pids,
                         const std::vector<uint64_t>&,
                         const std::vector<const ProfileData*>&) {
@@ -466,7 +447,7 @@ Result<MultiQueryResult> IpsInstance::MultiQuery(
                                        &out.results[i]);
         if (!exec.ok()) exec_statuses[i] = exec;
       },
-      &cache_statuses, &degraded_flags, ctx.deadline_ms);
+      &cache_statuses, &degraded_flags);
   overhead_span.emplace("server.queue");
   if (scratch_reuses > 0) {
     serving_metrics_.scratch_reuse->Increment(
@@ -621,9 +602,6 @@ Result<IpsInstance::TableStats> IpsInstance::GetTableStats(
   stats.write_table_profiles = t->write_table->ProfileCount();
   stats.write_table_bytes =
       t->write_table_bytes.load(std::memory_order_relaxed);
-  if (t->load_coalescer != nullptr) {
-    stats.load_coalescer_pids = t->load_coalescer->InFlightCount();
-  }
   return stats;
 }
 

@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "cache/gcache.h"
-#include "cache/coalescer.h"
 #include "common/call_context.h"
 #include "common/clock.h"
 #include "common/config.h"
@@ -54,11 +53,6 @@ struct IpsInstanceOptions {
   GCacheOptions cache;
   CompactionManagerOptions compaction;
   PersisterOptions persistence;
-  /// Read-path load coalescer (server-side miss coalescing): concurrent
-  /// misses for the same pid share one kv.load, and misses arriving while a
-  /// load is on the wire group-commit into the next KvStore::MultiGet.
-  /// Disable for ablation (bench_hotkey_skew measures both).
-  bool enable_load_broker = true;
   /// Read-write isolation initial state + merge cadence + memory cap.
   bool isolation_enabled = true;
   int64_t isolation_merge_interval_ms = 2000;
@@ -263,8 +257,6 @@ class IpsInstance {
     double memory_usage_ratio = 0.0;
     size_t write_table_profiles = 0;
     size_t write_table_bytes = 0;
-    /// Pids pending or in flight in the load coalescer; zero when ablated.
-    size_t load_coalescer_pids = 0;
   };
   Result<TableStats> GetTableStats(const std::string& table) const;
 
@@ -291,10 +283,6 @@ class IpsInstance {
       return schema;
     }
     std::unique_ptr<Persister> persister;
-    /// Load coalescing stage between the cache and the persister (when
-    /// enabled). Declared before `cache` so it is destroyed after it: the
-    /// cache's load function borrows it.
-    std::unique_ptr<LoadCoalescer> load_coalescer;
     std::unique_ptr<GCache> cache;
     /// Runs the passes the cache's funnel submits (see CompactResident).
     std::unique_ptr<CompactionManager> compaction;

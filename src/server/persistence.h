@@ -94,9 +94,8 @@ class Persister {
   /// it for a pid the replica served. Results align with `pids`.
   std::vector<FetchedProfile> FetchBatch(const std::vector<ProfileId>& pids);
 
-  /// The codec half of a load: decodes each fetch on the calling thread, so
-  /// requests sharing one FetchBatch decode in parallel. Results and
-  /// `out_degraded` align with `fetched`. A fetch error passes through; a
+  /// The codec half of a load: decodes each fetch on the calling thread.
+  /// Results and `out_degraded` align with `fetched`. A fetch error passes through; a
   /// replica-served profile that fails to decode reports the primary's
   /// error, not degraded.
   std::vector<Result<ProfileData>> DecodeBatch(

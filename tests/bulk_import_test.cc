@@ -12,6 +12,13 @@ namespace {
 constexpr int64_t kMinute = kMillisPerMinute;
 constexpr int64_t kDay = kMillisPerDay;
 
+IpsClientOptions OnlineClient() {
+  IpsClientOptions options;
+  options.caller = "online";
+  options.local_region = "lf";
+  return options;
+}
+
 class BulkImportTest : public ::testing::Test {
  protected:
   BulkImportTest() : clock_(100 * kDay) {
@@ -26,10 +33,7 @@ class BulkImportTest : public ::testing::Test {
                     ->CreateTableEverywhere(
                         DefaultTableSchema("user_profile"))
                     .ok());
-    IpsClientOptions client_options;
-    client_options.caller = "online";
-    client_options.local_region = "lf";
-    client_ = std::make_unique<IpsClient>(client_options, deployment_.get());
+    client_ = std::make_unique<IpsClient>(OnlineClient(), deployment_.get());
   }
 
   std::vector<Instance> HistoricalInstances(int count) {

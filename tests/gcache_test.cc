@@ -15,8 +15,7 @@
 
 #include <gtest/gtest.h>
 
-#include "cache/coalescer.h"
-#include "coalescer_test_util.h"
+#include "test_util.h"
 #include "common/clock.h"
 #include "common/metrics.h"
 #include "common/random.h"
@@ -34,7 +33,7 @@ class FakeStore {
   /// Batch load function: one call per miss set, recorded in load_batches().
   LoadFn Loader() {
     return [this](const std::vector<ProfileId>& pids,
-                  std::vector<bool>* out_degraded, TimestampMs) {
+                  std::vector<bool>* out_degraded) {
       bool degrade = false;
       {
         std::lock_guard<std::mutex> lock(mu_);
@@ -991,6 +990,36 @@ TEST(GCacheTest, ShortStoreResultListFailsTheWriteBack) {
   EXPECT_GT(cache.FlushBackoffMs(), 0);
 }
 
+TEST(GCacheTest, ShortLoadResultListFailsTheMisses) {
+  // A load function that returns fewer results than pids fails every miss
+  // of the batch with Internal instead of crashing, installs nothing, and
+  // leaves the pids loadable by the next batch.
+  FakeStore store;
+  ASSERT_TRUE(store.StoreOne(1, ProfileData(kMinute)).ok());
+  LoadFn inner = store.Loader();
+  bool misbehave = true;
+  GCache cache(ManualOptions(), SystemClock::Instance(),
+               [&](const std::vector<ProfileId>& pids,
+                   std::vector<bool>* out_degraded) {
+                 if (misbehave) return std::vector<Result<ProfileData>>{};
+                 return inner(pids, out_degraded);
+               },
+               store.Storer());
+  const std::vector<ProfileId> pids = {1, 2};
+  std::vector<Status> statuses;
+  cache.WithProfiles(pids, [](size_t, const ProfileData&) {}, &statuses);
+  ASSERT_EQ(statuses.size(), 2u);
+  EXPECT_EQ(statuses[0].code(), StatusCode::kInternal);
+  EXPECT_EQ(statuses[1].code(), StatusCode::kInternal);
+  EXPECT_EQ(cache.EntryCount(), 0u);
+
+  misbehave = false;
+  cache.WithProfiles(pids, [](size_t, const ProfileData&) {}, &statuses);
+  EXPECT_TRUE(statuses[0].ok()) << statuses[0].ToString();
+  EXPECT_TRUE(statuses[1].IsNotFound()) << statuses[1].ToString();
+  EXPECT_EQ(cache.EntryCount(), 1u);
+}
+
 TEST(GCacheTest, FlushAllQueuedBehindParkedEvictionStoresNewerEpochLast) {
   // An eviction pass parks in the store with the pid's snapshot at epoch e.
   // A write lands (epoch e+1), then FlushAll runs on another thread. The
@@ -998,7 +1027,7 @@ TEST(GCacheTest, FlushAllQueuedBehindParkedEvictionStoresNewerEpochLast) {
   // return the store holds the resident profile and the entry is clean.
   constexpr ProfileId kPid = 1;
   FakeStore store;
-  coalescer_test::Gate gate;
+  test_util::Gate gate;
   std::mutex mu;
   int calls = 0;
   std::vector<uint64_t> landed;  // kPid's stored epochs, in landing order
@@ -1078,7 +1107,7 @@ TEST(GCacheTest, FlushAllWaitsForAParkedBackgroundPass) {
   // A FlushAll started while another thread's flush pass is parked in the
   // store returns only after that store has landed.
   FakeStore store;
-  coalescer_test::Gate gate;
+  test_util::Gate gate;
   std::atomic<bool> landed{false};
   StoreFn inner = store.Storer();
   GCache cache(ManualOptions(), SystemClock::Instance(), store.Loader(),
@@ -1193,97 +1222,6 @@ TEST(GCacheTest, WriteBacksNeverOverlapAndNeverStoreOlderStateUnderStorm) {
     ASSERT_TRUE(store.Has(pid)) << pid;
     EXPECT_EQ(count_of(store.Get(pid)), want) << pid;
   }
-}
-
-TEST(GCacheTest, LoadCoalescerSharesMissAndFansDegradedToEveryReader) {
-  // Two concurrent readers miss on the same pid with a coalescer installed:
-  // the store sees ONE load, and a replica-fallback (degraded) load flags
-  // BOTH readers, not just the one that initiated the fetch.
-  FakeStore store;
-  {
-    GCache seeding(ManualOptions(), SystemClock::Instance(), store.Loader(),
-                   store.Storer());
-    seeding
-        .WithProfileMutable(
-            42,
-            [](ProfileData& profile) {
-              profile.Add(kMinute, 1, 1, 9, CountVector{5}).ok();
-            })
-        .ok();
-    seeding.FlushAll();
-  }
-  MetricsRegistry metrics;
-  std::atomic<int> fetch_calls{0};
-  std::mutex gate_mu;
-  std::condition_variable gate_cv;
-  bool fetch_entered = false;
-  bool gate_open = false;
-  LoadCoalescer coalescer(
-      [&](const std::vector<ProfileId>& pids) {
-        ++fetch_calls;
-        {
-          std::unique_lock<std::mutex> lock(gate_mu);
-          fetch_entered = true;
-          gate_cv.notify_all();
-          gate_cv.wait(lock, [&] { return gate_open; });
-        }
-        std::vector<FetchedProfile> out;
-        for (ProfileId pid : pids) {
-          // Served by the replica fallback.
-          out.push_back(coalescer_test::FetchedOf(
-              store.LoadOne(pid).value(), /*degraded=*/true));
-        }
-        return out;
-      },
-      SystemClock::Instance(), &metrics);
-  // The cache's load function decodes what the coalescer's Submit fetched,
-  // as IpsInstance composes it with the load broker on.
-  GCache cache(
-      ManualOptions(), SystemClock::Instance(),
-      [&](const std::vector<ProfileId>& pids, std::vector<bool>* out_degraded,
-          TimestampMs deadline_ms) {
-        return coalescer_test::DecodeAll(coalescer.Submit(pids, deadline_ms),
-                                         out_degraded);
-      },
-      store.Storer(), &metrics);
-
-  const int loads_before = store.load_count();
-  Status status_a, status_b;
-  bool degraded_a = false, degraded_b = false;
-  std::thread a([&] {
-    status_a =
-        cache.WithProfile(42, [](const ProfileData&) {}, nullptr, &degraded_a);
-  });
-  {
-    std::unique_lock<std::mutex> lock(gate_mu);
-    gate_cv.wait(lock, [&] { return fetch_entered; });
-  }
-  std::thread b([&] {
-    status_b =
-        cache.WithProfile(42, [](const ProfileData&) {}, nullptr, &degraded_b);
-  });
-  // The second reader must be attached to the in-flight load before the
-  // fetch is released.
-  Counter* hits = metrics.GetCounter("broker.single_flight_hits");
-  for (int i = 0; i < 5000 && hits->Value() == 0; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ASSERT_EQ(hits->Value(), 1);
-  {
-    std::lock_guard<std::mutex> lock(gate_mu);
-    gate_open = true;
-    gate_cv.notify_all();
-  }
-  a.join();
-  b.join();
-
-  EXPECT_TRUE(status_a.ok()) << status_a.ToString();
-  EXPECT_TRUE(status_b.ok()) << status_b.ToString();
-  EXPECT_EQ(fetch_calls.load(), 1);
-  EXPECT_EQ(store.load_count() - loads_before, 1);
-  EXPECT_TRUE(degraded_a);
-  EXPECT_TRUE(degraded_b);
-  EXPECT_TRUE(cache.StoreUnhealthy());
 }
 
 TEST(GCacheTest, FlushStoreRoundTripRunsOutsideEntryLocks) {
@@ -1415,7 +1353,7 @@ TEST(GCacheTest, EvictionVictimReadDuringItsStoreIsNotStoredAgain) {
   // loses the try_lock: the next flush pass makes no store call for it.
   constexpr ProfileId kCold = 1;
   FakeStore store;
-  coalescer_test::Gate gate;
+  test_util::Gate gate;
   std::atomic<int> cold_stores{0};
   store.SetStoreHook([&](const std::vector<ProfileId>& pids) {
     if (std::find(pids.begin(), pids.end(), kCold) == pids.end()) return;
@@ -1460,7 +1398,7 @@ TEST(GCacheTest, EvictionVictimReadDuringItsStoreIsNotStoredAgain) {
                                  })
                     .ok());
   });
-  ASSERT_TRUE(coalescer_test::SpinUntil([&] { return reading.load(); }));
+  ASSERT_TRUE(test_util::SpinUntil([&] { return reading.load(); }));
   gate.Open();
   // Lets an eviction that does not wait for the entry lock finish first.
   GraceWait(swapped, 500);
@@ -1508,7 +1446,7 @@ TEST(GCacheTest, InvalidateQueuedBehindEvictionFindsThePidGone) {
   // and store nothing more.
   constexpr ProfileId kPid = 5;
   FakeStore store;
-  coalescer_test::Gate gate;
+  test_util::Gate gate;
   store.SetStoreHook([&](const std::vector<ProfileId>&) { gate.Enter(); });
   GCache cache(OneShardTinyOptions(), SystemClock::Instance(), store.Loader(),
                store.Storer());
@@ -1642,6 +1580,146 @@ TEST(GCacheTest, InvalidateDoesNotDropWriteRacingItsFlush) {
   EXPECT_EQ(store.Get(7).TotalFeatures(), 2u);
   EXPECT_EQ(store.flush_count(), 2);
   EXPECT_EQ(cache.EntryCount(), 0u);
+}
+
+// A reader's load reads the stored profile (feature 1) and parks. Meanwhile
+// a writer loads the pid, adds feature 2, and `unmap` writes the entry back
+// and drops it. When the parked load resumes, its bytes predate that
+// write-back: installing them would lose feature 2, and the next flush
+// would overwrite the store with the stale copy. The cache must load the
+// pid again instead.
+constexpr ProfileId kRacedPid = 5;
+
+void CheckLoadReadBeforeUnmapIsNotInstalled(
+    const std::function<void(GCache&)>& unmap) {
+  FakeStore store;
+  {
+    ProfileData seed(kMinute);
+    ASSERT_TRUE(seed.Add(kMinute, 1, 1, 1, CountVector{1}).ok());
+    ASSERT_TRUE(store.StoreOne(kRacedPid, seed).ok());
+  }
+  test_util::Gate gate;
+  std::atomic<bool> park_next_load{true};
+  LoadFn inner = store.Loader();
+  GCacheOptions options = ManualOptions();
+  options.lru_shards = 1;
+  options.memory_limit_bytes = 1;  // every resident profile is over it
+  GCache cache(options, SystemClock::Instance(),
+               [&](const std::vector<ProfileId>& pids,
+                   std::vector<bool>* out_degraded) {
+                 auto loaded = inner(pids, out_degraded);
+                 if (park_next_load.exchange(false)) gate.Enter();
+                 return loaded;
+               },
+               store.Storer());
+
+  std::thread reader([&] {
+    EXPECT_TRUE(cache.WithProfile(kRacedPid, [](const ProfileData&) {}).ok());
+  });
+  gate.AwaitEntered();  // the reader's load holds feature 1 only
+  AddCount(cache, kRacedPid, 2);
+  unmap(cache);
+  EXPECT_EQ(cache.EntryCount(), 0u);
+  gate.Open();
+  reader.join();
+
+  size_t resident_features = 0;
+  ASSERT_TRUE(cache
+                  .WithProfile(kRacedPid,
+                               [&](const ProfileData& profile) {
+                                 resident_features = profile.TotalFeatures();
+                               })
+                  .ok());
+  EXPECT_EQ(resident_features, 2u) << "a stale load was installed";
+  AddCount(cache, kRacedPid, 3);
+  cache.FlushAll();
+  EXPECT_EQ(store.Get(kRacedPid).TotalFeatures(), 3u);
+}
+
+TEST(GCacheTest, LoadReadBeforeInvalidateIsNotInstalled) {
+  CheckLoadReadBeforeUnmapIsNotInstalled(
+      [](GCache& cache) { ASSERT_TRUE(cache.Invalidate(kRacedPid).ok()); });
+}
+
+TEST(GCacheTest, LoadReadBeforeEvictionIsNotInstalled) {
+  CheckLoadReadBeforeUnmapIsNotInstalled(
+      [](GCache& cache) { ASSERT_EQ(cache.SwapOnce(), 1u); });
+}
+
+TEST(GCacheTest, WritesSurviveLoadsRacingEvictionAndInvalidate) {
+  // Overlapping loads of a few pids from writers and readers, while
+  // eviction, Invalidate and flush passes unmap and store them. Loads yield
+  // after reading, so a pid is often unmapped while a load of it is in
+  // flight. Every acknowledged write must reach the store.
+  constexpr int kWriters = 3;
+  constexpr int kWrites = 400;
+  constexpr ProfileId kPids = 4;
+  FakeStore store;
+  LoadFn inner = store.Loader();
+  GCacheOptions options = ManualOptions();
+  options.lru_shards = 1;
+  options.memory_limit_bytes = 1;  // every pass evicts what it can
+  GCache cache(options, SystemClock::Instance(),
+               [&](const std::vector<ProfileId>& pids,
+                   std::vector<bool>* out_degraded) {
+                 auto loaded = inner(pids, out_degraded);
+                 std::this_thread::yield();
+                 return loaded;
+               },
+               store.Storer());
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> threads;
+  // acked[w][pid - 1]: writes of writer w's feature acknowledged per pid.
+  std::vector<std::vector<int64_t>> acked(kWriters,
+                                          std::vector<int64_t>(kPids, 0));
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      Rng rng(100 + w);
+      for (int i = 0; i < kWrites; ++i) {
+        const ProfileId pid = 1 + rng.Uniform(kPids);
+        const Status status = cache.WithProfileMutable(
+            pid, [&](ProfileData& profile) {
+              profile
+                  .Add(kMinute, 1, 1, static_cast<FeatureId>(w + 1),
+                       CountVector{1})
+                  .ok();
+            });
+        if (status.ok()) ++acked[w][pid - 1];
+      }
+    });
+  }
+  std::thread reader([&] {
+    Rng rng(7);
+    while (!stop.load()) {
+      cache.WithProfile(1 + rng.Uniform(kPids), [](const ProfileData&) {})
+          .ok();
+    }
+  });
+  std::thread maintenance([&] {
+    Rng rng(11);
+    while (!stop.load()) {
+      cache.SwapOnce();
+      cache.Invalidate(1 + rng.Uniform(kPids)).ok();  // Aborted is fine
+      cache.FlushOnce();
+    }
+  });
+  for (auto& t : threads) t.join();
+  stop.store(true);
+  reader.join();
+  maintenance.join();
+  cache.FlushAll();
+
+  for (ProfileId pid = 1; pid <= kPids; ++pid) {
+    ASSERT_TRUE(store.Has(pid)) << pid;
+    const ProfileData stored = store.Get(pid);
+    for (int w = 0; w < kWriters; ++w) {
+      const FeatureRow* row =
+          stored.slices().front().Find(1, 1, static_cast<FeatureId>(w + 1));
+      ASSERT_NE(row, nullptr) << "pid " << pid << " writer " << w;
+      EXPECT_EQ(row->counts[0], acked[w][pid - 1])
+          << "pid " << pid << " writer " << w;
+    }
+  }
 }
 
 TEST(GCacheTest, SinglePointSuccessDoesNotClearStoreHealth) {

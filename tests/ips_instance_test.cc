@@ -10,7 +10,7 @@
 
 #include <gtest/gtest.h>
 
-#include "coalescer_test_util.h"
+#include "test_util.h"
 #include "common/clock.h"
 #include "kvstore/mem_kv_store.h"
 
@@ -539,7 +539,7 @@ TEST(IpsInstanceWriteBackTest, WritesLandingDuringAGatedFlushShareOneMultiSet) {
   // three pids, and two more FlushAll callers
   // queue behind it on the cache's write-back lock. Everything written
   // meanwhile goes out in exactly one more MultiSet, and is durable.
-  coalescer_test::GatedKv kv;
+  test_util::GatedKv kv;
   ManualClock clock(100 * kDay);
   const IpsInstanceOptions options = ManualInstanceOptions();
   IpsInstance instance(options, &kv, &clock);

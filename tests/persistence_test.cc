@@ -678,6 +678,33 @@ TEST(PersisterFetchDecodeTest, CorruptBulkValueFailsOnlyItsPid) {
   EXPECT_TRUE(results[1].status().IsCorruption());
 }
 
+TEST(PersisterTest, LoadBatchCorruptValueFailsOnlyItsOwnPid) {
+  // One corrupt stored value in a batch: its pid fails with Corruption, the
+  // pids around it in the same MultiGet load intact, and a later load of the
+  // corrupt pid alone fails the same way.
+  MemKvStore kv;
+  Persister persister("t", &kv, {});
+  for (int pid = 1; pid <= 3; ++pid) {
+    ASSERT_TRUE(persister.Flush(pid, MakeProfile(pid, pid)).ok());
+  }
+  std::string value;
+  ASSERT_TRUE(kv.Get(persister.BulkKey(2), &value).ok());
+  value[value.size() / 2] ^= 0x10;
+  ASSERT_TRUE(kv.Set(persister.BulkKey(2), value).ok());
+
+  std::vector<bool> degraded;
+  auto results = persister.LoadBatch({1, 2, 3}, &degraded);
+  ASSERT_EQ(results.size(), 3u);
+  ASSERT_TRUE(results[0].ok()) << results[0].status().ToString();
+  EXPECT_EQ(results[0]->TotalFeatures(), MakeProfile(1, 1).TotalFeatures());
+  EXPECT_TRUE(results[1].status().IsCorruption())
+      << results[1].status().ToString();
+  ASSERT_TRUE(results[2].ok()) << results[2].status().ToString();
+  EXPECT_EQ(results[2]->TotalFeatures(), MakeProfile(3, 3).TotalFeatures());
+  EXPECT_EQ(degraded, (std::vector<bool>{false, false, false}));
+  EXPECT_TRUE(persister.LoadBatch({2})[0].status().IsCorruption());
+}
+
 TEST(PersisterTest, SurvivesKvFailuresWithErrorNotCorruption) {
   MemKvOptions kv_options;
   kv_options.failure_probability = 1.0;

@@ -8,7 +8,7 @@
 
 #include <gtest/gtest.h>
 
-#include "coalescer_test_util.h"
+#include "test_util.h"
 #include "common/clock.h"
 #include "common/metrics.h"
 #include "kvstore/mem_kv_store.h"
@@ -17,8 +17,8 @@
 namespace ips {
 namespace {
 
-using coalescer_test::ManualInstanceOptions;
-using coalescer_test::TestSchema;
+using test_util::ManualInstanceOptions;
+using test_util::TestSchema;
 
 constexpr int64_t kMinute = kMillisPerMinute;
 constexpr int64_t kDay = kMillisPerDay;
