@@ -8,7 +8,7 @@
 // Reproduced claims: (a) under Zipf-skewed traffic with a working set
 // larger than the cache, the hit ratio settles above 90%; (b) the
 // instance's maintenance loop, swapping the sharded LRU every tick, holds
-// the memory usage ratio at the configured high watermark instead of
+// the memory usage ratio at the cache's high watermark instead of
 // oscillating or overshooting.
 #include "bench/bench_util.h"
 
@@ -28,8 +28,6 @@ void Run() {
   options.discovery_ttl_ms = 365 * kMillisPerDay;
   // Cache deliberately smaller than the working set.
   options.instance.cache.memory_limit_bytes = 32u << 20;
-  options.instance.cache.high_watermark = 0.85;
-  options.instance.cache.low_watermark = 0.80;
   Deployment deployment(options, &clock);
   TableSchema schema = DefaultTableSchema("user_profile");
   if (!deployment.CreateTableEverywhere(schema).ok()) return;

@@ -668,11 +668,9 @@ size_t GCache::EvictFromShard(LruShard& shard, size_t target_bytes) {
 
 size_t GCache::SwapOnce() {
   const size_t high = static_cast<size_t>(
-      static_cast<double>(options_.memory_limit_bytes) *
-      options_.high_watermark);
+      static_cast<double>(options_.memory_limit_bytes) * kHighWatermark);
   const size_t low = static_cast<size_t>(
-      static_cast<double>(options_.memory_limit_bytes) *
-      options_.low_watermark);
+      static_cast<double>(options_.memory_limit_bytes) * kLowWatermark);
   size_t evicted = 0;
   // Evict starting from the largest shard until usage drops under the low
   // watermark (the paper's largest-shard-first strategy). Usage is read once
@@ -709,8 +707,7 @@ size_t GCache::FlushOnce() {
   size_t failures = 0;
   const size_t group_max = std::max<size_t>(1, options_.flush_batch_max);
   size_t next = 0;  // first untried pid of `batch`
-  while (next < batch.size() &&
-         failures < options_.max_flush_failures_per_pass) {
+  while (next < batch.size() && failures < kMaxFlushFailuresPerPass) {
     // Snapshot the next group, entries locked strictly one at a time. A pid
     // listed twice (its entry was dropped and reloaded) is stored once.
     std::vector<Snapshot> group;
@@ -730,7 +727,8 @@ size_t GCache::FlushOnce() {
   }
   // The store is misbehaving: requeue the untried remainder rather than
   // grinding through the whole list (the caller backs off between passes).
-  const bool clean = next == batch.size() && failures == 0;
+  // A pass stops early only after failures, so a clean pass tried them all.
+  const bool clean = failures == 0;
   if (next < batch.size()) {
     std::lock_guard<std::mutex> lock(dirty_mu_);
     dirty_.insert(dirty_.end(), batch.begin() + static_cast<ptrdiff_t>(next),
@@ -740,24 +738,20 @@ size_t GCache::FlushOnce() {
   const int64_t backoff_ms = FlushBackoffMs();
   flush_backoff_ms_.store(
       clean ? 0
-            : std::min(options_.flush_backoff_max_ms,
-                       backoff_ms > 0 ? backoff_ms * 2
-                                      : options_.flush_backoff_ms),
+            : std::min(kFlushBackoffMaxMs,
+                       backoff_ms > 0 ? backoff_ms * 2 : kFlushBackoffMs),
       std::memory_order_relaxed);
   return flushed;
 }
 
 void GCache::FlushAll() {
-  // Passes run one at a time, so the first clean pass (no failure, not
-  // stopped early) that starts after this call stores every write
-  // acknowledged before it — including one a write-back in progress at the
-  // call missed, which that write-back requeued. Loop because flushes may
-  // fail transiently (injected storage errors). Failing passes wait out the
-  // flush backoff, and the loop gives up after a few failing rounds with zero
-  // progress — a dead store at shutdown must not hold the destructor
-  // hostage. A pass can flush nothing while reporting no failures
-  // (max_flush_failures_per_pass of 0 requeues everything untried); it is
-  // not clean, so it backs off like any other stuck pass.
+  // Passes run one at a time, so the first clean pass (no failure) that
+  // starts after this call stores every write acknowledged before it —
+  // including one a write-back in progress at the call missed, which that
+  // write-back requeued. Loop because flushes may fail transiently (injected
+  // storage errors). Failing passes wait out the flush backoff, and the loop
+  // gives up after a few failing rounds with zero progress — a dead store at
+  // shutdown must not hold the destructor hostage.
   int stuck_rounds = 0;
   for (int round = 0; round < 64; ++round) {
     const size_t flushed = FlushOnce();

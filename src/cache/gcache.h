@@ -3,7 +3,7 @@
 // entries tracked by two structures:
 //
 //   * a sharded LRU list (Fig 7) — SwapOnce evicts cold entries when memory
-//     exceeds the configured threshold, starting from the largest shard,
+//     exceeds the high watermark, starting from the largest shard,
 //     probing entries with try_lock and skipping contended ones instead of
 //     blocking (Fig 8);
 //   * one dirty list (Fig 9) under one mutex — FlushOnce persists updated
@@ -68,21 +68,9 @@ namespace ips {
 struct GCacheOptions {
   /// LRU partitions (Fig 7). Power of two.
   size_t lru_shards = 8;
-  /// Hard memory budget for cached profiles, in bytes.
+  /// Hard memory budget for cached profiles, in bytes (see
+  /// GCache::kHighWatermark for when swapping starts).
   size_t memory_limit_bytes = 256 << 20;
-  /// Swapping starts when usage exceeds limit * high watermark and stops
-  /// below limit * low watermark (the paper's clusters hold ~85% usage).
-  double high_watermark = 0.85;
-  double low_watermark = 0.80;
-  /// Failed flushes tolerated per flush pass: after this many the pass
-  /// stops and requeues the untried remainder, so an injected storage outage
-  /// cannot turn a flush pass into a tight retry loop over the whole dirty
-  /// list.
-  size_t max_flush_failures_per_pass = 8;
-  /// Backoff between failing flush passes, doubling up to the max; reset by
-  /// the first clean pass (see FlushBackoffMs).
-  int64_t flush_backoff_ms = 50;
-  int64_t flush_backoff_max_ms = 2000;
   /// Largest group of dirty entries a flush pass hands to the store function
   /// in one call (one storage round trip per group).
   size_t flush_batch_max = 64;
@@ -119,6 +107,20 @@ using CompactSubmitFn = std::function<bool(ProfileId pid)>;
 
 class GCache {
  public:
+  /// Swapping starts when usage exceeds memory_limit_bytes * kHighWatermark
+  /// and stops below memory_limit_bytes * kLowWatermark (the paper's
+  /// clusters hold ~85% usage).
+  static constexpr double kHighWatermark = 0.85;
+  static constexpr double kLowWatermark = 0.80;
+  /// Failed flushes tolerated per flush pass: after this many the pass stops
+  /// and requeues the untried remainder, so a storage outage cannot turn a
+  /// flush pass into a tight retry loop over the whole dirty list.
+  static constexpr size_t kMaxFlushFailuresPerPass = 8;
+  /// Backoff between failing flush passes, doubling from kFlushBackoffMs up
+  /// to kFlushBackoffMaxMs; reset by the first clean pass.
+  static constexpr int64_t kFlushBackoffMs = 50;
+  static constexpr int64_t kFlushBackoffMaxMs = 2000;
+
   GCache(GCacheOptions options, Clock* clock, LoadFn load, StoreFn store,
          MetricsRegistry* metrics = nullptr);
   ~GCache();
@@ -214,11 +216,11 @@ class GCache {
 
   /// One flush pass, under the write-back lock: takes the dirty list and
   /// stores it in groups of up to flush_batch_max pids, requeueing each pid
-  /// still dirty. Stops early after max_flush_failures_per_pass failed
+  /// still dirty. Stops early after kMaxFlushFailuresPerPass failed
   /// flushes, requeueing the untried remainder. Returns entries flushed.
-  /// Then steps the backoff: a pass with failures (or stopped early) doubles
-  /// FlushBackoffMs from flush_backoff_ms up to flush_backoff_max_ms, and a
-  /// clean pass resets it to 0.
+  /// Then steps the backoff: a pass with failures doubles FlushBackoffMs
+  /// from kFlushBackoffMs up to kFlushBackoffMaxMs, and a clean pass resets
+  /// it to 0.
   size_t FlushOnce();
 
   /// Extra delay a caller should wait before the next flush pass.

@@ -12,7 +12,7 @@ bool CircuitBreaker::AllowRequest(TimestampMs now_ms) const {
   // Half-open: cooldown elapsed, let a probe through. Several concurrent
   // probes are acceptable (and cheap in the simulation) — the first outcome
   // recorded decides the state.
-  return now_ms - opened_at_ms_ >= options_.open_cooldown_ms;
+  return now_ms - opened_at_ms_ >= kOpenCooldownMs;
 }
 
 void CircuitBreaker::RecordSuccess() {
@@ -31,7 +31,7 @@ void CircuitBreaker::RecordFailure(TimestampMs now_ms) {
     opened_at_ms_ = now_ms;
     return;
   }
-  if (consecutive_failures_ >= options_.failure_threshold) {
+  if (consecutive_failures_ >= kFailureThreshold) {
     open_ = true;
     opened_at_ms_ = now_ms;
   }
@@ -40,7 +40,7 @@ void CircuitBreaker::RecordFailure(TimestampMs now_ms) {
 CircuitBreaker::State CircuitBreaker::state(TimestampMs now_ms) const {
   std::lock_guard<std::mutex> lock(mu_);
   if (!open_) return State::kClosed;
-  return now_ms - opened_at_ms_ >= options_.open_cooldown_ms
+  return now_ms - opened_at_ms_ >= kOpenCooldownMs
              ? State::kHalfOpen
              : State::kOpen;
 }

@@ -462,6 +462,10 @@ MultiQueryResult IpsClient::ReadBatch(const char* span,
                                       const QuerySpec& spec,
                                       const CallContext& ctx) {
   RequestScope request(ctx, span);
+  // Estimated payloads for the transport cost model: a fixed request header
+  // plus the pids, and one profile's result per pid.
+  constexpr size_t kRequestBytes = 256;
+  constexpr size_t kResponseBytesPerPid = 2048;
 
   // Deduplicate while preserving first-seen order: duplicate candidates cost
   // one lookup and fan back out on reassembly.
@@ -479,8 +483,8 @@ MultiQueryResult IpsClient::ReadBatch(const char* span,
                 std::vector<Status>* statuses) {
               Result<MultiQueryResult> batch = Status::Unavailable("unset");
               const Status status = call(
-                  options_.request_bytes + sub.size() * sizeof(ProfileId),
-                  options_.response_bytes * sub.size(),
+                  kRequestBytes + sub.size() * sizeof(ProfileId),
+                  kResponseBytesPerPid * sub.size(),
                   [&](IpsInstance& instance) {
                     batch = instance.MultiQuery(options_.caller, table, sub,
                                                 spec, request.ctx);

@@ -40,9 +40,6 @@ struct IpsClientOptions {
   int max_write_attempts = 2;
   /// Discovery view refresh interval (simulated time).
   int64_t refresh_interval_ms = 2000;
-  /// Estimated request/response payloads for the transport cost model.
-  size_t request_bytes = 256;
-  size_t response_bytes = 2048;
   /// Deadline applied to requests whose caller passes no explicit
   /// CallContext; 0 disables (no deadline).
   int64_t default_timeout_ms = 0;

@@ -7,18 +7,21 @@ namespace ips {
 RetryPolicy::RetryPolicy(RetryPolicyOptions options)
     : options_(options),
       rng_(options.seed),
-      tokens_(options.budget_cap),
-      prev_backoff_ms_(options.initial_backoff_ms) {}
+      tokens_(kBudgetCap),
+      prev_backoff_ms_(kInitialBackoffMs) {}
 
 void RetryPolicy::OnRequestStart() {
   if (!options_.enabled) return;
+  // Retry tokens deposited per request start: the sustained retry rate is
+  // capped at ~10% of offered load.
+  constexpr double kBudgetPerRequest = 0.1;
   std::lock_guard<std::mutex> lock(mu_);
-  tokens_ = std::min(options_.budget_cap, tokens_ + options_.budget_per_request);
+  tokens_ = std::min(kBudgetCap, tokens_ + kBudgetPerRequest);
   // Decorrelated jitter is a per-retry-sequence walk: a fresh request starts
   // from the initial backoff again. Without this reset one failure burst
   // ratchets prev_backoff_ms_ toward the max and every later request's
   // *first* retry inherits a near-max delay.
-  prev_backoff_ms_ = options_.initial_backoff_ms;
+  prev_backoff_ms_ = kInitialBackoffMs;
 }
 
 std::optional<int64_t> RetryPolicy::NextRetryDelayMs(const Status& error) {
@@ -44,10 +47,9 @@ std::optional<int64_t> RetryPolicy::NextRetryDelayMs(const Status& error) {
   }
   tokens_ -= 1.0;
   ++retries_granted_;
-  const int64_t hi =
-      std::min(options_.max_backoff_ms,
-               std::max(options_.initial_backoff_ms, prev_backoff_ms_ * 3));
-  const int64_t delay = rng_.UniformRange(options_.initial_backoff_ms, hi);
+  const int64_t hi = std::min(
+      kMaxBackoffMs, std::max(kInitialBackoffMs, prev_backoff_ms_ * 3));
+  const int64_t delay = rng_.UniformRange(kInitialBackoffMs, hi);
   prev_backoff_ms_ = delay;
   return delay;
 }

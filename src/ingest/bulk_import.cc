@@ -23,8 +23,10 @@ Result<BulkImportReport> BulkImporter::Run(
   if (!client_->HasTableAnywhere(options_.table)) {
     return Status::NotFound("table " + options_.table);
   }
-  if (options_.manage_isolation) SetIsolationEverywhere(true);
+  SetIsolationEverywhere(true);
 
+  // Records per batch between progress callbacks.
+  constexpr size_t kBatchSize = 1024;
   BulkImportReport report;
   size_t processed = 0;
   for (const Instance& instance : instances) {
@@ -43,26 +45,24 @@ Result<BulkImportReport> BulkImporter::Run(
       if (!status.IsResourceExhausted()) break;
       // Quota pacing: the server told the back-fill job to slow down.
       ++report.quota_backoffs;
-      if (++attempts > options_.retry_limit) break;
-      clock_->SleepMs(options_.backoff_ms);
+      if (++attempts > kRetryLimit) break;
+      clock_->SleepMs(kBackoffMs);
     }
     if (status.ok()) {
       ++report.imported;
     } else {
       ++report.failed;
     }
-    if (++processed % options_.batch_size == 0 && progress != nullptr) {
+    if (++processed % kBatchSize == 0 && progress != nullptr) {
       progress(processed);
     }
   }
-  if (progress != nullptr && processed % options_.batch_size != 0) {
+  if (progress != nullptr && processed % kBatchSize != 0) {
     progress(processed);
   }
 
-  if (options_.manage_isolation) {
-    // Turning isolation back off drains the buffered writes immediately.
-    SetIsolationEverywhere(false);
-  }
+  // Turning isolation back off drains the buffered writes immediately.
+  SetIsolationEverywhere(false);
   return report;
 }
 

@@ -26,14 +26,6 @@ namespace ips {
 struct BulkImportOptions {
   std::string table = "user_profile";
   std::string caller = "bulk-import";
-  /// Records per batch between progress callbacks.
-  size_t batch_size = 1024;
-  /// On quota rejection, wait this long (simulated) before retrying.
-  int64_t backoff_ms = 200;
-  /// Give up on a record after this many quota retries (counted as failed).
-  int retry_limit = 50;
-  /// Toggle isolation on the target nodes for the duration of the import.
-  bool manage_isolation = true;
 };
 
 struct BulkImportReport {
@@ -44,11 +36,17 @@ struct BulkImportReport {
 
 class BulkImporter {
  public:
+  /// On quota rejection, wait this long (simulated) before retrying.
+  static constexpr int64_t kBackoffMs = 200;
+  /// Give up on a record after this many quota retries (counted as failed).
+  static constexpr int kRetryLimit = 50;
+
   BulkImporter(BulkImportOptions options, IpsClient* client,
                Deployment* deployment, Clock* clock);
 
-  /// Imports all instances. Blocking; `progress` (optional) is invoked after
-  /// each batch with records processed so far.
+  /// Imports all instances with isolation on across the deployment, then
+  /// turns it off, draining the buffered writes. Blocking; `progress`
+  /// (optional) is invoked after each batch with records processed so far.
   Result<BulkImportReport> Run(
       const std::vector<Instance>& instances,
       const std::function<void(size_t processed)>& progress = nullptr);

@@ -62,7 +62,7 @@ IpsInstance::IpsInstance(IpsInstanceOptions options, KvStore* kv, Clock* clock,
       clock_(clock),
       metrics_(metrics != nullptr ? metrics : &owned_metrics_),
       serving_metrics_(metrics_),
-      quota_(clock, options.default_caller_qps),
+      quota_(clock),
       overload_(options.overload, clock, metrics_) {
   isolation_enabled_.store(options_.isolation_enabled,
                            std::memory_order_relaxed);
@@ -315,8 +315,9 @@ bool IpsInstance::BufferIsolated(Table& t, const MultiAddItem& item,
                                  ReduceFn reduce) {
   // Hard cap on the write table's memory (Section III-F): if the buffer is
   // full, the item takes the direct path rather than grow it without bound.
+  constexpr size_t kWriteTableMemoryLimitBytes = 32 << 20;
   if (t.write_table_bytes.load(std::memory_order_relaxed) >
-      options_.isolation_memory_limit_bytes) {
+      kWriteTableMemoryLimitBytes) {
     serving_metrics_.isolation_overflow->Increment();
     return false;
   }

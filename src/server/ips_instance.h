@@ -53,12 +53,9 @@ struct IpsInstanceOptions {
   GCacheOptions cache;
   CompactionManagerOptions compaction;
   PersisterOptions persistence;
-  /// Read-write isolation initial state + merge cadence + memory cap.
+  /// Read-write isolation initial state + merge cadence.
   bool isolation_enabled = true;
   int64_t isolation_merge_interval_ms = 2000;
-  size_t isolation_memory_limit_bytes = 32 << 20;
-  /// Default per-caller QPS when no explicit quota is set (0 = unlimited).
-  double default_caller_qps = 0;
   /// Adaptive overload control (queue-aware admission + brown-out), layered
   /// in front of the quota at every admission point. `overload.enabled`
   /// is the master switch (off = quota-only admission, the pre-controller

@@ -4,6 +4,19 @@
 #include <cmath>
 
 namespace ips {
+namespace {
+
+// EWMA smoothing for queue and service samples (weight of the newest sample).
+constexpr double kEwmaAlpha = 0.2;
+
+// The queue-wait EWMA decayed by `age_ns` of real time without samples.
+double Decayed(double ewma_us, int64_t age_ns) {
+  constexpr double kHalfLifeNs =
+      static_cast<double>(OverloadController::kEstimateHalfLifeMs) * 1e6;
+  return ewma_us * std::exp2(-static_cast<double>(age_ns) / kHalfLifeNs);
+}
+
+}  // namespace
 
 const char* RequestTierName(RequestTier tier) {
   switch (tier) {
@@ -50,11 +63,8 @@ int64_t OverloadController::EstimateQueueUsLocked() const {
   // (samples stop arriving exactly when everything drains).
   double wait_est = 0;
   if (queue_ewma_us_ > 0 && last_queue_sample_ns_ > 0) {
-    const double age_ms =
-        static_cast<double>(MonotonicNanos() - last_queue_sample_ns_) / 1e6;
-    const double half_life =
-        static_cast<double>(std::max<int64_t>(1, options_.estimate_half_life_ms));
-    wait_est = queue_ewma_us_ * std::exp2(-age_ms / half_life);
+    wait_est =
+        Decayed(queue_ewma_us_, MonotonicNanos() - last_queue_sample_ns_);
   }
   // Little's-law component: with `queued_` requests ahead and `workers`
   // drains, a new arrival waits ~ depth * service / workers. This reacts to
@@ -75,12 +85,14 @@ int64_t OverloadController::EstimateQueueUs() const {
 }
 
 int OverloadController::LevelForEstimate(int64_t estimate_us) const {
+  // Brown-out ladder: each tier sheds above target_queue_us times its
+  // factor, 1/2/4/8 from bulk to critical.
   const double est = static_cast<double>(estimate_us);
   const double target = static_cast<double>(options_.target_queue_us);
-  if (est > target * options_.critical_factor) return 4;
-  if (est > target * options_.read_factor) return 3;
-  if (est > target * options_.write_factor) return 2;
-  if (est > target * options_.bulk_factor) return 1;
+  if (est > target * 8) return 4;
+  if (est > target * 4) return 3;
+  if (est > target * 2) return 2;
+  if (est > target) return 1;
   return 0;
 }
 
@@ -102,8 +114,7 @@ int64_t OverloadController::RetryAfterMsForEstimate(int64_t estimate_us) const {
   const int64_t excess_us =
       std::max<int64_t>(0, estimate_us - options_.target_queue_us);
   const int64_t ms = excess_us / 1000;
-  return std::clamp(ms, options_.min_retry_after_ms,
-                    options_.max_retry_after_ms);
+  return std::clamp(ms, kMinRetryAfterMs, kMaxRetryAfterMs);
 }
 
 Status OverloadController::Admit(RequestTier tier, double cost,
@@ -164,15 +175,10 @@ void OverloadController::RecordQueueSample(int64_t queue_us) {
   // EstimateQueueUs() reported a moment ago.
   const int64_t now_ns = MonotonicNanos();
   if (queue_ewma_us_ > 0 && last_queue_sample_ns_ > 0) {
-    const double age_ms =
-        static_cast<double>(now_ns - last_queue_sample_ns_) / 1e6;
-    const double half_life =
-        static_cast<double>(std::max<int64_t>(1, options_.estimate_half_life_ms));
-    queue_ewma_us_ *= std::exp2(-age_ms / half_life);
+    queue_ewma_us_ = Decayed(queue_ewma_us_, now_ns - last_queue_sample_ns_);
   }
-  queue_ewma_us_ = queue_ewma_us_ +
-                   options_.ewma_alpha *
-                       (static_cast<double>(queue_us) - queue_ewma_us_);
+  queue_ewma_us_ +=
+      kEwmaAlpha * (static_cast<double>(queue_us) - queue_ewma_us_);
   last_queue_sample_ns_ = now_ns;
 }
 
@@ -183,7 +189,7 @@ void OverloadController::RecordServiceSample(int64_t service_us, double cost) {
   if (service_ewma_us_ <= 0) {
     service_ewma_us_ = per_item;
   } else {
-    service_ewma_us_ += options_.ewma_alpha * (per_item - service_ewma_us_);
+    service_ewma_us_ += kEwmaAlpha * (per_item - service_ewma_us_);
   }
 }
 

@@ -2,8 +2,7 @@
 
 namespace ips {
 
-QuotaManager::QuotaManager(Clock* clock, double default_qps)
-    : clock_(clock), default_qps_(default_qps) {}
+QuotaManager::QuotaManager(Clock* clock) : clock_(clock) {}
 
 void QuotaManager::SetQuota(const std::string& caller, double qps,
                             double burst) {
@@ -30,13 +29,7 @@ Status QuotaManager::Check(const std::string& caller, double cost) {
   {
     std::lock_guard<std::mutex> lock(shard.mu);
     auto it = shard.buckets.find(caller);
-    if (it == shard.buckets.end()) {
-      if (default_qps_ <= 0) return Status::OK();  // unlimited by default
-      it = shard.buckets
-               .emplace(caller, std::make_shared<TokenBucket>(
-                                    default_qps_, default_qps_, clock_))
-               .first;
-    }
+    if (it == shard.buckets.end()) return Status::OK();  // no quota
     bucket = it->second;
   }
   // TryAcquire runs outside the shard lock (TokenBucket is internally
@@ -50,7 +43,7 @@ double QuotaManager::QuotaFor(const std::string& caller) const {
   const Shard& shard = ShardFor(caller);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.buckets.find(caller);
-  if (it == shard.buckets.end()) return default_qps_;
+  if (it == shard.buckets.end()) return 0;
   return it->second->rate_per_sec();
 }
 

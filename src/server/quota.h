@@ -26,9 +26,8 @@ namespace ips {
 /// threads, not from distinct callers.
 class QuotaManager {
  public:
-  /// `default_qps` applies to callers without an explicit quota; 0 means
-  /// unlimited for unknown callers.
-  QuotaManager(Clock* clock, double default_qps = 0);
+  /// A caller without an explicit quota is unlimited.
+  explicit QuotaManager(Clock* clock);
 
   /// Sets (or replaces) a caller's quota. Burst defaults to one second of
   /// traffic.
@@ -40,7 +39,7 @@ class QuotaManager {
   /// writes). OK or ResourceExhausted.
   Status Check(const std::string& caller, double cost = 1.0);
 
-  /// Current configured QPS for a caller (default when unset).
+  /// Current configured QPS for a caller (0 = unlimited, when unset).
   double QuotaFor(const std::string& caller) const;
 
  private:
@@ -62,7 +61,6 @@ class QuotaManager {
   }
 
   Clock* clock_;
-  double default_qps_;
   std::array<Shard, kShards> shards_;
 };
 

@@ -96,9 +96,8 @@ TEST_F(BulkImportTest, QuotaPacesTheJobWithBackoff) {
   // 100 qps quota for the import caller; manual clock advances via the
   // job's own backoff sleeps, refilling tokens.
   Node().quota().SetQuota("bulk-import", 100.0);
-  BulkImportOptions options;
-  options.backoff_ms = 100;  // refills 10 tokens per backoff
-  BulkImporter importer(options, client_.get(), deployment_.get(), &clock_);
+  static_assert(BulkImporter::kBackoffMs == 200);  // refills 20 tokens
+  BulkImporter importer({}, client_.get(), deployment_.get(), &clock_);
   auto report = importer.Run(HistoricalInstances(300));
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->imported, 300u);
@@ -115,24 +114,17 @@ TEST_F(BulkImportTest, QuotaPacesTheJobWithBackoff) {
 TEST_F(BulkImportTest, GivesUpAfterRetryLimit) {
   Node().quota().SetQuota("bulk-import", 0.000001);  // effectively zero
   Node().quota().Check("bulk-import").ok();          // drain the bucket
-  BulkImportOptions options;
-  options.retry_limit = 2;
-  options.backoff_ms = 1;
-  BulkImporter importer(options, client_.get(), deployment_.get(), &clock_);
+  BulkImporter importer({}, client_.get(), deployment_.get(), &clock_);
+  const TimestampMs start = clock_.NowMs();
   auto report = importer.Run(HistoricalInstances(5));
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->imported, 0u);
   EXPECT_EQ(report->failed, 5u);
-}
-
-TEST_F(BulkImportTest, ManageIsolationFalseLeavesSwitchAlone) {
-  BulkImportOptions options;
-  options.manage_isolation = false;
-  BulkImporter importer(options, client_.get(), deployment_.get(), &clock_);
-  ASSERT_FALSE(Node().IsolationEnabled());
-  auto report = importer.Run(HistoricalInstances(10));
-  ASSERT_TRUE(report.ok());
-  EXPECT_FALSE(Node().IsolationEnabled());
+  // Each record was rejected once plus once per retry, and slept a backoff
+  // before each retry.
+  constexpr int kRetries = BulkImporter::kRetryLimit;
+  EXPECT_EQ(report->quota_backoffs, 5u * (kRetries + 1));
+  EXPECT_EQ(clock_.NowMs() - start, 5 * kRetries * BulkImporter::kBackoffMs);
 }
 
 }  // namespace

@@ -594,7 +594,7 @@ TEST_F(DeploymentTest, StaleViewCrashedNodeIsMaskedByRetryAndBreaker) {
   // The dead node's breaker tripped...
   CircuitBreaker* breaker = client.breakers().Get("lf/ips-0");
   EXPECT_GE(breaker->consecutive_failures(),
-            client.breakers().options().failure_threshold);
+            CircuitBreaker::kFailureThreshold);
   EXPECT_NE(breaker->state(clock_.NowMs()), CircuitBreaker::State::kClosed);
   // ...so later reads skipped it before the RPC, after earlier reads were
   // saved by budget-granted successor retries.

@@ -36,9 +36,10 @@ thread_local std::size_t g_largest = 0;
 
 }  // namespace
 
-// noinline: inlined into a caller, GCC 12 pairs this operator new with the
-// std::free of the operator delete below and warns of a mismatch
-// (-Wmismatched-new-delete), though the two are a matched replacement pair.
+// noinline, on the new and on every delete: inlined into one caller, GCC 12
+// pairs an operator new with the std::free of an operator delete and warns of
+// a mismatch (-Wmismatched-new-delete), though they are a matched
+// replacement pair. The sanitizer builds inline the deletes as well.
 __attribute__((noinline)) void* operator new(std::size_t size) {
   if (g_tracking) {
     g_largest = std::max(g_largest, size);
@@ -48,10 +49,12 @@ __attribute__((noinline)) void* operator new(std::size_t size) {
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+__attribute__((noinline)) void operator delete(void* p) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p) noexcept { ::operator delete(p); }
+void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
+void operator delete[](void* p, std::size_t) noexcept { ::operator delete(p); }
 
 namespace ips {
 namespace {

@@ -55,17 +55,20 @@ TEST(CallContextTest, WithTimeoutIsRelativeToClock) {
 
 // --- RetryPolicy ------------------------------------------------------
 
-RetryPolicyOptions SmallBudget() {
-  RetryPolicyOptions options;
-  options.initial_backoff_ms = 5;
-  options.max_backoff_ms = 100;
-  options.budget_cap = 3.0;
-  options.budget_per_request = 0.1;
-  return options;
+constexpr int64_t kInitialBackoffMs = RetryPolicy::kInitialBackoffMs;
+constexpr int64_t kMaxBackoffMs = RetryPolicy::kMaxBackoffMs;
+constexpr double kBudgetCap = RetryPolicy::kBudgetCap;  // 100 tokens
+
+// Withdraws every budget token with granted retries.
+void DrainBudget(RetryPolicy& policy) {
+  for (int i = 0; i < static_cast<int>(kBudgetCap); ++i) {
+    ASSERT_TRUE(
+        policy.NextRetryDelayMs(Status::Unavailable("down")).has_value());
+  }
 }
 
 TEST(RetryPolicyTest, TerminalErrorsAreNeverGranted) {
-  RetryPolicy policy(SmallBudget());
+  RetryPolicy policy({});
   EXPECT_FALSE(policy.NextRetryDelayMs(Status::OK()).has_value());
   EXPECT_FALSE(
       policy.NextRetryDelayMs(Status::ResourceExhausted("quota")).has_value());
@@ -76,19 +79,19 @@ TEST(RetryPolicyTest, TerminalErrorsAreNeverGranted) {
   EXPECT_FALSE(policy.NextRetryDelayMs(Status::NotFound("gone")).has_value());
   EXPECT_EQ(policy.retries_granted(), 0);
   // None of those touched the budget.
-  EXPECT_DOUBLE_EQ(policy.budget_tokens(), SmallBudget().budget_cap);
+  EXPECT_DOUBLE_EQ(policy.budget_tokens(), kBudgetCap);
 }
 
 TEST(RetryPolicyTest, RetryableErrorsAreGrantedWithBoundedBackoff) {
-  RetryPolicy policy(SmallBudget());
-  int64_t prev = SmallBudget().initial_backoff_ms;
+  RetryPolicy policy({});
+  int64_t prev = kInitialBackoffMs;
   for (int i = 0; i < 2; ++i) {
     auto delay = policy.NextRetryDelayMs(Status::Unavailable("down"));
     ASSERT_TRUE(delay.has_value());
-    EXPECT_GE(*delay, SmallBudget().initial_backoff_ms);
-    EXPECT_LE(*delay, std::min<int64_t>(SmallBudget().max_backoff_ms,
-                                        std::max<int64_t>(prev * 3, 15)));
-    EXPECT_LE(*delay, SmallBudget().max_backoff_ms);
+    EXPECT_GE(*delay, kInitialBackoffMs);
+    EXPECT_LE(*delay, std::min<int64_t>(
+                          kMaxBackoffMs,
+                          std::max<int64_t>(prev * 3, 3 * kInitialBackoffMs)));
     prev = *delay;
   }
   // Aborted (a lost version race) is the other retryable code.
@@ -97,24 +100,22 @@ TEST(RetryPolicyTest, RetryableErrorsAreGrantedWithBoundedBackoff) {
 }
 
 TEST(RetryPolicyTest, BackoffNeverExceedsCap) {
-  RetryPolicyOptions options = SmallBudget();
-  options.max_backoff_ms = 20;
-  options.budget_cap = 1000.0;
-  RetryPolicy policy(options);
-  for (int i = 0; i < 100; ++i) {
+  RetryPolicy policy({});
+  int64_t longest = 0;
+  // One retry sequence long enough for the jitter walk to reach the cap.
+  for (int i = 0; i < static_cast<int>(kBudgetCap); ++i) {
     auto delay = policy.NextRetryDelayMs(Status::Unavailable("down"));
     ASSERT_TRUE(delay.has_value());
-    EXPECT_GE(*delay, options.initial_backoff_ms);
-    EXPECT_LE(*delay, options.max_backoff_ms);
+    EXPECT_GE(*delay, kInitialBackoffMs);
+    EXPECT_LE(*delay, kMaxBackoffMs);
+    longest = std::max(longest, *delay);
   }
+  EXPECT_GT(longest, kMaxBackoffMs / 3);  // the walk did reach the cap
 }
 
 TEST(RetryPolicyTest, BudgetExhaustsAndRefills) {
-  RetryPolicy policy(SmallBudget());  // 3 tokens, retry costs 1
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_TRUE(
-        policy.NextRetryDelayMs(Status::Unavailable("down")).has_value());
-  }
+  RetryPolicy policy({});  // kBudgetCap tokens, retry costs 1
+  DrainBudget(policy);
   // Bucket empty: a retryable error is denied, and the denial is counted.
   EXPECT_FALSE(
       policy.NextRetryDelayMs(Status::Unavailable("down")).has_value());
@@ -127,13 +128,13 @@ TEST(RetryPolicyTest, BudgetExhaustsAndRefills) {
 }
 
 TEST(RetryPolicyTest, BudgetDepositsClampAtCap) {
-  RetryPolicy policy(SmallBudget());
+  RetryPolicy policy({});
   for (int i = 0; i < 1000; ++i) policy.OnRequestStart();
-  EXPECT_DOUBLE_EQ(policy.budget_tokens(), SmallBudget().budget_cap);
+  EXPECT_DOUBLE_EQ(policy.budget_tokens(), kBudgetCap);
 }
 
 TEST(RetryPolicyTest, DisabledPolicyGrantsNothing) {
-  RetryPolicyOptions options = SmallBudget();
+  RetryPolicyOptions options;
   options.enabled = false;
   RetryPolicy policy(options);
   EXPECT_FALSE(
@@ -146,14 +147,14 @@ TEST(RetryPolicyTest, DisabledPolicyGrantsNothing) {
 }
 
 TEST(RetryPolicyTest, ThrottleWithHintIsServerPacedAndBudgetFree) {
-  RetryPolicy policy(SmallBudget());
+  RetryPolicy policy({});
   // A shed response names its own backoff: the grant is exactly the hint
   // and costs no budget token (complying with server pacing is not load
   // amplification).
   auto delay = policy.NextRetryDelayMs(Status::Overloaded("shed", 40));
   ASSERT_TRUE(delay.has_value());
   EXPECT_EQ(*delay, 40);
-  EXPECT_DOUBLE_EQ(policy.budget_tokens(), SmallBudget().budget_cap);
+  EXPECT_DOUBLE_EQ(policy.budget_tokens(), kBudgetCap);
   EXPECT_EQ(policy.throttle_backoffs(), 1);
   // A hint-less quota rejection stays terminal: retrying a quota breach
   // repeats deterministically.
@@ -163,11 +164,8 @@ TEST(RetryPolicyTest, ThrottleWithHintIsServerPacedAndBudgetFree) {
 }
 
 TEST(RetryPolicyTest, ThrottleHintGrantedEvenWithEmptyBudget) {
-  RetryPolicy policy(SmallBudget());  // 3 tokens
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(
-        policy.NextRetryDelayMs(Status::Unavailable("down")).has_value());
-  }
+  RetryPolicy policy({});
+  DrainBudget(policy);
   EXPECT_FALSE(
       policy.NextRetryDelayMs(Status::Unavailable("down")).has_value());
   // Budget empty, but server-paced backoff is still honored: the server
@@ -179,15 +177,11 @@ TEST(RetryPolicyTest, ThrottleHintGrantedEvenWithEmptyBudget) {
 
 // --- CircuitBreaker ---------------------------------------------------
 
-CircuitBreakerOptions BreakerOptions() {
-  CircuitBreakerOptions options;
-  options.failure_threshold = 3;
-  options.open_cooldown_ms = 1000;
-  return options;
-}
+constexpr int64_t kCooldownMs = CircuitBreaker::kOpenCooldownMs;  // 3 s
+static_assert(CircuitBreaker::kFailureThreshold == 3);
 
 TEST(CircuitBreakerTest, OpensAfterConsecutiveFailures) {
-  CircuitBreaker breaker(BreakerOptions());
+  CircuitBreaker breaker({});
   EXPECT_EQ(breaker.state(0), CircuitBreaker::State::kClosed);
   breaker.RecordFailure(10);
   breaker.RecordFailure(20);
@@ -198,7 +192,7 @@ TEST(CircuitBreakerTest, OpensAfterConsecutiveFailures) {
 }
 
 TEST(CircuitBreakerTest, SuccessResetsTheStreak) {
-  CircuitBreaker breaker(BreakerOptions());
+  CircuitBreaker breaker({});
   breaker.RecordFailure(10);
   breaker.RecordFailure(20);
   breaker.RecordSuccess();
@@ -209,26 +203,28 @@ TEST(CircuitBreakerTest, SuccessResetsTheStreak) {
 }
 
 TEST(CircuitBreakerTest, HalfOpenProbeAfterCooldown) {
-  CircuitBreaker breaker(BreakerOptions());
+  CircuitBreaker breaker({});
   for (int i = 0; i < 3; ++i) breaker.RecordFailure(100);
-  EXPECT_FALSE(breaker.AllowRequest(100 + 999));
+  EXPECT_FALSE(breaker.AllowRequest(100 + kCooldownMs - 1));
   // Cooldown elapsed: the breaker lets a probe through.
-  EXPECT_TRUE(breaker.AllowRequest(100 + 1000));
-  EXPECT_EQ(breaker.state(100 + 1000), CircuitBreaker::State::kHalfOpen);
+  EXPECT_TRUE(breaker.AllowRequest(100 + kCooldownMs));
+  EXPECT_EQ(breaker.state(100 + kCooldownMs), CircuitBreaker::State::kHalfOpen);
   // Probe succeeds: closed again.
   breaker.RecordSuccess();
-  EXPECT_EQ(breaker.state(100 + 1001), CircuitBreaker::State::kClosed);
-  EXPECT_TRUE(breaker.AllowRequest(100 + 1001));
+  EXPECT_EQ(breaker.state(100 + kCooldownMs + 1),
+            CircuitBreaker::State::kClosed);
+  EXPECT_TRUE(breaker.AllowRequest(100 + kCooldownMs + 1));
 }
 
 TEST(CircuitBreakerTest, FailedProbeRearmsTheCooldown) {
-  CircuitBreaker breaker(BreakerOptions());
+  CircuitBreaker breaker({});
   for (int i = 0; i < 3; ++i) breaker.RecordFailure(100);
-  ASSERT_TRUE(breaker.AllowRequest(1100));  // probe
-  breaker.RecordFailure(1100);              // probe failed
-  EXPECT_FALSE(breaker.AllowRequest(1101));
-  EXPECT_FALSE(breaker.AllowRequest(1100 + 999));  // full fresh cooldown
-  EXPECT_TRUE(breaker.AllowRequest(1100 + 1000));
+  const TimestampMs probe = 100 + kCooldownMs;
+  ASSERT_TRUE(breaker.AllowRequest(probe));  // probe
+  breaker.RecordFailure(probe);              // probe failed
+  EXPECT_FALSE(breaker.AllowRequest(probe + 1));
+  EXPECT_FALSE(breaker.AllowRequest(probe + kCooldownMs - 1));  // fresh
+  EXPECT_TRUE(breaker.AllowRequest(probe + kCooldownMs));
 }
 
 TEST(CircuitBreakerTest, NodeFaultClassification) {
@@ -243,7 +239,7 @@ TEST(CircuitBreakerTest, NodeFaultClassification) {
 }
 
 TEST(CircuitBreakerTest, DisabledBreakerAllowsEverything) {
-  CircuitBreakerOptions options = BreakerOptions();
+  CircuitBreakerOptions options;
   options.enabled = false;
   CircuitBreaker breaker(options);
   for (int i = 0; i < 10; ++i) breaker.RecordFailure(i);
@@ -251,7 +247,7 @@ TEST(CircuitBreakerTest, DisabledBreakerAllowsEverything) {
 }
 
 TEST(CircuitBreakerRegistryTest, OneBreakerPerNode) {
-  CircuitBreakerRegistry registry(BreakerOptions());
+  CircuitBreakerRegistry registry({});
   CircuitBreaker* a = registry.Get("node-a");
   CircuitBreaker* b = registry.Get("node-b");
   EXPECT_NE(a, b);

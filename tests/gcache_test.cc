@@ -434,8 +434,6 @@ TEST(GCacheTest, EvictionKeepsMemoryUnderWatermark) {
   FakeStore store;
   GCacheOptions options = ManualOptions();
   options.memory_limit_bytes = 64 << 10;
-  options.high_watermark = 0.85;
-  options.low_watermark = 0.7;
   GCache cache(options, SystemClock::Instance(), store.Loader(),
                store.Storer());
   // Write until well past the limit.
@@ -456,7 +454,9 @@ TEST(GCacheTest, EvictionKeepsMemoryUnderWatermark) {
   ASSERT_GT(cache.MemoryBytes(), options.memory_limit_bytes);
   const size_t evicted = cache.SwapOnce();
   EXPECT_GT(evicted, 0u);
-  EXPECT_LE(cache.MemoryUsageRatio(), options.high_watermark + 0.01);
+  EXPECT_LE(cache.MemoryUsageRatio(), GCache::kHighWatermark + 0.01);
+  // The pass evicted down to the low watermark, not just under the high.
+  EXPECT_LE(cache.MemoryUsageRatio(), GCache::kLowWatermark + 0.01);
   // Write-back: every evicted dirty profile must have been persisted.
   for (ProfileId pid = 1; pid <= 200; ++pid) {
     bool cached = cache.WithProfile(pid, [](const ProfileData&) {}).ok();
@@ -622,10 +622,7 @@ TEST(GCacheTest, HitRatioTracksAccessPattern) {
 
 TEST(GCacheTest, FlushBackoffDoublesOnFailingPassesAndResetsOnCleanPass) {
   FakeStore store;
-  GCacheOptions options = ManualOptions();
-  options.flush_backoff_ms = 50;
-  options.flush_backoff_max_ms = 300;
-  GCache cache(options, SystemClock::Instance(), store.Loader(),
+  GCache cache(ManualOptions(), SystemClock::Instance(), store.Loader(),
                store.Storer());
   EXPECT_EQ(cache.FlushBackoffMs(), 0);
   cache
@@ -635,7 +632,9 @@ TEST(GCacheTest, FlushBackoffDoublesOnFailingPassesAndResetsOnCleanPass) {
                           })
       .ok();
   store.SetFailFlushes(true);
-  for (const int64_t expected : {50, 100, 200, 300, 300}) {
+  static_assert(GCache::kFlushBackoffMs == 50);
+  static_assert(GCache::kFlushBackoffMaxMs == 2000);
+  for (const int64_t expected : {50, 100, 200, 400, 800, 1600, 2000, 2000}) {
     EXPECT_EQ(cache.FlushOnce(), 0u);
     EXPECT_EQ(cache.FlushBackoffMs(), expected);
   }
@@ -765,13 +764,14 @@ TEST(GCacheTest, FlushPassStopsAtFailureCapAndRequeuesRemainder) {
   FakeStore store;
   MetricsRegistry metrics;
   GCacheOptions options = ManualOptions();
-  options.max_flush_failures_per_pass = 3;
   // One entry per write-back step, so the cap is counted per flush attempt
   // (BatchedFlushOutageBoundsFailuresAndRequeues covers larger groups).
   options.flush_batch_max = 1;
   GCache cache(options, SystemClock::Instance(), store.Loader(),
                store.Storer(), &metrics);
-  for (ProfileId pid = 1; pid <= 10; ++pid) {
+  constexpr int kCap = static_cast<int>(GCache::kMaxFlushFailuresPerPass);
+  constexpr size_t kPids = 2 * kCap + 4;  // well past the cap
+  for (ProfileId pid = 1; pid <= kPids; ++pid) {
     cache
         .WithProfileMutable(pid,
                             [](ProfileData& profile) {
@@ -780,17 +780,17 @@ TEST(GCacheTest, FlushPassStopsAtFailureCapAndRequeuesRemainder) {
                             })
         .ok();
   }
-  ASSERT_EQ(cache.DirtyCount(), 10u);
+  ASSERT_EQ(cache.DirtyCount(), kPids);
   store.SetFailFlushes(true);
   EXPECT_EQ(cache.FlushOnce(), 0u);
-  // The pass stopped at the cap: only 3 flush attempts hit the failing
+  // The pass stopped at the cap: only kCap flush attempts hit the failing
   // store, not one per dirty entry, and everything stayed queued.
-  EXPECT_EQ(store.flush_attempts(), 3);
-  EXPECT_EQ(cache.DirtyCount(), 10u);
-  EXPECT_EQ(metrics.GetCounter("cache.flush_failures")->Value(), 3);
+  EXPECT_EQ(store.flush_attempts(), kCap);
+  EXPECT_EQ(cache.DirtyCount(), kPids);
+  EXPECT_EQ(metrics.GetCounter("cache.flush_failures")->Value(), kCap);
   // Store recovers: the next pass drains the whole list.
   store.SetFailFlushes(false);
-  EXPECT_EQ(cache.FlushOnce(), 10u);
+  EXPECT_EQ(cache.FlushOnce(), kPids);
   EXPECT_EQ(cache.DirtyCount(), 0u);
 }
 
@@ -882,12 +882,16 @@ TEST(GCacheTest, BatchedFlushOutageBoundsFailuresAndRequeues) {
   FakeStore store;
   MetricsRegistry metrics;
   GCacheOptions options = ManualOptions();
-  options.flush_batch_max = 4;
-  options.max_flush_failures_per_pass = 3;
+  constexpr size_t kGroup = 4;
+  options.flush_batch_max = kGroup;
   GCache cache(options, SystemClock::Instance(), store.Loader(),
                store.Storer(), &metrics);
+  // Groups that fail until the cap trips, and the entries that follow them.
+  constexpr size_t kFailingGroups =
+      (GCache::kMaxFlushFailuresPerPass + kGroup - 1) / kGroup;
+  constexpr size_t kPids = kFailingGroups * kGroup + 2 * kGroup;
   store.SetFailFlushes(true);  // KV outage
-  for (ProfileId pid = 1; pid <= 12; ++pid) {
+  for (ProfileId pid = 1; pid <= kPids; ++pid) {
     cache
         .WithProfileMutable(pid,
                             [](ProfileData& profile) {
@@ -897,44 +901,47 @@ TEST(GCacheTest, BatchedFlushOutageBoundsFailuresAndRequeues) {
         .ok();
   }
   EXPECT_EQ(cache.FlushOnce(), 0u);
-  // One failing group trips the cap; the other 8 entries were requeued
-  // untried (no store call for them).
-  EXPECT_EQ(store.store_calls(), 1);
-  EXPECT_EQ(cache.DirtyCount(), 12u);
-  EXPECT_EQ(metrics.GetCounter("cache.flush_failures")->Value(), 4);
+  // The failing groups trip the cap; the other 2 groups' entries were
+  // requeued untried (no store call for them).
+  EXPECT_EQ(store.store_calls(), static_cast<int>(kFailingGroups));
+  EXPECT_EQ(cache.DirtyCount(), kPids);
+  const int64_t failures =
+      metrics.GetCounter("cache.flush_failures")->Value();
+  EXPECT_EQ(failures, static_cast<int64_t>(kFailingGroups * kGroup));
+  EXPECT_LT(failures,
+            static_cast<int64_t>(GCache::kMaxFlushFailuresPerPass + kGroup));
   EXPECT_TRUE(cache.StoreUnhealthy());
   // Outage over: everything drains, and the health flag clears.
   store.SetFailFlushes(false);
-  EXPECT_EQ(cache.FlushOnce(), 12u);
+  EXPECT_EQ(cache.FlushOnce(), kPids);
   EXPECT_EQ(cache.DirtyCount(), 0u);
   EXPECT_FALSE(cache.StoreUnhealthy());
-  for (ProfileId pid = 1; pid <= 12; ++pid) EXPECT_TRUE(store.Has(pid));
+  for (ProfileId pid = 1; pid <= kPids; ++pid) EXPECT_TRUE(store.Has(pid));
 }
 
 TEST(GCacheTest, FlushAllZeroProgressBailsInsteadOfBusySpin) {
-  // Regression: a pass can flush nothing while reporting zero failures
-  // (max_flush_failures_per_pass of 0 requeues the whole list untried).
-  // FlushAll used to treat "no failures" as success and busy-spin its full
-  // 64 rounds with no backoff; it must instead back off and give up after a
-  // few stuck rounds.
+  // A store whose every flush fails: FlushAll must neither busy-spin its
+  // full 64 rounds nor wait out 64 rounds of backoff. It backs off and gives
+  // up after a few stuck rounds, leaving the entry dirty.
   FakeStore store;
   ManualClock clock(0);
-  GCacheOptions options = ManualOptions();
-  options.max_flush_failures_per_pass = 0;
-  GCache cache(options, &clock, store.Loader(), store.Storer());
+  GCache cache(ManualOptions(), &clock, store.Loader(), store.Storer());
   cache
       .WithProfileMutable(1,
                           [](ProfileData& profile) {
                             profile.Add(kMinute, 1, 1, 1, CountVector{1}).ok();
                           })
       .ok();
+  store.SetFailFlushes(true);
   cache.FlushAll();  // must return (bounded rounds), not spin 64 rounds
   EXPECT_EQ(cache.DirtyCount(), 1u);  // nothing could flush
-  EXPECT_EQ(store.flush_attempts(), 0);
+  EXPECT_FALSE(store.Has(1));
+  EXPECT_GT(store.flush_attempts(), 0);
+  EXPECT_LT(store.flush_attempts(), 64);
   // The stuck rounds backed off through the manual clock (not a busy spin)
   // and stopped well short of 64 rounds' worth of max backoff.
   EXPECT_GT(clock.NowMs(), 0);
-  EXPECT_LE(clock.NowMs(), 4 * options.flush_backoff_max_ms);
+  EXPECT_LE(clock.NowMs(), 4 * GCache::kFlushBackoffMaxMs);
 }
 
 // ------------------------------------------- one write-back at a time ---

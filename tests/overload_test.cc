@@ -20,6 +20,12 @@ class OverloadControllerTest : public ::testing::Test {
     return std::make_unique<OverloadController>(options, &clock_, &metrics_);
   }
 
+  // Feeds one queue sample until the EWMA has converged on it (0.8^200 of
+  // the old value is left).
+  static void Converge(OverloadController& ctrl, int64_t queue_us) {
+    for (int i = 0; i < 200; ++i) ctrl.RecordQueueSample(queue_us);
+  }
+
   ManualClock clock_;
   MetricsRegistry metrics_;
 };
@@ -106,32 +112,33 @@ TEST_F(OverloadControllerTest, BrownOutShedCarriesRetryAfter) {
   ASSERT_FALSE(s.ok());
   EXPECT_TRUE(s.IsThrottled());
   EXPECT_TRUE(s.has_retry_after());
-  EXPECT_GE(s.retry_after_ms(), ctrl->options().min_retry_after_ms);
+  EXPECT_GE(s.retry_after_ms(), OverloadController::kMinRetryAfterMs);
 }
 
 TEST_F(OverloadControllerTest, LevelTracksQueueEstimate) {
   OverloadControllerOptions options;
   options.target_queue_us = 1'000;
-  options.ewma_alpha = 1.0;  // estimate == newest sample, deterministic
   auto ctrl = Make(options);
   EXPECT_EQ(ctrl->Level(), 0);
-  ctrl->RecordQueueSample(1'500);  // > 1x target: shed bulk
+  // Each sample sits at 1.8x a rung, so the converged estimate clears the
+  // rung with room for the half-life decay between sample and check.
+  Converge(*ctrl, 1'800);  // > 1x target: shed bulk
   EXPECT_EQ(ctrl->Level(), 1);
-  ctrl->RecordQueueSample(2'500);  // > 2x: +writes
+  Converge(*ctrl, 3'600);  // > 2x: +writes
   EXPECT_EQ(ctrl->Level(), 2);
-  ctrl->RecordQueueSample(5'000);  // > 4x: +reads
+  Converge(*ctrl, 7'200);  // > 4x: +reads
   EXPECT_EQ(ctrl->Level(), 3);
-  ctrl->RecordQueueSample(9'000);  // > 8x: everything sheds
+  Converge(*ctrl, 14'400);  // > 8x: everything sheds
   EXPECT_EQ(ctrl->Level(), 4);
 }
 
 TEST_F(OverloadControllerTest, DeadlineDerivedShed) {
   OverloadControllerOptions options;
   options.target_queue_us = 50'000;  // ladder stays quiet; isolate deadlines
-  options.ewma_alpha = 1.0;
   auto ctrl = Make(options);
+  // The first service sample seeds the service EWMA as it is.
   ctrl->RecordServiceSample(/*service_us=*/2'000, /*cost=*/1.0);
-  ctrl->RecordQueueSample(10'000);  // standing queue ~10ms
+  Converge(*ctrl, 10'000);  // standing queue ~10ms
 
   clock_.SetMs(1'000);
   // 5ms of headroom cannot cover 10ms queue + 2ms service: dead on arrival.
@@ -173,16 +180,24 @@ TEST_F(OverloadControllerTest, DepthEstimateReactsBeforeAnySampleDrains) {
   EXPECT_EQ(ctrl->EstimateQueueUs(), 0);
 }
 
-TEST_F(OverloadControllerTest, EstimateDecaysAfterBurstEnds) {
-  OverloadControllerOptions options;
-  options.ewma_alpha = 1.0;
-  options.estimate_half_life_ms = 1;  // fast decay so the test stays quick
-  auto ctrl = Make(options);
+TEST_F(OverloadControllerTest, FirstQueueSampleWeighsAlpha) {
+  auto ctrl = Make({});
+  // From an empty estimate one sample moves it by alpha = 0.2 of the way.
   ctrl->RecordQueueSample(100'000);
+  const int64_t estimate = ctrl->EstimateQueueUs();
+  EXPECT_LE(estimate, 20'000);
+  EXPECT_GT(estimate, 10'000);  // at most one half-life of decay since
+}
+
+TEST_F(OverloadControllerTest, EstimateDecaysAfterBurstEnds) {
+  auto ctrl = Make({});
+  Converge(*ctrl, 100'000);
   EXPECT_GT(ctrl->EstimateQueueUs(), 50'000);
-  // ~30 half-lives later the burst's estimate is gone without any new
-  // samples (the decay runs on real monotonic time).
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  // Ten half-lives later the burst's estimate is gone without any new
+  // samples (the decay runs on real monotonic time): 100ms / 2^10 < 1ms of
+  // queue.
+  std::this_thread::sleep_for(std::chrono::milliseconds(
+      10 * OverloadController::kEstimateHalfLifeMs));
   EXPECT_LT(ctrl->EstimateQueueUs(), 1'000);
   EXPECT_EQ(ctrl->Level(), 0);
 }
@@ -190,9 +205,9 @@ TEST_F(OverloadControllerTest, EstimateDecaysAfterBurstEnds) {
 TEST_F(OverloadControllerTest, RetryAfterHintClamped) {
   OverloadControllerOptions options;
   options.target_queue_us = 1'000;
-  options.min_retry_after_ms = 2;
-  options.max_retry_after_ms = 500;
   auto ctrl = Make(options);
+  static_assert(OverloadController::kMinRetryAfterMs == 2);
+  static_assert(OverloadController::kMaxRetryAfterMs == 500);
   // At target: no excess, clamped up to the minimum.
   EXPECT_EQ(ctrl->RetryAfterMsForEstimate(1'000), 2);
   // 26ms of excess queue: hint = drain time.
@@ -204,13 +219,16 @@ TEST_F(OverloadControllerTest, RetryAfterHintClamped) {
 TEST_F(OverloadControllerTest, ServiceEwmaNormalizesPerItem) {
   OverloadControllerOptions options;
   options.workers = 1;
-  options.ewma_alpha = 1.0;
   auto ctrl = Make(options);
   // 64 items served in 32ms = 500us/item; the depth estimate uses the
-  // per-item figure, not the raw batch duration.
+  // per-item figure, not the raw batch duration. The first sample seeds the
+  // service EWMA as it is.
   ctrl->RecordServiceSample(32'000, /*cost=*/64.0);
   ctrl->OnEnqueue();
   EXPECT_EQ(ctrl->EstimateQueueUs(), 500);
+  // A second sample at 1000us/item moves the EWMA alpha = 0.2 of the way.
+  ctrl->RecordServiceSample(64'000, /*cost=*/64.0);
+  EXPECT_EQ(ctrl->EstimateQueueUs(), 600);
   ctrl->OnDequeue(0);
 }
 

@@ -15,10 +15,11 @@ namespace {
 
 TEST(QuotaManagerTest, UnknownCallerUnlimitedByDefault) {
   ManualClock clock(0);
-  QuotaManager quota(&clock, /*default_qps=*/0);
+  QuotaManager quota(&clock);
   for (int i = 0; i < 1000; ++i) {
     EXPECT_TRUE(quota.Check("anyone").ok());
   }
+  EXPECT_DOUBLE_EQ(quota.QuotaFor("anyone"), 0.0);  // 0 = unlimited
 }
 
 TEST(QuotaManagerTest, ExplicitQuotaEnforced) {
@@ -59,16 +60,6 @@ TEST(QuotaManagerTest, CallersAreIndependent) {
   }
 }
 
-TEST(QuotaManagerTest, DefaultQpsAppliesToUnknownCallers) {
-  ManualClock clock(0);
-  QuotaManager quota(&clock, /*default_qps=*/5.0);
-  int granted = 0;
-  for (int i = 0; i < 100; ++i) {
-    if (quota.Check("stranger").ok()) ++granted;
-  }
-  EXPECT_EQ(granted, 5);
-}
-
 TEST(QuotaManagerTest, HotReconfigureTakesEffect) {
   ManualClock clock(0);
   QuotaManager quota(&clock);
@@ -86,7 +77,7 @@ TEST(QuotaManagerTest, HotReconfigureTakesEffect) {
 
 TEST(QuotaManagerTest, RemoveQuotaRestoresDefault) {
   ManualClock clock(0);
-  QuotaManager quota(&clock, /*default_qps=*/0);
+  QuotaManager quota(&clock);
   quota.SetQuota("x", 1.0);
   quota.Check("x").ok();
   EXPECT_TRUE(quota.Check("x").IsResourceExhausted());
@@ -124,13 +115,10 @@ TEST(QuotaManagerTest, ReconfigurePreservesDrainedUsage) {
 
 TEST(QuotaManagerTest, RemoveUnknownCallerIsNoOp) {
   ManualClock clock(0);
-  QuotaManager quota(&clock, /*default_qps=*/2.0);
+  QuotaManager quota(&clock);
   quota.RemoveQuota("ghost");  // never configured: must not crash or leak
-  int granted = 0;
-  for (int i = 0; i < 10; ++i) {
-    if (quota.Check("ghost").ok()) ++granted;
-  }
-  EXPECT_EQ(granted, 2);  // default still applies
+  EXPECT_TRUE(quota.Check("ghost").ok());  // still unlimited
+  EXPECT_DOUBLE_EQ(quota.QuotaFor("ghost"), 0.0);
 }
 
 TEST(QuotaManagerTest, MidFlightRemovalRaceIsSafe) {
@@ -139,7 +127,7 @@ TEST(QuotaManagerTest, MidFlightRemovalRaceIsSafe) {
   // RemoveQuota must resolve as "checked under the old quota", never as a
   // use-after-free (this is what TSan/ASan runs of this test pin down).
   ManualClock clock(0);
-  QuotaManager quota(&clock, /*default_qps=*/0);
+  QuotaManager quota(&clock);
   quota.SetQuota("hot", 1'000'000.0);
   std::atomic<bool> stop{false};
   std::atomic<int64_t> checks{0};
